@@ -8,7 +8,6 @@ Subcommands:
 Exit codes: 0 success, 2 usage error (bad flags, missing files), 3 numeric
 non-convergence (diagnostics still written).  Identical argv and input files
 produce byte-identical outputs; every report embeds the seed it used.
-``SPEISER_LAB_THREADS`` caps internal parallelism.
 """
 
 from __future__ import annotations

@@ -63,6 +63,17 @@ def build_gamma(depth: int, schedule: GrowthSchedule) -> RotationGraph:
     return gamma
 
 
+def first_k_holding(ok: list[bool], k_min: int) -> int | None:
+    """Smallest k_min + i with ok[i:] all true, or None if ok[-1] fails.
+
+    ``ok[i]`` is the check at k = k_min + i; an empty list gives None.
+    """
+    i = len(ok)
+    while i > 0 and ok[i - 1]:
+        i -= 1
+    return k_min + i if i < len(ok) else None
+
+
 @dataclass
 class GrowthCheck:
     k_min: int
@@ -95,18 +106,13 @@ def verify_growth(
     bound = [k * math.log(k) for k in range(k_min, k_hi + 1)]
     ok = [s <= b for s, b in zip(sizes, bound)]
     failing = [k_min + i for i, o in enumerate(ok) if not o]
-    first_holding = None
-    for i in range(len(ok)):
-        if all(ok[i:]):
-            first_holding = k_min + i
-            break
     return GrowthCheck(
         k_min=k_min,
         k_max=k_hi,
         ball_sizes=sizes,
         bound=bound,
         holds_all=not failing,
-        first_k_holding=first_holding,
+        first_k_holding=first_k_holding(ok, k_min),
         failing_k=failing,
     )
 
@@ -148,11 +154,6 @@ def verify_upsilon_bounds(
     sizes = counts.sphere_sizes[k_min : k_hi + 1]
     bound = [4 * k * math.log(k) for k in range(k_min, k_hi + 1)]
     ok = [s <= b for s, b in zip(sizes, bound)]
-    first_holding = None
-    for i in range(len(ok)):
-        if all(ok[i:]):
-            first_holding = k_min + i
-            break
     c_fit = max(
         counts.ball_sizes[k] / (k * k * math.log(k))
         for k in range(2, k_hi + 1)
@@ -163,7 +164,7 @@ def verify_upsilon_bounds(
         sphere_sizes=sizes,
         sphere_bound=bound,
         sphere_holds_all=all(ok),
-        sphere_first_k_holding=first_holding,
+        sphere_first_k_holding=first_k_holding(ok, k_min),
         ball_constant=c_fit,
     )
 
@@ -216,6 +217,8 @@ class Theorem1Report:
 def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     """Run both evidence legs and assemble the deterministic report."""
     config = config or Theorem1Config()
+    # a bad schedule fails here, before any leg-A work
+    schedule = GrowthSchedule(tuple(config.schedule), origin="custom")
     notes = [
         "verdicts are truncation trends, not proofs",
         "leg A runs on the degree-8 triangulation (the dual of the octagon "
@@ -249,7 +252,6 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     }
 
     # leg B: growth bounds and recurrence evidence on the stretched base
-    schedule = GrowthSchedule(tuple(config.schedule), origin="custom")
     gamma = build_gamma(len(schedule), schedule)
     gamma_layers = bfs_layers(gamma, 0)
     growth = verify_growth(

@@ -3,26 +3,28 @@
 For vertex sets A, B in a finite graph, the quantity optimized is
 ``sup_m dist_m(A, B)^2 / area(m)`` where a path's length is the sum of the
 weights of every vertex it visits (endpoints included) and the area is the
-sum of squared weights.  The solver is a cutting-plane scheme: minimize the
-area subject to unit length on a growing family of shortest paths, where the
-inner quadratic program is solved by projected coordinate ascent on its dual
-(each multiplier update is a clipped step, so the metric stays a nonnegative
-combination of path indicators).
+sum of squared weights.  The solver is the cutting-plane scheme of Albin,
+Brunner, Perez, Poggi-Corradini and Wiens (2015): minimize the area subject
+to unit length on a growing family of shortest paths.  Each round's
+quadratic program is solved exactly on its dual by an active-set loop over
+the Gram matrix of path overlaps, so the metric stays a nonnegative
+combination of path indicators.  Rounds reuse each other's work: the Gram
+matrix is kept for the whole solve and grows by one row and column per
+added path, and each round's active set starts from the previous round's
+positive multipliers plus the new path.
 
 Lower bounds are certified by the returned metric, upper bounds by a greedy
-maximal family of vertex-disjoint A-B paths.
+maximal family of vertex-disjoint A-B paths found by breadth-first search.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .errors import FrontierError, GraphError
 from .graph_core import LayerDecomposition, RotationGraph
@@ -33,13 +35,6 @@ from .trend import (
     PARABOLIC,
     classify_cumulative_sums,
 )
-
-
-def max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SPEISER_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -154,55 +149,73 @@ class _Subproblem:
         best = int(np.argmin(dist_b))
         if not np.isfinite(dist_b[best]):
             return None
+        return float(dist_b[best]), self._walk_back(pred, best)
+
+    def disjoint_path_family(self) -> list[np.ndarray]:
+        """Greedy maximal family of vertex-disjoint A-B paths (fewest vertices).
+
+        Each path is the BFS-tree path from the virtual source to the first
+        B vertex in BFS order, over the edges whose ends are both alive.
+        """
+        alive = np.ones(self.n + 1, dtype=bool)  # the virtual source stays
+        family = []
+        while True:
+            keep = alive[self.rows] & alive[self.cols]
+            adj = csr_matrix(
+                (np.ones(int(keep.sum())), (self.rows[keep], self.cols[keep])),
+                shape=(self.n + 1, self.n + 1),
+            )
+            order, pred = breadth_first_order(
+                adj, self.src, directed=True, return_predecessors=True
+            )
+            hits = order[self.b_mask[order]]
+            if not len(hits):
+                return family
+            path = self._walk_back(pred, int(hits[0]))
+            family.append(path)
+            alive[path] = False
+
+    def _walk_back(self, pred: np.ndarray, v: int) -> np.ndarray:
+        """Local vertices of the tree path from the virtual source to ``v``."""
         path = []
-        v = best
         while v != self.src and v >= 0:
             path.append(v)
             v = pred[v]
         path.reverse()
-        return float(dist_b[best]), np.asarray(path, dtype=np.int64)
+        return np.asarray(path, dtype=np.int64)
 
-    def disjoint_path_family(self) -> list[np.ndarray]:
-        """Greedy maximal family of vertex-disjoint A-B paths (fewest vertices)."""
-        alive = np.ones(self.n, dtype=bool)
-        family = []
-        adj = csr_matrix(
-            (np.ones(len(self.rows)), (self.rows, self.cols)),
-            shape=(self.n + 1, self.n + 1),
-        )
-        indptr, indices = adj.indptr, adj.indices
-        while True:
-            path = self._bfs_path(alive, indptr, indices)
-            if path is None:
-                break
-            family.append(path)
-            alive[path] = False
-        return family
 
-    def _bfs_path(self, alive, indptr, indices):
-        pred = np.full(self.n, -1, dtype=np.int64)
-        seen = np.zeros(self.n, dtype=bool)
-        frontier = [a for a in self.A if alive[a]]
-        for a in frontier:
-            seen[a] = True
-            pred[a] = -2
-        while frontier:
-            nxt = []
-            for v in frontier:
-                if self.b_mask[v]:
-                    path = []
-                    while v >= 0:
-                        path.append(v)
-                        v = pred[v] if pred[v] != -2 else -1
-                    path.reverse()
-                    return np.asarray(path, dtype=np.int64)
-                for w in indices[indptr[v] : indptr[v + 1]]:
-                    if w < self.n and alive[w] and not seen[w]:
-                        seen[w] = True
-                        pred[w] = v
-                        nxt.append(int(w))
-            frontier = nxt
-        return None
+class _PathGram:
+    """Pairwise overlap counts of the cutting-plane paths, grown in place.
+
+    ``gram`` is allocated once at ``capacity x capacity``; adding a path fills
+    only its row and column, from one length-``n`` indicator of the new path
+    summed over every stored path.  The entries are exact integer counts.
+    """
+
+    def __init__(self, n: int, capacity: int):
+        self.gram = np.empty((capacity, capacity))
+        self.paths: list[np.ndarray] = []
+        self._ind = np.zeros(n)
+        self._flat = np.empty(0, dtype=np.int64)
+        self._starts: list[int] = []
+
+    def add(self, path: np.ndarray) -> None:
+        k = len(self.paths)
+        self.paths.append(path)
+        self._starts.append(len(self._flat))
+        self._flat = np.concatenate([self._flat, path])
+        self._ind[path] = 1.0
+        row = np.add.reduceat(self._ind[self._flat], self._starts)
+        self._ind[path] = 0.0
+        self.gram[k, : k + 1] = row
+        self.gram[: k + 1, k] = row
+
+    @property
+    def block(self) -> np.ndarray:
+        """The leading k x k block for the k stored paths."""
+        k = len(self.paths)
+        return self.gram[:k, :k]
 
 
 def solve_vel(
@@ -237,7 +250,9 @@ def solve_vel(
     upper = max(len(p) for p in family) / len(family)
 
     m = np.zeros(sub.n)
-    paths: list[np.ndarray] = []
+    store = _PathGram(sub.n, opts.max_paths)
+    lam = np.zeros(0)
+    qp_exact = True
     n_iter = 0
     converged = False
     while n_iter < opts.max_paths:
@@ -249,8 +264,10 @@ def solve_vel(
         if length >= 1.0 - opts.tol:
             converged = True
             break
-        paths.append(path)
-        m = _solve_qp(paths, sub.n, opts)
+        store.add(path)
+        lam, exact = _solve_qp(store.block, np.append(lam > 0, True), opts)
+        qp_exact = qp_exact and exact
+        m = _path_metric(store.paths, lam, sub.n)
 
     found = sub.shortest_path(m)
     dist = found[0] if found else math.inf
@@ -264,30 +281,35 @@ def solve_vel(
         upper=upper,
         metric=metric,
         paths=family_paths,
-        iterations={"outer": n_iter, "n_constraints": len(paths)},
-        converged=converged,
+        iterations={"outer": n_iter, "n_constraints": len(store.paths)},
+        converged=converged and qp_exact,
     )
     if est.lower > est.upper + 1e-9:
         raise GraphError("certified bounds crossed; solver bug")
     return est
 
 
-def _solve_qp(paths: list[np.ndarray], n: int, opts: SolverOptions) -> np.ndarray:
+def _solve_qp(
+    gram: np.ndarray, active: np.ndarray, opts: SolverOptions
+) -> tuple[np.ndarray, bool]:
     """Exact solve of: min ||m||^2, m >= 0, sum of m over each path >= 1.
 
     Works on the dual: m = sum lam_p * indicator(p) with lam >= 0, where the
-    active multipliers satisfy the Gram system G lam = 1 (G counts pairwise
-    path overlaps).  An active-set loop drops negative multipliers and adds
-    violated constraints; the Gram matrix stays small (one row per path).
+    active multipliers satisfy the Gram system G lam = 1 (``gram`` counts
+    pairwise path overlaps; ``solve_vel`` keeps it across rounds and passes
+    its leading block).  An active-set loop drops the most negative
+    multiplier and adds the most violated constraint until KKT holds.
+    ``active`` is the starting set: all ones is a cold start, and
+    ``solve_vel`` warm-starts from the previous round's positive multipliers
+    plus the new path.  The optimal metric is unique, so both starts end at
+    the same m.
+
+    Returns the multipliers and whether KKT was met within
+    ``opts.qp_iterations`` solves; if it was not, the multipliers are the
+    last nonnegative ones found (zeros if there were none).
     """
-    k = len(paths)
-    gram = np.empty((k, k))
-    for i, p in enumerate(paths):
-        ind = np.zeros(n)
-        ind[p] = 1.0
-        for j in range(i + 1):
-            gram[i, j] = gram[j, i] = float(ind[paths[j]].sum())
-    active = np.ones(k, dtype=bool)
+    k = len(gram)
+    active = active.copy()
     lam = np.zeros(k)
     for _ in range(opts.qp_iterations):
         idx = np.flatnonzero(active)
@@ -308,7 +330,12 @@ def _solve_qp(paths: list[np.ndarray], n: int, opts: SolverOptions) -> np.ndarra
         if slack[worst] > 1e-12:
             active[worst] = True
             continue
-        break
+        return lam, True
+    return lam, False
+
+
+def _path_metric(paths: list[np.ndarray], lam: np.ndarray, n: int) -> np.ndarray:
+    """m = sum over paths of lam_p times the path's indicator."""
     m = np.zeros(n)
     for i, p in enumerate(paths):
         if lam[i] > 0:
@@ -371,12 +398,7 @@ def vel_type_trend(
         B = set(layers.spheres[no])
         return solve_vel(g, A, B, opts=opts, support=support)
 
-    workers = max_workers()
-    if workers > 1 and len(usable) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            estimates = list(pool.map(solve_one, usable))
-    else:
-        estimates = [solve_one(a) for a in usable]
+    estimates = [solve_one(a) for a in usable]
 
     cumulative = []
     acc = 0.0

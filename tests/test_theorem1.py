@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from speiserlab import theorem1
 from speiserlab.errors import ScheduleError
 from speiserlab.graph_core import bfs_layers, classify, is_isomorphic
 from speiserlab.speiser import GrowthSchedule, speiser_ball
 from speiserlab.theorem1 import (
     Theorem1Config,
     build_gamma,
+    first_k_holding,
     paper_schedule,
     run_theorem1,
     verify_growth,
@@ -112,3 +116,30 @@ def test_run_theorem1_identity_schedule_flags_growth():
 def test_run_theorem1_even_schedule_errors():
     with pytest.raises(ScheduleError):
         run_theorem1(Theorem1Config(schedule=(4, 8)))
+
+
+def test_run_theorem1_bad_schedule_fails_before_leg_a(monkeypatch):
+    def no_leg_a(*args, **kwargs):
+        raise AssertionError("leg A ran before the schedule was checked")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_leg_a)
+    with pytest.raises(ScheduleError):
+        run_theorem1(Theorem1Config(schedule=(4, 8)))
+
+
+def _first_k_holding_brute(ok, k_min):
+    for i in range(len(ok)):
+        if all(ok[i:]):
+            return k_min + i
+    return None
+
+
+@given(st.lists(st.booleans(), max_size=40), st.integers(-5, 50))
+def test_first_k_holding_matches_definition(ok, k_min):
+    assert first_k_holding(ok, k_min) == _first_k_holding_brute(ok, k_min)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_first_k_holding_constant_lists(n):
+    assert first_k_holding([True] * n, 25) == (25 if n else None)
+    assert first_k_holding([False] * n, 25) is None
