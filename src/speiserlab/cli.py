@@ -188,7 +188,6 @@ def _cmd_theorem1(args) -> int:
     if args.svg is not None:
         from .packing import EUCLIDEAN, pack_disk, packing_to_svg
 
-        psi = build_octagonal_speiser(3)
         tri = triangular_ball(8, 3)
         packed = pack_disk(tri, boundary=EUCLIDEAN)
         Path(args.svg).write_text(packing_to_svg(packed, nerve=True))

@@ -8,16 +8,31 @@ are represented by finite truncations whose incomplete rim vertices are listed
 in ``frontier``.
 
 Face tracing uses ``next(d) = rotation_successor(twin(d))``; its orbits
-partition the darts.  The dual swaps the roles of the face permutation and the
-rotation, which makes ``dual(dual(g))`` the identity on frontier-free graphs.
+partition the darts.  ``trace_faces`` computes them once per graph as flat
+numpy arrays (``Faces``), from which ``FaceWalk`` records are built on
+demand.  The dual swaps the roles of the face permutation and the rotation,
+which makes ``dual(dual(g))`` the identity on frontier-free graphs.
+
+Graph rewrites describe their result by its faces: ``from_walks`` takes the
+face walks as flat integer arrays (vertex keys, edge keys, walk lengths),
+numbers edges by first appearance, keeps the ids of vertex keys below
+``keep`` and numbers the other keys after them by first appearance, and
+recovers the rotations as the orbits of ``face_next o twin``.  Each rewrite
+thus builds its graph, validated, in one construction.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from itertools import chain
+from typing import NamedTuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import FrontierError, GraphError
 
@@ -52,28 +67,46 @@ class RotationGraph:
         tags: dict[int, str] | None = None,
         validate: bool = True,
     ):
-        self.rotations = [list(r) for r in rotations]
+        # rotation lists are shared with the caller, not copied: no graph
+        # mutates them
+        self.rotations = [r if type(r) is list else list(r) for r in rotations]
         self.frontier = frozenset(frontier)
         self.tags = dict(tags) if tags else None
         self.n_vertices = len(self.rotations)
-        self.n_darts = sum(len(r) for r in self.rotations)
+        degree = np.fromiter(map(len, self.rotations), np.int64, self.n_vertices)
+        self.n_darts = int(degree.sum())
         if self.n_darts % 2:
             raise GraphError("odd number of darts")
         self.n_edges = self.n_darts // 2
 
-        self.dart_vertex = [-1] * self.n_darts
-        self._rot_next = [-1] * self.n_darts
-        for v, rot in enumerate(self.rotations):
-            for i, d in enumerate(rot):
-                if not (0 <= d < self.n_darts):
-                    raise GraphError(f"malformed rotation: dart {d} out of range")
-                if self.dart_vertex[d] != -1:
-                    raise GraphError(f"malformed rotation: dart {d} appears twice")
-                self.dart_vertex[d] = v
-                self._rot_next[d] = rot[(i + 1) % len(rot)]
+        slots = list(chain.from_iterable(self.rotations))
+        flat = np.fromiter(slots, np.int64, self.n_darts)
+        bad = (flat < 0) | (flat >= self.n_darts)
+        if bad.any():
+            raise GraphError(f"malformed rotation: dart {flat[bad][0]} out of range")
+        twice = np.bincount(flat, minlength=self.n_darts) > 1
+        if twice.any():
+            raise GraphError(
+                f"malformed rotation: dart {np.flatnonzero(twice)[0]} appears twice"
+            )
+        dart_vertex = np.full(self.n_darts, -1, dtype=np.int64)
+        dart_vertex[flat] = np.repeat(np.arange(self.n_vertices), degree)
         self._faces = None
         if validate:
-            self._validate()
+            self._validate(dart_vertex, flat, degree)
+        # the per-dart lists point at existing ints (one per vertex, and the
+        # rotations' darts) rather than holding a new int per entry
+        vertex_ids = np.arange(self.n_vertices).astype(object)
+        self.dart_vertex = vertex_ids[dart_vertex].tolist()
+        del dart_vertex
+        # rotation slot after each slot: the next one, or the vertex's first
+        start = np.cumsum(degree) - degree
+        succ = np.arange(1, self.n_darts + 1)
+        has = degree > 0
+        succ[(start + degree - 1)[has]] = start[has]
+        rot_next = np.empty(self.n_darts, dtype=object)
+        rot_next[flat] = np.array(slots, dtype=object)[succ]
+        self._rot_next = rot_next.tolist()
 
     # -- basic queries ----------------------------------------------------
 
@@ -110,29 +143,28 @@ class RotationGraph:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
-        for d in range(self.n_darts):
-            if self.dart_vertex[d] == -1:
-                raise GraphError(f"dangling half-edge {d}: not in any rotation")
-        for e in range(self.n_edges):
-            u, v = self.edge_ends(e)
-            if u == v:
-                raise GraphError(f"self-loop: edge {e} joins vertex {u} to itself")
+    def _validate(
+        self, dart_vertex: np.ndarray, flat: np.ndarray, degree: np.ndarray
+    ) -> None:
+        dangling = np.flatnonzero(dart_vertex == -1)
+        if len(dangling):
+            raise GraphError(f"dangling half-edge {dangling[0]}: not in any rotation")
+        loops = np.flatnonzero(dart_vertex[0::2] == dart_vertex[1::2])
+        if len(loops):
+            e = loops[0]
+            raise GraphError(
+                f"self-loop: edge {e} joins vertex {dart_vertex[2 * e]} to itself"
+            )
         if self.n_vertices == 0:
             raise GraphError("empty graph")
-        seen = [False] * self.n_vertices
-        queue = deque([0])
-        seen[0] = True
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for d in self.rotations[v]:
-                w = self.dart_vertex[d ^ 1]
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        if count != self.n_vertices:
+        # adjacency in CSR form straight from the rotations
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        adjacency = csr_matrix(
+            (np.ones(self.n_darts, dtype=np.int8), dart_vertex[flat ^ 1], indptr),
+            shape=(self.n_vertices, self.n_vertices),
+        )
+        if connected_components(adjacency, directed=False)[0] != 1:
             raise GraphError("disconnected graph")
 
     # -- constructors ------------------------------------------------------
@@ -171,94 +203,124 @@ class RotationGraph:
     @classmethod
     def from_walks(
         cls,
-        walks: Sequence[Sequence[tuple[Hashable, Hashable]]],
-        frontier_keys: Iterable[Hashable] = (),
-        tag_keys: dict[Hashable, str] | None = None,
-    ) -> tuple["RotationGraph", dict[Hashable, int], dict[Hashable, int]]:
+        tails: Sequence[int] | np.ndarray,
+        edge_keys: Sequence[int] | np.ndarray,
+        lengths: Sequence[int] | np.ndarray,
+        keep: int = 0,
+        frontier: Iterable[int] = (),
+        tags: dict[int, str] | None = None,
+    ) -> "WalkBuild":
         """Build a graph from its complete list of oriented face walks.
 
-        Each walk is a list of ``(tail_vertex_key, edge_key)`` pairs; every
-        edge key must occur exactly twice overall, with distinct tails.  The
-        rotation system is recovered from the face structure, so callers
-        describe transformations purely in terms of new faces.  Returns the
-        graph plus key-to-id maps for vertices and edges.
+        The walks come flat: walk ``i`` is the next ``lengths[i]`` items, and
+        item ``j`` leaves the vertex with integer key ``tails[j]`` along the
+        edge with integer key ``edge_keys[j]``.  Every edge key must occur
+        exactly twice overall, with distinct tails.  The rotation system is
+        recovered from the face structure (the rotations are the orbits of
+        ``face_next o twin``), so callers describe transformations purely in
+        terms of new faces.
+
+        Vertex keys in ``[0, keep)`` become the vertices of the same id; the
+        other keys are numbered ``keep, keep + 1, ...`` in order of first
+        appearance.  Edges are numbered in order of first appearance, and an
+        edge's first occurrence is dart ``2e``.  ``frontier`` and ``tags``
+        name vertices by key; keys that never occur are ignored.  The walks
+        are the faces of the result, whose face table is filled in here.
         """
-        vmap: dict[Hashable, int] = {}
-        emap: dict[Hashable, int] = {}
-        first_dart: dict[Hashable, int] = {}
-        dart_tail: list[int] = []
-        slots: list[tuple[int, int]] = []  # (walk index, position) per dart id is implicit
-        dart_ids: list[list[int]] = []
+        tails = np.asarray(tails, dtype=np.int64)
+        items = np.asarray(edge_keys, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if not len(lengths):
+            raise GraphError("no face walks")
+        if (lengths <= 0).any():
+            raise GraphError("empty face walk")
+        if len(tails) != len(items) or int(lengths.sum()) != len(items):
+            raise GraphError("walk lengths do not match the walk items")
+        pos = np.arange(len(items))
 
-        for wi, walk in enumerate(walks):
-            if not walk:
-                raise GraphError("empty face walk")
-            ids = []
-            for tail_key, edge_key in walk:
-                if tail_key not in vmap:
-                    vmap[tail_key] = len(vmap)
-                tail = vmap[tail_key]
-                if edge_key in emap:
-                    e = emap[edge_key]
-                    if first_dart[edge_key] == -1:
-                        raise GraphError(f"edge key {edge_key!r} used more than twice")
-                    d = 2 * e + 1
-                    if dart_tail[2 * e] == tail:
-                        raise GraphError(
-                            f"self-loop: edge key {edge_key!r} has equal tails"
-                        )
-                    first_dart[edge_key] = -1
-                else:
-                    e = len(emap)
-                    emap[edge_key] = e
-                    first_dart[edge_key] = 1
-                    d = 2 * e
-                while len(dart_tail) <= d:
-                    dart_tail.append(-1)
-                dart_tail[d] = tail
-                ids.append(d)
-            dart_ids.append(ids)
+        ukeys, first, inverse, count = np.unique(
+            items, return_index=True, return_inverse=True, return_counts=True
+        )
+        if (count > 2).any():
+            raise GraphError(
+                f"edge key {int(ukeys[count > 2][0])} used more than twice"
+            )
+        if (count < 2).any():
+            raise GraphError(
+                f"edge keys appearing once: {ukeys[count < 2][:5].tolist()}"
+            )
+        by_first = np.argsort(first)
+        edge_id = np.empty_like(by_first)
+        edge_id[by_first] = np.arange(len(ukeys))
+        dart = 2 * edge_id[inverse] + (pos != first[inverse])
+        del first, inverse, count
 
-        dangling = [k for k, s in first_dart.items() if s != -1]
-        if dangling:
-            raise GraphError(f"edge keys appearing once: {dangling[:5]}")
+        ukeys_v, first_v, inverse_v = np.unique(
+            tails, return_index=True, return_inverse=True
+        )
+        new = (ukeys_v < 0) | (ukeys_v >= keep)
+        vid = ukeys_v.copy()
+        rank = np.empty(int(new.sum()), dtype=np.int64)
+        rank[np.argsort(first_v[new])] = np.arange(len(rank))
+        vid[new] = keep + rank
+        n_vertices = keep + len(rank)
+        vertex_key = np.arange(n_vertices)
+        vertex_key[vid] = ukeys_v
 
-        n_darts = 2 * len(emap)
-        face_next = [-1] * n_darts
-        for ids in dart_ids:
-            for i, d in enumerate(ids):
-                face_next[d] = ids[(i + 1) % len(ids)]
+        n_darts = 2 * len(ukeys)
+        dart_tail = np.empty(n_darts, dtype=np.int64)
+        dart_tail[dart] = vid[inverse_v]
+        del first_v, inverse_v
+        loops = np.flatnonzero(dart_tail[0::2] == dart_tail[1::2])
+        if len(loops):
+            raise GraphError(
+                f"self-loop: edge key {int(ukeys[by_first[loops[0]]])} has equal tails"
+            )
 
-        # sigma = face_next o twin; its orbits must be exactly the vertex stars
-        sigma = [face_next[d ^ 1] for d in range(n_darts)]
-        rotations: list[list[int]] = [[] for _ in range(len(vmap))]
-        placed = [False] * n_darts
-        for d0 in range(n_darts):
-            if placed[d0]:
-                continue
-            v = dart_tail[d0]
-            cyc = []
-            d = d0
-            while True:
-                if dart_tail[d] != v:
-                    raise GraphError("inconsistent walks: rotation mixes vertices")
-                placed[d] = True
-                cyc.append(d)
-                d = sigma[d]
-                if d == d0:
-                    break
-            if rotations[v]:
-                raise GraphError(
-                    f"inconsistent walks: vertex key has a disconnected star"
-                )
-            rotations[v] = cyc
+        start = np.cumsum(lengths) - lengths
+        succ = pos + 1
+        succ[start + lengths - 1] = start
+        face_next = np.empty(n_darts, dtype=np.int64)
+        face_next[dart] = dart[succ]
+        sigma = face_next[np.arange(n_darts) ^ 1]
+        if (dart_tail[sigma] != dart_tail).any():
+            raise GraphError("inconsistent walks: rotation mixes vertices")
+        stars = _cycles(sigma, dart_tail, n_vertices)
+        if stars is None:
+            raise GraphError("inconsistent walks: vertex key has a disconnected star")
+        flat, offsets = (a.tolist() for a in stars)
+        rotations = [flat[offsets[v] : offsets[v + 1]] for v in range(n_vertices)]
+        del flat, stars, sigma
 
-        frontier = {vmap[k] for k in frontier_keys if k in vmap}
-        tags = None
-        if tag_keys:
-            tags = {vmap[k]: t for k, t in tag_keys.items() if k in vmap}
-        g = cls(rotations, frontier=frontier, tags=tags)
-        return g, vmap, emap
+        def ids_of(keys: Iterable[int]) -> np.ndarray:
+            """Vertex id of each key, -1 where the key never occurs."""
+            keys = np.asarray(
+                keys if isinstance(keys, np.ndarray) else list(keys), dtype=np.int64
+            )
+            at = np.minimum(np.searchsorted(ukeys_v, keys), len(ukeys_v) - 1)
+            return np.where(ukeys_v[at] == keys, vid[at], -1)
+
+        front = ids_of(frontier)
+        tag_keys = list(tags or ())
+        tag_ids = {
+            v: tags[k] for v, k in zip(ids_of(tag_keys).tolist(), tag_keys) if v >= 0
+        }
+        g = cls(rotations, frontier=front[front >= 0].tolist(), tags=tag_ids)
+
+        # the walks are the faces: list each from its smallest dart, in the
+        # order of those darts, as trace_faces does
+        walk_min = np.minimum.reduceat(dart, start)
+        by_min = np.argsort(walk_min)
+        walk_face = np.empty(len(lengths), dtype=np.int64)
+        walk_face[by_min] = np.arange(len(lengths))
+        face_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths[by_min], out=face_offsets[1:])
+        shift = np.flatnonzero(dart == np.repeat(walk_min, lengths)) - start
+        at = (pos - np.repeat(start + shift, lengths)) % np.repeat(lengths, lengths)
+        face_darts = np.empty(len(items), dtype=np.int64)
+        face_darts[np.repeat(face_offsets[walk_face], lengths) + at] = dart
+        g._faces = Faces(g, face_darts, face_offsets)
+        return WalkBuild(g, vertex_key, ukeys[by_first], walk_face)
 
     @classmethod
     def from_face_cycles(
@@ -306,8 +368,70 @@ class RotationGraph:
                 if succ:
                     raise GraphError("auto_close: boundary is not a single walk")
                 walks.append(walk)
-        g, _, _ = cls.from_walks(walks, frontier_keys=frontier, tag_keys=tags)
-        return g
+        # vertex labels and endpoint pairs become ints by first appearance
+        vid: dict = {}
+        eid: dict = {}
+        tails = [vid.setdefault(v, len(vid)) for walk in walks for v, _ in walk]
+        keys = [eid.setdefault(k, len(eid)) for walk in walks for _, k in walk]
+        built = cls.from_walks(
+            tails,
+            keys,
+            [len(walk) for walk in walks],
+            frontier=[vid[v] for v in frontier if v in vid],
+            tags={vid[v]: t for v, t in (tags or {}).items() if v in vid},
+        )
+        return built.graph
+
+
+class WalkBuild(NamedTuple):
+    """Result of ``RotationGraph.from_walks``.
+
+    ``vertex_key[v]`` and ``edge_key[e]`` are the keys that became vertex
+    ``v`` and edge ``e``; ``walk_face[i]`` is the index in
+    ``trace_faces(graph)`` of the face that walk ``i`` became.
+    """
+
+    graph: RotationGraph
+    vertex_key: np.ndarray
+    edge_key: np.ndarray
+    walk_face: np.ndarray
+
+
+def _cycles(
+    perm: np.ndarray, label: np.ndarray, n_labels: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Points of a permutation grouped by label, each group in cycle order.
+
+    Every label class should be one cycle of ``perm``; it is listed from its
+    smallest point.  Returns ``(points, offsets)``, class ``c`` being
+    ``points[offsets[c]:offsets[c + 1]]``, or None when a class is not a
+    single cycle.  The positions along each cycle come from list ranking by
+    pointer jumping: ceil(log2(longest class)) vectorised rounds.
+    """
+    n = len(perm)
+    points = np.arange(n)
+    count = np.bincount(label, minlength=n_labels)
+    offsets = np.zeros(n_labels + 1, dtype=np.int64)
+    np.cumsum(count, out=offsets[1:])
+    head = np.full(n_labels, n, dtype=np.int64)
+    np.minimum.at(head, label, points)
+    # cut every cycle in front of its head: succ is -1 at the cycle's last point
+    succ = perm.copy()
+    succ[perm == head[label]] = -1
+    to_end = (succ >= 0).astype(np.int64)
+    active = np.flatnonzero(succ >= 0)
+    for _ in range(int(count.max()).bit_length() if n else 0):
+        if not len(active):
+            break
+        nxt = succ[active]
+        to_end[active] += to_end[nxt]
+        succ[active] = succ[nxt]
+        active = active[succ[active] >= 0]
+    if len(active):
+        return None
+    out = np.empty(n, dtype=np.int64)
+    out[offsets[label] + count[label] - 1 - to_end] = points
+    return out, offsets
 
 
 @dataclass
@@ -324,43 +448,111 @@ class FaceWalk:
         return len(self.darts)
 
 
-def trace_faces(g: RotationGraph) -> list[FaceWalk]:
-    """Partition all darts into face walks (cached on the graph)."""
+class Faces(Sequence):
+    """The faces of a graph, as flat arrays and as ``FaceWalk`` records.
+
+    Face ``f`` is ``darts[offsets[f]:offsets[f + 1]]``, listed from its
+    smallest dart; faces are ordered by that dart.  ``vertices`` holds the
+    tail of every entry of ``darts``.  Indexing and iteration give
+    ``FaceWalk`` records, built on first use.
+    """
+
+    def __init__(self, g: RotationGraph, darts: np.ndarray, offsets: np.ndarray):
+        self.darts = darts
+        self.offsets = offsets
+        self.lengths = np.diff(offsets)
+        self.vertices = np.asarray(g.dart_vertex, dtype=np.int64)[darts]
+        front = np.zeros(g.n_vertices, dtype=bool)
+        front[list(g.frontier)] = True
+        self.touches_frontier = (
+            np.logical_or.reduceat(front[self.vertices], offsets[:-1])
+            if len(darts)
+            else np.zeros(0, dtype=bool)
+        )
+        # the records reuse the graph's int objects for darts and vertices
+        self._dart_vertex = g.dart_vertex
+        self._rot_next = g._rot_next
+        self._walks: list[FaceWalk] | None = None
+
+    def face_index(self) -> np.ndarray:
+        """Face of every entry of ``darts``."""
+        return np.repeat(np.arange(len(self.lengths)), self.lengths)
+
+    def face_of(self) -> np.ndarray:
+        """Face of every dart id."""
+        owner = np.empty(len(self.darts), dtype=np.int64)
+        owner[self.darts] = self.face_index()
+        return owner
+
+    @property
+    def walks(self) -> list[FaceWalk]:
+        if self._walks is None:
+            dart_ids = np.empty(len(self.darts), dtype=object)
+            dart_ids[np.asarray(self._rot_next, dtype=np.int64)] = self._rot_next
+            darts = dart_ids[self.darts].tolist()
+            verts = np.array(self._dart_vertex, dtype=object)[self.darts].tolist()
+            edges = (self.darts >> 1).tolist()
+            bounds = self.offsets.tolist()
+            touch = self.touches_frontier.tolist()
+            self._walks = [
+                FaceWalk(f, darts[a:b], verts[a:b], edges[a:b], touch[f])
+                for f, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            ]
+        return self._walks
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, f):
+        return self.walks[f]
+
+    def __iter__(self):
+        return iter(self.walks)
+
+
+def trace_faces(g: RotationGraph) -> Faces:
+    """Partition all darts into face walks (cached on the graph).
+
+    The faces are the cycles of ``next(d) = rot_next(twin(d))``: their
+    labels come from ``connected_components`` and their order along each
+    cycle from ``_cycles``.
+    """
     if g._faces is not None:
         return g._faces
     n = g.n_darts
-    seen = [False] * n
-    faces: list[FaceWalk] = []
-    for d0 in range(n):
-        if seen[d0]:
-            continue
-        walk = []
-        d = d0
-        while not seen[d]:
-            seen[d] = True
-            walk.append(d)
-            d = g._rot_next[d ^ 1]
-        verts = [g.dart_vertex[d] for d in walk]
-        faces.append(
-            FaceWalk(
-                index=len(faces),
-                darts=walk,
-                vertices=verts,
-                edges=[d >> 1 for d in walk],
-                touches_frontier=any(v in g.frontier for v in verts),
-            )
-        )
-    g._faces = faces
-    return faces
+    phi = np.asarray(g._rot_next, dtype=np.int64)[np.arange(n) ^ 1]
+    n_faces, label = connected_components(
+        csr_matrix((np.ones(n, dtype=np.int8), phi, np.arange(n + 1)), shape=(n, n)),
+        directed=True,
+        connection="weak",
+    ) if n else (0, np.zeros(0, dtype=np.int64))
+    # number the faces by their smallest dart
+    head = np.full(n_faces, n, dtype=np.int64)
+    np.minimum.at(head, label, np.arange(n))
+    rank = np.empty(n_faces, dtype=np.int64)
+    rank[np.argsort(head)] = np.arange(n_faces)
+    g._faces = Faces(g, *_cycles(phi, rank[label], n_faces))
+    return g._faces
+
+
+def interior_face_mask(g: RotationGraph, outer_face: int | None = None) -> np.ndarray:
+    """Boolean per face of ``trace_faces(g)``: the faces ``interior_faces`` keeps."""
+    faces = trace_faces(g)
+    if outer_face is not None or g.frontier:
+        mask = ~faces.touches_frontier
+        if outer_face is not None and 0 <= outer_face < len(faces):
+            mask[outer_face] = False
+        return mask
+    mask = np.ones(len(faces), dtype=bool)
+    non_tri = np.flatnonzero(faces.lengths != 3)
+    if len(non_tri) == 1:
+        mask[non_tri[0]] = False
+    return mask
 
 
 def face_of_dart(g: RotationGraph) -> list[int]:
     """Map dart id -> face index."""
-    owner = [-1] * g.n_darts
-    for f in trace_faces(g):
-        for d in f.darts:
-            owner[d] = f.index
-    return owner
+    return trace_faces(g).face_of().tolist()
 
 
 def euler_characteristic(g: RotationGraph) -> int:
@@ -551,14 +743,8 @@ def interior_faces(g: RotationGraph, outer_face: int | None = None) -> list[Face
     as a sphere triangulation and every face is interior.
     """
     faces = trace_faces(g)
-    if outer_face is not None:
-        return [f for f in faces if f.index != outer_face and not f.touches_frontier]
-    if g.frontier:
-        return [f for f in faces if not f.touches_frontier]
-    non_tri = [f for f in faces if len(f) != 3]
-    if len(non_tri) == 1:
-        return [f for f in faces if f.index != non_tri[0].index]
-    return faces
+    inner = np.flatnonzero(interior_face_mask(g, outer_face))
+    return [faces[f] for f in inner.tolist()]
 
 
 def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassification:

@@ -6,6 +6,8 @@ midpoints; the refined vertex set is the disjoint union of the original
 vertices and edges.  ``coarsen_metric`` pushes a metric from the refinement
 down to the base, ``refine_metric`` lifts one up; both come with exact
 square-sum inequalities that the tests enforce on every instance.
+``walk_refinement_map`` reads the cover structure of a subdivision (this one
+or ``speiser.lambda_triangulation``) off the keys of its face walks.
 """
 
 from __future__ import annotations
@@ -13,8 +15,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import RefinementError
-from .graph_core import RotationGraph, classify, interior_faces, trace_faces
+from .graph_core import (
+    RotationGraph,
+    WalkBuild,
+    classify,
+    interior_face_mask,
+    trace_faces,
+)
 
 
 @dataclass
@@ -82,127 +92,101 @@ def subdivide4(
     keep their ids.  Rejects non-triangular interior faces.
     """
     faces = trace_faces(g)
-    inner = {f.index for f in interior_faces(g, outer_face=outer_face)}
-    for f in faces:
-        if f.index in inner and len(f) != 3:
-            raise RefinementError(
-                f"face {f.index} has {len(f)} sides; subdivide4 needs triangles"
-            )
-    walks = []
-    face_key_of = {}
-    frontier_keys = {("v", v) for v in g.frontier}
+    inner = interior_face_mask(g, outer_face)
+    bad = np.flatnonzero(inner & (faces.lengths != 3))
+    if len(bad):
+        raise RefinementError(
+            f"face {bad[0]} has {faces.lengths[bad[0]]} sides; "
+            "subdivide4 needs triangles"
+        )
+    n, n_edges = g.n_vertices, g.n_edges
+    d = faces.darts
+    fid = faces.face_index()
+    i = np.arange(len(d)) - faces.offsets[fid]
+    # keys: midpoint of edge e is n + e; the half of edge e next to the tail
+    # of dart d is d, and the inner edge opposite corner j of triangle f is
+    # 2|E| + 3f + j
+    mid = n + (d >> 1)
+    block = np.where(inner, 12, 2 * faces.lengths)
+    block0 = np.cumsum(block) - block
+    total = int(block.sum())
+    tails = np.empty(total, dtype=np.int64)
+    keys = np.empty(total, dtype=np.int64)
+    walk = np.full(total, -2, dtype=np.int64)  # walk starts: owner face or -1
 
-    for face in faces:
-        if face.index not in inner:
-            walk = []
-            for d in face.darts:
-                e = d >> 1
-                walk.append((("v", g.dart_vertex[d]), ("h", e, d & 1)))
-                walk.append((("m", e), ("h", e, (d & 1) ^ 1)))
-            walks.append(("big", face.index, walk))
-            for d in face.darts:
-                frontier_keys.add(("m", d >> 1))
-            continue
-        d0, d1, d2 = face.darts
-        e0, e1, e2 = d0 >> 1, d1 >> 1, d2 >> 1
-        u, v, w = (g.dart_vertex[d] for d in (d0, d1, d2))
-        m0, m1, m2 = ("m", e0), ("m", e1), ("m", e2)
-        fi = face.index
-        corner = [
-            (("v", u), ("h", e0, d0 & 1)),
-            (m0, ("t", fi, 0)),
-            (m2, ("h", e2, (d2 & 1) ^ 1)),
-        ]
-        walks.append(("tri", fi, corner))
-        corner = [
-            (("v", v), ("h", e1, d1 & 1)),
-            (m1, ("t", fi, 1)),
-            (m0, ("h", e0, (d0 & 1) ^ 1)),
-        ]
-        walks.append(("tri", fi, corner))
-        corner = [
-            (("v", w), ("h", e2, d2 & 1)),
-            (m2, ("t", fi, 2)),
-            (m1, ("h", e1, (d1 & 1) ^ 1)),
-        ]
-        walks.append(("tri", fi, corner))
-        center = [(m0, ("t", fi, 1)), (m1, ("t", fi, 2)), (m2, ("t", fi, 0))]
-        walks.append(("tri", fi, center))
+    # other faces keep their walk, through the midpoints
+    o = ~inner[fid]
+    at = block0[fid[o]] + 2 * i[o]
+    tails[at], keys[at] = faces.vertices[o], d[o]
+    tails[at + 1], keys[at + 1] = mid[o], d[o] ^ 1
+    walk[block0[~inner]] = -1
 
-    out, vmap, emap = RotationGraph.from_walks(
-        [w for _, _, w in walks], frontier_keys=frontier_keys
+    # triangle f gives its three corners (items 3j..3j+2) and the middle one
+    # (items 9..11)
+    p = np.flatnonzero(inner[fid])
+    f, j = fid[p], i[p]
+    prev = p - j + (j + 2) % 3
+    corner = block0[f] + 3 * j
+    t = 2 * n_edges + 3 * f
+    tails[corner], keys[corner] = faces.vertices[p], d[p]
+    tails[corner + 1], keys[corner + 1] = mid[p], t + j
+    tails[corner + 2], keys[corner + 2] = mid[prev], d[prev] ^ 1
+    middle = block0[f] + 9 + j
+    tails[middle], keys[middle] = mid[p], t + (j + 1) % 3
+    walk[corner] = f
+    walk[middle[j == 0]] = f[j == 0]
+
+    starts = np.flatnonzero(walk != -2)
+    built = RotationGraph.from_walks(
+        tails,
+        keys,
+        np.diff(starts, append=total),
+        keep=n,
+        frontier=np.concatenate([np.fromiter(g.frontier, np.int64), mid[o]]),
     )
-    out = _relabel_keep_originals(out, vmap, g)
-    # rebuild key maps after relabeling
-    new_vid = _vertex_ids_after_relabel(vmap, g)
+    return built.graph, walk_refinement_map(g, built, tails, walk[starts])
 
-    vertex_origin = {}
-    for key, old in vmap.items():
-        nid = new_vid[old]
-        if key[0] == "v":
-            vertex_origin[nid] = ("vertex", key[1])
-        else:
-            vertex_origin[nid] = ("edge", key[1])
-    edge_cover = {
-        e: [emap[("h", e, 0)], emap[("h", e, 1)]] for e in g.edges()
+
+def walk_refinement_map(
+    g: RotationGraph, built: WalkBuild, tails: np.ndarray, walk_owner: np.ndarray
+) -> RefinementMap:
+    """Cover structure of a subdivision of ``g`` built by ``from_walks``.
+
+    The subdivision's vertex keys must be ``v`` for vertex ``v`` of ``g``,
+    ``n + e`` for the midpoint of edge ``e`` and ``n + |E| + f`` for the
+    center of face ``f``, with ``keep = n``; the two halves of edge ``e``
+    must have the keys of its darts, ``2e`` and ``2e + 1``.
+    ``walk_owner[i]`` is the face of ``g`` that walk ``i`` subdivides, or -1
+    for a walk that covers no face.  ``vertex_origin`` lists the vertices in
+    order of first appearance in ``tails``, ``face_cover`` the faces in
+    order of their first refined face.
+    """
+    n, n_edges = g.n_vertices, g.n_edges
+    out = built.graph
+    vertex_id = np.empty(int(built.vertex_key.max()) + 1, dtype=np.int64)
+    vertex_id[built.vertex_key] = np.arange(out.n_vertices)
+    _, first = np.unique(tails, return_index=True)
+    keys = tails[np.sort(first)]
+    kind = np.searchsorted(np.array([n, n + n_edges]), keys, side="right")
+    index = keys - np.array([0, n, n + n_edges])[kind]
+    names = ("vertex", "edge", "face")
+    vertex_origin = {
+        v: (names[c], x)
+        for v, c, x in zip(vertex_id[keys].tolist(), kind.tolist(), index.tolist())
     }
-    # face covering uses the refined trace order
-    ref_faces = trace_faces(out)
-    slot_of = {}
-    pos = 0
-    for kind, fi, walk in walks:
-        slot_of[pos] = (kind, fi)
-        pos += 1
-    # from_walks preserves walk list order as face order only implicitly; match
-    # by dart content instead: map each refined face to the walk that built it
+    edge_id = np.empty(int(built.edge_key.max()) + 1, dtype=np.int64)
+    edge_id[built.edge_key] = np.arange(out.n_edges)
+    edge_cover = dict(enumerate(edge_id[: 2 * n_edges].reshape(n_edges, 2).tolist()))
     face_cover: dict[int, list[int]] = {}
-    key_dart = {}
-    for key, e in emap.items():
-        key_dart[key] = e
-    # identify each refined face by its set of edge ids
-    walk_edges = []
-    for _, fi, walk in walks:
-        walk_edges.append(frozenset(emap[k] for _, k in walk))
-    by_edges: dict[frozenset, list[int]] = {}
-    for i, we in enumerate(walk_edges):
-        by_edges.setdefault(we, []).append(i)
-    for rf in ref_faces:
-        es = frozenset(rf.edges)
-        cands = by_edges.get(es, [])
-        if len(cands) == 1:
-            kind, fi = walks[cands[0]][0], walks[cands[0]][1]
-            if kind == "tri" and fi in inner:
-                face_cover.setdefault(fi, []).append(rf.index)
-    rmap = RefinementMap(
+    covering = np.flatnonzero(walk_owner >= 0)
+    order = np.argsort(built.walk_face[covering])
+    for rf, f in zip(
+        built.walk_face[covering][order].tolist(), walk_owner[covering][order].tolist()
+    ):
+        face_cover.setdefault(f, []).append(rf)
+    return RefinementMap(
         vertex_origin=vertex_origin, edge_cover=edge_cover, face_cover=face_cover
     )
-    return out, rmap
-
-
-def _vertex_ids_after_relabel(vmap: dict, original: RotationGraph) -> list[int]:
-    n = len(vmap)
-    new_id = [-1] * n
-    for v in range(original.n_vertices):
-        key = ("v", v)
-        if key in vmap:
-            new_id[vmap[key]] = v
-    nxt = original.n_vertices
-    for old in range(n):
-        if new_id[old] == -1:
-            new_id[old] = nxt
-            nxt += 1
-    return new_id
-
-
-def _relabel_keep_originals(
-    out: RotationGraph, vmap: dict, original: RotationGraph
-) -> RotationGraph:
-    new_id = _vertex_ids_after_relabel(vmap, original)
-    rotations = [None] * out.n_vertices
-    for old in range(out.n_vertices):
-        rotations[new_id[old]] = out.rotations[old]
-    frontier = {new_id[v] for v in out.frontier}
-    return RotationGraph(rotations, frontier=frontier)
 
 
 @dataclass

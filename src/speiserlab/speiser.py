@@ -9,12 +9,17 @@ into every interior face.
 
 All transformations are expressed as full face-walk rewrites and rebuilt via
 ``RotationGraph.from_walks`` so rotation systems stay consistent by
-construction.
+construction.  Each rewrite computes its walks with numpy from the flat face
+arrays of ``trace_faces``, as integer keys: the input's vertices keep their
+ids (``keep = n``), new vertices and all edges get keys from disjoint
+integer ranges, and the result is one validated graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import FrontierError, GraphError, ScheduleError
 from .graph_core import (
@@ -23,11 +28,12 @@ from .graph_core import (
     bfs_layers,
     dual,
     induced_ball,
-    interior_faces,
+    interior_face_mask,
     trace_faces,
     two_coloring,
 )
 from .lattices import triangular_ball
+from .refinement import walk_refinement_map
 
 
 @dataclass(frozen=True)
@@ -93,21 +99,6 @@ def _relabel_root_first(g: RotationGraph, root: int) -> RotationGraph:
     return RotationGraph(rotations, frontier=frontier, tags=tags)
 
 
-def _edge_layer_map(g: RotationGraph, layers: LayerDecomposition) -> dict[int, int]:
-    """Edge id -> BFS cut layer; rejects same-sphere edges."""
-    out: dict[int, int] = {}
-    for n, cut in enumerate(layers.cut_edges):
-        for e in cut:
-            out[e] = n
-    for e in range(g.n_edges):
-        if e not in out:
-            raise GraphError(
-                "tree replacement needs a bipartite layered graph; "
-                f"edge {e} joins vertices in the same sphere"
-            )
-    return out
-
-
 def tree_replace(
     g: RotationGraph, layers: LayerDecomposition, schedule: GrowthSchedule
 ) -> RotationGraph:
@@ -115,102 +106,65 @@ def tree_replace(
 
     The tree alternates single, double, single, ... edges, starting and ending
     with a single edge, so odd l_n keeps the graph bipartite and the interior
-    3-homogeneous.
+    3-homogeneous.  Original vertices keep their ids.
     """
-    edge_layer = _edge_layer_map(g, layers)
-    n_layers = 1 + max(edge_layer.values()) if edge_layer else 0
+    layer = np.full(g.n_edges, -1, dtype=np.int64)
+    for n, cut in enumerate(layers.cut_edges):
+        layer[np.asarray(cut, dtype=np.int64)] = n
+    same_sphere = np.flatnonzero(layer < 0)
+    if len(same_sphere):
+        raise GraphError(
+            "tree replacement needs a bipartite layered graph; "
+            f"edge {same_sphere[0]} joins vertices in the same sphere"
+        )
+    n_layers = int(layer.max()) + 1 if g.n_edges else 0
     if len(schedule) < n_layers:
         raise ScheduleError(
             f"schedule has {len(schedule)} lengths but the graph has "
             f"{n_layers} cut layers"
         )
+    length = np.asarray(schedule.lengths, dtype=np.int64)[layer]
+    # keys: tree vertex j (1 <= j < l) of edge e is node0[e] + j; position j
+    # of edge e has edge key 2 (slot0[e] + j), plus 1 for the second copy of
+    # a doubled (odd) position
+    node0 = g.n_vertices + np.cumsum(length - 1) - length
+    slot0 = np.cumsum(length) - length
 
-    def length_of(e: int) -> int:
-        return schedule[edge_layer[e]]
+    # every dart of every face walks the l positions of its stretched edge:
+    # dart 2e from the tail of 2e, dart 2e + 1 back from the other end
+    faces = trace_faces(g)
+    seg = length[faces.darts >> 1]
+    at = np.repeat(np.arange(len(seg)), seg)
+    q = np.arange(len(at)) - np.repeat(np.cumsum(seg) - seg, seg)
+    e = faces.darts[at] >> 1
+    back = (faces.darts[at] & 1).astype(bool)
+    j = np.where(back, length[e] - 1 - q, q)
+    tails = np.where(q == 0, faces.vertices[at], node0[e] + j + back)
+    keys = 2 * (slot0[e] + j) + (back & (j % 2 == 1))
+    face_lengths = np.add.reduceat(seg, faces.offsets[:-1])
+    del at, q, e, back, j
 
-    # Segment for the canonical direction (dart 2e): list of (tail, key) plus
-    # the far endpoint is appended by the walk's next item.
-    def forward_segment(e: int) -> list[tuple]:
-        u, v = g.edge_ends(e)
-        l = length_of(e)
-        if l == 1:
-            return [(("v", u), ("orig", e))]
-        seg = []
-        prev: tuple = ("v", u)
-        for j in range(l):
-            tail = prev
-            head = ("t", e, j + 1) if j < l - 1 else ("v", v)
-            if j % 2 == 0:
-                key = ("p", e, j)
-            else:
-                key = ("p", e, j, 0)  # side-0 copy of the doubled position
-            seg.append((tail, key))
-            prev = head
-        return seg
+    # the bigon between the two copies of each doubled position j
+    n_bigons = (length - 1) // 2
+    be = np.repeat(np.arange(g.n_edges), n_bigons)
+    first_bigon = np.cumsum(n_bigons) - n_bigons
+    bj = 1 + 2 * (np.arange(len(be)) - np.repeat(first_bigon, n_bigons))
+    bigon_tails = np.stack([node0[be] + bj, node0[be] + bj + 1], axis=1).ravel()
+    bigon_keys = 2 * np.stack([slot0[be] + bj, slot0[be] + bj], axis=1).ravel()
+    bigon_keys[0::2] += 1
 
-    def backward_segment(e: int) -> list[tuple]:
-        u, v = g.edge_ends(e)
-        l = length_of(e)
-        if l == 1:
-            return [(("v", v), ("orig", e))]
-        seg = []
-        for j in reversed(range(l)):
-            tail = ("t", e, j + 1) if j < l - 1 else ("v", v)
-            if j % 2 == 0:
-                key = ("p", e, j)
-            else:
-                key = ("p", e, j, 1)  # side-1 copy
-            seg.append((tail, key))
-        return seg
-
-    walks = []
-    for face in trace_faces(g):
-        walk = []
-        for d in face.darts:
-            e = d >> 1
-            if d % 2 == 0:
-                walk.extend(forward_segment(e))
-            else:
-                walk.extend(backward_segment(e))
-        walks.append(walk)
-
-    # bigon between the two copies of each doubled position
-    for e in range(g.n_edges):
-        l = length_of(e)
-        for j in range(1, l, 2):
-            a = ("t", e, j)
-            b = ("t", e, j + 1) if j + 1 < l else ("v", g.edge_ends(e)[1])
-            walks.append([(a, ("p", e, j, 1)), (b, ("p", e, j, 0))])
-
-    frontier_keys = {("v", v) for v in g.frontier}
-    out, vmap, _ = RotationGraph.from_walks(walks, frontier_keys=frontier_keys)
-    order_fix = _dense_relabel(out, vmap, g)
-    tags = two_coloring(order_fix)
+    out = RotationGraph.from_walks(
+        np.concatenate([tails, bigon_tails]),
+        np.concatenate([keys, bigon_keys]),
+        np.concatenate([face_lengths, np.full(len(be), 2)]),
+        keep=g.n_vertices,
+        frontier=g.frontier,
+    ).graph
+    tags = two_coloring(out)
     if tags is None:
         raise GraphError("tree replacement broke bipartiteness")
-    return RotationGraph(order_fix.rotations, frontier=order_fix.frontier, tags=tags)
-
-
-def _dense_relabel(
-    out: RotationGraph, vmap: dict, original: RotationGraph
-) -> RotationGraph:
-    """Relabel so original vertices keep their ids, new vertices follow."""
-    n = out.n_vertices
-    new_id = [-1] * n
-    for v in range(original.n_vertices):
-        key = ("v", v)
-        if key in vmap:
-            new_id[vmap[key]] = v
-    nxt = original.n_vertices
-    for old in range(n):
-        if new_id[old] == -1:
-            new_id[old] = nxt
-            nxt += 1
-    rotations = [None] * n
-    for old in range(n):
-        rotations[new_id[old]] = out.rotations[old]
-    frontier = {new_id[v] for v in out.frontier}
-    return RotationGraph(rotations, frontier=frontier)
+    out.tags = tags
+    return out
 
 
 def lambda_triangulation(
@@ -222,97 +176,59 @@ def lambda_triangulation(
     interior face gets a center joined to the boundary vertices and midpoints.
     Frontier-touching faces (and the designated outer face, if any) are left
     unsubdivided apart from the midpoints on their edges, and their midpoints
-    join the frontier.  With ``with_map`` the refinement cover structure is
-    returned alongside the graph.
+    join the frontier.  Original vertices keep their ids.  With ``with_map``
+    the refinement cover structure is returned alongside the graph.
     """
     faces = trace_faces(g)
-    inner = {f.index for f in interior_faces(g, outer_face=outer_face)}
-    walks = []
-    frontier_keys = {("v", v) for v in g.frontier}
+    inner = interior_face_mask(g, outer_face)
+    n, n_edges = g.n_vertices, g.n_edges
+    d = faces.darts
+    fid = faces.face_index()
+    i = np.arange(len(d)) - faces.offsets[fid]
+    # keys: midpoint of edge e is n + e, center of face f is n + |E| + f; the
+    # half of edge e next to the tail of dart d is d, spoke j of face f is
+    # spoke0[f] + j (0 <= j < 2k)
+    mid = n + (d >> 1)
+    ins = inner[fid]
+    per = np.where(ins, 6, 2)
+    at = np.cumsum(per) - per
+    total = int(per.sum())
+    tails = np.empty(total, dtype=np.int64)
+    keys = np.empty(total, dtype=np.int64)
+    walk = np.full(total, -2, dtype=np.int64)  # walk starts: owner face or -1
 
-    def half(d: int) -> list[tuple]:
-        # dart d traversed tail -> midpoint -> head
-        e = d >> 1
-        tail = ("v", g.dart_vertex[d])
-        head = ("v", g.dart_vertex[d ^ 1])
-        return [(tail, ("h", e, d & 1)), (("m", e), ("h", e, (d & 1) ^ 1))], head
+    # other faces keep their walk, through the midpoints
+    o = ~ins
+    tails[at[o]], keys[at[o]] = faces.vertices[o], d[o]
+    tails[at[o] + 1], keys[at[o] + 1] = mid[o], d[o] ^ 1
+    walk[at[faces.offsets[:-1][~inner]]] = -1
 
-    for face in faces:
-        if face.index not in inner:
-            walk = []
-            for d in face.darts:
-                seg, _ = half(d)
-                walk.extend(seg)
-            walks.append(walk)
-            for d in face.darts:
-                frontier_keys.add(("m", d >> 1))
-            continue
-        c = ("c", face.index)
-        for i, d in enumerate(face.darts):
-            e = d >> 1
-            tail = ("v", g.dart_vertex[d])
-            mid = ("m", e)
-            # two triangles per dart: (tail, mid, c) and (mid, head, c)
-            walks.append(
-                [
-                    (tail, ("h", e, d & 1)),
-                    (mid, ("s", face.index, 2 * i)),
-                    (c, ("s", face.index, (2 * i - 1) % (2 * len(face.darts)))),
-                ]
-            )
-            head = ("v", g.dart_vertex[d ^ 1])
-            walks.append(
-                [
-                    (mid, ("h", e, (d & 1) ^ 1)),
-                    (head, ("s", face.index, (2 * i + 1) % (2 * len(face.darts)))),
-                    (c, ("s", face.index, 2 * i)),
-                ]
-            )
-    out, vmap, emap = RotationGraph.from_walks(walks, frontier_keys=frontier_keys)
-    relabeled = _dense_relabel(out, vmap, g)
-    if not with_map:
-        return relabeled
-    from .refinement import RefinementMap
+    # a dart of an inner face gives (tail, mid, center) and (mid, head, center)
+    a, f, ii = at[ins], fid[ins], i[ins]
+    head = np.asarray(g.dart_vertex)[d[ins] ^ 1]
+    c = n + n_edges + f
+    spoke0 = 2 * n_edges + 2 * faces.offsets[f]
+    two_k = 2 * faces.lengths[f]
+    tails[a], keys[a] = faces.vertices[ins], d[ins]
+    tails[a + 1], keys[a + 1] = mid[ins], spoke0 + 2 * ii
+    tails[a + 2], keys[a + 2] = c, spoke0 + (2 * ii - 1) % two_k
+    tails[a + 3], keys[a + 3] = mid[ins], d[ins] ^ 1
+    tails[a + 4], keys[a + 4] = head, spoke0 + (2 * ii + 1) % two_k
+    tails[a + 5], keys[a + 5] = c, spoke0 + 2 * ii
+    walk[a] = f
+    walk[a + 3] = f
 
-    # rebuild the same relabeling map used by _dense_relabel
-    nxt = g.n_vertices
-    inverse = [None] * out.n_vertices
-    for key, old in vmap.items():
-        inverse[old] = key
-    assign = [-1] * out.n_vertices
-    for v in range(g.n_vertices):
-        if ("v", v) in vmap:
-            assign[vmap[("v", v)]] = v
-    for old in range(out.n_vertices):
-        if assign[old] == -1:
-            assign[old] = nxt
-            nxt += 1
-    vertex_origin = {}
-    for old in range(out.n_vertices):
-        key = inverse[old]
-        if key[0] == "v":
-            vertex_origin[assign[old]] = ("vertex", key[1])
-        elif key[0] == "m":
-            vertex_origin[assign[old]] = ("edge", key[1])
-        else:
-            vertex_origin[assign[old]] = ("face", key[1])
-    edge_cover = {
-        e: [emap[("h", e, 0)], emap[("h", e, 1)]] for e in g.edges()
-    }
-    face_cover: dict[int, list[int]] = {}
-    ref_faces = trace_faces(relabeled)
-    spoke_face = {}
-    for key, eid in emap.items():
-        if key[0] == "s":
-            spoke_face[eid] = key[1]
-    for rf in ref_faces:
-        owners = {spoke_face[e] for e in rf.edges if e in spoke_face}
-        if len(owners) == 1:
-            face_cover.setdefault(owners.pop(), []).append(rf.index)
-    rmap = RefinementMap(
-        vertex_origin=vertex_origin, edge_cover=edge_cover, face_cover=face_cover
+    starts = np.flatnonzero(walk != -2)
+    built = RotationGraph.from_walks(
+        tails,
+        keys,
+        np.diff(starts, append=total),
+        keep=n,
+        frontier=np.concatenate([np.fromiter(g.frontier, np.int64), mid[o]]),
     )
-    return relabeled, rmap
+    if not with_map:
+        return built.graph
+    return built.graph, walk_refinement_map(g, built, tails, walk[starts])
 
 
 def extend_speiser(
@@ -323,56 +239,74 @@ def extend_speiser(
     Ring 0 follows the face's boundary walk (a vertex visited twice gets two
     vertical neighbors); rings 1..grid_depth are new k-cycles, and the top
     ring joins the frontier.  Frontier-touching faces (and the designated
-    outer face, if any) are skipped.
+    outer face, if any) are skipped.  Original vertices keep their ids.
     """
     if grid_depth < 1:
         raise GraphError("grid_depth must be >= 1")
     faces = trace_faces(g)
-    inner = {f.index for f in interior_faces(g, outer_face=outer_face)}
-    walks = []
-    frontier_keys = {("v", v) for v in g.frontier}
+    inner = interior_face_mask(g, outer_face)
+    n, n_edges, n_darts = g.n_vertices, g.n_edges, len(faces.darts)
+    gd = grid_depth
+    fid = faces.face_index()
+    i = np.arange(n_darts) - faces.offsets[fid]
+    # each inner k-gon gives gd k squares (ring m, position i: 4 items at
+    # block0 + 4 (m k + i)) and a k-gon cap; other faces keep their walk
+    block = np.where(inner, (4 * gd + 1) * faces.lengths, faces.lengths)
+    block0 = np.cumsum(block) - block
+    total = int(block.sum())
+    tails = np.empty(total, dtype=np.int64)
+    keys = np.empty(total, dtype=np.int64)
+    starts = np.zeros(total, dtype=bool)
 
-    for face in faces:
-        if face.index not in inner:
-            walks.append(
-                [(("v", g.dart_vertex[d]), ("orig", d >> 1)) for d in face.darts]
-            )
-            continue
-        k = len(face.darts)
-        f = face.index
+    o = ~inner[fid]
+    tails[block0[fid[o]] + i[o]] = faces.vertices[o]
+    keys[block0[fid[o]] + i[o]] = faces.darts[o] >> 1
+    starts[block0[~inner]] = True
 
-        def node(m: int, i: int):
-            if m == 0:
-                return ("v", g.dart_vertex[face.darts[i % k]])
-            return ("g", f, m, i % k)
+    ins = np.flatnonzero(inner[fid])
+    f, ii = fid[ins], i[ins]
+    k = faces.lengths[f]
+    off = faces.offsets[f]
 
-        def ring_key(m: int, i: int):
-            if m == 0:
-                return ("orig", face.darts[i % k] >> 1)
-            return ("r", f, m, i % k)
+    # keys: ring m >= 1 node i of face f is n + gd off + (m - 1) k + i, its
+    # ring edge to node i + 1 is |E| + gd off + (m - 1) k + i, and the edge
+    # from ring m to ring m + 1 at position i is |E| + gd |D| + gd off + m k + i;
+    # ring 0 is the face's own walk
+    def node(m: int, idx: np.ndarray) -> np.ndarray:
+        idx = idx % k
+        if m == 0:
+            return faces.vertices[off + idx]
+        return n + gd * off + (m - 1) * k + idx
 
-        def vert_key(m: int, i: int):
-            return ("u", f, m, i % k)  # joins ring m to ring m+1 at position i
+    def ring(m: int, idx: np.ndarray) -> np.ndarray:
+        idx = idx % k
+        if m == 0:
+            return faces.darts[off + idx] >> 1
+        return n_edges + gd * off + (m - 1) * k + idx
 
-        for m in range(grid_depth):
-            for i in range(k):
-                walks.append(
-                    [
-                        (node(m, i), ring_key(m, i)),
-                        (node(m, i + 1), vert_key(m, i + 1)),
-                        (node(m + 1, i + 1), ring_key(m + 1, i)),
-                        (node(m + 1, i), vert_key(m, i)),
-                    ]
-                )
-        # cap: the top ring traversed forward closes the cylinder
-        walks.append(
-            [(node(grid_depth, i), ring_key(grid_depth, i)) for i in range(k)]
-        )
-        for i in range(k):
-            frontier_keys.add(("g", f, grid_depth, i))
+    def rung(m: int, idx: np.ndarray) -> np.ndarray:
+        return n_edges + gd * n_darts + gd * off + m * k + idx % k
 
-    out, vmap, _ = RotationGraph.from_walks(walks, frontier_keys=frontier_keys)
-    return _dense_relabel(out, vmap, g)
+    for m in range(gd):
+        b = block0[f] + 4 * (m * k + ii)
+        tails[b], keys[b] = node(m, ii), ring(m, ii)
+        tails[b + 1], keys[b + 1] = node(m, ii + 1), rung(m, ii + 1)
+        tails[b + 2], keys[b + 2] = node(m + 1, ii + 1), ring(m + 1, ii)
+        tails[b + 3], keys[b + 3] = node(m + 1, ii), rung(m, ii)
+        starts[b] = True
+    # cap: the top ring traversed forward closes the cylinder
+    cap = block0[f] + 4 * gd * k + ii
+    tails[cap], keys[cap] = node(gd, ii), ring(gd, ii)
+    starts[block0[inner] + 4 * gd * faces.lengths[inner]] = True
+
+    first = np.flatnonzero(starts)
+    return RotationGraph.from_walks(
+        tails,
+        keys,
+        np.diff(first, append=total),
+        keep=n,
+        frontier=np.concatenate([np.fromiter(g.frontier, np.int64), node(gd, ii)]),
+    ).graph
 
 
 # -- exact layer counts for the infinite extension -------------------------

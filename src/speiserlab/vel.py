@@ -135,15 +135,17 @@ class _Subproblem:
         self.src = src
         self.b_mask = np.zeros(self.n + 1, dtype=bool)
         self.b_mask[self.B] = True
+        # one entry per arc: parallel edges collapse, so an arc into w costs
+        # m[w] once; each round refills only the data
+        self._graph = csr_matrix(
+            (np.ones(len(rows)), (self.rows, self.cols)), shape=(self.n + 1, self.n + 1)
+        )
 
     def shortest_path(self, m: np.ndarray) -> tuple[float, np.ndarray] | None:
         """Min vertex-weight A-B path; returns (length, local vertex indices)."""
-        data = m[self.cols].astype(float)
-        graph = csr_matrix(
-            (data, (self.rows, self.cols)), shape=(self.n + 1, self.n + 1)
-        )
+        self._graph.data = m[self._graph.indices].astype(float)
         dist, pred = dijkstra(
-            graph, directed=True, indices=self.src, return_predecessors=True
+            self._graph, directed=True, indices=self.src, return_predecessors=True
         )
         dist_b = np.where(self.b_mask, dist, np.inf)
         best = int(np.argmin(dist_b))

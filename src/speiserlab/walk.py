@@ -89,11 +89,37 @@ def _dirichlet_resistance(
 
 
 def _edge_arrays(g: RotationGraph) -> tuple[np.ndarray, np.ndarray]:
-    u = np.fromiter((g.dart_vertex[2 * e] for e in range(g.n_edges)), dtype=np.int64)
-    v = np.fromiter(
-        (g.dart_vertex[2 * e + 1] for e in range(g.n_edges)), dtype=np.int64
-    )
-    return u, v
+    ends = np.asarray(g.dart_vertex, dtype=np.int64)
+    return ends[0::2], ends[1::2]
+
+
+def _sphere_resistance(
+    g: RotationGraph,
+    root: int,
+    n: int,
+    layers: LayerDecomposition,
+    u: np.ndarray,
+    v: np.ndarray,
+) -> tuple[float, float]:
+    """(resistance, solve residual) from root to the short-circuited S(n).
+
+    ``u`` and ``v`` are the edge endpoint arrays of ``_edge_arrays(g)``.
+    """
+    if n < 1:
+        raise GraphError("n must be >= 1")
+    if n > layers.reliable_depth:
+        raise FrontierError(
+            f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
+        )
+    dist = np.asarray(layers.dist)
+    keep = (dist[u] <= n) & (dist[v] <= n) & (dist[u] >= 0) & (dist[v] >= 0)
+    # drop edges between grounded vertices; they carry no current
+    keep &= ~((dist[u] == n) & (dist[v] == n))
+    grounded = dist == n
+    r, resid = _dirichlet_resistance(g.n_vertices, u[keep], v[keep], root, grounded)
+    if resid > 1e-10:
+        raise GraphError(f"linear solve residual {resid} above contract")
+    return r, resid
 
 
 def effective_resistance(
@@ -104,22 +130,7 @@ def effective_resistance(
 ) -> float:
     """Resistance from root to the short-circuited sphere S(n)."""
     layers = layers or bfs_layers(g, root)
-    if n < 1:
-        raise GraphError("n must be >= 1")
-    if n > layers.reliable_depth:
-        raise FrontierError(
-            f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
-        )
-    dist = np.asarray(layers.dist)
-    u, v = _edge_arrays(g)
-    keep = (dist[u] <= n) & (dist[v] <= n) & (dist[u] >= 0) & (dist[v] >= 0)
-    # drop edges between grounded vertices; they carry no current
-    keep &= ~((dist[u] == n) & (dist[v] == n))
-    grounded = dist == n
-    r, resid = _dirichlet_resistance(g.n_vertices, u[keep], v[keep], root, grounded)
-    if resid > 1e-10:
-        raise GraphError(f"linear solve residual {resid} above contract")
-    return r
+    return _sphere_resistance(g, root, n, layers, *_edge_arrays(g))[0]
 
 
 @dataclass
@@ -139,8 +150,13 @@ def resistance_curve(
     layers: LayerDecomposition | None = None,
 ) -> ResistanceCurve:
     layers = layers or bfs_layers(g, root)
-    rs = [effective_resistance(g, root, n, layers=layers) for n in n_list]
-    return ResistanceCurve(radii=list(n_list), resistance=rs)
+    u, v = _edge_arrays(g)
+    solves = [_sphere_resistance(g, root, n, layers, u, v) for n in n_list]
+    return ResistanceCurve(
+        radii=list(n_list),
+        resistance=[r for r, _ in solves],
+        residuals=[resid for _, resid in solves],
+    )
 
 
 def nash_williams_sum(layers: LayerDecomposition) -> list[float]:
@@ -237,7 +253,7 @@ def upsilon_resistance_curve(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"
         )
     n_nodes, eu, ev, dist = _upsilon_ball(g, layers, n_max, grid_depth=grid_depth)
-    rs = []
+    rs, residuals = [], []
     for n in n_list:
         keep = (dist[eu] <= n) & (dist[ev] <= n)
         keep &= ~((dist[eu] == n) & (dist[ev] == n))
@@ -248,7 +264,8 @@ def upsilon_resistance_curve(
         if resid > 1e-10:
             raise GraphError(f"linear solve residual {resid} above contract")
         rs.append(r)
-    return ResistanceCurve(radii=list(n_list), resistance=rs)
+        residuals.append(resid)
+    return ResistanceCurve(radii=list(n_list), resistance=rs, residuals=residuals)
 
 
 @dataclass

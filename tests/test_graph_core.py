@@ -242,3 +242,278 @@ def test_triangular_ball_properties(q, depth):
     layers = bfs_layers(g, 0)
     assert layers.reliable_depth == depth
     assert layers.ball_sizes()[-1] == g.n_vertices
+
+
+# -- the integer face-walk rebuild against the tuple-keyed reference ---------
+
+
+def _reference_from_walks(walks, frontier_keys=()):
+    """Tuple-keyed ``from_walks`` as it was before the integer rewrite.
+
+    Returns (rotations, frontier ids, vertex key -> id, edge key -> id); the
+    vertices are numbered by first appearance as a tail.
+    """
+    vmap, emap, first_dart = {}, {}, {}
+    dart_tail, dart_ids = [], []
+    for walk in walks:
+        if not walk:
+            raise GraphError("empty face walk")
+        ids = []
+        for tail_key, edge_key in walk:
+            if tail_key not in vmap:
+                vmap[tail_key] = len(vmap)
+            tail = vmap[tail_key]
+            if edge_key in emap:
+                e = emap[edge_key]
+                if first_dart[edge_key] == -1:
+                    raise GraphError(f"edge key {edge_key!r} used more than twice")
+                d = 2 * e + 1
+                if dart_tail[2 * e] == tail:
+                    raise GraphError(
+                        f"self-loop: edge key {edge_key!r} has equal tails"
+                    )
+                first_dart[edge_key] = -1
+            else:
+                e = len(emap)
+                emap[edge_key] = e
+                first_dart[edge_key] = 1
+                d = 2 * e
+            while len(dart_tail) <= d:
+                dart_tail.append(-1)
+            dart_tail[d] = tail
+            ids.append(d)
+        dart_ids.append(ids)
+    dangling = [k for k, s in first_dart.items() if s != -1]
+    if dangling:
+        raise GraphError(f"edge keys appearing once: {dangling[:5]}")
+    n_darts = 2 * len(emap)
+    face_next = [-1] * n_darts
+    for ids in dart_ids:
+        for i, d in enumerate(ids):
+            face_next[d] = ids[(i + 1) % len(ids)]
+    sigma = [face_next[d ^ 1] for d in range(n_darts)]
+    rotations = [[] for _ in range(len(vmap))]
+    placed = [False] * n_darts
+    for d0 in range(n_darts):
+        if placed[d0]:
+            continue
+        v = dart_tail[d0]
+        cyc, d = [], d0
+        while True:
+            if dart_tail[d] != v:
+                raise GraphError("inconsistent walks: rotation mixes vertices")
+            placed[d] = True
+            cyc.append(d)
+            d = sigma[d]
+            if d == d0:
+                break
+        if rotations[v]:
+            raise GraphError("inconsistent walks: vertex key has a disconnected star")
+        rotations[v] = cyc
+    frontier = {vmap[k] for k in frontier_keys if k in vmap}
+    return rotations, frontier, vmap, emap
+
+
+def _reference_keep_originals(rotations, frontier, vmap, keep):
+    """The keep-originals relabel applied after the tuple-keyed rebuild."""
+    new_id = [-1] * len(vmap)
+    for key, old in vmap.items():
+        if key < keep:
+            new_id[old] = key
+    nxt = keep
+    for old in range(len(vmap)):
+        if new_id[old] == -1:
+            new_id[old] = nxt
+            nxt += 1
+    out = [None] * len(vmap)
+    for old, rot in enumerate(rotations):
+        out[new_id[old]] = rot
+    return out, {new_id[v] for v in frontier}, {k: new_id[v] for k, v in vmap.items()}
+
+
+def _reference_trace(g):
+    """Face walks by following ``rot_next(twin(d))`` from each unseen dart."""
+    seen, faces = [False] * g.n_darts, []
+    for d0 in range(g.n_darts):
+        walk, d = [], d0
+        while not seen[d]:
+            seen[d] = True
+            walk.append(d)
+            d = g.rot_next(d ^ 1)
+        if walk:
+            faces.append(walk)
+    return faces
+
+
+def _small_gamma():
+    from speiserlab.speiser import GrowthSchedule, speiser_ball, tree_replace
+
+    ball, layers = speiser_ball(2)
+    return tree_replace(ball, layers, GrowthSchedule((3, 5)))
+
+
+WALK_SOURCES = {
+    "tri6": lambda: triangular_ball(6, 3),
+    "tri8": lambda: triangular_ball(8, 3),
+    "grid": lambda: grid_patch(4, 3),
+    "tree": lambda: regular_tree(3, 3),
+    "gamma": _small_gamma,
+}
+
+
+def _scrambled_walks(g):
+    """The faces of ``g`` in reverse order, each started one item later."""
+    walks = []
+    for f in reversed(trace_faces(g)):
+        items = [(g.dart_vertex[d], d >> 1) for d in f.darts]
+        walks.append(items[1:] + items[:1])
+    return walks
+
+
+def _flat(walks, vkey, ekey):
+    tails = [vkey(v) for w in walks for v, _ in w]
+    keys = [ekey(e) for w in walks for _, e in w]
+    return tails, keys, [len(w) for w in walks]
+
+
+@pytest.mark.parametrize("source", sorted(WALK_SOURCES))
+def test_integer_walks_match_tuple_reference(source):
+    g = WALK_SOURCES[source]()
+    walks = _scrambled_walks(g)
+
+    # keep = 0: vertex keys 3v + 7 numbered by first appearance
+    ref_walks = [[(("v", v), ("e", e)) for v, e in w] for w in walks]
+    rot, front, vmap, emap = _reference_from_walks(
+        ref_walks, frontier_keys={("v", v) for v in g.frontier}
+    )
+    built = RotationGraph.from_walks(
+        *_flat(walks, lambda v: 3 * v + 7, lambda e: 5 * e + 2),
+        frontier=[3 * v + 7 for v in g.frontier],
+    )
+    out = built.graph
+    assert out.rotations == rot
+    assert out.frontier == front
+    vertex_keys = built.vertex_key.tolist()
+    edge_keys = built.edge_key.tolist()
+    assert {("v", (k - 7) // 3): v for v, k in enumerate(vertex_keys)} == vmap
+    assert {("e", (k - 2) // 5): e for e, k in enumerate(edge_keys)} == emap
+
+    # keep = n: original ids kept, as the rewrites use it
+    ref_walks = [[(v, ("e", e)) for v, e in w] for w in walks]
+    rot, front, vmap = _reference_keep_originals(
+        *_reference_from_walks(ref_walks, frontier_keys=g.frontier)[:3], g.n_vertices
+    )
+    built = RotationGraph.from_walks(
+        *_flat(walks, lambda v: v, lambda e: e), keep=g.n_vertices, frontier=g.frontier
+    )
+    out = built.graph
+    assert out.rotations == rot
+    assert out.frontier == front == g.frontier
+    assert built.vertex_key.tolist() == list(range(g.n_vertices))
+
+    # the face table filled in by from_walks is the one trace_faces computes,
+    # and walk_face names the face each walk became
+    fresh = RotationGraph(out.rotations, frontier=out.frontier)
+    assert [f.darts for f in trace_faces(out)] == _reference_trace(fresh)
+    assert [f.darts for f in trace_faces(out)] == [f.darts for f in trace_faces(fresh)]
+    assert trace_faces(out).touches_frontier.tolist() == [
+        f.touches_frontier for f in trace_faces(fresh)
+    ]
+    faces = trace_faces(out)
+    for i, w in enumerate(walks):
+        assert set(faces[built.walk_face[i]].edges) == {emap[("e", e)] for _, e in w}
+
+
+@pytest.mark.parametrize("source", sorted(WALK_SOURCES))
+def test_trace_faces_matches_dart_walk(source):
+    g = WALK_SOURCES[source]()
+    g = RotationGraph(g.rotations, frontier=g.frontier)  # no cached faces
+    faces = trace_faces(g)
+    assert [f.darts for f in faces] == _reference_trace(g)
+    for f in faces:
+        assert f.vertices == [g.dart_vertex[d] for d in f.darts]
+        assert f.edges == [d >> 1 for d in f.darts]
+        assert f.touches_frontier == any(v in g.frontier for v in f.vertices)
+
+
+@pytest.mark.parametrize(
+    "tails, keys, lengths, message",
+    [
+        ([], [], [0], "empty face walk"),
+        ([0, 1, 2], [9, 9, 9], [3], "used more than twice"),
+        ([0, 1, 0], [9, 8, 8], [1, 2], "appearing once"),
+        ([0, 0], [9, 9], [2], "equal tails"),
+        ([0, 1, 1, 2], [9, 8, 9, 8], [2, 2], "rotation mixes vertices"),
+        ([0, 1, 0, 2], [9, 9, 8, 8], [2, 2], "disconnected star"),
+    ],
+)
+def test_from_walks_rejects_inconsistent_walks(tails, keys, lengths, message):
+    with pytest.raises(GraphError, match=message):
+        RotationGraph.from_walks(tails, keys, lengths)
+    walks, at = [], 0
+    for n in lengths:
+        walks.append(list(zip(tails[at : at + n], keys[at : at + n])))
+        at += n
+    with pytest.raises(GraphError, match=message):
+        _reference_from_walks(walks)
+
+
+def test_malformed_rotations_rejected():
+    with pytest.raises(GraphError, match="out of range"):
+        RotationGraph([[0, 5], [1, 2]])
+    with pytest.raises(GraphError, match="appears twice"):
+        RotationGraph([[0, 0], [1, 1]])
+    with pytest.raises(GraphError, match="odd number"):
+        RotationGraph([[0], [1], [2]])
+
+
+# Graph JSON and RefinementMap digests of the four rewrites, recorded with the
+# tuple-keyed implementation they replaced.
+def _sha(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _map_sha(rmap) -> str:
+    return _sha(
+        json.dumps(
+            [
+                list(rmap.vertex_origin.items()),
+                list(rmap.edge_cover.items()),
+                list(rmap.face_cover.items()),
+            ]
+        )
+    )
+
+
+def test_rewrite_outputs_pinned():
+    from speiserlab.refinement import subdivide4
+    from speiserlab.speiser import (
+        GrowthSchedule,
+        extend_speiser,
+        lambda_triangulation,
+        tree_replace,
+    )
+
+    gam = _small_gamma()
+    assert _sha(to_json(gam)) == "27387f4c45cdc169"
+    p = path_graph(1)
+    stretched = tree_replace(p, bfs_layers(p, 0), GrowthSchedule((5,)))
+    assert _sha(to_json(stretched)) == "5608ff3a16df9dbf"
+    pinned = {
+        "lambda": ("69078f43eef43278", "81137365216b797d"),
+        "lambda_grid": ("2a3ce7fc629fe954", "31d76e874b6d2cda"),
+        "subdivide4": ("081e616c1baecf8d", "6ccb1445cc074854"),
+        "subdivide4_octahedron": ("965bb6863949057f", "9811e93b3ec341c4"),
+    }
+    outputs = {
+        "lambda": lambda_triangulation(gam, with_map=True),
+        "lambda_grid": lambda_triangulation(grid_patch(3, 2), with_map=True),
+        "subdivide4": subdivide4(triangular_ball(8, 3)),
+        "subdivide4_octahedron": subdivide4(octahedron()),
+    }
+    for name, (graph, rmap) in outputs.items():
+        assert (_sha(to_json(graph)), _map_sha(rmap)) == pinned[name], name
+    assert _sha(to_json(extend_speiser(gam, 2))) == "b6beb2e0d5a35096"
+    assert _sha(to_json(extend_speiser(cube(), 3))) == "c79215ccdec791b0"

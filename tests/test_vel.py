@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speiserlab.graph_core import bfs_layers
+from speiserlab.graph_core import RotationGraph, bfs_layers
 from speiserlab.lattices import cycle_graph, path_graph, triangular_ball
 from speiserlab import vel
 from speiserlab.refinement import VMetric
@@ -330,6 +330,18 @@ def test_pinned_brackets_triangular_ball_8_5():
         (0.15624999999999994, 0.25, {"outer": 40, "n_constraints": 39}),
         (0.02782985029413592, 0.09375, {"outer": 200, "n_constraints": 200}),
     ]
+
+
+def test_doubled_edge_costs_its_endpoint_once():
+    # vertex 1 and vertex 2 are joined by two parallel edges; a path through
+    # either copy visits three unit-weight vertices, so VEL is 3^2 / 3 = 3
+    g = RotationGraph.from_rotations([[0], [0, 1, 2], [2, 1]])
+    sub = _Subproblem(g, {0}, {2})
+    length, path = sub.shortest_path(np.ones(3))
+    assert length == 3.0
+    assert path.tolist() == [0, 1, 2]
+    est = solve_vel(g, {0}, {2})
+    assert (est.lower, est.upper) == (3.0, 3.0)
 
 
 def test_qp_reports_exhaustion():

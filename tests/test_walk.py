@@ -134,6 +134,18 @@ def test_upsilon_curve_matches_materialized_extension():
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_curves_report_their_solve_residuals():
+    g = square_ball(6)
+    curve = resistance_curve(g, 0, [1, 3, 5])
+    assert len(curve.residuals) == 3
+    assert all(0.0 <= r <= 1e-10 for r in curve.residuals)
+    assert curve.to_dict() == {"radii": [1, 3, 5], "resistance": curve.resistance}
+    ball, layers = speiser_ball(2)
+    ups = upsilon_resistance_curve(ball, 0, [1, 2], layers=layers)
+    assert len(ups.residuals) == 2
+    assert all(0.0 <= r <= 1e-10 for r in ups.residuals)
+
+
 def test_doyle_gamma_recurrent_leaning():
     ball, layers = speiser_ball(2)
     gamma = tree_replace(ball, layers, GrowthSchedule((3, 9)))
