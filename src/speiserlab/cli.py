@@ -120,7 +120,7 @@ def _cmd_analyze(args) -> int:
 
         g = _read_graph(args.graph)
         layers = bfs_layers(g, args.root)
-        sums = nash_williams_sum(layers)
+        sums = nash_williams_sum(layers.cut_sizes())
         _write(
             args.output,
             _json_report(

@@ -9,9 +9,10 @@ in ``frontier``.
 
 Face tracing uses ``next(d) = rotation_successor(twin(d))``; its orbits
 partition the darts.  ``trace_faces`` computes them once per graph as flat
-numpy arrays (``Faces``), from which ``FaceWalk`` records are built on
-demand.  The dual swaps the roles of the face permutation and the rotation,
-which makes ``dual(dual(g))`` the identity on frontier-free graphs.
+numpy arrays (``Faces``), the only face representation: every consumer
+reads face lengths, darts, vertices and frontier flags from them.  The dual
+swaps the roles of the face permutation and the rotation, which makes
+``dual(dual(g))`` the identity on frontier-free graphs.
 
 Graph rewrites describe their result by its faces: ``from_walks`` takes the
 face walks as flat integer arrays (vertex keys, edge keys, walk lengths),
@@ -288,9 +289,8 @@ class RotationGraph:
         stars = _cycles(sigma, dart_tail, n_vertices)
         if stars is None:
             raise GraphError("inconsistent walks: vertex key has a disconnected star")
-        flat, offsets = (a.tolist() for a in stars)
-        rotations = [flat[offsets[v] : offsets[v + 1]] for v in range(n_vertices)]
-        del flat, stars, sigma
+        rotations = _split(*stars)
+        del stars, sigma
 
         def ids_of(keys: Iterable[int]) -> np.ndarray:
             """Vertex id of each key, -1 where the key never occurs."""
@@ -434,28 +434,16 @@ def _cycles(
     return out, offsets
 
 
-@dataclass
-class FaceWalk:
-    """One traced face: darts in walk order plus derived vertex/edge walks."""
-
-    index: int
-    darts: list[int]
-    vertices: list[int]
-    edges: list[int]
-    touches_frontier: bool
-
-    def __len__(self) -> int:
-        return len(self.darts)
-
-
-class Faces(Sequence):
-    """The faces of a graph, as flat arrays and as ``FaceWalk`` records.
+class Faces:
+    """The faces of a graph as flat arrays.
 
     Face ``f`` is ``darts[offsets[f]:offsets[f + 1]]``, listed from its
     smallest dart; faces are ordered by that dart.  ``vertices`` holds the
-    tail of every entry of ``darts``.  Indexing and iteration give
-    ``FaceWalk`` records, built on first use.
+    tail of every entry of ``darts``, ``lengths`` the length of every face
+    and ``touches_frontier`` whether the face has a frontier vertex.
     """
+
+    __slots__ = ("darts", "offsets", "lengths", "vertices", "touches_frontier")
 
     def __init__(self, g: RotationGraph, darts: np.ndarray, offsets: np.ndarray):
         self.darts = darts
@@ -464,15 +452,8 @@ class Faces(Sequence):
         self.vertices = np.asarray(g.dart_vertex, dtype=np.int64)[darts]
         front = np.zeros(g.n_vertices, dtype=bool)
         front[list(g.frontier)] = True
-        self.touches_frontier = (
-            np.logical_or.reduceat(front[self.vertices], offsets[:-1])
-            if len(darts)
-            else np.zeros(0, dtype=bool)
-        )
-        # the records reuse the graph's int objects for darts and vertices
-        self._dart_vertex = g.dart_vertex
-        self._rot_next = g._rot_next
-        self._walks: list[FaceWalk] | None = None
+        touching = front[self.vertices]
+        self.touches_frontier = np.logical_or.reduceat(touching, offsets[:-1])
 
     def face_index(self) -> np.ndarray:
         """Face of every entry of ``darts``."""
@@ -484,30 +465,8 @@ class Faces(Sequence):
         owner[self.darts] = self.face_index()
         return owner
 
-    @property
-    def walks(self) -> list[FaceWalk]:
-        if self._walks is None:
-            dart_ids = np.empty(len(self.darts), dtype=object)
-            dart_ids[np.asarray(self._rot_next, dtype=np.int64)] = self._rot_next
-            darts = dart_ids[self.darts].tolist()
-            verts = np.array(self._dart_vertex, dtype=object)[self.darts].tolist()
-            edges = (self.darts >> 1).tolist()
-            bounds = self.offsets.tolist()
-            touch = self.touches_frontier.tolist()
-            self._walks = [
-                FaceWalk(f, darts[a:b], verts[a:b], edges[a:b], touch[f])
-                for f, (a, b) in enumerate(zip(bounds, bounds[1:]))
-            ]
-        return self._walks
-
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def __getitem__(self, f):
-        return self.walks[f]
-
-    def __iter__(self):
-        return iter(self.walks)
 
 
 def trace_faces(g: RotationGraph) -> Faces:
@@ -536,7 +495,13 @@ def trace_faces(g: RotationGraph) -> Faces:
 
 
 def interior_face_mask(g: RotationGraph, outer_face: int | None = None) -> np.ndarray:
-    """Boolean per face of ``trace_faces(g)``: the faces ``interior_faces`` keeps."""
+    """Boolean per face of ``trace_faces(g)``: the interior faces.
+
+    Interior faces avoid the frontier and are not the designated outer face.
+    With no frontier and no explicit outer face, a unique non-triangular face
+    is taken as the outer one; if all faces are triangles the map is treated
+    as a sphere triangulation and every face is interior.
+    """
     faces = trace_faces(g)
     if outer_face is not None or g.frontier:
         mask = ~faces.touches_frontier
@@ -548,11 +513,6 @@ def interior_face_mask(g: RotationGraph, outer_face: int | None = None) -> np.nd
     if len(non_tri) == 1:
         mask[non_tri[0]] = False
     return mask
-
-
-def face_of_dart(g: RotationGraph) -> list[int]:
-    """Map dart id -> face index."""
-    return trace_faces(g).face_of().tolist()
 
 
 def euler_characteristic(g: RotationGraph) -> int:
@@ -570,7 +530,7 @@ def dual(g: RotationGraph, drop_frontier_faces: bool | None = None) -> RotationG
     faces = trace_faces(g)
     if drop_frontier_faces is None:
         drop_frontier_faces = bool(g.frontier)
-    owner = face_of_dart(g)
+    owner = faces.face_of()
 
     if not drop_frontier_faces:
         if g.frontier:
@@ -578,46 +538,36 @@ def dual(g: RotationGraph, drop_frontier_faces: bool | None = None) -> RotationG
                 "duality is ambiguous at the truncation boundary; "
                 "pass drop_frontier_faces=True to drop those faces"
             )
-        rotations = []
-        for f in faces:
-            rotations.append(list(f.darts))
-        for e in range(g.n_edges):
-            if owner[2 * e] == owner[2 * e + 1]:
-                raise GraphError(f"edge {e} has the same face on both sides")
+        same = np.flatnonzero(owner[0::2] == owner[1::2])
+        if len(same):
+            raise GraphError(f"edge {same[0]} has the same face on both sides")
         # darts keep their ids; dart 2e/2e+1 now live at the face vertices
-        return RotationGraph(rotations)
+        return RotationGraph(_split(faces.darts, faces.offsets))
 
-    kept = [f.index for f in faces if not f.touches_frontier]
-    kept_set = set(kept)
-    if not kept:
+    kept = ~faces.touches_frontier
+    if not kept.any():
         raise GraphError("no faces left after dropping frontier faces")
-    # edges kept: both sides are kept faces
-    kept_edges = [
-        e
-        for e in range(g.n_edges)
-        if owner[2 * e] in kept_set and owner[2 * e + 1] in kept_set
-    ]
-    new_eid = {e: i for i, e in enumerate(kept_edges)}
-    new_vid = {f: i for i, f in enumerate(kept)}
-    rotations = [[] for _ in kept]
-    frontier = set()
-    for f in faces:
-        if f.index not in kept_set:
-            continue
-        rot = []
-        for d in f.darts:
-            e = d >> 1
-            if e in new_eid:
-                rot.append(2 * new_eid[e] + (d & 1))
-            else:
-                frontier.add(new_vid[f.index])
-        rotations[new_vid[f.index]] = rot
-    gd = RotationGraph(rotations, frontier=frontier)
-    for e in range(gd.n_edges):
-        u, v = gd.edge_ends(e)
-        if u == v:
-            raise GraphError(f"dual would have a self-loop at face {u}")
-    return gd
+    # edges kept: both sides are kept faces, renumbered in edge order; the
+    # kept faces are numbered in face order
+    edge_kept = kept[owner[0::2]] & kept[owner[1::2]]
+    new_eid = np.cumsum(edge_kept) - 1
+    fid = faces.face_index()
+    on_kept = edge_kept[faces.darts >> 1]
+    sel = on_kept & kept[fid]
+    darts = faces.darts[sel]
+    offsets = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(fid[sel], minlength=len(faces))[kept], out=offsets[1:])
+    clipped = np.logical_or.reduceat(~on_kept, faces.offsets[:-1])[kept]
+    return RotationGraph(
+        _split(2 * new_eid[darts >> 1] + (darts & 1), offsets),
+        frontier=np.flatnonzero(clipped).tolist(),
+    )
+
+
+def _split(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
+    """The lists ``flat[offsets[i]:offsets[i + 1]]``, as Python ints."""
+    items, bounds = flat.tolist(), offsets.tolist()
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -735,18 +685,6 @@ def two_coloring(g: RotationGraph) -> dict[int, str] | None:
     return {v: c for v, c in enumerate(color)}
 
 
-def interior_faces(g: RotationGraph, outer_face: int | None = None) -> list[FaceWalk]:
-    """Faces that are not the designated outer face and avoid the frontier.
-
-    With no frontier and no explicit outer face, a unique non-triangular face
-    is taken as the outer one; if all faces are triangles the map is treated
-    as a sphere triangulation and every face is interior.
-    """
-    faces = trace_faces(g)
-    inner = np.flatnonzero(interior_face_mask(g, outer_face))
-    return [faces[f] for f in inner.tolist()]
-
-
 def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassification:
     """Structural flags computed on the non-frontier part of the graph."""
     colors = two_coloring(g)
@@ -755,13 +693,13 @@ def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassifica
     homogeneous = degrees[0] if degrees and len(set(degrees)) == 1 else None
     max_degree = max(degrees) if degrees else None
 
-    inner = interior_faces(g, outer_face=outer_face)
-    non_tri = [f for f in inner if len(f) != 3]
-    is_tri = bool(inner) and not non_tri
-    if not g.frontier and outer_face is None:
-        faces = trace_faces(g)
-        big = [f for f in faces if len(f) != 3]
-        is_tri = len(big) <= 1 and len(faces) > len(big)
+    faces = trace_faces(g)
+    if g.frontier or outer_face is not None:
+        inner = interior_face_mask(g, outer_face)
+        is_tri = bool(inner.any()) and bool((faces.lengths[inner] == 3).all())
+    else:
+        n_big = int(np.count_nonzero(faces.lengths != 3))
+        is_tri = n_big <= 1 and len(faces) > n_big
 
     p_of = None
     frontier = g.frontier

@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, SolverError
-from .graph_core import (
-    RotationGraph,
-    bfs_layers,
-    face_of_dart,
-    interior_faces,
-    trace_faces,
-)
+from .graph_core import RotationGraph, interior_face_mask, trace_faces
 from .trend import classify_radius_trend
 
 EUCLIDEAN = "euclidean_fixed_boundary_radii"
@@ -124,15 +118,18 @@ def _log_sinh(h):
     return h + np.log1p(-np.exp(-2.0 * h)) - math.log(2.0)
 
 
+def _hyp_corner(hv, hu, hw):
+    """Angle at v of the hyperbolic triangle of circles v, u, w (arrays)."""
+    log_t2 = _log_sinh(hu) + _log_sinh(hw) - _log_sinh(hv) - _log_sinh(hv + hu + hw)
+    return 2.0 * np.arctan(np.exp(0.5 * log_t2))
+
+
+def _hyp_angle(hv, hu, hw) -> float:
+    return float(_hyp_corner(np.asarray(hv), np.asarray(hu), np.asarray(hw)))
+
+
 def _hyp_angle_sums(h, cu, cw, cv, offsets):
-    log_t2 = (
-        _log_sinh(h[cu])
-        + _log_sinh(h[cw])
-        - _log_sinh(h[cv])
-        - _log_sinh(h[cv] + h[cu] + h[cw])
-    )
-    angles = 2.0 * np.arctan(np.exp(0.5 * log_t2))
-    return np.add.reduceat(angles, offsets)
+    return np.add.reduceat(_hyp_corner(h[cv], h[cu], h[cw]), offsets)
 
 
 def _solve_hyperbolic(g, interior, boundary, h_boundary):
@@ -161,26 +158,38 @@ def _boundary_vertices(g: RotationGraph, outer_face: int | None) -> list[int]:
         return sorted(g.frontier)
     faces = trace_faces(g)
     if outer_face is None:
-        non_tri = [f for f in faces if len(f) != 3]
+        non_tri = np.flatnonzero(faces.lengths != 3)
         if len(non_tri) != 1:
             raise GeometryError(
                 "no designated boundary: pass outer_face or mark a frontier"
             )
-        outer_face = non_tri[0].index
-    return sorted(set(faces[outer_face].vertices))
+        outer_face = non_tri[0]
+    at = faces.offsets[outer_face]
+    return np.unique(faces.vertices[at : at + faces.lengths[outer_face]]).tolist()
 
 
-def _check_triangulation(g, interior_set, outer_face):
-    for f in interior_faces(g, outer_face=outer_face):
-        if len(f) != 3:
-            raise GeometryError(f"face {f.index} has {len(f)} sides")
+def _check_triangulation(g, outer_face):
+    lengths = trace_faces(g).lengths
+    bad = np.flatnonzero(interior_face_mask(g, outer_face) & (lengths != 3))
+    if len(bad):
+        raise GeometryError(f"face {bad[0]} has {lengths[bad[0]]} sides")
 
 
-def _layout(g, radii, interior_set, root: int, order_hint=None):
+def _third_vertex(g: RotationGraph) -> list[int]:
+    """Per dart: the vertex of its triangular face off the dart, else -1."""
+    faces = trace_faces(g)
+    fid = faces.face_index()
+    p = np.flatnonzero(faces.lengths[fid] == 3)
+    start = faces.offsets[fid[p]]
+    third = np.full(g.n_darts, -1, dtype=np.int64)
+    third[faces.darts[p]] = faces.vertices[start + (p - start + 2) % 3]
+    return third.tolist()
+
+
+def _layout(g, radii, root: int, order_hint=None):
     """Breadth-first tangency layout; faces are traced clockwise, so the third
     vertex of a face sits to the right of each directed edge."""
-    owner = face_of_dart(g)
-    faces = trace_faces(g)
+    third = _third_vertex(g)
     centers: dict[int, complex] = {}
     queue: list[int] = []
 
@@ -194,15 +203,11 @@ def _layout(g, radii, interior_set, root: int, order_hint=None):
     while qi < len(queue):
         d = queue[qi]
         qi += 1
-        f = faces[owner[d]]
-        if len(f) != 3:
+        w = third[d]
+        if w < 0 or w in centers:
             continue
-        du = d
-        u = g.dart_vertex[du]
-        v = g.dart_vertex[du ^ 1]
-        (w,) = [x for x in f.vertices if x != u and x != v] or (None,)
-        if w is None or w in centers:
-            continue
+        u = g.dart_vertex[d]
+        v = g.dart_vertex[d ^ 1]
         cu_, cv_ = centers[u], centers[v]
         ru, rv, rw = radii[u], radii[v], radii[w]
         dd = abs(cv_ - cu_)
@@ -245,7 +250,7 @@ def pack_disk(
     interior = [v for v in g.vertices() if v not in bset]
     if not interior:
         raise GeometryError("no interior vertices to solve")
-    _check_triangulation(g, set(interior), outer_face)
+    _check_triangulation(g, outer_face)
 
     if boundary == EUCLIDEAN:
         if isinstance(boundary_radii, dict):
@@ -256,7 +261,7 @@ def pack_disk(
         radii = {v: float(r[v]) for v in g.vertices()}
         centers = {v: None for v in g.vertices()}
         if layout:
-            centers.update(_layout(g, radii, set(interior), root))
+            centers.update(_layout(g, radii, root))
         return CirclePacking(
             graph=g,
             radii=radii,
@@ -309,16 +314,6 @@ def pack_disk(
     raise GeometryError(f"unknown boundary condition {boundary!r}")
 
 
-def _hyp_angle(hv, hu, hw):
-    log_t2 = (
-        _log_sinh(np.asarray(hu))
-        + _log_sinh(np.asarray(hw))
-        - _log_sinh(np.asarray(hv))
-        - _log_sinh(np.asarray(hv + hu + hw))
-    )
-    return float(2.0 * np.arctan(np.exp(0.5 * log_t2)))
-
-
 def _mobius_to_zero(c):
     def fwd(z):
         return (z - c) / (1 - c.conjugate() * z)
@@ -331,8 +326,7 @@ def _mobius_to_zero(c):
 
 def _hyperbolic_layout(g, radii_h, interior_set, root: int):
     """Poincare-disk centers for interior circles (boundary sits too deep)."""
-    owner = face_of_dart(g)
-    faces = trace_faces(g)
+    third = _third_vertex(g)
     centers: dict[int, complex] = {}
     rot = [d for d in g.rotations[root] if g.dart_vertex[d ^ 1] in interior_set]
     centers[root] = 0j
@@ -346,14 +340,11 @@ def _hyperbolic_layout(g, radii_h, interior_set, root: int):
     while qi < len(queue):
         d = queue[qi]
         qi += 1
-        f = faces[owner[d]]
-        if len(f) != 3:
+        w = third[d]
+        if w < 0 or w in centers or w not in interior_set:
             continue
         u = g.dart_vertex[d]
         v = g.dart_vertex[d ^ 1]
-        (w,) = [x for x in f.vertices if x != u and x != v] or (None,)
-        if w is None or w in centers or w not in interior_set:
-            continue
         fwd, inv = _mobius_to_zero(centers[u])
         vz = fwd(centers[v])
         phi = cmath.phase(vz)
@@ -375,8 +366,13 @@ class PackingCheck:
     min_separation_margin: float
 
 
-def verify_packing(p: CirclePacking, pair_cap: int = 2_000_000) -> PackingCheck:
-    """Re-check the packing invariants from the stored radii and centers."""
+def verify_packing(p: CirclePacking) -> PackingCheck:
+    """Re-check the packing invariants from the stored radii and centers.
+
+    ``min_separation_margin`` is the smallest gap between two placed circles
+    that are not joined by an edge (negative if they overlap), or inf when no
+    such pair exists.
+    """
     g = p.graph
     interior = p.interior
     cv, cu, cw, offsets = _flower_arrays(g, interior)
@@ -387,33 +383,68 @@ def verify_packing(p: CirclePacking, pair_cap: int = 2_000_000) -> PackingCheck:
     else:
         angle_resid = float(p.diagnostics.get("angle_residual", math.nan))
     placed = [v for v in g.vertices() if p.centers.get(v) is not None]
-    pos = {v: p.centers[v] for v in placed}
-    tang = 0.0
-    for e in g.edges():
-        a, b = g.edge_ends(e)
-        if a in pos and b in pos:
-            want = p.radii[a] + p.radii[b]
-            got = abs(pos[a] - pos[b])
-            tang = max(tang, abs(got - want) / want)
-    # separation of non-adjacent circles (sampled pairwise check)
-    margin = math.inf
-    adj = {frozenset(g.edge_ends(e)) for e in g.edges()}
-    ordered = sorted(pos)
-    n = len(ordered)
-    if n * (n - 1) // 2 <= pair_cap:
-        for i in range(n):
-            a = ordered[i]
-            for j in range(i + 1, n):
-                b = ordered[j]
-                if frozenset((a, b)) in adj:
-                    continue
-                gap = abs(pos[a] - pos[b]) - (p.radii[a] + p.radii[b])
-                margin = min(margin, gap)
+    index = np.full(g.n_vertices, -1, dtype=np.int64)
+    index[placed] = np.arange(len(placed))
+    z = np.array([p.centers[v] for v in placed], dtype=complex)
+    radius = np.array([p.radii[v] for v in placed], dtype=float)
+    ends = index[np.asarray(g.dart_vertex, dtype=np.int64)]
+    a, b = ends[0::2], ends[1::2]
+    both = (a >= 0) & (b >= 0)
+    a, b = a[both], b[both]
+    want = radius[a] + radius[b]
+    tang = float(np.max(np.abs(_distance(z, a, b) - want) / want, initial=0.0))
+    adjacent = np.unique(np.minimum(a, b) * len(placed) + np.maximum(a, b))
     return PackingCheck(
         max_angle_residual=angle_resid,
         max_tangency_error=tang,
-        min_separation_margin=margin,
+        min_separation_margin=_min_separation(z, radius, adjacent),
     )
+
+
+def _distance(z: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``|z[i] - z[j]|`` with ``hypot``, the bits of Python's ``abs``."""
+    d = z[i] - z[j]
+    return np.hypot(d.real, d.imag)
+
+
+def _min_separation(z: np.ndarray, radius: np.ndarray, adjacent: np.ndarray) -> float:
+    """Smallest gap ``|z_i - z_j| - r_i - r_j`` over the pairs i < j whose
+    code ``i n + j`` is not in ``adjacent``, or inf when there is none.
+
+    A gap below m needs ``|z_i - z_j| < m + 2 r_max``.  So once some pair
+    within a search radius gives a gap m0, the pairs within
+    ``m0 + 2 r_max`` contain every pair with a smaller gap, and their
+    minimum is exact.  The first search radius, 2 r_max, doubles until it
+    reaches a non-adjacent pair or spans every pair.
+    """
+    # imported here: scipy.spatial takes about 0.15 s to import, and only
+    # verification needs it
+    from scipy.spatial import cKDTree
+
+    n = len(z)
+    if n < 2:
+        return math.inf
+    tree = cKDTree(np.column_stack([z.real, z.imag]))
+    r_max = float(radius.max())
+    reach = 2.0 * r_max
+    span = 2.0 * float(np.abs(z - z[0]).max())
+
+    def gaps(within: float) -> np.ndarray:
+        i, j = tree.query_pairs(within, output_type="ndarray").T
+        free = ~np.isin(i * n + j, adjacent)
+        i, j = i[free], j[free]
+        return _distance(z, i, j) - (radius[i] + radius[j])
+
+    found = gaps(reach)
+    while not len(found) and reach < span:
+        reach = min(2.0 * reach, span) if reach > 0 else span
+        found = gaps(reach)
+    if not len(found):
+        return math.inf
+    m0 = float(found.min())
+    if m0 + 2.0 * r_max > reach:
+        found = gaps(m0 + 2.0 * r_max)
+    return min(m0, float(found.min(initial=math.inf)))
 
 
 # -- cp-type ratio trend ----------------------------------------------------
@@ -493,17 +524,18 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
     the claimed constants are tau = 1/16 and at most 7-fold overlap.
     """
     g = p.graph
-    owner = face_of_dart(p.graph)
     faces = trace_faces(g)
+    owner = faces.face_of().tolist()
+    tri = np.flatnonzero(faces.lengths == 3)
+    corners = faces.offsets[tri][:, None] + np.arange(3)
+    tri_vertices = faces.vertices[corners].tolist()
+    tri_edges = (faces.darts[corners] >> 1).tolist()
     flags = []
     incircles: dict[int, tuple[complex, float]] = {}
-    for f in faces:
-        if len(f) != 3:
-            continue
-        vs = f.vertices
+    for f, vs in zip(tri.tolist(), tri_vertices):
         if any(p.centers.get(v) is None for v in vs):
             continue
-        incircles[f.index] = _incircle(*(p.centers[v] for v in vs))
+        incircles[f] = _incircle(*(p.centers[v] for v in vs))
 
     sets: dict[tuple, tuple[tuple[complex, float], ...]] = {}
     for v in g.vertices():
@@ -528,10 +560,8 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
         for x in (u, v):
             if ("v", x) in sets:
                 adjacency.append((("v", x), ("e", e)))
-    for f in faces:
-        if len(f) != 3:
-            continue
-        es = [e for e in f.edges if ("e", e) in sets]
+    for edges in tri_edges:
+        es = [e for e in edges if ("e", e) in sets]
         for i in range(len(es)):
             for j in range(i + 1, len(es)):
                 adjacency.append((("e", es[i]), ("e", es[j])))

@@ -77,9 +77,7 @@ class RefinementMap:
         return cls(
             vertex_origin={v: ("vertex", v) for v in g.vertices()},
             edge_cover={e: [e] for e in g.edges()},
-            face_cover={
-                f.index: [f.index] for f in trace_faces(g)
-            },
+            face_cover={f: [f] for f in range(len(trace_faces(g)))},
         )
 
 
@@ -224,13 +222,15 @@ def check_refinement(
     m_face = 0
     seen_refined = set()
     ref_faces = trace_faces(g_ref)
+    face_vertices = ref_faces.vertices.tolist()
+    bounds = ref_faces.offsets.tolist()
     for f, cover in rmap.face_cover.items():
         verts = set()
         for rf in cover:
             if rf in seen_refined:
                 violations.append(f"refined face {rf} covers two faces")
             seen_refined.add(rf)
-            verts.update(ref_faces[rf].vertices)
+            verts.update(face_vertices[bounds[rf] : bounds[rf + 1]])
         # vertices of the closed face: everything on its refined faces
         m_face = max(m_face, len(verts))
 

@@ -70,10 +70,10 @@ def build_octagonal_speiser(depth: int) -> RotationGraph:
         tri = triangular_ball(8, rings)
         psi = dual(tri, drop_frontier_faces=True)
         # root: the dual vertex of a face incident to the center of the ball;
-        # dual vertex ids follow the face trace order, so take the smallest.
-        faces = [f for f in trace_faces(tri) if not f.touches_frontier]
-        root_candidates = [i for i, f in enumerate(faces) if 0 in f.vertices]
-        root = min(root_candidates)
+        # dual vertex ids are the ranks of the kept faces, so take the first.
+        faces = trace_faces(tri)
+        at_center = np.logical_or.reduceat(faces.vertices == 0, faces.offsets[:-1])
+        root = int(np.flatnonzero(at_center[~faces.touches_frontier])[0])
         layers = bfs_layers(psi, root)
         if layers.reliable_depth >= depth:
             break

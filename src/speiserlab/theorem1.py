@@ -27,7 +27,7 @@ from .speiser import (
 from .packing import ratio_trend
 from .trend import first_converged_n
 from .vel import vel_type_trend
-from .walk import doyle_test, resistance_curve
+from .walk import doyle_test, nash_williams_sum, resistance_curve
 
 
 def paper_schedule(n: int) -> int:
@@ -267,11 +267,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     counts = extended_layer_counts(
         gamma, gamma_layers, min(config.upsilon_k_max, gamma_layers.reliable_depth)
     )
-    nw = []
-    acc = 0.0
-    for c in counts.cut_sizes:
-        acc += 1.0 / c
-        nw.append(acc)
+    nw = nash_williams_sum(counts.cut_sizes)
     nw_strict = all(b > a for a, b in zip(nw, nw[1:]))
     half = len(nw) // 2
     nw_no_plateau = nw_strict and (nw[-1] - nw[half] > 1e-9)

@@ -14,6 +14,7 @@ height at most n and stays desk-sized even when the faces are huge.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,14 +160,14 @@ def resistance_curve(
     )
 
 
-def nash_williams_sum(layers: LayerDecomposition) -> list[float]:
-    """Partial sums P(n) = sum_{k < n} 1 / |E(k)|, multiplicity counted."""
+def nash_williams_sum(cut_sizes: Sequence[int]) -> list[float]:
+    """Partial sums P(n) = sum_{k < n} 1 / |E(k)| of the cut sizes |E(k)|."""
     sums = []
     acc = 0.0
-    for k, cut in enumerate(layers.cut_edges):
-        if not cut:
+    for k, c in enumerate(cut_sizes):
+        if not c:
             raise GraphError(f"empty cut set at radius {k}")
-        acc += 1.0 / len(cut)
+        acc += 1.0 / c
         sums.append(acc)
     return sums
 
@@ -184,57 +185,59 @@ def _upsilon_ball(
 
     Returns (n_nodes, edges_u, edges_v, dist): base vertices keep their ids,
     grid nodes are appended.  Exact for n <= the base reliable depth.
+
+    The base edges inside the ball come first, in edge order.  Then each
+    face in turn gets a column over every walk position, in walk order:
+    column nodes are numbered bottom-up and joined base -> ring 1 -> ... ->
+    top.  After its columns come the face's ring edges, position by
+    position, joining equal heights of consecutive columns.
     """
     gd = grid_depth if grid_depth is not None else n_max
-    dist_base = layers.dist
-    eu: list[int] = []
-    ev: list[int] = []
-    dist: list[int] = list(dist_base)
-    n_nodes = g.n_vertices
-    # base edges inside the ball
-    for e in range(g.n_edges):
-        a, b = g.edge_ends(e)
-        if 0 <= dist_base[a] <= n_max and 0 <= dist_base[b] <= n_max:
-            eu.append(a)
-            ev.append(b)
+    faces = trace_faces(g)
+    dist_base = np.asarray(layers.dist, dtype=np.int64)
+    n = g.n_vertices
+    inside = (dist_base >= 0) & (dist_base <= n_max)
+    a, b = _edge_arrays(g)
+    base = inside[a] & inside[b]
 
-    for face in trace_faces(g):
-        k = len(face.darts)
-        D = [dist_base[v] for v in face.vertices]
-        heights = [
-            min(gd, n_max - d) if 0 <= d <= n_max else 0 for d in D
-        ]
-        if not any(h > 0 for h in heights):
-            continue
-        col: list[list[int]] = []
-        for i in range(k):
-            ids = []
-            for m in range(1, heights[i] + 1):
-                ids.append(n_nodes)
-                dist.append(D[i] + m)
-                n_nodes += 1
-            col.append(ids)
-            # vertical edges: base -> ring 1 -> ... -> top
-            if ids:
-                eu.append(face.vertices[i])
-                ev.append(ids[0])
-                for m in range(len(ids) - 1):
-                    eu.append(ids[m])
-                    ev.append(ids[m + 1])
-        # ring edges between consecutive columns
-        for i in range(k):
-            j = (i + 1) % k
-            if k == 1:
-                break
-            top = min(heights[i], heights[j])
-            for m in range(1, top + 1):
-                eu.append(col[i][m - 1])
-                ev.append(col[j][m - 1])
+    # column over walk entry p: heights 1..h[p], nodes n + col0[p] + (0..h-1)
+    D = dist_base[faces.vertices]
+    h = np.maximum(np.where(inside[faces.vertices], np.minimum(gd, n_max - D), 0), 0)
+    col0 = np.cumsum(h) - h
+    fid = faces.face_index()
+    start = faces.offsets[fid]
+    nxt = np.arange(len(h)) + 1
+    last = nxt == faces.offsets[fid + 1]
+    nxt[last] = start[last]
+    top = np.where(faces.lengths[fid] > 1, np.minimum(h, h[nxt]), 0)
+
+    # vertical edges in node order: each node hangs from the one below it,
+    # the bottom node of a column from the column's base vertex
+    n_new = int(h.sum())
+    column = np.repeat(np.arange(len(h)), h)
+    below = n - 1 + np.arange(n_new)
+    below[col0[h > 0]] = faces.vertices[h > 0]
+    height = np.arange(n_new) - col0[column] + 1
+    # ring edges: height m of entry p to height m of the next entry
+    ring = np.repeat(np.arange(len(h)), top)
+    level = np.arange(len(ring)) - (np.cumsum(top) - top)[ring]
+
+    # face f's block: its vertical edges, then its ring edges
+    n_vert, n_ring = (np.add.reduceat(x, faces.offsets[:-1]) for x in (h, top))
+    block0 = np.cumsum(n_vert + n_ring) - n_vert - n_ring
+    vert_at = block0 - (np.cumsum(n_vert) - n_vert)
+    ring_at = block0 + n_vert - (np.cumsum(n_ring) - n_ring)
+    eu = np.empty(n_new + len(ring), dtype=np.int64)
+    ev = np.empty_like(eu)
+    at = vert_at[fid[column]] + np.arange(n_new)
+    eu[at], ev[at] = below, n + np.arange(n_new)
+    at = ring_at[fid[ring]] + np.arange(len(ring))
+    eu[at], ev[at] = n + col0[ring] + level, n + col0[nxt[ring]] + level
     return (
-        n_nodes,
-        np.asarray(eu, dtype=np.int64),
-        np.asarray(ev, dtype=np.int64),
-        np.asarray(dist, dtype=np.int64),
+        n + n_new,
+        np.concatenate([a[base], eu]),
+        np.concatenate([b[base], ev]),
+        np.concatenate([dist_base, D[column] + height]),
     )
 
 
@@ -323,11 +326,7 @@ def doyle_test(
         speiser_graph, layers, n_eff, grid_depth=grid_depth
     )
     cut_sizes = counts.cut_sizes
-    nw = []
-    acc = 0.0
-    for c in cut_sizes:
-        acc += 1.0 / c
-        nw.append(acc)
+    nw = nash_williams_sum(cut_sizes)
     for n, r in zip(radii, curve.resistance):
         if r < nw[n - 1] - 1e-9:
             flags.append(f"cut-sum lower bound violated at n={n}: {r} < {nw[n-1]}")

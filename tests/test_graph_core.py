@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,7 @@ def test_octahedron_counts():
     assert all(g.degree(v) == 4 for v in g.vertices())
     faces = trace_faces(g)
     assert len(faces) == 8
-    assert all(len(f) == 3 for f in faces)
+    assert (faces.lengths == 3).all()
     assert euler_characteristic(g) == 2
 
 
@@ -52,9 +53,8 @@ def test_grid_patch_3x3():
     assert g.n_vertices == 9
     assert g.n_edges == 12
     faces = trace_faces(g)
-    quads = [f for f in faces if len(f) == 4]
     # 4 interior squares; the outer walk has length 8
-    assert len(quads) == 4
+    assert (faces.lengths == 4).sum() == 4
     assert len(faces) == 5
     assert euler_characteristic(g) == 2
 
@@ -118,7 +118,7 @@ def test_dual_of_cycle_two_vertices():
 def test_bigon_face_traced():
     g = cycle_graph(2)  # doubled edge
     faces = trace_faces(g)
-    assert sorted(len(f) for f in faces) == [2, 2]
+    assert sorted(faces.lengths.tolist()) == [2, 2]
 
 
 def test_bfs_layers_square_ball():
@@ -184,9 +184,9 @@ def test_triangular_ball_interior_faces_are_triangles():
     for q in (6, 7, 8):
         g = triangular_ball(q, 3)
         faces = trace_faces(g)
-        inner = [f for f in faces if not f.touches_frontier]
-        assert inner, "expected interior faces"
-        assert all(len(f) == 3 for f in inner)
+        inner = ~faces.touches_frontier
+        assert inner.any(), "expected interior faces"
+        assert (faces.lengths[inner] == 3).all()
         for v in g.interior_vertices():
             assert g.degree(v) == q
 
@@ -361,11 +361,16 @@ WALK_SOURCES = {
 }
 
 
+def _face_lists(faces, values):
+    """``values`` (one entry per face item) cut into per-face lists."""
+    return [x.tolist() for x in np.split(values, faces.offsets[1:-1])]
+
+
 def _scrambled_walks(g):
     """The faces of ``g`` in reverse order, each started one item later."""
     walks = []
-    for f in reversed(trace_faces(g)):
-        items = [(g.dart_vertex[d], d >> 1) for d in f.darts]
+    for darts in reversed(_face_lists(trace_faces(g), trace_faces(g).darts)):
+        items = [(g.dart_vertex[d], d >> 1) for d in darts]
         walks.append(items[1:] + items[:1])
     return walks
 
@@ -414,14 +419,14 @@ def test_integer_walks_match_tuple_reference(source):
     # the face table filled in by from_walks is the one trace_faces computes,
     # and walk_face names the face each walk became
     fresh = RotationGraph(out.rotations, frontier=out.frontier)
-    assert [f.darts for f in trace_faces(out)] == _reference_trace(fresh)
-    assert [f.darts for f in trace_faces(out)] == [f.darts for f in trace_faces(fresh)]
-    assert trace_faces(out).touches_frontier.tolist() == [
-        f.touches_frontier for f in trace_faces(fresh)
-    ]
-    faces = trace_faces(out)
+    faces, fresh_faces = trace_faces(out), trace_faces(fresh)
+    out_darts = _face_lists(faces, faces.darts)
+    assert out_darts == _reference_trace(fresh)
+    assert out_darts == _face_lists(fresh_faces, fresh_faces.darts)
+    assert faces.touches_frontier.tolist() == fresh_faces.touches_frontier.tolist()
+    face_edges = _face_lists(faces, faces.darts >> 1)
     for i, w in enumerate(walks):
-        assert set(faces[built.walk_face[i]].edges) == {emap[("e", e)] for _, e in w}
+        assert set(face_edges[built.walk_face[i]]) == {emap[("e", e)] for _, e in w}
 
 
 @pytest.mark.parametrize("source", sorted(WALK_SOURCES))
@@ -429,11 +434,15 @@ def test_trace_faces_matches_dart_walk(source):
     g = WALK_SOURCES[source]()
     g = RotationGraph(g.rotations, frontier=g.frontier)  # no cached faces
     faces = trace_faces(g)
-    assert [f.darts for f in faces] == _reference_trace(g)
-    for f in faces:
-        assert f.vertices == [g.dart_vertex[d] for d in f.darts]
-        assert f.edges == [d >> 1 for d in f.darts]
-        assert f.touches_frontier == any(v in g.frontier for v in f.vertices)
+    darts = _face_lists(faces, faces.darts)
+    assert darts == _reference_trace(g)
+    assert faces.lengths.tolist() == [len(f) for f in darts]
+    assert faces.face_of().tolist() == [
+        next(i for i, f in enumerate(darts) if d in f) for d in range(g.n_darts)
+    ]
+    for f, vertices in enumerate(_face_lists(faces, faces.vertices)):
+        assert vertices == [g.dart_vertex[d] for d in darts[f]]
+        assert faces.touches_frontier[f] == any(v in g.frontier for v in vertices)
 
 
 @pytest.mark.parametrize(
@@ -517,3 +526,20 @@ def test_rewrite_outputs_pinned():
         assert (_sha(to_json(graph)), _map_sha(rmap)) == pinned[name], name
     assert _sha(to_json(extend_speiser(gam, 2))) == "b6beb2e0d5a35096"
     assert _sha(to_json(extend_speiser(cube(), 3))) == "c79215ccdec791b0"
+
+
+def test_dual_outputs_pinned():
+    # Graph JSON digests of both dual paths, recorded with the face-record
+    # implementation: drop_frontier_faces on a truncation, darts kept as they
+    # are on a frontier-free map
+    from speiserlab.speiser import build_octagonal_speiser
+
+    assert _sha(to_json(dual(triangular_ball(8, 7)))) == "fac0c8aa77ecda5e"
+    assert _sha(to_json(dual(build_octagonal_speiser(5)))) == "721b701960258085"
+    assert _sha(to_json(dual(cube()))) == "12c41b3c92c3915b"
+    assert _sha(to_json(dual(grid_patch(4, 3)))) == "6007c5de6112662d"
+
+
+def test_dual_rejects_edge_with_one_face():
+    with pytest.raises(GraphError, match="edge 0 has the same face on both sides"):
+        dual(path_graph(2))

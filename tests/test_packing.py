@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,9 +65,7 @@ def test_layout_two_orders_agree_up_to_rigid_motion():
     p1 = pack_disk(g, boundary=EUCLIDEAN)
     from speiserlab.packing import _layout
 
-    centers2 = _layout(
-        g, p1.radii, set(p1.interior), 0, order_hint=g.rotations[0][2]
-    )
+    centers2 = _layout(g, p1.radii, 0, order_hint=g.rotations[0][2])
     # align: rotate so the first neighbor direction matches
     nb1 = g.dart_vertex[g.rotations[0][0] ^ 1]
     nb2 = g.dart_vertex[g.rotations[0][2] ^ 1]
@@ -158,10 +157,6 @@ def test_inscribed_collection_hex_flower():
     col = inscribed_collection(p)
     g = p.graph
     # interior edges carry two-disk unions meeting at the tangency point
-    from speiserlab.graph_core import face_of_dart, trace_faces
-
-    owner = face_of_dart(g)
-    faces = trace_faces(g)
     checked = 0
     for e in g.edges():
         key = ("e", e)
@@ -211,3 +206,115 @@ def test_packing_json_dump():
     data = json.loads(s1)
     assert data["radii"]["0"] == pytest.approx(1.0, abs=1e-8)
     assert len(data["centers"]) == 7
+
+
+def _all_pairs_margin(p) -> float:
+    """Smallest gap over all pairs of placed, non-adjacent circles."""
+    g = p.graph
+    placed = [v for v in g.vertices() if p.centers.get(v) is not None]
+    index = {v: i for i, v in enumerate(placed)}
+    adjacent = np.zeros((len(placed), len(placed)), dtype=bool)
+    for e in g.edges():
+        a, b = g.edge_ends(e)
+        if a in index and b in index:
+            adjacent[index[a], index[b]] = adjacent[index[b], index[a]] = True
+    z = np.array([p.centers[v] for v in placed])
+    r = np.array([p.radii[v] for v in placed])
+    best = math.inf
+    for i in range(len(placed) - 1):
+        d = z[i + 1 :] - z[i]
+        gap = np.hypot(d.real, d.imag) - (r[i] + r[i + 1 :])
+        gap = gap[~adjacent[i, i + 1 :]]
+        if len(gap):
+            best = min(best, float(gap.min()))
+    return best
+
+
+@pytest.fixture(scope="module")
+def maximal_hex16():
+    return pack_disk(triangular_ball(6, 16), boundary=MAXIMAL)
+
+
+@pytest.fixture(scope="module")
+def euclidean_tri8_4():
+    return pack_disk(triangular_ball(8, 4), boundary=EUCLIDEAN)
+
+
+def test_separation_exact_beyond_old_pair_cap():
+    # 2,107 circles: 2,218,671 pairs, more than the 2 M pairs an earlier
+    # all-pairs loop checked before reporting inf
+    p = pack_disk(triangular_ball(6, 26), boundary=EUCLIDEAN)
+    placed = sum(c is not None for c in p.centers.values())
+    assert placed == 2107
+    margin = verify_packing(p).min_separation_margin
+    assert math.isfinite(margin)
+    assert abs(margin - _all_pairs_margin(p)) < 1e-12
+    # unit hexagonal packing: next-nearest centers are 2 sqrt(3) apart
+    assert margin == pytest.approx(2 * math.sqrt(3) - 2, abs=1e-9)
+
+
+def test_separation_reports_overlap():
+    p = pack_disk(triangular_ball(6, 3), boundary=EUCLIDEAN)
+    g = p.graph
+    # push vertex 0 toward a vertex two steps away until their circles overlap
+    far = next(v for v in g.vertices() if bfs_layers(g, 0).dist[v] == 2)
+    centers = dict(p.centers)
+    centers[0] = centers[far] + (centers[0] - centers[far]) * 0.5
+    moved = replace(p, centers=centers)
+    margin = verify_packing(moved).min_separation_margin
+    assert margin < 0
+    assert abs(margin - _all_pairs_margin(moved)) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["maximal_hex16", "euclidean_tri8_4", "hex3"])
+def test_separation_matches_all_pairs(name, request):
+    if name == "hex3":
+        p = pack_disk(triangular_ball(6, 3), boundary=EUCLIDEAN)
+    else:
+        p = request.getfixturevalue(name)
+    margin = verify_packing(p).min_separation_margin
+    assert margin > 0
+    assert abs(margin - _all_pairs_margin(p)) < 1e-12
+
+
+def test_packing_json_pinned(maximal_hex16, euclidean_tri8_4):
+    # sha256 of packing_to_json, recorded with the face-record implementation
+    import hashlib
+
+    from speiserlab.packing import packing_to_json
+
+    def sha(p):
+        return hashlib.sha256(packing_to_json(p).encode()).hexdigest()[:16]
+
+    assert sha(maximal_hex16) == "791179f7bc9539ac"
+    assert sha(euclidean_tri8_4) == "8e95c5782b8acb53"
+
+
+def test_min_separation_random_configurations():
+    # unit circles among tiny ones: the closest pair often lies beyond the
+    # first search radius, found only by the second query
+    from speiserlab.packing import _distance, _min_separation
+
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        n = int(rng.integers(2, 10))
+        z = rng.uniform(-4, 4, n) + 1j * rng.uniform(-4, 4, n)
+        radius = np.where(rng.random(n) < 0.5, 1.0, 10.0 ** rng.uniform(-3, -1, n))
+        i, j = np.triu_indices(n, 1)
+        code = i * n + j
+        adjacent = np.sort(rng.choice(code, size=len(code) // 3, replace=False))
+        free = ~np.isin(code, adjacent)
+        gap = _distance(z, i[free], j[free]) - (radius[i[free]] + radius[j[free]])
+        want = float(gap.min()) if len(gap) else math.inf
+        assert _min_separation(z, radius, adjacent) == want, trial
+    none = np.zeros(0, dtype=np.int64)
+    # two small circles within the first radius, a closer pair of unit
+    # circles beyond it
+    z = np.array([0, 1.9, 10, 12.5])
+    got = _min_separation(z, np.array([0.01, 0.01, 1.0, 1.0]), none)
+    assert got == pytest.approx(0.5, abs=1e-12)
+    # no pair within the first radius: it doubles until one appears
+    assert _min_separation(np.array([0, 5.0]), np.ones(2), none) == 3.0
+    # every pair adjacent: nothing to separate
+    z = np.array([0, 2, 1 + 1j * math.sqrt(3)])
+    assert _min_separation(z, np.ones(3), np.array([1, 2, 5])) == math.inf

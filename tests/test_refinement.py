@@ -38,8 +38,7 @@ def test_subdivide4_single_triangle():
     g = RotationGraph.from_face_cycles([(0, 1, 2)], auto_close=True)
     ref, rmap = subdivide4(g, outer_face=1)
     assert ref.n_vertices == 6
-    tris = [f for f in trace_faces(ref) if len(f) == 3]
-    assert len(tris) == 4
+    assert (trace_faces(ref).lengths == 3).sum() == 4
 
 
 def test_subdivide4_rejects_non_triangulation():
@@ -50,17 +49,17 @@ def test_subdivide4_rejects_non_triangulation():
 
 
 def test_subdivide4_midpoint_degrees():
-    from speiserlab.graph_core import face_of_dart, interior_faces
+    from speiserlab.graph_core import interior_face_mask
 
     g = triangular_ball(8, 2)
     ref, rmap = subdivide4(g)
-    owner = face_of_dart(g)
-    inner = {f.index for f in interior_faces(g)}
+    owner = trace_faces(g).face_of()
+    inner = interior_face_mask(g)
     checked = 0
     for w, origin in rmap.vertex_origin.items():
         if origin[0] == "edge":
             e = origin[1]
-            if owner[2 * e] in inner and owner[2 * e + 1] in inner:
+            if inner[owner[2 * e]] and inner[owner[2 * e + 1]]:
                 assert ref.degree(w) == 6
                 checked += 1
         elif origin[0] == "vertex":

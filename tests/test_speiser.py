@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from speiserlab.errors import ScheduleError
@@ -38,9 +39,10 @@ def test_octagonal_depth6():
         assert sizes[n] <= 3**n
     for v in psi.interior_vertices():
         assert psi.degree(v) == 3
-    inner = [f for f in trace_faces(psi) if not f.touches_frontier]
-    assert inner
-    assert all(len(f) == 8 for f in inner)
+    faces = trace_faces(psi)
+    inner = ~faces.touches_frontier
+    assert inner.any()
+    assert (faces.lengths[inner] == 8).all()
     c = classify(psi)
     assert c.is_bipartite
     assert c.homogeneous_degree == 3
@@ -115,7 +117,7 @@ def test_tree_replace_single_edge_pattern():
     degs = sorted(out.degree(v) for v in out.vertices())
     assert degs == [1, 1, 3, 3, 3, 3]
     # bigons show up as 2-gon faces
-    assert sorted(len(f) for f in trace_faces(out))[:2] == [2, 2]
+    assert sorted(trace_faces(out).lengths.tolist())[:2] == [2, 2]
     assert euler_characteristic(out) == 2
 
 
@@ -153,8 +155,7 @@ def test_lambda_square_face():
     out = lambda_triangulation(g, outer_face=1)
     # one center + 4 midpoints added to 4 vertices
     assert out.n_vertices == 4 + 4 + 1
-    tri = [f for f in trace_faces(out) if len(f) == 3]
-    assert len(tri) == 8
+    assert (trace_faces(out).lengths == 3).sum() == 8
 
 
 def test_lambda_bigon():
@@ -163,7 +164,7 @@ def test_lambda_bigon():
     # both faces are bigons -> 2 centers, 2 midpoints, 4+4 triangles
     assert out.n_vertices == 2 + 2 + 2
     faces = trace_faces(out)
-    assert sorted(len(f) for f in faces) == [3] * 8
+    assert sorted(faces.lengths.tolist()) == [3] * 8
     assert euler_characteristic(out) == 2
 
 
@@ -173,9 +174,9 @@ def test_lambda_on_psi_is_disk_triangulation():
     c = classify(out)
     assert c.is_disk_triangulation
     # |V_out| = |V| + |E| + |F_interior|
-    inner = [f for f in trace_faces(psi) if not f.touches_frontier]
-    assert inner
-    assert out.n_vertices == psi.n_vertices + psi.n_edges + len(inner)
+    n_inner = int((~trace_faces(psi).touches_frontier).sum())
+    assert n_inner
+    assert out.n_vertices == psi.n_vertices + psi.n_edges + n_inner
     # p(2q) for a degree-3 Speiser graph: p <= 6
     assert c.p_of <= 6
 
@@ -188,13 +189,13 @@ def test_extend_single_square_face():
     out = extend_speiser(g, 2, outer_face=1)
     # rings of size 4, two new rings -> 8 new vertices
     assert out.n_vertices == 4 + 8
-    inner = [f for f in trace_faces(out) if not f.touches_frontier]
-    assert all(len(f) == 4 for f in inner)
+    faces = trace_faces(out)
+    assert (faces.lengths[~faces.touches_frontier] == 4).all()
     assert euler_characteristic(out) == 2
 
 
 def test_extend_degree_bound_and_columns():
-    from speiserlab.graph_core import face_of_dart, interior_faces
+    from speiserlab.graph_core import interior_face_mask
 
     ball, layers = speiser_ball(2)
     gamma = tree_replace(ball, layers, GrowthSchedule((3, 5)))
@@ -210,11 +211,11 @@ def test_extend_degree_bound_and_columns():
     # 3 columns: its degree grows from 3 to 6, one vertex per height above it
     psi = build_octagonal_speiser(5)
     ups5 = extend_speiser(psi, 2)
-    inner = {f.index for f in interior_faces(psi)}
-    owner = face_of_dart(psi)
+    inner = interior_face_mask(psi)
+    owner = trace_faces(psi).face_of()
     checked = 0
     for v in psi.interior_vertices():
-        if all(owner[d] in inner for d in psi.rotations[v]):
+        if inner[owner[psi.rotations[v]]].all():
             assert ups5.degree(v) - psi.degree(v) == 3
             checked += 1
     assert checked > 0
@@ -242,11 +243,10 @@ def test_extended_counts_on_triangulation_control():
     # (frontier-touching) faces; agreement holds below their nearest position
     g = triangular_ball(6, 6)
     layers = bfs_layers(g, 0)
-    skipped_min = min(
-        min(layers.dist[v] for v in f.vertices)
-        for f in trace_faces(g)
-        if f.touches_frontier
-    )
+    faces = trace_faces(g)
+    dist = np.asarray(layers.dist)[faces.vertices]
+    face_min = np.minimum.reduceat(dist, faces.offsets[:-1])
+    skipped_min = int(face_min[faces.touches_frontier].min())
     k_ok = skipped_min  # spheres complete up to this radius
     assert k_ok >= 3, "control too shallow to be informative"
     counts = extended_layer_counts(g, layers, k_ok)

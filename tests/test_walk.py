@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speiserlab.errors import FrontierError
+from speiserlab.errors import FrontierError, GraphError
 from speiserlab.graph_core import bfs_layers
 from speiserlab.lattices import (
     cycle_graph,
@@ -54,7 +54,7 @@ def test_resistance_monotone_and_nash_williams_bound():
     g = square_ball(12)
     layers = bfs_layers(g, 0)
     curve = resistance_curve(g, 0, [2, 4, 6, 8, 10], layers=layers)
-    nw = nash_williams_sum(layers)
+    nw = nash_williams_sum(layers.cut_sizes())
     prev = 0.0
     for n, r in zip(curve.radii, curve.resistance):
         assert r >= prev - 1e-12
@@ -74,7 +74,7 @@ def test_z2_log_growth():
 def test_z2_nash_williams_log_rate():
     g = square_ball(66)
     layers = bfs_layers(g, 0)
-    nw = nash_williams_sum(layers)
+    nw = nash_williams_sum(layers.cut_sizes())
     # |E(k)| = 4(2k+1) exactly on the grid
     for k in (1, 5, 20, 50):
         assert layers.cut_sizes()[k] == 4 * (2 * k + 1)
@@ -86,7 +86,7 @@ def test_z2_nash_williams_log_rate():
 def test_tree_nash_williams_converges():
     g = regular_tree(3, 12)
     layers = bfs_layers(g, 0)
-    nw = nash_williams_sum(layers)
+    nw = nash_williams_sum(layers.cut_sizes())
     assert nw[-1] <= sum(1.0 / (3 * 2**k) for k in range(40)) + 1e-9
     assert nw[-1] < 0.67
 
@@ -178,3 +178,89 @@ def test_doyle_insufficient_data_inconclusive():
     g = triangular_ball(8, 3)
     report = doyle_test(g, grid_depth=2, root=0, n_max=1)
     assert report.verdict == "inconclusive"
+
+
+def _reference_upsilon_ball(g, layers, n_max, grid_depth=None):
+    """The per-face, per-column loop that ``_upsilon_ball`` replaced."""
+    from speiserlab.graph_core import trace_faces
+
+    gd = grid_depth if grid_depth is not None else n_max
+    dist_base = layers.dist
+    eu, ev = [], []
+    dist = list(dist_base)
+    n_nodes = g.n_vertices
+    for e in range(g.n_edges):
+        a, b = g.edge_ends(e)
+        if 0 <= dist_base[a] <= n_max and 0 <= dist_base[b] <= n_max:
+            eu.append(a)
+            ev.append(b)
+    faces = trace_faces(g)
+    bounds = faces.offsets.tolist()
+    for f in range(len(faces)):
+        vertices = faces.vertices[bounds[f] : bounds[f + 1]].tolist()
+        k = len(vertices)
+        D = [dist_base[v] for v in vertices]
+        heights = [min(gd, n_max - d) if 0 <= d <= n_max else 0 for d in D]
+        if not any(h > 0 for h in heights):
+            continue
+        col = []
+        for i in range(k):
+            ids = []
+            for m in range(1, heights[i] + 1):
+                ids.append(n_nodes)
+                dist.append(D[i] + m)
+                n_nodes += 1
+            col.append(ids)
+            if ids:
+                eu.append(vertices[i])
+                ev.append(ids[0])
+                for m in range(len(ids) - 1):
+                    eu.append(ids[m])
+                    ev.append(ids[m + 1])
+        for i in range(k):
+            j = (i + 1) % k
+            if k == 1:
+                break
+            for m in range(1, min(heights[i], heights[j]) + 1):
+                eu.append(col[i][m - 1])
+                ev.append(col[j][m - 1])
+    return n_nodes, np.asarray(eu), np.asarray(ev), np.asarray(dist)
+
+
+@pytest.mark.parametrize(
+    "source, n_max, grid_depth",
+    [
+        ("gamma", 10, None),
+        ("gamma", 12, 3),
+        ("tri8", 5, None),
+        ("tri8", 4, 2),
+        ("octahedron", 4, 8),
+        ("bigons", 3, None),
+    ],
+)
+def test_upsilon_ball_matches_loop_reference(source, n_max, grid_depth):
+    # same nodes, and the same edges in the same order: the root current of
+    # _dirichlet_resistance is summed in edge order
+    from speiserlab.lattices import octahedron
+    from speiserlab.theorem1 import build_gamma
+    from speiserlab.walk import _upsilon_ball
+
+    g = {
+        "gamma": lambda: build_gamma(2, GrowthSchedule((3, 5))),
+        "tri8": lambda: triangular_ball(8, 5),
+        "octahedron": octahedron,
+        "bigons": lambda: cycle_graph(2),
+    }[source]()
+    layers = bfs_layers(g, 0)
+    got = _upsilon_ball(g, layers, n_max, grid_depth=grid_depth)
+    want = _reference_upsilon_ball(g, layers, n_max, grid_depth=grid_depth)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+def test_nash_williams_sum_takes_cut_sizes():
+    assert nash_williams_sum([1, 2, 4]) == [1.0, 1.5, 1.75]
+    with pytest.raises(GraphError, match="empty cut set at radius 1"):
+        nash_williams_sum([3, 0, 2])
