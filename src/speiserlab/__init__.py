@@ -62,7 +62,7 @@ from .theorem1 import (
     verify_growth,
     verify_upsilon_bounds,
 )
-from .vel import SolverOptions, VelEstimate, metric_objective, solve_vel, vel_type_trend
+from .vel import VelEstimate, metric_objective, solve_vel, vel_type_trend
 from .walk import (
     doyle_test,
     effective_resistance,

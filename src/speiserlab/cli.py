@@ -175,14 +175,17 @@ def _cmd_theorem1(args) -> int:
         p = Path(args.config)
         if not p.exists():
             raise UsageError(f"config file not found: {args.config}")
-        raw = json.loads(p.read_text())
-        raw["schedule"] = tuple(raw.get("schedule", (21, 8103)))
-        raw["resistance_radii"] = tuple(raw.get("resistance_radii", (1, 2, 3, 4, 5, 6)))
-        raw["vel_annuli"] = tuple(
-            tuple(a) for a in raw.get("vel_annuli", ((1, 2), (2, 4), (3, 6)))
-        )
-        raw["ratio_ns"] = tuple(raw.get("ratio_ns", (2, 3, 4, 5, 6)))
-        config = Theorem1Config(**raw)
+        try:
+            raw = json.loads(p.read_text())
+            # JSON lists become the config's tuples; absent keys keep their defaults
+            for key in ("schedule", "resistance_radii", "ratio_ns"):
+                if key in raw:
+                    raw[key] = tuple(raw[key])
+            if "vel_annuli" in raw:
+                raw["vel_annuli"] = tuple(tuple(a) for a in raw["vel_annuli"])
+            config = Theorem1Config(**raw)
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"bad config {args.config}: {exc}") from exc
     report = run_theorem1(config)
     _write(args.output, report.to_json())
     if args.svg is not None:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import FrontierError, GraphError
 
@@ -666,32 +666,39 @@ class GraphClassification:
     p_of: int | None
 
 
+def _odd_parity(g: RotationGraph) -> np.ndarray | None:
+    """Per vertex, whether its BFS distance from vertex 0 is odd; None if an
+    edge joins two vertices of equal parity (an odd cycle exists)."""
+    ends = np.asarray(g.dart_vertex, dtype=np.int64)
+    adjacency = csr_matrix(
+        (np.ones(g.n_darts, dtype=np.int8), (ends, ends[np.arange(g.n_darts) ^ 1])),
+        shape=(g.n_vertices, g.n_vertices),
+    )
+    odd = shortest_path(adjacency, unweighted=True, indices=0).astype(np.int64) % 2 == 1
+    return None if (odd[ends[0::2]] == odd[ends[1::2]]).any() else odd
+
+
 def two_coloring(g: RotationGraph) -> dict[int, str] | None:
-    """BFS 2-coloring with the circle/cross tags, or None if an odd cycle exists."""
-    color = [None] * g.n_vertices
-    color[0] = TAG_CIRCLE
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        mine = color[v]
-        other = TAG_CROSS if mine == TAG_CIRCLE else TAG_CIRCLE
-        for d in g.rotations[v]:
-            w = g.dart_vertex[d ^ 1]
-            if color[w] is None:
-                color[w] = other
-                queue.append(w)
-            elif color[w] == mine:
-                return None
-    return {v: c for v, c in enumerate(color)}
+    """Circle/cross tags by BFS distance parity from vertex 0, or None if an
+    odd cycle exists."""
+    odd = _odd_parity(g)
+    if odd is None:
+        return None
+    tag = (TAG_CIRCLE, TAG_CROSS)
+    return {v: tag[p] for v, p in enumerate(odd.tolist())}
 
 
 def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassification:
     """Structural flags computed on the non-frontier part of the graph."""
-    colors = two_coloring(g)
-    interior = [v for v in range(g.n_vertices) if v not in g.frontier]
-    degrees = [g.degree(v) for v in interior]
-    homogeneous = degrees[0] if degrees and len(set(degrees)) == 1 else None
-    max_degree = max(degrees) if degrees else None
+    degree = np.fromiter(map(len, g.rotations), np.int64, g.n_vertices)
+    inside = np.ones(g.n_vertices, dtype=bool)
+    inside[list(g.frontier)] = False
+    degrees = degree[inside]
+    homogeneous = max_degree = None
+    if len(degrees):
+        max_degree = int(degrees.max())
+        if (degrees == max_degree).all():
+            homogeneous = max_degree
 
     faces = trace_faces(g)
     if g.frontier or outer_face is not None:
@@ -701,19 +708,14 @@ def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassifica
         n_big = int(np.count_nonzero(faces.lengths != 3))
         is_tri = n_big <= 1 and len(faces) > n_big
 
-    p_of = None
-    frontier = g.frontier
-    best = -1
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
-        if u in frontier or v in frontier:
-            continue
-        best = max(best, min(g.degree(u), g.degree(v)))
-    if best >= 0:
-        p_of = best
+    # the largest min(deg u, deg v) over edges with no frontier end
+    ends = np.asarray(g.dart_vertex, dtype=np.int64)
+    u, v = ends[0::2], ends[1::2]
+    keep = inside[u] & inside[v]
+    p_of = int(np.minimum(degree[u], degree[v])[keep].max()) if keep.any() else None
 
     return GraphClassification(
-        is_bipartite=colors is not None,
+        is_bipartite=_odd_parity(g) is not None,
         homogeneous_degree=homogeneous,
         is_disk_triangulation=is_tri,
         max_degree=max_degree,

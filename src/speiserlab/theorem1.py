@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .errors import ScheduleError
+from .errors import FrontierError, ScheduleError
 from .graph_core import RotationGraph, bfs_layers, classify
 from .lattices import triangular_ball
 from .speiser import (
@@ -214,11 +214,25 @@ class Theorem1Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _check_leg_a_radii(config: Theorem1Config) -> None:
+    """Leg A's ball ``triangular_ball(8, dual_depth)`` is reliable out to
+    ``dual_depth``: every resistance radius and annulus must fit inside it."""
+    depth = config.dual_depth
+    bad = [n for n in config.resistance_radii if not 1 <= n <= depth]
+    bad += [tuple(a) for a in config.vel_annuli if not 0 <= a[0] < a[1] <= depth]
+    if bad:
+        raise FrontierError(
+            f"leg-A radii {bad} do not fit the dual ball of depth {depth}: "
+            "resistance radii need 1 <= n <= depth, annuli 0 <= inner < outer <= depth"
+        )
+
+
 def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     """Run both evidence legs and assemble the deterministic report."""
     config = config or Theorem1Config()
-    # a bad schedule fails here, before any leg-A work
+    # a bad schedule or leg-A radius fails here, before any graph is built
     schedule = GrowthSchedule(tuple(config.schedule), origin="custom")
+    _check_leg_a_radii(config)
     notes = [
         "verdicts are truncation trends, not proofs",
         "leg A runs on the degree-8 triangulation (the dual of the octagon "

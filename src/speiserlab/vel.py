@@ -1,32 +1,49 @@
 """Numerical vertex extremal length on finite annuli.
 
-For vertex sets A, B in a finite graph, the quantity optimized is
+For vertex sets A, B in a finite graph, the vertex extremal length is
 ``sup_m dist_m(A, B)^2 / area(m)`` where a path's length is the sum of the
 weights of every vertex it visits (endpoints included) and the area is the
-sum of squared weights.  The solver is the cutting-plane scheme of Albin,
-Brunner, Perez, Poggi-Corradini and Wiens (2015): minimize the area subject
-to unit length on a growing family of shortest paths.  Each round's
-quadratic program is solved exactly on its dual by an active-set loop over
-the Gram matrix of path overlaps, so the metric stays a nonnegative
-combination of path indicators.  Rounds reuse each other's work: the Gram
-matrix is kept for the whole solve and grows by one row and column per
-added path, and each round's active set starts from the previous round's
-positive multipliers plus the new path.
+sum of squared weights.  By blocking duality (Albin, Clemens, Fernando and
+Poggi-Corradini, 2019) it also equals the minimum of ``sum_v t_v^2`` over
+unit A-B flows, where ``t_v`` is the flow through vertex ``v``.  That is one
+convex quadratic program on the arc flows:
 
-Lower bounds are certified by the returned metric, upper bounds by a greedy
-maximal family of vertex-disjoint A-B paths found by breadth-first search.
+* arcs ``u -> w`` join support vertices, parallel arcs collapsed, with no
+  arc out of B and none into A, plus one source arc into each A vertex;
+* a throughput variable ``t_v`` per vertex, with ``inflow(v) = t_v`` for
+  every ``v``, ``t_v = outflow(v)`` for every ``v`` off B, and source arcs
+  summing to 1; every variable is nonnegative.
+
+``solve_vel`` solves it by a primal-dual interior-point method (Mehrotra
+predictor-corrector) whose normal equations ``A D A^T`` go through one sparse
+LU per iteration.  The returned bracket does not rest on trusting that run:
+
+* lower bound: the metric ``m = t`` with its Dijkstra distance,
+  ``dist_m(A, B)^2 / area(m)``;
+* upper bound: the flow is pushed down the shortest-path DAG of ``m`` (arcs
+  with ``d_w > d_u`` only), each vertex splitting its flow in proportion to
+  the solver's arc flows.  This is a random A-B path, stopped where it meets
+  no DAG arc; conditioned on reaching B it is a probability measure on A-B
+  paths, and ``sum_v P(v on path)^2`` bounds the extremal length above by
+  Cauchy-Schwarz.  With ``phi`` the pushed throughput and ``reach`` the mass
+  that arrives at B, the bound is ``sum phi^2 / reach^2``.
+
+An estimate is ``converged`` when its certified relative gap is at most
+``REL_GAP``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, dijkstra
+from scipy.sparse import csr_matrix, diags, eye
+from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.linalg import spsolve_triangular, splu
 
-from .errors import FrontierError, GraphError
+from .errors import GraphError
 from .graph_core import LayerDecomposition, RotationGraph
 from .refinement import VMetric
 from .trend import (
@@ -36,20 +53,23 @@ from .trend import (
     classify_cumulative_sums,
 )
 
-
-@dataclass
-class SolverOptions:
-    tol: float = 1e-6
-    max_paths: int = 200
-    qp_iterations: int = 2000
+REL_GAP = 1e-6
+MAX_IPM_ITERATIONS = 100
+# share of the distance to the boundary of the positive orthant that an
+# interior-point step covers
+STEP_FRACTION = 0.99
 
 
 @dataclass
 class VelEstimate:
+    """A certified bracket ``lower <= VEL <= upper`` and the metric behind
+    ``lower``.  ``iterations`` holds ``outer``, the interior-point
+    iterations, and ``n_constraints``, the arc variables of the flow QP
+    (support arcs plus one source arc per A vertex)."""
+
     lower: float
     upper: float
     metric: VMetric
-    paths: list[tuple[int, ...]]
     iterations: dict = field(default_factory=dict)
     converged: bool = True
 
@@ -59,7 +79,6 @@ class VelEstimate:
             "upper": self.upper,
             "converged": self.converged,
             "iterations": self.iterations,
-            "n_disjoint_paths": len(self.paths),
         }
 
 
@@ -69,280 +88,207 @@ def metric_objective(
     """dist = min total vertex weight over A-B paths; area = sum m^2."""
     if not A or not B or A & B:
         raise GraphError("A and B must be nonempty and disjoint")
-    dist = _shortest_weighted(g, A, B, m)
+    sub = _Subproblem(g, A, B)
+    weights = np.zeros(g.n_vertices)
+    weights[list(m.weights)] = list(m.weights.values())
+    dist = float(sub.distances(weights)[sub.B].min())
     area = m.area()
-    ratio = (dist * dist / area) if area > 0 and math.isfinite(dist) else (
-        math.inf if not math.isfinite(dist) else 0.0
-    )
     if area == 0:
         ratio = 0.0
+    elif not math.isfinite(dist):
+        ratio = math.inf
+    else:
+        ratio = dist * dist / area
     return {"dist": dist, "area": area, "ratio": ratio}
 
 
-def _shortest_weighted(g, A, B, m) -> float:
-    import heapq
-
-    dist = {a: m[a] for a in A}
-    heap = [(m[a], a) for a in sorted(A)]
-    heapq.heapify(heap)
-    done = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        if v in B:
-            return d
-        for dart in g.rotations[v]:
-            w = g.dart_vertex[dart ^ 1]
-            nd = d + m[w]
-            if w not in dist or nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return math.inf
-
-
 class _Subproblem:
-    """Support-restricted instance with scipy adjacency and path machinery."""
+    """The arcs of a support: ``u -> w`` inside it, none into A or out of B.
+
+    Parallel arcs collapse to one, so an arc into ``w`` costs ``m[w]`` once.
+    Local vertex ``i`` is ``nodes[i]``; ``A`` and ``B`` hold local indices.
+    """
 
     def __init__(self, g: RotationGraph, A, B, support=None):
         if support is None:
-            support = range(g.n_vertices)
-        self.nodes = sorted(set(support))
-        self.local = {v: i for i, v in enumerate(self.nodes)}
-        self.A = sorted(self.local[a] for a in A if a in self.local)
-        self.B = sorted(self.local[b] for b in B if b in self.local)
-        if not self.A or not self.B:
+            self.nodes = np.arange(g.n_vertices)
+        else:
+            self.nodes = np.unique(np.fromiter(support, np.int64))
+        self.n = n = len(self.nodes)
+        local = np.full(g.n_vertices, -1)
+        local[self.nodes] = np.arange(n)
+        self.A = np.unique(local[np.fromiter(A, np.int64)])
+        self.B = np.unique(local[np.fromiter(B, np.int64)])
+        self.A, self.B = self.A[self.A >= 0], self.B[self.B >= 0]
+        if not len(self.A) or not len(self.B):
             raise GraphError("A and B must meet the support")
-        self.n = len(self.nodes)
-        rows, cols = [], []
-        local = self.local
-        for v in self.nodes:
-            lv = local[v]
-            for d in g.rotations[v]:
-                w = g.dart_vertex[d ^ 1]
-                lw = local.get(w)
-                if lw is not None:
-                    rows.append(lv)
-                    cols.append(lw)
-        # one extra row: the virtual source feeding all of A
-        src = self.n
-        for a in self.A:
-            rows.append(src)
-            cols.append(a)
-        self.rows = np.asarray(rows, dtype=np.int32)
-        self.cols = np.asarray(cols, dtype=np.int32)
-        self.src = src
-        self.b_mask = np.zeros(self.n + 1, dtype=bool)
+        self.b_mask = np.zeros(n, dtype=bool)
         self.b_mask[self.B] = True
-        # one entry per arc: parallel edges collapse, so an arc into w costs
-        # m[w] once; each round refills only the data
+        a_mask = np.zeros(n, dtype=bool)
+        a_mask[self.A] = True
+        # dart d runs from its vertex to its twin's
+        tail = local[np.asarray(g.dart_vertex, dtype=np.int64)]
+        head = tail[np.arange(len(tail)) ^ 1]
+        keep = (tail >= 0) & (head >= 0)
+        keep[keep] = ~self.b_mask[tail[keep]] & ~a_mask[head[keep]]
+        arcs = np.unique(tail[keep] * n + head[keep])
+        self.tail, self.head = arcs // n, arcs % n
+        # the Dijkstra graph: row n is a virtual source with an arc into each A
         self._graph = csr_matrix(
-            (np.ones(len(rows)), (self.rows, self.cols)), shape=(self.n + 1, self.n + 1)
+            (
+                np.ones(len(arcs) + len(self.A)),
+                (
+                    np.concatenate([self.tail, np.full(len(self.A), n)]),
+                    np.concatenate([self.head, self.A]),
+                ),
+            ),
+            shape=(n + 1, n + 1),
         )
 
-    def shortest_path(self, m: np.ndarray) -> tuple[float, np.ndarray] | None:
-        """Min vertex-weight A-B path; returns (length, local vertex indices)."""
+    def distances(self, m: np.ndarray) -> np.ndarray:
+        """Least vertex-weight of a path from A to each vertex (A included)."""
         self._graph.data = m[self._graph.indices].astype(float)
-        dist, pred = dijkstra(
-            self._graph, directed=True, indices=self.src, return_predecessors=True
-        )
-        dist_b = np.where(self.b_mask, dist, np.inf)
-        best = int(np.argmin(dist_b))
-        if not np.isfinite(dist_b[best]):
-            return None
-        return float(dist_b[best]), self._walk_back(pred, best)
-
-    def disjoint_path_family(self) -> list[np.ndarray]:
-        """Greedy maximal family of vertex-disjoint A-B paths (fewest vertices).
-
-        Each path is the BFS-tree path from the virtual source to the first
-        B vertex in BFS order, over the edges whose ends are both alive.
-        """
-        alive = np.ones(self.n + 1, dtype=bool)  # the virtual source stays
-        family = []
-        while True:
-            keep = alive[self.rows] & alive[self.cols]
-            adj = csr_matrix(
-                (np.ones(int(keep.sum())), (self.rows[keep], self.cols[keep])),
-                shape=(self.n + 1, self.n + 1),
-            )
-            order, pred = breadth_first_order(
-                adj, self.src, directed=True, return_predecessors=True
-            )
-            hits = order[self.b_mask[order]]
-            if not len(hits):
-                return family
-            path = self._walk_back(pred, int(hits[0]))
-            family.append(path)
-            alive[path] = False
-
-    def _walk_back(self, pred: np.ndarray, v: int) -> np.ndarray:
-        """Local vertices of the tree path from the virtual source to ``v``."""
-        path = []
-        while v != self.src and v >= 0:
-            path.append(v)
-            v = pred[v]
-        path.reverse()
-        return np.asarray(path, dtype=np.int64)
-
-
-class _PathGram:
-    """Pairwise overlap counts of the cutting-plane paths, grown in place.
-
-    ``gram`` is allocated once at ``capacity x capacity``; adding a path fills
-    only its row and column, from one length-``n`` indicator of the new path
-    summed over every stored path.  The entries are exact integer counts.
-    """
-
-    def __init__(self, n: int, capacity: int):
-        self.gram = np.empty((capacity, capacity))
-        self.paths: list[np.ndarray] = []
-        self._ind = np.zeros(n)
-        self._flat = np.empty(0, dtype=np.int64)
-        self._starts: list[int] = []
-
-    def add(self, path: np.ndarray) -> None:
-        k = len(self.paths)
-        self.paths.append(path)
-        self._starts.append(len(self._flat))
-        self._flat = np.concatenate([self._flat, path])
-        self._ind[path] = 1.0
-        row = np.add.reduceat(self._ind[self._flat], self._starts)
-        self._ind[path] = 0.0
-        self.gram[k, : k + 1] = row
-        self.gram[: k + 1, k] = row
-
-    @property
-    def block(self) -> np.ndarray:
-        """The leading k x k block for the k stored paths."""
-        k = len(self.paths)
-        return self.gram[:k, :k]
+        return dijkstra(self._graph, directed=True, indices=self.n)[: self.n]
 
 
 def solve_vel(
-    g: RotationGraph,
-    A: set[int],
-    B: set[int],
-    opts: SolverOptions | None = None,
-    support=None,
+    g: RotationGraph, A: set[int], B: set[int], support=None
 ) -> VelEstimate:
     """Bracket the vertex extremal length between A and B.
 
     ``support`` optionally restricts both the paths and the metric to a vertex
-    subset (the annulus).  The returned ``lower`` is recomputed from the
-    stored metric, so it is a certificate independent of the solver run.
+    subset (the annulus).  Both bounds are certificates computed from the
+    solver's last iterate, independent of its convergence: ``lower`` from the
+    stored metric, ``upper`` from the flow pushed down its shortest-path DAG.
     """
-    opts = opts or SolverOptions()
     A, B = set(A), set(B)
     if not A or not B or A & B:
         raise GraphError("A and B must be nonempty and disjoint")
     sub = _Subproblem(g, A, B, support=support)
-
-    family = sub.disjoint_path_family()
-    if not family:
+    reached = np.isfinite(sub.distances(np.ones(sub.n)))
+    if not reached[sub.B].any():
         return VelEstimate(
             lower=math.inf,
             upper=math.inf,
             metric=VMetric({}),
-            paths=[],
             iterations={"note": "A and B are disconnected"},
             converged=True,
         )
-    upper = max(len(p) for p in family) / len(family)
+    # every A-B path stays among the vertices that A reaches; dropping the
+    # others gives the QP constraint matrix full row rank
+    sub = _Subproblem(g, A, B, support=sub.nodes[reached])
+    n, k = sub.n, len(sub.tail) + len(sub.A)
+    cons = _flow_constraints(sub)
+    cons_t = cons.T.tocsr()
+    rhs = np.zeros(cons.shape[0])
+    rhs[-1] = 1.0
+    hess = np.concatenate([np.zeros(k), np.full(n, 2.0)])
+    # both bounds are widened by more than the rounding error of their sums,
+    # so that a float bracket of an exactly solved instance cannot cross
+    slack = 8 * n * sys.float_info.epsilon
 
-    m = np.zeros(sub.n)
-    store = _PathGram(sub.n, opts.max_paths)
-    lam = np.zeros(0)
-    qp_exact = True
-    n_iter = 0
-    converged = False
-    while n_iter < opts.max_paths:
-        n_iter += 1
-        found = sub.shortest_path(m)
-        if found is None:
-            raise GraphError("separation failed on a connected instance")
-        length, path = found
-        if length >= 1.0 - opts.tol:
-            converged = True
+    x, z, y = np.ones(k + n), np.ones(k + n), np.zeros(cons.shape[0])
+    for it in range(1, MAX_IPM_ITERATIONS + 1):
+        r_p = cons @ x - rhs
+        r_d = hess * x - cons_t @ y - z
+        mu = x @ z / len(x)
+        d = 1.0 / (hess + z / x)
+        lu = None  # release the last factor before computing the next
+        lu = splu((cons @ diags(d) @ cons_t).tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+        def newton(r_c):
+            dy = lu.solve(cons @ (d * (r_d + r_c / x)) - r_p)
+            dx = d * (cons_t @ dy - r_d - r_c / x)
+            return dx, dy, -(r_c + z * dx) / x
+
+        dx, dy, dz = newton(x * z)
+        alpha = min(_max_step(x, dx), _max_step(z, dz))
+        sigma = ((x + alpha * dx) @ (z + alpha * dz) / len(x) / mu) ** 3
+        dx, dy, dz = newton(x * z + dx * dz - sigma * mu)
+        alpha = min(1.0, STEP_FRACTION * min(_max_step(x, dx), _max_step(z, dz)))
+        x, y, z = x + alpha * dx, y + alpha * dy, z + alpha * dz
+        t = x[k:]
+        if x @ z > REL_GAP * (t @ t) and it < MAX_IPM_ITERATIONS:
+            continue
+        dist = sub.distances(t)
+        lower = float(dist[sub.B].min()) ** 2 / float(t @ t) * (1 - slack)
+        upper = _flow_upper(sub, dist, x[: len(sub.tail)], x[len(sub.tail) : k])
+        upper *= 1 + slack
+        if upper - lower <= REL_GAP * upper:
             break
-        store.add(path)
-        lam, exact = _solve_qp(store.block, np.append(lam > 0, True), opts)
-        qp_exact = qp_exact and exact
-        m = _path_metric(store.paths, lam, sub.n)
 
-    found = sub.shortest_path(m)
-    dist = found[0] if found else math.inf
-    area = float(m @ m)
-    lower = dist * dist / area if area > 0 else 0.0
-
-    metric = VMetric({sub.nodes[i]: float(m[i]) for i in range(sub.n) if m[i] > 0})
-    family_paths = [tuple(sub.nodes[i] for i in p) for p in family]
+    metric = VMetric(dict(zip(sub.nodes[t > 0].tolist(), t[t > 0].tolist())))
     est = VelEstimate(
         lower=lower,
         upper=upper,
         metric=metric,
-        paths=family_paths,
-        iterations={"outer": n_iter, "n_constraints": len(store.paths)},
-        converged=converged and qp_exact,
+        iterations={"outer": it, "n_constraints": k},
+        converged=upper - lower <= REL_GAP * upper,
     )
     if est.lower > est.upper + 1e-9:
         raise GraphError("certified bounds crossed; solver bug")
     return est
 
 
-def _solve_qp(
-    gram: np.ndarray, active: np.ndarray, opts: SolverOptions
-) -> tuple[np.ndarray, bool]:
-    """Exact solve of: min ||m||^2, m >= 0, sum of m over each path >= 1.
+def _flow_constraints(sub: _Subproblem) -> csr_matrix:
+    """Equality constraints of the flow QP, one column per variable.
 
-    Works on the dual: m = sum lam_p * indicator(p) with lam >= 0, where the
-    active multipliers satisfy the Gram system G lam = 1 (``gram`` counts
-    pairwise path overlaps; ``solve_vel`` keeps it across rounds and passes
-    its leading block).  An active-set loop drops the most negative
-    multiplier and adds the most violated constraint until KKT holds.
-    ``active`` is the starting set: all ones is a cold start, and
-    ``solve_vel`` warm-starts from the previous round's positive multipliers
-    plus the new path.  The optimal metric is unique, so both starts end at
-    the same m.
-
-    Returns the multipliers and whether KKT was met within
-    ``opts.qp_iterations`` solves; if it was not, the multipliers are the
-    last nonnegative ones found (zeros if there were none).
+    Columns: the support arcs, then one source arc per A vertex, then the
+    throughputs t.  Rows: inflow(v) - t_v for every v, t_v - outflow(v) for
+    every v off B, and the sum of the source arcs.
     """
-    k = len(gram)
-    active = active.copy()
-    lam = np.zeros(k)
-    for _ in range(opts.qp_iterations):
-        idx = np.flatnonzero(active)
-        G = gram[np.ix_(idx, idx)]
-        try:
-            sol = np.linalg.solve(G, np.ones(len(idx)))
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(G, np.ones(len(idx)), rcond=None)
-        if len(sol) and sol.min() < -1e-12:
-            active[idx[int(np.argmin(sol))]] = False
-            continue
-        lam[:] = 0.0
-        lam[idx] = np.maximum(sol, 0.0)
-        lengths = gram @ lam
-        slack = 1.0 - lengths
-        slack[idx] = 0.0
-        worst = int(np.argmax(slack))
-        if slack[worst] > 1e-12:
-            active[worst] = True
-            continue
-        return lam, True
-    return lam, False
+    n, n_arcs, n_src = sub.n, len(sub.tail), len(sub.A)
+    k = n_arcs + n_src
+    off = np.flatnonzero(~sub.b_mask)
+    out_row = np.full(n, -1)
+    out_row[off] = n + np.arange(len(off))
+    n_rows = n + len(off) + 1
+    # (row, column, value) blocks: inflow of every arc, outflow of the
+    # support arcs, the source sum, and the two throughput entries
+    blocks = [
+        (np.concatenate([sub.head, sub.A]), np.arange(k), 1.0),
+        (out_row[sub.tail], np.arange(n_arcs), -1.0),
+        (np.full(n_src, n_rows - 1), np.arange(n_arcs, k), 1.0),
+        (np.arange(n), k + np.arange(n), -1.0),
+        (out_row[off], k + off, 1.0),
+    ]
+    rows = np.concatenate([r for r, _, _ in blocks])
+    cols = np.concatenate([c for _, c, _ in blocks])
+    vals = np.concatenate([np.full(len(r), v) for r, _, v in blocks])
+    return csr_matrix((vals, (rows, cols)), shape=(n_rows, k + n))
 
 
-def _path_metric(paths: list[np.ndarray], lam: np.ndarray, n: int) -> np.ndarray:
-    """m = sum over paths of lam_p times the path's indicator."""
-    m = np.zeros(n)
-    for i, p in enumerate(paths):
-        if lam[i] > 0:
-            m[p] += lam[i]
-    return m
+def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps ``v + step * dv`` nonnegative."""
+    neg = dv < 0
+    return float(min(1.0, (-v[neg] / dv[neg]).min(initial=math.inf)))
+
+
+def _flow_upper(
+    sub: _Subproblem, dist: np.ndarray, flow: np.ndarray, source: np.ndarray
+) -> float:
+    """Certified upper bound from arc flows pushed down the DAG of ``dist``.
+
+    Only arcs with ``dist[w] > dist[u]`` are kept, so the result is acyclic
+    whatever the flows.  Each vertex splits the flow it receives in
+    proportion to ``flow`` on its kept arcs, and ``source`` feeds A.  The
+    pushed throughput ``phi`` is an expected visit count of a random path;
+    conditioned on the mass ``reach`` that arrives at B it bounds the
+    extremal length by ``sum phi^2 / reach^2``.
+    """
+    n = sub.n
+    down = dist[sub.head] > dist[sub.tail]
+    tail, head, w = sub.tail[down], sub.head[down], flow[down]
+    out = np.bincount(tail, w, n)
+    # in increasing-distance order the push is one lower-triangular solve
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(dist, kind="stable")] = np.arange(n)
+    push = csr_matrix((-w / out[tail], (rank[head], rank[tail])), shape=(n, n))
+    feed = np.zeros(n)
+    feed[rank[sub.A]] = source
+    phi = spsolve_triangular((push + eye(n)).tocsr(), feed, lower=True)[rank]
+    reach = phi[sub.B].sum()
+    return float(phi @ phi / (reach * reach))
 
 
 @dataclass
@@ -370,7 +316,6 @@ def vel_type_trend(
     root: int,
     radii: list[tuple[int, int]],
     layers: LayerDecomposition | None = None,
-    opts: SolverOptions | None = None,
 ) -> TypeTrendReport:
     """Per-annulus extremal-length estimates and a growth-trend verdict.
 
@@ -391,16 +336,16 @@ def vel_type_trend(
         else:
             usable.append((ni, no))
 
-    def solve_one(ann):
-        ni, no = ann
-        support = [
-            v for v in range(g.n_vertices) if ni <= layers.dist[v] <= no
-        ]
-        A = set(layers.spheres[ni])
-        B = set(layers.spheres[no])
-        return solve_vel(g, A, B, opts=opts, support=support)
-
-    estimates = [solve_one(a) for a in usable]
+    dist = np.asarray(layers.dist)
+    estimates = [
+        solve_vel(
+            g,
+            layers.spheres[ni],
+            layers.spheres[no],
+            support=np.flatnonzero((dist >= ni) & (dist <= no)),
+        )
+        for ni, no in usable
+    ]
 
     cumulative = []
     acc = 0.0

@@ -100,3 +100,24 @@ def test_theorem1_cli_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     report = json.loads(a.read_text())
     assert "leg_a" in report and "leg_b" in report
+
+
+def test_theorem1_malformed_config_exits_2(tmp_path, capsys):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text('{"schedule": [3, 5],')
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_theorem1_unknown_config_key_exits_2(tmp_path, capsys):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({"vel_annulus": [[1, 2]]}))
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    assert "vel_annulus" in capsys.readouterr().err
+
+
+def test_theorem1_radius_beyond_dual_ball_exits_2(tmp_path, capsys):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({"vel_annuli": [[3, 9]]}))
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    assert "(3, 9)" in capsys.readouterr().err

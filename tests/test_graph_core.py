@@ -19,6 +19,7 @@ from speiserlab.graph_core import (
     to_json,
     to_json_dict,
     trace_faces,
+    two_coloring,
 )
 from speiserlab.lattices import (
     cube,
@@ -543,3 +544,63 @@ def test_dual_outputs_pinned():
 def test_dual_rejects_edge_with_one_face():
     with pytest.raises(GraphError, match="edge 0 has the same face on both sides"):
         dual(path_graph(2))
+
+
+def _reference_two_coloring(g):
+    """Queue BFS that stops at the first edge inside one color class."""
+    from collections import deque
+
+    color = [None] * g.n_vertices
+    color[0] = "circle"
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        other = "cross" if color[v] == "circle" else "circle"
+        for d in g.rotations[v]:
+            w = g.dart_vertex[d ^ 1]
+            if color[w] is None:
+                color[w] = other
+                queue.append(w)
+            elif color[w] == color[v]:
+                return None
+    return dict(enumerate(color))
+
+
+def _reference_p_of(g):
+    best = -1
+    for e in range(g.n_edges):
+        u, v = g.edge_ends(e)
+        if u not in g.frontier and v not in g.frontier:
+            best = max(best, min(g.degree(u), g.degree(v)))
+    return best if best >= 0 else None
+
+
+def test_classify_and_coloring_match_loop_reference():
+    # the graphs of test_rewrite_outputs_pinned, plus odd and even cycles and
+    # a frontier-only edge set
+    from speiserlab.refinement import subdivide4
+    from speiserlab.speiser import GrowthSchedule, lambda_triangulation, tree_replace
+
+    gam = _small_gamma()
+    p = path_graph(1)
+    graphs = [
+        gam,
+        tree_replace(p, bfs_layers(p, 0), GrowthSchedule((5,))),
+        lambda_triangulation(gam),
+        lambda_triangulation(grid_patch(3, 2)),
+        subdivide4(triangular_ball(8, 3))[0],
+        subdivide4(octahedron())[0],
+        cycle_graph(5),
+        cycle_graph(6),
+        triangular_ball(8, 1),
+    ]
+    for g in graphs:
+        colors = two_coloring(g)
+        assert colors == _reference_two_coloring(g)
+        c = classify(g)
+        assert c.is_bipartite == (colors is not None)
+        assert c.p_of == _reference_p_of(g)
+        assert type(c.p_of) in (int, type(None))
+        inner = [len(g.rotations[v]) for v in g.vertices() if v not in g.frontier]
+        assert c.max_degree == max(inner, default=None)
+        assert c.homogeneous_degree == (inner[0] if len(set(inner)) == 1 else None)

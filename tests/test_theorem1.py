@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from speiserlab import theorem1
-from speiserlab.errors import ScheduleError
+from speiserlab.errors import FrontierError, ScheduleError
 from speiserlab.graph_core import bfs_layers, classify, is_isomorphic
 from speiserlab.speiser import GrowthSchedule, speiser_ball
 from speiserlab.theorem1 import (
@@ -125,6 +125,25 @@ def test_run_theorem1_bad_schedule_fails_before_leg_a(monkeypatch):
     monkeypatch.setattr(theorem1, "triangular_ball", no_leg_a)
     with pytest.raises(ScheduleError):
         run_theorem1(Theorem1Config(schedule=(4, 8)))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"vel_annuli": ((1, 2), (3, 9))},
+        {"resistance_radii": (1, 8)},
+        {"resistance_radii": (0, 1)},
+        {"vel_annuli": ((2, 2),)},
+    ],
+)
+def test_run_theorem1_bad_leg_a_radius_fails_before_any_graph(monkeypatch, bad):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the radii were checked")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    with pytest.raises(FrontierError, match="dual ball of depth 7"):
+        run_theorem1(Theorem1Config(**bad))
 
 
 def _first_k_holding_brute(ok, k_min):

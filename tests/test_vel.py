@@ -9,10 +9,7 @@ from speiserlab import vel
 from speiserlab.refinement import VMetric
 from speiserlab.trend import CP_HYPERBOLIC, HYPERBOLIC, INCONCLUSIVE, PARABOLIC
 from speiserlab.vel import (
-    SolverOptions,
-    _PathGram,
-    _path_metric,
-    _solve_qp,
+    _flow_upper,
     _Subproblem,
     metric_objective,
     solve_vel,
@@ -213,123 +210,89 @@ def _annulus(g, ni, no):
     return set(layers.spheres[ni]), set(layers.spheres[no]), support
 
 
-def test_incremental_gram_matches_brute_force():
-    rng = np.random.default_rng(7)
-    n = 40
-    store = _PathGram(n, capacity=25)
-    for _ in range(25):
-        path = rng.choice(n, size=int(rng.integers(1, 12)), replace=False)
-        store.add(path)
-        P = np.zeros((len(store.paths), n))
-        for i, p in enumerate(store.paths):
-            P[i, p] = 1.0
-        assert np.array_equal(store.block, P @ P.T)
-
-
-def test_warm_started_qp_matches_cold_start():
-    g = triangular_ball(8, 5)
-    A, B, support = _annulus(g, 1, 2)
-    sub = _Subproblem(g, A, B, support=support)
-    opts = SolverOptions()
-    store = _PathGram(sub.n, opts.max_paths)
-    lam = np.zeros(0)
-    m = np.zeros(sub.n)
-    for _ in range(opts.max_paths):
-        length, path = sub.shortest_path(m)
-        if length >= 1.0 - opts.tol:
-            break
-        store.add(path)
-        k = len(store.paths)
-        lam, exact = _solve_qp(store.block, np.append(lam > 0, True), opts)
-        cold, cold_exact = _solve_qp(store.block, np.ones(k, dtype=bool), opts)
-        assert exact and cold_exact
-        m = _path_metric(store.paths, lam, sub.n)
-        m_cold = _path_metric(store.paths, cold, sub.n)
-        assert np.max(np.abs(m - m_cold)) <= 1e-12
-        # KKT: dual feasibility, primal feasibility, complementary slackness
-        lengths = np.array([m[p].sum() for p in store.paths])
-        assert lam.min() >= 0.0
-        assert lengths.min() >= 1.0 - 1e-9
-        assert np.max(lam * (lengths - 1.0)) <= 1e-9
-    else:
-        pytest.fail("cutting-plane loop did not converge")
-
-
-def _reference_family(sub):
-    """Level-by-level Python BFS: the family the C search must reproduce."""
-    nbrs = [[] for _ in range(sub.n)]
-    for v, w in sorted(zip(sub.rows.tolist(), sub.cols.tolist())):
-        if v < sub.n and (not nbrs[v] or nbrs[v][-1] != w):
-            nbrs[v].append(w)
-    alive = [True] * sub.n
-    family = []
-    while True:
-        pred = {a: None for a in sub.A if alive[a]}
-        frontier, hit = list(pred), None
-        while frontier and hit is None:
-            nxt = []
-            for v in frontier:
-                if sub.b_mask[v]:
-                    hit = v
-                    break
-                for w in nbrs[v]:
-                    if alive[w] and w not in pred:
-                        pred[w] = v
-                        nxt.append(w)
-            frontier = nxt
-        if hit is None:
-            return family
-        path = []
-        while hit is not None:
-            path.append(hit)
-            hit = pred[hit]
-        family.append(path[::-1])
-        for v in path:
-            alive[v] = False
-
-
-@pytest.mark.parametrize("q, depth, ni, no", [(8, 5, 1, 2), (8, 5, 2, 4), (6, 6, 1, 4)])
-def test_disjoint_path_family_is_disjoint_and_maximal(q, depth, ni, no):
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import breadth_first_order
-
-    g = triangular_ball(q, depth)
-    A, B, support = _annulus(g, ni, no)
-    sub = _Subproblem(g, A, B, support=support)
-    family = sub.disjoint_path_family()
-    assert family
-    assert [p.tolist() for p in family] == _reference_family(sub)
-    used = np.concatenate(family)
-    assert len(set(used.tolist())) == len(used)
-    edges = set(zip(sub.rows.tolist(), sub.cols.tolist()))
-    a_set, b_set = set(sub.A), set(sub.B)
-    for path in family:
-        assert path[0] in a_set and path[-1] in b_set
-        assert not a_set & set(path[1:].tolist())
-        assert not b_set & set(path[:-1].tolist())
-        assert all((int(v), int(w)) in edges for v, w in zip(path, path[1:]))
-    # maximal: no A-B path is left among the vertices the family leaves alive
-    alive = np.ones(sub.n + 1, dtype=bool)
-    alive[used] = False
-    keep = alive[sub.rows] & alive[sub.cols]
-    adj = csr_matrix(
-        (np.ones(int(keep.sum())), (sub.rows[keep], sub.cols[keep])),
-        shape=(sub.n + 1, sub.n + 1),
-    )
-    reached = breadth_first_order(adj, sub.src, directed=True, return_predecessors=False)
-    assert not sub.b_mask[reached].any()
+# brackets of the cutting-plane solver this one replaced, on the same annuli
+# of triangular_ball(8, 5); its (1, 2) lower bound is 5/32 rounded down
+CUTTING_PLANE_BRACKETS = [
+    (0.15624999999999994, 0.25),
+    (0.02782985029413592, 0.09375),
+]
 
 
 def test_pinned_brackets_triangular_ball_8_5():
-    # values of the cold-start solver with a pure-Python BFS; the incremental
-    # solver must run the same rounds and reproduce them exactly
+    # each bracket lies inside the pinned one, up to the certified gap that a
+    # bracket around 5/32 must leave below the rounded (1, 2) lower bound
     g = triangular_ball(8, 5)
     report = vel_type_trend(g, 0, [(1, 2), (2, 4)])
-    got = [(e.lower, e.upper, e.iterations) for e in report.estimates]
-    assert got == [
-        (0.15624999999999994, 0.25, {"outer": 40, "n_constraints": 39}),
-        (0.02782985029413592, 0.09375, {"outer": 200, "n_constraints": 200}),
-    ]
+    for est, (lo, up) in zip(report.estimates, CUTTING_PLANE_BRACKETS):
+        assert est.converged
+        assert lo * (1 - vel.REL_GAP) <= est.lower <= est.upper <= up
+        assert est.upper - est.lower <= vel.REL_GAP * est.upper
+    first = report.estimates[0]
+    assert first.lower <= 5 / 32 <= first.upper
+
+
+def test_default_annuli_converge():
+    # the default theorem1 annuli; 0.0418154762 and 0.0113238186 are the
+    # flow-QP optima to ten digits
+    g = triangular_ball(8, 7)
+    report = vel_type_trend(g, 0, [(1, 2), (2, 4), (3, 6)])
+    assert report.skipped == []
+    for est, exact in zip(report.estimates, (5 / 32, 0.0418154762, 0.0113238186)):
+        assert est.converged
+        assert 0 < est.lower <= est.upper
+        assert est.upper - est.lower <= 1e-6 * est.upper
+        assert est.lower == pytest.approx(exact, rel=1e-6)
+        assert est.iterations["outer"] < vel.MAX_IPM_ITERATIONS
+    assert report.verdict == HYPERBOLIC
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_iteration_cap_marks_unconverged(monkeypatch, cap):
+    # the bracket of a truncated solve is still certified: it holds 5/32
+    g = triangular_ball(8, 5)
+    A, B, support = _annulus(g, 1, 2)
+    monkeypatch.setattr(vel, "MAX_IPM_ITERATIONS", cap)
+    est = solve_vel(g, A, B, support=support)
+    assert est.converged is False
+    assert est.iterations["outer"] == cap
+    assert est.lower <= 5 / 32 <= est.upper
+
+
+def _reference_push(sub, dist, flow, source):
+    """Vertex by vertex in increasing distance, split by the arc flows."""
+    out_arcs = {}
+    for u, w, f in zip(sub.tail.tolist(), sub.head.tolist(), flow.tolist()):
+        if dist[w] > dist[u]:
+            out_arcs.setdefault(u, []).append((w, f))
+    phi = [0.0] * sub.n
+    for a, s in zip(sub.A.tolist(), source.tolist()):
+        phi[a] += s
+    for u in sorted(range(sub.n), key=lambda v: dist[v]):
+        arcs = out_arcs.get(u, [])
+        total = sum(f for _, f in arcs)
+        for w, f in arcs:
+            phi[w] += phi[u] * f / total
+    reach = sum(phi[b] for b in sub.B.tolist())
+    return sum(p * p for p in phi) / reach**2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_upper_is_a_certificate_for_any_flow(seed):
+    # random metrics and random arc flows give a random-path measure that
+    # loses mass on the way and feeds A with total != 1; the bound must match
+    # the direct push and stay above the exact value 5/32.  Integer weights
+    # tie many distances, and an arc between tied vertices must not be used.
+    rng = np.random.default_rng(seed)
+    g = triangular_ball(8, 5)
+    A, B, support = _annulus(g, 1, 2)
+    sub = _Subproblem(g, A, B, support=support)
+    dist = sub.distances(rng.integers(1, 4, sub.n).astype(float))
+    assert (dist[sub.head] == dist[sub.tail]).any()
+    flow = rng.uniform(0.0, 1.0, len(sub.tail))
+    source = rng.uniform(0.0, 0.2, len(sub.A))
+    upper = _flow_upper(sub, dist, flow, source)
+    assert upper == pytest.approx(_reference_push(sub, dist, flow, source), rel=1e-12)
+    assert upper >= 5 / 32
 
 
 def test_doubled_edge_costs_its_endpoint_once():
@@ -337,42 +300,8 @@ def test_doubled_edge_costs_its_endpoint_once():
     # either copy visits three unit-weight vertices, so VEL is 3^2 / 3 = 3
     g = RotationGraph.from_rotations([[0], [0, 1, 2], [2, 1]])
     sub = _Subproblem(g, {0}, {2})
-    length, path = sub.shortest_path(np.ones(3))
-    assert length == 3.0
-    assert path.tolist() == [0, 1, 2]
+    assert (sub.tail.tolist(), sub.head.tolist()) == ([0, 1], [1, 2])
+    assert sub.distances(np.ones(3)).tolist() == [1.0, 2.0, 3.0]
     est = solve_vel(g, {0}, {2})
-    assert (est.lower, est.upper) == (3.0, 3.0)
-
-
-def test_qp_reports_exhaustion():
-    # paths {0,1}, {1,2}, {0,1,2}: the cold start's third multiplier is -1,
-    # so the exact solve needs a drop after its first Gram solve
-    store = _PathGram(3, capacity=3)
-    for p in ([0, 1], [1, 2], [0, 1, 2]):
-        store.add(np.asarray(p))
-    cold = np.ones(3, dtype=bool)
-    lam, exact = _solve_qp(store.block, cold, SolverOptions())
-    assert exact
-    assert np.allclose(_path_metric(store.paths, lam, 3), [1 / 3, 2 / 3, 1 / 3])
-    _, exact = _solve_qp(store.block, cold, SolverOptions(qp_iterations=1))
-    assert not exact
-
-
-def test_qp_exhaustion_marks_unconverged():
-    g = triangular_ball(8, 5)
-    A, B, support = _annulus(g, 1, 2)
-    assert solve_vel(g, A, B, support=support).converged
-    est = solve_vel(g, A, B, opts=SolverOptions(qp_iterations=1), support=support)
-    assert est.converged is False
-    assert est.lower <= est.upper
-
-
-def test_inexact_qp_round_marks_unconverged(monkeypatch):
-    g = triangular_ball(8, 5)
-    A, B, support = _annulus(g, 1, 2)
-    exact = solve_vel(g, A, B, support=support)
-    real = vel._solve_qp
-    monkeypatch.setattr(vel, "_solve_qp", lambda *a: (real(*a)[0], False))
-    est = solve_vel(g, A, B, support=support)
-    assert (est.lower, est.upper) == (exact.lower, exact.upper)
-    assert est.converged is False
+    assert est.converged
+    assert abs(est.lower - 3.0) <= 1e-9 and abs(est.upper - 3.0) <= 1e-9
