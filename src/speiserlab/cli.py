@@ -248,7 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     th = sub.add_parser("theorem1", help="full two-leg evidence run")
     th.add_argument("--config", default="default", help="'default' or a JSON file")
-    th.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    th.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help="recorded in the report only: the run is deterministic and uses no seed",
+    )
     th.add_argument("--svg", default=None, help="also draw a packed patch to this file")
     th.add_argument("-o", "--output", default=None)
     th.set_defaults(func=_cmd_theorem1)

@@ -233,7 +233,8 @@ def check_hs(
         index_ok = all(v in sets for v in g.vertices())
         if not index_ok:
             raise GeometryError("collection does not cover the graph's vertices")
-        adjacency = [tuple(g.edge_ends(e)) for e in g.edges()]
+        ends = g.dart_vertex.tolist()
+        adjacency = list(zip(ends[0::2], ends[1::2]))
     else:
         adjacency = collection.adjacency
 

@@ -1,11 +1,12 @@
 """Rotation-system representation of locally finite planar graphs.
 
-A graph is stored as a list of vertex rotations, where each rotation is the
-cyclic sequence of darts (half-edges) leaving that vertex.  Edge ``e`` always
-owns the two darts ``2*e`` and ``2*e + 1``, so the twin of dart ``d`` is
-``d ^ 1``.  Multiple edges are allowed, self-loops are not.  Infinite graphs
-are represented by finite truncations whose incomplete rim vertices are listed
-in ``frontier``.
+A graph is stored by its vertex rotations, each the cyclic sequence of darts
+(half-edges) leaving a vertex, held once as flat read-only int64 arrays: the
+darts in rotation order with per-vertex offsets, the vertex of every dart and
+the rotation successor of every dart.  Edge ``e`` always owns the two darts
+``2*e`` and ``2*e + 1``, so the twin of dart ``d`` is ``d ^ 1``.  Multiple
+edges are allowed, self-loops are not.  Infinite graphs are represented by
+finite truncations whose incomplete rim vertices are listed in ``frontier``.
 
 Face tracing uses ``next(d) = rotation_successor(twin(d))``; its orbits
 partition the darts.  ``trace_faces`` computes them once per graph as flat
@@ -25,7 +26,6 @@ thus builds its graph, validated, in one construction.
 from __future__ import annotations
 
 import json
-from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -45,19 +45,24 @@ class RotationGraph:
     """Planar multigraph with an explicit rotation system.
 
     Instances are immutable after construction; transformations build new
-    graphs.  ``rotations[v]`` lists the darts at ``v`` in cyclic order, and
-    dart ``d`` belongs to edge ``d // 2`` with twin ``d ^ 1``.
+    graphs.  The rotation system is held once, in read-only int64 arrays:
+    the darts at ``v`` in cyclic order are
+    ``rot_darts[rot_offsets[v]:rot_offsets[v + 1]]``, ``dart_vertex[d]`` is
+    the vertex of dart ``d`` and ``rot_succ[d]`` the dart after ``d`` in that
+    vertex's rotation.  Dart ``d`` belongs to edge ``d // 2`` with twin
+    ``d ^ 1``.  ``rotations`` rebuilds the per-vertex lists on each access.
     """
 
     __slots__ = (
-        "rotations",
+        "rot_darts",
+        "rot_offsets",
+        "dart_vertex",
+        "rot_succ",
         "frontier",
         "tags",
         "n_vertices",
         "n_edges",
         "n_darts",
-        "dart_vertex",
-        "_rot_next",
         "_faces",
     )
 
@@ -66,87 +71,50 @@ class RotationGraph:
         rotations: Sequence[Sequence[int]],
         frontier: Iterable[int] = (),
         tags: dict[int, str] | None = None,
-        validate: bool = True,
     ):
-        # rotation lists are shared with the caller, not copied: no graph
-        # mutates them
-        self.rotations = [r if type(r) is list else list(r) for r in rotations]
+        self._store(*_flatten(rotations), frontier, tags)
+
+    @classmethod
+    def _flat(
+        cls,
+        darts: np.ndarray,
+        offsets: np.ndarray,
+        frontier: Iterable[int] = (),
+        tags: dict[int, str] | None = None,
+    ) -> "RotationGraph":
+        """Build from the darts in rotation order and per-vertex offsets."""
+        g = cls.__new__(cls)
+        g._store(darts, offsets, frontier, tags)
+        return g
+
+    def _store(
+        self,
+        darts: np.ndarray,
+        offsets: np.ndarray,
+        frontier: Iterable[int],
+        tags: dict[int, str] | None,
+    ) -> None:
+        # read-only views: the caller's arrays stay writeable, the graph's not
+        darts = np.asarray(darts, dtype=np.int64).view()
+        offsets = np.asarray(offsets, dtype=np.int64).view()
         self.frontier = frozenset(frontier)
         self.tags = dict(tags) if tags else None
-        self.n_vertices = len(self.rotations)
-        degree = np.fromiter(map(len, self.rotations), np.int64, self.n_vertices)
-        self.n_darts = int(degree.sum())
+        self.n_vertices = len(offsets) - 1
+        self.n_darts = int(offsets[-1])
         if self.n_darts % 2:
             raise GraphError("odd number of darts")
         self.n_edges = self.n_darts // 2
-
-        slots = list(chain.from_iterable(self.rotations))
-        flat = np.fromiter(slots, np.int64, self.n_darts)
-        bad = (flat < 0) | (flat >= self.n_darts)
+        bad = (darts < 0) | (darts >= self.n_darts)
         if bad.any():
-            raise GraphError(f"malformed rotation: dart {flat[bad][0]} out of range")
-        twice = np.bincount(flat, minlength=self.n_darts) > 1
+            raise GraphError(f"malformed rotation: dart {darts[bad][0]} out of range")
+        twice = np.bincount(darts, minlength=self.n_darts) > 1
         if twice.any():
             raise GraphError(
                 f"malformed rotation: dart {np.flatnonzero(twice)[0]} appears twice"
             )
+        degree = np.diff(offsets)
         dart_vertex = np.full(self.n_darts, -1, dtype=np.int64)
-        dart_vertex[flat] = np.repeat(np.arange(self.n_vertices), degree)
-        self._faces = None
-        if validate:
-            self._validate(dart_vertex, flat, degree)
-        # the per-dart lists point at existing ints (one per vertex, and the
-        # rotations' darts) rather than holding a new int per entry
-        vertex_ids = np.arange(self.n_vertices).astype(object)
-        self.dart_vertex = vertex_ids[dart_vertex].tolist()
-        del dart_vertex
-        # rotation slot after each slot: the next one, or the vertex's first
-        start = np.cumsum(degree) - degree
-        succ = np.arange(1, self.n_darts + 1)
-        has = degree > 0
-        succ[(start + degree - 1)[has]] = start[has]
-        rot_next = np.empty(self.n_darts, dtype=object)
-        rot_next[flat] = np.array(slots, dtype=object)[succ]
-        self._rot_next = rot_next.tolist()
-
-    # -- basic queries ----------------------------------------------------
-
-    def twin(self, d: int) -> int:
-        return d ^ 1
-
-    def edge_of(self, d: int) -> int:
-        return d >> 1
-
-    def edge_ends(self, e: int) -> tuple[int, int]:
-        return self.dart_vertex[2 * e], self.dart_vertex[2 * e + 1]
-
-    def rot_next(self, d: int) -> int:
-        return self._rot_next[d]
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors in rotation order, one entry per incident edge copy."""
-        return [self.dart_vertex[d ^ 1] for d in self.rotations[v]]
-
-    def vertices(self) -> range:
-        return range(self.n_vertices)
-
-    def edges(self) -> range:
-        return range(self.n_edges)
-
-    def is_frontier(self, v: int) -> bool:
-        return v in self.frontier
-
-    def interior_vertices(self) -> list[int]:
-        return [v for v in range(self.n_vertices) if v not in self.frontier]
-
-    # -- validation --------------------------------------------------------
-
-    def _validate(
-        self, dart_vertex: np.ndarray, flat: np.ndarray, degree: np.ndarray
-    ) -> None:
+        dart_vertex[darts] = np.repeat(np.arange(self.n_vertices), degree)
         dangling = np.flatnonzero(dart_vertex == -1)
         if len(dangling):
             raise GraphError(f"dangling half-edge {dangling[0]}: not in any rotation")
@@ -158,15 +126,52 @@ class RotationGraph:
             )
         if self.n_vertices == 0:
             raise GraphError("empty graph")
-        # adjacency in CSR form straight from the rotations
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(degree, out=indptr[1:])
-        adjacency = csr_matrix(
-            (np.ones(self.n_darts, dtype=np.int8), dart_vertex[flat ^ 1], indptr),
-            shape=(self.n_vertices, self.n_vertices),
-        )
-        if connected_components(adjacency, directed=False)[0] != 1:
+        # rotation slot after each slot: the next one, or the vertex's first
+        succ = np.arange(1, self.n_darts + 1)
+        has = degree > 0
+        succ[offsets[1:][has] - 1] = offsets[:-1][has]
+        rot_succ = np.empty(self.n_darts, dtype=np.int64)
+        rot_succ[darts] = darts[succ]
+        for arr in (darts, offsets, dart_vertex, rot_succ):
+            arr.flags.writeable = False
+        self.rot_darts, self.rot_offsets = darts, offsets
+        self.dart_vertex, self.rot_succ = dart_vertex, rot_succ
+        self._faces = None
+        if connected_components(_adjacency(self), directed=False)[0] != 1:
             raise GraphError("disconnected graph")
+
+    # -- basic queries ----------------------------------------------------
+
+    @property
+    def rotations(self) -> list[list[int]]:
+        """The darts at each vertex in cyclic order, as fresh lists."""
+        return _split(self.rot_darts, self.rot_offsets)
+
+    def twin(self, d: int) -> int:
+        return d ^ 1
+
+    def edge_ends(self, e: int) -> tuple[int, int]:
+        return self.dart_vertex.item(2 * e), self.dart_vertex.item(2 * e + 1)
+
+    def rot_next(self, d: int) -> int:
+        return self.rot_succ.item(d)
+
+    def degree(self, v: int) -> int:
+        return self.rot_offsets.item(v + 1) - self.rot_offsets.item(v)
+
+    def neighbors(self, v: int) -> list[int]:
+        """Neighbors in rotation order, one entry per incident edge copy."""
+        at = self.rot_darts[self.rot_offsets[v] : self.rot_offsets[v + 1]]
+        return self.dart_vertex[at ^ 1].tolist()
+
+    def vertices(self) -> range:
+        return range(self.n_vertices)
+
+    def edges(self) -> range:
+        return range(self.n_edges)
+
+    def interior_vertices(self) -> list[int]:
+        return [v for v in range(self.n_vertices) if v not in self.frontier]
 
     # -- constructors ------------------------------------------------------
 
@@ -182,24 +187,22 @@ class RotationGraph:
         Every edge id must appear exactly twice over all lists (once per
         endpoint); the first appearance becomes dart ``2e``.
         """
-        seen_once: dict[int, int] = {}
-        rotations: list[list[int]] = []
-        for v, inc in enumerate(incidence):
-            rot = []
-            for e in inc:
-                if e in seen_once:
-                    if seen_once[e] == -1:
-                        raise GraphError(f"edge {e} appears more than twice")
-                    rot.append(2 * e + 1)
-                    seen_once[e] = -1
-                else:
-                    seen_once[e] = v
-                    rot.append(2 * e)
-            rotations.append(rot)
-        unmatched = [e for e, s in seen_once.items() if s != -1]
-        if unmatched:
-            raise GraphError(f"edges with a single endpoint: {sorted(unmatched)}")
-        return cls(rotations, frontier=frontier, tags=tags)
+        edge, offsets = _flatten(incidence)
+        # appearance rank of every slot among the slots of its edge id
+        order = np.argsort(edge, kind="stable")
+        ranked = edge[order]
+        new = np.ones(len(edge), dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
+        pos = np.arange(len(edge))
+        rank = np.empty_like(pos)
+        rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
+        third = np.flatnonzero(rank > 1)
+        if len(third):
+            raise GraphError(f"edge {edge[third[0]]} appears more than twice")
+        single = ranked[new & np.append(new[1:], True)]
+        if len(single):
+            raise GraphError(f"edges with a single endpoint: {single.tolist()}")
+        return cls._flat(2 * edge + (rank == 1), offsets, frontier=frontier, tags=tags)
 
     @classmethod
     def from_walks(
@@ -289,8 +292,7 @@ class RotationGraph:
         stars = _cycles(sigma, dart_tail, n_vertices)
         if stars is None:
             raise GraphError("inconsistent walks: vertex key has a disconnected star")
-        rotations = _split(*stars)
-        del stars, sigma
+        del sigma
 
         def ids_of(keys: Iterable[int]) -> np.ndarray:
             """Vertex id of each key, -1 where the key never occurs."""
@@ -305,7 +307,7 @@ class RotationGraph:
         tag_ids = {
             v: tags[k] for v, k in zip(ids_of(tag_keys).tolist(), tag_keys) if v >= 0
         }
-        g = cls(rotations, frontier=front[front >= 0].tolist(), tags=tag_ids)
+        g = cls._flat(*stars, frontier=front[front >= 0].tolist(), tags=tag_ids)
 
         # the walks are the faces: list each from its smallest dart, in the
         # order of those darts, as trace_faces does
@@ -449,7 +451,7 @@ class Faces:
         self.darts = darts
         self.offsets = offsets
         self.lengths = np.diff(offsets)
-        self.vertices = np.asarray(g.dart_vertex, dtype=np.int64)[darts]
+        self.vertices = g.dart_vertex[darts]
         front = np.zeros(g.n_vertices, dtype=bool)
         front[list(g.frontier)] = True
         touching = front[self.vertices]
@@ -479,7 +481,7 @@ def trace_faces(g: RotationGraph) -> Faces:
     if g._faces is not None:
         return g._faces
     n = g.n_darts
-    phi = np.asarray(g._rot_next, dtype=np.int64)[np.arange(n) ^ 1]
+    phi = g.rot_succ[np.arange(n) ^ 1]
     n_faces, label = connected_components(
         csr_matrix((np.ones(n, dtype=np.int8), phi, np.arange(n + 1)), shape=(n, n)),
         directed=True,
@@ -542,7 +544,7 @@ def dual(g: RotationGraph, drop_frontier_faces: bool | None = None) -> RotationG
         if len(same):
             raise GraphError(f"edge {same[0]} has the same face on both sides")
         # darts keep their ids; dart 2e/2e+1 now live at the face vertices
-        return RotationGraph(_split(faces.darts, faces.offsets))
+        return RotationGraph._flat(faces.darts, faces.offsets)
 
     kept = ~faces.touches_frontier
     if not kept.any():
@@ -558,16 +560,37 @@ def dual(g: RotationGraph, drop_frontier_faces: bool | None = None) -> RotationG
     offsets = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(fid[sel], minlength=len(faces))[kept], out=offsets[1:])
     clipped = np.logical_or.reduceat(~on_kept, faces.offsets[:-1])[kept]
-    return RotationGraph(
-        _split(2 * new_eid[darts >> 1] + (darts & 1), offsets),
+    return RotationGraph._flat(
+        2 * new_eid[darts >> 1] + (darts & 1),
+        offsets,
         frontier=np.flatnonzero(clipped).tolist(),
     )
+
+
+def _flatten(lists: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated items and offsets, the inverse of ``_split``."""
+    lists = list(lists)
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, lists), np.int64, len(lists)), out=offsets[1:])
+    return np.fromiter(chain.from_iterable(lists), np.int64, int(offsets[-1])), offsets
 
 
 def _split(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     """The lists ``flat[offsets[i]:offsets[i + 1]]``, as Python ints."""
     items, bounds = flat.tolist(), offsets.tolist()
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _adjacency(g: RotationGraph) -> csr_matrix:
+    """Vertex adjacency in CSR form, one entry per dart (multiplicity kept)."""
+    return csr_matrix(
+        (
+            np.ones(g.n_darts, dtype=np.int8),
+            g.dart_vertex[g.rot_darts ^ 1],
+            g.rot_offsets,
+        ),
+        shape=(g.n_vertices, g.n_vertices),
+    )
 
 
 @dataclass
@@ -583,65 +606,57 @@ class LayerDecomposition:
     cut_edges: list[list[int]]
     depth: int
     reliable_depth: int
-    dist: list[int]
+    dist: np.ndarray
     warnings: list[str] = field(default_factory=list)
 
     def sphere_sizes(self) -> list[int]:
         return [len(s) for s in self.spheres]
 
     def ball_sizes(self) -> list[int]:
-        out, acc = [], 0
-        for s in self.spheres:
-            acc += len(s)
-            out.append(acc)
-        return out
+        return np.cumsum(self.sphere_sizes()).tolist()
 
     def cut_sizes(self) -> list[int]:
         return [len(c) for c in self.cut_edges]
 
 
 def bfs_layers(g: RotationGraph, root: int, n_max: int | None = None) -> LayerDecomposition:
-    """BFS spheres, balls and cut-edge sets from ``root`` (multiplicity kept)."""
+    """BFS spheres, balls and cut-edge sets from ``root`` (multiplicity kept).
+
+    ``dist`` is -1 at vertices beyond ``n_max`` or not reached.  Spheres list
+    their vertices in increasing id, cut sets their edges in edge order.
+    """
     if not (0 <= root < g.n_vertices):
         raise GraphError(f"root {root} not in graph")
     if n_max is not None and n_max < 0:
         raise GraphError("n_max must be >= 0")
-    dist = [-1] * g.n_vertices
-    dist[root] = 0
-    order = [root]
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        if n_max is not None and dist[v] >= n_max:
-            continue
-        for d in g.rotations[v]:
-            w = g.dart_vertex[d ^ 1]
-            if dist[w] == -1:
-                dist[w] = dist[v] + 1
-                order.append(w)
-                queue.append(w)
-    depth = max(dist[v] for v in order)
-    spheres: list[list[int]] = [[] for _ in range(depth + 1)]
-    for v in order:
-        spheres[dist[v]].append(v)
-    for s in spheres:
-        s.sort()
-    cut_edges: list[list[int]] = [[] for _ in range(depth)]
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
-        du, dv = dist[u], dist[v]
-        if du == -1 or dv == -1:
-            continue
-        if abs(du - dv) == 1:
-            cut_edges[min(du, dv)].append(e)
-        elif du != dv:
-            raise GraphError("BFS layering broken: edge skips a sphere")
+    hops = shortest_path(_adjacency(g), unweighted=True, indices=root)
+    reached = np.isfinite(hops)
+    if n_max is not None:
+        reached &= hops <= n_max
+    dist = np.where(reached, hops, -1).astype(np.int64)
+    depth = int(dist.max())
+    inside = np.flatnonzero(reached)
+    sizes = np.zeros(depth + 2, dtype=np.int64)
+    np.cumsum(np.bincount(dist[inside], minlength=depth + 1), out=sizes[1:])
+    spheres = _split(inside[np.argsort(dist[inside], kind="stable")], sizes)
+
+    du, dv = dist[g.dart_vertex[0::2]], dist[g.dart_vertex[1::2]]
+    both = (du >= 0) & (dv >= 0)
+    if (both & (np.abs(du - dv) > 1)).any():
+        raise GraphError("BFS layering broken: edge skips a sphere")
+    cut = np.flatnonzero(both & (du != dv))
+    layer = np.minimum(du, dv)[cut]
+    bounds = np.zeros(depth + 1, dtype=np.int64)
+    np.cumsum(np.bincount(layer, minlength=depth), out=bounds[1:])
+    cut_edges = _split(cut[np.argsort(layer, kind="stable")], bounds)
+
     warnings: list[str] = []
-    frontier_dists = [dist[v] for v in g.frontier if dist[v] != -1]
-    reliable = min(frontier_dists) if frontier_dists else depth
+    frontier_dists = dist[np.fromiter(g.frontier, np.int64, len(g.frontier))]
+    frontier_dists = frontier_dists[frontier_dists >= 0]
+    reliable = int(frontier_dists.min()) if len(frontier_dists) else depth
     if n_max is not None:
         reliable = min(reliable, depth)
-    if frontier_dists and (n_max is None or reliable < n_max):
+    if len(frontier_dists) and (n_max is None or reliable < n_max):
         warnings.append(
             f"frontier reached at distance {reliable}; "
             f"layers beyond are unreliable"
@@ -669,13 +684,8 @@ class GraphClassification:
 def _odd_parity(g: RotationGraph) -> np.ndarray | None:
     """Per vertex, whether its BFS distance from vertex 0 is odd; None if an
     edge joins two vertices of equal parity (an odd cycle exists)."""
-    ends = np.asarray(g.dart_vertex, dtype=np.int64)
-    adjacency = csr_matrix(
-        (np.ones(g.n_darts, dtype=np.int8), (ends, ends[np.arange(g.n_darts) ^ 1])),
-        shape=(g.n_vertices, g.n_vertices),
-    )
-    odd = shortest_path(adjacency, unweighted=True, indices=0).astype(np.int64) % 2 == 1
-    return None if (odd[ends[0::2]] == odd[ends[1::2]]).any() else odd
+    odd = shortest_path(_adjacency(g), unweighted=True, indices=0) % 2 == 1
+    return None if (odd[g.dart_vertex[0::2]] == odd[g.dart_vertex[1::2]]).any() else odd
 
 
 def two_coloring(g: RotationGraph) -> dict[int, str] | None:
@@ -690,7 +700,7 @@ def two_coloring(g: RotationGraph) -> dict[int, str] | None:
 
 def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassification:
     """Structural flags computed on the non-frontier part of the graph."""
-    degree = np.fromiter(map(len, g.rotations), np.int64, g.n_vertices)
+    degree = np.diff(g.rot_offsets)
     inside = np.ones(g.n_vertices, dtype=bool)
     inside[list(g.frontier)] = False
     degrees = degree[inside]
@@ -709,8 +719,7 @@ def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassifica
         is_tri = n_big <= 1 and len(faces) > n_big
 
     # the largest min(deg u, deg v) over edges with no frontier end
-    ends = np.asarray(g.dart_vertex, dtype=np.int64)
-    u, v = ends[0::2], ends[1::2]
+    u, v = g.dart_vertex[0::2], g.dart_vertex[1::2]
     keep = inside[u] & inside[v]
     p_of = int(np.minimum(degree[u], degree[v])[keep].max()) if keep.any() else None
 
@@ -724,37 +733,38 @@ def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassifica
 
 
 def induced_ball(g: RotationGraph, layers: LayerDecomposition, n: int) -> RotationGraph:
-    """Induced subgraph on B(n); S(n) plus any clipped vertex joins the frontier."""
+    """Induced subgraph on B(n); S(n) plus any clipped vertex joins the frontier.
+
+    Kept vertices and edges are renumbered in increasing id.
+    """
     if n > layers.reliable_depth:
         raise FrontierError(
             f"ball of radius {n} exceeds reliable depth {layers.reliable_depth}"
         )
-    keep = [v for v in range(g.n_vertices) if 0 <= layers.dist[v] <= n]
-    new_vid = {v: i for i, v in enumerate(keep)}
-    kept_edges = []
-    for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
-        if u in new_vid and v in new_vid:
-            kept_edges.append(e)
-    new_eid = {e: i for i, e in enumerate(kept_edges)}
-    rotations = []
-    frontier = set()
-    for v in keep:
-        rot = []
-        clipped = False
-        for d in g.rotations[v]:
-            e = d >> 1
-            if e in new_eid:
-                rot.append(2 * new_eid[e] + (d & 1))
-            else:
-                clipped = True
-        rotations.append(rot)
-        if clipped or layers.dist[v] == n or v in g.frontier:
-            frontier.add(new_vid[v])
-    tags = None
-    if g.tags:
-        tags = {new_vid[v]: t for v, t in g.tags.items() if v in new_vid}
-    return RotationGraph(rotations, frontier=frontier, tags=tags)
+    dist = layers.dist
+    inside = (dist >= 0) & (dist <= n)
+    keep = np.flatnonzero(inside)
+    edge_kept = inside[g.dart_vertex[0::2]] & inside[g.dart_vertex[1::2]]
+    new_eid = np.cumsum(edge_kept) - 1
+    # rotation slots of kept vertices, in vertex order; a slot stays when its
+    # edge does
+    slot_vertex = g.dart_vertex[g.rot_darts]
+    slot_kept = edge_kept[g.rot_darts >> 1]
+    darts = g.rot_darts[slot_kept]
+    offsets = np.zeros(len(keep) + 1, dtype=np.int64)
+    degree = np.bincount(slot_vertex[slot_kept], minlength=g.n_vertices)
+    np.cumsum(degree[keep], out=offsets[1:])
+    clipped = np.zeros(g.n_vertices, dtype=bool)
+    clipped[slot_vertex[~slot_kept]] = True
+    clipped[list(g.frontier)] = True
+    ids = (np.cumsum(inside) - 1).tolist()
+    tags = {ids[v]: t for v, t in (g.tags or {}).items() if inside[v]}
+    return RotationGraph._flat(
+        2 * new_eid[darts >> 1] + (darts & 1),
+        offsets,
+        frontier=np.flatnonzero((clipped | (dist == n))[keep]).tolist(),
+        tags=tags,
+    )
 
 
 # -- canonical labeling --------------------------------------------------
@@ -762,38 +772,36 @@ def induced_ball(g: RotationGraph, layers: LayerDecomposition, n: int) -> Rotati
 
 def _signature_from(g: RotationGraph, d0: int, mirror: bool) -> tuple:
     """Canonical traversal signature starting at dart ``d0``."""
-    rot_at = {}
-    for v, rot in enumerate(g.rotations):
-        use = rot[::-1] if mirror else rot
-        rot_at[v] = {d: use[(i + 1) % len(use)] for i, d in enumerate(use)}
+    step = g.rot_succ
+    if mirror:
+        step = np.empty_like(step)
+        step[g.rot_succ] = np.arange(g.n_darts)
+    step, vertex = step.tolist(), g.dart_vertex.tolist()
     dart_label: dict[int, int] = {}
     order: list[int] = []
 
     def visit_vertex(entry: int) -> None:
-        v = g.dart_vertex[entry]
         d = entry
         while True:
             dart_label[d] = len(dart_label)
             order.append(d)
-            d = rot_at[v][d]
+            d = step[d]
             if d == entry:
                 break
 
     visit_vertex(d0)
     i = 0
-    seen_vertices = {g.dart_vertex[d0]}
+    seen_vertices = {vertex[d0]}
     while i < len(order):
         d = order[i]
         i += 1
         t = d ^ 1
-        v = g.dart_vertex[t]
+        v = vertex[t]
         if v not in seen_vertices:
             seen_vertices.add(v)
             visit_vertex(t)
     sig_twins = tuple(dart_label[d ^ 1] for d in order)
-    sig_front = tuple(
-        1 if g.dart_vertex[d] in g.frontier else 0 for d in order
-    )
+    sig_front = tuple(1 if vertex[d] in g.frontier else 0 for d in order)
     return sig_twins, sig_front
 
 
@@ -827,7 +835,7 @@ def to_json_dict(g: RotationGraph) -> dict:
     return {
         "version": 1,
         "vertices": [
-            {"id": v, "rotation": list(g.rotations[v])} for v in range(g.n_vertices)
+            {"id": v, "rotation": rot} for v, rot in enumerate(g.rotations)
         ],
         "edges": [
             {"id": e, "halfedges": [2 * e, 2 * e + 1]} for e in range(g.n_edges)
@@ -858,9 +866,7 @@ def build_graph(spec: dict | str) -> RotationGraph:
             if h in halfedge_to_dart:
                 raise GraphError(f"half-edge {h} listed by two edges")
             halfedge_to_dart[h] = 2 * i + j
-    vid_map = {}
-    for i, vrec in enumerate(vertices):
-        vid_map[vrec["id"]] = i
+    vid_map = {vrec["id"]: i for i, vrec in enumerate(vertices)}
     rotations: list[list[int]] = []
     for vrec in vertices:
         rot = []

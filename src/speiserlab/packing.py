@@ -56,24 +56,21 @@ class CirclePacking:
 
 
 def _flower_arrays(g: RotationGraph, interior: list[int]):
-    """Corner index arrays (v, u, w) for all petal corners of interior vertices."""
-    cv, cu, cw = [], [], []
-    offsets = [0]
-    for v in interior:
-        rot = g.rotations[v]
-        k = len(rot)
-        for i in range(k):
-            u = g.dart_vertex[rot[i] ^ 1]
-            w = g.dart_vertex[rot[(i + 1) % k] ^ 1]
-            cv.append(v)
-            cu.append(u)
-            cw.append(w)
-        offsets.append(offsets[-1] + k)
+    """Corner index arrays (v, u, w) for all petal corners of interior vertices.
+
+    Vertex ``v``'s corners are consecutive, from ``offsets``, one per dart
+    ``d`` at ``v`` in rotation order: ``u`` across ``d``, ``w`` across the
+    next dart.
+    """
+    cv = np.asarray(interior, dtype=np.int64)
+    start, k = g.rot_offsets[cv], np.diff(g.rot_offsets)[cv]
+    offsets = np.cumsum(k) - k
+    d = g.rot_darts[np.arange(int(k.sum())) - np.repeat(offsets - start, k)]
     return (
-        np.asarray(cv, dtype=np.int64),
-        np.asarray(cu, dtype=np.int64),
-        np.asarray(cw, dtype=np.int64),
-        np.asarray(offsets[:-1], dtype=np.int64),
+        np.repeat(cv, k),
+        g.dart_vertex[d ^ 1],
+        g.dart_vertex[g.rot_succ[d] ^ 1],
+        offsets,
     )
 
 
@@ -96,7 +93,7 @@ def _solve_euclidean(g, interior, boundary, boundary_radii, initial=None):
             r[v] = initial.get(v, 1.0)
     cv, cu, cw, offsets = _flower_arrays(g, interior)
     interior_arr = np.asarray(interior, dtype=np.int64)
-    degs = np.asarray([g.degree(v) for v in interior], dtype=float)
+    degs = np.diff(g.rot_offsets)[interior_arr].astype(float)
     sin_target = np.sin(np.pi / degs)
     for sweep in range(MAX_SWEEPS):
         theta = _euclid_angle_sums(r, cu, cw, cv, offsets)
@@ -190,12 +187,12 @@ def _layout(g, radii, root: int, order_hint=None):
     """Breadth-first tangency layout; faces are traced clockwise, so the third
     vertex of a face sits to the right of each directed edge."""
     third = _third_vertex(g)
+    rotations, vertex = g.rotations, g.dart_vertex.tolist()
     centers: dict[int, complex] = {}
     queue: list[int] = []
 
-    rot = g.rotations[root]
-    first = rot[0] if order_hint is None else order_hint
-    nb = g.dart_vertex[first ^ 1]
+    first = rotations[root][0] if order_hint is None else order_hint
+    nb = vertex[first ^ 1]
     centers[root] = 0j
     centers[nb] = complex(radii[root] + radii[nb], 0.0)
     queue.extend([first, first ^ 1])
@@ -206,8 +203,8 @@ def _layout(g, radii, root: int, order_hint=None):
         w = third[d]
         if w < 0 or w in centers:
             continue
-        u = g.dart_vertex[d]
-        v = g.dart_vertex[d ^ 1]
+        u = vertex[d]
+        v = vertex[d ^ 1]
         cu_, cv_ = centers[u], centers[v]
         ru, rv, rw = radii[u], radii[v], radii[w]
         dd = abs(cv_ - cu_)
@@ -221,9 +218,8 @@ def _layout(g, radii, root: int, order_hint=None):
         e = (cv_ - cu_) / dd
         cw_ = cu_ + e * complex(x, -y)  # right side of u -> v
         centers[w] = cw_
-        for dart in g.rotations[w]:
-            other = g.dart_vertex[dart ^ 1]
-            if other in centers:
+        for dart in rotations[w]:
+            if vertex[dart ^ 1] in centers:
                 queue.append(dart)
                 queue.append(dart ^ 1)
     return centers
@@ -327,13 +323,14 @@ def _mobius_to_zero(c):
 def _hyperbolic_layout(g, radii_h, interior_set, root: int):
     """Poincare-disk centers for interior circles (boundary sits too deep)."""
     third = _third_vertex(g)
+    rotations, vertex = g.rotations, g.dart_vertex.tolist()
     centers: dict[int, complex] = {}
-    rot = [d for d in g.rotations[root] if g.dart_vertex[d ^ 1] in interior_set]
+    rot = [d for d in rotations[root] if vertex[d ^ 1] in interior_set]
     centers[root] = 0j
     if not rot:
         return centers
     first = rot[0]
-    nb = g.dart_vertex[first ^ 1]
+    nb = vertex[first ^ 1]
     centers[nb] = complex(math.tanh((radii_h[root] + radii_h[nb]) / 2), 0.0)
     queue = [first, first ^ 1]
     qi = 0
@@ -343,8 +340,8 @@ def _hyperbolic_layout(g, radii_h, interior_set, root: int):
         w = third[d]
         if w < 0 or w in centers or w not in interior_set:
             continue
-        u = g.dart_vertex[d]
-        v = g.dart_vertex[d ^ 1]
+        u = vertex[d]
+        v = vertex[d ^ 1]
         fwd, inv = _mobius_to_zero(centers[u])
         vz = fwd(centers[v])
         phi = cmath.phase(vz)
@@ -352,8 +349,8 @@ def _hyperbolic_layout(g, radii_h, interior_set, root: int):
         rad = math.tanh((radii_h[u] + radii_h[w]) / 2)
         wz = rad * cmath.exp(1j * (phi - alpha))  # right side, clockwise faces
         centers[w] = inv(wz)
-        for dart in g.rotations[w]:
-            if g.dart_vertex[dart ^ 1] in centers:
+        for dart in rotations[w]:
+            if vertex[dart ^ 1] in centers:
                 queue.append(dart)
                 queue.append(dart ^ 1)
     return centers
@@ -387,7 +384,7 @@ def verify_packing(p: CirclePacking) -> PackingCheck:
     index[placed] = np.arange(len(placed))
     z = np.array([p.centers[v] for v in placed], dtype=complex)
     radius = np.array([p.radii[v] for v in placed], dtype=float)
-    ends = index[np.asarray(g.dart_vertex, dtype=np.int64)]
+    ends = index[g.dart_vertex]
     a, b = ends[0::2], ends[1::2]
     both = (a >= 0) & (b >= 0)
     a, b = a[both], b[both]
@@ -552,12 +549,12 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
             flags.append(f"edge {e} has a single inscribed disk (boundary)")
         sets[("e", e)] = disks
 
+    ends = g.dart_vertex.tolist()
     adjacency = []
     for e in g.edges():
         if ("e", e) not in sets:
             continue
-        u, v = g.edge_ends(e)
-        for x in (u, v):
+        for x in ends[2 * e : 2 * e + 2]:
             if ("v", x) in sets:
                 adjacency.append((("v", x), ("e", e)))
     for edges in tri_edges:

@@ -208,13 +208,14 @@ def check_refinement(
     """
     violations = []
     m_edge = 0
+    ends, ref_ends = g.dart_vertex.tolist(), g_ref.dart_vertex.tolist()
     for e in g.edges():
-        u, v = g.edge_ends(e)
+        u, v = ends[2 * e], ends[2 * e + 1]
         cover = rmap.edge_cover.get(e)
         if not cover:
             violations.append(f"edge {e} has no cover")
             continue
-        chain_ok, n_vertices = _check_chain(g_ref, cover, rmap, u, v)
+        chain_ok, n_vertices = _check_chain(ref_ends, cover, rmap, u, v)
         if not chain_ok:
             violations.append(f"edge {e} cover is not a path from {u} to {v}")
         m_edge = max(m_edge, n_vertices)
@@ -245,8 +246,8 @@ def check_refinement(
     )
 
 
-def _check_chain(g_ref, cover, rmap, u, v):
-    """cover must be a refined-edge path from original vertex u to v."""
+def _check_chain(ref_ends, cover, rmap, u, v):
+    """cover must be a refined-edge path from u to v (``ref_ends``: g_ref's ends)."""
     u_id = _refined_id_of_vertex(rmap, u)
     v_id = _refined_id_of_vertex(rmap, v)
     if u_id is None or v_id is None:
@@ -254,7 +255,7 @@ def _check_chain(g_ref, cover, rmap, u, v):
     at = u_id
     seen = {at}
     for e in cover:
-        a, b = g_ref.edge_ends(e)
+        a, b = ref_ends[2 * e], ref_ends[2 * e + 1]
         if a == at:
             at = b
         elif b == at:
@@ -307,14 +308,12 @@ def coarsen_metric(
     if not report.is_refinement:
         raise RefinementError(f"not a refinement: {report.violations[:3]}")
     M = report.m_edge
+    vertex = g.dart_vertex.tolist()
     weights = {}
-    for v in g.vertices():
+    for v, rot in enumerate(g.rotations):
         star = [_refined_id_of_vertex(rmap, v)]
-        for d in g.rotations[v]:
-            e = d >> 1
-            u, w = g.edge_ends(e)
-            far = w if u == v else u
-            star.extend(_edge_interior_vertices(g_ref, rmap, e, v, far))
+        for d in rot:
+            star.extend(_edge_interior_vertices(g_ref, rmap, d >> 1, v, vertex[d ^ 1]))
         weights[v] = 2.0 * M * max(m_ref[x] for x in star)
     return VMetric(weights)
 
@@ -341,7 +340,8 @@ def refine_metric(
     report = check_refinement(g, g_ref, rmap)
     if not report.is_refinement:
         raise RefinementError(f"not a refinement: {report.violations[:3]}")
-    Z = {v for v in g.vertices() if g.degree(v) > K}
+    Z = set(np.flatnonzero(np.diff(g.rot_offsets) > K).tolist())
+    rotations, vertex = g.rotations, g.dart_vertex.tolist()
 
     weights = {}
     for w_id, origin in rmap.vertex_origin.items():
@@ -351,11 +351,11 @@ def refine_metric(
             if v in Z:
                 weights[w_id] = m[v]
             else:
-                pool = [x for x in [v] + g.neighbors(v) if x not in Z]
+                around = [vertex[d ^ 1] for d in rotations[v]]
+                pool = [x for x in [v, *around] if x not in Z]
                 weights[w_id] = 3.0 * max(m[x] for x in pool)
         elif kind == "edge":
-            u, v = g.edge_ends(ref)
-            pool = [x for x in (u, v) if x not in Z]
+            pool = [x for x in vertex[2 * ref : 2 * ref + 2] if x not in Z]
             if not pool:
                 raise RefinementError(
                     f"edge {ref} has both endpoints of degree > {K}; p({K}) fails"

@@ -82,20 +82,20 @@ def build_octagonal_speiser(depth: int) -> RotationGraph:
             raise GraphError("failed to cover the requested ball")
     if root != 0:
         psi = _relabel_root_first(psi, root)
-    tags = two_coloring(psi)
-    if tags is None:
+    psi.tags = two_coloring(psi)
+    if psi.tags is None:
         raise GraphError("octagon tiling patch is unexpectedly not bipartite")
-    return RotationGraph(psi.rotations, frontier=psi.frontier, tags=tags)
+    return psi
 
 
 def _relabel_root_first(g: RotationGraph, root: int) -> RotationGraph:
     """Swap vertex ids so the chosen root becomes vertex 0."""
     perm = list(range(g.n_vertices))
-    perm[0], perm[root] = perm[root], perm[0]
-    inv = perm  # swapping is its own inverse
-    rotations = [g.rotations[perm[v]] for v in range(g.n_vertices)]
-    frontier = {inv[v] for v in g.frontier}
-    tags = {inv[v]: t for v, t in (g.tags or {}).items()} or None
+    perm[0], perm[root] = perm[root], perm[0]  # a swap is its own inverse
+    rotations = g.rotations
+    rotations[0], rotations[root] = rotations[root], rotations[0]
+    frontier = {perm[v] for v in g.frontier}
+    tags = {perm[v]: t for v, t in (g.tags or {}).items()} or None
     return RotationGraph(rotations, frontier=frontier, tags=tags)
 
 
@@ -205,7 +205,7 @@ def lambda_triangulation(
 
     # a dart of an inner face gives (tail, mid, center) and (mid, head, center)
     a, f, ii = at[ins], fid[ins], i[ins]
-    head = np.asarray(g.dart_vertex)[d[ins] ^ 1]
+    head = g.dart_vertex[d[ins] ^ 1]
     c = n + n_edges + f
     spoke0 = 2 * n_edges + 2 * faces.offsets[f]
     two_k = 2 * faces.lengths[f]
@@ -346,44 +346,38 @@ def extended_layer_counts(
             f"k_max {k_max} exceeds base reliable depth {layers.reliable_depth}"
         )
     gd = grid_depth if grid_depth is not None else k_max + 1
-    # per-distance vertex degree sums (number of grid columns starting there)
-    deg_at = [0] * (k_max + 1)
-    for v in range(g.n_vertices):
-        d = layers.dist[v]
-        if 0 <= d <= k_max:
-            deg_at[d] += g.degree(v)
-    base_s = [len(s) for s in layers.spheres[: k_max + 1]]
-    base_s += [0] * (k_max + 1 - len(base_s))
-    base_cut = [len(c) for c in layers.cut_edges[:k_max]]
-    base_cut += [0] * (k_max - len(base_cut))
 
-    def windowed(hist: list[int], k: int, lo_off: int, hi_off: int) -> int:
-        # sum of hist[d] over max(0, k - lo_off) <= d <= k - hi_off
-        lo = max(0, k - lo_off)
-        hi = k - hi_off
-        return sum(hist[lo : hi + 1]) if hi >= lo else 0
+    def per_distance(dist: np.ndarray) -> np.ndarray:
+        return np.bincount(dist[(dist >= 0) & (dist <= k_max)], minlength=k_max + 1)
+
+    # vertices, and degree sums (grid columns starting there: one per dart),
+    # at each distance
+    base_s = per_distance(layers.dist)
+    deg_at = per_distance(layers.dist[g.dart_vertex])
+    cuts = layers.cut_sizes()[:k_max]
+    base_cut = np.array(cuts + [0] * (k_max - len(cuts)), dtype=np.int64)
+
+    def windowed(hist: np.ndarray, ks: np.ndarray, lo_off: int, hi_off: int):
+        # per k: sum of hist[d] over max(0, k - lo_off) <= d <= k - hi_off,
+        # as a difference of prefix sums
+        prefix = np.concatenate([[0], np.cumsum(hist)])
+        lo = np.clip(ks - lo_off, 0, len(hist))
+        hi = ks - hi_off
+        return np.where(hi >= lo, prefix[np.maximum(hi + 1, 0)] - prefix[lo], 0)
 
     # |S_ext(k)| = |S(k)| + #(columns at height 1..gd): positions with
     # k - gd <= D <= k - 1
-    sphere = [base_s[k] + windowed(deg_at, k, gd, 1) for k in range(k_max + 1)]
-    ball = []
-    acc = 0
-    for k in range(k_max + 1):
-        acc += sphere[k]
-        ball.append(acc)
+    ks = np.arange(k_max + 1)
+    sphere = base_s + windowed(deg_at, ks, gd, 1)
     # |E_ext(k)|: base cut + vertical edges m -> m+1 with m + D = k, m < gd
     #           + ring ladders at heights 1..gd over both sides of base edges
-    cut = [
-        base_cut[k]
-        + windowed(deg_at, k, gd - 1, 0)
-        + 2 * windowed(base_cut, k, gd, 1)
-        for k in range(k_max)
-    ]
+    ks = ks[:k_max]
+    cut = base_cut + windowed(deg_at, ks, gd - 1, 0) + 2 * windowed(base_cut, ks, gd, 1)
     return ExtendedLayerCounts(
-        sphere_sizes=sphere,
-        ball_sizes=ball,
-        cut_sizes=cut,
-        base_sphere_sizes=base_s,
+        sphere_sizes=sphere.tolist(),
+        ball_sizes=np.cumsum(sphere).tolist(),
+        cut_sizes=cut.tolist(),
+        base_sphere_sizes=base_s.tolist(),
         reliable_k=k_max,
     )
 
@@ -392,7 +386,7 @@ def speiser_ball(depth: int) -> tuple[RotationGraph, LayerDecomposition]:
     """Octagonal base graph trimmed to exactly B(depth), plus its layers."""
     psi = build_octagonal_speiser(depth)
     layers = bfs_layers(psi, 0)
+    # the ball keeps psi's circle/cross tags: its BFS parities from vertex 0
+    # are psi's
     ball = induced_ball(psi, layers, depth)
-    tags = two_coloring(ball)
-    ball = RotationGraph(ball.rotations, frontier=ball.frontier, tags=tags)
     return ball, bfs_layers(ball, 0)

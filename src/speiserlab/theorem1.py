@@ -15,6 +15,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .errors import FrontierError, ScheduleError
 from .graph_core import RotationGraph, bfs_layers, classify
 from .lattices import triangular_ball
@@ -126,6 +128,7 @@ class UpsilonCheck:
     sphere_holds_all: bool
     sphere_first_k_holding: int | None
     ball_constant: float  # fitted C in |B(k)| <= C k^2 ln k
+    cut_sizes: list[int]  # exact |E(k)| of the extension, k < k_max
 
     def to_dict(self) -> dict:
         return {
@@ -166,11 +169,19 @@ def verify_upsilon_bounds(
         sphere_holds_all=all(ok),
         sphere_first_k_holding=first_k_holding(ok, k_min),
         ball_constant=c_fit,
+        cut_sizes=counts.cut_sizes,
     )
 
 
 @dataclass
 class Theorem1Config:
+    """Parameters of the default ``theorem1`` run.
+
+    ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
+    none reads it.  It is kept so that the report records it and config
+    files that set it stay valid.
+    """
+
     schedule: tuple[int, ...] = (21, 8103)
     growth_k_min: int = 25
     growth_k_max: int = 8000
@@ -278,10 +289,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         k_min=config.upsilon_k_min,
         layers=gamma_layers,
     )
-    counts = extended_layer_counts(
-        gamma, gamma_layers, min(config.upsilon_k_max, gamma_layers.reliable_depth)
-    )
-    nw = nash_williams_sum(counts.cut_sizes)
+    nw = nash_williams_sum(upsilon.cut_sizes)
     nw_strict = all(b > a for a, b in zip(nw, nw[1:]))
     half = len(nw) // 2
     nw_no_plateau = nw_strict and (nw[-1] - nw[half] > 1e-9)
@@ -291,7 +299,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         root=0,
         n_max=config.doyle_n_max,
     )
-    max_deg = max(gamma.degree(v) for v in gamma.interior_vertices())
+    max_deg = int(np.diff(gamma.rot_offsets)[gamma.interior_vertices()].max())
     leg_b = {
         "schedule": list(config.schedule),
         "gamma_vertices": gamma.n_vertices,

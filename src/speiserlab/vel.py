@@ -127,7 +127,7 @@ class _Subproblem:
         a_mask = np.zeros(n, dtype=bool)
         a_mask[self.A] = True
         # dart d runs from its vertex to its twin's
-        tail = local[np.asarray(g.dart_vertex, dtype=np.int64)]
+        tail = local[g.dart_vertex]
         head = tail[np.arange(len(tail)) ^ 1]
         keep = (tail >= 0) & (head >= 0)
         keep[keep] = ~self.b_mask[tail[keep]] & ~a_mask[head[keep]]
@@ -336,13 +336,12 @@ def vel_type_trend(
         else:
             usable.append((ni, no))
 
-    dist = np.asarray(layers.dist)
     estimates = [
         solve_vel(
             g,
             layers.spheres[ni],
             layers.spheres[no],
-            support=np.flatnonzero((dist >= ni) & (dist <= no)),
+            support=np.flatnonzero((layers.dist >= ni) & (layers.dist <= no)),
         )
         for ni, no in usable
     ]

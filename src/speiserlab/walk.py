@@ -90,37 +90,33 @@ def _dirichlet_resistance(
 
 
 def _edge_arrays(g: RotationGraph) -> tuple[np.ndarray, np.ndarray]:
-    ends = np.asarray(g.dart_vertex, dtype=np.int64)
-    return ends[0::2], ends[1::2]
+    return g.dart_vertex[0::2], g.dart_vertex[1::2]
 
 
-def _sphere_resistance(
-    g: RotationGraph,
-    root: int,
-    n: int,
-    layers: LayerDecomposition,
+def _ball_resistances(
+    n_nodes: int,
     u: np.ndarray,
     v: np.ndarray,
-) -> tuple[float, float]:
-    """(resistance, solve residual) from root to the short-circuited S(n).
+    dist: np.ndarray,
+    root: int,
+    n_list: Sequence[int],
+) -> tuple[list[float], list[float]]:
+    """Resistances and solve residuals from root to the short-circuited S(n).
 
-    ``u`` and ``v`` are the edge endpoint arrays of ``_edge_arrays(g)``.
+    The network for radius n is the edges (u, v) with both ends in B(n),
+    that is 0 <= dist <= n, in their given order, less the edges inside
+    S(n), which carry no current.
     """
-    if n < 1:
-        raise GraphError("n must be >= 1")
-    if n > layers.reliable_depth:
-        raise FrontierError(
-            f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
-        )
-    dist = np.asarray(layers.dist)
-    keep = (dist[u] <= n) & (dist[v] <= n) & (dist[u] >= 0) & (dist[v] >= 0)
-    # drop edges between grounded vertices; they carry no current
-    keep &= ~((dist[u] == n) & (dist[v] == n))
-    grounded = dist == n
-    r, resid = _dirichlet_resistance(g.n_vertices, u[keep], v[keep], root, grounded)
-    if resid > 1e-10:
-        raise GraphError(f"linear solve residual {resid} above contract")
-    return r, resid
+    rs, residuals = [], []
+    for n in n_list:
+        inside = (dist >= 0) & (dist <= n)
+        keep = inside[u] & inside[v] & ~((dist[u] == n) & (dist[v] == n))
+        r, resid = _dirichlet_resistance(n_nodes, u[keep], v[keep], root, dist == n)
+        if resid > 1e-10:
+            raise GraphError(f"linear solve residual {resid} above contract")
+        rs.append(r)
+        residuals.append(resid)
+    return rs, residuals
 
 
 def effective_resistance(
@@ -130,8 +126,7 @@ def effective_resistance(
     layers: LayerDecomposition | None = None,
 ) -> float:
     """Resistance from root to the short-circuited sphere S(n)."""
-    layers = layers or bfs_layers(g, root)
-    return _sphere_resistance(g, root, n, layers, *_edge_arrays(g))[0]
+    return resistance_curve(g, root, [n], layers).resistance[0]
 
 
 @dataclass
@@ -151,13 +146,17 @@ def resistance_curve(
     layers: LayerDecomposition | None = None,
 ) -> ResistanceCurve:
     layers = layers or bfs_layers(g, root)
-    u, v = _edge_arrays(g)
-    solves = [_sphere_resistance(g, root, n, layers, u, v) for n in n_list]
-    return ResistanceCurve(
-        radii=list(n_list),
-        resistance=[r for r, _ in solves],
-        residuals=[resid for _, resid in solves],
+    for n in n_list:
+        if n < 1:
+            raise GraphError("n must be >= 1")
+        if n > layers.reliable_depth:
+            raise FrontierError(
+                f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
+            )
+    rs, residuals = _ball_resistances(
+        g.n_vertices, *_edge_arrays(g), layers.dist, root, n_list
     )
+    return ResistanceCurve(radii=list(n_list), resistance=rs, residuals=residuals)
 
 
 def nash_williams_sum(cut_sizes: Sequence[int]) -> list[float]:
@@ -194,7 +193,7 @@ def _upsilon_ball(
     """
     gd = grid_depth if grid_depth is not None else n_max
     faces = trace_faces(g)
-    dist_base = np.asarray(layers.dist, dtype=np.int64)
+    dist_base = layers.dist
     n = g.n_vertices
     inside = (dist_base >= 0) & (dist_base <= n_max)
     a, b = _edge_arrays(g)
@@ -255,19 +254,9 @@ def upsilon_resistance_curve(
         raise FrontierError(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"
         )
-    n_nodes, eu, ev, dist = _upsilon_ball(g, layers, n_max, grid_depth=grid_depth)
-    rs, residuals = [], []
-    for n in n_list:
-        keep = (dist[eu] <= n) & (dist[ev] <= n)
-        keep &= ~((dist[eu] == n) & (dist[ev] == n))
-        grounded = dist == n
-        r, resid = _dirichlet_resistance(
-            n_nodes, eu[keep], ev[keep], root, grounded
-        )
-        if resid > 1e-10:
-            raise GraphError(f"linear solve residual {resid} above contract")
-        rs.append(r)
-        residuals.append(resid)
+    rs, residuals = _ball_resistances(
+        *_upsilon_ball(g, layers, n_max, grid_depth=grid_depth), root, n_list
+    )
     return ResistanceCurve(radii=list(n_list), resistance=rs, residuals=residuals)
 
 

@@ -604,3 +604,165 @@ def test_classify_and_coloring_match_loop_reference():
         inner = [len(g.rotations[v]) for v in g.vertices() if v not in g.frontier]
         assert c.max_degree == max(inner, default=None)
         assert c.homogeneous_degree == (inner[0] if len(set(inner)) == 1 else None)
+
+
+# -- flat rotation arrays against the list-based references ------------------
+
+
+def _reference_from_rotations(incidence):
+    """Per-vertex dart lists from edge-id lists, scanning slot by slot."""
+    seen_once = {}
+    rotations = []
+    for v, inc in enumerate(incidence):
+        rot = []
+        for e in inc:
+            if e in seen_once:
+                if seen_once[e] == -1:
+                    raise GraphError(f"edge {e} appears more than twice")
+                rot.append(2 * e + 1)
+                seen_once[e] = -1
+            else:
+                seen_once[e] = v
+                rot.append(2 * e)
+        rotations.append(rot)
+    unmatched = [e for e, s in seen_once.items() if s != -1]
+    if unmatched:
+        raise GraphError(f"edges with a single endpoint: {sorted(unmatched)}")
+    return rotations
+
+
+def _reference_bfs_layers(g, root, n_max=None):
+    """Queue BFS over the rotation lists, then one pass over the edges."""
+    from collections import deque
+
+    rotations, vertex = g.rotations, g.dart_vertex.tolist()
+    dist = [-1] * g.n_vertices
+    dist[root] = 0
+    order = [root]
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        if n_max is not None and dist[v] >= n_max:
+            continue
+        for d in rotations[v]:
+            w = vertex[d ^ 1]
+            if dist[w] == -1:
+                dist[w] = dist[v] + 1
+                order.append(w)
+                queue.append(w)
+    depth = max(dist[v] for v in order)
+    spheres = [[] for _ in range(depth + 1)]
+    for v in sorted(order):
+        spheres[dist[v]].append(v)
+    cut_edges = [[] for _ in range(depth)]
+    for e in range(g.n_edges):
+        du, dv = dist[vertex[2 * e]], dist[vertex[2 * e + 1]]
+        if du >= 0 and dv >= 0 and abs(du - dv) == 1:
+            cut_edges[min(du, dv)].append(e)
+    frontier_dists = [dist[v] for v in g.frontier if dist[v] != -1]
+    reliable = min(frontier_dists) if frontier_dists else depth
+    if n_max is not None:
+        reliable = min(reliable, depth)
+    return spheres, cut_edges, dist, depth, reliable
+
+
+def _reference_induced_ball(g, layers, n):
+    """Rotations, frontier and tags of B(n), renumbered through dicts."""
+    rotations = g.rotations
+    keep = [v for v in range(g.n_vertices) if 0 <= layers.dist[v] <= n]
+    new_vid = {v: i for i, v in enumerate(keep)}
+    kept_edges = [e for e in range(g.n_edges) if set(g.edge_ends(e)) <= set(new_vid)]
+    new_eid = {e: i for i, e in enumerate(kept_edges)}
+    out, frontier = [], set()
+    for v in keep:
+        rot = [2 * new_eid[d >> 1] + (d & 1) for d in rotations[v] if d >> 1 in new_eid]
+        out.append(rot)
+        if len(rot) < len(rotations[v]) or layers.dist[v] == n or v in g.frontier:
+            frontier.add(new_vid[v])
+    tags = {new_vid[v]: t for v, t in (g.tags or {}).items() if v in new_vid}
+    return out, frontier, tags or None
+
+
+def _reference_graphs():
+    from speiserlab.speiser import GrowthSchedule, build_octagonal_speiser
+    from speiserlab.theorem1 import build_gamma
+
+    return {
+        "gamma": build_gamma(2, GrowthSchedule((21, 8103))),
+        "tri6": triangular_ball(6, 6),
+        "tri8": triangular_ball(8, 5),
+        "tree": regular_tree(3, 5),
+        "grid": grid_patch(6, 5),
+        "square": square_ball(5),
+        "octagonal": build_octagonal_speiser(3),
+    }
+
+
+def test_bfs_layers_and_induced_ball_match_loop_references():
+    for name, g in _reference_graphs().items():
+        for n_max in (None, 2, 5):
+            layers = bfs_layers(g, 0, n_max)
+            got = (
+                layers.spheres,
+                layers.cut_edges,
+                layers.dist.tolist(),
+                layers.depth,
+                layers.reliable_depth,
+            )
+            assert got == _reference_bfs_layers(g, 0, n_max), (name, n_max)
+            assert layers.dist.dtype == np.int64
+            for n in range(min(layers.reliable_depth, 4) + 1):
+                ball = induced_ball(g, layers, n)
+                want = _reference_induced_ball(g, layers, n)
+                assert (ball.rotations, ball.frontier, ball.tags) == want, (name, n)
+
+
+def test_from_rotations_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    for g in (square_ball(3), regular_tree(3, 3), triangular_ball(8, 2), cycle_graph(2)):
+        incidence = [[d >> 1 for d in rot] for rot in g.rotations]
+        # relabel the edges so that first appearances differ from edge order
+        label = rng.permutation(g.n_edges)
+        incidence = [[int(label[e]) for e in inc] for inc in incidence]
+        built = RotationGraph.from_rotations(incidence)
+        assert built.rotations == _reference_from_rotations(incidence)
+
+
+@pytest.mark.parametrize(
+    "incidence",
+    [
+        [[0, 1], [1, 0], [1, 2], [0, 2]],  # edge 1 recurs first, then edge 0
+        [[2, 0], [0, 2], [2], [0]],
+        [[5, 0], [0, 3], [7]],  # unmatched ids, reported sorted
+        [[0, 1], [1, 0, 4], [4, 9, 9, 9]],
+    ],
+)
+def test_from_rotations_errors_match_loop_reference(incidence):
+    with pytest.raises(GraphError) as want:
+        _reference_from_rotations(incidence)
+    with pytest.raises(GraphError) as got:
+        RotationGraph.from_rotations(incidence)
+    assert str(got.value) == str(want.value)
+
+
+def test_rotation_arrays_are_read_only_int64():
+    tri = triangular_ball(6, 3)
+    layers = bfs_layers(tri, 0)
+    for g in (tri, dual(octahedron()), induced_ball(tri, layers, 2), _small_gamma()):
+        for arr in (g.rot_darts, g.rot_offsets, g.dart_vertex, g.rot_succ):
+            assert arr.dtype == np.int64
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert g.rotations == [
+            g.rot_darts[a:b].tolist() for a, b in zip(g.rot_offsets, g.rot_offsets[1:])
+        ]
+        g.rotations[0].append(-1)  # a fresh copy on each access
+        assert g.rotations[0][-1] != -1
+        assert type(g.degree(0)) is int and type(g.rot_next(0)) is int
+        assert all(type(x) is int for x in g.edge_ends(0) + tuple(g.neighbors(0)))
+        assert g.neighbors(0) == [g.edge_ends(d >> 1)[1 - (d & 1)] for d in g.rotations[0]]
+    # a graph built from another graph's face arrays leaves those writeable
+    octa = octahedron()
+    dual(octa)
+    assert trace_faces(octa).darts.flags.writeable

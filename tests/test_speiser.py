@@ -8,6 +8,7 @@ from speiserlab.graph_core import (
     classify,
     euler_characteristic,
     trace_faces,
+    two_coloring,
 )
 from speiserlab.lattices import cycle_graph, grid_patch, triangular_ball
 from speiserlab.speiser import (
@@ -213,9 +214,10 @@ def test_extend_degree_bound_and_columns():
     ups5 = extend_speiser(psi, 2)
     inner = interior_face_mask(psi)
     owner = trace_faces(psi).face_of()
+    rotations = psi.rotations  # rebuilt from the arrays on every access
     checked = 0
     for v in psi.interior_vertices():
-        if inner[owner[psi.rotations[v]]].all():
+        if inner[owner[rotations[v]]].all():
             assert ups5.degree(v) - psi.degree(v) == 3
             checked += 1
     assert checked > 0
@@ -256,3 +258,56 @@ def test_extended_counts_on_triangulation_control():
         assert lay_u.sphere_sizes()[k] == counts.sphere_sizes[k]
     for k in range(k_ok - 1):
         assert lay_u.cut_sizes()[k] == counts.cut_sizes[k]
+
+
+def _reference_layer_counts(g, layers, k_max, grid_depth=None):
+    """Sphere, ball and cut tables by per-vertex and per-window loops."""
+    gd = grid_depth if grid_depth is not None else k_max + 1
+    deg_at = [0] * (k_max + 1)
+    for v in range(g.n_vertices):
+        d = layers.dist[v]
+        if 0 <= d <= k_max:
+            deg_at[d] += g.degree(v)
+    base_s = [len(s) for s in layers.spheres[: k_max + 1]]
+    base_s += [0] * (k_max + 1 - len(base_s))
+    base_cut = [len(c) for c in layers.cut_edges[:k_max]]
+    base_cut += [0] * (k_max - len(base_cut))
+
+    def windowed(hist, k, lo_off, hi_off):
+        lo, hi = max(0, k - lo_off), k - hi_off
+        return sum(hist[lo : hi + 1]) if hi >= lo else 0
+
+    sphere = [base_s[k] + windowed(deg_at, k, gd, 1) for k in range(k_max + 1)]
+    ball = [sum(sphere[: k + 1]) for k in range(k_max + 1)]
+    cut = [
+        base_cut[k] + windowed(deg_at, k, gd - 1, 0) + 2 * windowed(base_cut, k, gd, 1)
+        for k in range(k_max)
+    ]
+    return sphere, ball, cut, base_s
+
+
+def test_extended_layer_counts_match_loop_reference_on_gamma():
+    from speiserlab.theorem1 import build_gamma
+
+    gamma = build_gamma(2, GrowthSchedule((21, 8103)))
+    layers = bfs_layers(gamma, 0)
+    k_max = min(2000, layers.reliable_depth)
+    for grid_depth in (None, 24):
+        counts = extended_layer_counts(gamma, layers, k_max, grid_depth=grid_depth)
+        got = (
+            counts.sphere_sizes,
+            counts.ball_sizes,
+            counts.cut_sizes,
+            counts.base_sphere_sizes,
+        )
+        assert got == _reference_layer_counts(gamma, layers, k_max, grid_depth)
+        assert all(type(x) is int for x in counts.ball_sizes + counts.cut_sizes)
+
+
+def test_speiser_ball_keeps_psi_tags():
+    # induced_ball carries psi's tags over; they are the ball's own BFS
+    # two-colouring, so the ball needs no recolouring
+    for depth in range(1, 7):
+        ball, _ = speiser_ball(depth)
+        assert ball.tags == two_coloring(ball)
+        assert ball.tags[0] == "circle"
