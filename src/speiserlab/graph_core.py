@@ -50,7 +50,8 @@ class RotationGraph:
     ``rot_darts[rot_offsets[v]:rot_offsets[v + 1]]``, ``dart_vertex[d]`` is
     the vertex of dart ``d`` and ``rot_succ[d]`` the dart after ``d`` in that
     vertex's rotation.  Dart ``d`` belongs to edge ``d // 2`` with twin
-    ``d ^ 1``.  ``rotations`` rebuilds the per-vertex lists on each access.
+    ``d ^ 1``.  ``rotation(v)`` is one vertex's darts as a list;
+    ``rotations`` rebuilds every vertex's list on each access.
     """
 
     __slots__ = (
@@ -146,6 +147,11 @@ class RotationGraph:
     def rotations(self) -> list[list[int]]:
         """The darts at each vertex in cyclic order, as fresh lists."""
         return _split(self.rot_darts, self.rot_offsets)
+
+    def rotation(self, v: int) -> list[int]:
+        """The darts at ``v`` in cyclic order."""
+        at = self.rot_offsets
+        return self.rot_darts[at.item(v) : at.item(v + 1)].tolist()
 
     def twin(self, d: int) -> int:
         return d ^ 1

@@ -1,10 +1,15 @@
 """Finite circle packing of disk triangulations.
 
-Radii are solved by the angle-sum iteration: at every interior vertex the
-petal angles computed from tangency triangles must sum to 2*pi.  Euclidean
-packings fix the boundary radii; maximal packings in the unit disk use the
-hyperbolic variant with a large fixed boundary radius standing in for
-horocycles.  Layout places tangency triangles breadth-first from the root.
+Both boundary conditions share one path.  One angle-sum iteration solves
+the label: at every interior vertex the petal angles of the tangency
+triangles must sum to 2*pi, and each sweep scales the interior label by a
+factor of its angle sums.  Euclidean packings fix the boundary radii and
+use the Collins-Stephenson factor.  Maximal packings in the unit disk solve
+the hyperbolic label, with a large fixed boundary radius standing in for
+horocycles, and scale by theta / 2 pi.  One breadth-first layout places
+tangency triangles from the root, by a Euclidean triangle solve or by a
+Mobius placement in the Poincare disk.  ``verify_packing`` recomputes the
+angle sums from the stored label with the solver's corner kernel.
 
 The hyperbolic angle uses
 ``tan^2(a/2) = sinh(h_u) sinh(h_w) / (sinh(h_v) sinh(h_v + h_u + h_w))``
@@ -16,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,12 +39,17 @@ BOUNDARY_HYP_RADIUS = 1000.0
 
 @dataclass
 class CirclePacking:
+    """Solved packing.  ``label`` holds the solved radius of every vertex:
+    Euclidean for EUCLIDEAN, hyperbolic for MAXIMAL, whose ``radii`` and
+    ``centers`` are the Euclidean picture in the unit disk."""
+
     graph: RotationGraph
     radii: dict[int, float]
     centers: dict[int, complex | None]
     boundary_condition: str
     boundary: list[int]
     interior: list[int]
+    label: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def root_radius(self) -> float:
@@ -74,41 +85,10 @@ def _flower_arrays(g: RotationGraph, interior: list[int]):
     )
 
 
-def _euclid_angle_sums(r, cu, cw, cv, offsets):
-    a = r[cu]
-    b = r[cw]
-    c = r[cv]
-    s = np.sqrt((a / (c + a)) * (b / (c + b)))
-    angles = 2.0 * np.arcsin(np.clip(s, 0.0, 1.0))
-    return np.add.reduceat(angles, offsets)
-
-
-def _solve_euclidean(g, interior, boundary, boundary_radii, initial=None):
-    n = g.n_vertices
-    r = np.ones(n)
-    for v, rad in boundary_radii.items():
-        r[v] = rad
-    if initial is not None:
-        for v in interior:
-            r[v] = initial.get(v, 1.0)
-    cv, cu, cw, offsets = _flower_arrays(g, interior)
-    interior_arr = np.asarray(interior, dtype=np.int64)
-    degs = np.diff(g.rot_offsets)[interior_arr].astype(float)
-    sin_target = np.sin(np.pi / degs)
-    for sweep in range(MAX_SWEEPS):
-        theta = _euclid_angle_sums(r, cu, cw, cv, offsets)
-        err = float(np.max(np.abs(theta - 2 * np.pi))) if len(theta) else 0.0
-        if err < ANGLE_TOL:
-            return r, {"sweeps": sweep, "angle_residual": err}
-        # uniform-neighbor update (Collins-Stephenson style)
-        s = np.sin(theta / (2 * degs))
-        s = np.clip(s, 1e-15, 1 - 1e-15)
-        factor = (s * (1 - sin_target)) / (sin_target * (1 - s))
-        r[interior_arr] *= factor
-    raise SolverError(
-        "euclidean packing did not converge",
-        {"sweeps": MAX_SWEEPS, "angle_residual": err},
-    )
+def _euclid_corner(rv, ru, rw):
+    """Angle at v of the Euclidean triangle of circles v, u, w (arrays)."""
+    s = np.sqrt((ru / (rv + ru)) * (rw / (rv + rw)))
+    return 2.0 * np.arcsin(np.clip(s, 0.0, 1.0))
 
 
 def _log_sinh(h):
@@ -125,27 +105,48 @@ def _hyp_angle(hv, hu, hw) -> float:
     return float(_hyp_corner(np.asarray(hv), np.asarray(hu), np.asarray(hw)))
 
 
-def _hyp_angle_sums(h, cu, cw, cv, offsets):
-    return np.add.reduceat(_hyp_corner(h[cv], h[cu], h[cw]), offsets)
+_CORNER = {EUCLIDEAN: _euclid_corner, MAXIMAL: _hyp_corner}
 
 
-def _solve_hyperbolic(g, interior, boundary, h_boundary):
-    n = g.n_vertices
-    h = np.full(n, 0.5)
-    h[np.asarray(boundary, dtype=np.int64)] = h_boundary
-    cv, cu, cw, offsets = _flower_arrays(g, interior)
-    interior_arr = np.asarray(interior, dtype=np.int64)
-    err = 0.0
+def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
+    """Angle sums at the flower's vertices and their largest error from 2 pi."""
+    cv, cu, cw, offsets = flower
+    theta = np.add.reduceat(corner(label[cv], label[cu], label[cw]), offsets)
+    return theta, float(np.max(np.abs(theta - 2 * np.pi)))
+
+
+def _collins_stephenson(g: RotationGraph, interior: list[int]):
+    """Per-sweep radius factor of the uniform-neighbor model: the factor that
+    closes a flower of equal petals with angle sum theta."""
+    degs = np.diff(g.rot_offsets)[interior].astype(float)
+    sin_target = np.sin(np.pi / degs)
+
+    def step(theta):
+        s = np.clip(np.sin(theta / (2 * degs)), 1e-15, 1 - 1e-15)
+        return (s * (1 - sin_target)) / (sin_target * (1 - s))
+
+    return step
+
+
+def _hyp_step(theta):
+    # the angle sum is decreasing in the own radius, so scaling by the
+    # excess is a stable contraction toward the label
+    return theta / (2 * np.pi)
+
+
+def _solve(g, interior, label, corner, step):
+    """Scale ``label[interior]`` by ``step(theta)`` in place, sweep after
+    sweep, until every angle sum is within ANGLE_TOL of 2 pi."""
+    flower = _flower_arrays(g, interior)
+    at = np.asarray(interior, dtype=np.int64)
+    err = math.nan
     for sweep in range(MAX_SWEEPS):
-        theta = _hyp_angle_sums(h, cu, cw, cv, offsets)
-        err = float(np.max(np.abs(theta - 2 * np.pi))) if len(theta) else 0.0
+        theta, err = _angle_sums(label, corner, flower)
         if err < ANGLE_TOL:
-            return h, {"sweeps": sweep, "angle_residual": err}
-        # the angle sum is decreasing in the own radius, so scaling by the
-        # excess is a stable contraction toward the label
-        h[interior_arr] *= theta / (2 * np.pi)
+            return label, {"sweeps": sweep, "angle_residual": err}
+        label[at] *= step(theta)
     raise SolverError(
-        "hyperbolic packing did not converge",
+        "circle packing did not converge",
         {"sweeps": MAX_SWEEPS, "angle_residual": err},
     )
 
@@ -183,46 +184,63 @@ def _third_vertex(g: RotationGraph) -> list[int]:
     return third.tolist()
 
 
-def _layout(g, radii, root: int, order_hint=None):
-    """Breadth-first tangency layout; faces are traced clockwise, so the third
-    vertex of a face sits to the right of each directed edge."""
-    third = _third_vertex(g)
-    rotations, vertex = g.rotations, g.dart_vertex.tolist()
-    centers: dict[int, complex] = {}
-    queue: list[int] = []
+def _layout(g, first: int, reach: float, place, allowed=None) -> dict[int, complex]:
+    """Breadth-first tangency layout from dart ``first``.
 
-    first = rotations[root][0] if order_hint is None else order_hint
-    nb = vertex[first ^ 1]
-    centers[root] = 0j
-    centers[nb] = complex(radii[root] + radii[nb], 0.0)
-    queue.extend([first, first ^ 1])
-    qi = 0
-    while qi < len(queue):
-        d = queue[qi]
-        qi += 1
+    The circle at the dart's tail goes to 0, the one at its head to
+    ``reach`` on the positive real axis.  Faces are traced clockwise, so the
+    third circle w of a face sits to the right of each directed edge
+    u -> v, and ``place(centers, u, v, w)`` returns its center.  Beyond the
+    first two, only circles in ``allowed`` (all when None) are placed.
+    """
+    third = _third_vertex(g)
+    vertex = g.dart_vertex.tolist()
+    centers = {vertex[first]: 0j, vertex[first ^ 1]: complex(reach, 0.0)}
+    queue = [first, first ^ 1]
+    for d in queue:  # breadth-first: the queue grows while it is read
         w = third[d]
-        if w < 0 or w in centers:
+        if w < 0 or w in centers or (allowed is not None and w not in allowed):
             continue
-        u = vertex[d]
-        v = vertex[d ^ 1]
-        cu_, cv_ = centers[u], centers[v]
-        ru, rv, rw = radii[u], radii[v], radii[w]
-        dd = abs(cv_ - cu_)
-        if dd == 0:
-            raise GeometryError("coincident centers during layout")
-        a = ru + rw
-        b = rv + rw
-        x = (dd * dd + a * a - b * b) / (2 * dd)
-        y2 = a * a - x * x
-        y = math.sqrt(max(y2, 0.0))
-        e = (cv_ - cu_) / dd
-        cw_ = cu_ + e * complex(x, -y)  # right side of u -> v
-        centers[w] = cw_
-        for dart in rotations[w]:
+        centers[w] = place(centers, vertex[d], vertex[d ^ 1], w)
+        for dart in g.rotation(w):
             if vertex[dart ^ 1] in centers:
-                queue.append(dart)
-                queue.append(dart ^ 1)
+                queue += (dart, dart ^ 1)
     return centers
+
+
+def _euclid_place(r, centers, u, v, w) -> complex:
+    """Center of circle w tangent to circles u and v, right of u -> v."""
+    cu, cv = centers[u], centers[v]
+    dd = abs(cv - cu)
+    if dd == 0:
+        raise GeometryError("coincident centers during layout")
+    a = r[u] + r[w]
+    b = r[v] + r[w]
+    x = (dd * dd + a * a - b * b) / (2 * dd)
+    y = math.sqrt(max(a * a - x * x, 0.0))
+    return cu + (cv - cu) / dd * complex(x, -y)
+
+
+def _hyp_place(h, centers, u, v, w) -> complex:
+    """Poincare-disk center of circle w tangent to u and v, right of u -> v:
+    a Mobius map moves u to 0, w goes at the hyperbolic angle of the
+    triangle clockwise from v's direction, and the map is undone."""
+    c = centers[u]
+    vz = (centers[v] - c) / (1 - c.conjugate() * centers[v])
+    alpha = _hyp_angle(h[u], h[v], h[w])
+    rad = math.tanh((h[u] + h[w]) / 2)
+    wz = rad * cmath.exp(1j * (cmath.phase(vz) - alpha))
+    return (wz + c) / (1 + c.conjugate() * wz)
+
+
+def _disk_circle(z: complex, h: float) -> tuple[complex, float]:
+    """Euclidean center and radius of the circle of hyperbolic radius h
+    centered at z in the Poincare disk."""
+    d = 2.0 * math.atanh(min(abs(z), 1 - 1e-16))
+    t1 = math.tanh((d + h) / 2)
+    t2 = math.tanh((d - h) / 2)
+    mid = (t1 + t2) / 2
+    return (mid * (z / abs(z)) if abs(z) > 0 else 0j), (t1 - t2) / 2
 
 
 def pack_disk(
@@ -249,111 +267,58 @@ def pack_disk(
     _check_triangulation(g, outer_face)
 
     if boundary == EUCLIDEAN:
+        start = np.ones(g.n_vertices)
         if isinstance(boundary_radii, dict):
-            brad = {v: float(boundary_radii[v]) for v in bverts}
+            start[bverts] = [float(boundary_radii[v]) for v in bverts]
         else:
-            brad = {v: float(boundary_radii) for v in bverts}
-        r, diag = _solve_euclidean(g, interior, bverts, brad)
-        radii = {v: float(r[v]) for v in g.vertices()}
-        centers = {v: None for v in g.vertices()}
-        if layout:
-            centers.update(_layout(g, radii, root))
-        return CirclePacking(
-            graph=g,
-            radii=radii,
-            centers=centers,
-            boundary_condition=EUCLIDEAN,
-            boundary=bverts,
-            interior=interior,
-            diagnostics=diag,
-        )
+            start[bverts] = float(boundary_radii)
+        step = _collins_stephenson(g, interior)
+    elif boundary == MAXIMAL:
+        start = np.full(g.n_vertices, 0.5)
+        start[bverts] = BOUNDARY_HYP_RADIUS
+        step = _hyp_step
+    else:
+        raise GeometryError(f"unknown boundary condition {boundary!r}")
+    corner = _CORNER[boundary]
+    label, diag = _solve(g, interior, start.copy(), corner, step)
+    r = label.tolist()
 
-    if boundary == MAXIMAL:
-        h, diag = _solve_hyperbolic(g, interior, bverts, BOUNDARY_HYP_RADIUS)
-        diag = dict(diag)
+    centers = dict.fromkeys(g.vertices())
+    if boundary == EUCLIDEAN:
+        radii = dict(enumerate(r))
+        if layout:
+            first = g.rotation(root)[0]
+            reach = r[root] + r[g.dart_vertex.item(first ^ 1)]
+            centers.update(_layout(g, first, reach, partial(_euclid_place, r)))
+    else:
         if sensitivity:
-            h_alt, _ = _solve_hyperbolic(g, interior, bverts, BOUNDARY_HYP_RADIUS / 2)
+            start[bverts] = BOUNDARY_HYP_RADIUS / 2
+            alt, _ = _solve(g, interior, start, corner, step)
             diag["root_radius_sensitivity"] = abs(
-                math.tanh(h[root] / 2) - math.tanh(h_alt[root] / 2)
+                math.tanh(r[root] / 2) - math.tanh(alt[root] / 2)
             )
-        radii_h = {v: float(h[v]) for v in g.vertices()}
-        # euclidean data for the normalized packing (root at the disk center)
-        centers = {v: None for v in g.vertices()}
-        radii_e = {}
-        if layout:
-            hyp_centers = _hyperbolic_layout(g, radii_h, set(interior), root)
-        else:
-            hyp_centers = {root: 0j}
-        for v in g.vertices():
-            z = hyp_centers.get(v)
-            if z is None:
-                radii_e[v] = float("nan")
-                continue
-            d = 2.0 * math.atanh(min(abs(z), 1 - 1e-16))
-            hv = radii_h[v]
-            t1 = math.tanh((d + hv) / 2)
-            t2 = math.tanh((d - hv) / 2)
-            radii_e[v] = (t1 - t2) / 2
-            mid = (t1 + t2) / 2
-            centers[v] = mid * (z / abs(z)) if abs(z) > 0 else 0j
-        radii_e = {v: radii_e.get(v, float("nan")) for v in g.vertices()}
-        return CirclePacking(
-            graph=g,
-            radii=radii_e,
-            centers=centers,
-            boundary_condition=MAXIMAL,
-            boundary=bverts,
-            interior=interior,
-            diagnostics={**diag, "hyperbolic_radii_root": radii_h[root]},
-        )
-
-    raise GeometryError(f"unknown boundary condition {boundary!r}")
-
-
-def _mobius_to_zero(c):
-    def fwd(z):
-        return (z - c) / (1 - c.conjugate() * z)
-
-    def inv(z):
-        return (z + c) / (1 + c.conjugate() * z)
-
-    return fwd, inv
-
-
-def _hyperbolic_layout(g, radii_h, interior_set, root: int):
-    """Poincare-disk centers for interior circles (boundary sits too deep)."""
-    third = _third_vertex(g)
-    rotations, vertex = g.rotations, g.dart_vertex.tolist()
-    centers: dict[int, complex] = {}
-    rot = [d for d in rotations[root] if vertex[d ^ 1] in interior_set]
-    centers[root] = 0j
-    if not rot:
-        return centers
-    first = rot[0]
-    nb = vertex[first ^ 1]
-    centers[nb] = complex(math.tanh((radii_h[root] + radii_h[nb]) / 2), 0.0)
-    queue = [first, first ^ 1]
-    qi = 0
-    while qi < len(queue):
-        d = queue[qi]
-        qi += 1
-        w = third[d]
-        if w < 0 or w in centers or w not in interior_set:
-            continue
-        u = vertex[d]
-        v = vertex[d ^ 1]
-        fwd, inv = _mobius_to_zero(centers[u])
-        vz = fwd(centers[v])
-        phi = cmath.phase(vz)
-        alpha = _hyp_angle(radii_h[u], radii_h[v], radii_h[w])
-        rad = math.tanh((radii_h[u] + radii_h[w]) / 2)
-        wz = rad * cmath.exp(1j * (phi - alpha))  # right side, clockwise faces
-        centers[w] = inv(wz)
-        for dart in rotations[w]:
-            if vertex[dart ^ 1] in centers:
-                queue.append(dart)
-                queue.append(dart ^ 1)
-    return centers
+        diag["hyperbolic_radii_root"] = r[root]
+        # the boundary circles sit too deep to lay out; the root goes to the
+        # disk center
+        inner = set(interior)
+        darts = [d for d in g.rotation(root) if g.dart_vertex.item(d ^ 1) in inner]
+        placed = {root: 0j}
+        if layout and darts:
+            reach = math.tanh((r[root] + r[g.dart_vertex.item(darts[0] ^ 1)]) / 2)
+            placed = _layout(g, darts[0], reach, partial(_hyp_place, r), inner)
+        radii = dict.fromkeys(g.vertices(), math.nan)
+        for v, z in placed.items():
+            centers[v], radii[v] = _disk_circle(z, r[v])
+    return CirclePacking(
+        graph=g,
+        radii=radii,
+        centers=centers,
+        boundary_condition=boundary,
+        boundary=bverts,
+        interior=interior,
+        label=label,
+        diagnostics=diag,
+    )
 
 
 @dataclass
@@ -364,21 +329,16 @@ class PackingCheck:
 
 
 def verify_packing(p: CirclePacking) -> PackingCheck:
-    """Re-check the packing invariants from the stored radii and centers.
+    """Re-check the packing invariants from the stored label and centers.
 
-    ``min_separation_margin`` is the smallest gap between two placed circles
-    that are not joined by an edge (negative if they overlap), or inf when no
-    such pair exists.
+    The angle residual is recomputed from ``label`` with the solver's
+    corner kernel for either boundary condition.  ``min_separation_margin``
+    is the smallest gap between two placed circles that are not joined by an
+    edge (negative if they overlap), or inf when no such pair exists.
     """
     g = p.graph
-    interior = p.interior
-    cv, cu, cw, offsets = _flower_arrays(g, interior)
-    if p.boundary_condition == EUCLIDEAN:
-        r = np.asarray([p.radii[v] for v in g.vertices()])
-        theta = _euclid_angle_sums(r, cu, cw, cv, offsets)
-        angle_resid = float(np.max(np.abs(theta - 2 * np.pi)))
-    else:
-        angle_resid = float(p.diagnostics.get("angle_residual", math.nan))
+    flower = _flower_arrays(g, p.interior)
+    _, angle_resid = _angle_sums(p.label, _CORNER[p.boundary_condition], flower)
     placed = [v for v in g.vertices() if p.centers.get(v) is not None]
     index = np.full(g.n_vertices, -1, dtype=np.int64)
     index[placed] = np.arange(len(placed))

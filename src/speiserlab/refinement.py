@@ -310,9 +310,9 @@ def coarsen_metric(
     M = report.m_edge
     vertex = g.dart_vertex.tolist()
     weights = {}
-    for v, rot in enumerate(g.rotations):
+    for v in g.vertices():
         star = [_refined_id_of_vertex(rmap, v)]
-        for d in rot:
+        for d in g.rotation(v):
             star.extend(_edge_interior_vertices(g_ref, rmap, d >> 1, v, vertex[d ^ 1]))
         weights[v] = 2.0 * M * max(m_ref[x] for x in star)
     return VMetric(weights)
@@ -341,7 +341,7 @@ def refine_metric(
     if not report.is_refinement:
         raise RefinementError(f"not a refinement: {report.violations[:3]}")
     Z = set(np.flatnonzero(np.diff(g.rot_offsets) > K).tolist())
-    rotations, vertex = g.rotations, g.dart_vertex.tolist()
+    vertex = g.dart_vertex.tolist()
 
     weights = {}
     for w_id, origin in rmap.vertex_origin.items():
@@ -351,8 +351,7 @@ def refine_metric(
             if v in Z:
                 weights[w_id] = m[v]
             else:
-                around = [vertex[d ^ 1] for d in rotations[v]]
-                pool = [x for x in [v, *around] if x not in Z]
+                pool = [x for x in [v, *g.neighbors(v)] if x not in Z]
                 weights[w_id] = 3.0 * max(m[x] for x in pool)
         elif kind == "edge":
             pool = [x for x in vertex[2 * ref : 2 * ref + 2] if x not in Z]

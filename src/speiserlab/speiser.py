@@ -41,7 +41,6 @@ class GrowthSchedule:
     """Sequence of odd tree lengths, one per cut-edge layer."""
 
     lengths: tuple[int, ...]
-    origin: str = "custom"  # "paper" or "custom"
 
     def __post_init__(self):
         if not self.lengths:
@@ -92,11 +91,16 @@ def _relabel_root_first(g: RotationGraph, root: int) -> RotationGraph:
     """Swap vertex ids so the chosen root becomes vertex 0."""
     perm = list(range(g.n_vertices))
     perm[0], perm[root] = perm[root], perm[0]  # a swap is its own inverse
-    rotations = g.rotations
-    rotations[0], rotations[root] = rotations[root], rotations[0]
+    # darts keep their ids; the two vertices' segments of rot_darts swap
+    darts, off = g.rot_darts, g.rot_offsets
+    a, b, c = off.item(1), off.item(root), off.item(root + 1)
+    darts = np.concatenate([darts[b:c], darts[a:b], darts[:a], darts[c:]])
+    degree = np.diff(g.rot_offsets)[perm]
     frontier = {perm[v] for v in g.frontier}
     tags = {perm[v]: t for v, t in (g.tags or {}).items()} or None
-    return RotationGraph(rotations, frontier=frontier, tags=tags)
+    return RotationGraph._flat(
+        darts, np.concatenate([[0], np.cumsum(degree)]), frontier=frontier, tags=tags
+    )
 
 
 def tree_replace(

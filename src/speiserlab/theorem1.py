@@ -242,7 +242,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     """Run both evidence legs and assemble the deterministic report."""
     config = config or Theorem1Config()
     # a bad schedule or leg-A radius fails here, before any graph is built
-    schedule = GrowthSchedule(tuple(config.schedule), origin="custom")
+    schedule = GrowthSchedule(tuple(config.schedule))
     _check_leg_a_radii(config)
     notes = [
         "verdicts are truncation trends, not proofs",

@@ -27,68 +27,6 @@ from .speiser import extended_layer_counts
 from .trend import classify_resistance_curve, first_converged_n
 
 
-def _dirichlet_resistance(
-    n_nodes: int,
-    edges_u: np.ndarray,
-    edges_v: np.ndarray,
-    root: int,
-    grounded: np.ndarray,
-) -> tuple[float, float]:
-    """Resistance root -> grounded set with unit conductance per edge row.
-
-    Returns (resistance, relative residual of the interior solve).
-    """
-    grounded = np.asarray(grounded, dtype=bool)
-    if grounded[root]:
-        raise GraphError("root is grounded")
-    u, v = edges_u, edges_v
-    deg = np.zeros(n_nodes)
-    np.add.at(deg, u, 1.0)
-    np.add.at(deg, v, 1.0)
-    # unknowns: non-grounded nodes actually touched by a kept edge
-    interior = ~grounded & (deg > 0)
-    interior[root] = False
-    idx = np.full(n_nodes, -1, dtype=np.int64)
-    idx[interior] = np.arange(int(interior.sum()))
-
-    # Laplacian acting on interior unknowns; root contributes to the rhs
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(int(interior.sum()))
-    for a, b in ((u, v), (v, u)):
-        mask = interior[a]
-        ai = idx[a[mask]]
-        bj = b[mask]
-        off = interior[bj]
-        rows.append(ai[off])
-        cols.append(idx[bj[off]])
-        vals.append(-np.ones(int(off.sum())))
-        from_root = bj == root
-        np.add.at(rhs, ai[from_root], 1.0)
-    ai = idx[interior]
-    rows.append(ai)
-    cols.append(ai)
-    vals.append(deg[interior])
-    L = csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(rhs), len(rhs)),
-    )
-    if len(rhs) == 0:
-        # root adjacent only to ground
-        current = deg[root]
-        return 1.0 / current, 0.0
-    x = spsolve(L.tocsc(), rhs)
-    resid = float(np.linalg.norm(L @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    # current out of the root: sum over root edges of (1 - potential(other))
-    pot = np.zeros(n_nodes)
-    pot[root] = 1.0
-    pot[interior] = x
-    current = 0.0
-    for a, b in ((u, v), (v, u)):
-        mask = a == root
-        current += float(np.sum(1.0 - pot[b[mask]]))
-    return 1.0 / current, resid
-
-
 def _edge_arrays(g: RotationGraph) -> tuple[np.ndarray, np.ndarray]:
     return g.dart_vertex[0::2], g.dart_vertex[1::2]
 
@@ -103,18 +41,53 @@ def _ball_resistances(
 ) -> tuple[list[float], list[float]]:
     """Resistances and solve residuals from root to the short-circuited S(n).
 
-    The network for radius n is the edges (u, v) with both ends in B(n),
-    that is 0 <= dist <= n, in their given order, less the edges inside
-    S(n), which carry no current.
+    Every edge (u, v) is a unit resistor; ``dist`` is the distance from the
+    root (-1 if unreached), so it changes by at most one along an edge.  The
+    Laplacian of the edges inside B(max n) is assembled once.  Radius n
+    solves for the potentials of the nodes at distances 0..n-1 that an edge
+    touches, less the root: none of them has an edge leaving B(n), so their
+    Laplacian is its principal submatrix.  The root current is summed over
+    the root's edges in their given order, first where the root is u.
     """
+    inside = (dist >= 0) & (dist <= max(n_list, default=0))
+    keep = inside[u] & inside[v]
+    u, v = u[keep], v[keep]
+    ones = np.ones(len(u))
+    deg = np.bincount(u, minlength=n_nodes) + np.bincount(v, minlength=n_nodes)
+    lap = csr_matrix(
+        (
+            np.concatenate([-ones, -ones, deg.astype(float)]),
+            (
+                np.concatenate([u, v, np.arange(n_nodes)]),
+                np.concatenate([v, u, np.arange(n_nodes)]),
+            ),
+        ),
+        shape=(n_nodes, n_nodes),
+    )
+    # the far ends of the root's edges, and per node its edges to the root
+    far = [v[u == root], u[v == root]]
+    to_root = np.bincount(np.concatenate(far), minlength=n_nodes).astype(float)
     rs, residuals = [], []
     for n in n_list:
-        inside = (dist >= 0) & (dist <= n)
-        keep = inside[u] & inside[v] & ~((dist[u] == n) & (dist[v] == n))
-        r, resid = _dirichlet_resistance(n_nodes, u[keep], v[keep], root, dist == n)
-        if resid > 1e-10:
-            raise GraphError(f"linear solve residual {resid} above contract")
-        rs.append(r)
+        if dist[root] == n:
+            raise GraphError("root is grounded")
+        free = (dist >= 0) & (dist < n) & (deg > 0)
+        free[root] = False
+        at = np.flatnonzero(free)
+        pot = np.zeros(n_nodes)
+        pot[root] = 1.0
+        resid = 0.0
+        if len(at):
+            sub = lap[at][:, at]
+            rhs = to_root[at]
+            x = spsolve(sub.tocsc(), rhs)
+            scale = max(np.linalg.norm(rhs), 1e-300)
+            resid = float(np.linalg.norm(sub @ x - rhs) / scale)
+            if resid > 1e-10:
+                raise GraphError(f"linear solve residual {resid} above contract")
+            pot[at] = x
+        current = sum(float(np.sum(1.0 - pot[ends])) for ends in far)
+        rs.append(1.0 / current)
         residuals.append(resid)
     return rs, residuals
 

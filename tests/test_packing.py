@@ -1,12 +1,17 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from speiserlab import packing
+from speiserlab.cli import main
+from speiserlab.errors import SolverError
 from speiserlab.graph_core import bfs_layers
 from speiserlab.lattices import hex_flower, triangular_ball
 from speiserlab.packing import (
+    ANGLE_TOL,
     EUCLIDEAN,
     MAXIMAL,
     inscribed_collection,
@@ -63,9 +68,12 @@ def test_two_ring_matches_scalar_oracle():
 def test_layout_two_orders_agree_up_to_rigid_motion():
     g = triangular_ball(6, 2)
     p1 = pack_disk(g, boundary=EUCLIDEAN)
-    from speiserlab.packing import _layout
+    from speiserlab.packing import _euclid_place, _layout
 
-    centers2 = _layout(g, p1.radii, 0, order_hint=g.rotations[0][2])
+    r = p1.label.tolist()
+    first = g.rotations[0][2]
+    reach = r[0] + r[g.dart_vertex[first ^ 1]]
+    centers2 = _layout(g, first, reach, partial(_euclid_place, r))
     # align: rotate so the first neighbor direction matches
     nb1 = g.dart_vertex[g.rotations[0][0] ^ 1]
     nb2 = g.dart_vertex[g.rotations[0][2] ^ 1]
@@ -118,6 +126,37 @@ def test_maximal_root_radius_monotone():
     rho3 = math.tanh(p3.diagnostics["hyperbolic_radii_root"] / 2)
     assert rho3 < rho2
     assert p2.diagnostics["root_radius_sensitivity"] < 1e-6
+
+
+def test_verify_recomputes_maximal_angle_residual():
+    p = pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)
+    assert verify_packing(p).max_angle_residual == p.diagnostics["angle_residual"]
+    label = p.label.copy()
+    label[0] *= 1.01
+    check = verify_packing(replace(p, label=label))
+    assert check.max_angle_residual >= ANGLE_TOL
+
+
+@pytest.mark.parametrize("boundary", [EUCLIDEAN, MAXIMAL])
+def test_unconverged_packing_raises_with_diagnostics(boundary, monkeypatch):
+    monkeypatch.setattr(packing, "MAX_SWEEPS", 3)
+    with pytest.raises(SolverError) as info:
+        pack_disk(triangular_ball(8, 4), boundary=boundary)
+    assert info.value.diagnostics["sweeps"] == 3
+    assert info.value.diagnostics["angle_residual"] >= ANGLE_TOL
+
+
+def test_ratio_trend_cli_unconverged_exits_3(tmp_path, monkeypatch, capsys):
+    import json
+
+    monkeypatch.setattr(packing, "MAX_SWEEPS", 3)
+    out = tmp_path / "trend.json"
+    argv = ["analyze", "ratio-trend", "--family", "tri8", "--ns", "3,4"]
+    assert main(argv + ["-o", str(out)]) == 3
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["sweeps"] == 3
+    assert diag["angle_residual"] >= ANGLE_TOL
+    assert "solver failed" in capsys.readouterr().err
 
 
 def test_maximal_interior_tangency():

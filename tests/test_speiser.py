@@ -31,6 +31,27 @@ def test_octagonal_root_sphere():
     assert layers.sphere_sizes()[1] == 3
 
 
+def test_relabel_root_first_matches_swapped_rotations():
+    # the octagonal builder's root is vertex 0 already, so call the relabel
+    # directly and compare it with a graph built from swapped rotation lists
+    from speiserlab.graph_core import RotationGraph, to_json
+    from speiserlab.speiser import _relabel_root_first
+
+    g = build_octagonal_speiser(2)
+    for root in (1, 7, g.n_vertices - 1):
+        out = _relabel_root_first(g, root)
+        rotations = g.rotations
+        rotations[0], rotations[root] = rotations[root], rotations[0]
+        swap = {0: root, root: 0}
+        want = RotationGraph(
+            rotations,
+            frontier={swap.get(v, v) for v in g.frontier},
+            tags={swap.get(v, v): t for v, t in g.tags.items()},
+        )
+        assert out.rotations == rotations
+        assert to_json(out) == to_json(want)
+
+
 def test_octagonal_depth6():
     psi = build_octagonal_speiser(6)
     layers = bfs_layers(psi, 0)

@@ -97,7 +97,7 @@ def test_rayleigh_monotonicity_edge_deletion():
     base = effective_resistance(g, 0, 5, layers=layers)
     rng = np.random.default_rng(7)
     from speiserlab.graph_core import RotationGraph
-    from speiserlab.walk import _dirichlet_resistance, _edge_arrays
+    from speiserlab.walk import _ball_resistances, _edge_arrays
 
     u, v = _edge_arrays(g)
     dist = np.asarray(layers.dist)
@@ -105,9 +105,9 @@ def test_rayleigh_monotonicity_edge_deletion():
     keep &= ~((dist[u] == 5) & (dist[v] == 5))
     idx = np.flatnonzero(keep)
     for e in rng.choice(idx, size=5, replace=False):
-        mask = keep.copy()
+        mask = np.ones(len(u), dtype=bool)
         mask[e] = False
-        r, _ = _dirichlet_resistance(g.n_vertices, u[mask], v[mask], 0, dist == 5)
+        (r,), _ = _ball_resistances(g.n_vertices, u[mask], v[mask], dist, 0, [5])
         assert r >= base - 1e-12
 
 
@@ -240,7 +240,7 @@ def _reference_upsilon_ball(g, layers, n_max, grid_depth=None):
 )
 def test_upsilon_ball_matches_loop_reference(source, n_max, grid_depth):
     # same nodes, and the same edges in the same order: the root current of
-    # _dirichlet_resistance is summed in edge order
+    # _ball_resistances is summed in edge order
     from speiserlab.lattices import octahedron
     from speiserlab.theorem1 import build_gamma
     from speiserlab.walk import _upsilon_ball
