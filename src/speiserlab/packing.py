@@ -116,8 +116,8 @@ def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
 
 
 def _collins_stephenson(g: RotationGraph, interior: list[int]):
-    """Per-sweep radius factor of the uniform-neighbor model: the factor that
-    closes a flower of equal petals with angle sum theta."""
+    """Collins-Stephenson factor: replace the neighbors of v by equal circles
+    with the same angle sum theta, and scale r_v so that flower closes."""
     degs = np.diff(g.rot_offsets)[interior].astype(float)
     sin_target = np.sin(np.pi / degs)
 

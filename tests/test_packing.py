@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from speiserlab import packing
-from speiserlab.cli import main
 from speiserlab.errors import SolverError
 from speiserlab.graph_core import bfs_layers
 from speiserlab.lattices import hex_flower, triangular_ball
@@ -144,19 +143,6 @@ def test_unconverged_packing_raises_with_diagnostics(boundary, monkeypatch):
         pack_disk(triangular_ball(8, 4), boundary=boundary)
     assert info.value.diagnostics["sweeps"] == 3
     assert info.value.diagnostics["angle_residual"] >= ANGLE_TOL
-
-
-def test_ratio_trend_cli_unconverged_exits_3(tmp_path, monkeypatch, capsys):
-    import json
-
-    monkeypatch.setattr(packing, "MAX_SWEEPS", 3)
-    out = tmp_path / "trend.json"
-    argv = ["analyze", "ratio-trend", "--family", "tri8", "--ns", "3,4"]
-    assert main(argv + ["-o", str(out)]) == 3
-    diag = json.loads(out.read_text())["diagnostics"]
-    assert diag["sweeps"] == 3
-    assert diag["angle_residual"] >= ANGLE_TOL
-    assert "solver failed" in capsys.readouterr().err
 
 
 def test_maximal_interior_tangency():
