@@ -52,9 +52,6 @@ class CirclePacking:
     label: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    def root_radius(self) -> float:
-        return self.radii[0]
-
     def extent(self) -> float:
         vals = [
             abs(c) + self.radii[v]
@@ -250,14 +247,12 @@ def pack_disk(
     outer_face: int | None = None,
     root: int = 0,
     layout: bool = True,
-    sensitivity: bool = True,
 ) -> CirclePacking:
     """Solve the packing radii (and optionally centers) of a disk triangulation.
 
     ``boundary`` selects the euclidean label with fixed boundary radii or the
     maximal packing of the unit disk (hyperbolic label with boundary radius
-    1000 standing in for horocycles; sensitivity to that choice is reported
-    in the diagnostics).
+    ``BOUNDARY_HYP_RADIUS`` standing in for horocycles).
     """
     bverts = _boundary_vertices(g, outer_face)
     bset = set(bverts)
@@ -280,7 +275,7 @@ def pack_disk(
     else:
         raise GeometryError(f"unknown boundary condition {boundary!r}")
     corner = _CORNER[boundary]
-    label, diag = _solve(g, interior, start.copy(), corner, step)
+    label, diag = _solve(g, interior, start, corner, step)
     r = label.tolist()
 
     centers = dict.fromkeys(g.vertices())
@@ -291,12 +286,6 @@ def pack_disk(
             reach = r[root] + r[g.dart_vertex.item(first ^ 1)]
             centers.update(_layout(g, first, reach, partial(_euclid_place, r)))
     else:
-        if sensitivity:
-            start[bverts] = BOUNDARY_HYP_RADIUS / 2
-            alt, _ = _solve(g, interior, start, corner, step)
-            diag["root_radius_sensitivity"] = abs(
-                math.tanh(r[root] / 2) - math.tanh(alt[root] / 2)
-            )
         diag["hyperbolic_radii_root"] = r[root]
         # the boundary circles sit too deep to lay out; the root goes to the
         # disk center
@@ -435,7 +424,7 @@ def ratio_trend(ball_builder, n_list: list[int], root: int = 0) -> CpTypeReport:
     rho = []
     for n in n_list:
         g = ball_builder(n)
-        p = pack_disk(g, boundary=MAXIMAL, root=root, layout=False, sensitivity=False)
+        p = pack_disk(g, boundary=MAXIMAL, root=root, layout=False)
         rho.append(math.tanh(p.diagnostics["hyperbolic_radii_root"] / 2))
     fit = classify_radius_trend(n_list, rho)
     return CpTypeReport(

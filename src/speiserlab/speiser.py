@@ -66,41 +66,19 @@ def build_octagonal_speiser(depth: int) -> RotationGraph:
         raise GraphError("depth must be >= 1")
     rings = depth + 2
     while True:
-        tri = triangular_ball(8, rings)
-        psi = dual(tri, drop_frontier_faces=True)
-        # root: the dual vertex of a face incident to the center of the ball;
-        # dual vertex ids are the ranks of the kept faces, so take the first.
-        faces = trace_faces(tri)
-        at_center = np.logical_or.reduceat(faces.vertices == 0, faces.offsets[:-1])
-        root = int(np.flatnonzero(at_center[~faces.touches_frontier])[0])
-        layers = bfs_layers(psi, root)
-        if layers.reliable_depth >= depth:
+        psi = dual(triangular_ball(8, rings), drop_frontier_faces=True)
+        # dual vertex ids are the ranks of the kept faces.  Face 0 of the
+        # ball is the face of dart 0 at the center vertex 0, and with
+        # rings >= 3 it touches no frontier vertex, so it is kept as vertex 0
+        if bfs_layers(psi, 0).reliable_depth >= depth:
             break
         rings += 1
         if rings > depth + 8:
             raise GraphError("failed to cover the requested ball")
-    if root != 0:
-        psi = _relabel_root_first(psi, root)
     psi.tags = two_coloring(psi)
     if psi.tags is None:
         raise GraphError("octagon tiling patch is unexpectedly not bipartite")
     return psi
-
-
-def _relabel_root_first(g: RotationGraph, root: int) -> RotationGraph:
-    """Swap vertex ids so the chosen root becomes vertex 0."""
-    perm = list(range(g.n_vertices))
-    perm[0], perm[root] = perm[root], perm[0]  # a swap is its own inverse
-    # darts keep their ids; the two vertices' segments of rot_darts swap
-    darts, off = g.rot_darts, g.rot_offsets
-    a, b, c = off.item(1), off.item(root), off.item(root + 1)
-    darts = np.concatenate([darts[b:c], darts[a:b], darts[:a], darts[c:]])
-    degree = np.diff(g.rot_offsets)[perm]
-    frontier = {perm[v] for v in g.frontier}
-    tags = {perm[v]: t for v, t in (g.tags or {}).items()} or None
-    return RotationGraph._flat(
-        darts, np.concatenate([[0], np.cumsum(degree)]), frontier=frontier, tags=tags
-    )
 
 
 def tree_replace(

@@ -118,3 +118,163 @@ def test_check_hs_disjoint_family_fails():
     )
     report = check_hs(None, col, samples=2_000, seed=5)
     assert not report.adjacency_ok
+
+
+# -- array kernels against the loop versions they replaced ------------------
+
+
+def _touches_ref(ca, ra, cb, rb):
+    return abs(ca - cb) <= (ra + rb) * (1 + 1e-9)
+
+
+def _connected_ref(disks):
+    """Union-find over touching pairs."""
+    parent = list(range(len(disks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, (ci, ri) in enumerate(disks):
+        for j in range(i + 1, len(disks)):
+            cj, rj = disks[j]
+            if _touches_ref(ci, ri, cj, rj):
+                parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(disks))}) == 1
+
+
+def _contains_ref(disks, pts):
+    inside = np.zeros(len(pts), dtype=bool)
+    for c, r in disks:
+        inside |= np.abs(pts - c) <= r
+    return inside
+
+
+def _random_disks(rng, n):
+    """Random disks, plus disks tangent to and identical with earlier ones."""
+    disks = []
+    for _ in range(n):
+        kind = rng.integers(3) if disks else 0
+        if kind == 0:
+            c = complex(*rng.uniform(-4, 4, size=2))
+            disks.append((c, float(rng.uniform(0.2, 2.0))))
+        elif kind == 1:
+            c, r = disks[rng.integers(len(disks))]
+            r2 = float(rng.uniform(0.2, 2.0))
+            disks.append((c + (r + r2) * np.exp(2j * np.pi * rng.random()), r2))
+        else:
+            disks.append(disks[rng.integers(len(disks))])
+    return disks
+
+
+def _seeded_families(count=40):
+    rng = np.random.default_rng(2024)
+    return [_random_disks(rng, int(rng.integers(1, 12))) for _ in range(count)]
+
+
+def _connected_prefix(disks):
+    """The longest prefix of ``disks`` whose union is connected."""
+    while not _connected_ref(disks):
+        disks = disks[:-1]
+    return tuple(disks)
+
+
+def test_connectivity_matches_union_find():
+    seen = set()
+    for disks in _seeded_families():
+        want = _connected_ref(disks)
+        seen.add(want)
+        if want:
+            s = PlanarSet(tuple(disks))
+            assert s.disks == tuple(disks)
+            assert np.array_equal(s.centers, [c for c, _ in disks])
+            assert np.array_equal(s.radii, [r for _, r in disks])
+        else:
+            with pytest.raises(GeometryError, match="not connected"):
+                PlanarSet(tuple(disks))
+    assert seen == {True, False}
+
+
+def test_tangent_and_identical_disks_connect():
+    s = PlanarSet(((0j, 1.0), (2.0 + 0j, 1.0), (2.0 + 0j, 1.0)))
+    assert _connected_ref(s.disks)
+    with pytest.raises(GeometryError):
+        PlanarSet(((0j, 1.0), (2.0 + 1e-3j, 1.0)))
+    a = PlanarSet.disk(0j, 0.3)
+    b = PlanarSet.disk(0.7 * np.exp(0.4j), 0.4)  # tangent up to rounding
+    assert disks_intersect(a, b) and disks_intersect(a, a)
+
+
+def test_disks_intersect_matches_pair_loop():
+    families = [_connected_prefix(d) for d in _seeded_families()]
+    sets = [PlanarSet(d) for d in families]
+    hits = []
+    for a, b in zip(sets, sets[1:] + sets[:1]):
+        want = any(
+            _touches_ref(ca, ra, cb, rb) for ca, ra in a.disks for cb, rb in b.disks
+        )
+        hits.append(want)
+        assert disks_intersect(a, b) == want
+    assert any(hits) and not all(hits)
+
+
+def test_contains_and_overlap_match_per_set_loop():
+    from speiserlab.fatness import _cover, _sample
+
+    rng = np.random.default_rng(7)
+    sets = [PlanarSet(_connected_prefix(d)) for d in _seeded_families()]
+    centers = np.concatenate([s.centers for s in sets])
+    radii = np.concatenate([s.radii for s in sets])
+    bounds = np.cumsum([0] + [len(s.disks) for s in sets])
+    pts = _sample(rng, centers, radii, bounds, 200)
+    box = rng.uniform(-6, 6, size=(2, 500))
+    pts = np.concatenate([pts, box[0] + 1j * box[1]])
+    counts = np.zeros(len(pts), dtype=int)
+    for s in sets:
+        inside = _contains_ref(s.disks, pts)
+        assert np.array_equal(s.contains(pts), inside)
+        counts += inside
+    assert np.array_equal(_cover(pts, centers, radii, bounds), counts)
+    assert counts.max() > 1
+    # every set's own sample points lie in that set
+    for g, s in enumerate(sets):
+        assert _contains_ref(s.disks, pts[200 * g : 200 * (g + 1)]).all()
+
+
+def _fatness_ref(s, n_samples, n_radii, seed, n_centers):
+    """Loop version: one generator per center, one radius and one
+    containment test per (center, radius) pair."""
+    from speiserlab.fatness import _sample, _unit_disk
+
+    rng = np.random.default_rng(seed)
+    probes = []
+    for c, r in s.disks:
+        probes.append(c)
+        for k in range(8):
+            probes.append(c + r * (0.98 * np.exp(2j * np.pi * k / 8)))
+    centers = list(probes) + list(
+        _sample(rng, s.centers, s.radii, [0, len(s.disks)], n_centers)
+    )
+    unit = _unit_disk(np.random.default_rng((seed, 2)), n_samples)
+    diam = s.diameter_bound()
+    lo, hi = np.log(1e-3 * diam), np.log(2.0 * diam)
+    best = 1.0
+    for j, x in enumerate(centers):
+        sub = np.random.default_rng((seed, 1, j))
+        for _ in range(n_radii):
+            r = np.exp(lo + (hi - lo) * sub.random())
+            if all(abs(c - x) + rr <= r for c, rr in s.disks):
+                continue
+            best = min(best, float(np.mean(_contains_ref(s.disks, x + r * unit))))
+    return best
+
+
+def test_fatness_matches_pair_loop():
+    families = [_connected_prefix(d) for d in _seeded_families(12)]
+    families.append(((0j, 1.0), (2.0 + 0j, 1.0), (2.0 + 0j, 1.0)))  # tangent, identical
+    for i, disks in enumerate(families):
+        s = PlanarSet(disks)
+        args = dict(n_samples=1_500, n_radii=5, seed=100 + i, n_centers=6)
+        assert fatness_estimate(s, **args) == _fatness_ref(s, **args)

@@ -31,25 +31,14 @@ def test_octagonal_root_sphere():
     assert layers.sphere_sizes()[1] == 3
 
 
-def test_relabel_root_first_matches_swapped_rotations():
-    # the octagonal builder's root is vertex 0 already, so call the relabel
-    # directly and compare it with a graph built from swapped rotation lists
-    from speiserlab.graph_core import RotationGraph, to_json
-    from speiserlab.speiser import _relabel_root_first
-
-    g = build_octagonal_speiser(2)
-    for root in (1, 7, g.n_vertices - 1):
-        out = _relabel_root_first(g, root)
-        rotations = g.rotations
-        rotations[0], rotations[root] = rotations[root], rotations[0]
-        swap = {0: root, root: 0}
-        want = RotationGraph(
-            rotations,
-            frontier={swap.get(v, v) for v in g.frontier},
-            tags={swap.get(v, v): t for v, t in g.tags.items()},
-        )
-        assert out.rotations == rotations
-        assert to_json(out) == to_json(want)
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_octagonal_root_is_center_face(depth):
+    # build_octagonal_speiser takes dual vertex 0 as the root: it is face 0
+    # of the {3,8} ball, at the center vertex 0 and kept by the dual
+    tri = triangular_ball(8, depth + 2)
+    faces = trace_faces(tri)
+    assert 0 in faces.vertices[faces.offsets[0] : faces.offsets[1]]
+    assert not faces.touches_frontier[0]
 
 
 def test_octagonal_depth6():
