@@ -252,18 +252,19 @@ def check_hs(
 ) -> HSReport:
     """Verify the four fat-collection conditions for an indexed disk family.
 
-    With ``g`` given, the index set must be the vertex ids of ``g`` and
-    adjacency is read off its edges; otherwise the collection's own adjacency
+    With ``g`` given, every vertex v of ``g`` must index a set, keyed v or
+    ``("v", v)`` as ``inscribed_collection`` keys them, and adjacency is
+    read off the edges of ``g``; otherwise the collection's own adjacency
     list is used.  The overlap is counted at ``samples // len(sets)`` points
     drawn in every set, all in one pass from the seed.
     """
     sets = {k: PlanarSet(tuple(v)) for k, v in collection.sets.items()}
 
     if g is not None:
-        index_ok = all(v in sets for v in g.vertices())
-        if not index_ok:
+        key = [v if v in sets else ("v", v) for v in g.vertices()]
+        if not all(k in sets for k in key):
             raise GeometryError("collection does not cover the graph's vertices")
-        ends = g.dart_vertex.tolist()
+        ends = [key[v] for v in g.dart_vertex.tolist()]
         adjacency = list(zip(ends[0::2], ends[1::2]))
     else:
         adjacency = collection.adjacency

@@ -1,15 +1,19 @@
 """Finite circle packing of disk triangulations.
 
-Both boundary conditions share one path.  One angle-sum iteration solves
-the label: at every interior vertex the petal angles of the tangency
-triangles must sum to 2*pi, and each sweep scales the interior label by a
-factor of its angle sums.  Euclidean packings fix the boundary radii and
-use the Collins-Stephenson factor.  Maximal packings in the unit disk solve
-the hyperbolic label, with a large fixed boundary radius standing in for
-horocycles, and scale by theta / 2 pi.  One breadth-first layout places
-tangency triangles from the root, by a Euclidean triangle solve or by a
-Mobius placement in the Poincare disk.  ``verify_packing`` recomputes the
-angle sums from the stored label with the solver's corner kernel.
+Both boundary conditions share one path.  The label is the minimizer of
+Colin de Verdiere's convex functional, whose gradient at an interior vertex
+is 2 pi minus its angle sum (the petal angles of the tangency triangles).
+The variables are log r for the Euclidean label, with fixed boundary radii,
+and log tanh(h / 2) for the hyperbolic label of the maximal packing in the
+unit disk, where a large fixed boundary radius stands in for horocycles.
+Each damped Newton step solves one sparse system with the analytic,
+symmetric Hessian over the interior by conjugate gradients, and a
+backtracking line search on the functional makes the iteration converge
+from any start.  One breadth-first
+layout places tangency triangles from the root, by a Euclidean triangle
+solve or by a Mobius placement in the Poincare disk.  ``verify_packing``
+recomputes the angle sums from the stored label with the solver's corner
+kernel.
 
 The hyperbolic angle uses
 ``tan^2(a/2) = sinh(h_u) sinh(h_w) / (sinh(h_v) sinh(h_v + h_u + h_w))``
@@ -22,8 +26,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import cg
 
 from .errors import GeometryError, SolverError
 from .graph_core import RotationGraph, interior_face_mask, trace_faces
@@ -33,8 +40,9 @@ EUCLIDEAN = "euclidean_fixed_boundary_radii"
 MAXIMAL = "maximal_in_unit_disk"
 
 ANGLE_TOL = 1e-10
-MAX_SWEEPS = 100_000
+MAX_NEWTON_STEPS = 100
 BOUNDARY_HYP_RADIUS = 1000.0
+_CHUNK = 1 << 14  # corners per derivative evaluation: bounds its temporaries
 
 
 @dataclass
@@ -102,9 +110,6 @@ def _hyp_angle(hv, hu, hw) -> float:
     return float(_hyp_corner(np.asarray(hv), np.asarray(hu), np.asarray(hw)))
 
 
-_CORNER = {EUCLIDEAN: _euclid_corner, MAXIMAL: _hyp_corner}
-
-
 def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
     """Angle sums at the flower's vertices and their largest error from 2 pi."""
     cv, cu, cw, offsets = flower
@@ -112,40 +117,169 @@ def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
     return theta, float(np.max(np.abs(theta - 2 * np.pi)))
 
 
-def _collins_stephenson(g: RotationGraph, interior: list[int]):
-    """Collins-Stephenson factor: replace the neighbors of v by equal circles
-    with the same angle sum theta, and scale r_v so that flower closes."""
-    degs = np.diff(g.rot_offsets)[interior].astype(float)
-    sin_target = np.sin(np.pi / degs)
+def _euclid_slopes(rv, ru, rw):
+    """Derivatives of ``_euclid_corner`` in log rv, log ru and log rw.
 
-    def step(theta):
-        s = np.clip(np.sin(theta / (2 * degs)), 1e-15, 1 - 1e-15)
-        return (s * (1 - sin_target)) / (sin_target * (1 - s))
-
-    return step
-
-
-def _hyp_step(theta):
-    # the angle sum is decreasing in the own radius, so scaling by the
-    # excess is a stable contraction toward the label
-    return theta / (2 * np.pi)
+    With rho the inradius of the triangle of centers, the angle at v grows
+    with log ru by rho / (rv + ru); the angles sum to pi, which fixes the
+    own term.
+    """
+    rho = np.sqrt(rv * ru * rw / (rv + ru + rw))
+    a, b = rho / (rv + ru), rho / (rv + rw)
+    return -(a + b), a, b
 
 
-def _solve(g, interior, label, corner, step):
-    """Scale ``label[interior]`` by ``step(theta)`` in place, sweep after
-    sweep, until every angle sum is within ANGLE_TOL of 2 pi."""
+def _hyp_slopes(hv, hu, hw):
+    """Derivatives of ``_hyp_corner`` in log tanh(h/2) of v, u and w.
+
+    With S = hv + hu + hw and a the angle at v, the derivatives are
+    -(sin a / 2) sinh(S + hv) / sinh S for v itself and
+    (sin a / 2) sinh(hv + hw) / sinh S for u (hv + hu for w).  Each
+    sinh x is e^x m(x) / 2 with m(x) = 1 - e^(-2x), so boundary radii in
+    the hundreds stay finite.
+    """
+    s = hv + hu + hw
+    m_s = -np.expm1(-2.0 * s)
+    tan_half = np.exp(-hv) * np.sqrt(
+        np.expm1(-2.0 * hu) * np.expm1(-2.0 * hw) / (-np.expm1(-2.0 * hv) * m_s)
+    )
+    k = tan_half / (1.0 + tan_half * tan_half) / m_s  # (sin a / 2) / m(S)
+    return (
+        k * np.exp(hv) * np.expm1(-2.0 * (s + hv)),
+        -k * np.exp(-hu) * np.expm1(-2.0 * (hv + hw)),
+        -k * np.exp(-hw) * np.expm1(-2.0 * (hv + hu)),
+    )
+
+
+def _hyp_var(h):
+    """log tanh(h/2), accurate for large h."""
+    return np.log1p(-np.exp(-h)) - np.log1p(np.exp(-h))
+
+
+def _hyp_radius(x):
+    """Inverse of ``_hyp_var``: 2 artanh(e^x); nan for x >= 0."""
+    return np.log1p(np.exp(x)) - np.log(-np.expm1(x))
+
+
+class _Label(NamedTuple):
+    """A label's corner angle, its derivatives in the solver's variables,
+    and the maps from the label to those variables and back."""
+
+    corner: Callable
+    slopes: Callable
+    to_var: Callable
+    from_var: Callable
+
+
+_LABEL = {
+    EUCLIDEAN: _Label(_euclid_corner, _euclid_slopes, np.log, np.exp),
+    MAXIMAL: _Label(_hyp_corner, _hyp_slopes, _hyp_var, _hyp_radius),
+}
+
+
+def _hessian(n_vertices: int, at: np.ndarray, flower, slopes):
+    """Assembler of the Hessian -d theta / dx on the interior block.
+
+    Returns ``hessian(label)``.  ``slopes`` gives each corner's derivatives
+    of the angle at v in the variables of v, u and w, evaluated in blocks of
+    ``_CHUNK`` corners to bound the temporaries.  The edge from v to u
+    borders the triangles of v's corner k and of the corner before it, whose
+    w is u, so its entry sums du[k] and dw[k - 1] around the flower.  Row v
+    holds its diagonal, then its interior neighbors in flower order.
+    """
+    cv, cu, cw, offsets = flower
+    m = len(at)
+    pos = np.full(n_vertices, -1, dtype=np.int64)
+    pos[at] = np.arange(m)
+    col = pos[cu]
+    inner = col >= 0  # boundary variables are fixed
+    indptr = np.append(0, np.cumsum(np.add.reduceat(inner, offsets, dtype=np.int64) + 1))
+    diagonal = indptr[:-1]
+    off = np.ones(indptr[-1], dtype=bool)
+    off[diagonal] = False
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[diagonal] = np.arange(m)
+    indices[off] = col[inner]
+    last = np.append(offsets[1:], len(cv)) - 1
+
+    def hessian(label):
+        dv, du, dw = np.empty((3, len(cv)))
+        for i in range(0, len(cv), _CHUNK):
+            block = slice(i, i + _CHUNK)
+            dv[block], du[block], dw[block] = slopes(
+                label[cv[block]], label[cu[block]], label[cw[block]]
+            )
+        before = np.roll(dw, 1)
+        before[offsets] = dw[last]
+        du += before
+        data = np.empty(len(indices))
+        data[diagonal] = -np.add.reduceat(dv, offsets)
+        data[off] = -du[inner]
+        return csr_matrix((data, indices, indptr), shape=(m, m))
+
+    return hessian
+
+
+def _solve(g, interior, start: np.ndarray, kind: _Label):
+    """Damped Newton on Colin de Verdiere's functional, from ``start``.
+
+    Returns the label, equal to ``start`` on the boundary, and diagnostics.
+    In the variables x = ``kind.to_var(label)`` the functional is
+    E(x) = sum_v 2 pi x_v - sum_T F_T(x), with dF_T the triangle's angles
+    times dx, so its gradient is 2 pi - theta and its Hessian -d theta / dx
+    is symmetric positive definite on the interior.  Each step solves
+    H d = theta - 2 pi by Jacobi-preconditioned conjugate gradients to a
+    relative residual of 1e-8, and halves t until E(x + t d) - E(x) is at most
+    1e-4 t (2 pi - theta) . d, as bounded by convexity from the gradient at
+    x + t d or else integrated from the gradient along the step by
+    Simpson's rule.  Stops when every angle sum is within ANGLE_TOL of
+    2 pi, or raises SolverError after MAX_NEWTON_STEPS steps.
+    """
     flower = _flower_arrays(g, interior)
     at = np.asarray(interior, dtype=np.int64)
-    err = math.nan
-    for sweep in range(MAX_SWEEPS):
-        theta, err = _angle_sums(label, corner, flower)
-        if err < ANGLE_TOL:
-            return label, {"sweeps": sweep, "angle_residual": err}
-        label[at] *= step(theta)
-    raise SolverError(
-        "circle packing did not converge",
-        {"sweeps": MAX_SWEEPS, "angle_residual": err},
-    )
+    hessian = _hessian(g.n_vertices, at, flower, kind.slopes)
+
+    def evaluate(x):
+        trial = start.copy()
+        # outside the domain the label is nan or inf and the step is refused
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            trial[at] = kind.from_var(x)
+            theta, err = _angle_sums(trial, kind.corner, flower)
+        return trial, 2 * np.pi - theta, err
+
+    def unconverged():
+        return SolverError(
+            "circle packing did not converge",
+            {"sweeps": steps, "angle_residual": err},
+        )
+
+    x = kind.to_var(start[at])
+    label, grad, err = evaluate(x)
+    steps = 0
+    while err >= ANGLE_TOL:
+        if steps == MAX_NEWTON_STEPS:
+            raise unconverged()
+        # conjugate gradients suit the symmetric positive definite Hessian,
+        # and every iterate is a descent direction
+        h = hessian(label)
+        d = cg(h, -grad, rtol=1e-8, M=diags(1 / h.diagonal()))[0]
+        slope = grad @ d
+        t, end = 1.0, evaluate(x + d)
+        while True:
+            # E is convex, so E(x + t d) - E(x) <= t (end gradient) . d
+            if end[1] @ d <= 1e-4 * slope:
+                break
+            mid = evaluate(x + 0.5 * t * d)
+            # else E(x + t d) - E(x) by Simpson's rule; false for nan
+            if t / 6 * (slope + 4 * (mid[1] @ d) + end[1] @ d) <= 1e-4 * t * slope:
+                break
+            t, end = 0.5 * t, mid
+            if t < np.finfo(float).eps:
+                raise unconverged()
+        x = x + t * d
+        label, grad, err = end
+        steps += 1
+    return label, {"sweeps": steps, "angle_residual": err}
 
 
 def _boundary_vertices(g: RotationGraph, outer_face: int | None) -> list[int]:
@@ -267,15 +401,12 @@ def pack_disk(
             start[bverts] = [float(boundary_radii[v]) for v in bverts]
         else:
             start[bverts] = float(boundary_radii)
-        step = _collins_stephenson(g, interior)
     elif boundary == MAXIMAL:
         start = np.full(g.n_vertices, 0.5)
         start[bverts] = BOUNDARY_HYP_RADIUS
-        step = _hyp_step
     else:
         raise GeometryError(f"unknown boundary condition {boundary!r}")
-    corner = _CORNER[boundary]
-    label, diag = _solve(g, interior, start, corner, step)
+    label, diag = _solve(g, interior, start, _LABEL[boundary])
     r = label.tolist()
 
     centers = dict.fromkeys(g.vertices())
@@ -327,7 +458,7 @@ def verify_packing(p: CirclePacking) -> PackingCheck:
     """
     g = p.graph
     flower = _flower_arrays(g, p.interior)
-    _, angle_resid = _angle_sums(p.label, _CORNER[p.boundary_condition], flower)
+    _, angle_resid = _angle_sums(p.label, _LABEL[p.boundary_condition].corner, flower)
     placed = [v for v in g.vertices() if p.centers.get(v) is not None]
     index = np.full(g.n_vertices, -1, dtype=np.int64)
     index[placed] = np.arange(len(placed))

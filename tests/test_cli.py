@@ -76,12 +76,12 @@ def test_analyze_resistance(tmp_path):
 def test_ratio_trend_cli_unconverged_exits_3(tmp_path, monkeypatch, capsys):
     from speiserlab import packing
 
-    monkeypatch.setattr(packing, "MAX_SWEEPS", 3)
+    monkeypatch.setattr(packing, "MAX_NEWTON_STEPS", 1)
     out = tmp_path / "trend.json"
     argv = ["analyze", "ratio-trend", "--family", "tri8", "--ns", "3,4"]
     assert main(argv + ["-o", str(out)]) == 3
     diag = json.loads(out.read_text())["diagnostics"]
-    assert diag["sweeps"] == 3
+    assert diag["sweeps"] == 1
     assert diag["angle_residual"] >= packing.ANGLE_TOL
     assert "solver failed" in capsys.readouterr().err
 

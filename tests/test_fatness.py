@@ -10,7 +10,7 @@ from speiserlab.fatness import (
     fatness_estimate,
 )
 from speiserlab.lattices import triangular_ball
-from speiserlab.packing import EUCLIDEAN, inscribed_collection, pack_disk
+from speiserlab.packing import EUCLIDEAN, FatCollection, inscribed_collection, pack_disk
 
 
 def test_unit_disk_quarter_fat():
@@ -106,9 +106,36 @@ def test_check_hs_detects_broken_adjacency():
     assert report.missing_adjacencies
 
 
-def test_check_hs_disjoint_family_fails():
-    from speiserlab.packing import FatCollection
+def test_check_hs_reads_adjacency_off_the_graph():
+    p = pack_disk(triangular_ball(6, 2), boundary=EUCLIDEAN)
+    col = inscribed_collection(p)
+    report = check_hs(p.graph, col, samples=5_000, seed=6)
+    assert report.adjacency_ok
+    assert report.all_pass()
+    # the edges of the graph, not the collection's list, are checked:
+    # shrinking vertex 0 breaks exactly its edges
+    c, r = col.sets[("v", 0)][0]
+    col.sets[("v", 0)] = ((c, r * 1e-3),)
+    col.adjacency = []
+    report = check_hs(p.graph, col, samples=5_000, seed=6)
+    ends = p.graph.dart_vertex.reshape(-1, 2).tolist()
+    want = sorted((("v", a), ("v", b)) for a, b in ends if 0 in (a, b))
+    assert sorted(report.missing_adjacencies) == want
+    assert len(want) == p.graph.degree(0)
+    # vertex ids as keys are accepted as before
+    plain = FatCollection(
+        sets={v: col.sets[("v", v)] for v in p.graph.vertices()},
+        adjacency=[],
+        tau=col.tau,
+        overlap_bound=col.overlap_bound,
+    )
+    assert len(check_hs(p.graph, plain, samples=2_000, seed=6).missing_adjacencies) == len(want)
+    del col.sets[("v", 1)]
+    with pytest.raises(GeometryError):
+        check_hs(p.graph, col, samples=2_000, seed=6)
 
+
+def test_check_hs_disjoint_family_fails():
     sets = {
         ("v", 0): ((0j, 1.0),),
         ("v", 1): ((10 + 0j, 1.0),),

@@ -7,7 +7,7 @@ import pytest
 
 from speiserlab import packing
 from speiserlab.errors import SolverError
-from speiserlab.graph_core import bfs_layers
+from speiserlab.graph_core import bfs_layers, induced_ball
 from speiserlab.lattices import hex_flower, triangular_ball
 from speiserlab.packing import (
     ANGLE_TOL,
@@ -140,12 +140,74 @@ def test_verify_recomputes_maximal_angle_residual():
     assert check.max_angle_residual >= ANGLE_TOL
 
 
+def _hessians(p, perturb: bool):
+    """Analytic Hessian of the packing functional at ``p``'s label (moved off
+    the solution when ``perturb``) and its central differences of -theta."""
+    kind = packing._LABEL[p.boundary_condition]
+    flower = packing._flower_arrays(p.graph, p.interior)
+    at = np.asarray(p.interior)
+    label = p.label.copy()
+    x = kind.to_var(label[at])
+    if perturb:
+        x *= 1 + 0.2 * np.random.default_rng(3).uniform(-1, 1, len(x))
+        label[at] = kind.from_var(x)
+    analytic = packing._hessian(p.graph.n_vertices, at, flower, kind.slopes)(label).toarray()
+    eps = 1e-5
+    numeric = np.empty_like(analytic)
+    for j in range(len(at)):
+        sums = []
+        for step in (eps, -eps):
+            trial = label.copy()
+            trial[at[j]] = kind.from_var(x[j] + step)
+            sums.append(packing._angle_sums(trial, kind.corner, flower)[0])
+        numeric[:, j] = (sums[1] - sums[0]) / (2 * eps)
+    return analytic, numeric
+
+
+@pytest.fixture(scope="module")
+def maximal_tri8_3():
+    return pack_disk(triangular_ball(8, 3), boundary=MAXIMAL, layout=False)
+
+
+@pytest.mark.parametrize("perturb", [False, True])
+@pytest.mark.parametrize("name", ["maximal_tri8_3", "euclidean_tri8_4"])
+def test_hessian_matches_central_differences(name, perturb, request):
+    analytic, numeric = _hessians(request.getfixturevalue(name), perturb)
+    scale = np.abs(analytic).max()
+    assert np.abs(analytic - numeric).max() < 1e-6 * scale
+    # the functional is convex: the Hessian is symmetric positive definite
+    assert np.abs(analytic - analytic.T).max() < 1e-13 * scale
+    assert np.linalg.eigvalsh(analytic).min() > 0
+
+
+def test_newton_step_bound_hex40():
+    p = pack_disk(triangular_ball(6, 40), boundary=MAXIMAL, layout=False)
+    assert p.diagnostics["sweeps"] <= 15
+    assert verify_packing(p).max_angle_residual < ANGLE_TOL
+
+
+def test_lambda_gamma_ball_packs():
+    # B(2) of lambda(Gamma) has interior degrees 4, 6 and 48; the angle-sum
+    # sweeps stalled on it at residual 5.9
+    from speiserlab.speiser import GrowthSchedule, lambda_triangulation
+    from speiserlab.theorem1 import build_gamma
+
+    lam = lambda_triangulation(build_gamma(5, GrowthSchedule((1, 3, 3, 5, 5))))
+    g = induced_ball(lam, bfs_layers(lam, 0), 2)
+    p = pack_disk(g, boundary=MAXIMAL)
+    assert g.n_vertices == 139
+    assert sorted({int(g.degree(v)) for v in p.interior}) == [4, 6, 48]
+    check = verify_packing(p)
+    assert check.max_angle_residual < ANGLE_TOL
+    assert check.max_tangency_error < 1e-7
+
+
 @pytest.mark.parametrize("boundary", [EUCLIDEAN, MAXIMAL])
 def test_unconverged_packing_raises_with_diagnostics(boundary, monkeypatch):
-    monkeypatch.setattr(packing, "MAX_SWEEPS", 3)
+    monkeypatch.setattr(packing, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(SolverError) as info:
         pack_disk(triangular_ball(8, 4), boundary=boundary)
-    assert info.value.diagnostics["sweeps"] == 3
+    assert info.value.diagnostics["sweeps"] == 1
     assert info.value.diagnostics["angle_residual"] >= ANGLE_TOL
 
 
@@ -307,7 +369,7 @@ def test_separation_matches_all_pairs(name, request):
 
 
 def test_packing_json_pinned(maximal_hex16, euclidean_tri8_4):
-    # sha256 of packing_to_json, recorded with the face-record implementation
+    # sha256 of packing_to_json, recorded from the Newton solution
     import hashlib
 
     from speiserlab.packing import packing_to_json
@@ -315,8 +377,19 @@ def test_packing_json_pinned(maximal_hex16, euclidean_tri8_4):
     def sha(p):
         return hashlib.sha256(packing_to_json(p).encode()).hexdigest()[:16]
 
-    assert sha(maximal_hex16) == "791179f7bc9539ac"
-    assert sha(euclidean_tri8_4) == "8e95c5782b8acb53"
+    assert sha(maximal_hex16) == "005c30c700e43365"
+    assert sha(euclidean_tri8_4) == "5e962ae2be012de3"
+
+
+def test_labels_match_sweep_solution(maximal_hex16, euclidean_tri8_4):
+    # labels recorded from the angle-sum sweeps that the Newton solver
+    # replaced; both solve the angle sums to ANGLE_TOL
+    import json
+    from pathlib import Path
+
+    recorded = json.loads((Path(__file__).parent / "data" / "sweep_labels.json").read_text())
+    for name, p in [("maximal_hex16", maximal_hex16), ("euclidean_tri8_4", euclidean_tri8_4)]:
+        np.testing.assert_allclose(p.label, recorded[name], rtol=1e-8, atol=0)
 
 
 def test_min_separation_random_configurations():
