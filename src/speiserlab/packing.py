@@ -229,10 +229,10 @@ def _solve(g, interior, start: np.ndarray, kind: _Label):
     times dx, so its gradient is 2 pi - theta and its Hessian -d theta / dx
     is symmetric positive definite on the interior.  Each step solves
     H d = theta - 2 pi by Jacobi-preconditioned conjugate gradients to a
-    relative residual of 1e-8, and halves t until E(x + t d) - E(x) is at most
-    1e-4 t (2 pi - theta) . d, as bounded by convexity from the gradient at
-    x + t d or else integrated from the gradient along the step by
-    Simpson's rule.  Stops when every angle sum is within ANGLE_TOL of
+    relative residual of 1e-8, and halves t until E(x + t d) - E(x) is at
+    most 1e-4 t (2 pi - theta) . d, as bounded by convexity from the
+    gradient at x + t d or else integrated from the gradient along the step
+    by Simpson's rule.  Stops when every angle sum is within ANGLE_TOL of
     2 pi, or raises SolverError after MAX_NEWTON_STEPS steps.
     """
     flower = _flower_arrays(g, interior)
