@@ -45,7 +45,10 @@ def _read_graph(path: str):
     p = Path(path)
     if not p.exists():
         raise UsageError(f"graph file not found: {path}")
-    return build_graph(p.read_text())
+    try:
+        return build_graph(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"graph file {path} is not valid JSON: {exc}") from exc
 
 
 class UsageError(Exception):
@@ -128,8 +131,9 @@ def _cmd_analyze(args) -> int:
             ),
         )
     elif kind == "doyle":
-        from .walk import doyle_test
+        from .walk import check_doyle_depth, doyle_test
 
+        check_doyle_depth(args.n_max, args.grid_depth)
         g = _read_graph(args.graph)
         report = doyle_test(g, args.grid_depth, args.root, args.n_max)
         _write(args.output, _json_report(report.to_dict()))

@@ -21,6 +21,11 @@ numbers edges by first appearance, keeps the ids of vertex keys below
 ``keep`` and numbers the other keys after them by first appearance, and
 recovers the rotations as the orbits of ``face_next o twin``.  Each rewrite
 thus builds its graph, validated, in one construction.
+
+The Graph JSON v1 codec works on the flat arrays too: ``to_json`` writes the
+text straight from ``rot_darts`` and ``rot_offsets``, and ``build_graph``
+matches half-edge and vertex ids by sorting, reads the rotations into flat
+arrays once and constructs from them.  ``to_json_dict`` is the dict form.
 """
 
 from __future__ import annotations
@@ -302,11 +307,8 @@ class RotationGraph:
 
         def ids_of(keys: Iterable[int]) -> np.ndarray:
             """Vertex id of each key, -1 where the key never occurs."""
-            keys = np.asarray(
-                keys if isinstance(keys, np.ndarray) else list(keys), dtype=np.int64
-            )
-            at = np.minimum(np.searchsorted(ukeys_v, keys), len(ukeys_v) - 1)
-            return np.where(ukeys_v[at] == keys, vid[at], -1)
+            keys = keys if isinstance(keys, np.ndarray) else list(keys)
+            return _lookup(ukeys_v, vid, np.asarray(keys, dtype=np.int64))
 
         front = ids_of(frontier)
         tag_keys = list(tags or ())
@@ -587,6 +589,15 @@ def _split(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """``values[i]`` for each query equal to ``keys[i]`` (``keys`` sorted and
+    unique), -1 where no key matches."""
+    if not len(keys):
+        return np.full(len(queries), -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[at] == queries, values[at], -1)
+
+
 def _adjacency(g: RotationGraph) -> csr_matrix:
     """Vertex adjacency in CSR form, one entry per dart (multiplicity kept)."""
     return csr_matrix(
@@ -851,37 +862,141 @@ def to_json_dict(g: RotationGraph) -> dict:
     }
 
 
+def _block(opening: str, items: list[str], depth: int) -> str:
+    """A JSON array (``opening`` "[") or object ("{") of already written
+    items, laid out as ``json.dumps(indent=2)`` lays it out at nesting
+    ``depth``."""
+    closing = "]" if opening == "[" else "}"
+    if not items:
+        return opening + closing
+    pad = "\n" + "  " * (depth + 1)
+    return opening + pad + ("," + pad).join(items) + "\n" + "  " * depth + closing
+
+
 def to_json(g: RotationGraph) -> str:
-    return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+    """Graph JSON v1 text of ``g``, written straight from the flat arrays.
+
+    The text equals ``json.dumps(to_json_dict(g), sort_keys=True, indent=2)``
+    plus a newline: keys in sorted order, tag keys sorted as strings, and
+    only the tag values, which are strings, pass through ``json.dumps``.
+    """
+    # per-record templates; each block is joined, and its list freed, in turn
+    edge = _block("{", ['"halfedges": ' + _block("[", ["%d", "%d"], 3), '"id": %d'], 2)
+    ends = zip(range(0, g.n_darts, 2), range(1, g.n_darts, 2), range(g.n_edges))
+    edges = _block("[", list(map(edge.__mod__, ends)), 1)
+
+    vertex = _block("{", ['"id": %d', '"rotation": %s'], 2)
+    rotation, sep = _block("[", ["%s"], 3), ",\n" + "  " * 4
+    darts = list(map(str, g.rot_darts.tolist()))
+    bounds = g.rot_offsets.tolist()
+    vertices = _block(
+        "[",
+        [
+            vertex % (v, rotation % sep.join(darts[a:b]) if b > a else "[]")
+            for v, (a, b) in enumerate(zip(bounds, bounds[1:]))
+        ],
+        1,
+    )
+    del darts
+
+    tags = g.tags or {}
+    value = {t: json.dumps(t) for t in set(tags.values())}
+    by_key = sorted(zip(map(str, tags), tags.values()))
+    fields = [
+        '"edges": ' + edges,
+        '"frontier": ' + _block("[", list(map(str, sorted(g.frontier))), 1),
+        '"tags": ' + _block("{", [f'"{v}": {value[t]}' for v, t in by_key], 1),
+        '"version": 1',
+        '"vertices": ' + vertices,
+    ]
+    del edges, vertices
+    return _block("{", fields, 0) + "\n"
+
+
+def _flat_ints(lists: Sequence[Sequence], what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_flatten(lists)``; a GraphError names the first item that is not an
+    int64 integer."""
+    if set(map(type, chain.from_iterable(lists))) - {int}:
+        bad = next(x for x in chain.from_iterable(lists) if type(x) is not int)
+        raise GraphError(f"{what} {bad!r} is not an integer")
+    try:
+        return _flatten(lists)
+    except OverflowError:
+        raise GraphError(f"{what} outside the int64 range") from None
+
+
+def _sort_ids(ids: np.ndarray, repeated: str) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` sorted, and the position in ``ids`` of each; a GraphError
+    ``repeated.format(id)`` names the first id listed a second time."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    again = order[1:][ranked[1:] == ranked[:-1]]
+    if len(again):
+        raise GraphError(repeated.format(ids[again.min()]))
+    return ranked, order
+
+
+def _find_ids(
+    keys: np.ndarray, index: np.ndarray, ids: np.ndarray, missing: str
+) -> np.ndarray:
+    """``_lookup(keys, index, ids)``; a GraphError ``missing.format(id)``
+    names the first id not among ``keys``."""
+    found = _lookup(keys, index, ids)
+    if (found < 0).any():
+        raise GraphError(missing.format(ids[np.argmax(found < 0)]))
+    return found
 
 
 def build_graph(spec: dict | str) -> RotationGraph:
-    """Validate a serialized rotation-system description (JSON graph format v1)."""
+    """Validate a serialized rotation-system description (JSON graph format v1).
+
+    Half-edge ``j`` of edge record ``i`` becomes dart ``2i + j`` and vertex
+    record ``i`` vertex ``i``; ids are matched by one sort each, and the
+    rotations are read once into flat arrays.
+    """
     if isinstance(spec, str):
         spec = json.loads(spec)
     if spec.get("version") != 1:
         raise GraphError("unsupported graph format version")
     edges = spec.get("edges", [])
+    pairs = [erec.get("halfedges", []) for erec in edges]
+    wrong = np.flatnonzero(np.fromiter(map(len, pairs), np.int64, len(pairs)) != 2)
+    # edges before the first malformed one are checked for repeats first
+    n_read = int(wrong[0]) if len(wrong) else len(pairs)
+    halfedges, _ = _flat_ints(pairs[:n_read], "half-edge")
+    h_sorted, h_dart = _sort_ids(halfedges, "half-edge {} listed by two edges")
+    if len(wrong):
+        raise GraphError(
+            f"edge {edges[n_read].get('id')} must list exactly two half-edges"
+        )
+
     vertices = spec.get("vertices", [])
-    halfedge_to_dart: dict[int, int] = {}
-    for i, erec in enumerate(edges):
-        hs = erec.get("halfedges", [])
-        if len(hs) != 2:
-            raise GraphError(f"edge {erec.get('id')} must list exactly two half-edges")
-        for j, h in enumerate(hs):
-            if h in halfedge_to_dart:
-                raise GraphError(f"half-edge {h} listed by two edges")
-            halfedge_to_dart[h] = 2 * i + j
-    vid_map = {vrec["id"]: i for i, vrec in enumerate(vertices)}
-    rotations: list[list[int]] = []
-    for vrec in vertices:
-        rot = []
-        for h in vrec.get("rotation", []):
-            if h not in halfedge_to_dart:
-                raise GraphError(f"dangling half-edge {h} in rotation")
-            rot.append(halfedge_to_dart[h])
-        rotations.append(rot)
-    frontier = {vid_map[v] for v in spec.get("frontier", [])}
+    ids, _ = _flat_ints([[vrec.get("id") for vrec in vertices]], "vertex id")
+    v_sorted, v_index = _sort_ids(ids, "vertex id {} listed twice")
+    listed, offsets = _flat_ints(
+        [vrec.get("rotation", []) for vrec in vertices], "half-edge"
+    )
+    darts = _find_ids(h_sorted, h_dart, listed, "dangling half-edge {} in rotation")
+
+    front_ids, _ = _flat_ints([spec.get("frontier", [])], "frontier vertex")
+    frontier = _find_ids(
+        v_sorted, v_index, front_ids, "frontier vertex {} is not a vertex id"
+    )
     tags_in = spec.get("tags") or {}
-    tags = {vid_map[int(k)]: v for k, v in tags_in.items()} or None
-    return RotationGraph(rotations, frontier=frontier, tags=tags)
+    keys = []
+    for k in tags_in:
+        try:
+            keys.append(int(k))
+        except (TypeError, ValueError):
+            raise GraphError(f"tag key {k!r} is not an integer") from None
+    tag_ids, _ = _flat_ints([keys], "tag key")
+    tagged = _find_ids(v_sorted, v_index, tag_ids, "tag on unknown vertex {}")
+    if set(map(type, tags_in.values())) - {str}:
+        bad = next(k for k, t in tags_in.items() if type(t) is not str)
+        raise GraphError(f"tag on vertex {bad} is not a string")
+    return RotationGraph._flat(
+        darts,
+        offsets,
+        frontier=frontier.tolist(),
+        tags=dict(zip(tagged.tolist(), tags_in.values())),
+    )

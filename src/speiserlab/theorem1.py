@@ -29,7 +29,12 @@ from .speiser import (
 from .packing import ratio_trend
 from .trend import first_converged_n
 from .vel import vel_type_trend
-from .walk import doyle_test, nash_williams_sum, resistance_curve
+from .walk import (
+    check_doyle_depth,
+    doyle_test,
+    nash_williams_sum,
+    resistance_curve,
+)
 
 
 def paper_schedule(n: int) -> int:
@@ -241,9 +246,11 @@ def _check_leg_a_radii(config: Theorem1Config) -> None:
 def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     """Run both evidence legs and assemble the deterministic report."""
     config = config or Theorem1Config()
-    # a bad schedule or leg-A radius fails here, before any graph is built
+    # a bad schedule, leg-A radius or Doyle depth fails here, before any graph
+    # is built
     schedule = GrowthSchedule(tuple(config.schedule))
     _check_leg_a_radii(config)
+    check_doyle_depth(config.doyle_n_max, config.doyle_grid_depth)
     notes = [
         "verdicts are truncation trends, not proofs",
         "leg A runs on the degree-8 triangulation (the dual of the octagon "

@@ -257,6 +257,16 @@ class DoyleReport:
         }
 
 
+def check_doyle_depth(n_max: int, grid_depth: int) -> None:
+    """Reject Doyle radii past the grid depth: the extension ends there, so
+    resistances beyond it measure the truncation rather than the graph."""
+    if n_max > grid_depth:
+        raise FrontierError(
+            f"Doyle radius n_max = {n_max} exceeds the grid depth {grid_depth}: "
+            "radii past the grid depth measure its truncation"
+        )
+
+
 def doyle_test(
     speiser_graph: RotationGraph,
     grid_depth: int,

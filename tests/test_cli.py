@@ -134,3 +134,30 @@ def test_theorem1_radius_beyond_dual_ball_exits_2(tmp_path, capsys):
     cfile.write_text(json.dumps({"vel_annuli": [[3, 9]]}))
     assert main(["theorem1", "--config", str(cfile)]) == 2
     assert "(3, 9)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"version": 1, "vertices": [{"id": 0, "rotation": []}], "frontier": [999]}',
+            "frontier vertex 999",
+        ),
+        ('{"version": 1, "vertices": [', "not valid JSON"),
+    ],
+)
+def test_gen_dual_bad_graph_file_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["gen", "dual", "--graph", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_analyze_doyle_past_grid_depth_exits_2_before_reading(monkeypatch, capsys):
+    def no_graph(path):
+        raise AssertionError("the graph was read before the depths were checked")
+
+    monkeypatch.setattr("speiserlab.cli._read_graph", no_graph)
+    argv = ["analyze", "doyle", "--graph", "g.json", "--n-max", "9", "--grid-depth", "8"]
+    assert main(argv) == 2
+    assert "exceeds the grid depth 8" in capsys.readouterr().err

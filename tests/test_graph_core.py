@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,111 @@ def test_json_round_trip_byte_stable():
     s2 = to_json(g2)
     assert s1 == s2
     assert g2.frontier == g.frontier
+
+
+def _tagged(g, tags):
+    return RotationGraph._flat(g.rot_darts, g.rot_offsets, g.frontier, tags)
+
+
+@pytest.mark.parametrize(
+    "make, excerpts",
+    [
+        # tag keys sort as strings: "10" before "2"
+        (
+            lambda: _tagged(triangular_ball(6, 2), {2: "circle", 10: "cross"}),
+            ['"10": "cross",\n    "2": "circle"'],
+        ),
+        (lambda: _tagged(octahedron(), {0: 'say "ü"'}), ['"0": "say \\"\\u00fc\\""']),
+        (lambda: RotationGraph([[]]), ['"edges": []', '"rotation": []']),
+        (lambda: octahedron(), ['"frontier": []', '"tags": {}']),
+    ],
+    ids=["tag-key-order", "tag-escaping", "single-vertex", "no-frontier-or-tags"],
+)
+def test_to_json_matches_json_dumps(make, excerpts):
+    g = make()
+    text = to_json(g)
+    assert text == json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+    assert all(part in text for part in excerpts)
+    back = build_graph(text)
+    assert back.rotations == g.rotations
+    assert (back.frontier, back.tags) == (g.frontier, g.tags)
+
+
+def _path_spec(**changes) -> dict:
+    spec = to_json_dict(path_graph(2))
+    spec.update(changes)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"frontier": [999]}, "frontier vertex 999 is not a vertex id"),
+        ({"tags": {"x": "circle"}}, "tag key 'x' is not an integer"),
+        ({"tags": {"7": "circle"}}, "tag on unknown vertex 7"),
+        (
+            {
+                "vertices": [
+                    {"id": 0, "rotation": [0]},
+                    {"id": 0, "rotation": [1, 2]},
+                    {"id": 2, "rotation": [3]},
+                ]
+            },
+            "vertex id 0 listed twice",
+        ),
+        (
+            {"vertices": [{"rotation": [0]}, {"id": 1, "rotation": [1, 2]}]},
+            "vertex id None is not an integer",
+        ),
+        ({"frontier": ["1"]}, "frontier vertex '1' is not an integer"),
+        ({"tags": {"1": ["circle"]}}, "tag on vertex 1 is not a string"),
+    ],
+)
+def test_build_graph_rejects_bad_vertex_references(changes, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        build_graph(_path_spec(**changes))
+
+
+def test_build_graph_maps_listed_ids():
+    # ids need not be 0..n-1 or in order: records keep their listed position
+    spec = {
+        "version": 1,
+        "vertices": [
+            {"id": 30, "rotation": [11]},
+            {"id": 10, "rotation": [10, 21]},
+            {"id": 20, "rotation": [20]},
+        ],
+        "edges": [{"id": 0, "halfedges": [10, 11]}, {"id": 1, "halfedges": [20, 21]}],
+        "frontier": [20],
+        "tags": {"10": "cross", "30": "circle"},
+    }
+    g = build_graph(spec)
+    assert g.rotations == [[1], [0, 3], [2]]
+    assert g.frontier == {2}
+    assert g.tags == {1: "cross", 0: "circle"}
+
+
+def test_build_graph_error_precedence():
+    # a repeated half-edge before a malformed edge record is reported first
+    edges = [
+        {"id": 0, "halfedges": [0, 1]},
+        {"id": 1, "halfedges": [1, 2]},
+        {"id": 2, "halfedges": [3]},
+    ]
+    with pytest.raises(GraphError, match="half-edge 1 listed by two edges"):
+        build_graph(_path_spec(edges=edges))
+    # the first half-edge met a second time, not the smallest repeated one
+    pairs = [[5, 6], [3, 4], [3, 5]]
+    edges3 = [{"id": i, "halfedges": h} for i, h in enumerate(pairs)]
+    with pytest.raises(GraphError, match="half-edge 3 listed by two edges"):
+        build_graph(_path_spec(edges=edges3))
+    edges[1]["halfedges"] = [4, 0, 2]
+    with pytest.raises(GraphError, match="edge 1 must list exactly two half-edges"):
+        build_graph(_path_spec(edges=edges))
+    with pytest.raises(GraphError, match="half-edge 'a' is not an integer"):
+        build_graph(_path_spec(edges=[{"id": 0, "halfedges": ["a", 1]}]))
+    with pytest.raises(GraphError, match="unsupported graph format version"):
+        build_graph(_path_spec(version=2))
 
 
 def test_build_graph_octahedron_spec():

@@ -1,12 +1,20 @@
 """Cross-module property tests."""
 
+import json
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speiserlab.graph_core import bfs_layers
-from speiserlab.lattices import triangular_ball
+from speiserlab.graph_core import (
+    RotationGraph,
+    bfs_layers,
+    build_graph,
+    to_json,
+    to_json_dict,
+)
+from speiserlab.lattices import grid_patch, triangular_ball
 from speiserlab.refinement import VMetric, check_refinement, coarsen_metric, subdivide4
 from speiserlab.vel import solve_vel
 
@@ -70,3 +78,24 @@ def test_union_fatness_never_below_quarter_of_tau(r1, r2, gap, seed):
         a, b, tau=0.25, seed=seed, n_samples=2_000, n_radii=4, n_centers=6
     )
     assert report["passes"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.one_of(
+        st.builds(triangular_ball, st.integers(6, 9), st.integers(1, 4)),
+        st.builds(grid_patch, st.integers(2, 7), st.integers(2, 7)),
+    ),
+    st.data(),
+)
+def test_graph_json_round_trip_reproduces_arrays(g, data):
+    vertices = st.integers(0, g.n_vertices - 1)
+    tags = data.draw(st.dictionaries(vertices, st.sampled_from(["circle", 'x"ü'])))
+    frontier = data.draw(st.frozensets(vertices)) | g.frontier
+    g = RotationGraph._flat(g.rot_darts, g.rot_offsets, frontier, tags)
+    text = to_json(g)
+    assert text == json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
+    back = build_graph(text)
+    assert np.array_equal(back.rot_darts, g.rot_darts)
+    assert np.array_equal(back.rot_offsets, g.rot_offsets)
+    assert (back.frontier, back.tags) == (g.frontier, g.tags)

@@ -146,6 +146,20 @@ def test_run_theorem1_bad_leg_a_radius_fails_before_any_graph(monkeypatch, bad):
         run_theorem1(Theorem1Config(**bad))
 
 
+@pytest.mark.parametrize("n_max, grid_depth", [(25, 24), (9, 8)])
+def test_run_theorem1_doyle_past_grid_depth_fails_before_any_graph(
+    monkeypatch, n_max, grid_depth
+):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the Doyle depth was checked")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    config = Theorem1Config(doyle_n_max=n_max, doyle_grid_depth=grid_depth)
+    with pytest.raises(FrontierError, match=f"exceeds the grid depth {grid_depth}"):
+        run_theorem1(config)
+
+
 def _first_k_holding_brute(ok, k_min):
     for i in range(len(ok)):
         if all(ok[i:]):
