@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import SolverError, SpeiserLabError
-from .graph_core import bfs_layers, build_graph, dual, to_json
+from .graph_core import bfs_layers, build_graph, dual, induced_ball, to_json
 from .lattices import triangular_ball
 from .refinement import subdivide4
 from .speiser import (
@@ -140,15 +140,17 @@ def _cmd_analyze(args) -> int:
     elif kind == "ratio-trend":
         from .packing import ratio_trend
 
-        family = args.family
-        if family == "hex":
-            builder = lambda n: triangular_ball(6, n)  # noqa: E731
-        elif family == "tri8":
-            builder = lambda n: triangular_ball(8, n)  # noqa: E731
-        else:
-            raise UsageError(f"unknown family {family!r} (hex or tri8)")
-        ns = [int(x) for x in args.ns.split(",")]
-        report = ratio_trend(builder, ns)
+        q = {"hex": 6, "tri8": 8}[args.family]
+        try:
+            ns = [int(x) for x in args.ns.split(",")]
+            if min(ns) < 1:
+                raise ValueError
+        except ValueError:
+            raise UsageError(f"bad radii {args.ns!r}: need integers n >= 1") from None
+        # every ball B(n) is cut from one lattice of radius max(ns)
+        lattice = triangular_ball(q, max(ns))
+        layers = bfs_layers(lattice, 0)
+        report = ratio_trend(lambda n: induced_ball(lattice, layers, n), ns)
         _write(args.output, _json_report(report.to_dict()))
     elif kind == "fatness":
         from .fatness import PlanarSet, fatness_estimate
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--n-max", type=int, default=6)
     an.add_argument("--grid-depth", type=int, default=8)
     an.add_argument("--annuli", default="1:2,2:4,3:6")
-    an.add_argument("--family", default="hex", help="ratio-trend family (hex, tri8)")
+    an.add_argument("--family", default="hex", choices=["hex", "tri8"])
     an.add_argument("--ns", default="2,3,4,5", help="ratio-trend ball radii")
     an.add_argument("--disks", default="0,0,1", help="fatness x,y,r;x,y,r;...")
     an.add_argument("--samples", type=int, default=100_000)

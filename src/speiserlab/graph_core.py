@@ -336,57 +336,22 @@ class RotationGraph:
     def from_face_cycles(
         cls,
         faces: Sequence[Sequence[int]],
-        auto_close: bool = True,
         frontier: Iterable[int] = (),
         tags: dict[int, str] | None = None,
     ) -> "RotationGraph":
         """Build a simple graph from oriented faces given as vertex cycles.
 
         Edges are identified by their unordered endpoint pair, so this helper
-        rejects multigraphs.  With ``auto_close`` the missing outer walk is
-        derived from the edges traversed only once.
+        rejects multigraphs.  Every face is listed, the outer one included.
         """
-        walks = [
-            [(f[i], frozenset((f[i], f[(i + 1) % len(f)]))) for i in range(len(f))]
-            for f in faces
-        ]
-        if auto_close:
-            once: dict[frozenset, int] = {}
-            for walk in walks:
-                for tail, key in walk:
-                    if key in once:
-                        del once[key]
-                    else:
-                        once[key] = tail
-            if once:
-                # unmatched directions reversed: head -> tail
-                succ: dict[int, tuple[int, frozenset]] = {}
-                for key, tail in once.items():
-                    (head,) = set(key) - {tail}
-                    if head in succ:
-                        raise GraphError("auto_close: boundary is not a single walk")
-                    succ[head] = (tail, key)
-                start = min(succ)
-                walk = []
-                v = start
-                while True:
-                    nxt, key = succ.pop(v)
-                    walk.append((v, key))
-                    v = nxt
-                    if v == start:
-                        break
-                if succ:
-                    raise GraphError("auto_close: boundary is not a single walk")
-                walks.append(walk)
         # vertex labels and endpoint pairs become ints by first appearance
         vid: dict = {}
         eid: dict = {}
-        tails = [vid.setdefault(v, len(vid)) for walk in walks for v, _ in walk]
-        keys = [eid.setdefault(k, len(eid)) for walk in walks for _, k in walk]
+        ends = [(v, w) for f in faces for v, w in zip(f, (*f[1:], f[0]))]
         built = cls.from_walks(
-            tails,
-            keys,
-            [len(walk) for walk in walks],
+            [vid.setdefault(v, len(vid)) for v, _ in ends],
+            [eid.setdefault(frozenset(e), len(eid)) for e in ends],
+            [len(f) for f in faces],
             frontier=[vid[v] for v in frontier if v in vid],
             tags={vid[v]: t for v, t in (tags or {}).items() if v in vid},
         )

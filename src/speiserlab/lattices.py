@@ -57,7 +57,7 @@ def octahedron() -> RotationGraph:
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
         (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
     ]
-    return RotationGraph.from_face_cycles(faces, auto_close=False)
+    return RotationGraph.from_face_cycles(faces)
 
 
 def cube() -> RotationGraph:
@@ -65,7 +65,7 @@ def cube() -> RotationGraph:
         (0, 3, 2, 1), (4, 5, 6, 7),
         (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
     ]
-    return RotationGraph.from_face_cycles(faces, auto_close=False)
+    return RotationGraph.from_face_cycles(faces)
 
 
 def grid_patch(cols: int, rows: int) -> RotationGraph:
@@ -80,7 +80,12 @@ def grid_patch(cols: int, rows: int) -> RotationGraph:
     for j in range(rows - 1):
         for i in range(cols - 1):
             faces.append((vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)))
-    return RotationGraph.from_face_cycles(faces, auto_close=True)
+    # the outer walk from vertex 0: up, along the top, down, back along the bottom
+    outer = [vid(0, j) for j in range(rows)]
+    outer += [vid(i, rows - 1) for i in range(1, cols)]
+    outer += [vid(cols - 1, j) for j in range(rows - 2, -1, -1)]
+    outer += [vid(i, 0) for i in range(cols - 2, 0, -1)]
+    return RotationGraph.from_face_cycles(faces + [tuple(outer)])
 
 
 def square_ball(radius: int) -> RotationGraph:

@@ -57,24 +57,19 @@ class GrowthSchedule:
 
 
 def build_octagonal_speiser(depth: int) -> RotationGraph:
-    """Truncation of the 3-regular octagon tiling containing the full B(depth).
+    """Truncation of the 3-regular octagon tiling containing the full B(2 depth).
 
-    Vertex 0 is the root; non-frontier vertices have degree 3, interior faces
-    are octagons, and bipartite circle/cross tags are assigned from the root.
+    The patch is the dual of ``triangular_ball(8, depth + 2)``; its layers
+    from vertex 0 are reliable out to 2 depth.  Vertex 0 is the root;
+    non-frontier vertices have degree 3, interior faces are octagons, and
+    bipartite circle/cross tags are assigned from the root.
     """
     if depth < 1:
         raise GraphError("depth must be >= 1")
-    rings = depth + 2
-    while True:
-        psi = dual(triangular_ball(8, rings), drop_frontier_faces=True)
-        # dual vertex ids are the ranks of the kept faces.  Face 0 of the
-        # ball is the face of dart 0 at the center vertex 0, and with
-        # rings >= 3 it touches no frontier vertex, so it is kept as vertex 0
-        if bfs_layers(psi, 0).reliable_depth >= depth:
-            break
-        rings += 1
-        if rings > depth + 8:
-            raise GraphError("failed to cover the requested ball")
+    # dual vertex ids are the ranks of the kept faces.  Face 0 of the ball is
+    # the face of dart 0 at the center vertex 0, and with depth + 2 >= 3 rings
+    # it touches no frontier vertex, so it is kept as vertex 0
+    psi = dual(triangular_ball(8, depth + 2), drop_frontier_faces=True)
     psi.tags = two_coloring(psi)
     if psi.tags is None:
         raise GraphError("octagon tiling patch is unexpectedly not bipartite")
@@ -365,10 +360,13 @@ def extended_layer_counts(
 
 
 def speiser_ball(depth: int) -> tuple[RotationGraph, LayerDecomposition]:
-    """Octagonal base graph trimmed to exactly B(depth), plus its layers."""
-    psi = build_octagonal_speiser(depth)
-    layers = bfs_layers(psi, 0)
+    """Octagonal base graph trimmed to exactly B(depth), plus its layers.
+
+    B(depth) is cut from the smallest patch that holds it,
+    ``build_octagonal_speiser(ceil(depth / 2))``.
+    """
+    psi = build_octagonal_speiser((depth + 1) // 2)
     # the ball keeps psi's circle/cross tags: its BFS parities from vertex 0
     # are psi's
-    ball = induced_ball(psi, layers, depth)
+    ball = induced_ball(psi, bfs_layers(psi, 0), depth)
     return ball, bfs_layers(ball, 0)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import FrontierError, ScheduleError
-from .graph_core import RotationGraph, bfs_layers, classify
+from .graph_core import RotationGraph, bfs_layers, classify, induced_ball
 from .lattices import triangular_ball
 from .speiser import (
     GrowthSchedule,
@@ -27,7 +27,7 @@ from .speiser import (
     tree_replace,
 )
 from .packing import ratio_trend
-from .trend import first_converged_n
+from .trend import classify_resistance_curve, first_converged_n
 from .vel import vel_type_trend
 from .walk import (
     check_doyle_depth,
@@ -81,6 +81,16 @@ def first_k_holding(ok: list[bool], k_min: int) -> int | None:
     return k_min + i if i < len(ok) else None
 
 
+def _clip_range(name: str, k_min: int, k_max: int, reliable_depth: int) -> int:
+    """``k_max`` clipped to the reliable depth; an empty range checks nothing."""
+    if min(k_max, reliable_depth) < k_min:
+        raise FrontierError(
+            f"{name} range [{k_min}, {k_max}] is empty inside the reliable "
+            f"depth {reliable_depth}"
+        )
+    return min(k_max, reliable_depth)
+
+
 @dataclass
 class GrowthCheck:
     k_min: int
@@ -107,7 +117,7 @@ def verify_growth(
 ) -> GrowthCheck:
     """Exact |B(k)| against k * ln(k) over [k_min, k_max] (natural log)."""
     layers = layers or bfs_layers(gamma, 0)
-    k_hi = min(k_max, layers.reliable_depth)
+    k_hi = _clip_range("growth", k_min, k_max, layers.reliable_depth)
     balls = layers.ball_sizes()
     sizes = [balls[k] for k in range(k_min, k_hi + 1)]
     bound = [k * math.log(k) for k in range(k_min, k_hi + 1)]
@@ -157,7 +167,8 @@ def verify_upsilon_bounds(
     ``grid_depth=None`` means unbounded grids (the true extended graph).
     """
     layers = layers or bfs_layers(gamma, 0)
-    k_hi = min(k_max, layers.reliable_depth)
+    # the square constant is fitted from k = 2 on, where ln k > 0
+    k_hi = _clip_range("upsilon", max(k_min, 2), k_max, layers.reliable_depth)
     counts = extended_layer_counts(gamma, layers, k_hi, grid_depth=grid_depth)
     sizes = counts.sphere_sizes[k_min : k_hi + 1]
     bound = [4 * k * math.log(k) for k in range(k_min, k_hi + 1)]
@@ -231,25 +242,35 @@ class Theorem1Report:
 
 
 def _check_leg_a_radii(config: Theorem1Config) -> None:
-    """Leg A's ball ``triangular_ball(8, dual_depth)`` is reliable out to
-    ``dual_depth``: every resistance radius and annulus must fit inside it."""
+    """Leg A cuts every ball from one lattice, ``triangular_ball(8, D)`` with
+    ``D = max(dual_depth, *ratio_ns)``: the resistance radii and annuli must
+    fit inside B(dual_depth), and every ``ratio_ns`` entry must be >= 1."""
     depth = config.dual_depth
     bad = [n for n in config.resistance_radii if not 1 <= n <= depth]
     bad += [tuple(a) for a in config.vel_annuli if not 0 <= a[0] < a[1] <= depth]
+    bad += [("ratio_ns", n) for n in config.ratio_ns if n < 1]
     if bad:
         raise FrontierError(
-            f"leg-A radii {bad} do not fit the dual ball of depth {depth}: "
-            "resistance radii need 1 <= n <= depth, annuli 0 <= inner < outer <= depth"
+            f"leg-A radii {bad} do not fit the dual ball of depth {depth}: resistance "
+            "radii need 1 <= n <= depth, annuli 0 <= inner < outer <= depth, "
+            "ratio_ns n >= 1"
         )
 
 
 def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     """Run both evidence legs and assemble the deterministic report."""
     config = config or Theorem1Config()
-    # a bad schedule, leg-A radius or Doyle depth fails here, before any graph
-    # is built
+    # a bad schedule, leg-A radius, k range or Doyle depth fails here, before
+    # any graph is built
     schedule = GrowthSchedule(tuple(config.schedule))
     _check_leg_a_radii(config)
+    # ln k > 0 from k = 2 on, where the upsilon bounds and fit start
+    for name, least in (("growth", 1), ("upsilon", 2)):
+        lo, hi = getattr(config, f"{name}_k_min"), getattr(config, f"{name}_k_max")
+        if not least <= lo <= hi:
+            raise FrontierError(
+                f"need {least} <= {name}_k_min <= {name}_k_max: {lo}, {hi}"
+            )
     check_doyle_depth(config.doyle_n_max, config.doyle_grid_depth)
     notes = [
         "verdicts are truncation trends, not proofs",
@@ -259,19 +280,22 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     ]
 
     # leg A: the dual side should look transient / hyperbolic
-    dual_tri = triangular_ball(8, config.dual_depth)
-    dual_layers = bfs_layers(dual_tri, 0)
+    depth = max(config.dual_depth, *config.ratio_ns)
+    lattice = triangular_ball(8, depth)
+    layers = bfs_layers(lattice, 0)
+    dual_tri, dual_layers = lattice, layers
+    if config.dual_depth < depth:
+        dual_tri = induced_ball(lattice, layers, config.dual_depth)
+        dual_layers = bfs_layers(dual_tri, 0)
     curve = resistance_curve(
         dual_tri, 0, list(config.resistance_radii), layers=dual_layers
     )
-    from .trend import classify_resistance_curve
-
     res_fit = classify_resistance_curve(curve.radii, curve.resistance)
     vel_report = vel_type_trend(
         dual_tri, 0, [tuple(a) for a in config.vel_annuli], layers=dual_layers
     )
     cp_report = ratio_trend(
-        lambda n: triangular_ball(8, n), list(config.ratio_ns)
+        lambda n: induced_ball(lattice, layers, n), list(config.ratio_ns)
     )
     leg_a = {
         "resistance": curve.to_dict(),

@@ -259,7 +259,10 @@ class DoyleReport:
 
 def check_doyle_depth(n_max: int, grid_depth: int) -> None:
     """Reject Doyle radii past the grid depth: the extension ends there, so
-    resistances beyond it measure the truncation rather than the graph."""
+    resistances beyond it measure the truncation rather than the graph.  An
+    ``n_max`` below 1 names no radius at all."""
+    if n_max < 1:
+        raise FrontierError(f"Doyle radius n_max = {n_max} must be >= 1")
     if n_max > grid_depth:
         raise FrontierError(
             f"Doyle radius n_max = {n_max} exceeds the grid depth {grid_depth}: "

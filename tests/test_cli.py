@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +164,49 @@ def test_analyze_doyle_past_grid_depth_exits_2_before_reading(monkeypatch, capsy
     argv = ["analyze", "doyle", "--graph", "g.json", "--n-max", "9", "--grid-depth", "8"]
     assert main(argv) == 2
     assert "exceeds the grid depth 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad", [{"growth_k_min": 0}, {"upsilon_k_min": 30, "upsilon_k_max": 2}]
+)
+def test_theorem1_bad_k_range_exits_2(tmp_path, capsys, bad):
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps(bad))
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    assert "_k_min <= " in capsys.readouterr().err
+
+
+# sha256 prefixes of the default ratio-trend reports, as written when every
+# ball was its own triangular_ball(q, n)
+RATIO_TREND_SHA = {"hex": "1f1771750b564d5a", "tri8": "81a7768dc9d6e6c1"}
+
+
+@pytest.mark.parametrize("family", ["hex", "tri8"])
+def test_analyze_ratio_trend_pinned(tmp_path, family):
+    out = tmp_path / "trend.json"
+    assert main(["analyze", "ratio-trend", "--family", family, "-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == RATIO_TREND_SHA[family]
+
+
+@pytest.mark.parametrize("ns", ["0,2", "2,x"])
+def test_analyze_ratio_trend_bad_radii_exit_2(ns, capsys):
+    assert main(["analyze", "ratio-trend", "--ns", ns]) == 2
+    assert f"bad radii {ns!r}: need integers n >= 1" in capsys.readouterr().err
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("speiserlab ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) >= 8
+    for argv in lines:
+        assert main(argv) == 0, argv
+    # every annulus of the VEL example lies inside the reliable depth
+    vel = json.loads((tmp_path / "vel.json").read_text())
+    assert vel["skipped"] == [] and len(vel["annuli"]) == 3

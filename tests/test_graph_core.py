@@ -321,6 +321,16 @@ def test_induced_ball_frontier():
     assert set(l2.spheres[2]) <= b2.frontier
 
 
+@pytest.mark.parametrize("q, depth", [(6, 24), (8, 7)])
+def test_induced_ball_of_lattice_is_the_smaller_lattice(q, depth):
+    # leg A and `analyze ratio-trend` cut every B(n) from one lattice
+    lattice = triangular_ball(q, depth)
+    layers = bfs_layers(lattice, 0)
+    for n in range(1, depth + 1):
+        got = to_json(induced_ball(lattice, layers, n))
+        assert got == to_json(triangular_ball(q, n))
+
+
 def test_canonical_isomorphism_invariance():
     g1 = octahedron()
     # relabel by rebuilding from rotated face list
@@ -328,7 +338,7 @@ def test_canonical_isomorphism_invariance():
         (2, 0, 1), (0, 2, 3), (0, 3, 4), (0, 4, 1),
         (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
     ]
-    g2 = RotationGraph.from_face_cycles(faces, auto_close=False)
+    g2 = RotationGraph.from_face_cycles(faces)
     assert is_isomorphic(g1, g2)
     assert not is_isomorphic(g1, cube())
 

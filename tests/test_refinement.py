@@ -35,7 +35,7 @@ def test_subdivide4_single_triangle():
     # one triangle with designated outer face: 4 triangles, 3 midpoints
     from speiserlab.graph_core import RotationGraph
 
-    g = RotationGraph.from_face_cycles([(0, 1, 2)], auto_close=True)
+    g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)])
     ref, rmap = subdivide4(g, outer_face=1)
     assert ref.n_vertices == 6
     assert (trace_faces(ref).lengths == 3).sum() == 4
@@ -91,7 +91,7 @@ def test_coarsen_metric_single_edge_formula():
     # single edge with one midpoint: m(u) = 6 max(a, b), m(v) = 6 max(b, c)
     from speiserlab.graph_core import RotationGraph
 
-    g = RotationGraph.from_face_cycles([(0, 1, 2)], auto_close=True)
+    g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)])
     ref, rmap = subdivide4(g, outer_face=1)
     report = check_refinement(g, ref, rmap)
     assert report.m_edge == 3

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from speiserlab.graph_core import (
     canonical_form,
     classify,
     euler_characteristic,
+    induced_ball,
+    to_json,
     trace_faces,
     two_coloring,
 )
@@ -321,3 +325,32 @@ def test_speiser_ball_keeps_psi_tags():
         ball, _ = speiser_ball(depth)
         assert ball.tags == two_coloring(ball)
         assert ball.tags[0] == "circle"
+
+
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_octagonal_patch_reliable_depth(depth):
+    assert bfs_layers(build_octagonal_speiser(depth), 0).reliable_depth == 2 * depth
+
+
+# sha256 prefixes of to_json(B(d)) cut from the full patch
+# build_octagonal_speiser(d); the d = 7 patch takes seconds to build
+FULL_PATCH_BALL_SHA = {
+    1: "b4ead68f3208936f",
+    2: "ec06d15b50909c24",
+    3: "f92a12a175ceda0c",
+    4: "0bb5012bf57556b4",
+    5: "172c47768277429c",
+    6: "8c7fb5753d673b04",
+    7: "9b3f48e9fff56c0a",
+}
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_speiser_ball_matches_full_patch_cut(depth):
+    ball, layers = speiser_ball(depth)
+    text = to_json(ball)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == FULL_PATCH_BALL_SHA[depth]
+    if depth <= 5:
+        psi = build_octagonal_speiser(depth)
+        assert text == to_json(induced_ball(psi, bfs_layers(psi, 0), depth))
+    assert layers.reliable_depth == depth

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from speiserlab import theorem1
 from speiserlab.errors import FrontierError, ScheduleError
 from speiserlab.graph_core import bfs_layers, classify, is_isomorphic
+from speiserlab.lattices import triangular_ball
 from speiserlab.speiser import GrowthSchedule, speiser_ball
 from speiserlab.theorem1 import (
     Theorem1Config,
@@ -158,6 +159,66 @@ def test_run_theorem1_doyle_past_grid_depth_fails_before_any_graph(
     config = Theorem1Config(doyle_n_max=n_max, doyle_grid_depth=grid_depth)
     with pytest.raises(FrontierError, match=f"exceeds the grid depth {grid_depth}"):
         run_theorem1(config)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"growth_k_min": 0}, "growth_k_min"),
+        ({"upsilon_k_min": 0}, "upsilon_k_min"),
+        ({"upsilon_k_min": 1, "upsilon_k_max": 1}, "need 2 <= upsilon_k_min"),
+        ({"growth_k_min": 9, "growth_k_max": 8}, "growth_k_min"),
+        ({"upsilon_k_min": 30, "upsilon_k_max": 29}, "upsilon_k_min"),
+        ({"doyle_n_max": 0}, "n_max = 0"),
+        ({"ratio_ns": (0, 2)}, "ratio_ns"),
+    ],
+)
+def test_run_theorem1_bad_range_fails_before_any_graph(monkeypatch, bad, message):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built before the ranges were checked")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    with pytest.raises(FrontierError, match=message):
+        run_theorem1(Theorem1Config(**bad))
+
+
+def test_bound_checks_reject_a_range_past_the_reliable_depth():
+    # the unstretched graph is reliable to k = 2 only: [25, ...] checks
+    # nothing, which must not read as "holds"
+    gamma = build_gamma(2, GrowthSchedule((1, 1)))
+    layers = bfs_layers(gamma, 0)
+    with pytest.raises(FrontierError, match="reliable depth 2"):
+        verify_growth(gamma, 25, 8000, layers=layers)
+    with pytest.raises(FrontierError, match="reliable depth 2"):
+        verify_upsilon_bounds(gamma, None, 2000, k_min=25, layers=layers)
+
+
+def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
+    calls = []
+
+    def counted(q, depth):
+        calls.append((q, depth))
+        return triangular_ball(q, depth)
+
+    monkeypatch.setattr(theorem1, "triangular_ball", counted)
+    config = Theorem1Config(
+        schedule=(3, 5),
+        growth_k_min=2,
+        growth_k_max=8,
+        upsilon_k_min=2,
+        upsilon_k_max=8,
+        dual_depth=4,
+        resistance_radii=(1, 2, 3, 4),
+        vel_annuli=((1, 2), (2, 4)),
+        ratio_ns=(2, 3, 5),
+        doyle_n_max=4,
+        doyle_grid_depth=4,
+    )
+    report = run_theorem1(config)
+    assert calls == [(8, 5)]
+    assert report.leg_a["resistance"]["radii"] == [1, 2, 3, 4]
+    assert report.leg_a["ratio_trend"]["radii_list"] == [2, 3, 5]
 
 
 def _first_k_holding_brute(ok, k_min):
