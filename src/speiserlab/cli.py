@@ -84,8 +84,7 @@ def _cmd_gen(args) -> int:
         g = build_octagonal_speiser(args.depth)
     elif kind == "gamma":
         schedule = _parse_schedule(args.schedule)
-        ball, layers = speiser_ball(min(args.depth, len(schedule)))
-        g = tree_replace(ball, layers, schedule)
+        g = tree_replace(speiser_ball(min(args.depth, len(schedule))), schedule)
     elif kind == "lambda":
         g = lambda_triangulation(_read_graph(args.graph), outer_face=args.outer_face)
     elif kind == "extend":
@@ -114,21 +113,15 @@ def _cmd_analyze(args) -> int:
         from .walk import resistance_curve
 
         g = _read_graph(args.graph)
-        layers = bfs_layers(g, args.root)
-        n_list = list(range(1, args.n_max + 1))
-        curve = resistance_curve(g, args.root, n_list, layers=layers)
+        curve = resistance_curve(g, args.root, list(range(1, args.n_max + 1)))
         _write(args.output, _json_report(curve.to_dict()))
     elif kind == "nash-williams":
         from .walk import nash_williams_sum
 
-        g = _read_graph(args.graph)
-        layers = bfs_layers(g, args.root)
-        sums = nash_williams_sum(layers.cut_sizes())
+        cuts = bfs_layers(_read_graph(args.graph), args.root).cut_sizes()
         _write(
             args.output,
-            _json_report(
-                {"partial_sums": sums, "cut_sizes": layers.cut_sizes()}
-            ),
+            _json_report({"partial_sums": nash_williams_sum(cuts), "cut_sizes": cuts}),
         )
     elif kind == "doyle":
         from .walk import check_doyle_depth, doyle_test
@@ -149,8 +142,7 @@ def _cmd_analyze(args) -> int:
             raise UsageError(f"bad radii {args.ns!r}: need integers n >= 1") from None
         # every ball B(n) is cut from one lattice of radius max(ns)
         lattice = triangular_ball(q, max(ns))
-        layers = bfs_layers(lattice, 0)
-        report = ratio_trend(lambda n: induced_ball(lattice, layers, n), ns)
+        report = ratio_trend(lambda n: induced_ball(lattice, n), ns)
         _write(args.output, _json_report(report.to_dict()))
     elif kind == "fatness":
         from .fatness import PlanarSet, fatness_estimate

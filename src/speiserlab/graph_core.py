@@ -15,6 +15,10 @@ reads face lengths, darts, vertices and frontier flags from them.  The dual
 swaps the roles of the face permutation and the rotation, which makes
 ``dual(dual(g))`` the identity on frontier-free graphs.
 
+BFS layers have one representation as well: ``bfs_layers(g, root)`` holds
+the distances from ``root`` in one read-only array, cached on the graph per
+root, and spheres, balls and cut sets are read off it.
+
 Graph rewrites describe their result by its faces: ``from_walks`` takes the
 face walks as flat integer arrays (vertex keys, edge keys, walk lengths),
 numbers edges by first appearance, keeps the ids of vertex keys below
@@ -56,7 +60,8 @@ class RotationGraph:
     the vertex of dart ``d`` and ``rot_succ[d]`` the dart after ``d`` in that
     vertex's rotation.  Dart ``d`` belongs to edge ``d // 2`` with twin
     ``d ^ 1``.  ``rotation(v)`` is one vertex's darts as a list;
-    ``rotations`` rebuilds every vertex's list on each access.
+    ``rotations`` rebuilds every vertex's list on each access.  The faces
+    and the BFS layering from each root are computed once and cached.
     """
 
     __slots__ = (
@@ -70,6 +75,7 @@ class RotationGraph:
         "n_edges",
         "n_darts",
         "_faces",
+        "_layers",
     )
 
     def __init__(
@@ -143,6 +149,7 @@ class RotationGraph:
         self.rot_darts, self.rot_offsets = darts, offsets
         self.dart_vertex, self.rot_succ = dart_vertex, rot_succ
         self._faces = None
+        self._layers: dict[int, LayerDecomposition] = {}
         if connected_components(_adjacency(self), directed=False)[0] != 1:
             raise GraphError("disconnected graph")
 
@@ -494,37 +501,26 @@ def euler_characteristic(g: RotationGraph) -> int:
     return g.n_vertices - g.n_edges + len(trace_faces(g))
 
 
-def dual(g: RotationGraph, drop_frontier_faces: bool | None = None) -> RotationGraph:
+def dual(g: RotationGraph) -> RotationGraph:
     """Dual graph: one vertex per face, one edge per primal edge.
 
-    For truncations (``frontier`` nonempty) the faces touching the frontier
-    are ambiguous; they are dropped when ``drop_frontier_faces`` is true
-    (the default in that case), and the surviving faces adjacent to a dropped
-    face are marked as the dual's frontier.
+    The faces touching the frontier of a truncation are ambiguous, so they
+    are dropped, with the edges on them, and the surviving faces adjacent to
+    a dropped face are marked as the dual's frontier.  On a frontier-free
+    map every face is kept and every dart keeps its id.  A kept edge with
+    the same face on both sides would become a self-loop and is rejected.
     """
     faces = trace_faces(g)
-    if drop_frontier_faces is None:
-        drop_frontier_faces = bool(g.frontier)
     owner = faces.face_of()
-
-    if not drop_frontier_faces:
-        if g.frontier:
-            raise GraphError(
-                "duality is ambiguous at the truncation boundary; "
-                "pass drop_frontier_faces=True to drop those faces"
-            )
-        same = np.flatnonzero(owner[0::2] == owner[1::2])
-        if len(same):
-            raise GraphError(f"edge {same[0]} has the same face on both sides")
-        # darts keep their ids; dart 2e/2e+1 now live at the face vertices
-        return RotationGraph._flat(faces.darts, faces.offsets)
-
     kept = ~faces.touches_frontier
     if not kept.any():
         raise GraphError("no faces left after dropping frontier faces")
     # edges kept: both sides are kept faces, renumbered in edge order; the
     # kept faces are numbered in face order
     edge_kept = kept[owner[0::2]] & kept[owner[1::2]]
+    same = np.flatnonzero(edge_kept & (owner[0::2] == owner[1::2]))
+    if len(same):
+        raise GraphError(f"edge {same[0]} has the same face on both sides")
     new_eid = np.cumsum(edge_kept) - 1
     fid = faces.face_index()
     on_kept = edge_kept[faces.darts >> 1]
@@ -575,83 +571,63 @@ def _adjacency(g: RotationGraph) -> csr_matrix:
     )
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LayerDecomposition:
-    """Combinatorial spheres S(n), cut-edge sets E(n) and distances from a root.
+    """Combinatorial distances from a root, the one form of a BFS layering.
 
-    ``reliable_depth`` is the largest n for which S(0..n) equal the spheres of
-    the non-truncated graph; cut sets are reliable up to ``reliable_depth - 1``.
+    ``dist[v]`` is the distance of ``v`` from ``root`` (read-only int64).
+    The sphere S(n) is ``np.flatnonzero(dist == n)``, the ball B(n) is
+    ``dist <= n`` and the cut set E(n) holds the edges from S(n) to S(n + 1).
+    ``reliable_depth`` is the largest n for which S(0..n) equal the spheres
+    of the non-truncated graph; cut sets are reliable up to
+    ``reliable_depth - 1``.
     """
 
     root: int
-    spheres: list[list[int]]
-    cut_edges: list[list[int]]
+    dist: np.ndarray
     depth: int
     reliable_depth: int
-    dist: np.ndarray
-    warnings: list[str] = field(default_factory=list)
+    _cut_counts: np.ndarray = field(repr=False)
 
     def sphere_sizes(self) -> list[int]:
-        return [len(s) for s in self.spheres]
+        return np.bincount(self.dist, minlength=self.depth + 1).tolist()
 
     def ball_sizes(self) -> list[int]:
         return np.cumsum(self.sphere_sizes()).tolist()
 
     def cut_sizes(self) -> list[int]:
-        return [len(c) for c in self.cut_edges]
+        return self._cut_counts.tolist()
 
 
-def bfs_layers(g: RotationGraph, root: int, n_max: int | None = None) -> LayerDecomposition:
-    """BFS spheres, balls and cut-edge sets from ``root`` (multiplicity kept).
+def bfs_layers(g: RotationGraph, root: int) -> LayerDecomposition:
+    """BFS distances from ``root``, cached on the graph per root.
 
-    ``dist`` is -1 at vertices beyond ``n_max`` or not reached.  Spheres list
-    their vertices in increasing id, cut sets their edges in edge order.
+    Every reader of spheres, balls or cut sets around ``root`` (multiplicity
+    kept) takes them from this layering, so a graph is searched once per
+    root.  The cut sizes |E(n)| are counted here, from the edges' ends.
     """
+    layers = g._layers.get(root)
+    if layers is not None:
+        return layers
     if not (0 <= root < g.n_vertices):
         raise GraphError(f"root {root} not in graph")
-    if n_max is not None and n_max < 0:
-        raise GraphError("n_max must be >= 0")
-    hops = shortest_path(_adjacency(g), unweighted=True, indices=root)
-    reached = np.isfinite(hops)
-    if n_max is not None:
-        reached &= hops <= n_max
-    dist = np.where(reached, hops, -1).astype(np.int64)
+    # graphs are connected, so every vertex is reached
+    dist = shortest_path(_adjacency(g), unweighted=True, indices=root).astype(np.int64)
     depth = int(dist.max())
-    inside = np.flatnonzero(reached)
-    sizes = np.zeros(depth + 2, dtype=np.int64)
-    np.cumsum(np.bincount(dist[inside], minlength=depth + 1), out=sizes[1:])
-    spheres = _split(inside[np.argsort(dist[inside], kind="stable")], sizes)
-
     du, dv = dist[g.dart_vertex[0::2]], dist[g.dart_vertex[1::2]]
-    both = (du >= 0) & (dv >= 0)
-    if (both & (np.abs(du - dv) > 1)).any():
+    if (np.abs(du - dv) > 1).any():
         raise GraphError("BFS layering broken: edge skips a sphere")
-    cut = np.flatnonzero(both & (du != dv))
-    layer = np.minimum(du, dv)[cut]
-    bounds = np.zeros(depth + 1, dtype=np.int64)
-    np.cumsum(np.bincount(layer, minlength=depth), out=bounds[1:])
-    cut_edges = _split(cut[np.argsort(layer, kind="stable")], bounds)
-
-    warnings: list[str] = []
-    frontier_dists = dist[np.fromiter(g.frontier, np.int64, len(g.frontier))]
-    frontier_dists = frontier_dists[frontier_dists >= 0]
-    reliable = int(frontier_dists.min()) if len(frontier_dists) else depth
-    if n_max is not None:
-        reliable = min(reliable, depth)
-    if len(frontier_dists) and (n_max is None or reliable < n_max):
-        warnings.append(
-            f"frontier reached at distance {reliable}; "
-            f"layers beyond are unreliable"
-        )
-    return LayerDecomposition(
+    cuts = np.bincount(np.minimum(du, dv)[du != dv], minlength=depth)
+    front = dist[np.fromiter(g.frontier, np.int64, len(g.frontier))]
+    dist.flags.writeable = cuts.flags.writeable = False
+    layers = g._layers[root] = LayerDecomposition(
         root=root,
-        spheres=spheres,
-        cut_edges=cut_edges,
-        depth=depth,
-        reliable_depth=reliable,
         dist=dist,
-        warnings=warnings,
+        depth=depth,
+        reliable_depth=int(front.min()) if len(front) else depth,
+        _cut_counts=cuts,
     )
+    return layers
 
 
 @dataclass
@@ -666,7 +642,7 @@ class GraphClassification:
 def _odd_parity(g: RotationGraph) -> np.ndarray | None:
     """Per vertex, whether its BFS distance from vertex 0 is odd; None if an
     edge joins two vertices of equal parity (an odd cycle exists)."""
-    odd = shortest_path(_adjacency(g), unweighted=True, indices=0) % 2 == 1
+    odd = bfs_layers(g, 0).dist % 2 == 1
     return None if (odd[g.dart_vertex[0::2]] == odd[g.dart_vertex[1::2]]).any() else odd
 
 
@@ -714,37 +690,42 @@ def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassifica
     )
 
 
-def induced_ball(g: RotationGraph, layers: LayerDecomposition, n: int) -> RotationGraph:
-    """Induced subgraph on B(n); S(n) plus any clipped vertex joins the frontier.
+def induced_ball(g: RotationGraph, n: int) -> RotationGraph:
+    """Induced subgraph on the ball B(n) around vertex 0, S(n) its frontier.
 
-    Kept vertices and edges are renumbered in increasing id.
+    Kept vertices and edges are renumbered in increasing id.  Only the
+    rotation slots of the ball's vertices are read.  Within the reliable
+    depth every frontier vertex of ``g`` in B(n), and every vertex that loses
+    an edge, lies on S(n), so S(n) is the whole frontier of the ball.
     """
+    layers = bfs_layers(g, 0)
     if n > layers.reliable_depth:
         raise FrontierError(
             f"ball of radius {n} exceeds reliable depth {layers.reliable_depth}"
         )
-    dist = layers.dist
-    inside = (dist >= 0) & (dist <= n)
+    inside = layers.dist <= n
     keep = np.flatnonzero(inside)
-    edge_kept = inside[g.dart_vertex[0::2]] & inside[g.dart_vertex[1::2]]
-    new_eid = np.cumsum(edge_kept) - 1
-    # rotation slots of kept vertices, in vertex order; a slot stays when its
-    # edge does
-    slot_vertex = g.dart_vertex[g.rot_darts]
-    slot_kept = edge_kept[g.rot_darts >> 1]
-    darts = g.rot_darts[slot_kept]
+    # the rotation slots of the kept vertices, in vertex order; a slot stays
+    # when the far end of its edge is kept too
+    first = g.rot_offsets[keep]
+    degree = g.rot_offsets[keep + 1] - first
+    owner = np.repeat(np.arange(len(keep)), degree)
+    start = first - (np.cumsum(degree) - degree)
+    slots = np.arange(len(owner)) + np.repeat(start, degree)
+    darts = g.rot_darts[slots]
+    stays = inside[g.dart_vertex[darts ^ 1]]
+    darts = darts[stays]
     offsets = np.zeros(len(keep) + 1, dtype=np.int64)
-    degree = np.bincount(slot_vertex[slot_kept], minlength=g.n_vertices)
-    np.cumsum(degree[keep], out=offsets[1:])
-    clipped = np.zeros(g.n_vertices, dtype=bool)
-    clipped[slot_vertex[~slot_kept]] = True
-    clipped[list(g.frontier)] = True
-    ids = (np.cumsum(inside) - 1).tolist()
-    tags = {ids[v]: t for v, t in (g.tags or {}).items() if inside[v]}
+    np.cumsum(np.bincount(owner[stays], minlength=len(keep)), out=offsets[1:])
+    # the kept edges, each once by its even dart, in increasing id
+    edges = np.sort(darts[darts % 2 == 0] >> 1)
+    tags = None
+    if g.tags:
+        tags = {i: g.tags[v] for i, v in enumerate(keep.tolist()) if v in g.tags}
     return RotationGraph._flat(
-        2 * new_eid[darts >> 1] + (darts & 1),
+        2 * np.searchsorted(edges, darts >> 1) + (darts & 1),
         offsets,
-        frontier=np.flatnonzero((clipped | (dist == n))[keep]).tolist(),
+        frontier=np.flatnonzero(layers.dist[keep] == n).tolist(),
         tags=tags,
     )
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import FrontierError, GraphError, ScheduleError
 from .graph_core import (
-    LayerDecomposition,
     RotationGraph,
     bfs_layers,
     dual,
@@ -69,31 +68,31 @@ def build_octagonal_speiser(depth: int) -> RotationGraph:
     # dual vertex ids are the ranks of the kept faces.  Face 0 of the ball is
     # the face of dart 0 at the center vertex 0, and with depth + 2 >= 3 rings
     # it touches no frontier vertex, so it is kept as vertex 0
-    psi = dual(triangular_ball(8, depth + 2), drop_frontier_faces=True)
+    psi = dual(triangular_ball(8, depth + 2))
     psi.tags = two_coloring(psi)
     if psi.tags is None:
         raise GraphError("octagon tiling patch is unexpectedly not bipartite")
     return psi
 
 
-def tree_replace(
-    g: RotationGraph, layers: LayerDecomposition, schedule: GrowthSchedule
-) -> RotationGraph:
+def tree_replace(g: RotationGraph, schedule: GrowthSchedule) -> RotationGraph:
     """Replace every edge of cut layer n by an unbranched tree of length l_n.
 
-    The tree alternates single, double, single, ... edges, starting and ending
-    with a single edge, so odd l_n keeps the graph bipartite and the interior
-    3-homogeneous.  Original vertices keep their ids.
+    The cut layers are counted from vertex 0: an edge from S(n) to S(n + 1)
+    is in layer n.  The tree alternates single, double, single, ... edges,
+    starting and ending with a single edge, so odd l_n keeps the graph
+    bipartite and the interior 3-homogeneous.  Original vertices keep their
+    ids.
     """
-    layer = np.full(g.n_edges, -1, dtype=np.int64)
-    for n, cut in enumerate(layers.cut_edges):
-        layer[np.asarray(cut, dtype=np.int64)] = n
-    same_sphere = np.flatnonzero(layer < 0)
+    dist = bfs_layers(g, 0).dist
+    du, dv = dist[g.dart_vertex[0::2]], dist[g.dart_vertex[1::2]]
+    same_sphere = np.flatnonzero(du == dv)
     if len(same_sphere):
         raise GraphError(
             "tree replacement needs a bipartite layered graph; "
             f"edge {same_sphere[0]} joins vertices in the same sphere"
         )
+    layer = np.minimum(du, dv)
     n_layers = int(layer.max()) + 1 if g.n_edges else 0
     if len(schedule) < n_layers:
         raise ScheduleError(
@@ -308,16 +307,17 @@ class ExtendedLayerCounts:
 
 def extended_layer_counts(
     g: RotationGraph,
-    layers: LayerDecomposition,
+    root: int,
     k_max: int,
     grid_depth: int | None = None,
 ) -> ExtendedLayerCounts:
-    """Exact |S(k)|, |B(k)|, |E(k)| tables for the extension of ``g``.
+    """Exact |S(k)|, |B(k)|, |E(k)| tables around ``root`` for the extension of ``g``.
 
     Requires the base layers to be reliable up to ``k_max``.  With
     ``grid_depth=None`` the grids are unbounded (the true extended graph);
     otherwise columns stop at that height.
     """
+    layers = bfs_layers(g, root)
     if g.frontier and k_max > layers.reliable_depth:
         raise FrontierError(
             f"k_max {k_max} exceeds base reliable depth {layers.reliable_depth}"
@@ -325,7 +325,7 @@ def extended_layer_counts(
     gd = grid_depth if grid_depth is not None else k_max + 1
 
     def per_distance(dist: np.ndarray) -> np.ndarray:
-        return np.bincount(dist[(dist >= 0) & (dist <= k_max)], minlength=k_max + 1)
+        return np.bincount(dist[dist <= k_max], minlength=k_max + 1)
 
     # vertices, and degree sums (grid columns starting there: one per dart),
     # at each distance
@@ -359,14 +359,11 @@ def extended_layer_counts(
     )
 
 
-def speiser_ball(depth: int) -> tuple[RotationGraph, LayerDecomposition]:
-    """Octagonal base graph trimmed to exactly B(depth), plus its layers.
+def speiser_ball(depth: int) -> RotationGraph:
+    """Octagonal base graph trimmed to exactly B(depth) around vertex 0.
 
     B(depth) is cut from the smallest patch that holds it,
-    ``build_octagonal_speiser(ceil(depth / 2))``.
+    ``build_octagonal_speiser(ceil(depth / 2))``; the ball keeps the patch's
+    circle/cross tags, which are its own BFS parities from vertex 0.
     """
-    psi = build_octagonal_speiser((depth + 1) // 2)
-    # the ball keeps psi's circle/cross tags: its BFS parities from vertex 0
-    # are psi's
-    ball = induced_ball(psi, bfs_layers(psi, 0), depth)
-    return ball, bfs_layers(ball, 0)
+    return induced_ball(build_octagonal_speiser((depth + 1) // 2), depth)

@@ -62,8 +62,7 @@ def build_gamma(depth: int, schedule: GrowthSchedule) -> RotationGraph:
         raise ScheduleError(
             f"depth {depth} exceeds schedule coverage {len(schedule)}"
         )
-    ball, layers = speiser_ball(depth)
-    gamma = tree_replace(ball, layers, schedule)
+    gamma = tree_replace(speiser_ball(depth), schedule)
     cls = classify(gamma)
     if not cls.is_bipartite or cls.homogeneous_degree != 3:
         raise ScheduleError("stretched graph lost the Speiser property")
@@ -112,11 +111,10 @@ class GrowthCheck:
         }
 
 
-def verify_growth(
-    gamma: RotationGraph, k_min: int, k_max: int, layers=None
-) -> GrowthCheck:
-    """Exact |B(k)| against k * ln(k) over [k_min, k_max] (natural log)."""
-    layers = layers or bfs_layers(gamma, 0)
+def verify_growth(gamma: RotationGraph, k_min: int, k_max: int) -> GrowthCheck:
+    """Exact |B(k)| around vertex 0 against k * ln(k) over [k_min, k_max]
+    (natural log)."""
+    layers = bfs_layers(gamma, 0)
     k_hi = _clip_range("growth", k_min, k_max, layers.reliable_depth)
     balls = layers.ball_sizes()
     sizes = [balls[k] for k in range(k_min, k_hi + 1)]
@@ -160,16 +158,16 @@ def verify_upsilon_bounds(
     grid_depth: int | None,
     k_max: int,
     k_min: int = 2,
-    layers=None,
 ) -> UpsilonCheck:
-    """|S(k)| of the extension against 4 k ln k, plus the fitted square constant.
+    """|S(k)| of the extension around vertex 0 against 4 k ln k, plus the
+    fitted square constant.
 
     ``grid_depth=None`` means unbounded grids (the true extended graph).
     """
-    layers = layers or bfs_layers(gamma, 0)
+    reliable = bfs_layers(gamma, 0).reliable_depth
     # the square constant is fitted from k = 2 on, where ln k > 0
-    k_hi = _clip_range("upsilon", max(k_min, 2), k_max, layers.reliable_depth)
-    counts = extended_layer_counts(gamma, layers, k_hi, grid_depth=grid_depth)
+    k_hi = _clip_range("upsilon", max(k_min, 2), k_max, reliable)
+    counts = extended_layer_counts(gamma, 0, k_hi, grid_depth=grid_depth)
     sizes = counts.sphere_sizes[k_min : k_hi + 1]
     bound = [4 * k * math.log(k) for k in range(k_min, k_hi + 1)]
     ok = [s <= b for s, b in zip(sizes, bound)]
@@ -282,21 +280,13 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     # leg A: the dual side should look transient / hyperbolic
     depth = max(config.dual_depth, *config.ratio_ns)
     lattice = triangular_ball(8, depth)
-    layers = bfs_layers(lattice, 0)
-    dual_tri, dual_layers = lattice, layers
+    dual_tri = lattice
     if config.dual_depth < depth:
-        dual_tri = induced_ball(lattice, layers, config.dual_depth)
-        dual_layers = bfs_layers(dual_tri, 0)
-    curve = resistance_curve(
-        dual_tri, 0, list(config.resistance_radii), layers=dual_layers
-    )
+        dual_tri = induced_ball(lattice, config.dual_depth)
+    curve = resistance_curve(dual_tri, 0, list(config.resistance_radii))
     res_fit = classify_resistance_curve(curve.radii, curve.resistance)
-    vel_report = vel_type_trend(
-        dual_tri, 0, [tuple(a) for a in config.vel_annuli], layers=dual_layers
-    )
-    cp_report = ratio_trend(
-        lambda n: induced_ball(lattice, layers, n), list(config.ratio_ns)
-    )
+    vel_report = vel_type_trend(dual_tri, 0, [tuple(a) for a in config.vel_annuli])
+    cp_report = ratio_trend(lambda n: induced_ball(lattice, n), list(config.ratio_ns))
     leg_a = {
         "resistance": curve.to_dict(),
         "resistance_fit": res_fit,
@@ -309,16 +299,9 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
 
     # leg B: growth bounds and recurrence evidence on the stretched base
     gamma = build_gamma(len(schedule), schedule)
-    gamma_layers = bfs_layers(gamma, 0)
-    growth = verify_growth(
-        gamma, config.growth_k_min, config.growth_k_max, layers=gamma_layers
-    )
+    growth = verify_growth(gamma, config.growth_k_min, config.growth_k_max)
     upsilon = verify_upsilon_bounds(
-        gamma,
-        None,
-        config.upsilon_k_max,
-        k_min=config.upsilon_k_min,
-        layers=gamma_layers,
+        gamma, None, config.upsilon_k_max, k_min=config.upsilon_k_min
     )
     nw = nash_williams_sum(upsilon.cut_sizes)
     nw_strict = all(b > a for a, b in zip(nw, nw[1:]))

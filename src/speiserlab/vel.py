@@ -44,7 +44,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve_triangular, splu
 
 from .errors import GraphError
-from .graph_core import LayerDecomposition, RotationGraph
+from .graph_core import RotationGraph, bfs_layers
 from .refinement import VMetric
 from .trend import (
     HYPERBOLIC,
@@ -315,17 +315,15 @@ def vel_type_trend(
     g: RotationGraph,
     root: int,
     radii: list[tuple[int, int]],
-    layers: LayerDecomposition | None = None,
 ) -> TypeTrendReport:
     """Per-annulus extremal-length estimates and a growth-trend verdict.
 
     Each annulus (n_inner, n_outer) uses A = S(n_inner), B = S(n_outer) and
-    support B(n_outer) - B(n_inner - 1); annuli touching the frontier are
-    excluded and reported.
+    support B(n_outer) - B(n_inner - 1), all around ``root``; annuli touching
+    the frontier are excluded and reported.
     """
-    from .graph_core import bfs_layers
-
-    layers = layers or bfs_layers(g, root)
+    layers = bfs_layers(g, root)
+    dist = layers.dist
     usable: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
     for (ni, no) in radii:
@@ -339,9 +337,9 @@ def vel_type_trend(
     estimates = [
         solve_vel(
             g,
-            layers.spheres[ni],
-            layers.spheres[no],
-            support=np.flatnonzero((layers.dist >= ni) & (layers.dist <= no)),
+            np.flatnonzero(dist == ni),
+            np.flatnonzero(dist == no),
+            support=np.flatnonzero((dist >= ni) & (dist <= no)),
         )
         for ni, no in usable
     ]

@@ -22,7 +22,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from .errors import FrontierError, GraphError
-from .graph_core import LayerDecomposition, RotationGraph, bfs_layers, classify, trace_faces
+from .graph_core import RotationGraph, bfs_layers, classify, trace_faces
 from .speiser import extended_layer_counts
 from .trend import classify_resistance_curve, first_converged_n
 
@@ -42,14 +42,14 @@ def _ball_resistances(
     """Resistances and solve residuals from root to the short-circuited S(n).
 
     Every edge (u, v) is a unit resistor; ``dist`` is the distance from the
-    root (-1 if unreached), so it changes by at most one along an edge.  The
+    root, so it changes by at most one along an edge.  The
     Laplacian of the edges inside B(max n) is assembled once.  Radius n
     solves for the potentials of the nodes at distances 0..n-1 that an edge
     touches, less the root: none of them has an edge leaving B(n), so their
     Laplacian is its principal submatrix.  The root current is summed over
     the root's edges in their given order, first where the root is u.
     """
-    inside = (dist >= 0) & (dist <= max(n_list, default=0))
+    inside = dist <= max(n_list, default=0)
     keep = inside[u] & inside[v]
     u, v = u[keep], v[keep]
     ones = np.ones(len(u))
@@ -71,7 +71,7 @@ def _ball_resistances(
     for n in n_list:
         if dist[root] == n:
             raise GraphError("root is grounded")
-        free = (dist >= 0) & (dist < n) & (deg > 0)
+        free = (dist < n) & (deg > 0)
         free[root] = False
         at = np.flatnonzero(free)
         pot = np.zeros(n_nodes)
@@ -92,14 +92,9 @@ def _ball_resistances(
     return rs, residuals
 
 
-def effective_resistance(
-    g: RotationGraph,
-    root: int,
-    n: int,
-    layers: LayerDecomposition | None = None,
-) -> float:
+def effective_resistance(g: RotationGraph, root: int, n: int) -> float:
     """Resistance from root to the short-circuited sphere S(n)."""
-    return resistance_curve(g, root, [n], layers).resistance[0]
+    return resistance_curve(g, root, [n]).resistance[0]
 
 
 @dataclass
@@ -112,13 +107,9 @@ class ResistanceCurve:
         return {"radii": self.radii, "resistance": self.resistance}
 
 
-def resistance_curve(
-    g: RotationGraph,
-    root: int,
-    n_list: list[int],
-    layers: LayerDecomposition | None = None,
-) -> ResistanceCurve:
-    layers = layers or bfs_layers(g, root)
+def resistance_curve(g: RotationGraph, root: int, n_list: list[int]) -> ResistanceCurve:
+    """Resistances from ``root`` to the short-circuited spheres S(n) around it."""
+    layers = bfs_layers(g, root)
     for n in n_list:
         if n < 1:
             raise GraphError("n must be >= 1")
@@ -149,11 +140,11 @@ def nash_williams_sum(cut_sizes: Sequence[int]) -> list[float]:
 
 def _upsilon_ball(
     g: RotationGraph,
-    layers: LayerDecomposition,
+    root: int,
     n_max: int,
     grid_depth: int | None = None,
 ):
-    """Nodes and edges of B(n_max) in the extension of ``g``.
+    """Nodes and edges of B(n_max) around ``root`` in the extension of ``g``.
 
     Returns (n_nodes, edges_u, edges_v, dist): base vertices keep their ids,
     grid nodes are appended.  Exact for n <= the base reliable depth.
@@ -166,9 +157,9 @@ def _upsilon_ball(
     """
     gd = grid_depth if grid_depth is not None else n_max
     faces = trace_faces(g)
-    dist_base = layers.dist
+    dist_base = bfs_layers(g, root).dist
     n = g.n_vertices
-    inside = (dist_base >= 0) & (dist_base <= n_max)
+    inside = dist_base <= n_max
     a, b = _edge_arrays(g)
     base = inside[a] & inside[b]
 
@@ -217,18 +208,17 @@ def upsilon_resistance_curve(
     g: RotationGraph,
     root: int,
     n_list: list[int],
-    layers: LayerDecomposition | None = None,
     grid_depth: int | None = None,
 ) -> ResistanceCurve:
     """Effective resistance root -> S(n) inside the extended graph."""
-    layers = layers or bfs_layers(g, root)
+    layers = bfs_layers(g, root)
     n_max = max(n_list)
     if g.frontier and n_max > layers.reliable_depth:
         raise FrontierError(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"
         )
     rs, residuals = _ball_resistances(
-        *_upsilon_ball(g, layers, n_max, grid_depth=grid_depth), root, n_list
+        *_upsilon_ball(g, root, n_max, grid_depth=grid_depth), root, n_list
     )
     return ResistanceCurve(radii=list(n_list), resistance=rs, residuals=residuals)
 
@@ -294,12 +284,8 @@ def doyle_test(
     if n_eff < 1:
         raise FrontierError("no reliable radius at all")
     radii = list(range(1, n_eff + 1))
-    curve = upsilon_resistance_curve(
-        speiser_graph, root, radii, layers=layers, grid_depth=grid_depth
-    )
-    counts = extended_layer_counts(
-        speiser_graph, layers, n_eff, grid_depth=grid_depth
-    )
+    curve = upsilon_resistance_curve(speiser_graph, root, radii, grid_depth=grid_depth)
+    counts = extended_layer_counts(speiser_graph, root, n_eff, grid_depth=grid_depth)
     cut_sizes = counts.cut_sizes
     nw = nash_williams_sum(cut_sizes)
     for n, r in zip(radii, curve.resistance):

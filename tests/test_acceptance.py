@@ -239,16 +239,14 @@ def test_acceptance_08_resistance_controls():
     from speiserlab.walk import effective_resistance, resistance_curve
 
     g = square_ball(66)
-    layers = bfs_layers(g, 0)
     ns = [8, 11, 16, 23, 32, 45, 64]
-    curve = resistance_curve(g, 0, ns, layers=layers)
+    curve = resistance_curve(g, 0, ns)
     fit = fit_linear(np.log(ns), curve.resistance)
     z2_ok = 0.1 <= fit.slope <= 0.3
 
     tree = regular_tree(3, 12)
-    tl = bfs_layers(tree, 0)
     t_ns = list(range(1, 13))
-    t_curve = resistance_curve(tree, 0, t_ns, layers=tl)
+    t_curve = resistance_curve(tree, 0, t_ns)
     n_star = first_converged_n(t_ns, t_curve.resistance)
     closed = [sum(1.0 / (3 * 2**k) for k in range(n)) for n in t_ns]
     match = max(abs(a - b) for a, b in zip(t_curve.resistance, closed))
@@ -310,8 +308,7 @@ def test_acceptance_10_leg_b(theorem1_report):
     sphere = leg["upsilon"]
     schedule = GrowthSchedule(tuple(cfg.schedule))
     gamma = build_gamma(len(schedule), schedule)
-    layers = bfs_layers(gamma, 0)
-    balls = layers.ball_sizes()
+    balls = bfs_layers(gamma, 0).ball_sizes()
     counts_ok = all(balls[k] == _gamma_ball_size(k, cfg.schedule) for k in ks)
     report_ok = (
         growth["first_k_holding"] == k_star
@@ -327,7 +324,7 @@ def test_acceptance_10_leg_b(theorem1_report):
 
     # degree bound of the extension: base interior degree 3 plus one column
     # per corner gives 6; measured on the assembled ball
-    n_nodes, eu, ev, dist = _upsilon_ball(gamma, layers, 24)
+    n_nodes, eu, ev, dist = _upsilon_ball(gamma, 0, 24)
     degs = np.bincount(np.concatenate([eu, ev]), minlength=n_nodes)
     inner = dist < 24
     deg_ok = int(degs[inner].max()) <= 6

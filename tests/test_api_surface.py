@@ -1,0 +1,52 @@
+"""Guards on the package's call signatures.
+
+A BFS layering is read from ``bfs_layers(g, root)``, cached on the graph, so
+no function takes a layering as an argument; ``dual`` always drops the faces
+at a truncation's frontier.  These tests keep such knobs from coming back.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import speiserlab
+from speiserlab.graph_core import RotationGraph, bfs_layers, dual
+from speiserlab.speiser import speiser_ball
+
+REMOVED = {"layers", "drop_frontier_faces"}
+
+
+def _callables():
+    """Every function, class and method defined in the package's modules."""
+    for info in pkgutil.iter_modules(speiserlab.__path__):
+        module = importlib.import_module(f"speiserlab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for meth_name, meth in vars(obj).items():
+                    fn = getattr(meth, "__func__", meth)
+                    if inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{meth_name}", fn
+
+
+def _parameters(obj):
+    try:
+        return list(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):  # a class without a signature
+        return []
+
+
+def test_no_callable_takes_a_layering_or_a_dual_mode():
+    found = list(_callables())
+    assert len(found) > 100
+    bad = [(name, p) for name, obj in found for p in _parameters(obj) if p in REMOVED]
+    assert bad == []
+
+
+def test_layering_and_dual_entry_points():
+    assert list(inspect.signature(bfs_layers).parameters) == ["g", "root"]
+    assert list(inspect.signature(dual).parameters) == ["g"]
+    assert type(speiser_ball(1)) is RotationGraph

@@ -76,6 +76,22 @@ def test_analyze_resistance(tmp_path):
     assert data["radii"] == [1, 2]
 
 
+def test_analyze_resistance_around_a_nonzero_root(tmp_path):
+    from speiserlab.graph_core import to_json
+    from speiserlab.lattices import triangular_ball
+    from speiserlab.walk import resistance_curve
+
+    g = tmp_path / "hex.json"
+    g.write_text(to_json(triangular_ball(6, 6)))
+    out = tmp_path / "res.json"
+    argv = ["analyze", "resistance", "--graph", str(g), "--root", "3", "--n-max", "3"]
+    assert main(argv + ["-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    want = resistance_curve(triangular_ball(6, 6), 3, [1, 2, 3])
+    assert data == {"radii": [1, 2, 3], "resistance": want.resistance}
+    assert data["resistance"][1:] == pytest.approx([0.2222, 0.2586], abs=5e-5)
+
+
 def test_ratio_trend_cli_unconverged_exits_3(tmp_path, monkeypatch, capsys):
     from speiserlab import packing
 

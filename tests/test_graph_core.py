@@ -248,6 +248,23 @@ def test_bfs_layers_path():
     assert layers.depth == 5
 
 
+def test_bfs_layers_cached_per_root_and_read_only():
+    g = triangular_ball(6, 4)
+    layers = bfs_layers(g, 0)
+    assert bfs_layers(g, 0) is layers
+    assert bfs_layers(g, 3) is bfs_layers(g, 3)
+    assert bfs_layers(g, 3) is not layers
+    assert bfs_layers(g, 3).root == 3 and bfs_layers(g, 3).dist[3] == 0
+    assert not layers.dist.flags.writeable
+    with pytest.raises(ValueError):
+        layers.dist[0] = 5
+    with pytest.raises(AttributeError):
+        layers.dist = np.zeros(g.n_vertices, dtype=np.int64)
+    assert layers.sphere_sizes() == [1, 6, 12, 18, 24]
+    with pytest.raises(GraphError, match="root 61 not in graph"):
+        bfs_layers(g, 61)
+
+
 def test_bfs_ball_consistency():
     g = triangular_ball(7, 4)
     layers = bfs_layers(g, 0)
@@ -313,21 +330,19 @@ def test_regular_tree_layers():
 
 def test_induced_ball_frontier():
     g = triangular_ball(6, 4)
-    layers = bfs_layers(g, 0)
-    b2 = induced_ball(g, layers, 2)
+    b2 = induced_ball(g, 2)
     assert b2.n_vertices == 1 + 6 + 12
     l2 = bfs_layers(b2, 0)
     assert l2.sphere_sizes() == [1, 6, 12]
-    assert set(l2.spheres[2]) <= b2.frontier
+    assert set(np.flatnonzero(l2.dist == 2).tolist()) <= b2.frontier
 
 
 @pytest.mark.parametrize("q, depth", [(6, 24), (8, 7)])
 def test_induced_ball_of_lattice_is_the_smaller_lattice(q, depth):
     # leg A and `analyze ratio-trend` cut every B(n) from one lattice
     lattice = triangular_ball(q, depth)
-    layers = bfs_layers(lattice, 0)
     for n in range(1, depth + 1):
-        got = to_json(induced_ball(lattice, layers, n))
+        got = to_json(induced_ball(lattice, n))
         assert got == to_json(triangular_ball(q, n))
 
 
@@ -465,8 +480,7 @@ def _reference_trace(g):
 def _small_gamma():
     from speiserlab.speiser import GrowthSchedule, speiser_ball, tree_replace
 
-    ball, layers = speiser_ball(2)
-    return tree_replace(ball, layers, GrowthSchedule((3, 5)))
+    return tree_replace(speiser_ball(2), GrowthSchedule((3, 5)))
 
 
 WALK_SOURCES = {
@@ -624,8 +638,7 @@ def test_rewrite_outputs_pinned():
 
     gam = _small_gamma()
     assert _sha(to_json(gam)) == "27387f4c45cdc169"
-    p = path_graph(1)
-    stretched = tree_replace(p, bfs_layers(p, 0), GrowthSchedule((5,)))
+    stretched = tree_replace(path_graph(1), GrowthSchedule((5,)))
     assert _sha(to_json(stretched)) == "5608ff3a16df9dbf"
     pinned = {
         "lambda": ("69078f43eef43278", "81137365216b797d"),
@@ -698,10 +711,9 @@ def test_classify_and_coloring_match_loop_reference():
     from speiserlab.speiser import GrowthSchedule, lambda_triangulation, tree_replace
 
     gam = _small_gamma()
-    p = path_graph(1)
     graphs = [
         gam,
-        tree_replace(p, bfs_layers(p, 0), GrowthSchedule((5,))),
+        tree_replace(path_graph(1), GrowthSchedule((5,))),
         lambda_triangulation(gam),
         lambda_triangulation(grid_patch(3, 2)),
         subdivide4(triangular_ball(8, 3))[0],
@@ -747,7 +759,7 @@ def _reference_from_rotations(incidence):
     return rotations
 
 
-def _reference_bfs_layers(g, root, n_max=None):
+def _reference_bfs_layers(g, root):
     """Queue BFS over the rotation lists, then one pass over the edges."""
     from collections import deque
 
@@ -758,8 +770,6 @@ def _reference_bfs_layers(g, root, n_max=None):
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        if n_max is not None and dist[v] >= n_max:
-            continue
         for d in rotations[v]:
             w = vertex[d ^ 1]
             if dist[w] == -1:
@@ -777,8 +787,6 @@ def _reference_bfs_layers(g, root, n_max=None):
             cut_edges[min(du, dv)].append(e)
     frontier_dists = [dist[v] for v in g.frontier if dist[v] != -1]
     reliable = min(frontier_dists) if frontier_dists else depth
-    if n_max is not None:
-        reliable = min(reliable, depth)
     return spheres, cut_edges, dist, depth, reliable
 
 
@@ -816,21 +824,35 @@ def _reference_graphs():
 
 def test_bfs_layers_and_induced_ball_match_loop_references():
     for name, g in _reference_graphs().items():
-        for n_max in (None, 2, 5):
-            layers = bfs_layers(g, 0, n_max)
-            got = (
-                layers.spheres,
-                layers.cut_edges,
-                layers.dist.tolist(),
-                layers.depth,
-                layers.reliable_depth,
-            )
-            assert got == _reference_bfs_layers(g, 0, n_max), (name, n_max)
+        for root in (0, 3):
+            layers = bfs_layers(g, root)
+            spheres, cut_edges, dist, depth, reliable = _reference_bfs_layers(g, root)
+            assert (layers.root, layers.depth, layers.reliable_depth) == (
+                root,
+                depth,
+                reliable,
+            ), (name, root)
             assert layers.dist.dtype == np.int64
-            for n in range(min(layers.reliable_depth, 4) + 1):
-                ball = induced_ball(g, layers, n)
-                want = _reference_induced_ball(g, layers, n)
-                assert (ball.rotations, ball.frontier, ball.tags) == want, (name, n)
+            assert layers.dist.tolist() == dist, (name, root)
+            # S(n) and E(n) as read off dist, and the derived sizes
+            assert [
+                np.flatnonzero(layers.dist == n).tolist() for n in range(depth + 1)
+            ] == spheres
+            du, dv = layers.dist[g.dart_vertex[0::2]], layers.dist[g.dart_vertex[1::2]]
+            cut = du != dv
+            assert [
+                np.flatnonzero(cut & (np.minimum(du, dv) == n)).tolist()
+                for n in range(depth)
+            ] == cut_edges
+            assert layers.sphere_sizes() == [len(x) for x in spheres]
+            assert layers.ball_sizes() == np.cumsum(layers.sphere_sizes()).tolist()
+            assert layers.cut_sizes() == [len(x) for x in cut_edges]
+            assert all(type(x) is int for x in layers.cut_sizes() + layers.ball_sizes())
+        layers = bfs_layers(g, 0)
+        for n in range(min(layers.reliable_depth, 4) + 1):
+            ball = induced_ball(g, n)
+            want = _reference_induced_ball(g, layers, n)
+            assert (ball.rotations, ball.frontier, ball.tags) == want, (name, n)
 
 
 def test_from_rotations_matches_loop_reference():
@@ -863,8 +885,7 @@ def test_from_rotations_errors_match_loop_reference(incidence):
 
 def test_rotation_arrays_are_read_only_int64():
     tri = triangular_ball(6, 3)
-    layers = bfs_layers(tri, 0)
-    for g in (tri, dual(octahedron()), induced_ball(tri, layers, 2), _small_gamma()):
+    for g in (tri, dual(octahedron()), induced_ball(tri, 2), _small_gamma()):
         for arr in (g.rot_darts, g.rot_offsets, g.dart_vertex, g.rot_succ):
             assert arr.dtype == np.int64
             assert not arr.flags.writeable

@@ -54,7 +54,7 @@ def test_two_ring_matches_scalar_oracle():
     p = pack_disk(g, boundary=EUCLIDEAN, boundary_radii=1.0)
     # all interior radii coincide by symmetry (rigidity)
     layers = bfs_layers(g, 0)
-    ring1 = layers.spheres[1]
+    ring1 = np.flatnonzero(layers.dist == 1).tolist()
     for v in ring1:
         assert p.radii[v] == pytest.approx(oracle, abs=1e-8)
     assert p.radii[0] == pytest.approx(oracle, abs=1e-8)
@@ -91,7 +91,7 @@ def test_gauss_bonnet_boundary_turning():
     g = triangular_ball(6, 2)
     p = pack_disk(g, boundary=EUCLIDEAN)
     layers = bfs_layers(g, 0)
-    rim = layers.spheres[2]
+    rim = np.flatnonzero(layers.dist == 2).tolist()
     # boundary circle centers in cyclic order: walk ring 2 via ring edges
     ring = [rim[0]]
     seen = {rim[0]}
@@ -193,7 +193,7 @@ def test_lambda_gamma_ball_packs():
     from speiserlab.theorem1 import build_gamma
 
     lam = lambda_triangulation(build_gamma(5, GrowthSchedule((1, 3, 3, 5, 5))))
-    g = induced_ball(lam, bfs_layers(lam, 0), 2)
+    g = induced_ball(lam, 2)
     p = pack_disk(g, boundary=MAXIMAL)
     assert g.n_vertices == 139
     assert sorted({int(g.degree(v)) for v in p.interior}) == [4, 6, 48]

@@ -49,8 +49,8 @@ def test_coarsen_square_sum_inequality_holds(weights):
 def test_vel_bounds_bracket_on_hex_annuli(inner, width):
     outer = inner + width
     support = [v for v in HEX.vertices() if inner <= HEX_LAYERS.dist[v] <= outer]
-    A = set(HEX_LAYERS.spheres[inner])
-    B = set(HEX_LAYERS.spheres[outer])
+    A = set(np.flatnonzero(HEX_LAYERS.dist == inner).tolist())
+    B = set(np.flatnonzero(HEX_LAYERS.dist == outer).tolist())
     est = solve_vel(HEX, A, B, support=support)
     assert est.lower <= est.upper + 1e-9
     assert est.lower > 0

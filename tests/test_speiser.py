@@ -89,10 +89,11 @@ def test_lambda_refinement_constants_against_dual():
 
 
 def test_speiser_ball_trims_to_exact_ball():
-    ball, layers = speiser_ball(2)
+    ball = speiser_ball(2)
+    layers = bfs_layers(ball, 0)
     assert layers.depth == 2
-    assert set(layers.spheres[2]) <= ball.frontier
-    assert len(layers.cut_edges) == 2
+    assert set(np.flatnonzero(layers.dist == 2).tolist()) <= ball.frontier
+    assert len(layers.cut_sizes()) == 2
 
 
 # -- growth schedules -------------------------------------------------------
@@ -104,17 +105,16 @@ def test_schedule_rejects_even():
 
 
 def test_schedule_too_short():
-    ball, layers = speiser_ball(2)
     with pytest.raises(ScheduleError):
-        tree_replace(ball, layers, GrowthSchedule((3,)))
+        tree_replace(speiser_ball(2), GrowthSchedule((3,)))
 
 
 # -- tree replacement -------------------------------------------------------
 
 
 def test_tree_replace_identity():
-    ball, layers = speiser_ball(2)
-    out = tree_replace(ball, layers, GrowthSchedule((1, 1)))
+    ball = speiser_ball(2)
+    out = tree_replace(ball, GrowthSchedule((1, 1)))
     assert canonical_form(out) == canonical_form(ball)
 
 
@@ -123,9 +123,7 @@ def test_tree_replace_single_edge_pattern():
     # vertices u, t1..t4, v and multiplicity pattern 1,2,1,2,1
     from speiserlab.lattices import path_graph
 
-    g = path_graph(1)
-    layers = bfs_layers(g, 0)
-    out = tree_replace(g, layers, GrowthSchedule((5,)))
+    out = tree_replace(path_graph(1), GrowthSchedule((5,)))
     assert out.n_vertices == 6
     assert out.n_edges == 7  # 3 singles + 2 doubles
     # internal vertices have degree 3 except the two endpoints (degree 1)
@@ -137,8 +135,7 @@ def test_tree_replace_single_edge_pattern():
 
 
 def test_tree_replace_psi_depth2():
-    ball, layers = speiser_ball(2)
-    out = tree_replace(ball, layers, GrowthSchedule((3, 5)))
+    out = tree_replace(speiser_ball(2), GrowthSchedule((3, 5)))
     c = classify(out)
     assert c.is_bipartite
     for v in out.interior_vertices():
@@ -153,8 +150,7 @@ def test_tree_replace_psi_depth2():
 
 
 def test_tree_replace_internal_vertex_spacing():
-    ball, layers = speiser_ball(1)
-    out = tree_replace(ball, layers, GrowthSchedule((7,)))
+    out = tree_replace(speiser_ball(1), GrowthSchedule((7,)))
     lay = bfs_layers(out, 0)
     for j in range(1, 7):
         assert lay.sphere_sizes()[j] == 3
@@ -212,8 +208,7 @@ def test_extend_single_square_face():
 def test_extend_degree_bound_and_columns():
     from speiserlab.graph_core import interior_face_mask
 
-    ball, layers = speiser_ball(2)
-    gamma = tree_replace(ball, layers, GrowthSchedule((3, 5)))
+    gamma = tree_replace(speiser_ball(2), GrowthSchedule((3, 5)))
     ups = extend_speiser(gamma, 3)
     for v in ups.interior_vertices():
         assert ups.degree(v) <= 6
@@ -243,9 +238,8 @@ def test_extended_layer_counts_match_materialized_sphere_graphs():
     from speiserlab.lattices import cube, octahedron
 
     for g in (octahedron(), cube()):
-        layers = bfs_layers(g, 0)
         k_max = 6
-        counts = extended_layer_counts(g, layers, k_max)
+        counts = extended_layer_counts(g, 0, k_max)
         ups = extend_speiser(g, k_max + 1)
         lay_u = bfs_layers(ups, 0)
         for k in range(k_max + 1):
@@ -265,7 +259,7 @@ def test_extended_counts_on_triangulation_control():
     skipped_min = int(face_min[faces.touches_frontier].min())
     k_ok = skipped_min  # spheres complete up to this radius
     assert k_ok >= 3, "control too shallow to be informative"
-    counts = extended_layer_counts(g, layers, k_ok)
+    counts = extended_layer_counts(g, 0, k_ok)
     ups = extend_speiser(g, k_ok + 1)
     lay_u = bfs_layers(ups, 0)
     for k in range(k_ok + 1):
@@ -274,18 +268,22 @@ def test_extended_counts_on_triangulation_control():
         assert lay_u.cut_sizes()[k] == counts.cut_sizes[k]
 
 
-def _reference_layer_counts(g, layers, k_max, grid_depth=None):
-    """Sphere, ball and cut tables by per-vertex and per-window loops."""
+def _reference_layer_counts(g, dist, k_max, grid_depth=None):
+    """Sphere, ball and cut tables by per-vertex, per-edge and per-window
+    loops over the distances ``dist`` from the root."""
     gd = grid_depth if grid_depth is not None else k_max + 1
     deg_at = [0] * (k_max + 1)
+    base_s = [0] * (k_max + 1)
     for v in range(g.n_vertices):
-        d = layers.dist[v]
+        d = dist[v]
         if 0 <= d <= k_max:
             deg_at[d] += g.degree(v)
-    base_s = [len(s) for s in layers.spheres[: k_max + 1]]
-    base_s += [0] * (k_max + 1 - len(base_s))
-    base_cut = [len(c) for c in layers.cut_edges[:k_max]]
-    base_cut += [0] * (k_max - len(base_cut))
+            base_s[d] += 1
+    base_cut = [0] * k_max
+    for e in range(g.n_edges):
+        du, dv = (dist[w] for w in g.edge_ends(e))
+        if du != dv and min(du, dv) < k_max:
+            base_cut[min(du, dv)] += 1
 
     def windowed(hist, k, lo_off, hi_off):
         lo, hi = max(0, k - lo_off), k - hi_off
@@ -305,16 +303,17 @@ def test_extended_layer_counts_match_loop_reference_on_gamma():
 
     gamma = build_gamma(2, GrowthSchedule((21, 8103)))
     layers = bfs_layers(gamma, 0)
+    dist = layers.dist.tolist()
     k_max = min(2000, layers.reliable_depth)
     for grid_depth in (None, 24):
-        counts = extended_layer_counts(gamma, layers, k_max, grid_depth=grid_depth)
+        counts = extended_layer_counts(gamma, 0, k_max, grid_depth=grid_depth)
         got = (
             counts.sphere_sizes,
             counts.ball_sizes,
             counts.cut_sizes,
             counts.base_sphere_sizes,
         )
-        assert got == _reference_layer_counts(gamma, layers, k_max, grid_depth)
+        assert got == _reference_layer_counts(gamma, dist, k_max, grid_depth)
         assert all(type(x) is int for x in counts.ball_sizes + counts.cut_sizes)
 
 
@@ -322,7 +321,7 @@ def test_speiser_ball_keeps_psi_tags():
     # induced_ball carries psi's tags over; they are the ball's own BFS
     # two-colouring, so the ball needs no recolouring
     for depth in range(1, 7):
-        ball, _ = speiser_ball(depth)
+        ball = speiser_ball(depth)
         assert ball.tags == two_coloring(ball)
         assert ball.tags[0] == "circle"
 
@@ -347,10 +346,10 @@ FULL_PATCH_BALL_SHA = {
 
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_speiser_ball_matches_full_patch_cut(depth):
-    ball, layers = speiser_ball(depth)
+    ball = speiser_ball(depth)
     text = to_json(ball)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == FULL_PATCH_BALL_SHA[depth]
     if depth <= 5:
         psi = build_octagonal_speiser(depth)
-        assert text == to_json(induced_ball(psi, bfs_layers(psi, 0), depth))
-    assert layers.reliable_depth == depth
+        assert text == to_json(induced_ball(psi, depth))
+    assert bfs_layers(ball, 0).reliable_depth == depth

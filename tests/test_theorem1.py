@@ -38,8 +38,7 @@ def test_paper_schedule_rejects_large_n():
 
 def test_build_gamma_identity_schedule():
     gamma = build_gamma(2, GrowthSchedule((1, 1)))
-    ball, _ = speiser_ball(2)
-    assert is_isomorphic(gamma, ball)
+    assert is_isomorphic(gamma, speiser_ball(2))
 
 
 def test_build_gamma_small_schedule_counts():
@@ -64,8 +63,7 @@ def test_build_gamma_paper_truncation_counts():
 def test_verify_growth_identity_schedule_fails_eventually():
     gamma = build_gamma(2, GrowthSchedule((1, 1)))
     # the unstretched graph grows too fast for k log k
-    layers = bfs_layers(gamma, 0)
-    check = verify_growth(gamma, 2, layers.reliable_depth, layers=layers)
+    check = verify_growth(gamma, 2, bfs_layers(gamma, 0).reliable_depth)
     assert not check.holds_all
 
 
@@ -187,11 +185,10 @@ def test_bound_checks_reject_a_range_past_the_reliable_depth():
     # the unstretched graph is reliable to k = 2 only: [25, ...] checks
     # nothing, which must not read as "holds"
     gamma = build_gamma(2, GrowthSchedule((1, 1)))
-    layers = bfs_layers(gamma, 0)
     with pytest.raises(FrontierError, match="reliable depth 2"):
-        verify_growth(gamma, 25, 8000, layers=layers)
+        verify_growth(gamma, 25, 8000)
     with pytest.raises(FrontierError, match="reliable depth 2"):
-        verify_upsilon_bounds(gamma, None, 2000, k_min=25, layers=layers)
+        verify_upsilon_bounds(gamma, None, 2000, k_min=25)
 
 
 def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
@@ -237,3 +234,31 @@ def test_first_k_holding_matches_definition(ok, k_min):
 def test_first_k_holding_constant_lists(n):
     assert first_k_holding([True] * n, 25) == (25 if n else None)
     assert first_k_holding([False] * n, 25) is None
+
+
+def test_default_run_searches_each_graph_and_root_once(monkeypatch):
+    # every layering comes from bfs_layers, cached on the graph per root:
+    # a BFS is keyed here by the adjacency it searched and its root
+    import hashlib
+
+    from speiserlab import graph_core
+
+    searches = {}
+    search = graph_core.shortest_path
+
+    def counted(adj, unweighted, indices):
+        key = (
+            adj.shape[0],
+            hashlib.sha256(adj.indptr.tobytes() + adj.indices.tobytes()).hexdigest(),
+            int(indices),
+        )
+        searches[key] = searches.get(key, 0) + 1
+        return search(adj, unweighted=unweighted, indices=indices)
+
+    monkeypatch.setattr(graph_core, "shortest_path", counted)
+    report = run_theorem1()
+    gamma_vertices = report.leg_b["gamma_vertices"]
+    assert gamma_vertices == 48682
+    assert [n for (size, _, root), n in searches.items() if size == gamma_vertices] == [1]
+    assert set(searches.values()) == {1}
+    assert {root for *_, root in searches} == {0}

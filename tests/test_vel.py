@@ -131,14 +131,19 @@ def test_solver_disconnected_support():
     assert math.isinf(est.lower) and math.isinf(est.upper)
 
 
+def _sphere(layers, n):
+    """S(n) as a set of vertex ids."""
+    return set(np.flatnonzero(layers.dist == n).tolist())
+
+
 def test_annulus_monotonicity():
     g = triangular_ball(6, 5)
     layers = bfs_layers(g, 0)
     support = [v for v in g.vertices() if 1 <= layers.dist[v] <= 2]
-    est = solve_vel(g, set(layers.spheres[1]), set(layers.spheres[2]), support=support)
+    est = solve_vel(g, _sphere(layers, 1), _sphere(layers, 2), support=support)
     # the same metric certifies at least as much against the farther sphere
-    obj_near = metric_objective(g, set(layers.spheres[1]), set(layers.spheres[2]), est.metric)
-    obj_far = metric_objective(g, set(layers.spheres[1]), set(layers.spheres[3]), est.metric)
+    obj_near = metric_objective(g, _sphere(layers, 1), _sphere(layers, 2), est.metric)
+    obj_far = metric_objective(g, _sphere(layers, 1), _sphere(layers, 3), est.metric)
     assert obj_far["dist"] >= obj_near["dist"] - 1e-12
     assert obj_far["ratio"] >= obj_near["ratio"] - 1e-12
 
@@ -149,9 +154,7 @@ def test_serial_rule():
 
     def annulus(ni, no):
         support = [v for v in g.vertices() if ni <= layers.dist[v] <= no]
-        return solve_vel(
-            g, set(layers.spheres[ni]), set(layers.spheres[no]), support=support
-        )
+        return solve_vel(g, _sphere(layers, ni), _sphere(layers, no), support=support)
 
     inner = annulus(1, 2)
     outer = annulus(3, 4)
@@ -172,12 +175,12 @@ def test_trend_hex_parabolic():
         assert est.lower > 0
         profile = VMetric(
             {
-                v: 1.0 / len(layers.spheres[layers.dist[v]])
+                v: 1.0 / layers.sphere_sizes()[layers.dist[v]]
                 for v in g.vertices()
                 if ni <= layers.dist[v] <= no
             }
         )
-        obj = metric_objective(g, set(layers.spheres[ni]), set(layers.spheres[no]), profile)
+        obj = metric_objective(g, _sphere(layers, ni), _sphere(layers, no), profile)
         assert obj["ratio"] <= est.upper + 1e-9
         if est.converged:
             assert est.lower >= obj["ratio"] - 1e-6
@@ -198,6 +201,37 @@ def test_trend_single_annulus_inconclusive():
     assert report.verdict == INCONCLUSIVE
 
 
+def test_trend_builds_annuli_around_its_root(monkeypatch):
+    from collections import deque
+
+    g = triangular_ball(6, 6)
+    dist = {3: 0}
+    queue = deque([3])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    seen = []
+    solve = vel.solve_vel
+
+    def recorded(g, A, B, support=None):
+        seen.append((sorted(A), sorted(B), sorted(support)))
+        return solve(g, A, B, support=support)
+
+    monkeypatch.setattr(vel, "solve_vel", recorded)
+    report = vel_type_trend(g, 3, [(1, 2)])
+
+    def shell(lo, hi):
+        return sorted(v for v, d in dist.items() if lo <= d <= hi)
+
+    # A = S(1), B = S(2) and the support B(2) - B(0), all around vertex 3
+    assert seen == [(shell(1, 1), shell(2, 2), shell(1, 2))]
+    assert report.annuli == [(1, 2)]
+    assert report.estimates[0].lower > 0
+
+
 def test_trend_skips_frontier_annuli():
     g = triangular_ball(6, 4)
     report = vel_type_trend(g, 0, [(1, 2), (2, 8)])
@@ -207,7 +241,7 @@ def test_trend_skips_frontier_annuli():
 def _annulus(g, ni, no):
     layers = bfs_layers(g, 0)
     support = [v for v in g.vertices() if ni <= layers.dist[v] <= no]
-    return set(layers.spheres[ni]), set(layers.spheres[no]), support
+    return _sphere(layers, ni), _sphere(layers, no), support
 
 
 # brackets of the cutting-plane solver this one replaced, on the same annuli

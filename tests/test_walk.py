@@ -25,8 +25,7 @@ from speiserlab.walk import (
 
 def test_series_path():
     g = path_graph(4)
-    layers = bfs_layers(g, 0)
-    assert effective_resistance(g, 0, 3, layers=layers) == pytest.approx(3.0, abs=1e-12)
+    assert effective_resistance(g, 0, 3) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_parallel_edges():
@@ -36,13 +35,12 @@ def test_parallel_edges():
 
 def test_tree_series_parallel_closed_form():
     g = regular_tree(3, 9)
-    layers = bfs_layers(g, 0)
     for n in (1, 3, 6, 9):
         expect = sum(1.0 / (3 * 2**k) for k in range(n))
-        got = effective_resistance(g, 0, n, layers=layers)
+        got = effective_resistance(g, 0, n)
         assert got == pytest.approx(expect, abs=1e-9)
     # converges within 1% quickly
-    curve = resistance_curve(g, 0, list(range(1, 10)), layers=layers)
+    curve = resistance_curve(g, 0, list(range(1, 10)))
     rel = [
         (curve.resistance[i] - curve.resistance[i - 1]) / curve.resistance[i]
         for i in range(1, len(curve.resistance))
@@ -52,9 +50,8 @@ def test_tree_series_parallel_closed_form():
 
 def test_resistance_monotone_and_nash_williams_bound():
     g = square_ball(12)
-    layers = bfs_layers(g, 0)
-    curve = resistance_curve(g, 0, [2, 4, 6, 8, 10], layers=layers)
-    nw = nash_williams_sum(layers.cut_sizes())
+    curve = resistance_curve(g, 0, [2, 4, 6, 8, 10])
+    nw = nash_williams_sum(bfs_layers(g, 0).cut_sizes())
     prev = 0.0
     for n, r in zip(curve.radii, curve.resistance):
         assert r >= prev - 1e-12
@@ -64,9 +61,8 @@ def test_resistance_monotone_and_nash_williams_bound():
 
 def test_z2_log_growth():
     g = square_ball(34)
-    layers = bfs_layers(g, 0)
     ns = [8, 11, 16, 23, 32]
-    curve = resistance_curve(g, 0, ns, layers=layers)
+    curve = resistance_curve(g, 0, ns)
     fit = fit_linear(np.log(ns), curve.resistance)
     assert 0.1 <= fit.slope <= 0.3
 
@@ -94,7 +90,7 @@ def test_tree_nash_williams_converges():
 def test_rayleigh_monotonicity_edge_deletion():
     g = square_ball(6)
     layers = bfs_layers(g, 0)
-    base = effective_resistance(g, 0, 5, layers=layers)
+    base = effective_resistance(g, 0, 5)
     rng = np.random.default_rng(7)
     from speiserlab.graph_core import RotationGraph
     from speiserlab.walk import _ball_resistances, _edge_arrays
@@ -111,6 +107,50 @@ def test_rayleigh_monotonicity_edge_deletion():
         assert r >= base - 1e-12
 
 
+def _queue_distances(g, root):
+    """BFS distances from ``root`` by a queue over the neighbor lists."""
+    from collections import deque
+
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _dense_resistance(g, root, n):
+    """Resistance root -> short-circuited S(n) from a dense Laplacian solve."""
+    dist = _queue_distances(g, root)
+    inner = [v for v in g.vertices() if dist[v] < n]
+    at = {v: i for i, v in enumerate(inner)}
+    lap = np.zeros((len(inner), len(inner)))
+    for e in g.edges():
+        u, v = g.edge_ends(e)
+        for a, b in ((u, v), (v, u)):
+            if a in at:
+                lap[at[a], at[a]] += 1
+                if b in at:
+                    lap[at[a], at[b]] -= 1
+    # unit potential at the root, S(n) grounded: solve for the others
+    free = [at[v] for v in inner if v != root]
+    pot = np.zeros(len(inner))
+    pot[at[root]] = 1.0
+    pot[free] = np.linalg.solve(lap[np.ix_(free, free)], -lap[free, at[root]])
+    return 1.0 / float(lap[at[root]] @ pot)
+
+
+def test_resistance_curve_around_a_nonzero_root():
+    g = triangular_ball(6, 6)
+    curve = resistance_curve(g, 3, [2, 3])
+    want = [_dense_resistance(g, 3, n) for n in (2, 3)]
+    assert curve.resistance == pytest.approx(want, rel=1e-12)
+    assert curve.resistance == pytest.approx([0.2222, 0.2586], abs=5e-5)
+
+
 def test_frontier_rejected():
     g = square_ball(4)
     with pytest.raises(FrontierError):
@@ -124,12 +164,10 @@ def test_upsilon_curve_matches_materialized_extension():
     from speiserlab.speiser import extend_speiser
 
     g = octahedron()
-    layers = bfs_layers(g, 0)
     n_list = [1, 2, 3, 4]
-    implicit = upsilon_resistance_curve(g, 0, n_list, layers=layers, grid_depth=8)
+    implicit = upsilon_resistance_curve(g, 0, n_list, grid_depth=8)
     ups = extend_speiser(g, 8)
-    lay_u = bfs_layers(ups, 0)
-    explicit = [effective_resistance(ups, 0, n, layers=lay_u) for n in n_list]
+    explicit = [effective_resistance(ups, 0, n) for n in n_list]
     for a, b in zip(implicit.resistance, explicit):
         assert a == pytest.approx(b, abs=1e-9)
 
@@ -140,15 +178,13 @@ def test_curves_report_their_solve_residuals():
     assert len(curve.residuals) == 3
     assert all(0.0 <= r <= 1e-10 for r in curve.residuals)
     assert curve.to_dict() == {"radii": [1, 3, 5], "resistance": curve.resistance}
-    ball, layers = speiser_ball(2)
-    ups = upsilon_resistance_curve(ball, 0, [1, 2], layers=layers)
+    ups = upsilon_resistance_curve(speiser_ball(2), 0, [1, 2])
     assert len(ups.residuals) == 2
     assert all(0.0 <= r <= 1e-10 for r in ups.residuals)
 
 
 def test_doyle_gamma_recurrent_leaning():
-    ball, layers = speiser_ball(2)
-    gamma = tree_replace(ball, layers, GrowthSchedule((3, 9)))
+    gamma = tree_replace(speiser_ball(2), GrowthSchedule((3, 9)))
     report = doyle_test(gamma, grid_depth=12, root=0, n_max=12)
     assert report.verdict == RECURRENT
     diffs = np.diff(report.resistance)
@@ -168,8 +204,7 @@ def test_triangulation_direct_resistance_converges_fast():
     from speiserlab.trend import first_converged_n
 
     g = triangular_ball(8, 7)
-    layers = bfs_layers(g, 0)
-    curve = resistance_curve(g, 0, list(range(1, 7)), layers=layers)
+    curve = resistance_curve(g, 0, list(range(1, 7)))
     n_star = first_converged_n(curve.radii, curve.resistance)
     assert n_star is not None and n_star <= 12
 
@@ -251,9 +286,8 @@ def test_upsilon_ball_matches_loop_reference(source, n_max, grid_depth):
         "octahedron": octahedron,
         "bigons": lambda: cycle_graph(2),
     }[source]()
-    layers = bfs_layers(g, 0)
-    got = _upsilon_ball(g, layers, n_max, grid_depth=grid_depth)
-    want = _reference_upsilon_ball(g, layers, n_max, grid_depth=grid_depth)
+    got = _upsilon_ball(g, 0, n_max, grid_depth=grid_depth)
+    want = _reference_upsilon_ball(g, bfs_layers(g, 0), n_max, grid_depth=grid_depth)
     assert got[0] == want[0]
     for a, b in zip(got[1:], want[1:]):
         assert a.dtype == np.int64
