@@ -205,7 +205,19 @@ class RotationGraph:
         Every edge id must appear exactly twice over all lists (once per
         endpoint); the first appearance becomes dart ``2e``.
         """
-        edge, offsets = _flatten(incidence)
+        return cls.from_edge_slots(*_flatten(incidence), frontier=frontier, tags=tags)
+
+    @classmethod
+    def from_edge_slots(
+        cls,
+        edge: np.ndarray,
+        offsets: np.ndarray,
+        frontier: Iterable[int] = (),
+        tags: dict[int, str] | None = None,
+    ) -> "RotationGraph":
+        """``from_rotations`` on flat arrays: the edge ids of every vertex's
+        rotation are ``edge[offsets[v]:offsets[v + 1]]``."""
+        edge = np.asarray(edge, dtype=np.int64)
         # appearance rank of every slot among the slots of its edge id
         order = np.argsort(edge, kind="stable")
         ranked = edge[order]

@@ -8,6 +8,8 @@ triangulations.  Their duals supply the ``{q,3}`` tilings.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import GraphError
 from .graph_core import RotationGraph
 
@@ -137,86 +139,60 @@ def triangular_ball(q: int, depth: int) -> RotationGraph:
     distance ``k`` from vertex 0, and the outermost ring is the frontier.
     Rotation convention per ring vertex: [next-on-ring, down-neighbors
     (reversed), prev-on-ring, up-neighbors (forward)], counterclockwise.
+
+    A ring vertex with ``down`` neighbors on the ring below has
+    ``q - 2 - down`` on the ring above, which with q >= 6 is at least 2.
+    Each vertex's up-neighbors form an arc of the next ring, and consecutive
+    arcs share their end vertex, so ring sizes, vertex ids and edge ids all
+    follow from the down counts.  Edge ids are allocated ring by ring: the
+    next ring's own edges, then the up edges in ring order.
     """
     if q < 6:
         raise GraphError("triangular_ball needs q >= 6")
     if depth < 1:
         raise GraphError("depth must be >= 1")
 
-    n_edges = 0
+    # the center's rotation: spokes 0..q-1 into ring 1, whose edges follow
+    slots, degrees = [np.arange(q)], [np.array([q])]
+    ring_edges = q + np.arange(q)  # ring_edges[i] joins ring[i] and ring[i + 1]
+    downs, n_down = np.arange(q), np.ones(q, dtype=np.int64)
+    n_edges = 2 * q
+    for k in range(1, depth + 1):
+        m = len(ring_edges)
+        n_up = q - 2 - n_down if k < depth else np.zeros(m, dtype=np.int64)
+        n_ring = int(n_up.sum()) - m
+        ups = n_edges + n_ring + np.arange(n_up.sum())
+        degree = 2 + n_down + n_up
+        start = np.cumsum(degree) - degree
+        rot = np.empty(int(degree.sum()), dtype=np.int64)
+        rot[start] = ring_edges
+        owner, rank = _runs(n_down)
+        rot[start[owner] + n_down[owner] - rank] = downs
+        rot[start + 1 + n_down] = np.roll(ring_edges, 1)
+        owner, rank = _runs(n_up)
+        rot[start[owner] + 2 + n_down[owner] + rank] = ups
+        slots.append(rot)
+        degrees.append(degree)
+        if k < depth:
+            # the ring's j-th up edge, from its vertex i, ends on next-ring
+            # vertex j - i; the last one wraps around to vertex 0, which
+            # lists it first
+            n_down = np.bincount((np.arange(len(ups)) - owner) % n_ring, minlength=n_ring)
+            downs = np.roll(ups, 1)
+            ring_edges = n_edges + np.arange(n_ring)
+            n_edges += n_ring + len(ups)
 
-    def new_edge() -> int:
-        nonlocal n_edges
-        n_edges += 1
-        return n_edges - 1
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(degrees))])
+    n_vertices = len(offsets) - 1
+    return RotationGraph.from_edge_slots(
+        np.concatenate(slots), offsets, frontier=range(n_vertices - m, n_vertices)
+    )
 
-    # ring 1: q vertices around the center
-    ring = list(range(1, q + 1))
-    spokes = [new_edge() for _ in ring]
-    ring_edges = [new_edge() for _ in ring]  # ring_edges[i]: ring[i] -- ring[i+1]
-    incidence: list[list[int]] = [list(spokes)]
-    downs: list[list[int]] = [[spokes[i]] for i in range(q)]
-    n_vertices = q + 1
 
-    for _k in range(1, depth):
-        m = len(ring)
-        up_counts = [q - 2 - len(downs[i]) for i in range(m)]
-        if any(u < 2 for u in up_counts):
-            raise GraphError("ring construction degenerated")
-
-        # allocate the next ring; consecutive arcs share their junction vertex
-        # and the last arc wraps around to the first new vertex
-        arcs: list[list[int]] = []
-        next_ring: list[int] = []
-        first_new = n_vertices
-        for i in range(m):
-            if i == 0:
-                arc = [n_vertices]
-                next_ring.append(n_vertices)
-                n_vertices += 1
-            else:
-                arc = [arcs[i - 1][-1]]
-            fresh = up_counts[i] - 1 if i < m - 1 else up_counts[i] - 2
-            for _ in range(fresh):
-                arc.append(n_vertices)
-                next_ring.append(n_vertices)
-                n_vertices += 1
-            if i == m - 1:
-                arc.append(first_new)
-            arcs.append(arc)
-
-        mm = len(next_ring)
-        next_ring_edges = [new_edge() for _ in range(mm)]
-        up_edges: list[list[int]] = []
-        new_downs: dict[int, list[int]] = {v: [] for v in next_ring}
-        for i in range(m):
-            ups = []
-            for w in arcs[i]:
-                e = new_edge()
-                ups.append(e)
-                new_downs[w].append(e)
-            up_edges.append(ups)
-        # the wrap vertex saw parents (u_0, u_{m-1}); ccw order is (u_{m-1}, u_0)
-        new_downs[first_new].reverse()
-
-        for i in range(m):
-            rot = (
-                [ring_edges[i]]
-                + list(reversed(downs[i]))
-                + [ring_edges[i - 1]]
-                + up_edges[i]
-            )
-            incidence.append(rot)
-        ring = next_ring
-        downs = [new_downs[v] for v in next_ring]
-        ring_edges = next_ring_edges
-
-    for i in range(len(ring)):
-        rot = [ring_edges[i]] + list(reversed(downs[i])) + [ring_edges[i - 1]]
-        incidence.append(rot)
-
-    assert len(incidence) == n_vertices
-    return RotationGraph.from_rotations(incidence, frontier=set(ring))
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and rank within its run of each item, for runs of ``counts``."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
 def hex_flower() -> RotationGraph:

@@ -15,8 +15,13 @@ convex quadratic program on the arc flows:
   summing to 1; every variable is nonnegative.
 
 ``solve_vel`` solves it by a primal-dual interior-point method (Mehrotra
-predictor-corrector) whose normal equations ``A D A^T`` go through one sparse
-LU per iteration.  The returned bracket does not rest on trusting that run:
+predictor-corrector).  Every variable has exactly one inflow row and at most
+one outflow row, so the normal equations ``A D A^T`` are diagonal on their
+inflow block and on their outflow block.  Each iteration eliminates the
+inflow rows and factors one sparse LU of the Schur complement on the outflow
+rows (a fifth of the rows of ``A D A^T`` on {3,8} annuli), whose sparsity
+pattern is fixed once per solve.  The returned bracket does not rest on
+trusting that run:
 
 * lower bound: the metric ``m = t`` with its Dijkstra distance,
   ``dist_m(A, B)^2 / area(m)``;
@@ -39,7 +44,7 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, eye
+from scipy.sparse import csc_matrix, csr_matrix, eye
 from scipy.sparse.csgraph import dijkstra
 from scipy.sparse.linalg import spsolve_triangular, splu
 
@@ -113,25 +118,22 @@ class _Subproblem:
         if support is None:
             self.nodes = np.arange(g.n_vertices)
         else:
-            self.nodes = np.unique(np.fromiter(support, np.int64))
+            self.nodes = np.flatnonzero(_mask(g.n_vertices, support))
         self.n = n = len(self.nodes)
         local = np.full(g.n_vertices, -1)
         local[self.nodes] = np.arange(n)
-        self.A = np.unique(local[np.fromiter(A, np.int64)])
-        self.B = np.unique(local[np.fromiter(B, np.int64)])
-        self.A, self.B = self.A[self.A >= 0], self.B[self.B >= 0]
+        a_mask = _mask(g.n_vertices, A)[self.nodes]
+        self.b_mask = _mask(g.n_vertices, B)[self.nodes]
+        self.A, self.B = np.flatnonzero(a_mask), np.flatnonzero(self.b_mask)
         if not len(self.A) or not len(self.B):
             raise GraphError("A and B must meet the support")
-        self.b_mask = np.zeros(n, dtype=bool)
-        self.b_mask[self.B] = True
-        a_mask = np.zeros(n, dtype=bool)
-        a_mask[self.A] = True
         # dart d runs from its vertex to its twin's
         tail = local[g.dart_vertex]
         head = tail[np.arange(len(tail)) ^ 1]
         keep = (tail >= 0) & (head >= 0)
         keep[keep] = ~self.b_mask[tail[keep]] & ~a_mask[head[keep]]
-        arcs = np.unique(tail[keep] * n + head[keep])
+        arcs = np.sort(tail[keep] * n + head[keep])
+        arcs = arcs[np.diff(arcs, prepend=-1) > 0]
         self.tail, self.head = arcs // n, arcs % n
         # the Dijkstra graph: row n is a virtual source with an arc into each A
         self._graph = csr_matrix(
@@ -149,6 +151,16 @@ class _Subproblem:
         """Least vertex-weight of a path from A to each vertex (A included)."""
         self._graph.data = m[self._graph.indices].astype(float)
         return dijkstra(self._graph, directed=True, indices=self.n)[: self.n]
+
+
+def _mask(size: int, ids) -> np.ndarray:
+    """Boolean mask of the vertex ids in ``ids``, an array or any iterable."""
+    mask = np.zeros(size, dtype=bool)
+    if isinstance(ids, np.ndarray):
+        mask[ids.astype(np.int64, copy=False)] = True
+    else:
+        mask[np.fromiter(ids, np.int64)] = True
+    return mask
 
 
 def solve_vel(
@@ -176,10 +188,11 @@ def solve_vel(
         )
     # every A-B path stays among the vertices that A reaches; dropping the
     # others gives the QP constraint matrix full row rank
-    sub = _Subproblem(g, A, B, support=sub.nodes[reached])
+    if not reached.all():
+        sub = _Subproblem(g, A, B, support=sub.nodes[reached])
     n, k = sub.n, len(sub.tail) + len(sub.A)
-    cons = _flow_constraints(sub)
-    cons_t = cons.T.tocsr()
+    flow = _FlowSystem(sub)
+    cons, cons_t = flow.cons, flow.cons.T
     rhs = np.zeros(cons.shape[0])
     rhs[-1] = 1.0
     hess = np.concatenate([np.zeros(k), np.full(n, 2.0)])
@@ -193,11 +206,11 @@ def solve_vel(
         r_d = hess * x - cons_t @ y - z
         mu = x @ z / len(x)
         d = 1.0 / (hess + z / x)
-        lu = None  # release the last factor before computing the next
-        lu = splu((cons @ diags(d) @ cons_t).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        solve = None  # release the last factor before computing the next
+        solve = flow.normal_solver(d)
 
         def newton(r_c):
-            dy = lu.solve(cons @ (d * (r_d + r_c / x)) - r_p)
+            dy = solve(cons @ (d * (r_d + r_c / x)) - r_p)
             dx = d * (cons_t @ dy - r_d - r_c / x)
             return dx, dy, -(r_c + z * dx) / x
 
@@ -230,32 +243,98 @@ def solve_vel(
     return est
 
 
-def _flow_constraints(sub: _Subproblem) -> csr_matrix:
-    """Equality constraints of the flow QP, one column per variable.
+class _FlowSystem:
+    """Equality constraints of the flow QP and their normal equations.
 
     Columns: the support arcs, then one source arc per A vertex, then the
-    throughputs t.  Rows: inflow(v) - t_v for every v, t_v - outflow(v) for
-    every v off B, and the sum of the source arcs.
+    throughputs t.  Rows: inflow(v) - t_v for every v (the n inflow rows),
+    then t_v - outflow(v) for every v off B and the sum of the source arcs
+    (the outflow rows).  Every column has exactly one inflow entry and at
+    most one outflow entry, so ``cons @ diag(d) @ cons.T`` is diagonal on its
+    inflow block (``delta``) and on its outflow block (``theta``).
+    ``normal_solver`` eliminates the inflow rows and factors the Schur
+    complement ``theta - E^T delta^-1 E`` on the outflow rows, where the
+    coupling ``E`` has one entry per column that has an outflow row.
     """
-    n, n_arcs, n_src = sub.n, len(sub.tail), len(sub.A)
-    k = n_arcs + n_src
-    off = np.flatnonzero(~sub.b_mask)
-    out_row = np.full(n, -1)
-    out_row[off] = n + np.arange(len(off))
-    n_rows = n + len(off) + 1
-    # (row, column, value) blocks: inflow of every arc, outflow of the
-    # support arcs, the source sum, and the two throughput entries
-    blocks = [
-        (np.concatenate([sub.head, sub.A]), np.arange(k), 1.0),
-        (out_row[sub.tail], np.arange(n_arcs), -1.0),
-        (np.full(n_src, n_rows - 1), np.arange(n_arcs, k), 1.0),
-        (np.arange(n), k + np.arange(n), -1.0),
-        (out_row[off], k + off, 1.0),
-    ]
-    rows = np.concatenate([r for r, _, _ in blocks])
-    cols = np.concatenate([c for _, c, _ in blocks])
-    vals = np.concatenate([np.full(len(r), v) for r, _, v in blocks])
-    return csr_matrix((vals, (rows, cols)), shape=(n_rows, k + n))
+
+    def __init__(self, sub: _Subproblem):
+        n, n_arcs, n_src = sub.n, len(sub.tail), len(sub.A)
+        off = np.flatnonzero(~sub.b_mask)
+        self.n, self.n_out = n, len(off) + 1
+        out_row = np.full(n, -1)
+        out_row[off] = np.arange(len(off))
+        # per column: its inflow row and coefficient, its outflow row (-1:
+        # none) and coefficient
+        self.in_row = np.concatenate([sub.head, sub.A, np.arange(n)])
+        in_coef = np.repeat([1.0, 1.0, -1.0], [n_arcs, n_src, n])
+        col_out = np.concatenate(
+            [out_row[sub.tail], np.full(n_src, len(off)), out_row]
+        )
+        out_coef = np.repeat([-1.0, 1.0, 1.0], [n_arcs, n_src, n])
+        has = col_out >= 0
+        cols = np.arange(len(col_out))
+        self.cons = csr_matrix(
+            (
+                np.concatenate([in_coef, out_coef[has]]),
+                (
+                    np.concatenate([self.in_row, n + col_out[has]]),
+                    np.concatenate([cols, cols[has]]),
+                ),
+            ),
+            shape=(n + self.n_out, len(cols)),
+        )
+        # the entries of E: column, inflow row, outflow row and sign
+        self.e_col = cols[has]
+        self.e_in = self.in_row[has]
+        self.e_out = col_out[has]
+        self.e_sign = (in_coef * out_coef)[has]
+        # E^T delta^-1 E sums e1 * e2 / delta_v over the ordered pairs of
+        # entries that share the inflow row v; sort the entries by v
+        order = np.argsort(self.e_in, kind="stable")
+        row = self.e_in[order]
+        size = np.bincount(row, minlength=n)[row]
+        first = np.repeat(order, size)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(size) - size, size)
+        second = order[np.repeat(np.searchsorted(row, row), size) + offset]
+        self.pair_first, self.pair_second = first, second
+        # one CSC pattern for every iteration: the pairs plus the diagonal
+        m = self.n_out
+        keys = np.concatenate(
+            [self.e_out[second] * m + self.e_out[first], np.arange(m) * (m + 1)]
+        )
+        pattern, slots = np.unique(keys, return_inverse=True)
+        self.pair_slot, self.diag_slot = slots[: len(first)], slots[len(first) :]
+        self.indices = (pattern % m).astype(np.int32)
+        self.indptr = np.searchsorted(pattern, np.arange(m + 1) * m).astype(np.int32)
+
+    def normal_solver(self, d: np.ndarray):
+        """Solve ``cons @ diag(d) @ cons.T @ dy = r`` for positive ``d``.
+
+        One sparse LU of the Schur complement on the outflow rows; the
+        inflow part of ``dy`` follows by a diagonal back-substitution.
+        """
+        n, m = self.n, self.n_out
+        delta = np.bincount(self.in_row, d, n)
+        e_val = self.e_sign * d[self.e_col]
+        e_scaled = e_val / delta[self.e_in]
+        data = -np.bincount(
+            self.pair_slot,
+            e_scaled[self.pair_first] * e_val[self.pair_second],
+            len(self.indices),
+        )
+        data[self.diag_slot] += np.bincount(self.e_out, d[self.e_col], m)
+        lu = splu(
+            csc_matrix((data, self.indices, self.indptr), shape=(m, m)),
+            permc_spec="MMD_AT_PLUS_A",
+        )
+
+        def solve(r: np.ndarray) -> np.ndarray:
+            h = r[:n] / delta
+            dy_out = lu.solve(r[n:] - np.bincount(self.e_out, e_val * h[self.e_in], m))
+            dy_in = h - np.bincount(self.e_in, e_scaled * dy_out[self.e_out], n)
+            return np.concatenate([dy_in, dy_out])
+
+        return solve
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:

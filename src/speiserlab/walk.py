@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .errors import FrontierError, GraphError
 from .graph_core import RotationGraph, bfs_layers, classify, trace_faces
@@ -42,12 +42,13 @@ def _ball_resistances(
     """Resistances and solve residuals from root to the short-circuited S(n).
 
     Every edge (u, v) is a unit resistor; ``dist`` is the distance from the
-    root, so it changes by at most one along an edge.  The
-    Laplacian of the edges inside B(max n) is assembled once.  Radius n
-    solves for the potentials of the nodes at distances 0..n-1 that an edge
-    touches, less the root: none of them has an edge leaving B(n), so their
-    Laplacian is its principal submatrix.  The root current is summed over
-    the root's edges in their given order, first where the root is u.
+    root, so it changes by at most one along an edge.  The Laplacian of the
+    edges inside B(max n) is assembled once.  Radius n solves for the
+    potentials of the nodes at distances 0..n-1 that an edge touches, less
+    the root: none of them has an edge leaving B(n), so their Laplacian is
+    its principal submatrix, factored by one sparse LU in a minimum-degree
+    order of its symmetric pattern.  The root current is summed over the
+    root's edges in their given order, first where the root is u.
     """
     inside = dist <= max(n_list, default=0)
     keep = inside[u] & inside[v]
@@ -80,7 +81,7 @@ def _ball_resistances(
         if len(at):
             sub = lap[at][:, at]
             rhs = to_root[at]
-            x = spsolve(sub.tocsc(), rhs)
+            x = splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
             scale = max(np.linalg.norm(rhs), 1e-300)
             resid = float(np.linalg.norm(sub @ x - rhs) / scale)
             if resid > 1e-10:

@@ -315,6 +315,116 @@ def test_triangular_ball_interior_faces_are_triangles():
             assert g.degree(v) == q
 
 
+# sha256 prefixes of to_json(triangular_ball(q, depth)), recorded from the
+# ring-by-ring Python loop that the numpy construction replaced, at every
+# (q, depth) the package and its tests build
+TRIANGULAR_BALL_SHA = {
+    6: {
+        1: "f8512b82b8826ba0",
+        2: "623b9391b0d595f3",
+        3: "96a91f7711477803",
+        4: "e5a71684f2a8d91b",
+        5: "ebc6c2d75cc65611",
+        6: "8d8c418c2692c718",
+        16: "cb7ea072e133f332",
+        17: "09b808bed38e0c36",
+        26: "8a57520528a10185",
+        40: "dfe1a379a5128344",
+    },
+    7: {
+        1: "6d8ae97afee36d46",
+        2: "0ec963ab099bdfaf",
+        3: "31ab208c483c22ad",
+        4: "73651bca922b5cb3",
+    },
+    8: {
+        1: "a719d77ce17a1544",
+        2: "e9076e7b7c87827c",
+        3: "89df7a0a39b63eea",
+        4: "a3c759f0e7012a7c",
+        5: "fb40ae5fedcf96cd",
+        6: "9c21ef3cd5e3c5ba",
+        7: "90de6d6583449076",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "q, depth", [(q, d) for q, ds in TRIANGULAR_BALL_SHA.items() for d in ds]
+)
+def test_triangular_ball_bytes_pinned(q, depth):
+    assert _sha(to_json(triangular_ball(q, depth))) == TRIANGULAR_BALL_SHA[q][depth]
+
+
+def _ring_loop_triangular_ball(q, depth):
+    """The ring-by-ring Python loop that ``triangular_ball`` replaced."""
+    n_edges = 0
+
+    def new_edge():
+        nonlocal n_edges
+        n_edges += 1
+        return n_edges - 1
+
+    ring = list(range(1, q + 1))
+    spokes = [new_edge() for _ in ring]
+    ring_edges = [new_edge() for _ in ring]
+    incidence = [list(spokes)]
+    downs = [[spokes[i]] for i in range(q)]
+    n_vertices = q + 1
+    for _ in range(1, depth):
+        m = len(ring)
+        up_counts = [q - 2 - len(downs[i]) for i in range(m)]
+        arcs, next_ring, first_new = [], [], n_vertices
+        for i in range(m):
+            if i == 0:
+                arc = [n_vertices]
+                next_ring.append(n_vertices)
+                n_vertices += 1
+            else:
+                arc = [arcs[i - 1][-1]]
+            for _ in range(up_counts[i] - 1 if i < m - 1 else up_counts[i] - 2):
+                arc.append(n_vertices)
+                next_ring.append(n_vertices)
+                n_vertices += 1
+            if i == m - 1:
+                arc.append(first_new)
+            arcs.append(arc)
+        next_ring_edges = [new_edge() for _ in next_ring]
+        up_edges, new_downs = [], {v: [] for v in next_ring}
+        for i in range(m):
+            up_edges.append([new_edge() for _ in arcs[i]])
+            for w, e in zip(arcs[i], up_edges[i]):
+                new_downs[w].append(e)
+        new_downs[first_new].reverse()
+        for i in range(m):
+            incidence.append(
+                [ring_edges[i]] + downs[i][::-1] + [ring_edges[i - 1]] + up_edges[i]
+            )
+        ring, ring_edges = next_ring, next_ring_edges
+        downs = [new_downs[v] for v in next_ring]
+    for i in range(len(ring)):
+        incidence.append([ring_edges[i]] + downs[i][::-1] + [ring_edges[i - 1]])
+    return RotationGraph.from_rotations(incidence, frontier=set(ring))
+
+
+@pytest.mark.parametrize("q", [6, 7, 8, 9, 12])
+def test_triangular_ball_matches_the_ring_loop(q):
+    for depth in range(1, 5):
+        assert to_json(triangular_ball(q, depth)) == to_json(
+            _ring_loop_triangular_ball(q, depth)
+        )
+
+
+def test_from_edge_slots_is_the_flat_from_rotations():
+    incidence = [[0, 1, 2], [0, 3, 1], [2, 3]]
+    edge = np.array([0, 1, 2, 0, 3, 1, 2, 3])
+    a = RotationGraph.from_rotations(incidence, frontier={2})
+    b = RotationGraph.from_edge_slots(edge, np.array([0, 3, 6, 8]), frontier={2})
+    assert to_json(a) == to_json(b)
+    with pytest.raises(GraphError, match="single endpoint"):
+        RotationGraph.from_edge_slots(edge[:-1], np.array([0, 3, 6, 7]))
+
+
 def test_hex_ball_euler():
     g = triangular_ball(6, 3)
     assert euler_characteristic(g) == 2

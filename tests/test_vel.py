@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from speiserlab.graph_core import RotationGraph, bfs_layers
+from speiserlab.graph_core import RotationGraph, bfs_layers, induced_ball
 from speiserlab.lattices import cycle_graph, path_graph, triangular_ball
 from speiserlab import vel
 from speiserlab.refinement import VMetric
 from speiserlab.trend import CP_HYPERBOLIC, HYPERBOLIC, INCONCLUSIVE, PARABOLIC
 from speiserlab.vel import (
     _flow_upper,
+    _FlowSystem,
     _Subproblem,
     metric_objective,
     solve_vel,
@@ -278,6 +279,85 @@ def test_default_annuli_converge():
         assert est.lower == pytest.approx(exact, rel=1e-6)
         assert est.iterations["outer"] < vel.MAX_IPM_ITERATIONS
     assert report.verdict == HYPERBOLIC
+
+
+# the default theorem1 annuli on the leg-A ball: interior-point iterations,
+# QP arc variables and the certified brackets
+DEFAULT_ANNULI = [
+    ((1, 2), 6, 48, 0.15624999440567, 0.15625000000001),
+    ((2, 4), 10, 992, 0.04181547383785, 0.04181547646856),
+    ((3, 6), 13, 17_080, 0.01132381812952, 0.01132381887313),
+]
+
+
+def test_default_annuli_pinned():
+    g = induced_ball(triangular_ball(8, 7), 7)
+    report = vel_type_trend(g, 0, [a for a, *_ in DEFAULT_ANNULI])
+    for est, (_, outer, n_constraints, lower, upper) in zip(
+        report.estimates, DEFAULT_ANNULI
+    ):
+        assert est.converged
+        assert est.iterations == {"outer": outer, "n_constraints": n_constraints}
+        assert est.lower == pytest.approx(lower, rel=1e-9)
+        assert est.upper == pytest.approx(upper, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reduced_normal_equations_match_a_dense_solve(seed):
+    # the Schur-complement solve against numpy on the full cons D cons^T,
+    # with d spread over twelve orders of magnitude as late iterates have
+    rng = np.random.default_rng(seed)
+    g = triangular_ball(8, 4)
+    A, B, support = _annulus(g, 1, 3)
+    flow = _FlowSystem(_Subproblem(g, A, B, support=support))
+    cons = flow.cons.toarray()
+    d = 10.0 ** rng.uniform(-6, 6, cons.shape[1])
+    r = rng.normal(size=cons.shape[0])
+    want = np.linalg.solve(cons @ np.diag(d) @ cons.T, r)
+    got = flow.normal_solver(d)(r)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_flow_constraints_one_inflow_and_at_most_one_outflow_entry():
+    g = triangular_ball(8, 4)
+    A, B, support = _annulus(g, 1, 3)
+    flow = _FlowSystem(_Subproblem(g, A, B, support=support))
+    cons = flow.cons.toarray()
+    assert (np.count_nonzero(cons[: flow.n], axis=0) == 1).all()
+    assert (np.count_nonzero(cons[flow.n :], axis=0) <= 1).all()
+    assert cons.shape[0] == flow.n + flow.n_out
+
+
+def test_only_the_outflow_rows_are_factored(monkeypatch):
+    # an annulus, where A reaches every support vertex, and a path whose
+    # vertex 3 is reached only through B, so that it is dropped first
+    factored, built = [], []
+    splu, subproblem = vel.splu, vel._Subproblem
+
+    def recorded_splu(mat, **kwargs):
+        factored.append(mat.shape)
+        return splu(mat, **kwargs)
+
+    def recorded_subproblem(*args, **kwargs):
+        built.append(args[0])
+        return subproblem(*args, **kwargs)
+
+    monkeypatch.setattr(vel, "splu", recorded_splu)
+    monkeypatch.setattr(vel, "_Subproblem", recorded_subproblem)
+    g = triangular_ball(8, 5)
+    A, B, support = _annulus(g, 2, 4)
+    est = solve_vel(g, A, B, support=support)
+    off = len(support) - len(B)
+    assert len(built) == 1
+    assert factored == [(off + 1, off + 1)] * est.iterations["outer"]
+
+    factored.clear()
+    built.clear()
+    est = solve_vel(path_graph(3), {0}, {2})
+    assert len(built) == 2
+    # vertices 0 and 1 are off B
+    assert factored == [(3, 3)] * est.iterations["outer"]
+    assert abs(est.upper - 3.0) <= 1e-6
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
