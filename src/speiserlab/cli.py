@@ -145,7 +145,7 @@ def _cmd_analyze(args) -> int:
         report = ratio_trend(lambda n: induced_ball(lattice, n), ns)
         _write(args.output, _json_report(report.to_dict()))
     elif kind == "fatness":
-        from .fatness import PlanarSet, fatness_estimate
+        from .fatness import PlanarSet, fatness_estimate, fatness_pairs
 
         disks = []
         for part in args.disks.split(";"):
@@ -155,11 +155,10 @@ def _cmd_analyze(args) -> int:
         tau = fatness_estimate(
             s, n_samples=args.samples, n_radii=args.n_radii, seed=args.seed
         )
+        pairs = len(fatness_pairs(s, n_radii=args.n_radii, seed=args.seed)[1])
         _write(
             args.output,
-            _json_report(
-                {"tau_hat": tau, "seed": args.seed, "n_samples": args.samples}
-            ),
+            _json_report({"tau_hat": tau, "seed": args.seed, "pairs": pairs}),
         )
     else:
         raise UsageError(f"unknown analysis {kind!r}")
@@ -238,7 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--family", default="hex", choices=["hex", "tri8"])
     an.add_argument("--ns", default="2,3,4,5", help="ratio-trend ball radii")
     an.add_argument("--disks", default="0,0,1", help="fatness x,y,r;x,y,r;...")
-    an.add_argument("--samples", type=int, default=100_000)
+    an.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help="fatness: kept for old command lines, no effect (areas are exact)",
+    )
     an.add_argument("--n-radii", type=int, default=8)
     an.add_argument("--seed", type=int, default=DEFAULT_SEED)
     an.add_argument("-o", "--output", default=None)

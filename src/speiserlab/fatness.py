@@ -1,13 +1,17 @@
-"""Monte Carlo fatness estimation for finite unions of disks.
+"""Exact fat-set areas and overlaps for finite unions of disks.
 
 A set is tau-fat when every disk D(x, r) centered in the set and not
 containing it captures at least a tau fraction of its area inside the set.
-The estimator samples centers x in the set and radii log-uniformly, and
-scores every (x, r) pair on the same unit-disk sample U, as the share of the
-points x + r U that lie in the set.  It is an over-estimate of the true
-infimum: tests may only assert lower-bound claims with tolerance.  All
-sampling is deterministic given the seed, and growing the radius count never
-increases the estimate (prefix sampling).
+The estimator scores a seeded family of (x, r) pairs: centers at each disk's
+center, near its rim and at random points of the set, radii log-uniform.
+Each pair's fraction is exact, by Green's theorem over the boundary arcs of
+the set's intersection with D(x, r) (``_cap_fractions``), so the seed only
+chooses the pairs.  The minimum over finitely many pairs is still an upper
+bound on the true infimum.  Growing the radius count never increases the
+estimate (prefix sampling).
+
+The overlap of a disk family is counted exactly, at the points where the
+greatest overlap of closed disks is attained (``_max_overlap``).
 
 Membership, intersection and connectivity are broadcasts over the center
 and radius arrays of ``PlanarSet``, in chunks of at most ``_PAIRS`` pairs.
@@ -29,6 +33,8 @@ from .packing import FatCollection
 Disk = tuple[complex, float]
 
 _PAIRS = 1 << 15  # point-disk pairs per temporary: 512 KB of complex offsets
+_MEET = 1 + 1e-9  # the tangency tolerance of _touching
+_SNAP = 1e-5  # half-angles this close to 0 or pi are tangencies
 # a disk center and eight points near its rim: deterministic probes that
 # catch thin features area-weighted random centers would miss
 _PROBES = np.concatenate([[0], 0.98 * np.exp(2j * np.pi * np.arange(8) / 8)])
@@ -54,9 +60,10 @@ class PlanarSet:
         bad = ~((radii > 0) & np.isfinite(radii))
         if bad.any():
             raise GeometryError(f"degenerate disk radius {radii[bad][0]}")
-        touching = csr_matrix(_touching(centers, radii, centers, radii))
-        if connected_components(touching, directed=False)[0] != 1:
-            raise GeometryError("disk union is not connected")
+        if len(radii) > 1:
+            touching = csr_matrix(_touching(centers, radii, centers, radii))
+            if connected_components(touching, directed=False)[0] != 1:
+                raise GeometryError("disk union is not connected")
         centers.flags.writeable = radii.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
@@ -82,7 +89,7 @@ class PlanarSet:
 def _touching(ca, ra, cb, rb) -> np.ndarray:
     """Whether closed disk a_i meets closed disk b_j, for all pairs (i, j)."""
     # the tolerance absorbs float error at exact tangency
-    return np.abs(ca[:, None] - cb) <= (ra[:, None] + rb) * (1 + 1e-9)
+    return np.abs(ca[:, None] - cb) <= (ra[:, None] + rb) * _MEET
 
 
 def disks_intersect(a: PlanarSet, b: PlanarSet) -> bool:
@@ -114,13 +121,6 @@ def _cover(pts: np.ndarray, centers, radii, bounds=None) -> np.ndarray:
     return count
 
 
-def _unit_disk(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` uniform points in the unit disk."""
-    u = rng.random(count)
-    phi = rng.random(count) * 2 * np.pi
-    return np.sqrt(u) * np.exp(1j * phi)
-
-
 def _sample(rng, centers, radii, bounds, per: int) -> np.ndarray:
     """``per`` points in each disk group of ``_cover``, group after group: a
     disk of the group drawn with probability proportional to its area, then
@@ -132,18 +132,122 @@ def _sample(rng, centers, radii, bounds, per: int) -> np.ndarray:
     target = before[group] + rng.random(len(group)) * np.diff(before)[group]
     k = np.searchsorted(area, target, side="right")
     k = np.clip(k, bounds[group], bounds[group + 1] - 1)
-    return centers[k] + radii[k] * _unit_disk(rng, len(group))
+    u = rng.random(len(group))
+    phi = rng.random(len(group)) * 2 * np.pi
+    return centers[k] + radii[k] * np.sqrt(u) * np.exp(1j * phi)
 
 
-def _fractions(s: PlanarSet, x, r, unit: np.ndarray) -> np.ndarray:
-    """Share of the points ``x + r * unit`` that lie in ``s``, per (x, r)."""
-    step = max(1, _PAIRS // (len(unit) * len(s.radii)))
-    out = np.empty(len(x))
+def _meets(ca, ra, cb, rb):
+    """Where circle a meets circle b, seen from a's center: the direction
+    phi of b's center, the half-angle alpha, and whether they meet.
+
+    The meeting points are ca + ra exp(i (phi -+ alpha)).  |cos alpha| up to
+    1 + 1e-9 counts as meeting, so every tangency is one; alpha within
+    ``_SNAP`` of 0 or pi is snapped there, which makes both points one
+    tangency point.
+    """
+    d = cb - ca
+    dist = np.abs(d)
+    # concentric or nearly concentric circles give an infinite or nan cosine
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cos = (ra * ra + dist * dist - rb * rb) / (2 * ra * dist)
+        alpha = np.arccos(np.clip(cos, -1.0, 1.0))
+    alpha[alpha < _SNAP] = 0.0
+    alpha[alpha > np.pi - _SNAP] = np.pi
+    return np.angle(d), alpha, (dist > 0) & (np.abs(cos) <= _MEET)
+
+
+def _cap_fractions(centers, radii, x, r) -> np.ndarray:
+    """Exact share of each disk D(x_k, r_k) that the union of the disks
+    (``centers``, ``radii``) covers.
+
+    In coordinates centred at x_k and scaled by r_k the query disk is the
+    unit disk Q.  The boundary of (union and Q) is made of the set circles'
+    arcs inside Q and outside the other set disks, and the unit circle's
+    arcs inside some set disk, all counterclockwise.  Each circle is cut at
+    +-pi and at the points where it meets another circle, each pair's
+    points computed once for both circles, so every arc lies wholly inside
+    or outside every other disk and its midpoint decides, and the kept arcs
+    close up.  By Green's theorem the area is the sum over the kept arcs of
+    1/2 [rho^2 dtheta + a rho dsin(theta) - b rho dcos(theta)] for a circle
+    of center a + ib and radius rho, summed here as the arc's chord term
+    1/2 p0 x p1 plus its circular segment 1/2 rho^2 (dtheta - sin dtheta):
+    the arcs' end points lie in Q, so neither term grows with a far center.
+    Identical disks are dropped first, since each would claim the other's
+    boundary.
+    """
+    same = (centers[:, None] == centers) & (radii[:, None] == radii)
+    first = ~np.tril(same, -1).any(axis=1)
+    centers, radii = centers[first], radii[first]
+    n = len(radii) + 1  # the set circles, then the query circle
+    step = max(1, _PAIRS // (2 * n**3))
+    area = np.empty(len(x))
     for i in range(0, len(x), step):
-        pts = x[i : i + step, None] + r[i : i + step, None] * unit
-        inside = _cover(pts.ravel(), s.centers, s.radii)
-        out[i : i + step] = inside.reshape(-1, len(unit)).mean(axis=1)
-    return out
+        area[i : i + step] = _cap_areas(centers, radii, x[i : i + step], r[i : i + step])
+    return area / np.pi
+
+
+def _cap_areas(centers, radii, x, r) -> np.ndarray:
+    """Area of (union of the disks) and the unit disk, per (x, r), in the
+    coordinates of ``_cap_fractions``."""
+    k, m = len(x), len(radii)
+    c = np.zeros((k, m + 1), dtype=complex)
+    c[:, :m] = (centers - x[:, None]) / r[:, None]
+    rho = np.ones((k, m + 1))
+    rho[:, :m] = radii / r[:, None]
+    # circles i < j meet at points computed from i and read from j too;
+    # circles that do not meet cut at pi, an empty arc
+    i, j = np.triu_indices(m + 1, 1)
+    phi, alpha, meet = _meets(c[:, i], rho[:, i], c[:, j], rho[:, j])
+    turn = phi[..., None] + np.multiply.outer(alpha, [-1.0, 1.0])
+    pts = c[:, i, None] + rho[:, i, None] * np.exp(1j * turn)
+    cut = np.full((k, m + 1, m + 1, 2), np.pi)
+    cut[:, i, j] = np.where(meet[..., None], np.remainder(turn + np.pi, 2 * np.pi) - np.pi, np.pi)
+    cut[:, j, i] = np.where(meet[..., None], np.angle(pts - c[:, j, None]), np.pi)
+    cut = np.concatenate([np.full((k, m + 1, 1), -np.pi), cut.reshape(k, m + 1, -1)], axis=2)
+    cut.sort(axis=2)
+    cut = np.concatenate([cut, np.full((k, m + 1, 1), np.pi)], axis=2)
+    unit = np.exp(1j * cut)
+    p0 = c[..., None] + rho[..., None] * unit[..., :-1]
+    p1 = c[..., None] + rho[..., None] * unit[..., 1:]
+    mid = c[..., None] + rho[..., None] * np.exp(0.5j * (cut[..., :-1] + cut[..., 1:]))
+    inside = np.abs(mid[..., None] - c[:, None, None, :m]) < rho[:, None, None, :m]
+    own = np.arange(m)
+    inside[:, own, :, own] = False  # a set circle does not cover its own arcs
+    keep = inside.any(axis=3)
+    keep[:, :m] = ~keep[:, :m] & (np.abs(mid[:, :m]) < 1)
+    dtheta = np.diff(cut, axis=2)
+    sin = (unit[..., :-1].conj() * unit[..., 1:]).imag
+    piece = (p0.conj() * p1).imag + rho[..., None] ** 2 * (dtheta - sin)
+    return 0.5 * np.where(keep, piece, 0.0).sum(axis=(1, 2))
+
+
+def fatness_pairs(
+    s: PlanarSet, n_radii: int = 8, seed: int = 20080, n_centers: int = 24
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (center, radius) pairs that ``fatness_estimate`` scores.
+
+    The centers are each disk's center and eight points at 0.98 of its
+    radius, then ``n_centers`` random points of s drawn from ``seed``.  The
+    radii are log-uniform between 1e-3 and 2 diameters, row i of one
+    (n_radii, centers) draw from substream (seed, 1) giving every center its
+    i-th radius, so increasing ``n_radii`` only extends the set of pairs.
+    Pairs whose disk contains s are skipped.
+    """
+    if n_radii < 1 or n_centers < 1:
+        raise GeometryError("sample counts must be positive")
+    rng = np.random.default_rng(seed)
+    probes = s.centers[:, None] + s.radii[:, None] * _PROBES
+    sampled = _sample(rng, s.centers, s.radii, [0, len(s.radii)], n_centers)
+    x = np.concatenate([probes.ravel(), sampled])
+    diam = s.diameter_bound()
+    lo, hi = math.log(1e-3 * diam), math.log(2.0 * diam)
+    u = np.random.default_rng((seed, 1)).random((n_radii, len(x)))
+    r = np.exp(lo + (hi - lo) * u)
+    # D(x, r) contains s when r reaches the farthest point of s from x
+    far = (np.abs(x[:, None] - s.centers) + s.radii).max(axis=1)
+    keep = r < far
+    return np.broadcast_to(x, r.shape)[keep], r[keep]
 
 
 def fatness_estimate(
@@ -153,32 +257,41 @@ def fatness_estimate(
     seed: int = 20080,
     n_centers: int = 24,
 ) -> float:
-    """Sampled upper statistic for the fatness constant of ``s``.
+    """Upper statistic for the fatness constant of ``s``: the least exact
+    share of D(x, r) inside s over the pairs of ``fatness_pairs``.
 
-    Minimum over centers x in s and radii r (log-uniform between 1e-3 and 2
-    diameters, skipping disks that contain s) of the share of the points
-    x + r U in s, for one sample U of ``n_samples`` uniform points in the
-    unit disk drawn from substream (seed, 2).  The centers are each disk's
-    center and eight points at 0.98 of its radius, then ``n_centers`` random
-    points of s.  The radii of center j come from its own substream
-    (seed, 1, j), so increasing ``n_radii`` only extends the sampled set.
+    ``n_samples`` has no effect on the result; it is kept for callers that
+    pass it, and must be positive.
     """
-    if n_samples < 1 or n_radii < 1 or n_centers < 1:
+    if n_samples < 1:
         raise GeometryError("sample counts must be positive")
-    rng = np.random.default_rng(seed)
-    probes = s.centers[:, None] + s.radii[:, None] * _PROBES
-    sampled = _sample(rng, s.centers, s.radii, [0, len(s.radii)], n_centers)
-    x = np.concatenate([probes.ravel(), sampled])
-    diam = s.diameter_bound()
-    lo, hi = math.log(1e-3 * diam), math.log(2.0 * diam)
-    u = [np.random.default_rng((seed, 1, j)).random(n_radii) for j in range(len(x))]
-    r = np.exp(lo + (hi - lo) * np.array(u))
-    # D(x, r) contains s when r reaches the farthest point of s from x
-    far = (np.abs(x[:, None] - s.centers) + s.radii).max(axis=1)
-    keep = r < far[:, None]
-    x = np.broadcast_to(x[:, None], r.shape)[keep]
-    unit = _unit_disk(np.random.default_rng((seed, 2)), n_samples)
-    return float(_fractions(s, x, r[keep], unit).min(initial=1.0))
+    x, r = fatness_pairs(s, n_radii, seed, n_centers)
+    return float(_cap_fractions(s.centers, s.radii, x, r).min(initial=1.0))
+
+
+def _max_overlap(centers, radii, bounds) -> int:
+    """Greatest number of disk groups of ``_cover`` that share one point.
+
+    The groups containing a point p each have a disk containing p, and the
+    intersection of those disks either is one of them, and holds its
+    center, or has a corner where two of their circles meet.  So the
+    greatest overlap is attained at a disk center or at a meeting point of
+    two circles; tangency points count, within the tolerance of
+    ``_touching``.
+    """
+    n = len(radii)
+    i, j = [], []
+    for rows in np.array_split(np.arange(n), -(-n * n // _PAIRS)):
+        hit = _touching(centers[rows], radii[rows], centers, radii)
+        row, col = np.nonzero(hit & (rows[:, None] < np.arange(n)))
+        i.append(rows[row])
+        j.append(col)
+    i, j = np.concatenate(i), np.concatenate(j)
+    phi, alpha, meet = _meets(centers[i], radii[i], centers[j], radii[j])
+    turn = np.exp(1j * (phi + np.multiply.outer([-1.0, 1.0], alpha)))
+    crossings = (centers[i] + radii[i] * turn)[:, meet]
+    pts = np.concatenate([centers, crossings.ravel()])
+    return int(_cover(pts, centers, radii * _MEET, bounds).max())
 
 
 def check_union_fat(
@@ -204,7 +317,7 @@ def check_union_fat(
 
 @dataclass
 class HSReport:
-    """Empirical check of the fat-collection criterion's four conditions.
+    """Check of the fat-collection criterion's four conditions.
 
     The criterion's conclusion (the indexed graph is VEL-parabolic when an
     infinite such collection exists) is a theorem; this report only verifies
@@ -214,9 +327,11 @@ class HSReport:
     every set is a ``PlanarSet``, a finite union of closed disks whose
     construction rejects a disconnected union, so each set is compact and
     connected, and a finite family is locally finite.  Both are always True.
-    ``max_overlap`` is the largest number of sets found containing one
-    sampled point of the union; ``overlap_ok`` compares it to the claimed
-    bound.
+    ``max_overlap`` is the exact largest number of sets that share a point,
+    tangency points included; ``overlap_ok`` compares it to the claimed
+    bound.  ``worst_fatness`` is the least ``fatness_estimate`` over the
+    sets: exact areas on seeded (center, radius) pairs, so only it depends
+    on ``seed``.
     """
 
     compact_connected: bool
@@ -230,8 +345,8 @@ class HSReport:
     claimed_tau: float
     seed: int
     note: str = (
-        "conditions checked empirically; the parabolicity conclusion is a "
-        "theorem, not re-proved here"
+        "overlap and adjacency exact; fatness exact on seeded (center, radius) "
+        "pairs; the parabolicity conclusion is a theorem, not re-proved here"
     )
 
     def all_pass(self) -> bool:
@@ -255,9 +370,14 @@ def check_hs(
     With ``g`` given, every vertex v of ``g`` must index a set, keyed v or
     ``("v", v)`` as ``inscribed_collection`` keys them, and adjacency is
     read off the edges of ``g``; otherwise the collection's own adjacency
-    list is used.  The overlap is counted at ``samples // len(sets)`` points
-    drawn in every set, all in one pass from the seed.
+    list is used.  The overlap is counted exactly (``_max_overlap``); each
+    set's fatness is ``fatness_estimate`` with 6 radii, 8 random centers and
+    seed ``seed + 3 + j`` for the j-th set in ``repr`` order.  ``samples``
+    and ``fatness_samples`` have no effect on the result; they are kept for
+    callers that pass them, and must be positive.
     """
+    if samples < 1:
+        raise GeometryError("sample counts must be positive")
     sets = {k: PlanarSet(tuple(v)) for k, v in collection.sets.items()}
 
     if g is not None:
@@ -275,9 +395,7 @@ def check_hs(
     centers = np.concatenate([sets[k].centers for k in keys])
     radii = np.concatenate([sets[k].radii for k in keys])
     bounds = np.cumsum([0] + [len(sets[k].radii) for k in keys])
-    per = max(1, samples // len(keys))
-    pts = _sample(np.random.default_rng(seed), centers, radii, bounds, per)
-    counts_max = int(_cover(pts, centers, radii, bounds).max())
+    counts_max = _max_overlap(centers, radii, bounds)
 
     worst = min(
         fatness_estimate(

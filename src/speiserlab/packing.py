@@ -90,8 +90,10 @@ def _flower_arrays(g: RotationGraph, interior: list[int]):
     )
 
 
-def _euclid_corner(rv, ru, rw):
-    """Angle at v of the Euclidean triangle of circles v, u, w (arrays)."""
+def _euclid_corner(r, cv, cu, cw):
+    """Angle at v of the Euclidean triangle of circles v, u, w, for the
+    vertex index arrays ``cv``, ``cu``, ``cw`` into the label ``r``."""
+    rv, ru, rw = r[cv], r[cu], r[cw]
     s = np.sqrt((ru / (rv + ru)) * (rw / (rv + rw)))
     return 2.0 * np.arcsin(np.clip(s, 0.0, 1.0))
 
@@ -100,20 +102,27 @@ def _log_sinh(h):
     return h + np.log1p(-np.exp(-2.0 * h)) - math.log(2.0)
 
 
-def _hyp_corner(hv, hu, hw):
-    """Angle at v of the hyperbolic triangle of circles v, u, w (arrays)."""
-    log_t2 = _log_sinh(hu) + _log_sinh(hw) - _log_sinh(hv) - _log_sinh(hv + hu + hw)
+def _hyp_corner(h, cv, cu, cw):
+    """Angle at v of the hyperbolic triangle of circles v, u, w, for the
+    vertex index arrays ``cv``, ``cu``, ``cw`` into the label ``h``.
+
+    log sinh is taken once per vertex and gathered per corner; only the
+    corner's perimeter term needs its own.
+    """
+    log_sinh = _log_sinh(h)
+    perimeter = _log_sinh(h[cv] + h[cu] + h[cw])
+    log_t2 = log_sinh[cu] + log_sinh[cw] - log_sinh[cv] - perimeter
     return 2.0 * np.arctan(np.exp(0.5 * log_t2))
 
 
 def _hyp_angle(hv, hu, hw) -> float:
-    return float(_hyp_corner(np.asarray(hv), np.asarray(hu), np.asarray(hw)))
+    return float(_hyp_corner(np.array([hv, hu, hw], dtype=float), 0, 1, 2))
 
 
 def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
     """Angle sums at the flower's vertices and their largest error from 2 pi."""
     cv, cu, cw, offsets = flower
-    theta = np.add.reduceat(corner(label[cv], label[cu], label[cw]), offsets)
+    theta = np.add.reduceat(corner(label, cv, cu, cw), offsets)
     return theta, float(np.max(np.abs(theta - 2 * np.pi)))
 
 

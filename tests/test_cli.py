@@ -61,7 +61,16 @@ def test_analyze_fatness_deterministic(tmp_path):
     main(argv + ["-o", str(a)])
     main(argv + ["-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
-    assert json.loads(a.read_text())["seed"] == 9
+    report = json.loads(a.read_text())
+    assert report["seed"] == 9
+    # 9 probes and 24 random centers, 8 radii each, less the pairs whose
+    # disk contains the unit disk
+    assert sorted(report) == ["pairs", "seed", "tau_hat"]
+    assert 0 < report["pairs"] <= 33 * 8
+    assert report["tau_hat"] >= 0.25 - 1e-12
+    # --samples has no effect on the report
+    main(argv[:-4] + argv[-2:] + ["-o", str(b)])
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_analyze_resistance(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from speiserlab.errors import GeometryError
 from speiserlab.fatness import (
     PlanarSet,
+    _cap_fractions,
     check_hs,
     check_union_fat,
     disks_intersect,
@@ -14,8 +15,47 @@ from speiserlab.packing import EUCLIDEAN, FatCollection, inscribed_collection, p
 
 
 def test_unit_disk_quarter_fat():
+    # the exact fraction of D(x, r) in the unit disk is at least 1/4 whenever
+    # x lies in the disk and D(x, r) does not contain it
     tau = fatness_estimate(PlanarSet.disk(), n_samples=100_000, n_radii=8, seed=1)
-    assert tau >= 0.25 - 0.02
+    assert tau >= 0.25 - 1e-12
+
+
+def test_cap_fraction_of_a_quarter():
+    # D(1, 2) contains the unit disk, tangent at -1: pi / (4 pi)
+    f = _cap_fractions(np.array([0j]), np.array([1.0]), np.array([1 + 0j]), np.array([2.0]))
+    assert abs(f[0] - 0.25) < 1e-15
+    # the same seen from far away, and a query inside the set
+    c = np.array([1e3 + 2e3j])
+    f = _cap_fractions(c, np.array([1.0]), c + np.array([1, 0.25j]), np.array([2.0, 0.5]))
+    assert np.allclose(f, [0.25, 1.0], rtol=0, atol=1e-12)
+
+
+def _lens_area(r1, r2, d):
+    """Area of the intersection of disks of radii r1, r2 at distance d.
+
+    The half-angles come from atan2 of the kite's doubled area, which stays
+    accurate near tangency, where arccos of their cosines does not.
+    """
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        return np.pi * min(r1, r2) ** 2
+    kite = np.sqrt((-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
+    a1 = np.arctan2(kite, d * d + r1 * r1 - r2 * r2)
+    a2 = np.arctan2(kite, d * d + r2 * r2 - r1 * r1)
+    return r1 * r1 * a1 + r2 * r2 * a2 - 0.5 * kite
+
+
+def test_cap_fractions_match_lens_area():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        r1, r2 = rng.uniform(0.05, 5.0, size=2)
+        d = rng.uniform(0.0, 1.1 * (r1 + r2))
+        c = complex(*rng.uniform(-50, 50, size=2))
+        x = c + d * np.exp(2j * np.pi * rng.random())
+        f = _cap_fractions(np.array([c]), np.array([r1]), np.array([x]), np.array([r2]))
+        assert abs(f[0] * np.pi * r2 * r2 - _lens_area(r1, r2, d)) < 1e-12 * max(1, r2 * r2)
 
 
 def test_thin_union_less_fat():
@@ -270,38 +310,118 @@ def test_contains_and_overlap_match_per_set_loop():
         assert _contains_ref(s.disks, pts[200 * g : 200 * (g + 1)]).all()
 
 
-def _fatness_ref(s, n_samples, n_radii, seed, n_centers):
-    """Loop version: one generator per center, one radius and one
-    containment test per (center, radius) pair."""
-    from speiserlab.fatness import _sample, _unit_disk
-
-    rng = np.random.default_rng(seed)
-    probes = []
-    for c, r in s.disks:
-        probes.append(c)
-        for k in range(8):
-            probes.append(c + r * (0.98 * np.exp(2j * np.pi * k / 8)))
-    centers = list(probes) + list(
-        _sample(rng, s.centers, s.radii, [0, len(s.disks)], n_centers)
-    )
-    unit = _unit_disk(np.random.default_rng((seed, 2)), n_samples)
-    diam = s.diameter_bound()
-    lo, hi = np.log(1e-3 * diam), np.log(2.0 * diam)
-    best = 1.0
-    for j, x in enumerate(centers):
-        sub = np.random.default_rng((seed, 1, j))
-        for _ in range(n_radii):
-            r = np.exp(lo + (hi - lo) * sub.random())
-            if all(abs(c - x) + rr <= r for c, rr in s.disks):
-                continue
-            best = min(best, float(np.mean(_contains_ref(s.disks, x + r * unit))))
-    return best
+def test_cap_fractions_of_tangent_disks_add_up():
+    # disks that touch at one point share no area, so the covered area is the
+    # sum of the two lenses; the query disks hold the tangency point
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        r1, r2 = rng.uniform(0.05, 5.0, size=2)
+        c1 = complex(*rng.uniform(-50, 50, size=2))
+        c2 = c1 + (r1 + r2) * np.exp(2j * np.pi * rng.random())
+        touch = c1 + r1 * (c2 - c1) / abs(c2 - c1)
+        r = rng.uniform(0.01, 2.0) * (r1 + r2)
+        x = touch + rng.uniform(0, r) * np.exp(2j * np.pi * rng.random())
+        f = _cap_fractions(np.array([c1, c2]), np.array([r1, r2]), np.array([x]), np.array([r]))
+        want = _lens_area(r1, r, abs(x - c1)) + _lens_area(r2, r, abs(x - c2))
+        assert abs(f[0] * np.pi * r * r - want) < 1e-12 * max(1, r * r)
 
 
-def test_fatness_matches_pair_loop():
-    families = [_connected_prefix(d) for d in _seeded_families(12)]
-    families.append(((0j, 1.0), (2.0 + 0j, 1.0), (2.0 + 0j, 1.0)))  # tangent, identical
-    for i, disks in enumerate(families):
+def test_cap_fractions_of_nearly_tangent_crossings():
+    # two circles crossing at a tiny angle, outside or inside each other, in
+    # a query disk that holds both: each pair's meeting points are shared by
+    # its two circles, so the kept arcs close up
+    rng = np.random.default_rng(33)
+    for i in range(400):
+        r1, r2 = rng.uniform(0.05, 5.0, size=2)
+        delta = 10 ** rng.uniform(-12, -6)
+        d = (r1 + r2) * (1 - delta) if i % 2 else abs(r1 - r2) * (1 + delta)
+        c1 = complex(*rng.uniform(-50, 50, size=2))
+        c2 = c1 + d * np.exp(2j * np.pi * rng.random())
+        r = 1.5 * (r1 + r2 + d)
+        x = (c1 + c2) / 2 + rng.uniform(0, 0.1) * r * np.exp(2j * np.pi * rng.random())
+        f = _cap_fractions(np.array([c1, c2]), np.array([r1, r2]), np.array([x]), np.array([r]))
+        want = np.pi * (r1 * r1 + r2 * r2) - _lens_area(r1, r2, abs(c2 - c1))
+        assert abs(f[0] * np.pi * r * r - want) < 1e-12 * r * r
+
+
+def _monte_carlo(disks, x, r, rng, count):
+    """Share of ``count`` uniform points of D(x, r) that lie in the union."""
+    pts = x + r * np.sqrt(rng.random(count)) * np.exp(2j * np.pi * rng.random(count))
+    return float(np.mean(_contains_ref(disks, pts)))
+
+
+def test_cap_fractions_match_monte_carlo():
+    # seeded families, tangent and identical disks included, against 400k
+    # uniform points per (center, radius) pair: agreement to 5 sigma
+    rng = np.random.default_rng(404)
+    families = [_connected_prefix(d) for d in _seeded_families()]
+    families = [d for d in families if len(d) > 1]
+    families.append(((0j, 1.0), (2.0 + 0j, 1.0), (2.0 + 0j, 1.0)))
+    count = 400_000
+    seen = []
+    for disks in families:
         s = PlanarSet(disks)
-        args = dict(n_samples=1_500, n_radii=5, seed=100 + i, n_centers=6)
-        assert fatness_estimate(s, **args) == _fatness_ref(s, **args)
+        x = s.centers[rng.integers(len(disks))] + rng.uniform(0, 1) * s.radii[0]
+        r = rng.uniform(0.2, 1.5) * s.diameter_bound()
+        f = _cap_fractions(s.centers, s.radii, np.array([x]), np.array([r]))[0]
+        sigma = np.sqrt(max(f * (1 - f), 1e-12) / count)
+        assert abs(_monte_carlo(disks, x, r, rng, count) - f) <= 5 * sigma
+        seen.append(f)
+    assert len(seen) >= 20 and min(seen) < 0.1 and max(seen) > 0.3
+
+
+def test_sample_counts_have_no_effect():
+    s = PlanarSet(((0j, 1.0), (1.2 + 0j, 0.5)))
+    taus = {fatness_estimate(s, n_samples=k, n_radii=4, seed=5) for k in (1, 3_000, 10**9)}
+    assert len(taus) == 1
+    with pytest.raises(GeometryError):
+        fatness_estimate(s, n_samples=0)
+    col = FatCollection(sets={0: s.disks}, adjacency=[], tau=0.25, overlap_bound=1)
+    reports = [check_hs(None, col, samples=k, fatness_samples=k, seed=2) for k in (1, 10**9)]
+    assert reports[0] == reports[1]
+    with pytest.raises(GeometryError):
+        check_hs(None, col, samples=0)
+    with pytest.raises(GeometryError):
+        check_hs(None, col, fatness_samples=0)
+
+
+# -- exact overlap --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_inscribed_collection_overlap_is_seven(depth):
+    # at each packing tangency point: the two vertex disks and the five edge
+    # sets whose incircles pass through it
+    col = inscribed_collection(pack_disk(triangular_ball(6, depth), boundary=EUCLIDEAN))
+    report = check_hs(None, col, seed=1)
+    assert report.max_overlap == 7 == col.overlap_bound
+    assert report.overlap_ok
+
+
+def test_overlap_counts_tangency_points():
+    # A and B touch at p and the circle of C passes through p: p is the one
+    # point in all three, found up to rounding by the tangency tolerance
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        ra, rb, rc = rng.uniform(0.1, 10.0, size=3)
+        p = complex(*rng.uniform(-100, 100, size=2))
+        u = np.exp(2j * np.pi * rng.random())
+        w = u * np.exp(1j * rng.uniform(0.3, 2.8))
+        sets = {"a": ((p - ra * u, ra),), "b": ((p + rb * u, rb),), "c": ((p + rc * w, rc),)}
+        col = FatCollection(sets=sets, adjacency=[], tau=0.25, overlap_bound=3)
+        assert check_hs(None, col, seed=1).max_overlap == 3
+
+
+def test_overlap_counts_a_thin_triple_lens():
+    # the three disks share only a sliver around the top of a thin lens:
+    # points drawn in the sets almost never land there
+    eps = 1e-4
+    sets = {
+        0: ((complex(-1 + eps, 0), 1.0),),
+        1: ((complex(1 - eps, 0), 1.0),),
+        2: ((0.5j, 0.49),),
+    }
+    col = FatCollection(sets=sets, adjacency=[], tau=0.25, overlap_bound=2)
+    report = check_hs(None, col, seed=20080)
+    assert report.max_overlap == 3
+    assert not report.overlap_ok
