@@ -20,8 +20,11 @@ one outflow row, so the normal equations ``A D A^T`` are diagonal on their
 inflow block and on their outflow block.  Each iteration eliminates the
 inflow rows and factors one sparse LU of the Schur complement on the outflow
 rows (a fifth of the rows of ``A D A^T`` on {3,8} annuli), whose sparsity
-pattern is fixed once per solve.  The returned bracket does not rest on
-trusting that run:
+pattern is fixed once per solve.  The first iteration orders that pattern by
+minimum degree, and every later one assembles the complement already
+permuted into the same order and factors it as it stands
+(``sparse_lu.factor``, with SuperLU supernode settings fixed there).  The
+returned bracket does not rest on trusting that run:
 
 * lower bound: the metric ``m = t`` with its Dijkstra distance,
   ``dist_m(A, B)^2 / area(m)``;
@@ -46,11 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix, eye
 from scipy.sparse.csgraph import dijkstra
-from scipy.sparse.linalg import spsolve_triangular, splu
+from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import GraphError
 from .graph_core import RotationGraph, bfs_layers
 from .refinement import VMetric
+from .sparse_lu import factor
 from .trend import (
     HYPERBOLIC,
     INCONCLUSIVE,
@@ -302,16 +306,30 @@ class _FlowSystem:
         keys = np.concatenate(
             [self.e_out[second] * m + self.e_out[first], np.arange(m) * (m + 1)]
         )
-        pattern, slots = np.unique(keys, return_inverse=True)
+        slots = self._set_pattern(keys)
         self.pair_slot, self.diag_slot = slots[: len(first)], slots[len(first) :]
+        # the fill-reducing order of the pattern, known after the first factor
+        self.order = None
+
+    def _set_pattern(self, keys: np.ndarray) -> np.ndarray:
+        """Make the CSC pattern the entries ``column * n_out + row`` in
+        ``keys``; return the slot of each key."""
+        m = self.n_out
+        pattern, slots = np.unique(keys, return_inverse=True)
         self.indices = (pattern % m).astype(np.int32)
         self.indptr = np.searchsorted(pattern, np.arange(m + 1) * m).astype(np.int32)
+        return slots
 
     def normal_solver(self, d: np.ndarray):
         """Solve ``cons @ diag(d) @ cons.T @ dy = r`` for positive ``d``.
 
         One sparse LU of the Schur complement on the outflow rows; the
-        inflow part of ``dy`` follows by a diagonal back-substitution.
+        inflow part of ``dy`` follows by a diagonal back-substitution.  The
+        first call factors it in a minimum-degree order of its pattern and
+        moves the pattern into that elimination order, so that every later
+        call assembles the complement already permuted and factors it as it
+        stands (``sparse_lu.factor``, with SuperLU supernode settings fixed
+        for these systems).
         """
         n, m = self.n, self.n_out
         delta = np.bincount(self.in_row, d, n)
@@ -323,18 +341,35 @@ class _FlowSystem:
             len(self.indices),
         )
         data[self.diag_slot] += np.bincount(self.e_out, d[self.e_col], m)
-        lu = splu(
-            csc_matrix((data, self.indices, self.indptr), shape=(m, m)),
-            permc_spec="MMD_AT_PLUS_A",
+        order = self.order
+        lu, self.order = factor(
+            csc_matrix((data, self.indices, self.indptr), shape=(m, m)), order
         )
+        if order is None:
+            self._permute(self.order)
 
         def solve(r: np.ndarray) -> np.ndarray:
             h = r[:n] / delta
-            dy_out = lu.solve(r[n:] - np.bincount(self.e_out, e_val * h[self.e_in], m))
+            b = r[n:] - np.bincount(self.e_out, e_val * h[self.e_in], m)
+            if order is None:
+                dy_out = lu.solve(b)
+            else:
+                dy_out = np.empty(m)
+                dy_out[order] = lu.solve(b[order])
             dy_in = h - np.bincount(self.e_in, e_scaled * dy_out[self.e_out], n)
             return np.concatenate([dy_in, dy_out])
 
         return solve
+
+    def _permute(self, order: np.ndarray) -> None:
+        """Move the pattern into ``order``: row and column ``order[i]`` of the
+        Schur complement become row and column ``i``."""
+        m = self.n_out
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m)
+        col = np.repeat(np.arange(m), np.diff(self.indptr))
+        moved = self._set_pattern(rank[col] * m + rank[self.indices])
+        self.pair_slot, self.diag_slot = moved[self.pair_slot], moved[self.diag_slot]
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:

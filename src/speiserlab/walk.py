@@ -18,11 +18,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse import csc_matrix
 
 from .errors import FrontierError, GraphError
 from .graph_core import RotationGraph, bfs_layers, classify, trace_faces
+from .sparse_lu import factor
 from .speiser import extended_layer_counts
 from .trend import classify_resistance_curve, first_converged_n
 
@@ -42,55 +42,68 @@ def _ball_resistances(
     """Resistances and solve residuals from root to the short-circuited S(n).
 
     Every edge (u, v) is a unit resistor; ``dist`` is the distance from the
-    root, so it changes by at most one along an edge.  The Laplacian of the
-    edges inside B(max n) is assembled once.  Radius n solves for the
-    potentials of the nodes at distances 0..n-1 that an edge touches, less
-    the root: none of them has an edge leaving B(n), so their Laplacian is
-    its principal submatrix, factored by one sparse LU in a minimum-degree
-    order of its symmetric pattern.  The root current is summed over the
-    root's edges in their given order, first where the root is u.
+    root, so it changes by at most one along an edge.  Radius n solves for
+    the potentials of the nodes at distances 0..n-1 that an edge inside
+    B(max n) touches, less the root: none of them has an edge leaving B(n),
+    so their Laplacian is a principal submatrix of the one of the largest
+    radius, which is assembled once.  The radii are solved from the largest
+    down, each by one sparse LU (``sparse_lu.factor``, which also fixes
+    SuperLU's supernode settings for these systems).  The largest is
+    factored in a minimum-degree order of its symmetric pattern, and its
+    Laplacian is then permuted once into that elimination order; every
+    smaller radius cuts its minor from the next larger one and factors it in
+    the restricted order.  A repeated radius is solved once, and the results
+    follow ``n_list``.  The root current is summed over the root's edges in
+    their given order, first where the root is u.
     """
-    inside = dist <= max(n_list, default=0)
+    radii = sorted(set(n_list), reverse=True)
+    n_max = radii[0] if radii else 0
+    inside = dist <= n_max
     keep = inside[u] & inside[v]
     u, v = u[keep], v[keep]
-    ones = np.ones(len(u))
     deg = np.bincount(u, minlength=n_nodes) + np.bincount(v, minlength=n_nodes)
-    lap = csr_matrix(
-        (
-            np.concatenate([-ones, -ones, deg.astype(float)]),
-            (
-                np.concatenate([u, v, np.arange(n_nodes)]),
-                np.concatenate([v, u, np.arange(n_nodes)]),
-            ),
-        ),
-        shape=(n_nodes, n_nodes),
-    )
     # the far ends of the root's edges, and per node its edges to the root
     far = [v[u == root], u[v == root]]
     to_root = np.bincount(np.concatenate(far), minlength=n_nodes).astype(float)
-    rs, residuals = [], []
-    for n in n_list:
-        if dist[root] == n:
-            raise GraphError("root is grounded")
-        free = (dist < n) & (deg > 0)
-        free[root] = False
-        at = np.flatnonzero(free)
+    free = (dist < n_max) & (deg > 0)
+    free[root] = False
+    nodes = np.flatnonzero(free)
+    local = np.full(n_nodes, -1)
+    local[nodes] = np.arange(len(nodes))
+    both = free[u] & free[v]
+    a, b, diag = local[u[both]], local[v[both]], np.arange(len(nodes))
+    ones = np.ones(len(a))
+    lap = csc_matrix(
+        (
+            np.concatenate([-ones, -ones, deg[nodes].astype(float)]),
+            (np.concatenate([a, b, diag]), np.concatenate([b, a, diag])),
+        ),
+        shape=(len(nodes), len(nodes)),
+    )
+    solved, order = {}, None
+    for n in radii:
+        if n < n_max:
+            inner = dist[nodes] < n
+            nodes, lap = nodes[inner], lap[inner][:, inner]
         pot = np.zeros(n_nodes)
         pot[root] = 1.0
         resid = 0.0
-        if len(at):
-            sub = lap[at][:, at]
-            rhs = to_root[at]
-            x = splu(sub.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        if len(nodes):
+            rhs = to_root[nodes]
+            first = order is None
+            lu, order = factor(lap, order)
+            x = lu.solve(rhs)
+            del lu  # release this factor before the next radius computes its own
             scale = max(np.linalg.norm(rhs), 1e-300)
-            resid = float(np.linalg.norm(sub @ x - rhs) / scale)
+            resid = float(np.linalg.norm(lap @ x - rhs) / scale)
             if resid > 1e-10:
                 raise GraphError(f"linear solve residual {resid} above contract")
-            pot[at] = x
+            pot[nodes] = x
+            if first:
+                nodes, lap = nodes[order], lap[order][:, order]
         current = sum(float(np.sum(1.0 - pot[ends])) for ends in far)
-        rs.append(1.0 / current)
-        residuals.append(resid)
-    return rs, residuals
+        solved[n] = (1.0 / current, resid)
+    return [solved[n][0] for n in n_list], [solved[n][1] for n in n_list]
 
 
 def effective_resistance(g: RotationGraph, root: int, n: int) -> float:
@@ -108,12 +121,17 @@ class ResistanceCurve:
         return {"radii": self.radii, "resistance": self.resistance}
 
 
+def _check_radii(n_list: Sequence[int]) -> None:
+    """Reject radii below 1: S(0) is the root itself."""
+    if any(n < 1 for n in n_list):
+        raise GraphError("n must be >= 1")
+
+
 def resistance_curve(g: RotationGraph, root: int, n_list: list[int]) -> ResistanceCurve:
     """Resistances from ``root`` to the short-circuited spheres S(n) around it."""
+    _check_radii(n_list)
     layers = bfs_layers(g, root)
     for n in n_list:
-        if n < 1:
-            raise GraphError("n must be >= 1")
         if n > layers.reliable_depth:
             raise FrontierError(
                 f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
@@ -212,6 +230,9 @@ def upsilon_resistance_curve(
     grid_depth: int | None = None,
 ) -> ResistanceCurve:
     """Effective resistance root -> S(n) inside the extended graph."""
+    _check_radii(n_list)
+    if grid_depth is not None and grid_depth < 0:
+        raise GraphError(f"grid_depth must be >= 0, got {grid_depth}")
     layers = bfs_layers(g, root)
     n_max = max(n_list)
     if g.frontier and n_max > layers.reliable_depth:

@@ -5,7 +5,7 @@ import pytest
 
 from speiserlab.graph_core import RotationGraph, bfs_layers, induced_ball
 from speiserlab.lattices import cycle_graph, path_graph, triangular_ball
-from speiserlab import vel
+from speiserlab import sparse_lu, vel
 from speiserlab.refinement import VMetric
 from speiserlab.trend import CP_HYPERBOLIC, HYPERBOLIC, INCONCLUSIVE, PARABOLIC
 from speiserlab.vel import (
@@ -302,6 +302,26 @@ def test_default_annuli_pinned():
         assert est.upper == pytest.approx(upper, rel=1e-9)
 
 
+def test_default_annuli_order_each_schur_pattern_once(monkeypatch):
+    # each solve orders its Schur pattern on its first interior-point
+    # iteration and factors every later complement in that order; the
+    # iteration counts and the closed gaps are those of a fresh ordering
+    specs, splu = [], sparse_lu.splu
+
+    def recorded_splu(mat, **kwargs):
+        specs.append(kwargs["permc_spec"])
+        return splu(mat, **kwargs)
+
+    monkeypatch.setattr(sparse_lu, "splu", recorded_splu)
+    g = induced_ball(triangular_ball(8, 7), 7)
+    for (ni, no), outer, *_ in DEFAULT_ANNULI:
+        specs.clear()
+        est = solve_vel(g, *_annulus(g, ni, no))
+        assert est.iterations["outer"] == outer
+        assert est.upper - est.lower <= vel.REL_GAP * est.upper
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (outer - 1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_reduced_normal_equations_match_a_dense_solve(seed):
     # the Schur-complement solve against numpy on the full cons D cons^T,
@@ -311,11 +331,13 @@ def test_reduced_normal_equations_match_a_dense_solve(seed):
     A, B, support = _annulus(g, 1, 3)
     flow = _FlowSystem(_Subproblem(g, A, B, support=support))
     cons = flow.cons.toarray()
-    d = 10.0 ** rng.uniform(-6, 6, cons.shape[1])
-    r = rng.normal(size=cons.shape[0])
-    want = np.linalg.solve(cons @ np.diag(d) @ cons.T, r)
-    got = flow.normal_solver(d)(r)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    # the first call orders the pattern, the later ones factor in that order
+    for _ in range(3):
+        d = 10.0 ** rng.uniform(-6, 6, cons.shape[1])
+        r = rng.normal(size=cons.shape[0])
+        want = np.linalg.solve(cons @ np.diag(d) @ cons.T, r)
+        got = flow.normal_solver(d)(r)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_flow_constraints_one_inflow_and_at_most_one_outflow_entry():
@@ -332,7 +354,7 @@ def test_only_the_outflow_rows_are_factored(monkeypatch):
     # an annulus, where A reaches every support vertex, and a path whose
     # vertex 3 is reached only through B, so that it is dropped first
     factored, built = [], []
-    splu, subproblem = vel.splu, vel._Subproblem
+    splu, subproblem = sparse_lu.splu, vel._Subproblem
 
     def recorded_splu(mat, **kwargs):
         factored.append(mat.shape)
@@ -342,7 +364,7 @@ def test_only_the_outflow_rows_are_factored(monkeypatch):
         built.append(args[0])
         return subproblem(*args, **kwargs)
 
-    monkeypatch.setattr(vel, "splu", recorded_splu)
+    monkeypatch.setattr(sparse_lu, "splu", recorded_splu)
     monkeypatch.setattr(vel, "_Subproblem", recorded_subproblem)
     g = triangular_ball(8, 5)
     A, B, support = _annulus(g, 2, 4)

@@ -298,3 +298,90 @@ def test_nash_williams_sum_takes_cut_sizes():
     assert nash_williams_sum([1, 2, 4]) == [1.0, 1.5, 1.75]
     with pytest.raises(GraphError, match="empty cut set at radius 1"):
         nash_williams_sum([3, 0, 2])
+
+
+def _spsolve_resistances(n_nodes, u, v, dist, root, n_list):
+    """Per radius, one ``spsolve`` on the Laplacian of the edges inside B(n)."""
+    from scipy.sparse import csr_matrix, diags
+    from scipy.sparse.linalg import spsolve
+
+    out = []
+    for n in n_list:
+        inside = (dist[u] <= n) & (dist[v] <= n)
+        a, b = u[inside], v[inside]
+        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(n_nodes, n_nodes))
+        adj = adj + adj.T
+        lap = (diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+        free = (dist < n) & (np.diff(lap.indptr) > 0)
+        free[root] = False
+        at = np.flatnonzero(free)
+        pot = np.zeros(n_nodes)
+        pot[root] = 1.0
+        if len(at):
+            rhs = -lap[at][:, [root]].toarray().ravel()
+            pot[at] = spsolve(lap[at][:, at].tocsc(), rhs)
+        out.append(1.0 / float((lap @ pot)[root]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "source, n_list, grid_depth",
+    [
+        ("gamma", [3, 1, 2, 2], 2),
+        ("gamma", [8, 1, 5, 3, 5, 7], 2),
+        ("tri8", [3, 1, 2, 2], None),
+    ],
+)
+def test_curves_match_per_radius_spsolve(source, n_list, grid_depth):
+    # the radii share the largest radius's elimination order; every value
+    # must still match its own solve, in the order and with the repeats of
+    # n_list.  The gamma radii pass the grid depth of the extension.
+    from speiserlab.theorem1 import build_gamma
+    from speiserlab.walk import _edge_arrays, _upsilon_ball
+
+    if source == "gamma":
+        g = build_gamma(2, GrowthSchedule((3, 5)))
+        curve = upsilon_resistance_curve(g, 0, n_list, grid_depth=grid_depth)
+        system = _upsilon_ball(g, 0, max(n_list), grid_depth=grid_depth)
+    else:
+        g = triangular_ball(8, 5)
+        curve = resistance_curve(g, 0, n_list)
+        system = (g.n_vertices, *_edge_arrays(g), np.asarray(bfs_layers(g, 0).dist))
+    want = _spsolve_resistances(*system, 0, n_list)
+    assert curve.radii == n_list
+    assert curve.resistance == pytest.approx(want, rel=1e-12, abs=0)
+    assert len(curve.residuals) == len(n_list)
+    assert all(0.0 <= r <= 1e-10 for r in curve.residuals)
+    # radius 1 grounds every neighbour of the root: nothing to solve
+    assert curve.residuals[n_list.index(1)] == 0.0
+    for i, n in enumerate(n_list):
+        first = n_list.index(n)
+        assert curve.resistance[i] == curve.resistance[first]
+        assert curve.residuals[i] == curve.residuals[first]
+
+
+@pytest.mark.parametrize("n_list", [[-1, 2], [0], [2, 0, 1]])
+def test_upsilon_curve_rejects_radii_below_one(monkeypatch, n_list):
+    # radius -1 once read 0.1667, and radius 0 failed only inside the solve
+    from speiserlab import walk
+    from speiserlab.theorem1 import build_gamma
+
+    g = build_gamma(1, GrowthSchedule((3,)))
+    monkeypatch.setattr(walk, "_upsilon_ball", None)  # never assembled
+    with pytest.raises(GraphError, match="n must be >= 1"):
+        upsilon_resistance_curve(g, 0, n_list, grid_depth=4)
+    with pytest.raises(GraphError, match="n must be >= 1"):
+        resistance_curve(g, 0, n_list)
+
+
+def test_upsilon_curve_rejects_a_negative_grid_depth(monkeypatch):
+    from speiserlab import walk
+    from speiserlab.theorem1 import build_gamma
+
+    g = build_gamma(1, GrowthSchedule((3,)))
+    assert upsilon_resistance_curve(g, 0, [1, 2], grid_depth=0).radii == [1, 2]
+    monkeypatch.setattr(walk, "_upsilon_ball", None)  # never assembled
+    with pytest.raises(GraphError, match="grid_depth must be >= 0"):
+        upsilon_resistance_curve(g, 0, [1, 2], grid_depth=-1)
+    with pytest.raises(GraphError, match="grid_depth must be >= 0"):
+        doyle_test(g, grid_depth=-1, root=0, n_max=2)
