@@ -7,7 +7,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage error (bad flags, missing files), 3 numeric
 non-convergence (diagnostics still written).  Identical argv and input files
-produce byte-identical outputs; every report embeds the seed it used.
+produce byte-identical outputs under the same BLAS thread count: the sparse
+LU's BLAS calls sum in an order that follows the thread count, which can
+move the last bits of a ``theorem1`` report.  Every report embeds the seed it
+used.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _read_graph(path: str):
+def _read_graph(path: str | None):
+    if path is None:
+        raise UsageError("--graph is required")
     p = Path(path)
     if not p.exists():
         raise UsageError(f"graph file not found: {path}")
@@ -148,9 +153,12 @@ def _cmd_analyze(args) -> int:
         from .fatness import PlanarSet, fatness_estimate, fatness_pairs
 
         disks = []
-        for part in args.disks.split(";"):
-            x, y, r = (float(t) for t in part.split(","))
-            disks.append((complex(x, y), r))
+        try:
+            for part in args.disks.split(";"):
+                x, y, r = (float(t) for t in part.split(","))
+                disks.append((complex(x, y), r))
+        except ValueError:
+            raise UsageError(f"bad disks {args.disks!r}: need x,y,r;x,y,r;...") from None
         s = PlanarSet(tuple(disks))
         tau = fatness_estimate(
             s, n_samples=args.samples, n_radii=args.n_radii, seed=args.seed

@@ -905,6 +905,14 @@ def _find_ids(
     return found
 
 
+def _list_of(spec: dict, key: str) -> list:
+    """``spec[key]``, default empty; a GraphError unless it is a list."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise GraphError(f"{key!r} must be a list")
+    return value
+
+
 def build_graph(spec: dict | str) -> RotationGraph:
     """Validate a serialized rotation-system description (JSON graph format v1).
 
@@ -914,10 +922,15 @@ def build_graph(spec: dict | str) -> RotationGraph:
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise GraphError("a graph document must be a JSON object")
     if spec.get("version") != 1:
         raise GraphError("unsupported graph format version")
-    edges = spec.get("edges", [])
-    pairs = [erec.get("halfedges", []) for erec in edges]
+    edges = _list_of(spec, "edges")
+    try:
+        pairs = [erec.get("halfedges", []) for erec in edges]
+    except AttributeError:
+        raise GraphError("every edge record must be an object") from None
     wrong = np.flatnonzero(np.fromiter(map(len, pairs), np.int64, len(pairs)) != 2)
     # edges before the first malformed one are checked for repeats first
     n_read = int(wrong[0]) if len(wrong) else len(pairs)
@@ -928,15 +941,19 @@ def build_graph(spec: dict | str) -> RotationGraph:
             f"edge {edges[n_read].get('id')} must list exactly two half-edges"
         )
 
-    vertices = spec.get("vertices", [])
-    ids, _ = _flat_ints([[vrec.get("id") for vrec in vertices]], "vertex id")
+    vertices = _list_of(spec, "vertices")
+    try:
+        listed_ids = [vrec.get("id") for vrec in vertices]
+    except AttributeError:
+        raise GraphError("every vertex record must be an object") from None
+    ids, _ = _flat_ints([listed_ids], "vertex id")
     v_sorted, v_index = _sort_ids(ids, "vertex id {} listed twice")
     listed, offsets = _flat_ints(
         [vrec.get("rotation", []) for vrec in vertices], "half-edge"
     )
     darts = _find_ids(h_sorted, h_dart, listed, "dangling half-edge {} in rotation")
 
-    front_ids, _ = _flat_ints([spec.get("frontier", [])], "frontier vertex")
+    front_ids, _ = _flat_ints([_list_of(spec, "frontier")], "frontier vertex")
     frontier = _find_ids(
         v_sorted, v_index, front_ids, "frontier vertex {} is not a vertex id"
     )

@@ -3,17 +3,16 @@
 Both boundary conditions share one path.  The label is the minimizer of
 Colin de Verdiere's convex functional, whose gradient at an interior vertex
 is 2 pi minus its angle sum (the petal angles of the tangency triangles).
-The variables are log r for the Euclidean label, with fixed boundary radii,
+The variables are log r for the Euclidean label, with boundary radii 1,
 and log tanh(h / 2) for the hyperbolic label of the maximal packing in the
 unit disk, where a large fixed boundary radius stands in for horocycles.
 Each damped Newton step solves one sparse system with the analytic,
 symmetric Hessian over the interior by conjugate gradients, and a
 backtracking line search on the functional makes the iteration converge
-from any start.  One breadth-first
-layout places tangency triangles from the root, by a Euclidean triangle
-solve or by a Mobius placement in the Poincare disk.  ``verify_packing``
-recomputes the angle sums from the stored label with the solver's corner
-kernel.
+from any start.  One breadth-first layout places tangency triangles from
+vertex 0, by a Euclidean triangle solve or by a Mobius placement in the
+Poincare disk.  ``verify_packing`` recomputes the angle sums from the
+stored label with the solver's corner kernel.
 
 The hyperbolic angle uses
 ``tan^2(a/2) = sinh(h_u) sinh(h_w) / (sinh(h_v) sinh(h_v + h_u + h_w))``
@@ -47,28 +46,34 @@ _CHUNK = 1 << 14  # corners per derivative evaluation: bounds its temporaries
 
 @dataclass
 class CirclePacking:
-    """Solved packing.  ``label`` holds the solved radius of every vertex:
-    Euclidean for EUCLIDEAN, hyperbolic for MAXIMAL, whose ``radii`` and
-    ``centers`` are the Euclidean picture in the unit disk."""
+    """Solved packing, in arrays indexed by vertex.
+
+    ``label`` holds the solved radius of every vertex: Euclidean for
+    EUCLIDEAN, hyperbolic for MAXIMAL.  ``radii`` (float64) and ``centers``
+    (complex128) are the laid-out circles, NaN where a circle is not laid
+    out: for EUCLIDEAN ``radii`` is ``label`` itself, for MAXIMAL they are
+    the Euclidean picture in the unit disk.  All three are read-only.
+    """
 
     graph: RotationGraph
-    radii: dict[int, float]
-    centers: dict[int, complex | None]
+    radii: np.ndarray
+    centers: np.ndarray
     boundary_condition: str
     boundary: list[int]
     interior: list[int]
     label: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
+    def placed(self) -> list[int]:
+        """The laid-out vertices, in increasing id."""
+        return np.flatnonzero(~np.isnan(self.centers)).tolist()
+
     def extent(self) -> float:
-        vals = [
-            abs(c) + self.radii[v]
-            for v, c in self.centers.items()
-            if c is not None
-        ]
-        if not vals:
+        placed = self.placed()
+        if not placed:
             raise GeometryError("no laid-out circles")
-        return max(vals)
+        z, r = self.centers.tolist(), self.radii.tolist()
+        return max(abs(z[v]) + r[v] for v in placed)
 
 
 def _flower_arrays(g: RotationGraph, interior: list[int]):
@@ -291,28 +296,6 @@ def _solve(g, interior, start: np.ndarray, kind: _Label):
     return label, {"sweeps": steps, "angle_residual": err}
 
 
-def _boundary_vertices(g: RotationGraph, outer_face: int | None) -> list[int]:
-    if g.frontier:
-        return sorted(g.frontier)
-    faces = trace_faces(g)
-    if outer_face is None:
-        non_tri = np.flatnonzero(faces.lengths != 3)
-        if len(non_tri) != 1:
-            raise GeometryError(
-                "no designated boundary: pass outer_face or mark a frontier"
-            )
-        outer_face = non_tri[0]
-    at = faces.offsets[outer_face]
-    return np.unique(faces.vertices[at : at + faces.lengths[outer_face]]).tolist()
-
-
-def _check_triangulation(g, outer_face):
-    lengths = trace_faces(g).lengths
-    bad = np.flatnonzero(interior_face_mask(g, outer_face) & (lengths != 3))
-    if len(bad):
-        raise GeometryError(f"face {bad[0]} has {lengths[bad[0]]} sides")
-
-
 def _third_vertex(g: RotationGraph) -> list[int]:
     """Per dart: the vertex of its triangular face off the dart, else -1."""
     faces = trace_faces(g)
@@ -384,60 +367,63 @@ def _disk_circle(z: complex, h: float) -> tuple[complex, float]:
 
 
 def pack_disk(
-    g: RotationGraph,
-    boundary: str = EUCLIDEAN,
-    boundary_radii: float | dict[int, float] = 1.0,
-    outer_face: int | None = None,
-    root: int = 0,
-    layout: bool = True,
+    g: RotationGraph, boundary: str = EUCLIDEAN, layout: bool = True
 ) -> CirclePacking:
-    """Solve the packing radii (and optionally centers) of a disk triangulation.
+    """Solve the packing label, and lay the circles out unless ``layout`` is
+    False, for a disk triangulation whose boundary is its frontier.
 
-    ``boundary`` selects the euclidean label with fixed boundary radii or the
+    ``boundary`` selects the Euclidean label with boundary radii 1 or the
     maximal packing of the unit disk (hyperbolic label with boundary radius
-    ``BOUNDARY_HYP_RADIUS`` standing in for horocycles).
+    ``BOUNDARY_HYP_RADIUS`` standing in for horocycles).  The layout starts
+    at vertex 0; in the maximal packing it puts vertex 0 at the disk center,
+    even without ``layout``, and places no boundary circle.  A graph with no
+    frontier raises GeometryError.
     """
-    bverts = _boundary_vertices(g, outer_face)
+    if not g.frontier:
+        raise GeometryError("no designated boundary: mark a frontier")
+    bverts = sorted(g.frontier)
     bset = set(bverts)
     interior = [v for v in g.vertices() if v not in bset]
     if not interior:
         raise GeometryError("no interior vertices to solve")
-    _check_triangulation(g, outer_face)
+    lengths = trace_faces(g).lengths
+    bad = np.flatnonzero(interior_face_mask(g) & (lengths != 3))
+    if len(bad):
+        raise GeometryError(f"face {bad[0]} has {lengths[bad[0]]} sides")
 
     if boundary == EUCLIDEAN:
         start = np.ones(g.n_vertices)
-        if isinstance(boundary_radii, dict):
-            start[bverts] = [float(boundary_radii[v]) for v in bverts]
-        else:
-            start[bverts] = float(boundary_radii)
     elif boundary == MAXIMAL:
         start = np.full(g.n_vertices, 0.5)
         start[bverts] = BOUNDARY_HYP_RADIUS
     else:
         raise GeometryError(f"unknown boundary condition {boundary!r}")
     label, diag = _solve(g, interior, start, _LABEL[boundary])
+    label.flags.writeable = False
     r = label.tolist()
 
-    centers = dict.fromkeys(g.vertices())
+    centers = np.full(g.n_vertices, complex(math.nan, math.nan))
     if boundary == EUCLIDEAN:
-        radii = dict(enumerate(r))
+        radii = label
         if layout:
-            first = g.rotation(root)[0]
-            reach = r[root] + r[g.dart_vertex.item(first ^ 1)]
-            centers.update(_layout(g, first, reach, partial(_euclid_place, r)))
+            first = g.rotation(0)[0]
+            reach = r[0] + r[g.dart_vertex.item(first ^ 1)]
+            placed = _layout(g, first, reach, partial(_euclid_place, r))
+            centers[list(placed)] = list(placed.values())
     else:
-        diag["hyperbolic_radii_root"] = r[root]
-        # the boundary circles sit too deep to lay out; the root goes to the
-        # disk center
+        diag["hyperbolic_radii_root"] = r[0]
+        # the boundary circles sit too deep to lay out
         inner = set(interior)
-        darts = [d for d in g.rotation(root) if g.dart_vertex.item(d ^ 1) in inner]
-        placed = {root: 0j}
+        darts = [d for d in g.rotation(0) if g.dart_vertex.item(d ^ 1) in inner]
+        placed = {0: 0j}
         if layout and darts:
-            reach = math.tanh((r[root] + r[g.dart_vertex.item(darts[0] ^ 1)]) / 2)
+            reach = math.tanh((r[0] + r[g.dart_vertex.item(darts[0] ^ 1)]) / 2)
             placed = _layout(g, darts[0], reach, partial(_hyp_place, r), inner)
-        radii = dict.fromkeys(g.vertices(), math.nan)
+        radii = np.full(g.n_vertices, math.nan)
         for v, z in placed.items():
             centers[v], radii[v] = _disk_circle(z, r[v])
+        radii.flags.writeable = False
+    centers.flags.writeable = False
     return CirclePacking(
         graph=g,
         radii=radii,
@@ -468,11 +454,10 @@ def verify_packing(p: CirclePacking) -> PackingCheck:
     g = p.graph
     flower = _flower_arrays(g, p.interior)
     _, angle_resid = _angle_sums(p.label, _LABEL[p.boundary_condition].corner, flower)
-    placed = [v for v in g.vertices() if p.centers.get(v) is not None]
+    placed = p.placed()
     index = np.full(g.n_vertices, -1, dtype=np.int64)
     index[placed] = np.arange(len(placed))
-    z = np.array([p.centers[v] for v in placed], dtype=complex)
-    radius = np.array([p.radii[v] for v in placed], dtype=float)
+    z, radius = p.centers[placed], p.radii[placed]
     ends = index[g.dart_vertex]
     a, b = ends[0::2], ends[1::2]
     both = (a >= 0) & (b >= 0)
@@ -552,19 +537,19 @@ class CpTypeReport:
         }
 
 
-def ratio_trend(ball_builder, n_list: list[int], root: int = 0) -> CpTypeReport:
+def ratio_trend(ball_builder, n_list: list[int]) -> CpTypeReport:
     """Root-circle radius of maximal packings, tracked across ball radii.
 
     ``ball_builder(n)`` must return the combinatorial ball B(n) as a disk
-    triangulation with its rim marked.  Each ball is packed maximally in the
-    unit disk (root at the center), so rho(n) = tanh(h_root / 2) needs no
-    layout; a frozen rho separates the disk-filling type from the
-    plane-filling one, where rho keeps decaying.
+    triangulation with its rim marked and its root as vertex 0.  Each ball is
+    packed maximally in the unit disk (root at the center), so
+    rho(n) = tanh(h_root / 2) needs no layout; a frozen rho separates the
+    disk-filling type from the plane-filling one, where rho keeps decaying.
     """
     rho = []
     for n in n_list:
         g = ball_builder(n)
-        p = pack_disk(g, boundary=MAXIMAL, root=root, layout=False)
+        p = pack_disk(g, boundary=MAXIMAL, layout=False)
         rho.append(math.tanh(p.diagnostics["hyperbolic_radii_root"] / 2))
     fit = classify_radius_trend(n_list, rho)
     return CpTypeReport(
@@ -614,19 +599,18 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
     owner = faces.face_of().tolist()
     tri = np.flatnonzero(faces.lengths == 3)
     corners = faces.offsets[tri][:, None] + np.arange(3)
-    tri_vertices = faces.vertices[corners].tolist()
+    tri_vertices = faces.vertices[corners]
     tri_edges = (faces.darts[corners] >> 1).tolist()
+    laid = ~np.isnan(p.centers[tri_vertices]).any(axis=1)
+    z, r = p.centers.tolist(), p.radii.tolist()
     flags = []
     incircles: dict[int, tuple[complex, float]] = {}
-    for f, vs in zip(tri.tolist(), tri_vertices):
-        if any(p.centers.get(v) is None for v in vs):
-            continue
-        incircles[f] = _incircle(*(p.centers[v] for v in vs))
+    for f, vs in zip(tri[laid].tolist(), tri_vertices[laid].tolist()):
+        incircles[f] = _incircle(*(z[v] for v in vs))
 
-    sets: dict[tuple, tuple[tuple[complex, float], ...]] = {}
-    for v in g.vertices():
-        if p.centers.get(v) is not None:
-            sets[("v", v)] = ((p.centers[v], p.radii[v]),)
+    sets: dict[tuple, tuple[tuple[complex, float], ...]] = {
+        ("v", v): ((z[v], r[v]),) for v in p.placed()
+    }
     for e in g.edges():
         f1, f2 = owner[2 * e], owner[2 * e + 1]
         disks = tuple(
@@ -671,42 +655,38 @@ def packing_to_json(p: CirclePacking) -> str:
     """Radii and centers at 12 significant digits, sorted by vertex id."""
     import json
 
+    z = p.centers.tolist()
     data = {
         "boundary_condition": p.boundary_condition,
-        "radii": {str(v): _sig12(p.radii[v]) for v in sorted(p.radii)},
-        "centers": {
-            str(v): [_sig12(c.real), _sig12(c.imag)]
-            for v, c in sorted(p.centers.items())
-            if c is not None
-        },
+        "radii": {str(v): _sig12(x) for v, x in enumerate(p.radii.tolist())},
+        "centers": {str(v): [_sig12(z[v].real), _sig12(z[v].imag)] for v in p.placed()},
     }
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def packing_to_svg(p: CirclePacking, nerve: bool = False) -> str:
-    placed = sorted(v for v in p.graph.vertices() if p.centers.get(v) is not None)
+    placed = p.placed()
     if not placed:
         raise GeometryError("nothing to draw")
     ext = p.extent() * 1.02
+    z, r = p.centers.tolist(), p.radii.tolist()
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{-ext:.6f} {-ext:.6f} {2 * ext:.6f} {2 * ext:.6f}">'
     ]
     if nerve:
+        drawn = set(placed)
         for e in p.graph.edges():
             a, b = p.graph.edge_ends(e)
-            ca, cb = p.centers.get(a), p.centers.get(b)
-            if ca is None or cb is None:
-                continue
-            lines.append(
-                f'<line x1="{ca.real:.6f}" y1="{ca.imag:.6f}" '
-                f'x2="{cb.real:.6f}" y2="{cb.imag:.6f}" '
-                f'stroke="#999" stroke-width="{ext / 500:.6f}"/>'
-            )
+            if a in drawn and b in drawn:
+                lines.append(
+                    f'<line x1="{z[a].real:.6f}" y1="{z[a].imag:.6f}" '
+                    f'x2="{z[b].real:.6f}" y2="{z[b].imag:.6f}" '
+                    f'stroke="#999" stroke-width="{ext / 500:.6f}"/>'
+                )
     for v in placed:
-        c = p.centers[v]
         lines.append(
-            f'<circle cx="{c.real:.6f}" cy="{c.imag:.6f}" r="{p.radii[v]:.6f}" '
+            f'<circle cx="{z[v].real:.6f}" cy="{z[v].imag:.6f}" r="{r[v]:.6f}" '
             f'fill="none" stroke="#000" stroke-width="{ext / 400:.6f}"/>'
         )
     lines.append("</svg>")

@@ -234,7 +234,7 @@ def upsilon_resistance_curve(
     if grid_depth is not None and grid_depth < 0:
         raise GraphError(f"grid_depth must be >= 0, got {grid_depth}")
     layers = bfs_layers(g, root)
-    n_max = max(n_list)
+    n_max = max(n_list, default=0)
     if g.frontier and n_max > layers.reliable_depth:
         raise FrontierError(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"

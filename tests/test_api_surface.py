@@ -2,7 +2,9 @@
 
 A BFS layering is read from ``bfs_layers(g, root)``, cached on the graph, so
 no function takes a layering as an argument; ``dual`` always drops the faces
-at a truncation's frontier.  These tests keep such knobs from coming back.
+at a truncation's frontier; a packing's boundary is its graph's frontier,
+with Euclidean radii 1, and its root is vertex 0.  These tests keep such
+knobs from coming back.
 """
 
 import importlib
@@ -11,9 +13,10 @@ import pkgutil
 
 import speiserlab
 from speiserlab.graph_core import RotationGraph, bfs_layers, dual
+from speiserlab.packing import pack_disk, ratio_trend
 from speiserlab.speiser import speiser_ball
 
-REMOVED = {"layers", "drop_frontier_faces"}
+REMOVED = {"layers", "drop_frontier_faces", "boundary_radii"}
 
 
 def _callables():
@@ -50,3 +53,8 @@ def test_layering_and_dual_entry_points():
     assert list(inspect.signature(bfs_layers).parameters) == ["g", "root"]
     assert list(inspect.signature(dual).parameters) == ["g"]
     assert type(speiser_ball(1)) is RotationGraph
+
+
+def test_packing_entry_points():
+    assert _parameters(pack_disk) == ["g", "boundary", "layout"]
+    assert _parameters(ratio_trend) == ["ball_builder", "n_list"]

@@ -172,6 +172,13 @@ def test_theorem1_radius_beyond_dual_ball_exits_2(tmp_path, capsys):
             "frontier vertex 999",
         ),
         ('{"version": 1, "vertices": [', "not valid JSON"),
+        ("[]", "a graph document must be a JSON object"),
+        ('"x"', "a graph document must be a JSON object"),
+        ('{"version": 1, "vertices": 5}', "'vertices' must be a list"),
+        ('{"version": 1, "edges": {}}', "'edges' must be a list"),
+        ('{"version": 1, "frontier": 0}', "'frontier' must be a list"),
+        ('{"version": 1, "edges": [[0, 1]]}', "every edge record must be an object"),
+        ('{"version": 1, "vertices": [0]}', "every vertex record must be an object"),
     ],
 )
 def test_gen_dual_bad_graph_file_exits_2(tmp_path, capsys, text, message):
@@ -179,6 +186,20 @@ def test_gen_dual_bad_graph_file_exits_2(tmp_path, capsys, text, message):
     bad.write_text(text)
     assert main(["gen", "dual", "--graph", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", kind] for kind in ("lambda", "extend", "subdivide4", "dual")]
+    + [["analyze", kind] for kind in ("vel", "resistance", "nash-williams", "doyle")]
+    + [["analyze", "fatness", "--disks", disks] for disks in ("0,0", "0,0,x", "0,0,1;")],
+    ids=" ".join,
+)
+def test_usage_errors_exit_2(argv, capsys):
+    # a missing --graph or a malformed disk list is a usage error, not a traceback
+    assert main(argv) == 2
+    want = f"bad disks {argv[-1]!r}" if "--disks" in argv else "--graph is required"
+    assert want in capsys.readouterr().err
 
 
 def test_analyze_doyle_past_grid_depth_exits_2_before_reading(monkeypatch, capsys):

@@ -23,7 +23,7 @@ from speiserlab.trend import CP_HYPERBOLIC, CP_PARABOLIC
 
 
 def test_hex_flower_interior_radius_one():
-    p = pack_disk(hex_flower(), boundary=EUCLIDEAN, boundary_radii=1.0)
+    p = pack_disk(hex_flower(), boundary=EUCLIDEAN)
     assert p.radii[0] == pytest.approx(1.0, abs=1e-8)
     check = verify_packing(p)
     assert check.max_angle_residual < 1e-10
@@ -51,7 +51,7 @@ def _two_ring_oracle() -> float:
 def test_two_ring_matches_scalar_oracle():
     oracle = _two_ring_oracle()
     g = triangular_ball(6, 2)
-    p = pack_disk(g, boundary=EUCLIDEAN, boundary_radii=1.0)
+    p = pack_disk(g, boundary=EUCLIDEAN)
     # all interior radii coincide by symmetry (rigidity)
     layers = bfs_layers(g, 0)
     ring1 = np.flatnonzero(layers.dist == 1).tolist()
@@ -217,8 +217,8 @@ def test_maximal_interior_tangency():
     # interior circles have euclidean layout; tangency must hold there
     for e in g.edges():
         a, b = g.edge_ends(e)
-        ca, cb = p.centers.get(a), p.centers.get(b)
-        if ca is None or cb is None:
+        ca, cb = p.centers[a], p.centers[b]
+        if np.isnan(ca) or np.isnan(cb):
             continue
         want = p.radii[a] + p.radii[b]
         assert abs(abs(ca - cb) - want) / want < 1e-7
@@ -302,7 +302,7 @@ def test_packing_json_dump():
 def _all_pairs_margin(p) -> float:
     """Smallest gap over all pairs of placed, non-adjacent circles."""
     g = p.graph
-    placed = [v for v in g.vertices() if p.centers.get(v) is not None]
+    placed = p.placed()
     index = {v: i for i, v in enumerate(placed)}
     adjacent = np.zeros((len(placed), len(placed)), dtype=bool)
     for e in g.edges():
@@ -335,7 +335,7 @@ def test_separation_exact_beyond_old_pair_cap():
     # 2,107 circles: 2,218,671 pairs, more than the 2 M pairs an earlier
     # all-pairs loop checked before reporting inf
     p = pack_disk(triangular_ball(6, 26), boundary=EUCLIDEAN)
-    placed = sum(c is not None for c in p.centers.values())
+    placed = len(p.placed())
     assert placed == 2107
     margin = verify_packing(p).min_separation_margin
     assert math.isfinite(margin)
@@ -349,7 +349,7 @@ def test_separation_reports_overlap():
     g = p.graph
     # push vertex 0 toward a vertex two steps away until their circles overlap
     far = next(v for v in g.vertices() if bfs_layers(g, 0).dist[v] == 2)
-    centers = dict(p.centers)
+    centers = p.centers.copy()
     centers[0] = centers[far] + (centers[0] - centers[far]) * 0.5
     moved = replace(p, centers=centers)
     margin = verify_packing(moved).min_separation_margin
@@ -420,3 +420,42 @@ def test_min_separation_random_configurations():
     # every pair adjacent: nothing to separate
     z = np.array([0, 2, 1 + 1j * math.sqrt(3)])
     assert _min_separation(z, np.ones(3), np.array([1, 2, 5])) == math.inf
+
+
+def test_svg_pinned():
+    # sha256 of packing_to_svg with the nerve, recorded when the packing kept
+    # its radii and centers in dicts; six decimals hide the solver's last bits
+    import hashlib
+
+    def sha(p):
+        return hashlib.sha256(packing_to_svg(p, nerve=True).encode()).hexdigest()[:16]
+
+    assert sha(pack_disk(hex_flower(), boundary=EUCLIDEAN)) == "75dc24dda6086943"
+    assert sha(pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)) == "0d84ec2698917e10"
+
+
+@pytest.mark.parametrize("layout", [True, False])
+def test_placed_are_the_laid_out_circles(layout):
+    p = pack_disk(triangular_ball(8, 3), boundary=MAXIMAL, layout=layout)
+    placed = p.placed()
+    assert placed == np.flatnonzero(~np.isnan(p.centers)).tolist()
+    assert placed == sorted(placed) and all(type(v) is int for v in placed)
+    # the maximal layout leaves the boundary out; without it only the root sits
+    # at the center
+    assert placed == (p.interior if layout else [0])
+    unplaced = np.setdiff1d(np.arange(p.graph.n_vertices), placed)
+    assert np.isnan(p.radii[unplaced]).all() and not np.isnan(p.radii[placed]).any()
+    assert p.centers[0] == 0
+    for arr in (p.radii, p.centers, p.label):
+        assert not arr.flags.writeable
+    euclid = pack_disk(triangular_ball(8, 3), boundary=EUCLIDEAN, layout=layout)
+    assert euclid.radii is euclid.label
+    assert euclid.placed() == (list(range(euclid.graph.n_vertices)) if layout else [])
+
+
+def test_pack_disk_needs_a_frontier():
+    from speiserlab.errors import GeometryError
+    from speiserlab.lattices import octahedron
+
+    with pytest.raises(GeometryError, match="mark a frontier"):
+        pack_disk(octahedron())

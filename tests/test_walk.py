@@ -385,3 +385,14 @@ def test_upsilon_curve_rejects_a_negative_grid_depth(monkeypatch):
         upsilon_resistance_curve(g, 0, [1, 2], grid_depth=-1)
     with pytest.raises(GraphError, match="grid_depth must be >= 0"):
         doyle_test(g, grid_depth=-1, root=0, n_max=2)
+
+
+@pytest.mark.parametrize("grid_depth", [None, 4])
+def test_empty_radius_list_gives_an_empty_curve(grid_depth):
+    # max([]) once raised a bare ValueError here
+    from speiserlab.theorem1 import build_gamma
+
+    g = build_gamma(1, GrowthSchedule((3,)))
+    want = resistance_curve(g, 0, [])
+    assert want.radii == want.resistance == want.residuals == []
+    assert upsilon_resistance_curve(g, 0, [], grid_depth=grid_depth) == want
