@@ -30,7 +30,7 @@ from .graph_core import (
 )
 from .refinement import (
     RefinementMap,
-    VMetric,
+    check_metric,
     check_refinement,
     coarsen_metric,
     refine_metric,

@@ -931,7 +931,10 @@ def build_graph(spec: dict | str) -> RotationGraph:
         pairs = [erec.get("halfedges", []) for erec in edges]
     except AttributeError:
         raise GraphError("every edge record must be an object") from None
-    wrong = np.flatnonzero(np.fromiter(map(len, pairs), np.int64, len(pairs)) != 2)
+    try:
+        wrong = np.flatnonzero(np.fromiter(map(len, pairs), np.int64, len(pairs)) != 2)
+    except TypeError:
+        raise GraphError("every edge's half-edges must be a list") from None
     # edges before the first malformed one are checked for repeats first
     n_read = int(wrong[0]) if len(wrong) else len(pairs)
     halfedges, _ = _flat_ints(pairs[:n_read], "half-edge")
@@ -948,9 +951,12 @@ def build_graph(spec: dict | str) -> RotationGraph:
         raise GraphError("every vertex record must be an object") from None
     ids, _ = _flat_ints([listed_ids], "vertex id")
     v_sorted, v_index = _sort_ids(ids, "vertex id {} listed twice")
-    listed, offsets = _flat_ints(
-        [vrec.get("rotation", []) for vrec in vertices], "half-edge"
-    )
+    try:
+        listed, offsets = _flat_ints(
+            [vrec.get("rotation", []) for vrec in vertices], "half-edge"
+        )
+    except TypeError:
+        raise GraphError("every vertex rotation must be a list") from None
     darts = _find_ids(h_sorted, h_dart, listed, "dangling half-edge {} in rotation")
 
     front_ids, _ = _flat_ints([_list_of(spec, "frontier")], "frontier vertex")
@@ -958,6 +964,8 @@ def build_graph(spec: dict | str) -> RotationGraph:
         v_sorted, v_index, front_ids, "frontier vertex {} is not a vertex id"
     )
     tags_in = spec.get("tags") or {}
+    if not isinstance(tags_in, dict):
+        raise GraphError("'tags' must be an object")
     keys = []
     for k in tags_in:
         try:

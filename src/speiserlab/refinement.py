@@ -3,16 +3,18 @@ transfer constructions between a graph and its refinement.
 
 ``subdivide4`` splits every interior triangle into four by connecting edge
 midpoints; the refined vertex set is the disjoint union of the original
-vertices and edges.  ``coarsen_metric`` pushes a metric from the refinement
-down to the base, ``refine_metric`` lifts one up; both come with exact
-square-sum inequalities that the tests enforce on every instance.
-``walk_refinement_map`` reads the cover structure of a subdivision (this one
-or ``speiser.lambda_triangulation``) off the keys of its face walks.
+vertices and edges.  A ``RefinementMap`` is four arrays indexed by refined
+vertex, original edge and refined face; ``walk_refinement_map`` reads it off
+the keys of a subdivision's face walks (this one or
+``speiser.lambda_triangulation``).  A v-metric is a float64 array of weights
+indexed by vertex, validated by ``check_metric``.  ``coarsen_metric`` pushes a
+metric from the refinement down to the base, ``refine_metric`` lifts one up;
+both come with exact square-sum inequalities that the tests enforce on every
+instance.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,58 +28,46 @@ from .graph_core import (
     trace_faces,
 )
 
+# what a refined vertex lies on in the original (``RefinementMap.origin_kind``)
+VERTEX, EDGE, FACE = 0, 1, 2
 
-@dataclass
-class VMetric:
-    """Nonnegative weight per vertex."""
 
-    weights: dict[int, float]
-
-    def __post_init__(self):
-        for v, w in self.weights.items():
-            if w < 0:
-                raise RefinementError(f"negative weight {w} at vertex {v}")
-
-    def __getitem__(self, v: int) -> float:
-        return self.weights.get(v, 0.0)
-
-    def area(self) -> float:
-        return sum(w * w for w in self.weights.values())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(v): w for v, w in sorted(self.weights.items())}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, s: str) -> "VMetric":
-        return cls({int(k): float(v) for k, v in json.loads(s).items()})
-
-    @classmethod
-    def constant(cls, g: RotationGraph, value: float = 1.0) -> "VMetric":
-        return cls({v: value for v in g.vertices()})
+def check_metric(g: RotationGraph, m) -> np.ndarray:
+    """``m`` as a v-metric on ``g``: a float64 array of one finite,
+    nonnegative weight per vertex."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.shape != (g.n_vertices,):
+        raise RefinementError(f"v-metric of shape {m.shape} on {g.n_vertices} vertices")
+    bad = np.flatnonzero(~(np.isfinite(m) & (m >= 0)))
+    if len(bad):
+        raise RefinementError(f"bad v-metric weight {m[bad[0]]} at vertex {bad[0]}")
+    return m
 
 
 @dataclass
 class RefinementMap:
     """How a refined graph covers the original.
 
-    ``vertex_origin`` maps each refined vertex to ``("vertex", v)``,
-    ``("edge", e)`` or ``("face", f)`` of the original; ``edge_cover`` maps
-    each original edge to the ordered path of refined edges along it;
-    ``face_cover`` maps each original interior face to its refined faces.
+    Refined vertex ``w`` lies on vertex, edge or face ``origin[w]`` of the
+    original, as ``origin_kind[w]`` (``VERTEX``, ``EDGE`` or ``FACE``) says;
+    original vertices keep their ids.  Row ``e`` of ``edge_cover`` is the
+    path of refined edges along edge ``e``, from the vertex of dart ``2e``.
+    ``face_owner[rf]`` is the original face that refined face ``rf`` lies
+    in, or -1 (faces numbered as by ``trace_faces``).
     """
 
-    vertex_origin: dict[int, tuple[str, int]]
-    edge_cover: dict[int, list[int]]
-    face_cover: dict[int, list[int]] = field(default_factory=dict)
+    origin_kind: np.ndarray
+    origin: np.ndarray
+    edge_cover: np.ndarray
+    face_owner: np.ndarray
 
     @classmethod
     def identity(cls, g: RotationGraph) -> "RefinementMap":
         return cls(
-            vertex_origin={v: ("vertex", v) for v in g.vertices()},
-            edge_cover={e: [e] for e in g.edges()},
-            face_cover={f: [f] for f in range(len(trace_faces(g)))},
+            origin_kind=np.full(g.n_vertices, VERTEX, dtype=np.int8),
+            origin=np.arange(g.n_vertices),
+            edge_cover=np.arange(g.n_edges).reshape(-1, 1),
+            face_owner=np.arange(len(trace_faces(g))),
         )
 
 
@@ -142,11 +132,11 @@ def subdivide4(
         keep=n,
         frontier=np.concatenate([np.fromiter(g.frontier, np.int64), mid[o]]),
     )
-    return built.graph, walk_refinement_map(g, built, tails, walk[starts])
+    return built.graph, walk_refinement_map(g, built, walk[starts])
 
 
 def walk_refinement_map(
-    g: RotationGraph, built: WalkBuild, tails: np.ndarray, walk_owner: np.ndarray
+    g: RotationGraph, built: WalkBuild, walk_owner: np.ndarray
 ) -> RefinementMap:
     """Cover structure of a subdivision of ``g`` built by ``from_walks``.
 
@@ -155,35 +145,19 @@ def walk_refinement_map(
     center of face ``f``, with ``keep = n``; the two halves of edge ``e``
     must have the keys of its darts, ``2e`` and ``2e + 1``.
     ``walk_owner[i]`` is the face of ``g`` that walk ``i`` subdivides, or -1
-    for a walk that covers no face.  ``vertex_origin`` lists the vertices in
-    order of first appearance in ``tails``, ``face_cover`` the faces in
-    order of their first refined face.
+    for a walk that covers no face.
     """
     n, n_edges = g.n_vertices, g.n_edges
-    out = built.graph
-    vertex_id = np.empty(int(built.vertex_key.max()) + 1, dtype=np.int64)
-    vertex_id[built.vertex_key] = np.arange(out.n_vertices)
-    _, first = np.unique(tails, return_index=True)
-    keys = tails[np.sort(first)]
-    kind = np.searchsorted(np.array([n, n + n_edges]), keys, side="right")
-    index = keys - np.array([0, n, n + n_edges])[kind]
-    names = ("vertex", "edge", "face")
-    vertex_origin = {
-        v: (names[c], x)
-        for v, c, x in zip(vertex_id[keys].tolist(), kind.tolist(), index.tolist())
-    }
+    kind = np.searchsorted(np.array([n, n + n_edges]), built.vertex_key, side="right")
     edge_id = np.empty(int(built.edge_key.max()) + 1, dtype=np.int64)
-    edge_id[built.edge_key] = np.arange(out.n_edges)
-    edge_cover = dict(enumerate(edge_id[: 2 * n_edges].reshape(n_edges, 2).tolist()))
-    face_cover: dict[int, list[int]] = {}
-    covering = np.flatnonzero(walk_owner >= 0)
-    order = np.argsort(built.walk_face[covering])
-    for rf, f in zip(
-        built.walk_face[covering][order].tolist(), walk_owner[covering][order].tolist()
-    ):
-        face_cover.setdefault(f, []).append(rf)
+    edge_id[built.edge_key] = np.arange(built.graph.n_edges)
+    face_owner = np.empty(len(walk_owner), dtype=np.int64)
+    face_owner[built.walk_face] = walk_owner
     return RefinementMap(
-        vertex_origin=vertex_origin, edge_cover=edge_cover, face_cover=face_cover
+        origin_kind=kind.astype(np.int8),
+        origin=built.vertex_key - np.array([0, n, n + n_edges])[kind],
+        edge_cover=edge_id[: 2 * n_edges].reshape(n_edges, 2),
+        face_owner=face_owner,
     )
 
 
@@ -202,38 +176,26 @@ def check_refinement(
 ) -> RefinementReport:
     """Verify the cover structure and measure the boundedness constants.
 
-    ``m_edge`` counts all refined vertices on a closed original edge
-    (endpoints included); ``m_face`` counts refined vertices on a closed
+    Every edge's cover must be a refined-edge path between its ends, which
+    keep their ids.  ``m_edge`` counts all refined vertices on a closed
+    original edge (endpoints included; on a broken cover, those reached
+    before it breaks); ``m_face`` counts refined vertices on a closed
     original face.  Violations are reported, not raised.
     """
-    violations = []
-    m_edge = 0
-    ends, ref_ends = g.dart_vertex.tolist(), g_ref.dart_vertex.tolist()
-    for e in g.edges():
-        u, v = ends[2 * e], ends[2 * e + 1]
-        cover = rmap.edge_cover.get(e)
-        if not cover:
-            violations.append(f"edge {e} has no cover")
-            continue
-        chain_ok, n_vertices = _check_chain(ref_ends, cover, rmap, u, v)
-        if not chain_ok:
-            violations.append(f"edge {e} cover is not a path from {u} to {v}")
-        m_edge = max(m_edge, n_vertices)
-
-    m_face = 0
-    seen_refined = set()
+    path = _cover_paths(g, g_ref, rmap)
+    ends = g.dart_vertex.reshape(-1, 2)
+    broken = np.flatnonzero(path[:, -1] != ends[:, 1])
+    violations = [
+        f"edge {e} cover is not a path from {u} to {v}"
+        for e, (u, v) in zip(broken.tolist(), ends[broken].tolist())
+    ]
+    n_ref = g_ref.n_vertices
+    edge_of = np.repeat(np.arange(g.n_edges), path.shape[1])
+    m_edge = _most_distinct(edge_of, path.ravel(), n_ref)
+    # the vertices of a closed face are those of its refined faces
     ref_faces = trace_faces(g_ref)
-    face_vertices = ref_faces.vertices.tolist()
-    bounds = ref_faces.offsets.tolist()
-    for f, cover in rmap.face_cover.items():
-        verts = set()
-        for rf in cover:
-            if rf in seen_refined:
-                violations.append(f"refined face {rf} covers two faces")
-            seen_refined.add(rf)
-            verts.update(face_vertices[bounds[rf] : bounds[rf + 1]])
-        # vertices of the closed face: everything on its refined faces
-        m_face = max(m_face, len(verts))
+    owner = rmap.face_owner[ref_faces.face_index()]
+    m_face = _most_distinct(owner, ref_faces.vertices, n_ref)
 
     ok = not violations
     return RefinementReport(
@@ -246,57 +208,51 @@ def check_refinement(
     )
 
 
-def _check_chain(ref_ends, cover, rmap, u, v):
-    """cover must be a refined-edge path from u to v (``ref_ends``: g_ref's ends)."""
-    u_id = _refined_id_of_vertex(rmap, u)
-    v_id = _refined_id_of_vertex(rmap, v)
-    if u_id is None or v_id is None:
-        return False, 0
-    at = u_id
-    seen = {at}
-    for e in cover:
-        a, b = ref_ends[2 * e], ref_ends[2 * e + 1]
-        if a == at:
-            at = b
-        elif b == at:
-            at = a
-        else:
-            return False, len(seen)
-        seen.add(at)
-    return at == v_id, len(seen)
+def _most_distinct(group: np.ndarray, item: np.ndarray, size: int) -> int:
+    """The most distinct items (below ``size``) in one group; a negative
+    group or item counts for none."""
+    keep = (group >= 0) & (item >= 0)
+    key = np.sort(group[keep] * size + item[keep])
+    distinct = key[np.diff(key, prepend=-1) != 0]
+    return int(np.bincount(distinct // size).max(initial=0))
 
 
-def _refined_id_of_vertex(rmap: RefinementMap, v: int) -> int | None:
-    # original vertices keep their ids in our constructions; fall back to scan
-    origin = rmap.vertex_origin.get(v)
-    if origin == ("vertex", v):
-        return v
-    for nid, org in rmap.vertex_origin.items():
-        if org == ("vertex", v):
-            return nid
-    return None
+def _cover_paths(
+    g: RotationGraph, g_ref: RotationGraph, rmap: RefinementMap
+) -> np.ndarray:
+    """Where each edge's cover stands after each of its refined edges.
+
+    ``path[e, i]`` is the refined vertex reached from the vertex of dart
+    ``2e`` after ``i`` edges of row ``e`` of the cover, and -1 from the first
+    edge that does not continue the path on; the whole row is -1 when an
+    end of ``e`` does not keep its id in the refinement.
+    """
+    n = g.n_vertices
+    kept = (rmap.origin_kind[:n] == VERTEX) & (rmap.origin[:n] == np.arange(n))
+    ends = g.dart_vertex.reshape(-1, 2)
+    ref_ends = g_ref.dart_vertex.reshape(-1, 2)[rmap.edge_cover]
+    at = np.where(kept[ends].all(axis=1), ends[:, 0], -1)
+    path = [at]
+    for a, b in zip(ref_ends[:, :, 0].T, ref_ends[:, :, 1].T):
+        at = np.where(a == at, b, np.where(b == at, a, -1))
+        path.append(at)
+    return np.stack(path, axis=1)
 
 
-def _edge_interior_vertices(
-    g_ref: RotationGraph, rmap: RefinementMap, e: int, u: int, v: int
-) -> list[int]:
-    """Refined vertices strictly inside the closed edge e = [u, v]."""
-    out = []
-    at = _refined_id_of_vertex(rmap, u)
-    for re in rmap.edge_cover[e]:
-        a, b = g_ref.edge_ends(re)
-        at = b if a == at else a
-        if rmap.vertex_origin.get(at, ("",))[0] != "vertex":
-            out.append(at)
-    return out
+def _m_edge(g: RotationGraph, g_ref: RotationGraph, rmap: RefinementMap) -> int:
+    """``m_edge`` of a refinement; raises on a map ``check_refinement`` rejects."""
+    report = check_refinement(g, g_ref, rmap)
+    if not report.is_refinement:
+        raise RefinementError(f"not a refinement: {report.violations[:3]}")
+    return report.m_edge
 
 
 def coarsen_metric(
     g: RotationGraph,
     g_ref: RotationGraph,
     rmap: RefinementMap,
-    m_ref: VMetric,
-) -> VMetric:
+    m_ref: np.ndarray,
+) -> np.ndarray:
     """Push a refinement metric down: m(v) = 2M * max over the half-open star.
 
     The star at v consists of v itself plus the interior cover vertices of
@@ -304,27 +260,24 @@ def coarsen_metric(
     ``sum m^2 <= 8 M^2 sum m_ref^2`` and, for every original edge [u, v],
     ``sum of m_ref over the closed edge <= (m(u) + m(v)) / 2``.
     """
-    report = check_refinement(g, g_ref, rmap)
-    if not report.is_refinement:
-        raise RefinementError(f"not a refinement: {report.violations[:3]}")
-    M = report.m_edge
-    vertex = g.dart_vertex.tolist()
-    weights = {}
-    for v in g.vertices():
-        star = [_refined_id_of_vertex(rmap, v)]
-        for d in g.rotation(v):
-            star.extend(_edge_interior_vertices(g_ref, rmap, d >> 1, v, vertex[d ^ 1]))
-        weights[v] = 2.0 * M * max(m_ref[x] for x in star)
-    return VMetric(weights)
+    m_ref = check_metric(g_ref, m_ref)
+    M = _m_edge(g, g_ref, rmap)
+    # the interior cover vertices of an edge are those of its path that do
+    # not lie on an original vertex
+    inner = _cover_paths(g, g_ref, rmap)[:, 1:]
+    inner = np.where(rmap.origin_kind[inner] != VERTEX, m_ref[inner], 0.0)
+    star = m_ref[: g.n_vertices].copy()
+    np.maximum.at(star, g.dart_vertex, np.repeat(inner.max(axis=1), 2))
+    return 2.0 * M * star
 
 
 def refine_metric(
     g: RotationGraph,
     g_ref: RotationGraph,
     rmap: RefinementMap,
-    m: VMetric,
+    m: np.ndarray,
     K: int,
-) -> VMetric:
+) -> np.ndarray:
     """Lift a base metric to the refinement, guided by the low-degree set.
 
     With Z the vertices of degree exceeding K: original vertices in Z keep
@@ -334,32 +287,24 @@ def refine_metric(
     skeleton vertex sees only Z and the construction is undefined), and
     satisfies ``sum m_ref^2 <= 9 K M sum m^2``.
     """
-    cls = classify(g)
-    if not cls.is_disk_triangulation:
+    m = check_metric(g, m)
+    if not classify(g).is_disk_triangulation:
         raise RefinementError("refine_metric needs a disk triangulation base")
-    report = check_refinement(g, g_ref, rmap)
-    if not report.is_refinement:
-        raise RefinementError(f"not a refinement: {report.violations[:3]}")
-    Z = set(np.flatnonzero(np.diff(g.rot_offsets) > K).tolist())
-    vertex = g.dart_vertex.tolist()
+    _m_edge(g, g_ref, rmap)
+    low = np.diff(g.rot_offsets) <= K
+    low_m = np.where(low, m, -np.inf)
+    on_edge = low_m[g.dart_vertex.reshape(-1, 2)].max(axis=1)
+    near = low_m.copy()  # largest low-degree weight on each closed star
+    np.maximum.at(near, g.dart_vertex, np.repeat(on_edge, 2))
 
-    weights = {}
-    for w_id, origin in rmap.vertex_origin.items():
-        kind, ref = origin
-        if kind == "vertex":
-            v = ref
-            if v in Z:
-                weights[w_id] = m[v]
-            else:
-                pool = [x for x in [v, *g.neighbors(v)] if x not in Z]
-                weights[w_id] = 3.0 * max(m[x] for x in pool)
-        elif kind == "edge":
-            pool = [x for x in vertex[2 * ref : 2 * ref + 2] if x not in Z]
-            if not pool:
-                raise RefinementError(
-                    f"edge {ref} has both endpoints of degree > {K}; p({K}) fails"
-                )
-            weights[w_id] = 3.0 * max(m[x] for x in pool)
-        else:
-            weights[w_id] = 0.0
-    return VMetric(weights)
+    kind, at = rmap.origin_kind, rmap.origin
+    out = np.zeros(g_ref.n_vertices)
+    v, e = at[kind == VERTEX], at[kind == EDGE]
+    out[kind == VERTEX] = np.where(low[v], 3.0 * near[v], m[v])
+    out[kind == EDGE] = 3.0 * on_edge[e]
+    stuck = e[on_edge[e] == -np.inf]
+    if len(stuck):
+        raise RefinementError(
+            f"edge {stuck[0]} has both endpoints of degree > {K}; p({K}) fails"
+        )
+    return out

@@ -204,7 +204,7 @@ def lambda_triangulation(
     )
     if not with_map:
         return built.graph
-    return built.graph, walk_refinement_map(g, built, tails, walk[starts])
+    return built.graph, walk_refinement_map(g, built, walk[starts])
 
 
 def extend_speiser(

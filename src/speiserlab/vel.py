@@ -26,8 +26,8 @@ permuted into the same order and factors it as it stands
 (``sparse_lu.factor``, with SuperLU supernode settings fixed there).  The
 returned bracket does not rest on trusting that run:
 
-* lower bound: the metric ``m = t`` with its Dijkstra distance,
-  ``dist_m(A, B)^2 / area(m)``;
+* lower bound: the metric ``m = t``, kept as ``VelEstimate.metric`` (zero
+  off the support), with its Dijkstra distance ``dist_m(A, B)^2 / area(m)``;
 * upper bound: the flow is pushed down the shortest-path DAG of ``m`` (arcs
   with ``d_w > d_u`` only), each vertex splitting its flow in proportion to
   the solver's arc flows.  This is a random A-B path, stopped where it meets
@@ -53,7 +53,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from .errors import GraphError
 from .graph_core import RotationGraph, bfs_layers
-from .refinement import VMetric
+from .refinement import check_metric
 from .sparse_lu import factor
 from .trend import (
     HYPERBOLIC,
@@ -71,14 +71,14 @@ STEP_FRACTION = 0.99
 
 @dataclass
 class VelEstimate:
-    """A certified bracket ``lower <= VEL <= upper`` and the metric behind
-    ``lower``.  ``iterations`` holds ``outer``, the interior-point
-    iterations, and ``n_constraints``, the arc variables of the flow QP
-    (support arcs plus one source arc per A vertex)."""
+    """A certified bracket ``lower <= VEL <= upper`` and the v-metric behind
+    ``lower`` (zero off the support).  ``iterations`` holds ``outer``, the
+    interior-point iterations, and ``n_constraints``, the arc variables of
+    the flow QP (support arcs plus one source arc per A vertex)."""
 
     lower: float
     upper: float
-    metric: VMetric
+    metric: np.ndarray
     iterations: dict = field(default_factory=dict)
     converged: bool = True
 
@@ -92,16 +92,15 @@ class VelEstimate:
 
 
 def metric_objective(
-    g: RotationGraph, A: set[int], B: set[int], m: VMetric
+    g: RotationGraph, A: set[int], B: set[int], m: np.ndarray
 ) -> dict:
     """dist = min total vertex weight over A-B paths; area = sum m^2."""
+    m = check_metric(g, m)
     if not A or not B or A & B:
         raise GraphError("A and B must be nonempty and disjoint")
     sub = _Subproblem(g, A, B)
-    weights = np.zeros(g.n_vertices)
-    weights[list(m.weights)] = list(m.weights.values())
-    dist = float(sub.distances(weights)[sub.B].min())
-    area = m.area()
+    dist = float(sub.distances(m)[sub.B].min())
+    area = sum((m * m).tolist())
     if area == 0:
         ratio = 0.0
     elif not math.isfinite(dist):
@@ -186,7 +185,7 @@ def solve_vel(
         return VelEstimate(
             lower=math.inf,
             upper=math.inf,
-            metric=VMetric({}),
+            metric=np.zeros(g.n_vertices),
             iterations={"note": "A and B are disconnected"},
             converged=True,
         )
@@ -234,7 +233,8 @@ def solve_vel(
         if upper - lower <= REL_GAP * upper:
             break
 
-    metric = VMetric(dict(zip(sub.nodes[t > 0].tolist(), t[t > 0].tolist())))
+    metric = np.zeros(g.n_vertices)
+    metric[sub.nodes[t > 0]] = t[t > 0]
     est = VelEstimate(
         lower=lower,
         upper=upper,

@@ -3,10 +3,12 @@
 A BFS layering is read from ``bfs_layers(g, root)``, cached on the graph, so
 no function takes a layering as an argument; ``dual`` always drops the faces
 at a truncation's frontier; a packing's boundary is its graph's frontier,
-with Euclidean radii 1, and its root is vertex 0.  These tests keep such
-knobs from coming back.
+with Euclidean radii 1, and its root is vertex 0; a refinement map is four
+arrays read off a subdivision's walks, and a v-metric is a plain array.
+These tests keep such knobs and wrappers from coming back.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -14,6 +16,7 @@ import pkgutil
 import speiserlab
 from speiserlab.graph_core import RotationGraph, bfs_layers, dual
 from speiserlab.packing import pack_disk, ratio_trend
+from speiserlab.refinement import RefinementMap, walk_refinement_map
 from speiserlab.speiser import speiser_ball
 
 REMOVED = {"layers", "drop_frontier_faces", "boundary_radii"}
@@ -58,3 +61,10 @@ def test_layering_and_dual_entry_points():
 def test_packing_entry_points():
     assert _parameters(pack_disk) == ["g", "boundary", "layout"]
     assert _parameters(ratio_trend) == ["ball_builder", "n_list"]
+
+
+def test_refinement_entry_points():
+    assert _parameters(walk_refinement_map) == ["g", "built", "walk_owner"]
+    fields = [f.name for f in dataclasses.fields(RefinementMap)]
+    assert fields == ["origin_kind", "origin", "edge_cover", "face_owner"]
+    assert not hasattr(speiserlab, "VMetric")

@@ -179,6 +179,18 @@ def test_theorem1_radius_beyond_dual_ball_exits_2(tmp_path, capsys):
         ('{"version": 1, "frontier": 0}', "'frontier' must be a list"),
         ('{"version": 1, "edges": [[0, 1]]}', "every edge record must be an object"),
         ('{"version": 1, "vertices": [0]}', "every vertex record must be an object"),
+        (
+            '{"version": 1, "edges": [{"id": 0, "halfedges": 5}]}',
+            "every edge's half-edges must be a list",
+        ),
+        (
+            '{"version": 1, "vertices": [{"id": 0, "rotation": 5}]}',
+            "every vertex rotation must be a list",
+        ),
+        (
+            '{"version": 1, "vertices": [{"id": 0, "rotation": []}], "tags": [0]}',
+            "'tags' must be an object",
+        ),
     ],
 )
 def test_gen_dual_bad_graph_file_exits_2(tmp_path, capsys, text, message):

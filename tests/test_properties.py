@@ -15,7 +15,7 @@ from speiserlab.graph_core import (
     to_json_dict,
 )
 from speiserlab.lattices import grid_patch, triangular_ball
-from speiserlab.refinement import VMetric, check_refinement, coarsen_metric, subdivide4
+from speiserlab.refinement import check_refinement, coarsen_metric, subdivide4
 from speiserlab.vel import solve_vel
 
 BASE = triangular_ball(8, 2)
@@ -35,10 +35,9 @@ HEX_LAYERS = bfs_layers(HEX, 0)
     )
 )
 def test_coarsen_square_sum_inequality_holds(weights):
-    m_ref = VMetric({v: w for v, w in enumerate(weights)})
-    m = coarsen_metric(BASE, REF, RMAP, m_ref)
-    lhs = sum(w * w for w in m.weights.values())
-    assert lhs <= 8 * M_EDGE * M_EDGE * m_ref.area() + 1e-9
+    m = coarsen_metric(BASE, REF, RMAP, weights)
+    lhs = sum(w * w for w in m)
+    assert lhs <= 8 * M_EDGE * M_EDGE * sum(w * w for w in weights) + 1e-9
 
 
 @settings(max_examples=10, deadline=None)

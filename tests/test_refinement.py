@@ -10,8 +10,10 @@ from speiserlab.graph_core import (
 )
 from speiserlab.lattices import octahedron, triangular_ball
 from speiserlab.refinement import (
+    EDGE,
+    VERTEX,
     RefinementMap,
-    VMetric,
+    check_metric,
     check_refinement,
     coarsen_metric,
     refine_metric,
@@ -56,14 +58,14 @@ def test_subdivide4_midpoint_degrees():
     owner = trace_faces(g).face_of()
     inner = interior_face_mask(g)
     checked = 0
-    for w, origin in rmap.vertex_origin.items():
-        if origin[0] == "edge":
-            e = origin[1]
+    for w, (kind, origin) in enumerate(zip(rmap.origin_kind, rmap.origin)):
+        if kind == EDGE:
+            e = origin
             if inner[owner[2 * e]] and inner[owner[2 * e + 1]]:
                 assert ref.degree(w) == 6
                 checked += 1
-        elif origin[0] == "vertex":
-            v = origin[1]
+        elif kind == VERTEX:
+            v = origin
             if v not in g.frontier:
                 assert ref.degree(w) == g.degree(v)
     assert checked > 0
@@ -98,10 +100,11 @@ def test_coarsen_metric_single_edge_formula():
     a, b, c = 0.3, 0.9, 0.1
     mid01 = next(
         w
-        for w, org in rmap.vertex_origin.items()
-        if org[0] == "edge" and set(g.edge_ends(org[1])) == {0, 1}
+        for w, (kind, e) in enumerate(zip(rmap.origin_kind, rmap.origin))
+        if kind == EDGE and set(g.edge_ends(e)) == {0, 1}
     )
-    m_ref = VMetric({0: a, mid01: b, 1: c})
+    m_ref = np.zeros(ref.n_vertices)
+    m_ref[[0, mid01, 1]] = a, b, c
     m = coarsen_metric(g, ref, rmap, m_ref)
     assert m[0] == pytest.approx(6 * max(a, b))
     assert m[1] == pytest.approx(6 * max(b, c))
@@ -110,12 +113,12 @@ def test_coarsen_metric_single_edge_formula():
 def test_coarsen_zero_metric():
     g = octahedron()
     ref, rmap = subdivide4(g)
-    m = coarsen_metric(g, ref, rmap, VMetric({}))
-    assert all(w == 0 for w in m.weights.values())
+    m = coarsen_metric(g, ref, rmap, np.zeros(ref.n_vertices))
+    assert all(w == 0 for w in m)
 
 
-def _random_metric(rng, ids):
-    return VMetric({int(v): float(rng.uniform(0, 1)) for v in ids})
+def _random_metric(rng, g):
+    return rng.uniform(0, 1, g.n_vertices)
 
 
 def test_coarsen_inequalities_random():
@@ -125,18 +128,16 @@ def test_coarsen_inequalities_random():
     M = report.m_edge
     rng = np.random.default_rng(20080)
     for _ in range(100):
-        m_ref = _random_metric(rng, ref.vertices())
+        m_ref = _random_metric(rng, ref)
         m = coarsen_metric(g, ref, rmap, m_ref)
         # square-sum inequality
-        lhs = sum(w * w for w in m.weights.values())
-        rhs = 8 * M * M * m_ref.area()
+        lhs = sum(w * w for w in m)
+        rhs = 8 * M * M * sum(w * w for w in m_ref)
         assert lhs <= rhs + 1e-12
         # edge inequality for every original edge
         for e in g.edges():
             u, v = g.edge_ends(e)
-            from speiserlab.refinement import _edge_interior_vertices
-
-            interior = _edge_interior_vertices(ref, rmap, e, u, v)
+            interior = np.flatnonzero((rmap.origin_kind == EDGE) & (rmap.origin == e))
             total = m_ref[u] + m_ref[v] + sum(m_ref[w] for w in interior)
             assert total <= (m[u] + m[v]) / 2 + 1e-12
 
@@ -144,8 +145,8 @@ def test_coarsen_inequalities_random():
 def test_refine_metric_zero():
     g = subdivided_patch()
     ref, rmap = subdivide4(g)
-    m_ref = refine_metric(g, ref, rmap, VMetric({}), K=6)
-    assert all(w == 0 for w in m_ref.weights.values())
+    m_ref = refine_metric(g, ref, rmap, np.zeros(g.n_vertices), K=6)
+    assert all(w == 0 for w in m_ref)
 
 
 def subdivided_patch():
@@ -161,7 +162,7 @@ def test_refine_metric_rejects_p_failure():
     g = triangular_ball(8, 3)
     ref, rmap = subdivide4(g)
     with pytest.raises(RefinementError, match="p\\(6\\)"):
-        refine_metric(g, ref, rmap, VMetric.constant(g), K=6)
+        refine_metric(g, ref, rmap, np.ones(g.n_vertices), K=6)
 
 
 def test_refine_inequality_random():
@@ -173,16 +174,120 @@ def test_refine_inequality_random():
     K = 6
     rng = np.random.default_rng(31337)
     for _ in range(100):
-        m = _random_metric(rng, g.vertices())
+        m = _random_metric(rng, g)
         m_ref = refine_metric(g, ref, rmap, m, K=K)
-        assert m_ref.area() <= 9 * K * M * m.area() + 1e-12
+        assert sum(w * w for w in m_ref) <= 9 * K * M * sum(w * w for w in m) + 1e-12
 
 
-def test_vmetric_json_round_trip():
-    m = VMetric({0: 0.5, 3: 1.25})
-    assert VMetric.from_json(m.to_json()).weights == m.weights
+def _coarsen_by_loop(g, rmap, m_ref, M):
+    # the star of v: v and the midpoint of every edge at v
+    out = []
+    for v in g.vertices():
+        star = [m_ref[v]]
+        for d in g.rotation(v):
+            mid = (rmap.origin_kind == EDGE) & (rmap.origin == d >> 1)
+            star.extend(m_ref[mid])
+        out.append(2.0 * M * max(star))
+    return out
 
 
-def test_vmetric_rejects_negative():
-    with pytest.raises(RefinementError):
-        VMetric({0: -1.0})
+def _refine_by_loop(g, rmap, m, K):
+    Z = {v for v in g.vertices() if g.degree(v) > K}
+    out = []
+    for kind, x in zip(rmap.origin_kind.tolist(), rmap.origin.tolist()):
+        if kind == VERTEX and x in Z:
+            out.append(m[x])
+        elif kind == VERTEX:
+            out.append(3.0 * max(m[u] for u in [x, *g.neighbors(x)] if u not in Z))
+        elif kind == EDGE:
+            out.append(3.0 * max(m[u] for u in g.edge_ends(x) if u not in Z))
+        else:
+            out.append(0.0)
+    return out
+
+
+def test_metric_transfers_match_loop_reference():
+    # on a base with vertices of degree 8 > K = 6, so both refine branches run
+    g = subdivided_patch()
+    ref, rmap = subdivide4(g)
+    M = check_refinement(g, ref, rmap).m_edge
+    rng = np.random.default_rng(2020)
+    m_ref = rng.uniform(0, 1, ref.n_vertices)
+    m = rng.uniform(0, 1, g.n_vertices)
+    coarse = coarsen_metric(g, ref, rmap, m_ref)
+    assert coarse.tolist() == _coarsen_by_loop(g, rmap, m_ref, M)
+    fine = refine_metric(g, ref, rmap, m, K=6)
+    assert fine.tolist() == _refine_by_loop(g, rmap, m, 6)
+
+
+# Three corruptions of subdivide4(octahedron())'s map, with the violations and
+# m_edge that the tuple-keyed implementation reported for the same corruption
+# of its map.
+def _reverse_row(rmap):
+    rmap.edge_cover[3] = rmap.edge_cover[3, ::-1]
+
+
+def _foreign_edge(rmap):
+    rmap.edge_cover[3, 1] = rmap.edge_cover[8, 0]
+
+
+def _moved_origin(rmap):
+    rmap.origin[0] = 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, violations",
+    [
+        (_reverse_row, ["edge 3 cover is not a path from 2 to 3"]),
+        (_foreign_edge, ["edge 3 cover is not a path from 2 to 3"]),
+        (
+            _moved_origin,
+            [
+                "edge 0 cover is not a path from 0 to 1",
+                "edge 2 cover is not a path from 2 to 0",
+                "edge 4 cover is not a path from 3 to 0",
+                "edge 6 cover is not a path from 4 to 0",
+            ],
+        ),
+    ],
+    ids=["reversed-row", "foreign-edge", "moved-origin"],
+)
+def test_check_refinement_reports_a_corrupted_map(corrupt, violations):
+    g = octahedron()
+    ref, rmap = subdivide4(g)
+    corrupt(rmap)
+    report = check_refinement(g, ref, rmap)
+    assert not report.is_refinement
+    assert report.violations == violations
+    assert report.m_edge == 3
+    with pytest.raises(RefinementError, match="not a refinement"):
+        coarsen_metric(g, ref, rmap, np.ones(ref.n_vertices))
+    with pytest.raises(RefinementError, match="not a refinement"):
+        refine_metric(g, ref, rmap, np.ones(g.n_vertices), K=6)
+
+
+@pytest.mark.parametrize("case", ["wrong-length", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["coarsen", "refine", "objective"])
+def test_bad_vmetric_rejected(entry, case):
+    from speiserlab.vel import metric_objective
+
+    g = subdivided_patch()
+    ref, rmap = subdivide4(g)
+    m = np.ones((ref if entry == "coarsen" else g).n_vertices)
+    if case == "wrong-length":
+        m = m[:-1]
+    else:
+        m[0] = {"negative": -1.0, "nan": np.nan, "inf": np.inf}[case]
+    call = {
+        "coarsen": lambda: coarsen_metric(g, ref, rmap, m),
+        "refine": lambda: refine_metric(g, ref, rmap, m, K=6),
+        "objective": lambda: metric_objective(g, {0}, {1}, m),
+    }[entry]
+    message = "shape" if case == "wrong-length" else "at vertex 0"
+    with pytest.raises(RefinementError, match=message):
+        call()
+
+
+def test_check_metric_returns_float64():
+    m = check_metric(octahedron(), [0, 1, 2, 3, 4, 5])
+    assert m.dtype == np.float64 and m.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]

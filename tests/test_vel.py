@@ -6,7 +6,6 @@ import pytest
 from speiserlab.graph_core import RotationGraph, bfs_layers, induced_ball
 from speiserlab.lattices import cycle_graph, path_graph, triangular_ball
 from speiserlab import sparse_lu, vel
-from speiserlab.refinement import VMetric
 from speiserlab.trend import CP_HYPERBOLIC, HYPERBOLIC, INCONCLUSIVE, PARABOLIC
 from speiserlab.vel import (
     _flow_upper,
@@ -20,7 +19,7 @@ from speiserlab.vel import (
 
 def test_metric_objective_path():
     g = path_graph(2)  # a - x - b
-    m = VMetric.constant(g, 1.0)
+    m = np.ones(g.n_vertices)
     out = metric_objective(g, {0}, {2}, m)
     assert out["dist"] == 3
     assert out["area"] == 3
@@ -29,7 +28,7 @@ def test_metric_objective_path():
 
 def test_metric_objective_zero_metric():
     g = path_graph(2)
-    out = metric_objective(g, {0}, {2}, VMetric({}))
+    out = metric_objective(g, {0}, {2}, np.zeros(g.n_vertices))
     assert out["ratio"] == 0.0
 
 
@@ -70,7 +69,7 @@ def test_metric_objective_grid():
     g = RotationGraph.from_rotations(incidence)
     A = {vid(0, j) for j in range(rows)}
     B = {vid(2, j) for j in range(rows)}
-    out = metric_objective(g, A, B, VMetric.constant(g, 1.0))
+    out = metric_objective(g, A, B, np.ones(g.n_vertices))
     assert out["dist"] == 3
     assert out["area"] == 9
     assert out["ratio"] == pytest.approx(1.0)
@@ -174,13 +173,9 @@ def test_trend_hex_parabolic():
     layers = bfs_layers(g, 0)
     for (ni, no), est in zip(report.annuli, report.estimates):
         assert est.lower > 0
-        profile = VMetric(
-            {
-                v: 1.0 / layers.sphere_sizes()[layers.dist[v]]
-                for v in g.vertices()
-                if ni <= layers.dist[v] <= no
-            }
-        )
+        inside = (ni <= layers.dist) & (layers.dist <= no)
+        sizes = np.array(layers.sphere_sizes())
+        profile = np.where(inside, 1.0 / sizes[layers.dist], 0.0)
         obj = metric_objective(g, _sphere(layers, ni), _sphere(layers, no), profile)
         assert obj["ratio"] <= est.upper + 1e-9
         if est.converged:
