@@ -6,7 +6,10 @@ The estimator scores a seeded family of (x, r) pairs: centers at each disk's
 center, near its rim and at random points of the set, radii log-uniform.
 Each pair's fraction is exact, by Green's theorem over the boundary arcs of
 the set's intersection with D(x, r) (``_cap_fractions``), so the seed only
-chooses the pairs.  The minimum over finitely many pairs is still an upper
+chooses the pairs.  Disks that another disk contains (up to the tangency
+tolerance) are dropped before the arcs are cut: they leave the union as it
+is, and a near-coincident copy would put arc midpoints within rounding of
+the other circle.  The minimum over finitely many pairs is still an upper
 bound on the true infimum.  Growing the radius count never increases the
 estimate (prefix sampling).
 
@@ -14,13 +17,16 @@ The overlap of a disk family is counted exactly, at the points where the
 greatest overlap of closed disks is attained (``_max_overlap``).
 
 Membership, intersection and connectivity are broadcasts over the center
-and radius arrays of ``PlanarSet``, in chunks of at most ``_PAIRS`` pairs.
+and radius arrays of ``PlanarSet``, in chunks of at most ``_PAIRS`` pairs;
+the connectivity of one or two disks is read off the broadcast directly,
+and only three or more disks go through a graph search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -60,10 +66,8 @@ class PlanarSet:
         bad = ~((radii > 0) & np.isfinite(radii))
         if bad.any():
             raise GeometryError(f"degenerate disk radius {radii[bad][0]}")
-        if len(radii) > 1:
-            touching = csr_matrix(_touching(centers, radii, centers, radii))
-            if connected_components(touching, directed=False)[0] != 1:
-                raise GeometryError("disk union is not connected")
+        if not _connected(centers, radii):
+            raise GeometryError("disk union is not connected")
         centers.flags.writeable = radii.flags.writeable = False
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
@@ -90,6 +94,15 @@ def _touching(ca, ra, cb, rb) -> np.ndarray:
     """Whether closed disk a_i meets closed disk b_j, for all pairs (i, j)."""
     # the tolerance absorbs float error at exact tangency
     return np.abs(ca[:, None] - cb) <= (ra[:, None] + rb) * _MEET
+
+
+def _connected(centers, radii) -> bool:
+    """Whether the union of the closed disks is connected: one or two disks
+    are read off ``_touching`` directly, more by their touching graph."""
+    if len(radii) < 3:
+        return bool(_touching(centers[:1], radii[:1], centers, radii).all())
+    touching = csr_matrix(_touching(centers, radii, centers, radii))
+    return connected_components(touching, directed=False)[0] == 1
 
 
 def disks_intersect(a: PlanarSet, b: PlanarSet) -> bool:
@@ -157,6 +170,15 @@ def _meets(ca, ra, cb, rb):
     return np.angle(d), alpha, (dist > 0) & (np.abs(cos) <= _MEET)
 
 
+def _contained(centers, radii) -> np.ndarray:
+    """Per disk: whether another disk contains it, ``|c_i - c_j| + r_i <=
+    r_j`` up to the tolerance of ``_touching``, where of two disks that
+    contain each other only the later one counts as contained."""
+    inside = np.abs(centers[:, None] - centers) + radii[:, None] <= radii * _MEET
+    np.fill_diagonal(inside, False)
+    return (inside & (np.tril(inside.T, -1) | ~inside.T)).any(axis=1)
+
+
 def _cap_fractions(centers, radii, x, r) -> np.ndarray:
     """Exact share of each disk D(x_k, r_k) that the union of the disks
     (``centers``, ``radii``) covers.
@@ -173,18 +195,29 @@ def _cap_fractions(centers, radii, x, r) -> np.ndarray:
     of center a + ib and radius rho, summed here as the arc's chord term
     1/2 p0 x p1 plus its circular segment 1/2 rho^2 (dtheta - sin dtheta):
     the arcs' end points lie in Q, so neither term grows with a far center.
-    Identical disks are dropped first, since each would claim the other's
-    boundary.
+    Disks inside another disk, up to the tolerance of ``_touching``, are
+    dropped first (the first of two that contain each other is kept): they
+    leave the union unchanged, and a near-coincident pair would put one
+    circle's arc midpoints within rounding of the other circle.  A query
+    disk inside one set disk is covered whole and needs no arcs.
     """
-    same = (centers[:, None] == centers) & (radii[:, None] == radii)
-    first = ~np.tril(same, -1).any(axis=1)
-    centers, radii = centers[first], radii[first]
+    kept = ~_contained(centers, radii)
+    centers, radii = centers[kept], radii[kept]
+    whole = (np.abs(x[:, None] - centers) + r[:, None] <= radii).any(axis=1)
+    rest = np.flatnonzero(~whole)
+    area = np.full(len(x), np.pi)
     n = len(radii) + 1  # the set circles, then the query circle
     step = max(1, _PAIRS // (2 * n**3))
-    area = np.empty(len(x))
-    for i in range(0, len(x), step):
-        area[i : i + step] = _cap_areas(centers, radii, x[i : i + step], r[i : i + step])
+    for i in range(0, len(rest), step):
+        k = rest[i : i + step]
+        area[k] = _cap_areas(centers, radii, x[k], r[k])
     return area / np.pi
+
+
+@cache
+def _circle_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs i < j of n circles (shared arrays: read only)."""
+    return np.triu_indices(n, 1)
 
 
 def _cap_areas(centers, radii, x, r) -> np.ndarray:
@@ -197,7 +230,7 @@ def _cap_areas(centers, radii, x, r) -> np.ndarray:
     rho[:, :m] = radii / r[:, None]
     # circles i < j meet at points computed from i and read from j too;
     # circles that do not meet cut at pi, an empty arc
-    i, j = np.triu_indices(m + 1, 1)
+    i, j = _circle_pairs(m + 1)
     phi, alpha, meet = _meets(c[:, i], rho[:, i], c[:, j], rho[:, j])
     turn = phi[..., None] + np.multiply.outer(alpha, [-1.0, 1.0])
     pts = c[:, i, None] + rho[:, i, None] * np.exp(1j * turn)
@@ -208,8 +241,8 @@ def _cap_areas(centers, radii, x, r) -> np.ndarray:
     cut.sort(axis=2)
     cut = np.concatenate([cut, np.full((k, m + 1, 1), np.pi)], axis=2)
     unit = np.exp(1j * cut)
-    p0 = c[..., None] + rho[..., None] * unit[..., :-1]
-    p1 = c[..., None] + rho[..., None] * unit[..., 1:]
+    ends = c[..., None] + rho[..., None] * unit
+    p0, p1 = ends[..., :-1], ends[..., 1:]
     mid = c[..., None] + rho[..., None] * np.exp(0.5j * (cut[..., :-1] + cut[..., 1:]))
     inside = np.abs(mid[..., None] - c[:, None, None, :m]) < rho[:, None, None, :m]
     own = np.arange(m)

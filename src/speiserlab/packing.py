@@ -7,9 +7,14 @@ The variables are log r for the Euclidean label, with boundary radii 1,
 and log tanh(h / 2) for the hyperbolic label of the maximal packing in the
 unit disk, where a large fixed boundary radius stands in for horocycles.
 Each damped Newton step solves one sparse system with the analytic,
-symmetric Hessian over the interior by conjugate gradients, and a
-backtracking line search on the functional makes the iteration converge
-from any start.  One breadth-first layout places tangency triangles from
+symmetric Hessian over the interior, and a backtracking line search on the
+functional makes the iteration converge from any start.  The Hessian's
+sparsity pattern is fixed by the graph, so one CSR matrix per solve is
+refilled in place at every step.  The system is solved by Jacobi-
+preconditioned conjugate gradients written in this module (``_pcg``), which
+repeats scipy's ``cg`` operation for operation without its per-iteration
+operator wrappers; hitting its iteration cap raises SolverError.
+One breadth-first layout places tangency triangles from
 vertex 0, by a Euclidean triangle solve or by a Mobius placement in the
 Poincare disk.  ``verify_packing`` recomputes the angle sums from the
 stored label with the solver's corner kernel.
@@ -25,11 +30,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import cg
+from scipy.sparse import csr_matrix
 
 from .errors import GeometryError, SolverError
 from .graph_core import RotationGraph, interior_face_mask, trace_faces
@@ -40,8 +45,11 @@ MAXIMAL = "maximal_in_unit_disk"
 
 ANGLE_TOL = 1e-10
 MAX_NEWTON_STEPS = 100
+MAX_CG_PER_UNKNOWN = 10  # conjugate-gradient cap per Newton step, as in scipy
 BOUNDARY_HYP_RADIUS = 1000.0
 _CHUNK = 1 << 14  # corners per derivative evaluation: bounds its temporaries
+_REACH_SLACK = 1e-9  # relative widening of the separation queries
+_EXP_ZERO = 746.0  # e^-y rounds to 0 for y >= 746
 
 
 @dataclass
@@ -103,8 +111,18 @@ def _euclid_corner(r, cv, cu, cw):
     return 2.0 * np.arcsin(np.clip(s, 0.0, 1.0))
 
 
+def _exp_neg(y):
+    """e^-y, with the entries at or past ``_EXP_ZERO`` set to the 0 they
+    round to: numpy's exp takes a slow path on each underflow, which the
+    boundary radius gives at every boundary vertex."""
+    out = np.zeros_like(y)
+    nonzero = y < _EXP_ZERO
+    out[nonzero] = np.exp(-y[nonzero])
+    return out
+
+
 def _log_sinh(h):
-    return h + np.log1p(-np.exp(-2.0 * h)) - math.log(2.0)
+    return h + np.log1p(-_exp_neg(2.0 * h)) - math.log(2.0)
 
 
 def _hyp_corner(h, cv, cu, cw):
@@ -131,38 +149,62 @@ def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
     return theta, float(np.max(np.abs(theta - 2 * np.pi)))
 
 
-def _euclid_slopes(rv, ru, rw):
-    """Derivatives of ``_euclid_corner`` in log rv, log ru and log rw.
+def _chunks(n: int) -> list[slice]:
+    """Blocks of at most ``_CHUNK`` corners covering ``range(n)``."""
+    return [slice(i, i + _CHUNK) for i in range(0, n, _CHUNK)]
+
+
+def _euclid_slopes(r, cv, cu, cw, nxt):
+    """Derivatives of ``_euclid_corner`` in log rv, log ru and log rw, per
+    corner of the flower arrays ``cv``, ``cu``, ``cw`` (``nxt`` is unused).
 
     With rho the inradius of the triangle of centers, the angle at v grows
     with log ru by rho / (rv + ru); the angles sum to pi, which fixes the
     own term.
     """
-    rho = np.sqrt(rv * ru * rw / (rv + ru + rw))
-    a, b = rho / (rv + ru), rho / (rv + rw)
-    return -(a + b), a, b
+    dv, du, dw = np.empty((3, len(cv)))
+    for b in _chunks(len(cv)):
+        rv, ru, rw = r[cv[b]], r[cu[b]], r[cw[b]]
+        rho = np.sqrt(rv * ru * rw / (rv + ru + rw))
+        du[b], dw[b] = rho / (rv + ru), rho / (rv + rw)
+        dv[b] = -(du[b] + dw[b])
+    return dv, du, dw
 
 
-def _hyp_slopes(hv, hu, hw):
-    """Derivatives of ``_hyp_corner`` in log tanh(h/2) of v, u and w.
+def _hyp_slopes(h, cv, cu, cw, nxt):
+    """Derivatives of ``_hyp_corner`` in log tanh(h/2) of v, u and w, per
+    corner of the flower arrays ``cv``, ``cu``, ``cw``; ``nxt`` is each
+    corner's successor in its flower, whose u is this corner's w.
 
     With S = hv + hu + hw and a the angle at v, the derivatives are
     -(sin a / 2) sinh(S + hv) / sinh S for v itself and
     (sin a / 2) sinh(hv + hw) / sinh S for u (hv + hu for w).  Each
     sinh x is e^x m(x) / 2 with m(x) = 1 - e^(-2x), so boundary radii in
-    the hundreds stay finite.
+    the hundreds stay finite.  The terms of one vertex are taken once per
+    vertex, and m(hv + hu) once per corner: the corner before reads it as
+    its m(hv + hw).
     """
-    s = hv + hu + hw
-    m_s = -np.expm1(-2.0 * s)
-    tan_half = np.exp(-hv) * np.sqrt(
-        np.expm1(-2.0 * hu) * np.expm1(-2.0 * hw) / (-np.expm1(-2.0 * hv) * m_s)
-    )
-    k = tan_half / (1.0 + tan_half * tan_half) / m_s  # (sin a / 2) / m(S)
-    return (
-        k * np.exp(hv) * np.expm1(-2.0 * (s + hv)),
-        -k * np.exp(-hu) * np.expm1(-2.0 * (hv + hw)),
-        -k * np.exp(-hw) * np.expm1(-2.0 * (hv + hu)),
-    )
+    m2 = np.expm1(-2.0 * h)
+    shrink = _exp_neg(h)
+    # e^h overflows at the boundary radius, and is read at interior v only
+    with np.errstate(over="ignore"):
+        grow = np.exp(h)
+    hvu, pair = np.empty((2, len(cv)))  # hv + hu and expm1(-2 (hv + hu))
+    for b in _chunks(len(cv)):
+        hvu[b] = h[cv[b]] + h[cu[b]]
+        pair[b] = np.expm1(-2.0 * hvu[b])
+    dv, du, dw = np.empty((3, len(cv)))
+    for b in _chunks(len(cv)):
+        v, u, w = cv[b], cu[b], cw[b]
+        s = hvu[b] + h[w]
+        m_s = -np.expm1(-2.0 * s)
+        tan_half = shrink[v] * np.sqrt(m2[u] * m2[w] / (-m2[v] * m_s))
+        k = tan_half / (1.0 + tan_half * tan_half) / m_s  # (sin a / 2) / m(S)
+        dv[b] = k * grow[v] * np.expm1(-2.0 * (s + h[v]))
+        neg_k = -k
+        du[b] = neg_k * shrink[u] * pair[nxt[b]]
+        dw[b] = neg_k * shrink[w] * pair[b]
+    return dv, du, dw
 
 
 def _hyp_var(h):
@@ -194,12 +236,13 @@ _LABEL = {
 def _hessian(n_vertices: int, at: np.ndarray, flower, slopes):
     """Assembler of the Hessian -d theta / dx on the interior block.
 
-    Returns ``hessian(label)``.  ``slopes`` gives each corner's derivatives
-    of the angle at v in the variables of v, u and w, evaluated in blocks of
-    ``_CHUNK`` corners to bound the temporaries.  The edge from v to u
-    borders the triangles of v's corner k and of the corner before it, whose
-    w is u, so its entry sums du[k] and dw[k - 1] around the flower.  Row v
-    holds its diagonal, then its interior neighbors in flower order.
+    Returns ``hessian(label)``.  The sparsity pattern is fixed, so one CSR
+    matrix is allocated here and each call refills its values in place.
+    ``slopes`` gives each corner's derivatives of the angle at v in the
+    variables of v, u and w.  The edge from v to u borders the triangles of
+    v's corner k and of the corner before it, whose w is u, so its entry
+    sums du[k] and dw[k - 1] around the flower.  Row v holds its diagonal,
+    then its interior neighbors in flower order.
     """
     cv, cu, cw, offsets = flower
     m = len(at)
@@ -214,24 +257,53 @@ def _hessian(n_vertices: int, at: np.ndarray, flower, slopes):
     indices = np.empty(indptr[-1], dtype=np.int64)
     indices[diagonal] = np.arange(m)
     indices[off] = col[inner]
-    last = np.append(offsets[1:], len(cv)) - 1
+    # each corner's predecessor and successor around its flower
+    prev = np.arange(len(cv)) - 1
+    prev[offsets] = np.append(offsets[1:], len(cv)) - 1
+    nxt = np.empty_like(prev)
+    nxt[prev] = np.arange(len(cv))
+    h = csr_matrix((np.zeros(indptr[-1]), indices, indptr), shape=(m, m))
 
     def hessian(label):
-        dv, du, dw = np.empty((3, len(cv)))
-        for i in range(0, len(cv), _CHUNK):
-            block = slice(i, i + _CHUNK)
-            dv[block], du[block], dw[block] = slopes(
-                label[cv[block]], label[cu[block]], label[cw[block]]
-            )
-        before = np.roll(dw, 1)
-        before[offsets] = dw[last]
-        du += before
-        data = np.empty(len(indices))
-        data[diagonal] = -np.add.reduceat(dv, offsets)
-        data[off] = -du[inner]
-        return csr_matrix((data, indices, indptr), shape=(m, m))
+        dv, du, dw = slopes(label, cv, cu, cw, nxt)
+        du += dw[prev]
+        h.data[diagonal] = -np.add.reduceat(dv, offsets)
+        h.data[off] = -du[inner]
+        return h
 
     return hessian
+
+
+def _pcg(h, b: np.ndarray, inv_diag: np.ndarray, maxiter: int):
+    """Solve ``h x = b`` from x = 0 by conjugate gradients, preconditioned
+    by ``inv_diag`` times the residual, to a residual norm below 1e-8 |b|.
+
+    Returns x, the iterations taken, and whether the residual got there
+    within ``maxiter`` iterations.  The operations and their order are those
+    of ``scipy.sparse.linalg.cg(h, b, rtol=1e-8, M=diags(inv_diag))`` in
+    scipy 1.17, so the iterates agree to the bit, without its per-iteration
+    operator wrappers.  ``b`` must be nonzero.
+    """
+    x = np.zeros(len(b))
+    r = b.copy()
+    z, step = np.empty((2, len(b)))  # reused buffers
+    atol = 1e-8 * math.sqrt(np.dot(b, b))
+    for iteration in range(maxiter):
+        if math.sqrt(np.dot(r, r)) < atol:
+            return x, iteration, True
+        np.multiply(inv_diag, r, out=z)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = h @ p
+        alpha = rho / np.dot(p, q)
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
+        rho_prev = rho
+    return x, maxiter, False
 
 
 def _solve(g, interior, start: np.ndarray, kind: _Label):
@@ -242,12 +314,15 @@ def _solve(g, interior, start: np.ndarray, kind: _Label):
     E(x) = sum_v 2 pi x_v - sum_T F_T(x), with dF_T the triangle's angles
     times dx, so its gradient is 2 pi - theta and its Hessian -d theta / dx
     is symmetric positive definite on the interior.  Each step solves
-    H d = theta - 2 pi by Jacobi-preconditioned conjugate gradients to a
-    relative residual of 1e-8, and halves t until E(x + t d) - E(x) is at
-    most 1e-4 t (2 pi - theta) . d, as bounded by convexity from the
-    gradient at x + t d or else integrated from the gradient along the step
-    by Simpson's rule.  Stops when every angle sum is within ANGLE_TOL of
-    2 pi, or raises SolverError after MAX_NEWTON_STEPS steps.
+    H d = theta - 2 pi by Jacobi-preconditioned conjugate gradients
+    (``_pcg``) to a relative residual of 1e-8, and halves t until
+    E(x + t d) - E(x) is at most 1e-4 t (2 pi - theta) . d, as bounded by
+    convexity from the gradient at x + t d or else integrated from the
+    gradient along the step by Simpson's rule.  Stops when every angle sum
+    is within ANGLE_TOL of 2 pi.  Raises SolverError after MAX_NEWTON_STEPS
+    steps, or when conjugate gradients take MAX_CG_PER_UNKNOWN iterations
+    per interior vertex in one step.  ``cg_iterations`` in the diagnostics
+    totals the conjugate-gradient iterations over all steps.
     """
     flower = _flower_arrays(g, interior)
     at = np.asarray(interior, dtype=np.int64)
@@ -262,21 +337,26 @@ def _solve(g, interior, start: np.ndarray, kind: _Label):
         return trial, 2 * np.pi - theta, err
 
     def unconverged():
-        return SolverError(
-            "circle packing did not converge",
-            {"sweeps": steps, "angle_residual": err},
-        )
+        return SolverError("circle packing did not converge", diagnostics())
+
+    def diagnostics():
+        return {"sweeps": steps, "angle_residual": err, "cg_iterations": cg_iterations}
 
     x = kind.to_var(start[at])
     label, grad, err = evaluate(x)
-    steps = 0
+    steps = cg_iterations = 0
     while err >= ANGLE_TOL:
         if steps == MAX_NEWTON_STEPS:
             raise unconverged()
         # conjugate gradients suit the symmetric positive definite Hessian,
         # and every iterate is a descent direction
         h = hessian(label)
-        d = cg(h, -grad, rtol=1e-8, M=diags(1 / h.diagonal()))[0]
+        # each row starts with its diagonal entry
+        inv_diagonal = 1 / h.data[h.indptr[:-1]]
+        d, iterations, solved = _pcg(h, -grad, inv_diagonal, MAX_CG_PER_UNKNOWN * len(at))
+        cg_iterations += iterations
+        if not solved:
+            raise unconverged()
         slope = grad @ d
         t, end = 1.0, evaluate(x + d)
         while True:
@@ -293,7 +373,7 @@ def _solve(g, interior, start: np.ndarray, kind: _Label):
         x = x + t * d
         label, grad, err = end
         steps += 1
-    return label, {"sweeps": steps, "angle_residual": err}
+    return label, diagnostics()
 
 
 def _third_vertex(g: RotationGraph) -> list[int]:
@@ -382,14 +462,20 @@ def pack_disk(
     if not g.frontier:
         raise GeometryError("no designated boundary: mark a frontier")
     bverts = sorted(g.frontier)
-    bset = set(bverts)
-    interior = [v for v in g.vertices() if v not in bset]
+    on_rim = np.zeros(g.n_vertices, dtype=bool)
+    on_rim[bverts] = True
+    interior = np.flatnonzero(~on_rim).tolist()
     if not interior:
         raise GeometryError("no interior vertices to solve")
-    lengths = trace_faces(g).lengths
-    bad = np.flatnonzero(interior_face_mask(g) & (lengths != 3))
-    if len(bad):
-        raise GeometryError(f"face {bad[0]} has {lengths[bad[0]]} sides")
+    # the darts out of interior vertices cover every face off the frontier;
+    # the faces are traced only when one of them is not a triangle
+    d = np.flatnonzero(~on_rim[g.dart_vertex])
+    turn = g.rot_succ[g.rot_succ[g.rot_succ[d ^ 1] ^ 1] ^ 1]
+    if (turn != d).any():
+        lengths = trace_faces(g).lengths
+        bad = np.flatnonzero(interior_face_mask(g) & (lengths != 3))
+        if len(bad):
+            raise GeometryError(f"face {bad[0]} has {lengths[bad[0]]} sides")
 
     if boundary == EUCLIDEAN:
         start = np.ones(g.n_vertices)
@@ -482,11 +568,13 @@ def _min_separation(z: np.ndarray, radius: np.ndarray, adjacent: np.ndarray) -> 
     """Smallest gap ``|z_i - z_j| - r_i - r_j`` over the pairs i < j whose
     code ``i n + j`` is not in ``adjacent``, or inf when there is none.
 
-    A gap below m needs ``|z_i - z_j| < m + 2 r_max``.  So once some pair
-    within a search radius gives a gap m0, the pairs within
-    ``m0 + 2 r_max`` contain every pair with a smaller gap, and their
-    minimum is exact.  The first search radius, 2 r_max, doubles until it
-    reaches a non-adjacent pair or spans every pair.
+    A pair with r_j <= r_i and a gap below m lies within m + 2 r_i of z_i.
+    So once some pair gives a gap m0, querying each circle i at radius
+    m0 + 2 r_i, plus a relative slack of ``_REACH_SLACK`` against rounding,
+    and keeping the partners j with r_j <= r_i, finds every pair with a
+    smaller gap, and their minimum is exact.  m0 comes from each circle's
+    nearest centers: one more than the most neighbors of any circle leaves
+    each circle a non-adjacent one among them, unless they span every pair.
     """
     # imported here: scipy.spatial takes about 0.15 s to import, and only
     # verification needs it
@@ -495,27 +583,32 @@ def _min_separation(z: np.ndarray, radius: np.ndarray, adjacent: np.ndarray) -> 
     n = len(z)
     if n < 2:
         return math.inf
-    tree = cKDTree(np.column_stack([z.real, z.imag]))
-    r_max = float(radius.max())
-    reach = 2.0 * r_max
-    span = 2.0 * float(np.abs(z - z[0]).max())
+    pts = np.column_stack([z.real, z.imag])
+    tree = cKDTree(pts)
 
-    def gaps(within: float) -> np.ndarray:
-        i, j = tree.query_pairs(within, output_type="ndarray").T
-        free = ~np.isin(i * n + j, adjacent)
+    def gaps(i, j) -> np.ndarray:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        free = (i != j) & ~np.isin(i * n + j, adjacent)
         i, j = i[free], j[free]
         return _distance(z, i, j) - (radius[i] + radius[j])
 
-    found = gaps(reach)
-    while not len(found) and reach < span:
-        reach = min(2.0 * reach, span) if reach > 0 else span
-        found = gaps(reach)
+    degree = np.bincount(np.concatenate([adjacent // n, adjacent % n]), minlength=n)
+    k = min(n, int(degree.max(initial=0)) + 2)
+    near = tree.query(pts, k=k)[1]
+    found = gaps(np.repeat(np.arange(n), k), near.ravel())
     if not len(found):
         return math.inf
     m0 = float(found.min())
-    if m0 + 2.0 * r_max > reach:
-        found = gaps(m0 + 2.0 * r_max)
-    return min(m0, float(found.min(initial=math.inf)))
+    reach = 2.0 * radius + m0
+    reach = np.maximum(reach + _REACH_SLACK * (2.0 * radius + abs(m0)), 0.0)
+    partners = tree.query_ball_point(pts, reach, return_sorted=False)
+    counts = np.fromiter(map(len, partners), dtype=np.int64, count=n)
+    i = np.repeat(np.arange(n), counts)
+    j = np.fromiter(chain.from_iterable(partners), dtype=np.int64, count=int(counts.sum()))
+    # each pair once: from the larger circle, or from the lower id of two equal ones
+    rj, ri = radius[j], radius[i]
+    keep = (rj < ri) | ((rj == ri) & (j > i))
+    return min(m0, float(gaps(i[keep], j[keep]).min(initial=math.inf)))
 
 
 # -- cp-type ratio trend ----------------------------------------------------

@@ -176,16 +176,40 @@ def check_refinement(
 ) -> RefinementReport:
     """Verify the cover structure and measure the boundedness constants.
 
-    Every edge's cover must be a refined-edge path between its ends, which
-    keep their ids.  ``m_edge`` counts all refined vertices on a closed
-    original edge (endpoints included; on a broken cover, those reached
-    before it breaks); ``m_face`` counts refined vertices on a closed
-    original face.  Violations are reported, not raised.
+    The map's arrays must have one entry per refined vertex, original edge
+    and refined face, and every id must name a vertex, edge or face that
+    exists.  Every edge's cover must be a refined-edge path between its
+    ends, which keep their ids.  ``m_edge`` counts all refined vertices on a
+    closed original edge (endpoints included; on a broken cover, those
+    reached before it breaks); ``m_face`` counts refined vertices on a
+    closed original face, where an out-of-range owner counts for none.
+    Violations are reported, not raised; a map of the wrong shape gets
+    ``m_edge`` and ``m_face`` 0.
     """
+    ref_faces = trace_faces(g_ref)
+    violations = _shape_violations(g, g_ref, rmap, len(ref_faces))
+    if violations:
+        return RefinementReport(False, False, 0, False, 0, violations)
+    n_faces = len(trace_faces(g))
+    kind, origin = rmap.origin_kind, rmap.origin
+    bound = np.array([g.n_vertices, g.n_edges, n_faces])[np.clip(kind, VERTEX, FACE)]
+    owner_ok = (rmap.face_owner >= -1) & (rmap.face_owner < n_faces)
+    # the first out-of-range entry of each array
+    violations = [
+        f"{name}[{i}] = {ids.flat[i]} out of range"
+        for name, ids, bad in [
+            ("origin_kind", kind, (kind < VERTEX) | (kind > FACE)),
+            ("origin", origin, (origin < 0) | (origin >= bound)),
+            ("edge_cover", rmap.edge_cover, ~_cover_in_range(g_ref, rmap)),
+            ("face_owner", rmap.face_owner, ~owner_ok),
+        ]
+        for i in np.flatnonzero(bad.ravel())[:1].tolist()
+    ]
+
     path = _cover_paths(g, g_ref, rmap)
     ends = g.dart_vertex.reshape(-1, 2)
     broken = np.flatnonzero(path[:, -1] != ends[:, 1])
-    violations = [
+    violations += [
         f"edge {e} cover is not a path from {u} to {v}"
         for e, (u, v) in zip(broken.tolist(), ends[broken].tolist())
     ]
@@ -193,8 +217,7 @@ def check_refinement(
     edge_of = np.repeat(np.arange(g.n_edges), path.shape[1])
     m_edge = _most_distinct(edge_of, path.ravel(), n_ref)
     # the vertices of a closed face are those of its refined faces
-    ref_faces = trace_faces(g_ref)
-    owner = rmap.face_owner[ref_faces.face_index()]
+    owner = np.where(owner_ok, rmap.face_owner, -1)[ref_faces.face_index()]
     m_face = _most_distinct(owner, ref_faces.vertices, n_ref)
 
     ok = not violations
@@ -206,6 +229,29 @@ def check_refinement(
         m_face=m_face,
         violations=violations,
     )
+
+
+def _shape_violations(
+    g: RotationGraph, g_ref: RotationGraph, rmap: RefinementMap, n_ref_faces: int
+) -> list[str]:
+    """The map's arrays whose shape does not fit the two graphs."""
+    cover = np.shape(rmap.edge_cover)
+    fits = {
+        "origin_kind": np.shape(rmap.origin_kind) == (g_ref.n_vertices,),
+        "origin": np.shape(rmap.origin) == (g_ref.n_vertices,),
+        "edge_cover": len(cover) == 2 and cover[0] == g.n_edges and cover[1] > 0,
+        "face_owner": np.shape(rmap.face_owner) == (n_ref_faces,),
+    }
+    return [
+        f"{name} has the wrong shape {np.shape(getattr(rmap, name))}"
+        for name, ok in fits.items()
+        if not ok
+    ]
+
+
+def _cover_in_range(g_ref: RotationGraph, rmap: RefinementMap) -> np.ndarray:
+    """Per entry of ``edge_cover``: whether it names an edge of ``g_ref``."""
+    return (rmap.edge_cover >= 0) & (rmap.edge_cover < g_ref.n_edges)
 
 
 def _most_distinct(group: np.ndarray, item: np.ndarray, size: int) -> int:
@@ -224,13 +270,16 @@ def _cover_paths(
 
     ``path[e, i]`` is the refined vertex reached from the vertex of dart
     ``2e`` after ``i`` edges of row ``e`` of the cover, and -1 from the first
-    edge that does not continue the path on; the whole row is -1 when an
-    end of ``e`` does not keep its id in the refinement.
+    edge that does not continue the path on, or that is not an edge of
+    ``g_ref``; the whole row is -1 when an end of ``e`` does not keep its id
+    in the refinement.
     """
     n = g.n_vertices
     kept = (rmap.origin_kind[:n] == VERTEX) & (rmap.origin[:n] == np.arange(n))
     ends = g.dart_vertex.reshape(-1, 2)
-    ref_ends = g_ref.dart_vertex.reshape(-1, 2)[rmap.edge_cover]
+    real = _cover_in_range(g_ref, rmap)
+    ref_ends = g_ref.dart_vertex.reshape(-1, 2)[np.where(real, rmap.edge_cover, 0)]
+    ref_ends[~real] = -1
     at = np.where(kept[ends].all(axis=1), ends[:, 0], -1)
     path = [at]
     for a, b in zip(ref_ends[:, :, 0].T, ref_ends[:, :, 1].T):

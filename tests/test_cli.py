@@ -114,6 +114,21 @@ def test_ratio_trend_cli_unconverged_exits_3(tmp_path, monkeypatch, capsys):
     assert "solver failed" in capsys.readouterr().err
 
 
+def test_ratio_trend_cli_cg_cap_exits_3(tmp_path, monkeypatch, capsys):
+    from speiserlab import packing
+
+    monkeypatch.setattr(packing, "MAX_CG_PER_UNKNOWN", 0)
+    out = tmp_path / "trend.json"
+    argv = ["analyze", "ratio-trend", "--family", "tri8", "--ns", "3,4"]
+    assert main(argv + ["-o", str(out)]) == 3
+    report = json.loads(out.read_text())
+    assert report["error"] == "circle packing did not converge"
+    assert report["diagnostics"]["sweeps"] == 0
+    assert report["diagnostics"]["cg_iterations"] == 0
+    assert report["diagnostics"]["angle_residual"] >= packing.ANGLE_TOL
+    assert "solver failed" in capsys.readouterr().err
+
+
 def test_gen_gamma_schedule_validation(capsys):
     assert main(["gen", "gamma", "--schedule", "4,6"]) == 2
 

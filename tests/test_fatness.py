@@ -326,6 +326,38 @@ def test_cap_fractions_of_tangent_disks_add_up():
         assert abs(f[0] * np.pi * r * r - want) < 1e-12 * max(1, r * r)
 
 
+def test_cap_fractions_drop_contained_disks():
+    # a disk inside another leaves the union as it is; a near-coincident
+    # copy used to put its arc midpoints within rounding of the other circle
+    from speiserlab.fatness import _contained, fatness_pairs
+
+    x, r = fatness_pairs(PlanarSet.disk(0j, 0.1), n_radii=4, seed=5)
+    alone = _cap_fractions(np.array([0j]), np.array([0.1]), x, r)
+    for gap in (0.0, 1e-300, 1e-270, 1e-16, 1e-12):
+        for pair in ([0j, complex(gap)], [complex(gap), 0j]):
+            f = _cap_fractions(np.array(pair), np.array([0.1, 0.1]), x, r)
+            np.testing.assert_allclose(f, alone, rtol=0, atol=1e-9)
+    inner = np.array([0j, 0.05 + 0j, 0.02j])
+    f = _cap_fractions(inner, np.array([0.1, 0.05, 0.01]), x, r)
+    assert np.array_equal(f, alone)
+    # of two disks that contain each other only the later one is dropped
+    c = np.array([0j, 0j, 0.5 + 0j, 3 + 0j])
+    assert _contained(c, np.array([1.0, 1.0, 0.5, 1.0])).tolist() == [False, True, True, False]
+
+
+def test_cap_fractions_of_query_disks_inside_the_set():
+    # a query disk inside one set disk scores 1 without cutting arcs; the
+    # arcs give the same share up to rounding
+    from speiserlab.fatness import _cap_areas
+
+    centers, radii = np.array([0j, 1.5 + 0j]), np.array([1.0, 0.8])
+    x = np.array([0.2 + 0.1j, 1.6 - 0.3j, -0.5 + 0j])
+    r = np.array([0.7, 0.4, 0.5])
+    assert _cap_fractions(centers, radii, x, r).tolist() == [1.0, 1.0, 1.0]
+    arcs = _cap_areas(centers, radii, x, r) / np.pi
+    np.testing.assert_allclose(arcs, 1.0, rtol=0, atol=1e-12)
+
+
 def test_cap_fractions_of_nearly_tangent_crossings():
     # two circles crossing at a tiny angle, outside or inside each other, in
     # a query disk that holds both: each pair's meeting points are shared by

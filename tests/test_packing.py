@@ -211,6 +211,79 @@ def test_unconverged_packing_raises_with_diagnostics(boundary, monkeypatch):
     assert info.value.diagnostics["angle_residual"] >= ANGLE_TOL
 
 
+def test_cg_cap_raises_with_diagnostics(monkeypatch):
+    # a step whose conjugate gradients stop at the cap is not taken
+    pcg = packing._pcg
+    monkeypatch.setattr(packing, "_pcg", lambda h, b, inv, maxiter: pcg(h, b, inv, 3))
+    with pytest.raises(SolverError, match="did not converge") as info:
+        pack_disk(triangular_ball(8, 4), boundary=MAXIMAL)
+    assert info.value.diagnostics["sweeps"] == 0
+    assert info.value.diagnostics["cg_iterations"] == 3
+    assert info.value.diagnostics["angle_residual"] >= ANGLE_TOL
+
+
+def _maximal_counts(g, monkeypatch):
+    """Newton steps and conjugate-gradient iterations per step of the
+    maximal packing of ``g``."""
+    per_step = []
+    pcg = packing._pcg
+
+    def counted(*args):
+        out = pcg(*args)
+        per_step.append(out[1])
+        return out
+
+    monkeypatch.setattr(packing, "_pcg", counted)
+    p = pack_disk(g, boundary=MAXIMAL, layout=False)
+    assert p.diagnostics["cg_iterations"] == sum(per_step)
+    assert len(per_step) == p.diagnostics["sweeps"]
+    return p.diagnostics["sweeps"], per_step
+
+
+@pytest.mark.parametrize(
+    "q, n_max, max_steps, max_cg",
+    [(8, 7, 6, 15), (6, 24, 8, 40)],
+    ids=["tri8", "hex"],
+)
+def test_maximal_solve_count_guards(q, n_max, max_steps, max_cg, monkeypatch):
+    # observed: tri8 4-5 steps of at most 13 iterations, hex 3-8 steps of at
+    # most 38; counts, unlike times, do not depend on the machine
+    for n in range(1, n_max + 1):
+        steps, per_step = _maximal_counts(triangular_ball(q, n), monkeypatch)
+        assert steps <= max_steps, n
+        assert max(per_step) <= max_cg, n
+
+
+def test_pcg_matches_scipy_cg():
+    from scipy.sparse import csr_matrix, diags
+    from scipy.sparse import random as sparse_random
+    from scipy.sparse.linalg import cg
+
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40, 300):
+        a = sparse_random(n, n, density=min(1.0, 4 / n), random_state=rng)
+        spd = csr_matrix(a @ a.T + diags(rng.uniform(0.01, 2.0, n)))
+        b = rng.normal(size=n)
+        inv = 1 / spd.diagonal()
+        for maxiter in (10 * n, 2):
+            steps = []
+            want, info = cg(
+                spd, b, rtol=1e-8, maxiter=maxiter, M=diags(inv), callback=steps.append
+            )
+            got, iterations, solved = packing._pcg(spd, b, inv, maxiter)
+            assert iterations == len(steps), (n, maxiter)
+            assert solved == (info == 0), (n, maxiter)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, maxiter)
+
+
+def test_non_triangular_interior_face_rejected():
+    from speiserlab.errors import GeometryError
+    from speiserlab.lattices import square_ball
+
+    with pytest.raises(GeometryError, match="face 0 has 4 sides"):
+        pack_disk(square_ball(3))
+
+
 def test_maximal_interior_tangency():
     g = triangular_ball(8, 3)
     p = pack_disk(g, boundary=MAXIMAL)
@@ -420,6 +493,21 @@ def test_min_separation_random_configurations():
     # every pair adjacent: nothing to separate
     z = np.array([0, 2, 1 + 1j * math.sqrt(3)])
     assert _min_separation(z, np.ones(3), np.array([1, 2, 5])) == math.inf
+
+
+def test_min_separation_beyond_the_nearest_centers():
+    # two unit circles 0.5 apart, each inside a clique of four small circles:
+    # every circle's nearest centers are its clique and the other clique, so
+    # only the query at 2 r + m0 from the circle of lower id finds the pair
+    from speiserlab.packing import _min_separation
+
+    petals = 0.3 * np.exp(0.5j * np.pi * np.arange(4))
+    z = np.concatenate([[0], petals, [2.5], 2.5 + petals])
+    radius = np.array([1.0] + [0.05] * 4 + [1.0] + [0.05] * 4)
+    clique = np.array([(a, b) for a in range(5) for b in range(a + 1, 5)])
+    pairs = np.concatenate([clique, clique + 5])
+    adjacent = np.sort(pairs[:, 0] * 10 + pairs[:, 1])
+    assert _min_separation(z, radius, adjacent) == 0.5
 
 
 def test_svg_pinned():

@@ -4,7 +4,7 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speiserlab.graph_core import (
@@ -68,6 +68,8 @@ def test_vel_bounds_bracket_on_hex_annuli(inner, width):
     st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
+# near-coincident disks: read 0.0471 before contained disks were dropped
+@example(r1=0.1, r2=0.1, gap=7.1308903411031315e-270, seed=1172358)
 def test_union_fatness_never_below_quarter_of_tau(r1, r2, gap, seed):
     from speiserlab.fatness import PlanarSet, check_union_fat
 

@@ -266,6 +266,46 @@ def test_check_refinement_reports_a_corrupted_map(corrupt, violations):
         refine_metric(g, ref, rmap, np.ones(g.n_vertices), K=6)
 
 
+def _wrapped_cover(rmap, ref):
+    # negative ids that numpy indexing would wrap back onto the right edges
+    rmap.edge_cover -= ref.n_edges
+
+
+def _far_face_owner(rmap, ref):
+    rmap.face_owner += 1000
+
+
+def _far_edge_origin(rmap, ref):
+    rmap.origin[rmap.origin_kind == EDGE] += 1000
+
+
+def _short_face_owner(rmap, ref):
+    rmap.face_owner = rmap.face_owner[:-1]
+
+
+@pytest.mark.parametrize(
+    "corrupt, first",
+    [
+        (_wrapped_cover, "edge_cover[0] = -48 out of range"),
+        (_far_face_owner, "face_owner[0] = 1000 out of range"),
+        (_far_edge_origin, "origin[6] = 1000 out of range"),
+        (_short_face_owner, "face_owner has the wrong shape (31,)"),
+    ],
+    ids=["negative-cover", "face-owner", "edge-origin", "short-face-owner"],
+)
+def test_check_refinement_reports_out_of_range_ids(corrupt, first):
+    g = octahedron()
+    ref, rmap = subdivide4(g)
+    corrupt(rmap, ref)
+    report = check_refinement(g, ref, rmap)
+    assert not report.is_refinement
+    assert report.violations[0] == first
+    with pytest.raises(RefinementError, match="not a refinement"):
+        coarsen_metric(g, ref, rmap, np.ones(ref.n_vertices))
+    with pytest.raises(RefinementError, match="not a refinement"):
+        refine_metric(g, ref, rmap, np.ones(g.n_vertices), K=6)
+
+
 @pytest.mark.parametrize("case", ["wrong-length", "negative", "nan", "inf"])
 @pytest.mark.parametrize("entry", ["coarsen", "refine", "objective"])
 def test_bad_vmetric_rejected(entry, case):
