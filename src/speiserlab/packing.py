@@ -14,10 +14,11 @@ refilled in place at every step.  The system is solved by Jacobi-
 preconditioned conjugate gradients written in this module (``_pcg``), which
 repeats scipy's ``cg`` operation for operation without its per-iteration
 operator wrappers; hitting its iteration cap raises SolverError.
-One breadth-first layout places tangency triangles from
-vertex 0, by a Euclidean triangle solve or by a Mobius placement in the
-Poincare disk.  ``verify_packing`` recomputes the angle sums from the
-stored label with the solver's corner kernel.
+The layout grows from two tangent circles at vertex 0 in rounds: each round
+places, in one array operation, every circle whose tangency triangle has
+its other two circles placed, by a Euclidean triangle solve or by a Mobius
+placement in the Poincare disk.  ``verify_packing`` recomputes the angle
+sums from the stored label with the solver's corner kernel.
 
 The hyperbolic angle uses
 ``tan^2(a/2) = sinh(h_u) sinh(h_w) / (sinh(h_v) sinh(h_v + h_u + h_w))``
@@ -26,7 +27,6 @@ evaluated in log space, which survives boundary radii in the hundreds.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import GeometryError, SolverError
-from .graph_core import RotationGraph, interior_face_mask, trace_faces
+from .graph_core import RotationGraph, trace_faces
 from .trend import classify_radius_trend
 
 EUCLIDEAN = "euclidean_fixed_boundary_radii"
@@ -80,8 +80,7 @@ class CirclePacking:
         placed = self.placed()
         if not placed:
             raise GeometryError("no laid-out circles")
-        z, r = self.centers.tolist(), self.radii.tolist()
-        return max(abs(z[v]) + r[v] for v in placed)
+        return float(np.max(np.abs(self.centers[placed]) + self.radii[placed]))
 
 
 def _flower_arrays(g: RotationGraph, interior: list[int]):
@@ -136,10 +135,6 @@ def _hyp_corner(h, cv, cu, cw):
     perimeter = _log_sinh(h[cv] + h[cu] + h[cw])
     log_t2 = log_sinh[cu] + log_sinh[cw] - log_sinh[cv] - perimeter
     return 2.0 * np.arctan(np.exp(0.5 * log_t2))
-
-
-def _hyp_angle(hv, hu, hw) -> float:
-    return float(_hyp_corner(np.array([hv, hu, hw], dtype=float), 0, 1, 2))
 
 
 def _angle_sums(label: np.ndarray, corner, flower) -> tuple[np.ndarray, float]:
@@ -376,74 +371,75 @@ def _solve(g, interior, start: np.ndarray, kind: _Label):
     return label, diagnostics()
 
 
-def _third_vertex(g: RotationGraph) -> list[int]:
-    """Per dart: the vertex of its triangular face off the dart, else -1."""
-    faces = trace_faces(g)
-    fid = faces.face_index()
-    p = np.flatnonzero(faces.lengths[fid] == 3)
-    start = faces.offsets[fid[p]]
-    third = np.full(g.n_darts, -1, dtype=np.int64)
-    third[faces.darts[p]] = faces.vertices[start + (p - start + 2) % 3]
-    return third.tolist()
-
-
-def _layout(g, first: int, reach: float, place, allowed=None) -> dict[int, complex]:
-    """Breadth-first tangency layout from dart ``first``.
+def _layout(g, first: int, reach: float, place, allowed=None) -> np.ndarray:
+    """Tangency layout from dart ``first``, in rounds: complex centers,
+    NaN where a circle is not placed.
 
     The circle at the dart's tail goes to 0, the one at its head to
     ``reach`` on the positive real axis.  Faces are traced clockwise, so the
-    third circle w of a face sits to the right of each directed edge
-    u -> v, and ``place(centers, u, v, w)`` returns its center.  Beyond the
-    first two, only circles in ``allowed`` (all when None) are placed.
+    third circle w of a triangular face sits to the right of each directed
+    edge u -> v.  Each round takes the darts u -> v with both ends placed
+    whose w is not, and places every such w once, from its lowest dart:
+    ``place(centers, u, v, w)`` returns their centers for index arrays
+    ``u``, ``v``, ``w``.  Beyond the first two, only circles where the mask
+    ``allowed`` is true (all when None) are placed.
     """
-    third = _third_vertex(g)
-    vertex = g.dart_vertex.tolist()
-    centers = {vertex[first]: 0j, vertex[first ^ 1]: complex(reach, 0.0)}
-    queue = [first, first ^ 1]
-    for d in queue:  # breadth-first: the queue grows while it is read
-        w = third[d]
-        if w < 0 or w in centers or (allowed is not None and w not in allowed):
-            continue
-        centers[w] = place(centers, vertex[d], vertex[d ^ 1], w)
-        for dart in g.rotation(w):
-            if vertex[dart ^ 1] in centers:
-                queue += (dart, dart ^ 1)
-    return centers
+    tail, darts = g.dart_vertex, np.arange(g.n_darts)
+    # the face walk d -> rot_succ[d ^ 1]; its second step ends at w
+    step = g.rot_succ[darts ^ 1]
+    apex = step[step]
+    d = np.flatnonzero(step[apex] == darts)
+    if allowed is not None:
+        d = d[allowed[tail[apex[d]]]]
+    u, v, w = tail[d], tail[d ^ 1], tail[apex[d]]
+    centers = np.full(g.n_vertices, complex(math.nan, math.nan))
+    centers[tail[first]], centers[tail[first ^ 1]] = 0.0, reach
+    placed = ~np.isnan(centers)
+    while True:
+        ready = np.flatnonzero(placed[u] & placed[v] & ~placed[w])
+        if not len(ready):
+            return centers
+        # unique keeps each w's first, that is lowest, dart
+        new, lowest = np.unique(w[ready], return_index=True)
+        ready = ready[lowest]
+        centers[new] = place(centers, u[ready], v[ready], new)
+        placed[new] = True
 
 
-def _euclid_place(r, centers, u, v, w) -> complex:
-    """Center of circle w tangent to circles u and v, right of u -> v."""
+def _euclid_place(r, centers, u, v, w) -> np.ndarray:
+    """Centers of circles w tangent to circles u and v, right of u -> v."""
     cu, cv = centers[u], centers[v]
-    dd = abs(cv - cu)
-    if dd == 0:
+    dd = np.abs(cv - cu)
+    if not dd.all():
         raise GeometryError("coincident centers during layout")
     a = r[u] + r[w]
     b = r[v] + r[w]
     x = (dd * dd + a * a - b * b) / (2 * dd)
-    y = math.sqrt(max(a * a - x * x, 0.0))
-    return cu + (cv - cu) / dd * complex(x, -y)
+    y = np.sqrt(np.maximum(a * a - x * x, 0.0))
+    return cu + (cv - cu) / dd * (x - 1j * y)
 
 
-def _hyp_place(h, centers, u, v, w) -> complex:
-    """Poincare-disk center of circle w tangent to u and v, right of u -> v:
-    a Mobius map moves u to 0, w goes at the hyperbolic angle of the
+def _hyp_place(h, centers, u, v, w) -> np.ndarray:
+    """Poincare-disk centers of circles w tangent to u and v, right of
+    u -> v: a Mobius map moves u to 0, w goes at the hyperbolic angle of the
     triangle clockwise from v's direction, and the map is undone."""
     c = centers[u]
-    vz = (centers[v] - c) / (1 - c.conjugate() * centers[v])
-    alpha = _hyp_angle(h[u], h[v], h[w])
-    rad = math.tanh((h[u] + h[w]) / 2)
-    wz = rad * cmath.exp(1j * (cmath.phase(vz) - alpha))
-    return (wz + c) / (1 + c.conjugate() * wz)
+    vz = (centers[v] - c) / (1 - c.conj() * centers[v])
+    alpha = _hyp_corner(h, u, v, w)
+    rad = np.tanh((h[u] + h[w]) / 2)
+    wz = rad * np.exp(1j * (np.angle(vz) - alpha))
+    return (wz + c) / (1 + c.conj() * wz)
 
 
-def _disk_circle(z: complex, h: float) -> tuple[complex, float]:
-    """Euclidean center and radius of the circle of hyperbolic radius h
-    centered at z in the Poincare disk."""
-    d = 2.0 * math.atanh(min(abs(z), 1 - 1e-16))
-    t1 = math.tanh((d + h) / 2)
-    t2 = math.tanh((d - h) / 2)
+def _disk_circle(z: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean centers and radii of the circles of hyperbolic radii h
+    centered at z in the Poincare disk; NaN where z is NaN."""
+    s = np.abs(z)
+    d = 2.0 * np.arctanh(np.minimum(s, 1 - 1e-16))
+    t1 = np.tanh((d + h) / 2)
+    t2 = np.tanh((d - h) / 2)
     mid = (t1 + t2) / 2
-    return (mid * (z / abs(z)) if abs(z) > 0 else 0j), (t1 - t2) / 2
+    return mid * (z / np.where(s > 0, s, 1.0)), (t1 - t2) / 2
 
 
 def pack_disk(
@@ -467,15 +463,15 @@ def pack_disk(
     interior = np.flatnonzero(~on_rim).tolist()
     if not interior:
         raise GeometryError("no interior vertices to solve")
-    # the darts out of interior vertices cover every face off the frontier;
-    # the faces are traced only when one of them is not a triangle
+    # every face at an interior vertex must be a triangle: from each dart out
+    # of an interior vertex, the face walk d -> rot_succ[d ^ 1] returns in
+    # three steps
     d = np.flatnonzero(~on_rim[g.dart_vertex])
     turn = g.rot_succ[g.rot_succ[g.rot_succ[d ^ 1] ^ 1] ^ 1]
     if (turn != d).any():
-        lengths = trace_faces(g).lengths
-        bad = np.flatnonzero(interior_face_mask(g) & (lengths != 3))
-        if len(bad):
-            raise GeometryError(f"face {bad[0]} has {lengths[bad[0]]} sides")
+        faces = trace_faces(g)
+        f = faces.face_of()[d[turn != d]].min()
+        raise GeometryError(f"face {f} has {faces.lengths[f]} sides")
 
     if boundary == EUCLIDEAN:
         start = np.ones(g.n_vertices)
@@ -486,28 +482,25 @@ def pack_disk(
         raise GeometryError(f"unknown boundary condition {boundary!r}")
     label, diag = _solve(g, interior, start, _LABEL[boundary])
     label.flags.writeable = False
-    r = label.tolist()
 
     centers = np.full(g.n_vertices, complex(math.nan, math.nan))
+    around_root = g.rot_darts[g.rot_offsets[0] : g.rot_offsets[1]]
     if boundary == EUCLIDEAN:
         radii = label
         if layout:
-            first = g.rotation(0)[0]
-            reach = r[0] + r[g.dart_vertex.item(first ^ 1)]
-            placed = _layout(g, first, reach, partial(_euclid_place, r))
-            centers[list(placed)] = list(placed.values())
+            first = around_root[0]
+            reach = label[0] + label[g.dart_vertex[first ^ 1]]
+            centers = _layout(g, first, reach, partial(_euclid_place, label))
     else:
-        diag["hyperbolic_radii_root"] = r[0]
+        diag["hyperbolic_radii_root"] = float(label[0])
         # the boundary circles sit too deep to lay out
-        inner = set(interior)
-        darts = [d for d in g.rotation(0) if g.dart_vertex.item(d ^ 1) in inner]
-        placed = {0: 0j}
-        if layout and darts:
-            reach = math.tanh((r[0] + r[g.dart_vertex.item(darts[0] ^ 1)]) / 2)
-            placed = _layout(g, darts[0], reach, partial(_hyp_place, r), inner)
-        radii = np.full(g.n_vertices, math.nan)
-        for v, z in placed.items():
-            centers[v], radii[v] = _disk_circle(z, r[v])
+        darts = around_root[~on_rim[g.dart_vertex[around_root ^ 1]]]
+        if layout and len(darts):
+            reach = math.tanh((label[0] + label[g.dart_vertex[darts[0] ^ 1]]) / 2)
+            centers = _layout(g, darts[0], reach, partial(_hyp_place, label), ~on_rim)
+        else:
+            centers[0] = 0.0
+        centers, radii = _disk_circle(centers, label)
         radii.flags.writeable = False
     centers.flags.writeable = False
     return CirclePacking(

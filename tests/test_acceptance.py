@@ -193,10 +193,10 @@ def _tri8_rho_limit() -> tuple[float, float]:
 
 
 def test_acceptance_07_type_dichotomy():
-    from speiserlab.packing import _hyp_angle, ratio_trend
+    from speiserlab.packing import _hyp_corner, ratio_trend
 
     rho_inf, h_inf = _tri8_rho_limit()
-    assert abs(8 * _hyp_angle(h_inf, h_inf, h_inf) - 2 * math.pi) < 1e-12
+    assert abs(8 * _hyp_corner(np.full(3, h_inf), 0, 1, 2) - 2 * math.pi) < 1e-12
 
     ns = [2, 3, 4, 5, 6, 7, 8]
     hex_report = ratio_trend(lambda n: triangular_ball(6, n), ns)

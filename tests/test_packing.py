@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 from functools import partial
@@ -11,6 +12,7 @@ from speiserlab.graph_core import bfs_layers, induced_ball
 from speiserlab.lattices import hex_flower, triangular_ball
 from speiserlab.packing import (
     ANGLE_TOL,
+    CirclePacking,
     EUCLIDEAN,
     MAXIMAL,
     inscribed_collection,
@@ -20,6 +22,11 @@ from speiserlab.packing import (
     verify_packing,
 )
 from speiserlab.trend import CP_HYPERBOLIC, CP_PARABOLIC
+
+
+@pytest.fixture(scope="module")
+def maximal_tri8_3():
+    return pack_disk(triangular_ball(8, 3), boundary=MAXIMAL, layout=False)
 
 
 def test_hex_flower_interior_radius_one():
@@ -69,20 +76,141 @@ def test_layout_two_orders_agree_up_to_rigid_motion():
     p1 = pack_disk(g, boundary=EUCLIDEAN)
     from speiserlab.packing import _euclid_place, _layout
 
-    r = p1.label.tolist()
+    r = p1.label
     first = g.rotations[0][2]
     reach = r[0] + r[g.dart_vertex[first ^ 1]]
-    centers2 = _layout(g, first, reach, partial(_euclid_place, r))
+    p2 = replace(p1, centers=_layout(g, first, reach, partial(_euclid_place, r)))
+    assert p2.placed() == p1.placed()
     # align: rotate so the first neighbor direction matches
     nb1 = g.dart_vertex[g.rotations[0][0] ^ 1]
     nb2 = g.dart_vertex[g.rotations[0][2] ^ 1]
     z1 = p1.centers[nb1]
-    z2 = centers2[nb2]
+    z2 = p2.centers[nb2]
     spin = (z1 / abs(z1)) / (z2 / abs(z2))
-    for v, c in centers2.items():
-        got = c * spin
+    for v in p2.placed():
+        got = p2.centers[v] * spin
         # the second layout is the first one rotated by two petals
         assert abs(abs(got) - abs(p1.centers[v])) < 1e-6
+
+
+def _reference_layout(g, first, reach, place, allowed=None) -> dict:
+    """The breadth-first layout that the array rounds replaced: a queue of
+    darts and a dict of centers, one circle per ``place`` call."""
+    vertex = g.dart_vertex.tolist()
+
+    def third(d):
+        walk = [d]
+        for _ in range(3):
+            walk.append(g.rot_next(g.twin(walk[-1])))
+        return vertex[walk[2]] if walk[3] == d else -1
+
+    centers = {vertex[first]: 0j, vertex[first ^ 1]: complex(reach, 0.0)}
+    queue = [first, first ^ 1]
+    for d in queue:  # breadth-first: the queue grows while it is read
+        w = third(d)
+        if w < 0 or w in centers or (allowed is not None and w not in allowed):
+            continue
+        centers[w] = place(centers, vertex[d], vertex[d ^ 1], w)
+        for dart in g.rotation(w):
+            if vertex[dart ^ 1] in centers:
+                queue += (dart, dart ^ 1)
+    return centers
+
+
+def _reference_euclid_place(r, centers, u, v, w) -> complex:
+    cu, cv = centers[u], centers[v]
+    dd = abs(cv - cu)
+    a, b = r[u] + r[w], r[v] + r[w]
+    x = (dd * dd + a * a - b * b) / (2 * dd)
+    y = math.sqrt(max(a * a - x * x, 0.0))
+    return cu + (cv - cu) / dd * complex(x, -y)
+
+
+def _reference_hyp_place(h, centers, u, v, w) -> complex:
+    c = centers[u]
+    vz = (centers[v] - c) / (1 - c.conjugate() * centers[v])
+    alpha = float(packing._hyp_corner(np.array([h[u], h[v], h[w]]), 0, 1, 2))
+    wz = math.tanh((h[u] + h[w]) / 2) * cmath.exp(1j * (cmath.phase(vz) - alpha))
+    return (wz + c) / (1 + c.conjugate() * wz)
+
+
+def _reference_disk_circle(z: complex, h: float) -> tuple[complex, float]:
+    d = 2.0 * math.atanh(min(abs(z), 1 - 1e-16))
+    t1, t2 = math.tanh((d + h) / 2), math.tanh((d - h) / 2)
+    return ((t1 + t2) / 2 * (z / abs(z)) if abs(z) > 0 else 0j), (t1 - t2) / 2
+
+
+def _reference_circles(p) -> dict:
+    """Laid-out circles of ``p``'s label, one at a time: vertex -> (center,
+    radius)."""
+    g, r = p.graph, p.label.tolist()
+    vertex = g.dart_vertex.tolist()
+    if p.boundary_condition == EUCLIDEAN:
+        first = g.rotation(0)[0]
+        reach = r[0] + r[vertex[first ^ 1]]
+        placed = _reference_layout(g, first, reach, partial(_reference_euclid_place, r))
+        return {v: (z, r[v]) for v, z in placed.items()}
+    inner = set(p.interior)
+    first = next(d for d in g.rotation(0) if vertex[d ^ 1] in inner)
+    reach = math.tanh((r[0] + r[vertex[first ^ 1]]) / 2)
+    placed = _reference_layout(g, first, reach, partial(_reference_hyp_place, r), inner)
+    return {v: _reference_disk_circle(z, r[v]) for v, z in placed.items()}
+
+
+@pytest.mark.parametrize(
+    "q, n, boundary",
+    [(8, 3, MAXIMAL), (8, 4, MAXIMAL), (8, 5, MAXIMAL), (6, 16, MAXIMAL),
+     (8, 4, EUCLIDEAN), (6, 26, EUCLIDEAN)],
+)
+def test_layout_matches_breadth_first_reference(q, n, boundary):
+    p = pack_disk(triangular_ball(q, n), boundary=boundary)
+    want = _reference_circles(p)
+    placed = p.placed()
+    assert placed == sorted(want)
+    # a circle may be placed from another tangent pair, which moves it by
+    # rounding only
+    z, radius = np.array([want[v] for v in placed]).T
+    assert np.abs(p.centers[placed] - z).max() < 1e-9
+    assert np.abs(p.radii[placed] - radius.real).max() < 1e-9
+    # every edge between two laid-out circles is a tangency
+    ends = p.graph.dart_vertex.reshape(-1, 2)
+    a, b = ends[~np.isnan(p.centers[ends]).any(axis=1)].T
+    gap = np.abs(p.centers[a] - p.centers[b]) - (p.radii[a] + p.radii[b])
+    assert (np.abs(gap) <= 1e-9 * (p.radii[a] + p.radii[b])).all()
+
+
+def _layout_rounds(g, boundary, monkeypatch) -> tuple[list[int], CirclePacking]:
+    """Circles placed by each ``place`` call, that is each layout round, in
+    the packing of ``g``, and the packing."""
+    rounds = []
+    layout = packing._layout
+
+    def counted(g, first, reach, place, allowed=None):
+        def counted_place(centers, u, v, w):
+            rounds.append(len(w))
+            return place(centers, u, v, w)
+
+        return layout(g, first, reach, counted_place, allowed)
+
+    monkeypatch.setattr(packing, "_layout", counted)
+    return rounds, pack_disk(g, boundary=boundary)
+
+
+@pytest.mark.parametrize(
+    "q, n, boundary, per_layer",
+    [(8, n, MAXIMAL, 3) for n in range(3, 8)] + [(6, 16, MAXIMAL, 2), (6, 26, EUCLIDEAN, 2)],
+)
+def test_layout_round_count_guard(q, n, boundary, per_layer, monkeypatch):
+    # rounds grow with the depth of the ball, not with its size: observed
+    # 3 n - 2 on triangular_ball(8, n), whose flowers of eight petals take a
+    # round more to close than the six of the hex balls (2 n - 1 maximal,
+    # 2 n + 1 Euclidean); counts, unlike times, do not depend on the machine
+    g = triangular_ball(q, n)
+    rounds, p = _layout_rounds(g, boundary, monkeypatch)
+    depth = int(bfs_layers(g, 0).dist.max())
+    assert len(rounds) <= per_layer * depth + 1
+    # each circle is placed once, the first two before any round
+    assert sum(rounds) == len(p.placed()) - 2
 
 
 def test_gauss_bonnet_boundary_turning():
@@ -164,9 +292,6 @@ def _hessians(p, perturb: bool):
     return analytic, numeric
 
 
-@pytest.fixture(scope="module")
-def maximal_tri8_3():
-    return pack_disk(triangular_ball(8, 3), boundary=MAXIMAL, layout=False)
 
 
 @pytest.mark.parametrize("perturb", [False, True])
@@ -282,6 +407,17 @@ def test_non_triangular_interior_face_rejected():
 
     with pytest.raises(GeometryError, match="face 0 has 4 sides"):
         pack_disk(square_ball(3))
+
+
+@pytest.mark.parametrize("boundary", [EUCLIDEAN, MAXIMAL])
+def test_non_triangular_face_at_interior_vertex_rejected(boundary):
+    # square_ball(2)'s faces all touch the frontier, and its center vertex
+    # is interior: its flower is no triangle fan
+    from speiserlab.errors import GeometryError
+    from speiserlab.lattices import square_ball
+
+    with pytest.raises(GeometryError, match="face 0 has 4 sides"):
+        pack_disk(square_ball(2), boundary=boundary)
 
 
 def test_maximal_interior_tangency():
@@ -442,7 +578,8 @@ def test_separation_matches_all_pairs(name, request):
 
 
 def test_packing_json_pinned(maximal_hex16, euclidean_tri8_4):
-    # sha256 of packing_to_json, recorded from the Newton solution
+    # sha256 of packing_to_json, recorded from the Newton solution and the
+    # layout in array rounds
     import hashlib
 
     from speiserlab.packing import packing_to_json
@@ -450,8 +587,8 @@ def test_packing_json_pinned(maximal_hex16, euclidean_tri8_4):
     def sha(p):
         return hashlib.sha256(packing_to_json(p).encode()).hexdigest()[:16]
 
-    assert sha(maximal_hex16) == "005c30c700e43365"
-    assert sha(euclidean_tri8_4) == "5e962ae2be012de3"
+    assert sha(maximal_hex16) == "ce5cc6f5be332444"
+    assert sha(euclidean_tri8_4) == "c24cb73436ec4326"
 
 
 def test_labels_match_sweep_solution(maximal_hex16, euclidean_tri8_4):
@@ -511,15 +648,16 @@ def test_min_separation_beyond_the_nearest_centers():
 
 
 def test_svg_pinned():
-    # sha256 of packing_to_svg with the nerve, recorded when the packing kept
-    # its radii and centers in dicts; six decimals hide the solver's last bits
+    # sha256 of packing_to_svg with the nerve, recorded from the layout in
+    # array rounds; six decimals hide the last bits, but not the sign of a
+    # coordinate that rounds to zero
     import hashlib
 
     def sha(p):
         return hashlib.sha256(packing_to_svg(p, nerve=True).encode()).hexdigest()[:16]
 
-    assert sha(pack_disk(hex_flower(), boundary=EUCLIDEAN)) == "75dc24dda6086943"
-    assert sha(pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)) == "0d84ec2698917e10"
+    assert sha(pack_disk(hex_flower(), boundary=EUCLIDEAN)) == "19d311ac6fa2b118"
+    assert sha(pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)) == "fe2625467a7372c5"
 
 
 @pytest.mark.parametrize("layout", [True, False])
@@ -539,6 +677,17 @@ def test_placed_are_the_laid_out_circles(layout):
     euclid = pack_disk(triangular_ball(8, 3), boundary=EUCLIDEAN, layout=layout)
     assert euclid.radii is euclid.label
     assert euclid.placed() == (list(range(euclid.graph.n_vertices)) if layout else [])
+
+
+@pytest.mark.parametrize("boundary", [EUCLIDEAN, MAXIMAL])
+def test_extent_is_the_farthest_laid_out_point(boundary):
+    from speiserlab.errors import GeometryError
+
+    p = pack_disk(triangular_ball(8, 3), boundary=boundary)
+    z, r = p.centers.tolist(), p.radii.tolist()
+    assert p.extent() == max(abs(z[v]) + r[v] for v in p.placed())
+    with pytest.raises(GeometryError, match="no laid-out circles"):
+        pack_disk(triangular_ball(8, 3), boundary=EUCLIDEAN, layout=False).extent()
 
 
 def test_pack_disk_needs_a_frontier():
