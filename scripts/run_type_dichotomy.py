@@ -27,9 +27,7 @@ def main() -> int:
         for n, rho in zip(report.radii_list, report.rho):
             print(f"  n={n}: rho={rho:.6f}")
         packed = pack_disk(triangular_ball(q, 3), boundary=EUCLIDEAN)
-        (out_dir / f"packing_{name}.svg").write_text(
-            packing_to_svg(packed, nerve=True)
-        )
+        (out_dir / f"packing_{name}.svg").write_text(packing_to_svg(packed))
     (out_dir / "type_dichotomy.json").write_text(
         json.dumps(results, sort_keys=True, indent=2) + "\n"
     )

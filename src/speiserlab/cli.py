@@ -5,6 +5,12 @@ Subcommands:
   analyze   vel | resistance | nash-williams | doyle | ratio-trend | fatness
   theorem1  run both evidence legs and write the report
 
+``gen gamma`` is ``theorem1.build_gamma``: a depth past the schedule's
+length is a usage error.  ``gen lambda``, ``extend`` and ``subdivide4``
+rewrite the interior faces of ``graph_core.interior_face_mask``; a
+frontier-free input has no outer face unless exactly one face is not a
+triangle.
+
 Exit codes: 0 success, 2 usage error (bad flags, missing files), 3 numeric
 non-convergence (diagnostics still written).  Identical argv and input files
 produce byte-identical outputs under the same BLAS thread count: the sparse
@@ -29,10 +35,8 @@ from .speiser import (
     build_octagonal_speiser,
     extend_speiser,
     lambda_triangulation,
-    speiser_ball,
-    tree_replace,
 )
-from .theorem1 import Theorem1Config, run_theorem1
+from .theorem1 import Theorem1Config, build_gamma, run_theorem1
 
 DEFAULT_SEED = 20080
 
@@ -88,16 +92,13 @@ def _cmd_gen(args) -> int:
     if kind == "octagonal":
         g = build_octagonal_speiser(args.depth)
     elif kind == "gamma":
-        schedule = _parse_schedule(args.schedule)
-        g = tree_replace(speiser_ball(min(args.depth, len(schedule))), schedule)
+        g = build_gamma(args.depth, _parse_schedule(args.schedule))
     elif kind == "lambda":
-        g = lambda_triangulation(_read_graph(args.graph), outer_face=args.outer_face)
+        g = lambda_triangulation(_read_graph(args.graph))
     elif kind == "extend":
-        g = extend_speiser(
-            _read_graph(args.graph), args.grid_depth, outer_face=args.outer_face
-        )
+        g = extend_speiser(_read_graph(args.graph), args.grid_depth)
     elif kind == "subdivide4":
-        g, _ = subdivide4(_read_graph(args.graph), outer_face=args.outer_face)
+        g, _ = subdivide4(_read_graph(args.graph))
     elif kind == "dual":
         g = dual(_read_graph(args.graph))
     else:
@@ -160,9 +161,7 @@ def _cmd_analyze(args) -> int:
         except ValueError:
             raise UsageError(f"bad disks {args.disks!r}: need x,y,r;x,y,r;...") from None
         s = PlanarSet(tuple(disks))
-        tau = fatness_estimate(
-            s, n_samples=args.samples, n_radii=args.n_radii, seed=args.seed
-        )
+        tau = fatness_estimate(s, n_radii=args.n_radii, seed=args.seed)
         pairs = len(fatness_pairs(s, n_radii=args.n_radii, seed=args.seed)[1])
         _write(
             args.output,
@@ -198,7 +197,7 @@ def _cmd_theorem1(args) -> int:
 
         tri = triangular_ball(8, 3)
         packed = pack_disk(tri, boundary=EUCLIDEAN)
-        Path(args.svg).write_text(packing_to_svg(packed, nerve=True))
+        Path(args.svg).write_text(packing_to_svg(packed))
     return 0
 
 
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--graph", help="input graph JSON (for transforms)")
     gen.add_argument("--grid-depth", type=int, default=4)
-    gen.add_argument("--outer-face", type=int, default=None)
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=_cmd_gen)
 
@@ -245,12 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--family", default="hex", choices=["hex", "tri8"])
     an.add_argument("--ns", default="2,3,4,5", help="ratio-trend ball radii")
     an.add_argument("--disks", default="0,0,1", help="fatness x,y,r;x,y,r;...")
-    an.add_argument(
-        "--samples",
-        type=int,
-        default=100_000,
-        help="fatness: kept for old command lines, no effect (areas are exact)",
-    )
     an.add_argument("--n-radii", type=int, default=8)
     an.add_argument("--seed", type=int, default=DEFAULT_SEED)
     an.add_argument("-o", "--output", default=None)

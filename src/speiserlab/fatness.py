@@ -356,10 +356,11 @@ class HSReport:
     infinite such collection exists) is a theorem; this report only verifies
     the hypotheses on the finite instance, it does not re-prove anything.
 
-    ``compact_connected`` and ``locally_finite`` are guarantees, not checks:
-    every set is a ``PlanarSet``, a finite union of closed disks whose
-    construction rejects a disconnected union, so each set is compact and
-    connected, and a finite family is locally finite.  Both are always True.
+    Every set is a ``PlanarSet``, a finite union of closed disks whose
+    construction rejects a disconnected union, so it is compact and
+    connected by construction and the report has no field for it.
+    ``locally_finite`` is a guarantee, not a check: a finite family is
+    locally finite, so it is always True.
     ``max_overlap`` is the exact largest number of sets that share a point,
     tangency points included; ``overlap_ok`` compares it to the claimed
     bound.  ``worst_fatness`` is the least ``fatness_estimate`` over the
@@ -367,7 +368,6 @@ class HSReport:
     on ``seed``.
     """
 
-    compact_connected: bool
     locally_finite: bool
     max_overlap: int
     overlap_bound: int
@@ -383,12 +383,7 @@ class HSReport:
     )
 
     def all_pass(self) -> bool:
-        return (
-            self.compact_connected
-            and self.locally_finite
-            and self.overlap_ok
-            and self.adjacency_ok
-        )
+        return self.locally_finite and self.overlap_ok and self.adjacency_ok
 
 
 def check_hs(
@@ -396,7 +391,6 @@ def check_hs(
     collection: FatCollection,
     samples: int = 50_000,
     seed: int = 20080,
-    fatness_samples: int = 4_000,
 ) -> HSReport:
     """Verify the four fat-collection conditions for an indexed disk family.
 
@@ -406,8 +400,8 @@ def check_hs(
     list is used.  The overlap is counted exactly (``_max_overlap``); each
     set's fatness is ``fatness_estimate`` with 6 radii, 8 random centers and
     seed ``seed + 3 + j`` for the j-th set in ``repr`` order.  ``samples``
-    and ``fatness_samples`` have no effect on the result; they are kept for
-    callers that pass them, and must be positive.
+    has no effect on the result; it is kept for callers that pass it, and
+    must be positive.
     """
     if samples < 1:
         raise GeometryError("sample counts must be positive")
@@ -431,14 +425,11 @@ def check_hs(
     counts_max = _max_overlap(centers, radii, bounds)
 
     worst = min(
-        fatness_estimate(
-            sets[k], n_samples=fatness_samples, n_radii=6, seed=seed + 3 + j, n_centers=8
-        )
+        fatness_estimate(sets[k], n_radii=6, seed=seed + 3 + j, n_centers=8)
         for j, k in enumerate(keys)
     )
 
     return HSReport(
-        compact_connected=True,
         locally_finite=True,
         max_overlap=counts_max,
         overlap_bound=collection.overlap_bound,

@@ -24,7 +24,13 @@ face walks as flat integer arrays (vertex keys, edge keys, walk lengths),
 numbers edges by first appearance, keeps the ids of vertex keys below
 ``keep`` and numbers the other keys after them by first appearance, and
 recovers the rotations as the orbits of ``face_next o twin``.  Each rewrite
-thus builds its graph, validated, in one construction.
+thus builds its graph, validated, in one construction.  The faces a
+rewrite subdivides or fills are those of ``interior_face_mask``, the one
+rule for interior faces, which ``classify`` reads as well.
+
+Circle/cross tags reach a graph only through ``RotationGraph._flat``, from
+``build_graph`` and ``induced_ball``; the Speiser constructions set them
+from ``two_coloring`` after construction.
 
 The Graph JSON v1 codec works on the flat arrays too: ``to_json`` writes the
 text straight from ``rot_darts`` and ``rot_offsets``, and ``build_graph``
@@ -79,12 +85,9 @@ class RotationGraph:
     )
 
     def __init__(
-        self,
-        rotations: Sequence[Sequence[int]],
-        frontier: Iterable[int] = (),
-        tags: dict[int, str] | None = None,
+        self, rotations: Sequence[Sequence[int]], frontier: Iterable[int] = ()
     ):
-        self._store(*_flatten(rotations), frontier, tags)
+        self._store(*_flatten(rotations), frontier)
 
     @classmethod
     def _flat(
@@ -94,23 +97,24 @@ class RotationGraph:
         frontier: Iterable[int] = (),
         tags: dict[int, str] | None = None,
     ) -> "RotationGraph":
-        """Build from the darts in rotation order and per-vertex offsets."""
+        """Build from the darts in rotation order and per-vertex offsets.
+
+        The only constructor that takes ``tags``: ``build_graph`` and
+        ``induced_ball`` pass the tags they read or keep.
+        """
         g = cls.__new__(cls)
-        g._store(darts, offsets, frontier, tags)
+        g._store(darts, offsets, frontier)
+        g.tags = dict(tags) if tags else None
         return g
 
     def _store(
-        self,
-        darts: np.ndarray,
-        offsets: np.ndarray,
-        frontier: Iterable[int],
-        tags: dict[int, str] | None,
+        self, darts: np.ndarray, offsets: np.ndarray, frontier: Iterable[int]
     ) -> None:
         # read-only views: the caller's arrays stay writeable, the graph's not
         darts = np.asarray(darts, dtype=np.int64).view()
         offsets = np.asarray(offsets, dtype=np.int64).view()
         self.frontier = frozenset(frontier)
-        self.tags = dict(tags) if tags else None
+        self.tags = None
         self.n_vertices = len(offsets) - 1
         self.n_darts = int(offsets[-1])
         if self.n_darts % 2:
@@ -195,25 +199,18 @@ class RotationGraph:
 
     @classmethod
     def from_rotations(
-        cls,
-        incidence: Sequence[Sequence[int]],
-        frontier: Iterable[int] = (),
-        tags: dict[int, str] | None = None,
+        cls, incidence: Sequence[Sequence[int]], frontier: Iterable[int] = ()
     ) -> "RotationGraph":
         """Build from per-vertex ordered lists of edge ids.
 
         Every edge id must appear exactly twice over all lists (once per
         endpoint); the first appearance becomes dart ``2e``.
         """
-        return cls.from_edge_slots(*_flatten(incidence), frontier=frontier, tags=tags)
+        return cls.from_edge_slots(*_flatten(incidence), frontier=frontier)
 
     @classmethod
     def from_edge_slots(
-        cls,
-        edge: np.ndarray,
-        offsets: np.ndarray,
-        frontier: Iterable[int] = (),
-        tags: dict[int, str] | None = None,
+        cls, edge: np.ndarray, offsets: np.ndarray, frontier: Iterable[int] = ()
     ) -> "RotationGraph":
         """``from_rotations`` on flat arrays: the edge ids of every vertex's
         rotation are ``edge[offsets[v]:offsets[v + 1]]``."""
@@ -232,7 +229,7 @@ class RotationGraph:
         single = ranked[new & np.append(new[1:], True)]
         if len(single):
             raise GraphError(f"edges with a single endpoint: {single.tolist()}")
-        return cls._flat(2 * edge + (rank == 1), offsets, frontier=frontier, tags=tags)
+        return cls._flat(2 * edge + (rank == 1), offsets, frontier=frontier)
 
     @classmethod
     def from_walks(
@@ -242,7 +239,6 @@ class RotationGraph:
         lengths: Sequence[int] | np.ndarray,
         keep: int = 0,
         frontier: Iterable[int] = (),
-        tags: dict[int, str] | None = None,
     ) -> "WalkBuild":
         """Build a graph from its complete list of oriented face walks.
 
@@ -257,9 +253,9 @@ class RotationGraph:
         Vertex keys in ``[0, keep)`` become the vertices of the same id; the
         other keys are numbered ``keep, keep + 1, ...`` in order of first
         appearance.  Edges are numbered in order of first appearance, and an
-        edge's first occurrence is dart ``2e``.  ``frontier`` and ``tags``
-        name vertices by key; keys that never occur are ignored.  The walks
-        are the faces of the result, whose face table is filled in here.
+        edge's first occurrence is dart ``2e``.  ``frontier`` names vertices
+        by key; keys that never occur are ignored.  The walks are the faces
+        of the result, whose face table is filled in here.
         """
         tails = np.asarray(tails, dtype=np.int64)
         items = np.asarray(edge_keys, dtype=np.int64)
@@ -324,17 +320,11 @@ class RotationGraph:
             raise GraphError("inconsistent walks: vertex key has a disconnected star")
         del sigma
 
-        def ids_of(keys: Iterable[int]) -> np.ndarray:
-            """Vertex id of each key, -1 where the key never occurs."""
-            keys = keys if isinstance(keys, np.ndarray) else list(keys)
-            return _lookup(ukeys_v, vid, np.asarray(keys, dtype=np.int64))
-
-        front = ids_of(frontier)
-        tag_keys = list(tags or ())
-        tag_ids = {
-            v: tags[k] for v, k in zip(ids_of(tag_keys).tolist(), tag_keys) if v >= 0
-        }
-        g = cls._flat(*stars, frontier=front[front >= 0].tolist(), tags=tag_ids)
+        if not isinstance(frontier, np.ndarray):
+            frontier = list(frontier)
+        # vertex id of each frontier key, -1 where the key never occurs
+        front = _lookup(ukeys_v, vid, np.asarray(frontier, dtype=np.int64))
+        g = cls._flat(*stars, frontier=front[front >= 0].tolist())
 
         # the walks are the faces: list each from its smallest dart, in the
         # order of those darts, as trace_faces does
@@ -353,10 +343,7 @@ class RotationGraph:
 
     @classmethod
     def from_face_cycles(
-        cls,
-        faces: Sequence[Sequence[int]],
-        frontier: Iterable[int] = (),
-        tags: dict[int, str] | None = None,
+        cls, faces: Sequence[Sequence[int]], frontier: Iterable[int] = ()
     ) -> "RotationGraph":
         """Build a simple graph from oriented faces given as vertex cycles.
 
@@ -372,7 +359,6 @@ class RotationGraph:
             [eid.setdefault(frozenset(e), len(eid)) for e in ends],
             [len(f) for f in faces],
             frontier=[vid[v] for v in frontier if v in vid],
-            tags={vid[v]: t for v, t in (tags or {}).items() if v in vid},
         )
         return built.graph
 
@@ -488,20 +474,17 @@ def trace_faces(g: RotationGraph) -> Faces:
     return g._faces
 
 
-def interior_face_mask(g: RotationGraph, outer_face: int | None = None) -> np.ndarray:
+def interior_face_mask(g: RotationGraph) -> np.ndarray:
     """Boolean per face of ``trace_faces(g)``: the interior faces.
 
-    Interior faces avoid the frontier and are not the designated outer face.
-    With no frontier and no explicit outer face, a unique non-triangular face
-    is taken as the outer one; if all faces are triangles the map is treated
-    as a sphere triangulation and every face is interior.
+    On a truncation the interior faces are those that avoid the frontier.
+    With no frontier, a unique non-triangular face is taken as the outer
+    one; otherwise (all faces triangles, as on a sphere triangulation, or
+    several non-triangular faces) every face is interior.
     """
     faces = trace_faces(g)
-    if outer_face is not None or g.frontier:
-        mask = ~faces.touches_frontier
-        if outer_face is not None and 0 <= outer_face < len(faces):
-            mask[outer_face] = False
-        return mask
+    if g.frontier:
+        return ~faces.touches_frontier
     mask = np.ones(len(faces), dtype=bool)
     non_tri = np.flatnonzero(faces.lengths != 3)
     if len(non_tri) == 1:
@@ -668,8 +651,12 @@ def two_coloring(g: RotationGraph) -> dict[int, str] | None:
     return {v: tag[p] for v, p in enumerate(odd.tolist())}
 
 
-def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassification:
-    """Structural flags computed on the non-frontier part of the graph."""
+def classify(g: RotationGraph) -> GraphClassification:
+    """Structural flags computed on the non-frontier part of the graph.
+
+    The graph is a disk triangulation when it has an interior face
+    (``interior_face_mask``) and every interior face is a triangle.
+    """
     degree = np.diff(g.rot_offsets)
     inside = np.ones(g.n_vertices, dtype=bool)
     inside[list(g.frontier)] = False
@@ -680,13 +667,8 @@ def classify(g: RotationGraph, outer_face: int | None = None) -> GraphClassifica
         if (degrees == max_degree).all():
             homogeneous = max_degree
 
-    faces = trace_faces(g)
-    if g.frontier or outer_face is not None:
-        inner = interior_face_mask(g, outer_face)
-        is_tri = bool(inner.any()) and bool((faces.lengths[inner] == 3).all())
-    else:
-        n_big = int(np.count_nonzero(faces.lengths != 3))
-        is_tri = n_big <= 1 and len(faces) > n_big
+    inner = interior_face_mask(g)
+    is_tri = bool(inner.any()) and bool((trace_faces(g).lengths[inner] == 3).all())
 
     # the largest min(deg u, deg v) over edges with no frontier end
     u, v = g.dart_vertex[0::2], g.dart_vertex[1::2]

@@ -750,30 +750,36 @@ def packing_to_json(p: CirclePacking) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def packing_to_svg(p: CirclePacking, nerve: bool = False) -> str:
+def _svg_num(x: float) -> str:
+    """``x`` at six decimals; a value that rounds to zero prints unsigned."""
+    return f"{round(x, 6) + 0.0:.6f}"
+
+
+def packing_to_svg(p: CirclePacking) -> str:
+    """The laid-out circles over the nerve's edges between them."""
     placed = p.placed()
     if not placed:
         raise GeometryError("nothing to draw")
     ext = p.extent() * 1.02
-    z, r = p.centers.tolist(), p.radii.tolist()
+    x = [_svg_num(t) for t in p.centers.real.tolist()]
+    y = [_svg_num(t) for t in p.centers.imag.tolist()]
+    r = [_svg_num(t) for t in p.radii.tolist()]
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'viewBox="{-ext:.6f} {-ext:.6f} {2 * ext:.6f} {2 * ext:.6f}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{_svg_num(-ext)} '
+        f'{_svg_num(-ext)} {_svg_num(2 * ext)} {_svg_num(2 * ext)}">'
     ]
-    if nerve:
-        drawn = set(placed)
-        for e in p.graph.edges():
-            a, b = p.graph.edge_ends(e)
-            if a in drawn and b in drawn:
-                lines.append(
-                    f'<line x1="{z[a].real:.6f}" y1="{z[a].imag:.6f}" '
-                    f'x2="{z[b].real:.6f}" y2="{z[b].imag:.6f}" '
-                    f'stroke="#999" stroke-width="{ext / 500:.6f}"/>'
-                )
+    drawn = set(placed)
+    for e in p.graph.edges():
+        a, b = p.graph.edge_ends(e)
+        if a in drawn and b in drawn:
+            lines.append(
+                f'<line x1="{x[a]}" y1="{y[a]}" x2="{x[b]}" y2="{y[b]}" '
+                f'stroke="#999" stroke-width="{_svg_num(ext / 500)}"/>'
+            )
     for v in placed:
         lines.append(
-            f'<circle cx="{z[v].real:.6f}" cy="{z[v].imag:.6f}" r="{r[v]:.6f}" '
-            f'fill="none" stroke="#000" stroke-width="{ext / 400:.6f}"/>'
+            f'<circle cx="{x[v]}" cy="{y[v]}" r="{r[v]}" '
+            f'fill="none" stroke="#000" stroke-width="{_svg_num(ext / 400)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -71,16 +71,14 @@ class RefinementMap:
         )
 
 
-def subdivide4(
-    g: RotationGraph, outer_face: int | None = None
-) -> tuple[RotationGraph, RefinementMap]:
+def subdivide4(g: RotationGraph) -> tuple[RotationGraph, RefinementMap]:
     """Divide each interior triangle into four by connecting edge midpoints.
 
     The refined vertex set is V plus one midpoint per edge; original vertices
     keep their ids.  Rejects non-triangular interior faces.
     """
     faces = trace_faces(g)
-    inner = interior_face_mask(g, outer_face)
+    inner = interior_face_mask(g)
     bad = np.flatnonzero(inner & (faces.lengths != 3))
     if len(bad):
         raise RefinementError(

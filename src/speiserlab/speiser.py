@@ -143,20 +143,18 @@ def tree_replace(g: RotationGraph, schedule: GrowthSchedule) -> RotationGraph:
     return out
 
 
-def lambda_triangulation(
-    g: RotationGraph, outer_face: int | None = None, with_map: bool = False
-):
+def lambda_triangulation(g: RotationGraph, with_map: bool = False):
     """Subdivide each interior k-gon face into 2k triangles.
 
     Every edge gets a midpoint vertex (each parallel copy its own); every
     interior face gets a center joined to the boundary vertices and midpoints.
-    Frontier-touching faces (and the designated outer face, if any) are left
-    unsubdivided apart from the midpoints on their edges, and their midpoints
-    join the frontier.  Original vertices keep their ids.  With ``with_map``
+    The other faces (``interior_face_mask``) are left unsubdivided apart
+    from the midpoints on their edges, and their midpoints join the
+    frontier.  Original vertices keep their ids.  With ``with_map``
     the refinement cover structure is returned alongside the graph.
     """
     faces = trace_faces(g)
-    inner = interior_face_mask(g, outer_face)
+    inner = interior_face_mask(g)
     n, n_edges = g.n_vertices, g.n_edges
     d = faces.darts
     fid = faces.face_index()
@@ -207,20 +205,18 @@ def lambda_triangulation(
     return built.graph, walk_refinement_map(g, built, walk[starts])
 
 
-def extend_speiser(
-    g: RotationGraph, grid_depth: int, outer_face: int | None = None
-) -> RotationGraph:
+def extend_speiser(g: RotationGraph, grid_depth: int) -> RotationGraph:
     """Glue a square-grid cylinder of height ``grid_depth`` into each interior face.
 
     Ring 0 follows the face's boundary walk (a vertex visited twice gets two
     vertical neighbors); rings 1..grid_depth are new k-cycles, and the top
-    ring joins the frontier.  Frontier-touching faces (and the designated
-    outer face, if any) are skipped.  Original vertices keep their ids.
+    ring joins the frontier.  The other faces (``interior_face_mask``) are
+    skipped.  Original vertices keep their ids.
     """
     if grid_depth < 1:
         raise GraphError("grid_depth must be >= 1")
     faces = trace_faces(g)
-    inner = interior_face_mask(g, outer_face)
+    inner = interior_face_mask(g)
     n, n_edges, n_darts = g.n_vertices, g.n_edges, len(faces.darts)
     gd = grid_depth
     fid = faces.face_index()

@@ -154,20 +154,17 @@ class UpsilonCheck:
 
 
 def verify_upsilon_bounds(
-    gamma: RotationGraph,
-    grid_depth: int | None,
-    k_max: int,
-    k_min: int = 2,
+    gamma: RotationGraph, k_max: int, k_min: int = 2
 ) -> UpsilonCheck:
     """|S(k)| of the extension around vertex 0 against 4 k ln k, plus the
     fitted square constant.
 
-    ``grid_depth=None`` means unbounded grids (the true extended graph).
+    The grids are unbounded: the layers are those of the true extended graph.
     """
     reliable = bfs_layers(gamma, 0).reliable_depth
     # the square constant is fitted from k = 2 on, where ln k > 0
     k_hi = _clip_range("upsilon", max(k_min, 2), k_max, reliable)
-    counts = extended_layer_counts(gamma, 0, k_hi, grid_depth=grid_depth)
+    counts = extended_layer_counts(gamma, 0, k_hi)
     sizes = counts.sphere_sizes[k_min : k_hi + 1]
     bound = [4 * k * math.log(k) for k in range(k_min, k_hi + 1)]
     ok = [s <= b for s, b in zip(sizes, bound)]
@@ -301,7 +298,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     gamma = build_gamma(len(schedule), schedule)
     growth = verify_growth(gamma, config.growth_k_min, config.growth_k_max)
     upsilon = verify_upsilon_bounds(
-        gamma, None, config.upsilon_k_max, k_min=config.upsilon_k_min
+        gamma, config.upsilon_k_max, k_min=config.upsilon_k_min
     )
     nw = nash_williams_sum(upsilon.cut_sizes)
     nw_strict = all(b > a for a, b in zip(nw, nw[1:]))

@@ -171,10 +171,10 @@ def classify_resistance_curve(ns, resistance) -> dict:
     return report
 
 
-def first_converged_n(ns, values, rel_tol: float = 0.01) -> int | None:
-    """First n whose increment is below rel_tol of the current value."""
+def first_converged_n(ns, values) -> int | None:
+    """First n whose increment is below 1% of the current value."""
     for i in range(1, len(ns)):
-        if values[i] > 0 and (values[i] - values[i - 1]) / values[i] < rel_tol:
+        if values[i] > 0 and (values[i] - values[i - 1]) / values[i] < 0.01:
             return ns[i]
     return None
 

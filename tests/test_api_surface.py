@@ -5,6 +5,8 @@ no function takes a layering as an argument; ``dual`` always drops the faces
 at a truncation's frontier; a packing's boundary is its graph's frontier,
 with Euclidean radii 1, and its root is vertex 0; a refinement map is four
 arrays read off a subdivision's walks, and a v-metric is a plain array.
+Interior faces follow one rule, ``interior_face_mask(g)``; tags reach a
+graph only through ``RotationGraph._flat``; an SVG always draws the nerve.
 These tests keep such knobs and wrappers from coming back.
 """
 
@@ -13,13 +15,26 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import speiserlab
+from speiserlab.cli import main
+from speiserlab.fatness import HSReport
 from speiserlab.graph_core import RotationGraph, bfs_layers, dual
 from speiserlab.packing import pack_disk, ratio_trend
 from speiserlab.refinement import RefinementMap, walk_refinement_map
 from speiserlab.speiser import speiser_ball
+from speiserlab.theorem1 import verify_upsilon_bounds
 
-REMOVED = {"layers", "drop_frontier_faces", "boundary_radii"}
+REMOVED = {
+    "layers",
+    "drop_frontier_faces",
+    "boundary_radii",
+    "outer_face",
+    "fatness_samples",
+    "nerve",
+    "rel_tol",
+}
 
 
 def _callables():
@@ -68,3 +83,21 @@ def test_refinement_entry_points():
     fields = [f.name for f in dataclasses.fields(RefinementMap)]
     assert fields == ["origin_kind", "origin", "edge_cover", "face_owner"]
     assert not hasattr(speiserlab, "VMetric")
+
+
+def test_tags_enter_only_through_flat():
+    taking = [name for name, obj in _callables() if "tags" in _parameters(obj)]
+    assert taking == ["speiserlab.graph_core.RotationGraph._flat"]
+
+
+def test_no_constant_knobs():
+    assert _parameters(verify_upsilon_bounds) == ["gamma", "k_max", "k_min"]
+    assert "compact_connected" not in [f.name for f in dataclasses.fields(HSReport)]
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "lambda", "--outer-face", "1"], ["analyze", "fatness", "--samples", "9"]]
+)
+def test_cli_has_no_removed_flags(argv, capsys):
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err

@@ -53,8 +53,6 @@ def test_analyze_fatness_deterministic(tmp_path):
         "fatness",
         "--disks",
         "0,0,1",
-        "--samples",
-        "2000",
         "--seed",
         "9",
     ]
@@ -68,9 +66,6 @@ def test_analyze_fatness_deterministic(tmp_path):
     assert sorted(report) == ["pairs", "seed", "tau_hat"]
     assert 0 < report["pairs"] <= 33 * 8
     assert report["tau_hat"] >= 0.25 - 1e-12
-    # --samples has no effect on the report
-    main(argv[:-4] + argv[-2:] + ["-o", str(b)])
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_analyze_resistance(tmp_path):
@@ -131,6 +126,28 @@ def test_ratio_trend_cli_cg_cap_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_gen_gamma_schedule_validation(capsys):
     assert main(["gen", "gamma", "--schedule", "4,6"]) == 2
+
+
+def test_gen_gamma_rejects_depth_past_the_schedule(tmp_path, capsys):
+    # gen gamma builds through build_gamma, so a depth the schedule does not
+    # cover fails instead of writing a shallower graph
+    out = tmp_path / "g.json"
+    argv = ["gen", "gamma", "--depth", "3", "--schedule", "21,8103", "-o", str(out)]
+    assert main(argv) == 2
+    assert "exceeds schedule coverage" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("depth,schedule", [(1, (3, 5)), (2, (3, 5)), (3, (3, 5, 7))])
+def test_gen_gamma_is_the_stretched_ball(tmp_path, depth, schedule):
+    from speiserlab.graph_core import to_json
+    from speiserlab.speiser import GrowthSchedule, speiser_ball, tree_replace
+
+    out = tmp_path / "g.json"
+    text = ",".join(map(str, schedule))
+    assert main(["gen", "gamma", "--depth", str(depth), "--schedule", text, "-o", str(out)]) == 0
+    expected = tree_replace(speiser_ball(depth), GrowthSchedule(schedule))
+    assert out.read_text() == to_json(expected)
 
 
 def test_theorem1_cli_deterministic(tmp_path):

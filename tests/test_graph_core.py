@@ -294,6 +294,32 @@ def test_classify_p_of_tight():
     assert c.homogeneous_degree == 8
 
 
+def _frontier_free_disk_rule(g):
+    # the rule classify kept for frontier-free maps before it read
+    # interior_face_mask: at most one non-triangular face, and some triangle
+    lengths = trace_faces(g).lengths
+    n_big = int(np.count_nonzero(lengths != 3))
+    return n_big <= 1 and len(lengths) > n_big
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (octahedron, True),
+        (cube, False),
+        (lambda: cycle_graph(2), False),
+        (lambda: grid_patch(3, 3), False),
+        (lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)]), True),
+        (lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 2, 1)]), True),
+        (lambda: RotationGraph([[]]), False),
+    ],
+)
+def test_classify_disk_rule_matches_frontier_free_reference(build, expected):
+    g = build()
+    assert not g.frontier
+    assert classify(g).is_disk_triangulation is _frontier_free_disk_rule(g) is expected
+
+
 def test_triangular_ball_ring_sizes():
     g = triangular_ball(8, 5)
     layers = bfs_layers(g, 0)

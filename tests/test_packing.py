@@ -488,10 +488,24 @@ def test_inscribed_adjacency_intersects():
 
 def test_svg_output():
     p = pack_disk(hex_flower(), boundary=EUCLIDEAN)
-    svg = packing_to_svg(p, nerve=True)
+    svg = packing_to_svg(p)
     assert svg.startswith("<svg")
     assert svg.count("<circle") == 7
-    assert "<line" in svg
+    # the nerve: the flower's 12 edges, all between laid-out circles
+    assert svg.count("<line") == 12
+
+
+def test_svg_zero_is_unsigned():
+    # a coordinate that rounds to zero prints as 0.000000 whatever its sign,
+    # so last-bit changes of a layout do not move the text
+    p = pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)
+    # the point reflection turns the root's center 0 into -0 - 0j
+    flipped = replace(p, centers=-p.centers)
+    assert math.copysign(1.0, flipped.centers[0].real) == -1.0
+    for q in (p, flipped):
+        svg = packing_to_svg(q)
+        assert "-0.000000" not in svg
+        assert '<circle cx="0.000000" cy="0.000000"' in svg
 
 
 def test_packing_json_dump():
@@ -648,16 +662,15 @@ def test_min_separation_beyond_the_nearest_centers():
 
 
 def test_svg_pinned():
-    # sha256 of packing_to_svg with the nerve, recorded from the layout in
-    # array rounds; six decimals hide the last bits, but not the sign of a
-    # coordinate that rounds to zero
+    # sha256 of packing_to_svg, recorded from the layout in array rounds;
+    # six decimals hide the last bits, and a zero prints unsigned
     import hashlib
 
     def sha(p):
-        return hashlib.sha256(packing_to_svg(p, nerve=True).encode()).hexdigest()[:16]
+        return hashlib.sha256(packing_to_svg(p).encode()).hexdigest()[:16]
 
     assert sha(pack_disk(hex_flower(), boundary=EUCLIDEAN)) == "19d311ac6fa2b118"
-    assert sha(pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)) == "fe2625467a7372c5"
+    assert sha(pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)) == "c18540f6d493164b"
 
 
 @pytest.mark.parametrize("layout", [True, False])

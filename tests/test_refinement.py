@@ -34,13 +34,15 @@ def test_subdivide4_octahedron_counts():
 
 
 def test_subdivide4_single_triangle():
-    # one triangle with designated outer face: 4 triangles, 3 midpoints
+    # a triangle and its outer triangle, both interior with no frontier: 4
+    # triangles each, on 3 midpoints
     from speiserlab.graph_core import RotationGraph
 
     g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)])
-    ref, rmap = subdivide4(g, outer_face=1)
+    ref, rmap = subdivide4(g)
     assert ref.n_vertices == 6
-    assert (trace_faces(ref).lengths == 3).sum() == 4
+    assert trace_faces(ref).lengths.tolist() == [3] * 8
+    assert check_refinement(g, ref, rmap).m_edge == 3
 
 
 def test_subdivide4_rejects_non_triangulation():
@@ -94,7 +96,7 @@ def test_coarsen_metric_single_edge_formula():
     from speiserlab.graph_core import RotationGraph
 
     g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)])
-    ref, rmap = subdivide4(g, outer_face=1)
+    ref, rmap = subdivide4(g)
     report = check_refinement(g, ref, rmap)
     assert report.m_edge == 3
     a, b, c = 0.3, 0.9, 0.1

@@ -31,7 +31,7 @@ def test_trace_hooks_count_fatness_packing_and_vel():
             p = packing.pack_disk(lattices.triangular_ball(6, 2), boundary=packing.EUCLIDEAN)
             packing.pack_disk(lattices.triangular_ball(8, 2), boundary=packing.MAXIMAL)
             col = packing.inscribed_collection(p)
-            fatness.check_hs(None, col, samples=300, seed=1, fatness_samples=100)
+            fatness.check_hs(None, col, samples=300, seed=1)
             fatness.fatness_estimate(
                 fatness.PlanarSet.disk(), n_samples=100, n_radii=2, seed=1, n_centers=2
             )

@@ -162,11 +162,15 @@ def test_tree_replace_internal_vertex_spacing():
 
 
 def test_lambda_square_face():
-    g = grid_patch(2, 2)  # one square face plus outer
-    out = lambda_triangulation(g, outer_face=1)
-    # one center + 4 midpoints added to 4 vertices
-    assert out.n_vertices == 4 + 4 + 1
-    assert (trace_faces(out).lengths == 3).sum() == 8
+    # one square and its outer square, both interior with no frontier and
+    # two non-triangular faces
+    g = grid_patch(2, 2)
+    assert not g.frontier and trace_faces(g).lengths.tolist() == [4, 4]
+    out = lambda_triangulation(g)
+    # 4 midpoints and a center per square added to 4 vertices
+    assert out.n_vertices == 4 + 4 + 2
+    assert trace_faces(out).lengths.tolist() == [3] * 16
+    assert euler_characteristic(out) == 2
 
 
 def test_lambda_bigon():
@@ -196,12 +200,12 @@ def test_lambda_on_psi_is_disk_triangulation():
 
 
 def test_extend_single_square_face():
+    # both squares of the frontier-free map are interior, so each gets a
+    # cylinder: rings of size 4, two new rings per face -> 16 new vertices
     g = grid_patch(2, 2)
-    out = extend_speiser(g, 2, outer_face=1)
-    # rings of size 4, two new rings -> 8 new vertices
-    assert out.n_vertices == 4 + 8
-    faces = trace_faces(out)
-    assert (faces.lengths[~faces.touches_frontier] == 4).all()
+    out = extend_speiser(g, 2)
+    assert out.n_vertices == 4 + 16
+    assert (trace_faces(out).lengths == 4).all()
     assert euler_characteristic(out) == 2
 
 

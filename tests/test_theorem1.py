@@ -79,7 +79,7 @@ def test_verify_growth_small_k_reported_not_failed():
 def test_upsilon_bounds_small():
     gamma = build_gamma(2, GrowthSchedule((3, 5)))
     layers = bfs_layers(gamma, 0)
-    check = verify_upsilon_bounds(gamma, None, layers.reliable_depth, k_min=2)
+    check = verify_upsilon_bounds(gamma, layers.reliable_depth, k_min=2)
     assert math.isfinite(check.ball_constant)
     assert len(check.sphere_sizes) == check.k_max - check.k_min + 1
 
@@ -188,7 +188,7 @@ def test_bound_checks_reject_a_range_past_the_reliable_depth():
     with pytest.raises(FrontierError, match="reliable depth 2"):
         verify_growth(gamma, 25, 8000)
     with pytest.raises(FrontierError, match="reliable depth 2"):
-        verify_upsilon_bounds(gamma, None, 2000, k_min=25)
+        verify_upsilon_bounds(gamma, 2000, k_min=25)
 
 
 def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
