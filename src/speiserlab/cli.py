@@ -180,14 +180,8 @@ def _cmd_theorem1(args) -> int:
         if not p.exists():
             raise UsageError(f"config file not found: {args.config}")
         try:
-            raw = json.loads(p.read_text())
-            # JSON lists become the config's tuples; absent keys keep their defaults
-            for key in ("schedule", "resistance_radii", "ratio_ns"):
-                if key in raw:
-                    raw[key] = tuple(raw[key])
-            if "vel_annuli" in raw:
-                raw["vel_annuli"] = tuple(tuple(a) for a in raw["vel_annuli"])
-            config = Theorem1Config(**raw)
+            # absent keys keep their defaults; the config checks the rest
+            config = Theorem1Config(**json.loads(p.read_text()))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad config {args.config}: {exc}") from exc
     report = run_theorem1(config)

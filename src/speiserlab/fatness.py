@@ -87,7 +87,8 @@ class PlanarSet:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Membership for a 1-d array of complex points."""
-        return _cover(np.asarray(pts, dtype=complex), self.centers, self.radii) > 0
+        pts = np.asarray(pts, dtype=complex)
+        return _cover(pts, self.centers, self.radii, [0, len(self.radii)]) > 0
 
 
 def _touching(ca, ra, cb, rb) -> np.ndarray:
@@ -109,28 +110,20 @@ def disks_intersect(a: PlanarSet, b: PlanarSet) -> bool:
     return bool(_touching(a.centers, a.radii, b.centers, b.radii).any())
 
 
-def _cover(pts: np.ndarray, centers, radii, bounds=None) -> np.ndarray:
+def _cover(pts: np.ndarray, centers, radii, bounds) -> np.ndarray:
     """Per point of ``pts``: how many disk groups contain it.
 
-    Group g is the disks ``bounds[g]:bounds[g + 1]``, and without ``bounds``
-    all disks form one group; a point counts once per group that has a disk
-    containing it.
+    Group g is the disks ``bounds[g]:bounds[g + 1]``; a point counts once
+    per group that has a disk containing it.
     """
     n = len(radii)
-    # one group reduces with ``any``, which is about 10x cheaper per chunk
-    # than the sparse group sum
-    groups = None
-    if bounds is not None:
-        groups = csr_matrix((np.ones(n, dtype=np.int32), np.arange(n), bounds))
+    groups = csr_matrix((np.ones(n, dtype=np.int32), np.arange(n), bounds))
     step = max(1, _PAIRS // n)
     count = np.empty(len(pts), dtype=np.int64)
     for i in range(0, len(pts), step):
-        # disks along rows, so the reductions run over contiguous rows
+        # disks along rows, so the group sums run over contiguous rows
         inside = np.abs(centers[:, None] - pts[i : i + step]) <= radii[:, None]
-        if groups is None:
-            count[i : i + step] = inside.any(axis=0)
-        else:
-            count[i : i + step] = (groups @ inside.view(np.uint8) > 0).sum(axis=0)
+        count[i : i + step] = (groups @ inside.view(np.uint8) > 0).sum(axis=0)
     return count
 
 
@@ -383,7 +376,14 @@ class HSReport:
     )
 
     def all_pass(self) -> bool:
-        return self.locally_finite and self.overlap_ok and self.adjacency_ok
+        """All four conditions: locally finite, overlap within the bound,
+        adjacent sets meeting, and every set at least ``claimed_tau`` fat."""
+        return (
+            self.locally_finite
+            and self.overlap_ok
+            and self.adjacency_ok
+            and self.worst_fatness >= self.claimed_tau
+        )
 
 
 def check_hs(

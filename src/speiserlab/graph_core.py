@@ -28,9 +28,10 @@ thus builds its graph, validated, in one construction.  The faces a
 rewrite subdivides or fills are those of ``interior_face_mask``, the one
 rule for interior faces, which ``classify`` reads as well.
 
-Circle/cross tags reach a graph only through ``RotationGraph._flat``, from
-``build_graph`` and ``induced_ball``; the Speiser constructions set them
-from ``two_coloring`` after construction.
+Circle/cross tags reach a graph only when it is made: through
+``RotationGraph._flat``, from ``build_graph`` and ``induced_ball``, or as
+the tagged copy that ``two_colored`` returns for the Speiser constructions.
+No module outside this one assigns an attribute of a built graph.
 
 The Graph JSON v1 codec works on the flat arrays too: ``to_json`` writes the
 text straight from ``rot_darts`` and ``rot_offsets``, and ``build_graph``
@@ -649,6 +650,22 @@ def two_coloring(g: RotationGraph) -> dict[int, str] | None:
         return None
     tag = (TAG_CIRCLE, TAG_CROSS)
     return {v: tag[p] for v, p in enumerate(odd.tolist())}
+
+
+def two_colored(g: RotationGraph) -> RotationGraph | None:
+    """``g`` tagged with ``two_coloring(g)``, or None if an odd cycle exists.
+
+    The tagged graph shares ``g``'s read-only arrays and its face and BFS
+    caches, so nothing is validated, traced or searched again.
+    """
+    tags = two_coloring(g)
+    if tags is None:
+        return None
+    out = RotationGraph.__new__(RotationGraph)
+    for name in RotationGraph.__slots__:
+        setattr(out, name, getattr(g, name))
+    out.tags = tags
+    return out
 
 
 def classify(g: RotationGraph) -> GraphClassification:

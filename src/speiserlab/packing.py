@@ -28,7 +28,7 @@ evaluated in log space, which survives boundary radii in the hundreds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -67,7 +67,6 @@ class CirclePacking:
     radii: np.ndarray
     centers: np.ndarray
     boundary_condition: str
-    boundary: list[int]
     interior: list[int]
     label: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -508,7 +507,6 @@ def pack_disk(
         radii=radii,
         centers=centers,
         boundary_condition=boundary,
-        boundary=bverts,
         interior=interior,
         label=label,
         diagnostics=diag,
@@ -615,12 +613,7 @@ class CpTypeReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "radii_list": self.radii_list,
-            "rho": self.rho,
-            "fit": self.fit,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def ratio_trend(ball_builder, n_list: list[int]) -> CpTypeReport:

@@ -29,7 +29,7 @@ from .graph_core import (
     induced_ball,
     interior_face_mask,
     trace_faces,
-    two_coloring,
+    two_colored,
 )
 from .lattices import triangular_ball
 from .refinement import walk_refinement_map
@@ -68,9 +68,8 @@ def build_octagonal_speiser(depth: int) -> RotationGraph:
     # dual vertex ids are the ranks of the kept faces.  Face 0 of the ball is
     # the face of dart 0 at the center vertex 0, and with depth + 2 >= 3 rings
     # it touches no frontier vertex, so it is kept as vertex 0
-    psi = dual(triangular_ball(8, depth + 2))
-    psi.tags = two_coloring(psi)
-    if psi.tags is None:
+    psi = two_colored(dual(triangular_ball(8, depth + 2)))
+    if psi is None:
         raise GraphError("octagon tiling patch is unexpectedly not bipartite")
     return psi
 
@@ -129,17 +128,16 @@ def tree_replace(g: RotationGraph, schedule: GrowthSchedule) -> RotationGraph:
     bigon_keys = 2 * np.stack([slot0[be] + bj, slot0[be] + bj], axis=1).ravel()
     bigon_keys[0::2] += 1
 
-    out = RotationGraph.from_walks(
+    built = RotationGraph.from_walks(
         np.concatenate([tails, bigon_tails]),
         np.concatenate([keys, bigon_keys]),
         np.concatenate([face_lengths, np.full(len(be), 2)]),
         keep=g.n_vertices,
         frontier=g.frontier,
-    ).graph
-    tags = two_coloring(out)
-    if tags is None:
+    )
+    out = two_colored(built.graph)
+    if out is None:
         raise GraphError("tree replacement broke bipartiteness")
-    out.tags = tags
     return out
 
 
@@ -291,14 +289,13 @@ class ExtendedLayerCounts:
     Computed from the base layer structure alone: a vertex at distance d with
     degree ``deg`` carries ``deg`` grid columns whose height-m vertices sit at
     distance d + m, and every base edge contributes a ladder of ring edges.
-    Valid for k <= reliable_k.
+    Valid for k up to the ``k_max`` they were counted to.
     """
 
     sphere_sizes: list[int]
     ball_sizes: list[int]
     cut_sizes: list[int]
     base_sphere_sizes: list[int]
-    reliable_k: int
 
 
 def extended_layer_counts(
@@ -351,7 +348,6 @@ def extended_layer_counts(
         ball_sizes=np.cumsum(sphere).tolist(),
         cut_sizes=cut.tolist(),
         base_sphere_sizes=base_s.tolist(),
-        reliable_k=k_max,
     )
 
 

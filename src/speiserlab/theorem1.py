@@ -94,8 +94,6 @@ def _clip_range(name: str, k_min: int, k_max: int, reliable_depth: int) -> int:
 class GrowthCheck:
     k_min: int
     k_max: int
-    ball_sizes: list[int]
-    bound: list[float]
     holds_all: bool
     first_k_holding: int | None
     failing_k: list[int]
@@ -117,15 +115,11 @@ def verify_growth(gamma: RotationGraph, k_min: int, k_max: int) -> GrowthCheck:
     layers = bfs_layers(gamma, 0)
     k_hi = _clip_range("growth", k_min, k_max, layers.reliable_depth)
     balls = layers.ball_sizes()
-    sizes = [balls[k] for k in range(k_min, k_hi + 1)]
-    bound = [k * math.log(k) for k in range(k_min, k_hi + 1)]
-    ok = [s <= b for s, b in zip(sizes, bound)]
+    ok = [balls[k] <= k * math.log(k) for k in range(k_min, k_hi + 1)]
     failing = [k_min + i for i, o in enumerate(ok) if not o]
     return GrowthCheck(
         k_min=k_min,
         k_max=k_hi,
-        ball_sizes=sizes,
-        bound=bound,
         holds_all=not failing,
         first_k_holding=first_k_holding(ok, k_min),
         failing_k=failing,
@@ -137,7 +131,6 @@ class UpsilonCheck:
     k_min: int
     k_max: int
     sphere_sizes: list[int]
-    sphere_bound: list[float]
     sphere_holds_all: bool
     sphere_first_k_holding: int | None
     ball_constant: float  # fitted C in |B(k)| <= C k^2 ln k
@@ -166,8 +159,7 @@ def verify_upsilon_bounds(
     k_hi = _clip_range("upsilon", max(k_min, 2), k_max, reliable)
     counts = extended_layer_counts(gamma, 0, k_hi)
     sizes = counts.sphere_sizes[k_min : k_hi + 1]
-    bound = [4 * k * math.log(k) for k in range(k_min, k_hi + 1)]
-    ok = [s <= b for s, b in zip(sizes, bound)]
+    ok = [s <= 4 * k * math.log(k) for k, s in enumerate(sizes, k_min)]
     c_fit = max(
         counts.ball_sizes[k] / (k * k * math.log(k))
         for k in range(2, k_hi + 1)
@@ -176,7 +168,6 @@ def verify_upsilon_bounds(
         k_min=k_min,
         k_max=k_hi,
         sphere_sizes=sizes,
-        sphere_bound=bound,
         sphere_holds_all=all(ok),
         sphere_first_k_holding=first_k_holding(ok, k_min),
         ball_constant=c_fit,
@@ -184,10 +175,12 @@ def verify_upsilon_bounds(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Theorem1Config:
-    """Parameters of the default ``theorem1`` run.
+    """Parameters of the default ``theorem1`` run, checked when built.
 
+    Lists (as JSON gives them) become tuples.  A bad schedule, leg-A
+    radius, k range or Doyle depth raises here, before any graph is built.
     ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
     none reads it.  It is kept so that the report records it and config
     files that set it stay valid.
@@ -206,13 +199,23 @@ class Theorem1Config:
     doyle_grid_depth: int = 24
     seed: int = 20080
 
+    def __post_init__(self):
+        for name in ("schedule", "resistance_radii", "ratio_ns"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "vel_annuli", tuple(map(tuple, self.vel_annuli)))
+        GrowthSchedule(self.schedule)
+        _check_leg_a_radii(self)
+        # ln k > 0 from k = 2 on, where the upsilon bounds and fit start
+        for name, least in (("growth", 1), ("upsilon", 2)):
+            lo, hi = getattr(self, f"{name}_k_min"), getattr(self, f"{name}_k_max")
+            if not least <= lo <= hi:
+                raise FrontierError(
+                    f"need {least} <= {name}_k_min <= {name}_k_max: {lo}, {hi}"
+                )
+        check_doyle_depth(self.doyle_n_max, self.doyle_grid_depth)
+
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["schedule"] = list(self.schedule)
-        d["resistance_radii"] = list(self.resistance_radii)
-        d["vel_annuli"] = [list(a) for a in self.vel_annuli]
-        d["ratio_ns"] = list(self.ratio_ns)
-        return d
+        return asdict(self)
 
 
 @dataclass
@@ -224,13 +227,7 @@ class Theorem1Report:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "leg_a": self.leg_a,
-            "leg_b": self.leg_b,
-            "verdicts": self.verdicts,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -242,7 +239,7 @@ def _check_leg_a_radii(config: Theorem1Config) -> None:
     fit inside B(dual_depth), and every ``ratio_ns`` entry must be >= 1."""
     depth = config.dual_depth
     bad = [n for n in config.resistance_radii if not 1 <= n <= depth]
-    bad += [tuple(a) for a in config.vel_annuli if not 0 <= a[0] < a[1] <= depth]
+    bad += [a for a in config.vel_annuli if not 0 <= a[0] < a[1] <= depth]
     bad += [("ratio_ns", n) for n in config.ratio_ns if n < 1]
     if bad:
         raise FrontierError(
@@ -252,21 +249,16 @@ def _check_leg_a_radii(config: Theorem1Config) -> None:
         )
 
 
+def _bound_verdict(holds_all: bool, first_k_holding: int | None) -> str:
+    """A bound checked over a k range: it holds, holds from some k on, or fails."""
+    if holds_all:
+        return "holds"
+    return f"holds from k = {first_k_holding}" if first_k_holding else "fails"
+
+
 def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     """Run both evidence legs and assemble the deterministic report."""
     config = config or Theorem1Config()
-    # a bad schedule, leg-A radius, k range or Doyle depth fails here, before
-    # any graph is built
-    schedule = GrowthSchedule(tuple(config.schedule))
-    _check_leg_a_radii(config)
-    # ln k > 0 from k = 2 on, where the upsilon bounds and fit start
-    for name, least in (("growth", 1), ("upsilon", 2)):
-        lo, hi = getattr(config, f"{name}_k_min"), getattr(config, f"{name}_k_max")
-        if not least <= lo <= hi:
-            raise FrontierError(
-                f"need {least} <= {name}_k_min <= {name}_k_max: {lo}, {hi}"
-            )
-    check_doyle_depth(config.doyle_n_max, config.doyle_grid_depth)
     notes = [
         "verdicts are truncation trends, not proofs",
         "leg A runs on the degree-8 triangulation (the dual of the octagon "
@@ -282,7 +274,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         dual_tri = induced_ball(lattice, config.dual_depth)
     curve = resistance_curve(dual_tri, 0, list(config.resistance_radii))
     res_fit = classify_resistance_curve(curve.radii, curve.resistance)
-    vel_report = vel_type_trend(dual_tri, 0, [tuple(a) for a in config.vel_annuli])
+    vel_report = vel_type_trend(dual_tri, 0, list(config.vel_annuli))
     cp_report = ratio_trend(lambda n: induced_ball(lattice, n), list(config.ratio_ns))
     leg_a = {
         "resistance": curve.to_dict(),
@@ -295,6 +287,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     }
 
     # leg B: growth bounds and recurrence evidence on the stretched base
+    schedule = GrowthSchedule(config.schedule)
     gamma = build_gamma(len(schedule), schedule)
     growth = verify_growth(gamma, config.growth_k_min, config.growth_k_max)
     upsilon = verify_upsilon_bounds(
@@ -324,19 +317,13 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     }
 
     verdicts = {
-        "leg_a_resistance": res_fit.get("verdict", "inconclusive"),
+        "leg_a_resistance": res_fit["verdict"],
         "leg_a_vel": vel_report.verdict,
         "leg_a_cp": cp_report.verdict,
         "leg_b_doyle": doyle.verdict,
-        "leg_b_growth_bound": "holds" if growth.holds_all else (
-            f"holds from k = {growth.first_k_holding}"
-            if growth.first_k_holding
-            else "fails"
-        ),
-        "leg_b_sphere_bound": "holds" if upsilon.sphere_holds_all else (
-            f"holds from k = {upsilon.sphere_first_k_holding}"
-            if upsilon.sphere_first_k_holding
-            else "fails"
+        "leg_b_growth_bound": _bound_verdict(growth.holds_all, growth.first_k_holding),
+        "leg_b_sphere_bound": _bound_verdict(
+            upsilon.sphere_holds_all, upsilon.sphere_first_k_holding
         ),
     }
     if any(v == "inconclusive" for v in verdicts.values()):

@@ -55,12 +55,7 @@ from .errors import GraphError
 from .graph_core import RotationGraph, bfs_layers
 from .refinement import check_metric
 from .sparse_lu import factor
-from .trend import (
-    HYPERBOLIC,
-    INCONCLUSIVE,
-    PARABOLIC,
-    classify_cumulative_sums,
-)
+from .trend import classify_cumulative_sums
 
 REL_GAP = 1e-6
 MAX_IPM_ITERATIONS = 100
@@ -464,14 +459,11 @@ def vel_type_trend(
         acc += est.lower if math.isfinite(est.lower) else 0.0
         cumulative.append(acc)
     fit = classify_cumulative_sums(range(1, len(cumulative) + 1), cumulative)
-    verdict = fit["verdict"]
-    if verdict not in (PARABOLIC, HYPERBOLIC):
-        verdict = INCONCLUSIVE
     return TypeTrendReport(
         annuli=usable,
         estimates=estimates,
         skipped=skipped,
         cumulative_lower=cumulative,
         fit=fit,
-        verdict=verdict,
+        verdict=fit["verdict"],
     )

@@ -15,7 +15,7 @@ height at most n and stays desk-sized even when the faces are huge.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -257,16 +257,7 @@ class DoyleReport:
     verdict: str
 
     def to_dict(self) -> dict:
-        return {
-            "flags": self.flags,
-            "radii": self.radii,
-            "resistance": self.resistance,
-            "nash_williams": self.nash_williams,
-            "cut_sizes": self.cut_sizes,
-            "fit": self.fit,
-            "first_converged": self.first_converged,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def check_doyle_depth(n_max: int, grid_depth: int) -> None:

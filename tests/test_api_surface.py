@@ -6,14 +6,19 @@ at a truncation's frontier; a packing's boundary is its graph's frontier,
 with Euclidean radii 1, and its root is vertex 0; a refinement map is four
 arrays read off a subdivision's walks, and a v-metric is a plain array.
 Interior faces follow one rule, ``interior_face_mask(g)``; tags reach a
-graph only through ``RotationGraph._flat``; an SVG always draws the nerve.
-These tests keep such knobs and wrappers from coming back.
+graph only when it is made (``RotationGraph._flat`` or ``two_colored``),
+and no module outside ``graph_core`` assigns an attribute of a graph; an
+SVG always draws the nerve.  Records serialize from their fields, and
+fields that nothing read are gone.  These tests keep such knobs and
+wrappers from coming back.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +26,17 @@ import speiserlab
 from speiserlab.cli import main
 from speiserlab.fatness import HSReport
 from speiserlab.graph_core import RotationGraph, bfs_layers, dual
-from speiserlab.packing import pack_disk, ratio_trend
+from speiserlab.packing import CirclePacking, CpTypeReport, pack_disk, ratio_trend
 from speiserlab.refinement import RefinementMap, walk_refinement_map
-from speiserlab.speiser import speiser_ball
-from speiserlab.theorem1 import verify_upsilon_bounds
+from speiserlab.speiser import ExtendedLayerCounts, speiser_ball
+from speiserlab.theorem1 import (
+    GrowthCheck,
+    Theorem1Config,
+    Theorem1Report,
+    UpsilonCheck,
+    verify_upsilon_bounds,
+)
+from speiserlab.walk import DoyleReport
 
 REMOVED = {
     "layers",
@@ -88,6 +100,48 @@ def test_refinement_entry_points():
 def test_tags_enter_only_through_flat():
     taking = [name for name, obj in _callables() if "tags" in _parameters(obj)]
     assert taking == ["speiserlab.graph_core.RotationGraph._flat"]
+
+
+def test_no_module_outside_graph_core_assigns_a_graph_attribute():
+    slots = set(RotationGraph.__slots__)
+    bad = []
+    for path in sorted(Path(speiserlab.__file__).parent.glob("*.py")):
+        if path.name == "graph_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr in slots:
+                        bad.append((path.name, node.lineno, t.attr))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                bad.append((path.name, node.lineno, "setattr"))
+    assert bad == []
+
+
+def test_retired_record_fields_are_gone():
+    retired = {
+        CirclePacking: {"boundary"},
+        GrowthCheck: {"ball_sizes", "bound"},
+        UpsilonCheck: {"sphere_bound"},
+        ExtendedLayerCounts: {"reliable_k"},
+    }
+    for cls, names in retired.items():
+        assert not names & {f.name for f in dataclasses.fields(cls)}, cls
+
+
+def test_records_serialize_from_their_fields():
+    config = Theorem1Config()
+    report = Theorem1Report(config=config, leg_a={}, leg_b={}, verdicts={})
+    doyle = DoyleReport([], [1], [0.5], [0.25], [4], {"verdict": "v"}, None, "v")
+    trend = CpTypeReport([2], [0.5], {"verdict": "v"}, "v")
+    for record in (config, report, doyle, trend):
+        assert record.to_dict() == dataclasses.asdict(record)
+    assert report.to_dict()["config"] == config.to_dict()
 
 
 def test_no_constant_knobs():

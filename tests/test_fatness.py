@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,16 @@ def test_check_hs_inscribed_hex_patch():
     assert report.adjacency_ok
     assert report.worst_fatness >= 1 / 16 - 0.01
     assert report.all_pass()
+
+
+def test_all_pass_reads_the_fatness_condition():
+    # the hex2 collection's sets are about 0.13 fat: a claimed 0.99 fails
+    p = pack_disk(triangular_ball(6, 2), boundary=EUCLIDEAN)
+    col = dataclasses.replace(inscribed_collection(p), tau=0.99)
+    report = check_hs(None, col, seed=1)
+    assert report.overlap_ok and report.adjacency_ok and report.locally_finite
+    assert report.worst_fatness < report.claimed_tau == 0.99
+    assert not report.all_pass()
 
 
 def test_check_hs_detects_broken_adjacency():

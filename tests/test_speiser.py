@@ -8,10 +8,12 @@ from speiserlab.graph_core import (
     bfs_layers,
     canonical_form,
     classify,
+    dual,
     euler_characteristic,
     induced_ball,
     to_json,
     trace_faces,
+    two_colored,
     two_coloring,
 )
 from speiserlab.lattices import cycle_graph, grid_patch, triangular_ball
@@ -64,9 +66,19 @@ def test_octagonal_depth6():
     assert psi.tags[0] == "circle"
 
 
-def test_octagonal_dual_is_degree8_triangulation():
-    from speiserlab.graph_core import dual
+def test_two_colored_shares_the_built_arrays_and_caches():
+    g = dual(triangular_ball(8, 3))
+    faces, layers = trace_faces(g), bfs_layers(g, 0)
+    tagged = two_colored(g)
+    assert g.tags is None and tagged.tags == two_coloring(g)
+    for name in ("rot_darts", "rot_offsets", "dart_vertex", "rot_succ", "frontier"):
+        assert getattr(tagged, name) is getattr(g, name)
+    assert trace_faces(tagged) is faces and bfs_layers(tagged, 0) is layers
+    # a triangulation has odd cycles
+    assert two_colored(triangular_ball(6, 2)) is None
 
+
+def test_octagonal_dual_is_degree8_triangulation():
     psi = build_octagonal_speiser(4)
     d = dual(psi)
     c = classify(d)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 
 from speiserlab import theorem1
 from speiserlab.errors import FrontierError, ScheduleError
-from speiserlab.graph_core import bfs_layers, classify, is_isomorphic
+from speiserlab.graph_core import bfs_layers, classify, is_isomorphic, trace_faces
 from speiserlab.lattices import triangular_ball
 from speiserlab.speiser import GrowthSchedule, speiser_ball
 from speiserlab.theorem1 import (
@@ -114,16 +116,13 @@ def test_run_theorem1_identity_schedule_flags_growth():
 
 def test_run_theorem1_even_schedule_errors():
     with pytest.raises(ScheduleError):
-        run_theorem1(Theorem1Config(schedule=(4, 8)))
+        Theorem1Config(schedule=(4, 8))
 
 
-def test_run_theorem1_bad_schedule_fails_before_leg_a(monkeypatch):
-    def no_leg_a(*args, **kwargs):
-        raise AssertionError("leg A ran before the schedule was checked")
-
-    monkeypatch.setattr(theorem1, "triangular_ball", no_leg_a)
-    with pytest.raises(ScheduleError):
-        run_theorem1(Theorem1Config(schedule=(4, 8)))
+def test_run_theorem1_bad_schedule_fails_before_leg_a():
+    # the config checks itself when built, so a bad one never reaches a run
+    with pytest.raises(ScheduleError, match="tree length 4"):
+        Theorem1Config(schedule=[4, 8])
 
 
 @pytest.mark.parametrize(
@@ -135,28 +134,15 @@ def test_run_theorem1_bad_schedule_fails_before_leg_a(monkeypatch):
         {"vel_annuli": ((2, 2),)},
     ],
 )
-def test_run_theorem1_bad_leg_a_radius_fails_before_any_graph(monkeypatch, bad):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("a graph was built before the radii were checked")
-
-    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
-    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+def test_run_theorem1_bad_leg_a_radius_fails_before_any_graph(bad):
     with pytest.raises(FrontierError, match="dual ball of depth 7"):
-        run_theorem1(Theorem1Config(**bad))
+        Theorem1Config(**bad)
 
 
 @pytest.mark.parametrize("n_max, grid_depth", [(25, 24), (9, 8)])
-def test_run_theorem1_doyle_past_grid_depth_fails_before_any_graph(
-    monkeypatch, n_max, grid_depth
-):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("a graph was built before the Doyle depth was checked")
-
-    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
-    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
-    config = Theorem1Config(doyle_n_max=n_max, doyle_grid_depth=grid_depth)
+def test_run_theorem1_doyle_past_grid_depth_fails_before_any_graph(n_max, grid_depth):
     with pytest.raises(FrontierError, match=f"exceeds the grid depth {grid_depth}"):
-        run_theorem1(config)
+        Theorem1Config(doyle_n_max=n_max, doyle_grid_depth=grid_depth)
 
 
 @pytest.mark.parametrize(
@@ -171,14 +157,21 @@ def test_run_theorem1_doyle_past_grid_depth_fails_before_any_graph(
         ({"ratio_ns": (0, 2)}, "ratio_ns"),
     ],
 )
-def test_run_theorem1_bad_range_fails_before_any_graph(monkeypatch, bad, message):
-    def no_graph(*args, **kwargs):
-        raise AssertionError("a graph was built before the ranges were checked")
-
-    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
-    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+def test_run_theorem1_bad_range_fails_before_any_graph(bad, message):
     with pytest.raises(FrontierError, match=message):
-        run_theorem1(Theorem1Config(**bad))
+        Theorem1Config(**bad)
+
+
+def test_config_is_frozen_and_holds_tuples():
+    config = Theorem1Config(
+        schedule=[3, 5], vel_annuli=[[1, 2], [2, 4]], resistance_radii=[1, 2], ratio_ns=[2]
+    )
+    assert config.schedule == (3, 5)
+    assert config.vel_annuli == ((1, 2), (2, 4))
+    assert (config.resistance_radii, config.ratio_ns) == ((1, 2), (2,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.dual_depth = 8
+    assert json.loads(json.dumps(config.to_dict()))["vel_annuli"] == [[1, 2], [2, 4]]
 
 
 def test_bound_checks_reject_a_range_past_the_reliable_depth():
@@ -262,3 +255,24 @@ def test_default_run_searches_each_graph_and_root_once(monkeypatch):
     assert [n for (size, _, root), n in searches.items() if size == gamma_vertices] == [1]
     assert set(searches.values()) == {1}
     assert {root for *_, root in searches} == {0}
+
+
+def test_gamma_faces_are_traced_only_by_from_walks(monkeypatch):
+    # trace_faces labels the face permutation's cycles by a directed
+    # connected_components call over the darts; from_walks needs none
+    from speiserlab import graph_core
+    from speiserlab.walk import doyle_test
+
+    traced = []
+    components = graph_core.connected_components
+
+    def counted(m, directed, **kwargs):
+        if directed:
+            traced.append(m.shape[0])
+        return components(m, directed=directed, **kwargs)
+
+    monkeypatch.setattr(graph_core, "connected_components", counted)
+    gamma = build_gamma(2, GrowthSchedule((21, 8103)))
+    doyle_test(gamma, 24, 0, 24)
+    assert gamma.tags[0] == "circle" and len(trace_faces(gamma)) > 0
+    assert traced and gamma.n_darts not in traced
