@@ -65,7 +65,6 @@ from .theorem1 import (
 from .vel import VelEstimate, metric_objective, solve_vel, vel_type_trend
 from .walk import (
     doyle_test,
-    effective_resistance,
     nash_williams_sum,
     resistance_curve,
     upsilon_resistance_curve,

@@ -14,7 +14,7 @@ bound on the true infimum.  Growing the radius count never increases the
 estimate (prefix sampling).
 
 The overlap of a disk family is counted exactly, at the points where the
-greatest overlap of closed disks is attained (``_max_overlap``).
+greatest overlap of closed disks is attained (``_overlaps``).
 
 Membership, intersection and connectivity are broadcasts over the center
 and radius arrays of ``PlanarSet``, in chunks of at most ``_PAIRS`` pairs;
@@ -295,12 +295,14 @@ def fatness_estimate(
     return float(_cap_fractions(s.centers, s.radii, x, r).min(initial=1.0))
 
 
-def _max_overlap(centers, radii, bounds) -> int:
-    """Greatest number of disk groups of ``_cover`` that share one point.
+def _overlaps(centers, radii, bounds) -> tuple[int, set[tuple[int, int]]]:
+    """Greatest number of disk groups of ``_cover`` that share one point, and
+    the pairs g <= h of groups that meet, both read off the touching disks.
 
-    The groups containing a point p each have a disk containing p, and the
-    intersection of those disks either is one of them, and holds its
-    center, or has a corner where two of their circles meet.  So the
+    Groups g < h meet where a disk of g touches one of h; each group meets
+    itself.  The groups containing a point p each have a disk containing p,
+    and the intersection of those disks either is one of them, and holds
+    its center, or has a corner where two of their circles meet.  So the
     greatest overlap is attained at a disk center or at a meeting point of
     two circles; tangency points count, within the tolerance of
     ``_touching``.
@@ -313,11 +315,14 @@ def _max_overlap(centers, radii, bounds) -> int:
         i.append(rows[row])
         j.append(col)
     i, j = np.concatenate(i), np.concatenate(j)
+    group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    meeting = set(zip(group[i].tolist(), group[j].tolist()))
+    meeting |= {(g, g) for g in range(len(bounds) - 1)}
     phi, alpha, meet = _meets(centers[i], radii[i], centers[j], radii[j])
     turn = np.exp(1j * (phi + np.multiply.outer([-1.0, 1.0], alpha)))
     crossings = (centers[i] + radii[i] * turn)[:, meet]
     pts = np.concatenate([centers, crossings.ravel()])
-    return int(_cover(pts, centers, radii * _MEET, bounds).max())
+    return int(_cover(pts, centers, radii * _MEET, bounds).max()), meeting
 
 
 def check_union_fat(
@@ -397,11 +402,12 @@ def check_hs(
     With ``g`` given, every vertex v of ``g`` must index a set, keyed v or
     ``("v", v)`` as ``inscribed_collection`` keys them, and adjacency is
     read off the edges of ``g``; otherwise the collection's own adjacency
-    list is used.  The overlap is counted exactly (``_max_overlap``); each
-    set's fatness is ``fatness_estimate`` with 6 radii, 8 random centers and
-    seed ``seed + 3 + j`` for the j-th set in ``repr`` order.  ``samples``
-    has no effect on the result; it is kept for callers that pass it, and
-    must be positive.
+    list is used.  One pass over the touching disks (``_overlaps``) decides
+    which sets meet and counts the overlap exactly; each set's fatness is
+    ``fatness_estimate`` with 6 radii, 8 random centers and seed
+    ``seed + 3 + j`` for the j-th set in ``repr`` order.  ``samples`` has no
+    effect on the result; it is kept for callers that pass it, and must be
+    positive.
     """
     if samples < 1:
         raise GeometryError("sample counts must be positive")
@@ -416,13 +422,14 @@ def check_hs(
     else:
         adjacency = collection.adjacency
 
-    missing = [(a, b) for a, b in adjacency if not disks_intersect(sets[a], sets[b])]
-
     keys = sorted(sets.keys(), key=repr)
     centers = np.concatenate([sets[k].centers for k in keys])
     radii = np.concatenate([sets[k].radii for k in keys])
     bounds = np.cumsum([0] + [len(sets[k].radii) for k in keys])
-    counts_max = _max_overlap(centers, radii, bounds)
+    counts_max, meeting = _overlaps(centers, radii, bounds)
+    index = {k: n for n, k in enumerate(keys)}  # the groups of _overlaps
+    pairs = [tuple(sorted((index[a], index[b]))) for a, b in adjacency]
+    missing = [(a, b) for (a, b), pair in zip(adjacency, pairs) if pair not in meeting]
 
     worst = min(
         fatness_estimate(sets[k], n_radii=6, seed=seed + 3 + j, n_centers=8)

@@ -595,12 +595,18 @@ class LayerDecomposition:
         return self._cut_counts.tolist()
 
 
+def cut_counts(du: np.ndarray, dv: np.ndarray, n: int) -> np.ndarray:
+    """|E(k)| for k < n of the edges with ends at distances ``du``, ``dv``
+    from the root (at most one apart): per k, the edges from S(k) to S(k+1)."""
+    return np.bincount(np.minimum(du, dv)[du != dv], minlength=n)
+
+
 def bfs_layers(g: RotationGraph, root: int) -> LayerDecomposition:
     """BFS distances from ``root``, cached on the graph per root.
 
     Every reader of spheres, balls or cut sets around ``root`` (multiplicity
     kept) takes them from this layering, so a graph is searched once per
-    root.  The cut sizes |E(n)| are counted here, from the edges' ends.
+    root.  The cut sizes |E(n)| are counted here, by ``cut_counts``.
     """
     layers = g._layers.get(root)
     if layers is not None:
@@ -613,7 +619,7 @@ def bfs_layers(g: RotationGraph, root: int) -> LayerDecomposition:
     du, dv = dist[g.dart_vertex[0::2]], dist[g.dart_vertex[1::2]]
     if (np.abs(du - dv) > 1).any():
         raise GraphError("BFS layering broken: edge skips a sphere")
-    cuts = np.bincount(np.minimum(du, dv)[du != dv], minlength=depth)
+    cuts = cut_counts(du, dv, depth)
     front = dist[np.fromiter(g.frontier, np.int64, len(g.frontier))]
     dist.flags.writeable = cuts.flags.writeable = False
     layers = g._layers[root] = LayerDecomposition(

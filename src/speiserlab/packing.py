@@ -130,7 +130,11 @@ def _hyp_corner(h, cv, cu, cw):
     log sinh is taken once per vertex and gathered per corner; only the
     corner's perimeter term needs its own.
     """
-    log_sinh = _log_sinh(h)
+    return _hyp_corner_from(h, _log_sinh(h), cv, cu, cw)
+
+
+def _hyp_corner_from(h, log_sinh, cv, cu, cw):
+    """``_hyp_corner`` with the label's ``_log_sinh`` already taken."""
     perimeter = _log_sinh(h[cv] + h[cu] + h[cw])
     log_t2 = log_sinh[cu] + log_sinh[cw] - log_sinh[cv] - perimeter
     return 2.0 * np.arctan(np.exp(0.5 * log_t2))
@@ -418,13 +422,14 @@ def _euclid_place(r, centers, u, v, w) -> np.ndarray:
     return cu + (cv - cu) / dd * (x - 1j * y)
 
 
-def _hyp_place(h, centers, u, v, w) -> np.ndarray:
+def _hyp_place(h, log_sinh, centers, u, v, w) -> np.ndarray:
     """Poincare-disk centers of circles w tangent to u and v, right of
     u -> v: a Mobius map moves u to 0, w goes at the hyperbolic angle of the
-    triangle clockwise from v's direction, and the map is undone."""
+    triangle clockwise from v's direction, and the map is undone.
+    ``log_sinh`` is ``_log_sinh(h)``, taken once per layout."""
     c = centers[u]
     vz = (centers[v] - c) / (1 - c.conj() * centers[v])
-    alpha = _hyp_corner(h, u, v, w)
+    alpha = _hyp_corner_from(h, log_sinh, u, v, w)
     rad = np.tanh((h[u] + h[w]) / 2)
     wz = rad * np.exp(1j * (np.angle(vz) - alpha))
     return (wz + c) / (1 + c.conj() * wz)
@@ -496,7 +501,8 @@ def pack_disk(
         darts = around_root[~on_rim[g.dart_vertex[around_root ^ 1]]]
         if layout and len(darts):
             reach = math.tanh((label[0] + label[g.dart_vertex[darts[0] ^ 1]]) / 2)
-            centers = _layout(g, darts[0], reach, partial(_hyp_place, label), ~on_rim)
+            place = partial(_hyp_place, label, _log_sinh(label))
+            centers = _layout(g, darts[0], reach, place, ~on_rim)
         else:
             centers[0] = 0.0
         centers, radii = _disk_circle(centers, label)

@@ -295,59 +295,39 @@ class ExtendedLayerCounts:
     sphere_sizes: list[int]
     ball_sizes: list[int]
     cut_sizes: list[int]
-    base_sphere_sizes: list[int]
 
 
 def extended_layer_counts(
-    g: RotationGraph,
-    root: int,
-    k_max: int,
-    grid_depth: int | None = None,
+    g: RotationGraph, root: int, k_max: int
 ) -> ExtendedLayerCounts:
-    """Exact |S(k)|, |B(k)|, |E(k)| tables around ``root`` for the extension of ``g``.
+    """Exact |S(k)|, |B(k)|, |E(k)| tables around ``root`` for the extension
+    of ``g`` with unbounded grids, the true extended graph.
 
-    Requires the base layers to be reliable up to ``k_max``.  With
-    ``grid_depth=None`` the grids are unbounded (the true extended graph);
-    otherwise columns stop at that height.
+    Requires the base layers to be reliable up to ``k_max``.
     """
     layers = bfs_layers(g, root)
     if g.frontier and k_max > layers.reliable_depth:
         raise FrontierError(
             f"k_max {k_max} exceeds base reliable depth {layers.reliable_depth}"
         )
-    gd = grid_depth if grid_depth is not None else k_max + 1
 
-    def per_distance(dist: np.ndarray) -> np.ndarray:
-        return np.bincount(dist[dist <= k_max], minlength=k_max + 1)
-
-    # vertices, and degree sums (grid columns starting there: one per dart),
-    # at each distance
-    base_s = per_distance(layers.dist)
-    deg_at = per_distance(layers.dist[g.dart_vertex])
+    # vertices, and grid columns (one per dart), starting at each distance
+    dist, tails = layers.dist, layers.dist[g.dart_vertex]
+    base_s = np.bincount(dist[dist <= k_max], minlength=k_max + 1)
+    deg_at = np.bincount(tails[tails <= k_max], minlength=k_max + 1)
     cuts = layers.cut_sizes()[:k_max]
     base_cut = np.array(cuts + [0] * (k_max - len(cuts)), dtype=np.int64)
-
-    def windowed(hist: np.ndarray, ks: np.ndarray, lo_off: int, hi_off: int):
-        # per k: sum of hist[d] over max(0, k - lo_off) <= d <= k - hi_off,
-        # as a difference of prefix sums
-        prefix = np.concatenate([[0], np.cumsum(hist)])
-        lo = np.clip(ks - lo_off, 0, len(hist))
-        hi = ks - hi_off
-        return np.where(hi >= lo, prefix[np.maximum(hi + 1, 0)] - prefix[lo], 0)
-
-    # |S_ext(k)| = |S(k)| + #(columns at height 1..gd): positions with
-    # k - gd <= D <= k - 1
-    ks = np.arange(k_max + 1)
-    sphere = base_s + windowed(deg_at, ks, gd, 1)
-    # |E_ext(k)|: base cut + vertical edges m -> m+1 with m + D = k, m < gd
-    #           + ring ladders at heights 1..gd over both sides of base edges
-    ks = ks[:k_max]
-    cut = base_cut + windowed(deg_at, ks, gd - 1, 0) + 2 * windowed(base_cut, ks, gd, 1)
+    # the columns starting at distances d <= k
+    columns = np.cumsum(deg_at)
+    # |S_ext(k)| = |S(k)| + one vertex, at height k - d, per column with d < k
+    sphere = base_s + columns - deg_at
+    # |E_ext(k)| = |E(k)| + one vertical edge per column with d <= k + the
+    #              ring rungs at height k - d over both sides of E(d), d < k
+    cut = base_cut + columns[:k_max] + 2 * (np.cumsum(base_cut) - base_cut)
     return ExtendedLayerCounts(
         sphere_sizes=sphere.tolist(),
         ball_sizes=np.cumsum(sphere).tolist(),
         cut_sizes=cut.tolist(),
-        base_sphere_sizes=base_s.tolist(),
     )
 
 

@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .errors import FrontierError, ScheduleError
 from .graph_core import RotationGraph, bfs_layers, classify, induced_ball
 from .lattices import triangular_ball
@@ -179,8 +177,9 @@ def verify_upsilon_bounds(
 class Theorem1Config:
     """Parameters of the default ``theorem1`` run, checked when built.
 
-    Lists (as JSON gives them) become tuples.  A bad schedule, leg-A
-    radius, k range or Doyle depth raises here, before any graph is built.
+    Lists (as JSON gives them) become tuples.  A float or bool anywhere, a
+    bad schedule, leg-A radius, k range or Doyle depth raises here, before
+    any graph is built.
     ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
     none reads it.  It is kept so that the report records it and config
     files that set it stay valid.
@@ -203,6 +202,15 @@ class Theorem1Config:
         for name in ("schedule", "resistance_radii", "ratio_ns"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "vel_annuli", tuple(map(tuple, self.vel_annuli)))
+        values = asdict(self) | {"vel_annuli": sum(self.vel_annuli, ())}
+        bad = [
+            (name, x)
+            for name, v in values.items()
+            for x in (v if isinstance(v, tuple) else (v,))
+            if isinstance(x, bool) or not isinstance(x, int)
+        ]
+        if bad:
+            raise TypeError(f"config values must be integers: {bad}")
         GrowthSchedule(self.schedule)
         _check_leg_a_radii(self)
         # ln k > 0 from k = 2 on, where the upsilon bounds and fit start
@@ -303,7 +311,6 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         root=0,
         n_max=config.doyle_n_max,
     )
-    max_deg = int(np.diff(gamma.rot_offsets)[gamma.interior_vertices()].max())
     leg_b = {
         "schedule": list(config.schedule),
         "gamma_vertices": gamma.n_vertices,
@@ -313,7 +320,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         "nash_williams_strictly_increasing": nw_strict,
         "nash_williams_no_plateau": nw_no_plateau,
         "doyle": doyle.to_dict(),
-        "gamma_interior_max_degree": max_deg,
+        "gamma_interior_max_degree": classify(gamma).max_degree,
     }
 
     verdicts = {

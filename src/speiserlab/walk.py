@@ -4,7 +4,9 @@ Effective resistance from a root to a grounded combinatorial sphere, the
 Nash-Williams cut-sum lower bound, and the full pipeline: glue square-grid
 cylinders into every face of a Speiser graph and test the result for
 recurrence.  Every edge (each parallel copy separately) is a unit resistor,
-matching simple random walk on the multigraph.
+matching simple random walk on the multigraph.  A resistance curve carries
+the cut sizes of the network it solved, so the cut-sum bound is read off
+the same network as R(n).
 
 For the pipeline the extended graph's ball is assembled implicitly from the
 face walks: a grid node over walk position i at height m sits at distance
@@ -15,15 +17,15 @@ height at most n and stays desk-sized even when the faces are huge.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.sparse import csc_matrix
 
 from .errors import FrontierError, GraphError
-from .graph_core import RotationGraph, bfs_layers, classify, trace_faces
+from .graph_core import RotationGraph, bfs_layers, classify, cut_counts, trace_faces
 from .sparse_lu import factor
-from .speiser import extended_layer_counts
 from .trend import classify_resistance_curve, first_converged_n
 
 
@@ -106,16 +108,15 @@ def _ball_resistances(
     return [solved[n][0] for n in n_list], [solved[n][1] for n in n_list]
 
 
-def effective_resistance(g: RotationGraph, root: int, n: int) -> float:
-    """Resistance from root to the short-circuited sphere S(n)."""
-    return resistance_curve(g, root, [n]).resistance[0]
-
-
 @dataclass
 class ResistanceCurve:
+    """R(n) to the short-circuited spheres S(n), the residuals of the solves
+    and the cut sizes |E(k)|, k < max n, all on the network that was solved."""
+
     radii: list[int]
     resistance: list[float]
-    residuals: list[float] = field(default_factory=list)
+    residuals: list[float]
+    cut_sizes: list[int]
 
     def to_dict(self) -> dict:
         return {"radii": self.radii, "resistance": self.resistance}
@@ -139,19 +140,16 @@ def resistance_curve(g: RotationGraph, root: int, n_list: list[int]) -> Resistan
     rs, residuals = _ball_resistances(
         g.n_vertices, *_edge_arrays(g), layers.dist, root, n_list
     )
-    return ResistanceCurve(radii=list(n_list), resistance=rs, residuals=residuals)
+    cuts = layers.cut_sizes()[: max(n_list, default=0)]
+    return ResistanceCurve(list(n_list), rs, residuals, cuts)
 
 
 def nash_williams_sum(cut_sizes: Sequence[int]) -> list[float]:
     """Partial sums P(n) = sum_{k < n} 1 / |E(k)| of the cut sizes |E(k)|."""
-    sums = []
-    acc = 0.0
-    for k, c in enumerate(cut_sizes):
-        if not c:
-            raise GraphError(f"empty cut set at radius {k}")
-        acc += 1.0 / c
-        sums.append(acc)
-    return sums
+    cut_sizes = list(cut_sizes)
+    if 0 in cut_sizes:
+        raise GraphError(f"empty cut set at radius {cut_sizes.index(0)}")
+    return list(accumulate(1.0 / c for c in cut_sizes))
 
 
 # -- implicit ball of the extended graph -----------------------------------
@@ -239,10 +237,10 @@ def upsilon_resistance_curve(
         raise FrontierError(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"
         )
-    rs, residuals = _ball_resistances(
-        *_upsilon_ball(g, root, n_max, grid_depth=grid_depth), root, n_list
-    )
-    return ResistanceCurve(radii=list(n_list), resistance=rs, residuals=residuals)
+    n_nodes, u, v, dist = _upsilon_ball(g, root, n_max, grid_depth=grid_depth)
+    rs, residuals = _ball_resistances(n_nodes, u, v, dist, root, n_list)
+    cuts = cut_counts(dist[u], dist[v], n_max).tolist()
+    return ResistanceCurve(list(n_list), rs, residuals, cuts)
 
 
 @dataclass
@@ -298,24 +296,20 @@ def doyle_test(
         raise FrontierError("no reliable radius at all")
     radii = list(range(1, n_eff + 1))
     curve = upsilon_resistance_curve(speiser_graph, root, radii, grid_depth=grid_depth)
-    counts = extended_layer_counts(speiser_graph, root, n_eff, grid_depth=grid_depth)
-    cut_sizes = counts.cut_sizes
-    nw = nash_williams_sum(cut_sizes)
+    nw = nash_williams_sum(curve.cut_sizes)
     for n, r in zip(radii, curve.resistance):
         if r < nw[n - 1] - 1e-9:
             flags.append(f"cut-sum lower bound violated at n={n}: {r} < {nw[n-1]}")
-    if len(radii) < 3:
-        fit = {"verdict": "inconclusive", "reason": "insufficient data"}
-    else:
+    fit = {"verdict": "inconclusive", "reason": "insufficient data"}
+    if len(radii) >= 3:
         fit = classify_resistance_curve(radii, curve.resistance)
-    verdict = fit["verdict"]
     return DoyleReport(
         flags=flags,
         radii=radii,
         resistance=curve.resistance,
         nash_williams=nw,
-        cut_sizes=cut_sizes,
+        cut_sizes=curve.cut_sizes,
         fit=fit,
         first_converged=first_converged_n(radii, curve.resistance),
-        verdict=verdict,
+        verdict=fit["verdict"],
     )

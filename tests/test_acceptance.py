@@ -236,7 +236,7 @@ def test_acceptance_07_type_dichotomy():
 
 
 def test_acceptance_08_resistance_controls():
-    from speiserlab.walk import effective_resistance, resistance_curve
+    from speiserlab.walk import resistance_curve
 
     g = square_ball(66)
     ns = [8, 11, 16, 23, 32, 45, 64]

@@ -9,8 +9,10 @@ Interior faces follow one rule, ``interior_face_mask(g)``; tags reach a
 graph only when it is made (``RotationGraph._flat`` or ``two_colored``),
 and no module outside ``graph_core`` assigns an attribute of a graph; an
 SVG always draws the nerve.  Records serialize from their fields, and
-fields that nothing read are gone.  These tests keep such knobs and
-wrappers from coming back.
+fields that nothing read are gone.  ``extended_layer_counts`` counts the
+true extension only (a truncated grid is counted on the ball that
+``doyle_test`` solves), and ``effective_resistance`` is gone.  These tests
+keep such knobs and wrappers from coming back.
 """
 
 import ast
@@ -28,7 +30,7 @@ from speiserlab.fatness import HSReport
 from speiserlab.graph_core import RotationGraph, bfs_layers, dual
 from speiserlab.packing import CirclePacking, CpTypeReport, pack_disk, ratio_trend
 from speiserlab.refinement import RefinementMap, walk_refinement_map
-from speiserlab.speiser import ExtendedLayerCounts, speiser_ball
+from speiserlab.speiser import ExtendedLayerCounts, extended_layer_counts, speiser_ball
 from speiserlab.theorem1 import (
     GrowthCheck,
     Theorem1Config,
@@ -128,10 +130,19 @@ def test_retired_record_fields_are_gone():
         CirclePacking: {"boundary"},
         GrowthCheck: {"ball_sizes", "bound"},
         UpsilonCheck: {"sphere_bound"},
-        ExtendedLayerCounts: {"reliable_k"},
+        ExtendedLayerCounts: {"reliable_k", "base_sphere_sizes"},
     }
     for cls, names in retired.items():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls
+
+
+def test_closed_form_counts_cover_the_true_extension_only():
+    # truncated grids are counted on the ball that walk.doyle_test solves
+    assert _parameters(extended_layer_counts) == ["g", "root", "k_max"]
+    fields = [f.name for f in dataclasses.fields(ExtendedLayerCounts)]
+    assert fields == ["sphere_sizes", "ball_sizes", "cut_sizes"]
+    assert not hasattr(speiserlab.walk, "effective_resistance")
+    assert not hasattr(speiserlab, "effective_resistance")
 
 
 def test_records_serialize_from_their_fields():

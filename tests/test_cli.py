@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from speiserlab import theorem1
 from speiserlab.cli import main
 from speiserlab.graph_core import build_graph
 
@@ -180,6 +181,28 @@ def test_theorem1_malformed_config_exits_2(tmp_path, capsys):
     cfile.write_text('{"schedule": [3, 5],')
     assert main(["theorem1", "--config", str(cfile)]) == 2
     assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"growth_k_max": 8000.5},
+        {"doyle_n_max": 24.0},
+        {"ratio_ns": [2, 3, 4.0, 5, 6]},
+        {"dual_depth": True},
+    ],
+)
+def test_theorem1_non_integer_config_exits_2(bad, tmp_path, capsys, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps(bad))
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err and "must be integers" in err
 
 
 def test_theorem1_unknown_config_key_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from speiserlab import fatness
 from speiserlab.errors import GeometryError
 from speiserlab.fatness import (
     PlanarSet,
@@ -184,6 +185,34 @@ def test_check_hs_reads_adjacency_off_the_graph():
     del col.sets[("v", 1)]
     with pytest.raises(GeometryError):
         check_hs(p.graph, col, samples=2_000, seed=6)
+
+
+def test_check_hs_missing_adjacencies_match_pair_loop(monkeypatch):
+    # one pass over the touching disks decides every adjacency; a per-pair
+    # disks_intersect loop is the reference, in the adjacency list's order
+    rng = np.random.default_rng(11)
+    sets = {("v", 0): ((0j, 1.0),), ("e", 1): ((2 + 0j, 1.0),)}  # tangent
+    for k in range(2, 30):
+        z = complex(*rng.uniform(0, 8, 2))
+        disks = [(z, float(rng.uniform(0.2, 1.0)))]
+        for _ in range(int(rng.integers(0, 3))):
+            c, r = disks[-1]
+            step = r * np.exp(2j * np.pi * rng.random())
+            disks.append((c + step, float(rng.uniform(0.2, 1.0))))
+        sets[("v" if k % 3 else "e", k)] = tuple(disks)
+    keys = list(sets)
+    adjacency = [(keys[0], keys[1]), (keys[1], keys[0]), (keys[5], keys[5])]
+    adjacency += [tuple(keys[i] for i in rng.choice(len(keys), 2)) for _ in range(120)]
+    want = [
+        (a, b)
+        for a, b in adjacency
+        if not disks_intersect(PlanarSet(sets[a]), PlanarSet(sets[b]))
+    ]
+    assert 0 < len(want) < len(adjacency) - 3
+    col = FatCollection(sets=sets, adjacency=adjacency, tau=0.01, overlap_bound=9)
+    monkeypatch.setattr(fatness, "disks_intersect", None)
+    report = check_hs(None, col, seed=2)
+    assert report.missing_adjacencies == want
 
 
 def test_check_hs_disjoint_family_fails():

@@ -311,26 +311,32 @@ def _reference_layer_counts(g, dist, k_max, grid_depth=None):
         base_cut[k] + windowed(deg_at, k, gd - 1, 0) + 2 * windowed(base_cut, k, gd, 1)
         for k in range(k_max)
     ]
-    return sphere, ball, cut, base_s
+    return sphere, ball, cut
 
 
 def test_extended_layer_counts_match_loop_reference_on_gamma():
+    from speiserlab import walk
+    from speiserlab.graph_core import cut_counts
     from speiserlab.theorem1 import build_gamma
+    from speiserlab.walk import upsilon_resistance_curve
 
     gamma = build_gamma(2, GrowthSchedule((21, 8103)))
     layers = bfs_layers(gamma, 0)
     dist = layers.dist.tolist()
     k_max = min(2000, layers.reliable_depth)
-    for grid_depth in (None, 24):
-        counts = extended_layer_counts(gamma, 0, k_max, grid_depth=grid_depth)
-        got = (
-            counts.sphere_sizes,
-            counts.ball_sizes,
-            counts.cut_sizes,
-            counts.base_sphere_sizes,
-        )
-        assert got == _reference_layer_counts(gamma, dist, k_max, grid_depth)
-        assert all(type(x) is int for x in counts.ball_sizes + counts.cut_sizes)
+    counts = extended_layer_counts(gamma, 0, k_max)
+    got = (counts.sphere_sizes, counts.ball_sizes, counts.cut_sizes)
+    assert got == _reference_layer_counts(gamma, dist, k_max)
+    assert all(type(x) is int for x in counts.ball_sizes + counts.cut_sizes)
+    # grids cut at height 24: the ball the Doyle test solves counts its own
+    # cuts, past the grid depth as well
+    curve = upsilon_resistance_curve(gamma, 0, [3, 40], grid_depth=24)
+    assert curve.cut_sizes == _reference_layer_counts(gamma, dist, 40, 24)[2]
+    assert curve.cut_sizes[30:] != counts.cut_sizes[30:40]
+    # the same count on that ball out to k_max, without the solves
+    _, u, v, ball_dist = walk._upsilon_ball(gamma, 0, k_max, grid_depth=24)
+    cuts = cut_counts(ball_dist[u], ball_dist[v], k_max).tolist()
+    assert cuts == _reference_layer_counts(gamma, dist, k_max, 24)[2]
 
 
 def test_speiser_ball_keeps_psi_tags():

@@ -162,6 +162,26 @@ def test_run_theorem1_bad_range_fails_before_any_graph(bad, message):
         Theorem1Config(**bad)
 
 
+NON_INTEGER_CONFIGS = [
+    {"growth_k_max": 8000.5},
+    {"doyle_n_max": 24.0},
+    {"ratio_ns": [2, 3, 4.0, 5, 6]},
+    {"dual_depth": True},
+    {"vel_annuli": [[1, 2], [2, 4.0]]},
+]
+
+
+@pytest.mark.parametrize("bad", NON_INTEGER_CONFIGS)
+def test_non_integer_config_values_fail_before_any_graph(bad, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    with pytest.raises(TypeError, match="must be integers"):
+        Theorem1Config(**bad)
+
+
 def test_config_is_frozen_and_holds_tuples():
     config = Theorem1Config(
         schedule=[3, 5], vel_annuli=[[1, 2], [2, 4]], resistance_radii=[1, 2], ratio_ns=[2]

@@ -16,7 +16,6 @@ from speiserlab.speiser import GrowthSchedule, speiser_ball, tree_replace
 from speiserlab.trend import RECURRENT, TRANSIENT, fit_linear
 from speiserlab.walk import (
     doyle_test,
-    effective_resistance,
     nash_williams_sum,
     resistance_curve,
     upsilon_resistance_curve,
@@ -25,19 +24,19 @@ from speiserlab.walk import (
 
 def test_series_path():
     g = path_graph(4)
-    assert effective_resistance(g, 0, 3) == pytest.approx(3.0, abs=1e-12)
+    assert resistance_curve(g, 0, [3]).resistance[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_parallel_edges():
     g = cycle_graph(2)  # two parallel edges
-    assert effective_resistance(g, 0, 1) == pytest.approx(0.5, abs=1e-12)
+    assert resistance_curve(g, 0, [1]).resistance[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_tree_series_parallel_closed_form():
     g = regular_tree(3, 9)
     for n in (1, 3, 6, 9):
         expect = sum(1.0 / (3 * 2**k) for k in range(n))
-        got = effective_resistance(g, 0, n)
+        got = resistance_curve(g, 0, [n]).resistance[0]
         assert got == pytest.approx(expect, abs=1e-9)
     # converges within 1% quickly
     curve = resistance_curve(g, 0, list(range(1, 10)))
@@ -90,7 +89,7 @@ def test_tree_nash_williams_converges():
 def test_rayleigh_monotonicity_edge_deletion():
     g = square_ball(6)
     layers = bfs_layers(g, 0)
-    base = effective_resistance(g, 0, 5)
+    base = resistance_curve(g, 0, [5]).resistance[0]
     rng = np.random.default_rng(7)
     from speiserlab.graph_core import RotationGraph
     from speiserlab.walk import _ball_resistances, _edge_arrays
@@ -154,7 +153,7 @@ def test_resistance_curve_around_a_nonzero_root():
 def test_frontier_rejected():
     g = square_ball(4)
     with pytest.raises(FrontierError):
-        effective_resistance(g, 0, 5)
+        resistance_curve(g, 0, [5])
 
 
 def test_upsilon_curve_matches_materialized_extension():
@@ -167,9 +166,10 @@ def test_upsilon_curve_matches_materialized_extension():
     n_list = [1, 2, 3, 4]
     implicit = upsilon_resistance_curve(g, 0, n_list, grid_depth=8)
     ups = extend_speiser(g, 8)
-    explicit = [effective_resistance(ups, 0, n) for n in n_list]
+    explicit = [resistance_curve(ups, 0, [n]).resistance[0] for n in n_list]
     for a, b in zip(implicit.resistance, explicit):
         assert a == pytest.approx(b, abs=1e-9)
+    assert implicit.cut_sizes == bfs_layers(ups, 0).cut_sizes()[:4]
 
 
 def test_curves_report_their_solve_residuals():
@@ -181,6 +181,37 @@ def test_curves_report_their_solve_residuals():
     ups = upsilon_resistance_curve(speiser_ball(2), 0, [1, 2])
     assert len(ups.residuals) == 2
     assert all(0.0 <= r <= 1e-10 for r in ups.residuals)
+
+
+def test_curves_report_the_cut_sizes_of_their_network():
+    # R(n) >= NW(n) with both read off the one network each curve solved
+    g = triangular_ball(8, 5)
+    curve = resistance_curve(g, 0, [4, 2, 3])
+    assert curve.cut_sizes == bfs_layers(g, 0).cut_sizes()[:4]
+    gamma = tree_replace(speiser_ball(2), GrowthSchedule((3, 9)))
+    ups = upsilon_resistance_curve(gamma, 0, [2, 9, 5], grid_depth=4)
+    assert len(ups.cut_sizes) == 9
+    assert all(type(c) is int and c > 0 for c in curve.cut_sizes + ups.cut_sizes)
+    for c in (curve, ups):
+        nw = nash_williams_sum(c.cut_sizes)
+        assert all(r >= nw[n - 1] - 1e-12 for n, r in zip(c.radii, c.resistance))
+
+
+def test_doyle_reads_its_cut_sizes_off_the_solved_ball(monkeypatch):
+    from speiserlab import speiser, walk
+
+    gamma = tree_replace(speiser_ball(2), GrowthSchedule((3, 9)))
+    exact = speiser.extended_layer_counts(gamma, 0, 10).cut_sizes
+
+    def closed_form(*args, **kwargs):
+        raise AssertionError("doyle_test called extended_layer_counts")
+
+    monkeypatch.setattr(speiser, "extended_layer_counts", closed_form)
+    monkeypatch.setattr(walk, "extended_layer_counts", closed_form, raising=False)
+    report = doyle_test(gamma, grid_depth=10, root=0, n_max=10)
+    # within the grid depth the truncated ball has the true extension's cuts
+    assert report.cut_sizes == exact
+    assert report.nash_williams == nash_williams_sum(exact)
 
 
 def test_doyle_gamma_recurrent_leaning():
