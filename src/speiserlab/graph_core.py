@@ -23,8 +23,10 @@ Graph rewrites describe their result by its faces: ``from_walks`` takes the
 face walks as flat integer arrays (vertex keys, edge keys, walk lengths),
 numbers edges by first appearance, keeps the ids of vertex keys below
 ``keep`` and numbers the other keys after them by first appearance, and
-recovers the rotations as the orbits of ``face_next o twin``.  Each rewrite
-thus builds its graph, validated, in one construction.  The faces a
+recovers the rotations as the orbits of ``face_next o twin``.  Keys are
+non-negative and index tables as long as the largest key, so numbering is
+counting, not sorting; every rewrite draws its keys from dense ranges.  Each
+rewrite thus builds its graph, validated, in one construction.  The faces a
 rewrite subdivides or fills are those of ``interior_face_mask``, the one
 rule for interior faces, which ``classify`` reads as well.
 
@@ -33,14 +35,16 @@ Circle/cross tags reach a graph only when it is made: through
 the tagged copy that ``two_colored`` returns for the Speiser constructions.
 No module outside this one assigns an attribute of a built graph.
 
-The Graph JSON v1 codec works on the flat arrays too: ``to_json`` writes the
-text straight from ``rot_darts`` and ``rot_offsets``, and ``build_graph``
-matches half-edge and vertex ids by sorting, reads the rotations into flat
-arrays once and constructs from them.  ``to_json_dict`` is the dict form.
+The Graph JSON v1 codec works on the flat arrays too: ``to_json`` fills each
+block (edges, vertices, tags) with one ``%`` from a flat list of ints, and
+``build_graph`` decodes with the cyclic collector paused, matches half-edge
+and vertex ids by sorting, reads the rotations into flat arrays once and
+constructs from them.  ``to_json_dict`` is the dict form.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -257,6 +261,10 @@ class RotationGraph:
         edge's first occurrence is dart ``2e``.  ``frontier`` names vertices
         by key; keys that never occur are ignored.  The walks are the faces
         of the result, whose face table is filled in here.
+
+        Keys must be non-negative (``GraphError`` otherwise): they index
+        count and first-position tables as long as the largest key, so the
+        numbering takes no sort.
         """
         tails = np.asarray(tails, dtype=np.int64)
         items = np.asarray(edge_keys, dtype=np.int64)
@@ -267,45 +275,42 @@ class RotationGraph:
             raise GraphError("empty face walk")
         if len(tails) != len(items) or int(lengths.sum()) != len(items):
             raise GraphError("walk lengths do not match the walk items")
+        if min(items.min(), tails.min()) < 0:
+            raise GraphError("walk keys must be non-negative")
         pos = np.arange(len(items))
 
-        ukeys, first, inverse, count = np.unique(
-            items, return_index=True, return_inverse=True, return_counts=True
-        )
+        count = np.bincount(items)
         if (count > 2).any():
             raise GraphError(
-                f"edge key {int(ukeys[count > 2][0])} used more than twice"
+                f"edge key {int(np.argmax(count > 2))} used more than twice"
             )
-        if (count < 2).any():
+        if (count == 1).any():
             raise GraphError(
-                f"edge keys appearing once: {ukeys[count < 2][:5].tolist()}"
+                f"edge keys appearing once: {np.flatnonzero(count == 1)[:5].tolist()}"
             )
-        by_first = np.argsort(first)
-        edge_id = np.empty_like(by_first)
-        edge_id[by_first] = np.arange(len(ukeys))
-        dart = 2 * edge_id[inverse] + (pos != first[inverse])
-        del first, inverse, count
+        # an edge's first occurrence is dart 2e, edges numbered in that order
+        second = _first_at(items, len(count))[items] != pos
+        edge_key = items[~second]
+        edge_id = np.empty(len(count), dtype=np.int64)
+        edge_id[edge_key] = np.arange(len(edge_key))
+        dart = 2 * edge_id[items] + second
+        del count, second, edge_id
 
-        ukeys_v, first_v, inverse_v = np.unique(
-            tails, return_index=True, return_inverse=True
-        )
-        new = (ukeys_v < 0) | (ukeys_v >= keep)
-        vid = ukeys_v.copy()
-        rank = np.empty(int(new.sum()), dtype=np.int64)
-        rank[np.argsort(first_v[new])] = np.arange(len(rank))
-        vid[new] = keep + rank
-        n_vertices = keep + len(rank)
-        vertex_key = np.arange(n_vertices)
-        vertex_key[vid] = ukeys_v
+        # keys below keep are ids; the others follow in order of first sight
+        first_v = _first_at(tails, max(keep, int(tails.max()) + 1))
+        new_key = tails[(first_v[tails] == pos) & (tails >= keep)]
+        vertex_key = np.concatenate([np.arange(keep), new_key])
+        n_vertices = len(vertex_key)
+        vid = np.arange(len(first_v))
+        vid[new_key] = np.arange(keep, n_vertices)
 
-        n_darts = 2 * len(ukeys)
+        n_darts = 2 * len(edge_key)
         dart_tail = np.empty(n_darts, dtype=np.int64)
-        dart_tail[dart] = vid[inverse_v]
-        del first_v, inverse_v
+        dart_tail[dart] = vid[tails]
         loops = np.flatnonzero(dart_tail[0::2] == dart_tail[1::2])
         if len(loops):
             raise GraphError(
-                f"self-loop: edge key {int(ukeys[by_first[loops[0]]])} has equal tails"
+                f"self-loop: edge key {int(edge_key[loops[0]])} has equal tails"
             )
 
         start = np.cumsum(lengths) - lengths
@@ -323,24 +328,25 @@ class RotationGraph:
 
         if not isinstance(frontier, np.ndarray):
             frontier = list(frontier)
-        # vertex id of each frontier key, -1 where the key never occurs
-        front = _lookup(ukeys_v, vid, np.asarray(frontier, dtype=np.int64))
-        g = cls._flat(*stars, frontier=front[front >= 0].tolist())
+        # the frontier keys that occur as tails, as vertex ids
+        front = np.asarray(frontier, dtype=np.int64)
+        front = front[(front >= 0) & (front < len(first_v))]
+        front = vid[front[first_v[front] < len(pos)]]
+        g = cls._flat(*stars, frontier=front.tolist())
 
         # the walks are the faces: list each from its smallest dart, in the
         # order of those darts, as trace_faces does
         walk_min = np.minimum.reduceat(dart, start)
-        by_min = np.argsort(walk_min)
-        walk_face = np.empty(len(lengths), dtype=np.int64)
-        walk_face[by_min] = np.arange(len(lengths))
+        walk_face = _rank(walk_min, n_darts)
         face_offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths[by_min], out=face_offsets[1:])
+        face_offsets[1:][walk_face] = lengths
+        np.cumsum(face_offsets, out=face_offsets)
         shift = np.flatnonzero(dart == np.repeat(walk_min, lengths)) - start
         at = (pos - np.repeat(start + shift, lengths)) % np.repeat(lengths, lengths)
         face_darts = np.empty(len(items), dtype=np.int64)
         face_darts[np.repeat(face_offsets[walk_face], lengths) + at] = dart
         g._faces = Faces(g, face_darts, face_offsets)
-        return WalkBuild(g, vertex_key, ukeys[by_first], walk_face)
+        return WalkBuild(g, vertex_key, edge_key, walk_face)
 
     @classmethod
     def from_face_cycles(
@@ -378,6 +384,21 @@ class WalkBuild(NamedTuple):
     walk_face: np.ndarray
 
 
+def _first_at(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """Per key in ``range(n_keys)``, its first position in ``keys``
+    (``len(keys)`` for a key that does not occur)."""
+    first = np.full(n_keys, len(keys), dtype=np.int64)
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    return first
+
+
+def _rank(points: np.ndarray, n: int) -> np.ndarray:
+    """The rank of each of the distinct ``points`` in ``range(n)`` among them."""
+    marked = np.zeros(n, dtype=bool)
+    marked[points] = True
+    return np.cumsum(marked)[points] - 1
+
+
 def _cycles(
     perm: np.ndarray, label: np.ndarray, n_labels: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -394,8 +415,7 @@ def _cycles(
     count = np.bincount(label, minlength=n_labels)
     offsets = np.zeros(n_labels + 1, dtype=np.int64)
     np.cumsum(count, out=offsets[1:])
-    head = np.full(n_labels, n, dtype=np.int64)
-    np.minimum.at(head, label, points)
+    head = _first_at(label, n_labels)
     # cut every cycle in front of its head: succ is -1 at the cycle's last point
     succ = perm.copy()
     succ[perm == head[label]] = -1
@@ -467,10 +487,7 @@ def trace_faces(g: RotationGraph) -> Faces:
         connection="weak",
     ) if n else (0, np.zeros(0, dtype=np.int64))
     # number the faces by their smallest dart
-    head = np.full(n_faces, n, dtype=np.int64)
-    np.minimum.at(head, label, np.arange(n))
-    rank = np.empty(n_faces, dtype=np.int64)
-    rank[np.argsort(head)] = np.arange(n_faces)
+    rank = _rank(_first_at(label, n_faces), n)
     g._faces = Faces(g, *_cycles(phi, rank[label], n_faces))
     return g._faces
 
@@ -842,33 +859,35 @@ def to_json(g: RotationGraph) -> str:
     The text equals ``json.dumps(to_json_dict(g), sort_keys=True, indent=2)``
     plus a newline: keys in sorted order, tag keys sorted as strings, and
     only the tag values, which are strings, pass through ``json.dumps``.
+    The edge block is one record template repeated, the vertex block one
+    template per degree in vertex order and the tag block one template per
+    tag value; each is filled by a single ``%`` from a flat list of ints,
+    not record by record.
     """
-    # per-record templates; each block is joined, and its list freed, in turn
     edge = _block("{", ['"halfedges": ' + _block("[", ["%d", "%d"], 3), '"id": %d'], 2)
-    ends = zip(range(0, g.n_darts, 2), range(1, g.n_darts, 2), range(g.n_edges))
-    edges = _block("[", list(map(edge.__mod__, ends)), 1)
-
-    vertex = _block("{", ['"id": %d', '"rotation": %s'], 2)
-    rotation, sep = _block("[", ["%s"], 3), ",\n" + "  " * 4
-    darts = list(map(str, g.rot_darts.tolist()))
-    bounds = g.rot_offsets.tolist()
-    vertices = _block(
-        "[",
-        [
-            vertex % (v, rotation % sep.join(darts[a:b]) if b > a else "[]")
-            for v, (a, b) in enumerate(zip(bounds, bounds[1:]))
-        ],
-        1,
+    e = np.arange(g.n_edges)
+    edges = _block("[", [edge] * g.n_edges, 1) % tuple(
+        np.stack([2 * e, 2 * e + 1, e], axis=1).ravel().tolist()
     )
-    del darts
 
+    # a vertex record's ints are its id, then its darts
+    degree = np.diff(g.rot_offsets).tolist()
+    vertex = {
+        k: _block("{", ['"id": %d', '"rotation": ' + _block("[", ["%d"] * k, 3)], 2)
+        for k in set(degree)
+    }
+    vertices = _block("[", list(map(vertex.__getitem__, degree)), 1) % tuple(
+        np.insert(g.rot_darts, g.rot_offsets[:-1], np.arange(g.n_vertices)).tolist()
+    )
+
+    # one tag template per tag value, its keys in string order
     tags = g.tags or {}
-    value = {t: json.dumps(t) for t in set(tags.values())}
-    by_key = sorted(zip(map(str, tags), tags.values()))
+    tag = {t: '"%d": ' + json.dumps(t).replace("%", "%%") for t in set(tags.values())}
+    keys = sorted(tags, key=str)
     fields = [
         '"edges": ' + edges,
         '"frontier": ' + _block("[", list(map(str, sorted(g.frontier))), 1),
-        '"tags": ' + _block("{", [f'"{v}": {value[t]}' for v, t in by_key], 1),
+        '"tags": ' + _block("{", [tag[tags[v]] for v in keys], 1) % tuple(keys),
         '"version": 1',
         '"vertices": ' + vertices,
     ]
@@ -924,9 +943,22 @@ def build_graph(spec: dict | str) -> RotationGraph:
     Half-edge ``j`` of edge record ``i`` becomes dart ``2i + j`` and vertex
     record ``i`` vertex ``i``; ids are matched by one sort each, and the
     rotations are read once into flat arrays.
+
+    The cyclic collector is paused while the text is decoded and read, then
+    restored: decoded JSON holds no cycle, yet each collection would rescan
+    the document (243,401 containers for Γ), which is freed by reference
+    counting before the collector resumes.
     """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _graph_from_spec(json.loads(spec) if isinstance(spec, str) else spec)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _graph_from_spec(spec) -> RotationGraph:
     if not isinstance(spec, dict):
         raise GraphError("a graph document must be a JSON object")
     if spec.get("version") != 1:

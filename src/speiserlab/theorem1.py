@@ -177,9 +177,9 @@ def verify_upsilon_bounds(
 class Theorem1Config:
     """Parameters of the default ``theorem1`` run, checked when built.
 
-    Lists (as JSON gives them) become tuples.  A float or bool anywhere, a
-    bad schedule, leg-A radius, k range or Doyle depth raises here, before
-    any graph is built.
+    Lists (as JSON gives them) become tuples.  A string where a list
+    belongs, a float or bool anywhere, a bad schedule, leg-A radius, k range
+    or Doyle depth raises here, before any graph is built.
     ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
     none reads it.  It is kept so that the report records it and config
     files that set it stay valid.
@@ -199,6 +199,12 @@ class Theorem1Config:
     seed: int = 20080
 
     def __post_init__(self):
+        lists = ("schedule", "resistance_radii", "ratio_ns", "vel_annuli")
+        strings = [name for name in lists if isinstance(getattr(self, name), str)]
+        if not strings and any(isinstance(a, str) for a in self.vel_annuli):
+            strings = ["vel_annuli"]
+        if strings:
+            raise TypeError(f"config values must be lists, not strings: {strings}")
         for name in ("schedule", "resistance_radii", "ratio_ns"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "vel_annuli", tuple(map(tuple, self.vel_annuli)))

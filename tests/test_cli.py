@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import shlex
@@ -205,6 +206,33 @@ def test_theorem1_non_integer_config_exits_2(bad, tmp_path, capsys, monkeypatch)
     assert "bad config" in err and "must be integers" in err
 
 
+@pytest.mark.parametrize(
+    "bad, field",
+    [
+        ({"schedule": "21,8103"}, "schedule"),
+        ({"ratio_ns": "23456"}, "ratio_ns"),
+        ({"resistance_radii": "123"}, "resistance_radii"),
+        ({"vel_annuli": "12"}, "vel_annuli"),
+        ({"vel_annuli": [[1, 2], "24"]}, "vel_annuli"),
+    ],
+)
+def test_theorem1_string_list_config_exits_2(
+    bad, field, tmp_path, capsys, monkeypatch
+):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps(bad))
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    assert f"config values must be lists, not strings: ['{field}']" in err
+    assert "must be integers" not in err
+
+
 def test_theorem1_unknown_config_key_exits_2(tmp_path, capsys):
     cfile = tmp_path / "cfg.json"
     cfile.write_text(json.dumps({"vel_annulus": [[1, 2]]}))
@@ -253,6 +281,20 @@ def test_gen_dual_bad_graph_file_exits_2(tmp_path, capsys, text, message):
     bad.write_text(text)
     assert main(["gen", "dual", "--graph", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_bad_json_graph_file_keeps_the_collector_state(enabled, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 1, "vertices": [')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["gen", "dual", "--graph", str(bad)]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

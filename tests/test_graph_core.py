@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 
@@ -106,10 +107,21 @@ def _tagged(g, tags):
             ['"10": "cross",\n    "2": "circle"'],
         ),
         (lambda: _tagged(octahedron(), {0: 'say "ü"'}), ['"0": "say \\"\\u00fc\\""']),
+        # tag values pass through the % templates literally
+        (
+            lambda: _tagged(octahedron(), {1: "50%", 3: "%d %s %%", 0: "circle"}),
+            ['"1": "50%",\n    "3": "%d %s %%"'],
+        ),
         (lambda: RotationGraph([[]]), ['"edges": []', '"rotation": []']),
         (lambda: octahedron(), ['"frontier": []', '"tags": {}']),
     ],
-    ids=["tag-key-order", "tag-escaping", "single-vertex", "no-frontier-or-tags"],
+    ids=[
+        "tag-key-order",
+        "tag-escaping",
+        "tag-percent",
+        "single-vertex",
+        "no-frontier-or-tags",
+    ],
 )
 def test_to_json_matches_json_dumps(make, excerpts):
     g = make()
@@ -196,6 +208,34 @@ def test_build_graph_error_precedence():
         build_graph(_path_spec(edges=[{"id": 0, "halfedges": ["a", 1]}]))
     with pytest.raises(GraphError, match="unsupported graph format version"):
         build_graph(_path_spec(version=2))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_build_graph_restores_the_collector_state(enabled, monkeypatch):
+    text = to_json(octahedron())
+    during = []
+    loads = json.loads
+
+    def watched(*args, **kwargs):
+        during.append(gc.isenabled())
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", watched)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert to_json(build_graph(text)) == text
+        assert gc.isenabled() is enabled
+        with pytest.raises(json.JSONDecodeError):
+            build_graph(text[:-3])
+        assert gc.isenabled() is enabled
+        with pytest.raises(GraphError, match="unsupported graph format version"):
+            build_graph(text.replace('"version": 1', '"version": 2'))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the collector is paused while the text is decoded
+    assert during == [False, False, False]
 
 
 def test_build_graph_octahedron_spec():
@@ -732,6 +772,93 @@ def test_from_walks_rejects_inconsistent_walks(tails, keys, lengths, message):
         at += n
     with pytest.raises(GraphError, match=message):
         _reference_from_walks(walks)
+
+
+@pytest.mark.parametrize(
+    "tails, keys, lengths, message",
+    [
+        (
+            [0, 1, 2, 3, 4, 5, 6],
+            [7, 7, 7, 3, 3, 3, 1],
+            [7],
+            "edge key 3 used more than twice",
+        ),
+        (
+            [0, 1, 2, 3, 4, 5, 6, 7],
+            [40, 3, 12, 12, 7, 5, 1, 2],
+            [8],
+            "edge keys appearing once: [1, 2, 3, 5, 7]",
+        ),
+        (
+            [0, 1, 2, 0, 1, 2],
+            [4, 6, 2, 4, 6, 2],
+            [3, 3],
+            "self-loop: edge key 4 has equal tails",
+        ),
+        (
+            [5, 3, 5, 3],
+            [2, 2, 3, 3],
+            [2, 2],
+            "inconsistent walks: vertex key has a disconnected star",
+        ),
+        ([0, 1], [0, 0], [1, 1], "inconsistent walks: rotation mixes vertices"),
+        ([], [], [], "no face walks"),
+        ([0], [0, 1], [1], "walk lengths do not match the walk items"),
+    ],
+)
+def test_from_walks_messages_name_the_smallest_key(tails, keys, lengths, message):
+    # recorded from the sorting implementation: the smallest offending key
+    with pytest.raises(GraphError) as err:
+        RotationGraph.from_walks(tails, keys, lengths)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "tails, keys",
+    [([0, 1, -1], [5, 5, 6]), ([0, 1, 2], [5, -5, 6]), ([-3, -4], [-1, -1])],
+)
+def test_from_walks_rejects_negative_keys(tails, keys):
+    with pytest.raises(GraphError, match="walk keys must be non-negative"):
+        RotationGraph.from_walks(tails, keys, [len(keys)])
+
+
+@pytest.mark.parametrize("source", sorted(WALK_SOURCES))
+def test_sparse_walk_keys_match_tuple_reference(source):
+    # the key tables are as long as the largest key, not the number of keys
+    g = WALK_SOURCES[source]()
+    walks = _scrambled_walks(g)
+    ref_walks = [[(97 * v + 11, ("e", e)) for v, e in w] for w in walks]
+    rot, front, vmap, emap = _reference_from_walks(
+        ref_walks, frontier_keys={97 * v + 11 for v in g.frontier}
+    )
+    built = RotationGraph.from_walks(
+        *_flat(walks, lambda v: 97 * v + 11, lambda e: 1000 * e + 3),
+        frontier=[97 * v + 11 for v in g.frontier] + [5, 10**6],
+    )
+    assert built.graph.rotations == rot
+    assert built.graph.frontier == front
+    assert dict(zip(built.vertex_key.tolist(), range(g.n_vertices))) == vmap
+    edge_keys = built.edge_key.tolist()
+    assert {("e", (k - 3) // 1000): e for e, k in enumerate(edge_keys)} == emap
+
+    # keep: keys below it are ids, sparse keys above it follow by first sight
+    keep = g.n_vertices // 2
+    key = lambda v: v if v < keep else 97 * v + 11  # noqa: E731
+    ref_walks = [[(key(v), ("e", e)) for v, e in w] for w in walks]
+    ref = _reference_from_walks(ref_walks, frontier_keys={key(v) for v in g.frontier})
+    rot, front, vmap = _reference_keep_originals(*ref[:3], keep)
+    built = RotationGraph.from_walks(
+        *_flat(walks, key, lambda e: 1000 * e + 3),
+        keep=keep,
+        frontier=[key(v) for v in g.frontier],
+    )
+    assert built.graph.rotations == rot
+    assert built.graph.frontier == front
+    assert dict(zip(built.vertex_key.tolist(), range(g.n_vertices))) == vmap
+    faces = trace_faces(built.graph)
+    fresh = trace_faces(RotationGraph(rot, frontier=front))
+    assert faces.darts.tolist() == fresh.darts.tolist()
+    assert faces.offsets.tolist() == fresh.offsets.tolist()
 
 
 def test_malformed_rotations_rejected():
