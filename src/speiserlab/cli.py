@@ -27,8 +27,10 @@ import sys
 from pathlib import Path
 
 from .errors import SolverError, SpeiserLabError
+from .fatness import PlanarSet, fatness_estimate, fatness_pairs
 from .graph_core import bfs_layers, build_graph, dual, induced_ball, to_json
 from .lattices import triangular_ball
+from .packing import EUCLIDEAN, pack_disk, packing_to_svg, ratio_trend
 from .refinement import subdivide4
 from .speiser import (
     GrowthSchedule,
@@ -37,6 +39,8 @@ from .speiser import (
     lambda_triangulation,
 )
 from .theorem1 import Theorem1Config, build_gamma, run_theorem1
+from .vel import vel_type_trend
+from .walk import check_doyle_depth, doyle_test, nash_williams_sum, resistance_curve
 
 DEFAULT_SEED = 20080
 
@@ -110,35 +114,25 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     kind = args.kind
     if kind == "vel":
-        from .vel import vel_type_trend
-
         g = _read_graph(args.graph)
         report = vel_type_trend(g, args.root, _parse_annuli(args.annuli))
         _write(args.output, _json_report(report.to_dict()))
     elif kind == "resistance":
-        from .walk import resistance_curve
-
         g = _read_graph(args.graph)
         curve = resistance_curve(g, args.root, list(range(1, args.n_max + 1)))
         _write(args.output, _json_report(curve.to_dict()))
     elif kind == "nash-williams":
-        from .walk import nash_williams_sum
-
         cuts = bfs_layers(_read_graph(args.graph), args.root).cut_sizes()
         _write(
             args.output,
             _json_report({"partial_sums": nash_williams_sum(cuts), "cut_sizes": cuts}),
         )
     elif kind == "doyle":
-        from .walk import check_doyle_depth, doyle_test
-
         check_doyle_depth(args.n_max, args.grid_depth)
         g = _read_graph(args.graph)
         report = doyle_test(g, args.grid_depth, args.root, args.n_max)
         _write(args.output, _json_report(report.to_dict()))
     elif kind == "ratio-trend":
-        from .packing import ratio_trend
-
         q = {"hex": 6, "tri8": 8}[args.family]
         try:
             ns = [int(x) for x in args.ns.split(",")]
@@ -151,8 +145,6 @@ def _cmd_analyze(args) -> int:
         report = ratio_trend(lambda n: induced_ball(lattice, n), ns)
         _write(args.output, _json_report(report.to_dict()))
     elif kind == "fatness":
-        from .fatness import PlanarSet, fatness_estimate, fatness_pairs
-
         disks = []
         try:
             for part in args.disks.split(";"):
@@ -187,8 +179,6 @@ def _cmd_theorem1(args) -> int:
     report = run_theorem1(config)
     _write(args.output, report.to_json())
     if args.svg is not None:
-        from .packing import EUCLIDEAN, pack_disk, packing_to_svg
-
         tri = triangular_ball(8, 3)
         packed = pack_disk(tri, boundary=EUCLIDEAN)
         Path(args.svg).write_text(packing_to_svg(packed))

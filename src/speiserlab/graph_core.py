@@ -751,13 +751,14 @@ def induced_ball(g: RotationGraph, n: int) -> RotationGraph:
     darts = darts[stays]
     offsets = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner[stays], minlength=len(keep)), out=offsets[1:])
-    # the kept edges, each once by its even dart, in increasing id
-    edges = np.sort(darts[darts % 2 == 0] >> 1)
+    # the kept edges, renumbered in edge order as in ``dual``
+    edge_kept = np.bincount(darts >> 1, minlength=g.n_edges) > 0
+    new_eid = np.cumsum(edge_kept) - 1
     tags = None
     if g.tags:
         tags = {i: g.tags[v] for i, v in enumerate(keep.tolist()) if v in g.tags}
     return RotationGraph._flat(
-        2 * np.searchsorted(edges, darts >> 1) + (darts & 1),
+        2 * new_eid[darts >> 1] + (darts & 1),
         offsets,
         frontier=np.flatnonzero(layers.dist[keep] == n).tolist(),
         tags=tags,

@@ -3,26 +3,27 @@ transfer constructions between a graph and its refinement.
 
 ``subdivide4`` splits every interior triangle into four by connecting edge
 midpoints; the refined vertex set is the disjoint union of the original
-vertices and edges.  A ``RefinementMap`` is four arrays indexed by refined
-vertex, original edge and refined face; ``walk_refinement_map`` reads it off
-the keys of a subdivision's face walks (this one or
-``speiser.lambda_triangulation``).  A v-metric is a float64 array of weights
-indexed by vertex, validated by ``check_metric``.  ``coarsen_metric`` pushes a
-metric from the refinement down to the base, ``refine_metric`` lifts one up;
-both come with exact square-sum inequalities that the tests enforce on every
-instance.
+vertices and edges.  It and ``speiser.lambda_triangulation`` are one
+midpoint subdivision, built here: each writes only the triangles of an
+interior face, and the builder owns the keys, the faces it keeps and the
+``RefinementMap`` it reads off the keys, four arrays indexed by refined
+vertex, original edge and refined face.  A v-metric is a float64 array of
+weights indexed by vertex, validated by ``check_metric``.
+``coarsen_metric`` pushes a metric from the refinement down to the base,
+``refine_metric`` lifts one up; both come with exact square-sum
+inequalities that the tests enforce on every instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import RefinementError
 from .graph_core import (
     RotationGraph,
-    WalkBuild,
     classify,
     interior_face_mask,
     trace_faces,
@@ -78,80 +79,95 @@ def subdivide4(g: RotationGraph) -> tuple[RotationGraph, RefinementMap]:
     keep their ids.  Rejects non-triangular interior faces.
     """
     faces = trace_faces(g)
-    inner = interior_face_mask(g)
-    bad = np.flatnonzero(inner & (faces.lengths != 3))
+    bad = np.flatnonzero(interior_face_mask(g) & (faces.lengths != 3))
     if len(bad):
         raise RefinementError(
             f"face {bad[0]} has {faces.lengths[bad[0]]} sides; "
             "subdivide4 needs triangles"
         )
-    n, n_edges = g.n_vertices, g.n_edges
-    d = faces.darts
-    fid = faces.face_index()
-    i = np.arange(len(d)) - faces.offsets[fid]
-    # keys: midpoint of edge e is n + e; the half of edge e next to the tail
-    # of dart d is d, and the inner edge opposite corner j of triangle f is
-    # 2|E| + 3f + j
-    mid = n + (d >> 1)
-    block = np.where(inner, 12, 2 * faces.lengths)
-    block0 = np.cumsum(block) - block
-    total = int(block.sum())
-    tails = np.empty(total, dtype=np.int64)
-    keys = np.empty(total, dtype=np.int64)
-    walk = np.full(total, -2, dtype=np.int64)  # walk starts: owner face or -1
 
-    # other faces keep their walk, through the midpoints
+    def four(first, j, prev, tail, dart, mid, new, **_):
+        # corner j (items 3j..3j+2) and the middle triangle (items 9..11),
+        # whose edge between the midpoints of sides j - 1 and j is new
+        corner = first + 3 * j
+        return [
+            (corner, tail, dart),
+            (corner + 1, mid, new),
+            (corner + 2, mid[prev], dart[prev] ^ 1),
+            (first + 9 + (j + 2) % 3, mid[prev], new),
+        ]
+
+    return _midpoint_subdivision(g, 4, four, with_map=True)
+
+
+def _midpoint_subdivision(
+    g: RotationGraph, per_side: int, fill: Callable[..., list], with_map: bool
+):
+    """Split every edge of ``g`` at a midpoint and every interior face
+    (``interior_face_mask``) into triangles, in one ``from_walks`` call.
+
+    Keys: vertex ``v`` is ``v`` (``keep = n``), the midpoint of edge ``e`` is
+    ``n + e`` and the center of face ``f`` is ``n + |E| + f``; the half of
+    edge ``e`` next to the tail of dart ``d`` is ``d``, and new edges take
+    keys from ``2|E|`` on.  ``fill`` gets keyword arrays with one entry per
+    side of the interior faces, in face order: side ``j`` of a face runs
+    along ``dart`` from ``tail`` to ``head`` through ``mid``, after side
+    ``prev``; the face's items start at ``first``, its center is
+    ``center``, and the side alone gives keys ``new`` and ``new + 1`` to new
+    edges.  It returns the ``per_side k`` items of each interior k-gon,
+    every three a triangle, as ``(at, tails, keys)`` arrays.  Any other face
+    keeps its walk through its midpoints, which join the frontier.  Returns
+    the graph, and with ``with_map`` its ``RefinementMap`` too.
+    """
+    faces = trace_faces(g)
+    inner = interior_face_mask(g)
+    n, n_edges = g.n_vertices, g.n_edges
+    d, fid = faces.darts, faces.face_index()
+    j = np.arange(len(d)) - faces.offsets[fid]
+    mid = n + (d >> 1)
+    block = np.where(inner, per_side, 2) * faces.lengths
+    first = np.cumsum(block) - block
+    tails = np.empty(int(block.sum()), dtype=np.int64)
+    keys = np.empty_like(tails)
+
+    # a kept face keeps its walk, through its midpoints
     o = ~inner[fid]
-    at = block0[fid[o]] + 2 * i[o]
+    at = first[fid[o]] + 2 * j[o]
     tails[at], keys[at] = faces.vertices[o], d[o]
     tails[at + 1], keys[at + 1] = mid[o], d[o] ^ 1
-    walk[block0[~inner]] = -1
-
-    # triangle f gives its three corners (items 3j..3j+2) and the middle one
-    # (items 9..11)
-    p = np.flatnonzero(inner[fid])
-    f, j = fid[p], i[p]
-    prev = p - j + (j + 2) % 3
-    corner = block0[f] + 3 * j
-    t = 2 * n_edges + 3 * f
-    tails[corner], keys[corner] = faces.vertices[p], d[p]
-    tails[corner + 1], keys[corner + 1] = mid[p], t + j
-    tails[corner + 2], keys[corner + 2] = mid[prev], d[prev] ^ 1
-    middle = block0[f] + 9 + j
-    tails[middle], keys[middle] = mid[p], t + (j + 1) % 3
-    walk[corner] = f
-    walk[middle[j == 0]] = f[j == 0]
-
-    starts = np.flatnonzero(walk != -2)
+    s = np.flatnonzero(~o)
+    f, side = fid[s], np.arange(len(s))
+    items = fill(
+        first=first[f],
+        j=j[s],
+        prev=side - j[s] + (j[s] - 1) % faces.lengths[f],
+        tail=faces.vertices[s],
+        head=g.dart_vertex[d[s] ^ 1],
+        dart=d[s],
+        mid=mid[s],
+        center=n + n_edges + f,
+        new=2 * n_edges + 2 * side,
+    )
+    for at, t, k in items:
+        tails[at], keys[at] = t, k
+    walks = np.where(inner, per_side * faces.lengths // 3, 1)
     built = RotationGraph.from_walks(
         tails,
         keys,
-        np.diff(starts, append=total),
+        np.repeat(np.where(inner, 3, 2 * faces.lengths), walks),
         keep=n,
         frontier=np.concatenate([np.fromiter(g.frontier, np.int64), mid[o]]),
     )
-    return built.graph, walk_refinement_map(g, built, walk[starts])
+    if not with_map:
+        return built.graph
 
-
-def walk_refinement_map(
-    g: RotationGraph, built: WalkBuild, walk_owner: np.ndarray
-) -> RefinementMap:
-    """Cover structure of a subdivision of ``g`` built by ``from_walks``.
-
-    The subdivision's vertex keys must be ``v`` for vertex ``v`` of ``g``,
-    ``n + e`` for the midpoint of edge ``e`` and ``n + |E| + f`` for the
-    center of face ``f``, with ``keep = n``; the two halves of edge ``e``
-    must have the keys of its darts, ``2e`` and ``2e + 1``.
-    ``walk_owner[i]`` is the face of ``g`` that walk ``i`` subdivides, or -1
-    for a walk that covers no face.
-    """
-    n, n_edges = g.n_vertices, g.n_edges
     kind = np.searchsorted(np.array([n, n + n_edges]), built.vertex_key, side="right")
     edge_id = np.empty(int(built.edge_key.max()) + 1, dtype=np.int64)
     edge_id[built.edge_key] = np.arange(built.graph.n_edges)
-    face_owner = np.empty(len(walk_owner), dtype=np.int64)
-    face_owner[built.walk_face] = walk_owner
-    return RefinementMap(
+    owner = np.where(inner, np.arange(len(inner)), -1)
+    face_owner = np.empty(len(built.walk_face), dtype=np.int64)
+    face_owner[built.walk_face] = np.repeat(owner, walks)
+    return built.graph, RefinementMap(
         origin_kind=kind.astype(np.int8),
         origin=built.vertex_key - np.array([0, n, n + n_edges])[kind],
         edge_cover=edge_id[: 2 * n_edges].reshape(n_edges, 2),

@@ -13,6 +13,9 @@ construction.  Each rewrite computes its walks with numpy from the flat face
 arrays of ``trace_faces``, as integer keys: the input's vertices keep their
 ids (``keep = n``), new vertices and all edges get keys from disjoint
 integer ranges, and the result is one validated graph.
+``lambda_triangulation`` writes only the triangles of an interior face; the
+midpoint subdivision of ``refinement``, which ``subdivide4`` shares, keys
+and builds the rest.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .graph_core import (
     two_colored,
 )
 from .lattices import triangular_ball
-from .refinement import walk_refinement_map
+from .refinement import _midpoint_subdivision
 
 
 @dataclass(frozen=True)
@@ -151,56 +154,21 @@ def lambda_triangulation(g: RotationGraph, with_map: bool = False):
     frontier.  Original vertices keep their ids.  With ``with_map``
     the refinement cover structure is returned alongside the graph.
     """
-    faces = trace_faces(g)
-    inner = interior_face_mask(g)
-    n, n_edges = g.n_vertices, g.n_edges
-    d = faces.darts
-    fid = faces.face_index()
-    i = np.arange(len(d)) - faces.offsets[fid]
-    # keys: midpoint of edge e is n + e, center of face f is n + |E| + f; the
-    # half of edge e next to the tail of dart d is d, spoke j of face f is
-    # spoke0[f] + j (0 <= j < 2k)
-    mid = n + (d >> 1)
-    ins = inner[fid]
-    per = np.where(ins, 6, 2)
-    at = np.cumsum(per) - per
-    total = int(per.sum())
-    tails = np.empty(total, dtype=np.int64)
-    keys = np.empty(total, dtype=np.int64)
-    walk = np.full(total, -2, dtype=np.int64)  # walk starts: owner face or -1
 
-    # other faces keep their walk, through the midpoints
-    o = ~ins
-    tails[at[o]], keys[at[o]] = faces.vertices[o], d[o]
-    tails[at[o] + 1], keys[at[o] + 1] = mid[o], d[o] ^ 1
-    walk[at[faces.offsets[:-1][~inner]]] = -1
+    def fan(first, j, prev, tail, head, dart, mid, center, new):
+        # side j gives (tail, mid, center) and (mid, head, center); spoke
+        # 2j of the face is the side's new edge, spoke 2j + 1 is new + 1
+        at = first + 6 * j
+        return [
+            (at, tail, dart),
+            (at + 1, mid, new),
+            (at + 2, center, new[prev] + 1),
+            (at + 3, mid, dart ^ 1),
+            (at + 4, head, new + 1),
+            (at + 5, center, new),
+        ]
 
-    # a dart of an inner face gives (tail, mid, center) and (mid, head, center)
-    a, f, ii = at[ins], fid[ins], i[ins]
-    head = g.dart_vertex[d[ins] ^ 1]
-    c = n + n_edges + f
-    spoke0 = 2 * n_edges + 2 * faces.offsets[f]
-    two_k = 2 * faces.lengths[f]
-    tails[a], keys[a] = faces.vertices[ins], d[ins]
-    tails[a + 1], keys[a + 1] = mid[ins], spoke0 + 2 * ii
-    tails[a + 2], keys[a + 2] = c, spoke0 + (2 * ii - 1) % two_k
-    tails[a + 3], keys[a + 3] = mid[ins], d[ins] ^ 1
-    tails[a + 4], keys[a + 4] = head, spoke0 + (2 * ii + 1) % two_k
-    tails[a + 5], keys[a + 5] = c, spoke0 + 2 * ii
-    walk[a] = f
-    walk[a + 3] = f
-
-    starts = np.flatnonzero(walk != -2)
-    built = RotationGraph.from_walks(
-        tails,
-        keys,
-        np.diff(starts, append=total),
-        keep=n,
-        frontier=np.concatenate([np.fromiter(g.frontier, np.int64), mid[o]]),
-    )
-    if not with_map:
-        return built.graph
-    return built.graph, walk_refinement_map(g, built, walk[starts])
+    return _midpoint_subdivision(g, 6, fan, with_map)
 
 
 def extend_speiser(g: RotationGraph, grid_depth: int) -> RotationGraph:

@@ -178,8 +178,9 @@ class Theorem1Config:
     """Parameters of the default ``theorem1`` run, checked when built.
 
     Lists (as JSON gives them) become tuples.  A string where a list
-    belongs, a float or bool anywhere, a bad schedule, leg-A radius, k range
-    or Doyle depth raises here, before any graph is built.
+    belongs, an annulus that is not a pair, a float or bool anywhere, a bad
+    schedule, leg-A radius, k range or Doyle depth raises here, before any
+    graph is built.
     ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
     none reads it.  It is kept so that the report records it and config
     files that set it stay valid.
@@ -208,6 +209,9 @@ class Theorem1Config:
         for name in ("schedule", "resistance_radii", "ratio_ns"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "vel_annuli", tuple(map(tuple, self.vel_annuli)))
+        not_pairs = [a for a in self.vel_annuli if len(a) != 2]
+        if not_pairs:
+            raise TypeError(f"vel_annuli entries must be pairs: {not_pairs}")
         values = asdict(self) | {"vel_annuli": sum(self.vel_annuli, ())}
         bad = [
             (name, x)

@@ -4,11 +4,12 @@ A BFS layering is read from ``bfs_layers(g, root)``, cached on the graph, so
 no function takes a layering as an argument; ``dual`` always drops the faces
 at a truncation's frontier; a packing's boundary is its graph's frontier,
 with Euclidean radii 1, and its root is vertex 0; a refinement map is four
-arrays read off a subdivision's walks, and a v-metric is a plain array.
-Interior faces follow one rule, ``interior_face_mask(g)``; tags reach a
-graph only when it is made (``RotationGraph._flat`` or ``two_colored``),
-and no module outside ``graph_core`` assigns an attribute of a graph; an
-SVG always draws the nerve.  Records serialize from their fields, and
+arrays that the one midpoint subdivision builder reads off its walks, and a
+v-metric is a plain array.  Interior faces follow one rule,
+``interior_face_mask(g)``; tags reach a graph only when it is made
+(``RotationGraph._flat`` or ``two_colored``), and no module outside
+``graph_core`` assigns an attribute of a graph; an SVG always draws the
+nerve.  Records serialize from their fields, and
 fields that nothing read are gone.  ``extended_layer_counts`` counts the
 true extension only (a truncated grid is counted on the ball that
 ``doyle_test`` solves), and ``effective_resistance`` is gone.  These tests
@@ -29,7 +30,8 @@ from speiserlab.cli import main
 from speiserlab.fatness import HSReport
 from speiserlab.graph_core import RotationGraph, bfs_layers, dual
 from speiserlab.packing import CirclePacking, CpTypeReport, pack_disk, ratio_trend
-from speiserlab.refinement import RefinementMap, walk_refinement_map
+from speiserlab import refinement
+from speiserlab.refinement import RefinementMap
 from speiserlab.speiser import ExtendedLayerCounts, extended_layer_counts, speiser_ball
 from speiserlab.theorem1 import (
     GrowthCheck,
@@ -93,7 +95,10 @@ def test_packing_entry_points():
 
 
 def test_refinement_entry_points():
-    assert _parameters(walk_refinement_map) == ["g", "built", "walk_owner"]
+    # the subdivision keys and the map read off them stay inside refinement
+    assert not hasattr(refinement, "walk_refinement_map")
+    assert not hasattr(speiserlab, "walk_refinement_map")
+    assert not hasattr(speiserlab, "_midpoint_subdivision")
     fields = [f.name for f in dataclasses.fields(RefinementMap)]
     assert fields == ["origin_kind", "origin", "edge_cover", "face_owner"]
     assert not hasattr(speiserlab, "VMetric")

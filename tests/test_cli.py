@@ -233,6 +233,21 @@ def test_theorem1_string_list_config_exits_2(
     assert "must be integers" not in err
 
 
+@pytest.mark.parametrize("annulus", [[1], [1, 2, 3]])
+def test_theorem1_annulus_not_a_pair_exits_2(annulus, tmp_path, capsys, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({"vel_annuli": [annulus]}))
+    assert main(["theorem1", "--config", str(cfile)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config" in err
+    assert f"vel_annuli entries must be pairs: [{tuple(annulus)}]" in err
+
+
 def test_theorem1_unknown_config_key_exits_2(tmp_path, capsys):
     cfile = tmp_path / "cfg.json"
     cfile.write_text(json.dumps({"vel_annulus": [[1, 2]]}))

@@ -3,12 +3,14 @@ import pytest
 
 from speiserlab.errors import RefinementError
 from speiserlab.graph_core import (
+    RotationGraph,
     bfs_layers,
     classify,
     euler_characteristic,
+    interior_face_mask,
     trace_faces,
 )
-from speiserlab.lattices import octahedron, triangular_ball
+from speiserlab.lattices import grid_patch, octahedron, triangular_ball
 from speiserlab.refinement import (
     EDGE,
     VERTEX,
@@ -18,6 +20,12 @@ from speiserlab.refinement import (
     coarsen_metric,
     refine_metric,
     subdivide4,
+)
+from speiserlab.speiser import (
+    GrowthSchedule,
+    lambda_triangulation,
+    speiser_ball,
+    tree_replace,
 )
 
 
@@ -71,6 +79,51 @@ def test_subdivide4_midpoint_degrees():
             if v not in g.frontier:
                 assert ref.degree(w) == g.degree(v)
     assert checked > 0
+
+
+def _min_rotation(cycle):
+    return min(tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle)))
+
+
+KEPT_FACE_SOURCES = {
+    "gamma": lambda: tree_replace(speiser_ball(2), GrowthSchedule((3, 5))),
+    # vertex 0 on the frontier keeps the two faces at it
+    "grid": lambda: RotationGraph(grid_patch(3, 2).rotations, frontier=[0]),
+}
+
+
+@pytest.mark.parametrize("rewrite", ["lambda", "subdivide4"])
+@pytest.mark.parametrize("source", sorted(KEPT_FACE_SOURCES))
+def test_subdivisions_keep_the_faces_they_do_not_split(source, rewrite):
+    # subdivide4 splits the triangles of the source's lambda triangulation
+    g = KEPT_FACE_SOURCES[source]()
+    if rewrite == "lambda":
+        ref, rmap = lambda_triangulation(g, with_map=True)
+    else:
+        g = lambda_triangulation(g)
+        ref, rmap = subdivide4(g)
+    assert check_refinement(g, ref, rmap).is_refinement
+    faces, ref_faces = trace_faces(g), trace_faces(ref)
+    mid = np.empty(g.n_edges, dtype=np.int64)
+    on_edge = rmap.origin_kind == EDGE
+    mid[rmap.origin[on_edge]] = np.flatnonzero(on_edge)
+
+    # each kept face is one refined face: its walk through its midpoints
+    kept = np.flatnonzero(~interior_face_mask(g))
+    assert len(kept)
+    want, kept_mids = [], set()
+    for f in kept.tolist():
+        at = slice(faces.offsets[f], faces.offsets[f + 1])
+        mids = mid[faces.darts[at] >> 1]
+        kept_mids.update(mids.tolist())
+        walk = np.stack([faces.vertices[at], mids], axis=1).ravel().tolist()
+        want.append(_min_rotation(walk))
+    got = []
+    for rf in np.flatnonzero(rmap.face_owner == -1).tolist():
+        at = slice(ref_faces.offsets[rf], ref_faces.offsets[rf + 1])
+        got.append(_min_rotation(ref_faces.vertices[at].tolist()))
+    assert sorted(got) == sorted(want)
+    assert ref.frontier == g.frontier | kept_mids
 
 
 def test_check_refinement_subdivide4():
