@@ -5,13 +5,19 @@ containing it captures at least a tau fraction of its area inside the set.
 The estimator scores a seeded family of (x, r) pairs: centers at each disk's
 center, near its rim and at random points of the set, radii log-uniform.
 Each pair's fraction is exact, by Green's theorem over the boundary arcs of
-the set's intersection with D(x, r) (``_cap_fractions``), so the seed only
+the set's intersection with D(x, r) (``_set_fractions``), so the seed only
 chooses the pairs.  Disks that another disk contains (up to the tangency
 tolerance) are dropped before the arcs are cut: they leave the union as it
 is, and a near-coincident copy would put arc midpoints within rounding of
 the other circle.  The minimum over finitely many pairs is still an upper
 bound on the true infimum.  Growing the radius count never increases the
 estimate (prefix sampling).
+
+One pass scores any number of sets: ``_pairs_of`` draws every set's pairs
+from its own seed and ``_set_fractions`` scores them, the sets grouped by
+disk count and each row of the area kernel carrying its own set's disks.
+``fatness_estimate`` is the pass over one set and ``check_hs`` the pass over
+a whole collection, with the same pairs, seeds and bits either way.
 
 The overlap of a disk family is counted exactly, at the points where the
 greatest overlap of closed disks is attained (``_overlaps``).
@@ -77,9 +83,7 @@ class PlanarSet:
         return cls(((center, radius),))
 
     def bounding_box(self) -> tuple[float, float, float, float]:
-        half = (1 + 1j) * self.radii
-        lo, hi = self.centers - half, self.centers + half
-        return lo.real.min(), hi.real.max(), lo.imag.min(), hi.imag.max()
+        return _box(self.centers, self.radii)
 
     def diameter_bound(self) -> float:
         x0, x1, y0, y1 = self.bounding_box()
@@ -89,6 +93,13 @@ class PlanarSet:
         """Membership for a 1-d array of complex points."""
         pts = np.asarray(pts, dtype=complex)
         return _cover(pts, self.centers, self.radii, [0, len(self.radii)]) > 0
+
+
+def _box(centers, radii):
+    """Bounding box (x0, x1, y0, y1) of the disks along the last axis."""
+    half = (1 + 1j) * radii
+    lo, hi = centers - half, centers + half
+    return lo.real.min(-1), hi.real.max(-1), lo.imag.min(-1), hi.imag.max(-1)
 
 
 def _touching(ca, ra, cb, rb) -> np.ndarray:
@@ -127,20 +138,28 @@ def _cover(pts: np.ndarray, centers, radii, bounds) -> np.ndarray:
     return count
 
 
-def _sample(rng, centers, radii, bounds, per: int) -> np.ndarray:
-    """``per`` points in each disk group of ``_cover``, group after group: a
-    disk of the group drawn with probability proportional to its area, then
-    a uniform point in that disk."""
-    bounds = np.asarray(bounds)
-    area = np.cumsum(radii * radii)
-    before = np.concatenate([[0.0], area])[bounds]
-    group = np.repeat(np.arange(len(bounds) - 1), per)
-    target = before[group] + rng.random(len(group)) * np.diff(before)[group]
-    k = np.searchsorted(area, target, side="right")
-    k = np.clip(k, bounds[group], bounds[group + 1] - 1)
-    u = rng.random(len(group))
-    phi = rng.random(len(group)) * 2 * np.pi
-    return centers[k] + radii[k] * np.sqrt(u) * np.exp(1j * phi)
+def _sample(u, centers, radii) -> np.ndarray:
+    """Points of the sets stacked in ``centers`` and ``radii`` (one set per
+    row), one per column of the draws ``u`` of shape (sets, 3, k): a disk
+    drawn with probability proportional to its area (row 0), then a uniform
+    point in that disk (radius row 1, angle row 2)."""
+    area = np.cumsum(radii * radii, axis=1)
+    target = u[:, 0] * area[:, -1:]
+    # searchsorted(side="right") along each row: the areas increase
+    k = (area[:, None, :] <= target[:, :, None]).sum(axis=2)
+    k = np.minimum(k, radii.shape[1] - 1)
+    c, r = np.take_along_axis(centers, k, 1), np.take_along_axis(radii, k, 1)
+    return c + r * np.sqrt(u[:, 1]) * np.exp(1j * (u[:, 2] * 2 * np.pi))
+
+
+def _by_count(sets):
+    """The (centers, radii) pairs of ``sets`` grouped by disk count: per
+    count, the sets' indices and their disks stacked into (sets, count)
+    arrays."""
+    count = np.array([len(radii) for _, radii in sets])
+    for m in np.unique(count).tolist():
+        idx = np.flatnonzero(count == m)
+        yield idx, np.stack([sets[i][0] for i in idx]), np.stack([sets[i][1] for i in idx])
 
 
 def _meets(ca, ra, cb, rb):
@@ -164,17 +183,23 @@ def _meets(ca, ra, cb, rb):
 
 
 def _contained(centers, radii) -> np.ndarray:
-    """Per disk: whether another disk contains it, ``|c_i - c_j| + r_i <=
-    r_j`` up to the tolerance of ``_touching``, where of two disks that
-    contain each other only the later one counts as contained."""
-    inside = np.abs(centers[:, None] - centers) + radii[:, None] <= radii * _MEET
-    np.fill_diagonal(inside, False)
-    return (inside & (np.tril(inside.T, -1) | ~inside.T)).any(axis=1)
+    """Per disk along the last axis: whether another disk of its row
+    contains it, ``|c_i - c_j| + r_i <= r_j`` up to the tolerance of
+    ``_touching``, where of two disks that contain each other only the later
+    one counts as contained."""
+    m = radii.shape[-1]
+    inside = (
+        np.abs(centers[..., :, None] - centers[..., None, :]) + radii[..., :, None]
+        <= radii[..., None, :] * _MEET
+    )
+    inside[..., range(m), range(m)] = False
+    other = inside.swapaxes(-1, -2)
+    return (inside & (np.tril(other, -1) | ~other)).any(axis=-1)
 
 
-def _cap_fractions(centers, radii, x, r) -> np.ndarray:
-    """Exact share of each disk D(x_k, r_k) that the union of the disks
-    (``centers``, ``radii``) covers.
+def _set_fractions(sets, x, r, owner) -> np.ndarray:
+    """Exact share of each disk D(x_k, r_k) that the union of the disks of
+    set ``owner[k]`` covers; ``sets`` holds (centers, radii) array pairs.
 
     In coordinates centred at x_k and scaled by r_k the query disk is the
     unit disk Q.  The boundary of (union and Q) is made of the set circles'
@@ -188,23 +213,38 @@ def _cap_fractions(centers, radii, x, r) -> np.ndarray:
     of center a + ib and radius rho, summed here as the arc's chord term
     1/2 p0 x p1 plus its circular segment 1/2 rho^2 (dtheta - sin dtheta):
     the arcs' end points lie in Q, so neither term grows with a far center.
-    Disks inside another disk, up to the tolerance of ``_touching``, are
-    dropped first (the first of two that contain each other is kept): they
-    leave the union unchanged, and a near-coincident pair would put one
-    circle's arc midpoints within rounding of the other circle.  A query
-    disk inside one set disk is covered whole and needs no arcs.
+    Disks inside another disk of their set, up to the tolerance of
+    ``_touching``, are dropped first (the first of two that contain each
+    other is kept): they leave the union unchanged, and a near-coincident
+    pair would put one circle's arc midpoints within rounding of the other
+    circle.  A query disk inside one set disk is covered whole and needs no
+    arcs.  The queries of all sets with the same number of kept disks go
+    through ``_cap_areas`` together, each row carrying its own set's disks.
     """
-    kept = ~_contained(centers, radii)
-    centers, radii = centers[kept], radii[kept]
-    whole = (np.abs(x[:, None] - centers) + r[:, None] <= radii).any(axis=1)
-    rest = np.flatnonzero(~whole)
+    kept = [None] * len(sets)
+    for idx, centers, radii in _by_count(sets):
+        for i, c, rho, keep in zip(idx.tolist(), centers, radii, ~_contained(centers, radii)):
+            kept[i] = c[keep], rho[keep]
     area = np.full(len(x), np.pi)
-    n = len(radii) + 1  # the set circles, then the query circle
-    step = max(1, _PAIRS // (2 * n**3))
-    for i in range(0, len(rest), step):
-        k = rest[i : i + step]
-        area[k] = _cap_areas(centers, radii, x[k], r[k])
+    for idx, centers, radii in _by_count(kept):
+        row = np.full(len(sets), -1)  # a set's row in this group
+        row[idx] = np.arange(len(idx))
+        k = np.flatnonzero(row[owner] >= 0)
+        c, rho = centers[row[owner[k]]], radii[row[owner[k]]]
+        rest = ~(np.abs(x[k, None] - c) + r[k, None] <= rho).any(axis=1)
+        k, c, rho = k[rest], c[rest], rho[rest]
+        n = rho.shape[1] + 1  # the set circles, then the query circle
+        step = max(1, _PAIRS // (2 * n**3))
+        for i in range(0, len(k), step):
+            part = slice(i, i + step)
+            area[k[part]] = _cap_areas(c[part], rho[part], x[k[part]], r[k[part]])
     return area / np.pi
+
+
+def _cap_fractions(centers, radii, x, r) -> np.ndarray:
+    """Exact share of each disk D(x_k, r_k) that the union of the disks
+    (``centers``, ``radii``) covers: ``_set_fractions`` of one set."""
+    return _set_fractions([(centers, radii)], x, r, np.zeros(len(x), dtype=np.intp))
 
 
 @cache
@@ -215,8 +255,9 @@ def _circle_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cap_areas(centers, radii, x, r) -> np.ndarray:
     """Area of (union of the disks) and the unit disk, per (x, r), in the
-    coordinates of ``_cap_fractions``."""
-    k, m = len(x), len(radii)
+    coordinates of ``_set_fractions``; row k of (k, m) ``centers`` and
+    ``radii`` holds the disks of query k, and 1-d arrays serve every row."""
+    k, m = len(x), radii.shape[-1]
     c = np.zeros((k, m + 1), dtype=complex)
     c[:, :m] = (centers - x[:, None]) / r[:, None]
     rho = np.ones((k, m + 1))
@@ -248,6 +289,40 @@ def _cap_areas(centers, radii, x, r) -> np.ndarray:
     return 0.5 * np.where(keep, piece, 0.0).sum(axis=(1, 2))
 
 
+def _pairs_of(sets, seeds, n_radii: int, n_centers: int):
+    """The pairs of ``fatness_pairs`` for all ``sets`` at once, set j drawn
+    from ``seeds[j]``; ``sets`` holds (centers, radii) array pairs.
+
+    Returns the pairs' centers, radii and owning set.  The pairs come in
+    groups of sets with the same disk count, and within a set in the order
+    of ``fatness_pairs``.  Only the random draws are made set by set; the
+    probes, sampled centers, radii and the containment test are array
+    passes over each group.
+    """
+    if n_radii < 1 or n_centers < 1:
+        raise GeometryError("sample counts must be positive")
+    xs, rs, owners = [], [], []
+    for idx, centers, radii in _by_count(sets):
+        n_x = 9 * radii.shape[1] + n_centers
+        draws = [np.random.default_rng(seeds[j]).random((3, n_centers)) for j in idx]
+        u = [np.random.default_rng((seeds[j], 1)).random((n_radii, n_x)) for j in idx]
+        probes = centers[:, :, None] + radii[:, :, None] * _PROBES
+        sampled = _sample(np.stack(draws), centers, radii)
+        x = np.concatenate([probes.reshape(len(idx), -1), sampled], axis=1)
+        x0, x1, y0, y1 = _box(centers, radii)
+        diam = map(math.hypot, (x1 - x0).tolist(), (y1 - y0).tolist())
+        lo, hi = np.array([(math.log(1e-3 * d), math.log(2.0 * d)) for d in diam]).T
+        lo, hi = lo[:, None, None], hi[:, None, None]
+        r = np.exp(lo + (hi - lo) * np.stack(u))
+        # D(x, r) contains the set when r reaches its farthest point from x
+        far = (np.abs(x[:, :, None] - centers[:, None]) + radii[:, None]).max(axis=2)
+        keep = r < far[:, None]
+        xs.append(np.broadcast_to(x[:, None], r.shape)[keep])
+        rs.append(r[keep])
+        owners.append(np.broadcast_to(idx[:, None, None], r.shape)[keep])
+    return np.concatenate(xs), np.concatenate(rs), np.concatenate(owners)
+
+
 def fatness_pairs(
     s: PlanarSet, n_radii: int = 8, seed: int = 20080, n_centers: int = 24
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -258,22 +333,11 @@ def fatness_pairs(
     radii are log-uniform between 1e-3 and 2 diameters, row i of one
     (n_radii, centers) draw from substream (seed, 1) giving every center its
     i-th radius, so increasing ``n_radii`` only extends the set of pairs.
-    Pairs whose disk contains s are skipped.
+    Pairs whose disk contains s are skipped.  This is the one-set case of
+    the batched pass that ``check_hs`` makes over a whole collection.
     """
-    if n_radii < 1 or n_centers < 1:
-        raise GeometryError("sample counts must be positive")
-    rng = np.random.default_rng(seed)
-    probes = s.centers[:, None] + s.radii[:, None] * _PROBES
-    sampled = _sample(rng, s.centers, s.radii, [0, len(s.radii)], n_centers)
-    x = np.concatenate([probes.ravel(), sampled])
-    diam = s.diameter_bound()
-    lo, hi = math.log(1e-3 * diam), math.log(2.0 * diam)
-    u = np.random.default_rng((seed, 1)).random((n_radii, len(x)))
-    r = np.exp(lo + (hi - lo) * u)
-    # D(x, r) contains s when r reaches the farthest point of s from x
-    far = (np.abs(x[:, None] - s.centers) + s.radii).max(axis=1)
-    keep = r < far
-    return np.broadcast_to(x, r.shape)[keep], r[keep]
+    x, r, _ = _pairs_of([(s.centers, s.radii)], [seed], n_radii, n_centers)
+    return x, r
 
 
 def fatness_estimate(
@@ -284,7 +348,8 @@ def fatness_estimate(
     n_centers: int = 24,
 ) -> float:
     """Upper statistic for the fatness constant of ``s``: the least exact
-    share of D(x, r) inside s over the pairs of ``fatness_pairs``.
+    share of D(x, r) inside s over the pairs of ``fatness_pairs``: the
+    one-set case of the batched pass of ``check_hs``.
 
     ``n_samples`` has no effect on the result; it is kept for callers that
     pass it, and must be positive.
@@ -403,11 +468,13 @@ def check_hs(
     ``("v", v)`` as ``inscribed_collection`` keys them, and adjacency is
     read off the edges of ``g``; otherwise the collection's own adjacency
     list is used.  One pass over the touching disks (``_overlaps``) decides
-    which sets meet and counts the overlap exactly; each set's fatness is
-    ``fatness_estimate`` with 6 radii, 8 random centers and seed
-    ``seed + 3 + j`` for the j-th set in ``repr`` order.  ``samples`` has no
-    effect on the result; it is kept for callers that pass it, and must be
-    positive.
+    which sets meet and counts the overlap exactly.  ``worst_fatness`` is
+    the least ``fatness_estimate`` over the sets with 6 radii, 8 random
+    centers and seed ``seed + 3 + j`` for the j-th set in ``repr`` order,
+    computed in one batched pass over every set's pairs: the same pairs and
+    the same bits as the per-set calls, which it does not make.  ``samples``
+    has no effect on the result; it is kept for callers that pass it, and
+    must be positive.
     """
     if samples < 1:
         raise GeometryError("sample counts must be positive")
@@ -431,10 +498,9 @@ def check_hs(
     pairs = [tuple(sorted((index[a], index[b]))) for a, b in adjacency]
     missing = [(a, b) for (a, b), pair in zip(adjacency, pairs) if pair not in meeting]
 
-    worst = min(
-        fatness_estimate(sets[k], n_radii=6, seed=seed + 3 + j, n_centers=8)
-        for j, k in enumerate(keys)
-    )
+    disks = [(sets[k].centers, sets[k].radii) for k in keys]
+    x, r, owner = _pairs_of(disks, [seed + 3 + j for j in range(len(keys))], 6, 8)
+    worst = float(_set_fractions(disks, x, r, owner).min(initial=1.0))
 
     return HSReport(
         locally_finite=True,

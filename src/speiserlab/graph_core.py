@@ -751,8 +751,9 @@ def induced_ball(g: RotationGraph, n: int) -> RotationGraph:
     darts = darts[stays]
     offsets = np.zeros(len(keep) + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner[stays], minlength=len(keep)), out=offsets[1:])
-    # the kept edges, renumbered in edge order as in ``dual``
-    edge_kept = np.bincount(darts >> 1, minlength=g.n_edges) > 0
+    # the kept edges, renumbered in edge order as in ``dual``; the mask ends
+    # at the largest kept edge id, so a small ball costs no O(|E(g)|) pass
+    edge_kept = np.bincount(darts >> 1) > 0
     new_eid = np.cumsum(edge_kept) - 1
     tags = None
     if g.tags:

@@ -274,17 +274,10 @@ def _bound_verdict(holds_all: bool, first_k_holding: int | None) -> str:
     return f"holds from k = {first_k_holding}" if first_k_holding else "fails"
 
 
-def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
-    """Run both evidence legs and assemble the deterministic report."""
-    config = config or Theorem1Config()
-    notes = [
-        "verdicts are truncation trends, not proofs",
-        "leg A runs on the degree-8 triangulation (the dual of the octagon "
-        "base graph contains it); leg B runs on the stretched base and its "
-        "grid extension",
-    ]
-
-    # leg A: the dual side should look transient / hyperbolic
+def _leg_a(config: Theorem1Config) -> tuple[dict, dict]:
+    """Leg A, the dual side, which should look transient / hyperbolic: its
+    report section and verdicts.  Its {3,8} lattice is freed on return, so
+    leg B's construction does not stack on it."""
     depth = max(config.dual_depth, *config.ratio_ns)
     lattice = triangular_ball(8, depth)
     dual_tri = lattice
@@ -303,6 +296,25 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         "vel_trend": vel_report.to_dict(),
         "ratio_trend": cp_report.to_dict(),
     }
+    verdicts = {
+        "leg_a_resistance": res_fit["verdict"],
+        "leg_a_vel": vel_report.verdict,
+        "leg_a_cp": cp_report.verdict,
+    }
+    return leg_a, verdicts
+
+
+def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
+    """Run both evidence legs and assemble the deterministic report."""
+    config = config or Theorem1Config()
+    notes = [
+        "verdicts are truncation trends, not proofs",
+        "leg A runs on the degree-8 triangulation (the dual of the octagon "
+        "base graph contains it); leg B runs on the stretched base and its "
+        "grid extension",
+    ]
+
+    leg_a, leg_a_verdicts = _leg_a(config)
 
     # leg B: growth bounds and recurrence evidence on the stretched base
     schedule = GrowthSchedule(config.schedule)
@@ -334,9 +346,7 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
     }
 
     verdicts = {
-        "leg_a_resistance": res_fit["verdict"],
-        "leg_a_vel": vel_report.verdict,
-        "leg_a_cp": cp_report.verdict,
+        **leg_a_verdicts,
         "leg_b_doyle": doyle.verdict,
         "leg_b_growth_bound": _bound_verdict(growth.holds_all, growth.first_k_holding),
         "leg_b_sphere_bound": _bound_verdict(

@@ -14,7 +14,7 @@ from speiserlab.fatness import (
     fatness_estimate,
 )
 from speiserlab.lattices import triangular_ball
-from speiserlab.packing import EUCLIDEAN, FatCollection, inscribed_collection, pack_disk
+from speiserlab.packing import EUCLIDEAN, MAXIMAL, FatCollection, inscribed_collection, pack_disk
 
 
 def test_unit_disk_quarter_fat():
@@ -335,7 +335,9 @@ def test_contains_and_overlap_match_per_set_loop():
     centers = np.concatenate([s.centers for s in sets])
     radii = np.concatenate([s.radii for s in sets])
     bounds = np.cumsum([0] + [len(s.disks) for s in sets])
-    pts = _sample(rng, centers, radii, bounds, 200)
+    pts = np.concatenate(
+        [_sample(rng.random((1, 3, 200)), s.centers[None], s.radii[None])[0] for s in sets]
+    )
     box = rng.uniform(-6, 6, size=(2, 500))
     pts = np.concatenate([pts, box[0] + 1j * box[1]])
     counts = np.zeros(len(pts), dtype=int)
@@ -495,3 +497,101 @@ def test_overlap_counts_a_thin_triple_lens():
     report = check_hs(None, col, seed=20080)
     assert report.max_overlap == 3
     assert not report.overlap_ok
+
+
+# -- the batched pass of check_hs against one call per set ------------------
+
+# sets of 1, 2, 3 and 5 disks; a disk inside another (and an identical copy)
+# makes the kept counts 1, 2, 2, 4 and 1 differ from the listed ones
+HAND_SETS = {
+    ("v", 0): ((0j, 1.0),),
+    ("e", 1): ((3 + 0j, 1.0), (4.5 + 0j, 0.8)),
+    ("f", 2): ((3j, 1.0), (0.3 + 3j, 0.4), (1.5 + 3j, 0.7)),
+    ("f", 3): ((6 + 6j, 1.0), (7.2 + 6j, 0.5), (6 + 7.3j, 0.6), (6 + 6j, 0.5), (5 + 6j, 0.3)),
+    ("e", 4): ((10j, 1.0), (10j, 1.0)),
+}
+
+
+def _hand_collection():
+    return FatCollection(sets=dict(HAND_SETS), adjacency=[], tau=0.01, overlap_bound=5)
+
+
+def _collections():
+    yield "hand", _hand_collection()
+    for name, q, depth, boundary in [
+        ("hex2", 6, 2, EUCLIDEAN),
+        ("hex3", 6, 3, EUCLIDEAN),
+        ("tri8-2", 8, 2, MAXIMAL),
+    ]:
+        yield name, inscribed_collection(pack_disk(triangular_ball(q, depth), boundary=boundary))
+
+
+def _per_set_worst(col, seed):
+    """The documented reference: the least ``fatness_estimate`` over the
+    sets, set j in ``repr`` order drawn from seed + 3 + j."""
+    keys = sorted(col.sets, key=repr)
+    return min(
+        fatness_estimate(PlanarSet(tuple(col.sets[k])), n_radii=6, seed=seed + 3 + j, n_centers=8)
+        for j, k in enumerate(keys)
+    )
+
+
+def test_hand_sets_keep_fewer_disks_than_they_list():
+    from speiserlab.fatness import _contained
+
+    sets = [PlanarSet(d) for d in HAND_SETS.values()]
+    kept = [int((~_contained(s.centers, s.radii)).sum()) for s in sets]
+    assert [len(d) for d in HAND_SETS.values()] == [1, 2, 3, 5, 2]
+    assert kept == [1, 2, 2, 4, 1]
+
+
+@pytest.mark.parametrize("seed", [1, 2001, 20080])
+def test_check_hs_equals_the_per_set_estimates(seed):
+    for name, col in _collections():
+        assert check_hs(None, col, seed=seed).worst_fatness == _per_set_worst(col, seed), name
+
+
+def test_batched_pairs_and_fractions_equal_each_set_alone():
+    # every set's pairs and exact shares, not only the least one
+    from speiserlab.fatness import _pairs_of, _set_fractions, fatness_pairs
+
+    for name, col in _collections():
+        sets = [PlanarSet(tuple(v)) for v in col.sets.values()]
+        disks = [(s.centers, s.radii) for s in sets]
+        seeds = [40 + 7 * j for j in range(len(sets))]
+        x, r, owner = _pairs_of(disks, seeds, 6, 8)
+        f = _set_fractions(disks, x, r, owner)
+        assert sorted(set(owner.tolist())) == list(range(len(sets))), name
+        for j, s in enumerate(sets):
+            x1, r1 = fatness_pairs(s, 6, seeds[j], 8)
+            mine = owner == j
+            assert np.array_equal(x[mine], x1) and np.array_equal(r[mine], r1), name
+            assert np.array_equal(f[mine], _cap_fractions(s.centers, s.radii, x1, r1)), name
+
+
+def test_check_hs_scores_in_one_pass_per_kept_count(monkeypatch):
+    # no per-set fatness_estimate call, and one _cap_areas call per chunk of
+    # each kept-count group; the per-set loop makes about one per set
+    from speiserlab.fatness import _PAIRS, _contained, _pairs_of
+
+    p = pack_disk(triangular_ball(6, 3), boundary=EUCLIDEAN)
+    col = inscribed_collection(p)
+    calls = {"fatness_estimate": 0, "_cap_areas": 0}
+    for name in calls:
+        inner = getattr(fatness, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(fatness, name, counted)
+    seed = 9
+    check_hs(None, col, seed=seed)
+    assert calls["fatness_estimate"] == 0
+    sets = [PlanarSet(tuple(col.sets[k])) for k in sorted(col.sets, key=repr)]
+    disks = [(s.centers, s.radii) for s in sets]
+    _, _, owner = _pairs_of(disks, [seed + 3 + j for j in range(len(sets))], 6, 8)
+    kept = np.array([(~_contained(c, rho)).sum() for c, rho in disks])
+    rows = np.bincount(kept[owner])
+    bound = sum(-(-int(k) // max(1, _PAIRS // (2 * (n + 1) ** 3))) for n, k in enumerate(rows))
+    assert 0 < calls["_cap_areas"] <= bound < len(sets) // 4

@@ -297,6 +297,19 @@ def test_default_annuli_pinned():
         assert est.upper == pytest.approx(upper, rel=1e-9)
 
 
+# the {3,8} series terms VEL(0, S(n)) on B(n): interior-point iterations and
+# QP arc variables
+SERIES_TERMS = [(1, 5, 9), (2, 6, 65), (3, 8, 321), (4, 9, 1281), (5, 10, 4865), (6, 11, 18_241)]
+
+
+@pytest.mark.parametrize("n, outer, n_constraints", SERIES_TERMS)
+def test_series_terms_pinned(n, outer, n_constraints):
+    g = triangular_ball(8, n)
+    est = solve_vel(g, {0}, set(g.frontier))
+    assert est.converged
+    assert est.iterations == {"outer": outer, "n_constraints": n_constraints}
+
+
 def test_default_annuli_order_each_schur_pattern_once(monkeypatch):
     # each solve orders its Schur pattern on its first interior-point
     # iteration and factors every later complement in that order; the
