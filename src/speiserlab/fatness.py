@@ -241,12 +241,6 @@ def _set_fractions(sets, x, r, owner) -> np.ndarray:
     return area / np.pi
 
 
-def _cap_fractions(centers, radii, x, r) -> np.ndarray:
-    """Exact share of each disk D(x_k, r_k) that the union of the disks
-    (``centers``, ``radii``) covers: ``_set_fractions`` of one set."""
-    return _set_fractions([(centers, radii)], x, r, np.zeros(len(x), dtype=np.intp))
-
-
 @cache
 def _circle_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The index pairs i < j of n circles (shared arrays: read only)."""
@@ -357,7 +351,8 @@ def fatness_estimate(
     if n_samples < 1:
         raise GeometryError("sample counts must be positive")
     x, r = fatness_pairs(s, n_radii, seed, n_centers)
-    return float(_cap_fractions(s.centers, s.radii, x, r).min(initial=1.0))
+    owner = np.zeros(len(x), dtype=np.intp)
+    return float(_set_fractions([(s.centers, s.radii)], x, r, owner).min(initial=1.0))
 
 
 def _overlaps(centers, radii, bounds) -> tuple[int, set[tuple[int, int]]]:

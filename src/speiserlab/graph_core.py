@@ -769,13 +769,9 @@ def induced_ball(g: RotationGraph, n: int) -> RotationGraph:
 # -- canonical labeling --------------------------------------------------
 
 
-def _signature_from(g: RotationGraph, d0: int, mirror: bool) -> tuple:
+def _signature_from(g: RotationGraph, d0: int) -> tuple:
     """Canonical traversal signature starting at dart ``d0``."""
-    step = g.rot_succ
-    if mirror:
-        step = np.empty_like(step)
-        step[g.rot_succ] = np.arange(g.n_darts)
-    step, vertex = step.tolist(), g.dart_vertex.tolist()
+    step, vertex = g.rot_succ.tolist(), g.dart_vertex.tolist()
     dart_label: dict[int, int] = {}
     order: list[int] = []
 
@@ -804,27 +800,20 @@ def _signature_from(g: RotationGraph, d0: int, mirror: bool) -> tuple:
     return sig_twins, sig_front
 
 
-def canonical_form(g: RotationGraph, mirror: bool = False) -> tuple:
+def canonical_form(g: RotationGraph) -> tuple:
     """Minimum traversal signature over all root darts (O(darts^2))."""
     best = None
     for d0 in range(g.n_darts):
-        sig = _signature_from(g, d0, mirror)
+        sig = _signature_from(g, d0)
         if best is None or sig < best:
             best = sig
     return best
 
 
-def is_isomorphic(
-    a: RotationGraph, b: RotationGraph, allow_reflection: bool = False
-) -> bool:
+def is_isomorphic(a: RotationGraph, b: RotationGraph) -> bool:
     if a.n_darts != b.n_darts or a.n_vertices != b.n_vertices:
         return False
-    ca = canonical_form(a)
-    if ca == canonical_form(b):
-        return True
-    if allow_reflection:
-        return ca == canonical_form(b, mirror=True)
-    return False
+    return canonical_form(a) == canonical_form(b)
 
 
 # -- JSON graph format v1 ------------------------------------------------

@@ -4,14 +4,16 @@ Effective resistance from a root to a grounded combinatorial sphere, the
 Nash-Williams cut-sum lower bound, and the full pipeline: glue square-grid
 cylinders into every face of a Speiser graph and test the result for
 recurrence.  Every edge (each parallel copy separately) is a unit resistor,
-matching simple random walk on the multigraph.  A resistance curve carries
-the cut sizes of the network it solved, so the cut-sum bound is read off
-the same network as R(n).
+matching simple random walk on the multigraph.  A network is plain edge
+arrays with the distances of its nodes, and one call solves it and counts
+its cut sizes, so every resistance curve reads the cut-sum bound off the
+network it solved.
 
 For the pipeline the extended graph's ball is assembled implicitly from the
 face walks: a grid node over walk position i at height m sits at distance
 D_i + m from the root, so the ball of radius n only ever touches columns of
-height at most n and stays desk-sized even when the faces are huge.
+height at most n and stays desk-sized even when the faces are huge.  Its
+edges come in three blocks: base, vertical and ring edges.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ def _ball_resistances(
     dist: np.ndarray,
     root: int,
     n_list: Sequence[int],
-) -> tuple[list[float], list[float]]:
-    """Resistances and solve residuals from root to the short-circuited S(n).
+) -> ResistanceCurve:
+    """Resistances and solve residuals from root to the short-circuited S(n),
+    and the cut sizes |E(k)|, k < max n, counted by ``cut_counts`` on the
+    edges inside B(max n) that were solved.
 
     Every edge (u, v) is a unit resistor; ``dist`` is the distance from the
     root, so it changes by at most one along an edge.  Radius n solves for
@@ -105,7 +109,12 @@ def _ball_resistances(
                 nodes, lap = nodes[order], lap[order][:, order]
         current = sum(float(np.sum(1.0 - pot[ends])) for ends in far)
         solved[n] = (1.0 / current, resid)
-    return [solved[n][0] for n in n_list], [solved[n][1] for n in n_list]
+    return ResistanceCurve(
+        list(n_list),
+        [solved[n][0] for n in n_list],
+        [solved[n][1] for n in n_list],
+        cut_counts(dist[u], dist[v], n_max).tolist(),
+    )
 
 
 @dataclass
@@ -137,11 +146,7 @@ def resistance_curve(g: RotationGraph, root: int, n_list: list[int]) -> Resistan
             raise FrontierError(
                 f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
             )
-    rs, residuals = _ball_resistances(
-        g.n_vertices, *_edge_arrays(g), layers.dist, root, n_list
-    )
-    cuts = layers.cut_sizes()[: max(n_list, default=0)]
-    return ResistanceCurve(list(n_list), rs, residuals, cuts)
+    return _ball_resistances(g.n_vertices, *_edge_arrays(g), layers.dist, root, n_list)
 
 
 def nash_williams_sum(cut_sizes: Sequence[int]) -> list[float]:
@@ -155,24 +160,19 @@ def nash_williams_sum(cut_sizes: Sequence[int]) -> list[float]:
 # -- implicit ball of the extended graph -----------------------------------
 
 
-def _upsilon_ball(
-    g: RotationGraph,
-    root: int,
-    n_max: int,
-    grid_depth: int | None = None,
-):
-    """Nodes and edges of B(n_max) around ``root`` in the extension of ``g``.
+def _upsilon_ball(g: RotationGraph, root: int, n_max: int, grid_depth: int):
+    """Nodes and edges of B(n_max) around ``root`` in the extension of ``g``
+    with grids of depth ``grid_depth``.
 
     Returns (n_nodes, edges_u, edges_v, dist): base vertices keep their ids,
-    grid nodes are appended.  Exact for n <= the base reliable depth.
-
-    The base edges inside the ball come first, in edge order.  Then each
-    face in turn gets a column over every walk position, in walk order:
-    column nodes are numbered bottom-up and joined base -> ring 1 -> ... ->
-    top.  After its columns come the face's ring edges, position by
-    position, joining equal heights of consecutive columns.
+    and the grid nodes are appended column by column, one column over every
+    face walk entry in entry order, each numbered bottom-up.  Exact for
+    n <= the base reliable depth.  The edges come in three blocks: the base
+    edges inside the ball in edge order, the vertical edges in node order
+    (each node joined to the one below it, a bottom node to its column's
+    base vertex), and the ring edges in entry order, joining equal heights
+    of consecutive columns of a face.
     """
-    gd = grid_depth if grid_depth is not None else n_max
     faces = trace_faces(g)
     dist_base = bfs_layers(g, root).dist
     n = g.n_vertices
@@ -182,7 +182,9 @@ def _upsilon_ball(
 
     # column over walk entry p: heights 1..h[p], nodes n + col0[p] + (0..h-1)
     D = dist_base[faces.vertices]
-    h = np.maximum(np.where(inside[faces.vertices], np.minimum(gd, n_max - D), 0), 0)
+    h = np.maximum(
+        np.where(inside[faces.vertices], np.minimum(grid_depth, n_max - D), 0), 0
+    )
     col0 = np.cumsum(h) - h
     fid = faces.face_index()
     start = faces.offsets[fid]
@@ -201,22 +203,10 @@ def _upsilon_ball(
     # ring edges: height m of entry p to height m of the next entry
     ring = np.repeat(np.arange(len(h)), top)
     level = np.arange(len(ring)) - (np.cumsum(top) - top)[ring]
-
-    # face f's block: its vertical edges, then its ring edges
-    n_vert, n_ring = (np.add.reduceat(x, faces.offsets[:-1]) for x in (h, top))
-    block0 = np.cumsum(n_vert + n_ring) - n_vert - n_ring
-    vert_at = block0 - (np.cumsum(n_vert) - n_vert)
-    ring_at = block0 + n_vert - (np.cumsum(n_ring) - n_ring)
-    eu = np.empty(n_new + len(ring), dtype=np.int64)
-    ev = np.empty_like(eu)
-    at = vert_at[fid[column]] + np.arange(n_new)
-    eu[at], ev[at] = below, n + np.arange(n_new)
-    at = ring_at[fid[ring]] + np.arange(len(ring))
-    eu[at], ev[at] = n + col0[ring] + level, n + col0[nxt[ring]] + level
     return (
         n + n_new,
-        np.concatenate([a[base], eu]),
-        np.concatenate([b[base], ev]),
+        np.concatenate([a[base], below, n + col0[ring] + level]),
+        np.concatenate([b[base], n + np.arange(n_new), n + col0[nxt[ring]] + level]),
         np.concatenate([dist_base, D[column] + height]),
     )
 
@@ -225,11 +215,12 @@ def upsilon_resistance_curve(
     g: RotationGraph,
     root: int,
     n_list: list[int],
-    grid_depth: int | None = None,
+    grid_depth: int,
 ) -> ResistanceCurve:
-    """Effective resistance root -> S(n) inside the extended graph."""
+    """Effective resistance root -> S(n) inside the extension of ``g`` with
+    grids of depth ``grid_depth``."""
     _check_radii(n_list)
-    if grid_depth is not None and grid_depth < 0:
+    if grid_depth < 0:
         raise GraphError(f"grid_depth must be >= 0, got {grid_depth}")
     layers = bfs_layers(g, root)
     n_max = max(n_list, default=0)
@@ -237,10 +228,7 @@ def upsilon_resistance_curve(
         raise FrontierError(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"
         )
-    n_nodes, u, v, dist = _upsilon_ball(g, root, n_max, grid_depth=grid_depth)
-    rs, residuals = _ball_resistances(n_nodes, u, v, dist, root, n_list)
-    cuts = cut_counts(dist[u], dist[v], n_max).tolist()
-    return ResistanceCurve(list(n_list), rs, residuals, cuts)
+    return _ball_resistances(*_upsilon_ball(g, root, n_max, grid_depth), root, n_list)
 
 
 @dataclass

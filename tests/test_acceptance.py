@@ -324,7 +324,7 @@ def test_acceptance_10_leg_b(theorem1_report):
 
     # degree bound of the extension: base interior degree 3 plus one column
     # per corner gives 6; measured on the assembled ball
-    n_nodes, eu, ev, dist = _upsilon_ball(gamma, 0, 24)
+    n_nodes, eu, ev, dist = _upsilon_ball(gamma, 0, 24, grid_depth=24)
     degs = np.bincount(np.concatenate([eu, ev]), minlength=n_nodes)
     inner = dist < 24
     deg_ok = int(degs[inner].max()) <= 6

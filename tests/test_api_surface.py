@@ -12,8 +12,9 @@ v-metric is a plain array.  Interior faces follow one rule,
 nerve.  Records serialize from their fields, and
 fields that nothing read are gone.  ``extended_layer_counts`` counts the
 true extension only (a truncated grid is counted on the ball that
-``doyle_test`` solves), and ``effective_resistance`` is gone.  These tests
-keep such knobs and wrappers from coming back.
+``doyle_test`` solves), and ``effective_resistance`` is gone; isomorphism
+never reflects, and the extension ball always names its grid depth.  These
+tests keep such knobs and wrappers from coming back.
 """
 
 import ast
@@ -28,7 +29,13 @@ import pytest
 import speiserlab
 from speiserlab.cli import main
 from speiserlab.fatness import HSReport
-from speiserlab.graph_core import RotationGraph, bfs_layers, dual
+from speiserlab.graph_core import (
+    RotationGraph,
+    bfs_layers,
+    canonical_form,
+    dual,
+    is_isomorphic,
+)
 from speiserlab.packing import CirclePacking, CpTypeReport, pack_disk, ratio_trend
 from speiserlab import refinement
 from speiserlab.refinement import RefinementMap
@@ -40,7 +47,7 @@ from speiserlab.theorem1 import (
     UpsilonCheck,
     verify_upsilon_bounds,
 )
-from speiserlab.walk import DoyleReport
+from speiserlab.walk import DoyleReport, upsilon_resistance_curve
 
 REMOVED = {
     "layers",
@@ -163,6 +170,11 @@ def test_records_serialize_from_their_fields():
 def test_no_constant_knobs():
     assert _parameters(verify_upsilon_bounds) == ["gamma", "k_max", "k_min"]
     assert "compact_connected" not in [f.name for f in dataclasses.fields(HSReport)]
+    # isomorphism keeps orientation; an extension always names its grid depth
+    assert _parameters(is_isomorphic) == ["a", "b"]
+    assert _parameters(canonical_form) == ["g"]
+    grid_depth = inspect.signature(upsilon_resistance_curve).parameters["grid_depth"]
+    assert grid_depth.default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from speiserlab import fatness
 from speiserlab.errors import GeometryError
 from speiserlab.fatness import (
     PlanarSet,
-    _cap_fractions,
+    _set_fractions,
     check_hs,
     check_union_fat,
     disks_intersect,
@@ -15,6 +15,12 @@ from speiserlab.fatness import (
 )
 from speiserlab.lattices import triangular_ball
 from speiserlab.packing import EUCLIDEAN, MAXIMAL, FatCollection, inscribed_collection, pack_disk
+
+
+def _cap_fractions(centers, radii, x, r):
+    """Exact share of each disk D(x_k, r_k) that the union of the disks
+    (``centers``, ``radii``) covers: ``_set_fractions`` of that one set."""
+    return _set_fractions([(centers, radii)], x, r, np.zeros(len(x), dtype=np.intp))
 
 
 def test_unit_disk_quarter_fat():
@@ -553,7 +559,7 @@ def test_check_hs_equals_the_per_set_estimates(seed):
 
 def test_batched_pairs_and_fractions_equal_each_set_alone():
     # every set's pairs and exact shares, not only the least one
-    from speiserlab.fatness import _pairs_of, _set_fractions, fatness_pairs
+    from speiserlab.fatness import _pairs_of, fatness_pairs
 
     for name, col in _collections():
         sets = [PlanarSet(tuple(v)) for v in col.sets.values()]

@@ -102,8 +102,8 @@ def test_rayleigh_monotonicity_edge_deletion():
     for e in rng.choice(idx, size=5, replace=False):
         mask = np.ones(len(u), dtype=bool)
         mask[e] = False
-        (r,), _ = _ball_resistances(g.n_vertices, u[mask], v[mask], dist, 0, [5])
-        assert r >= base - 1e-12
+        curve = _ball_resistances(g.n_vertices, u[mask], v[mask], dist, 0, [5])
+        assert curve.resistance[0] >= base - 1e-12
 
 
 def _queue_distances(g, root):
@@ -178,7 +178,7 @@ def test_curves_report_their_solve_residuals():
     assert len(curve.residuals) == 3
     assert all(0.0 <= r <= 1e-10 for r in curve.residuals)
     assert curve.to_dict() == {"radii": [1, 3, 5], "resistance": curve.resistance}
-    ups = upsilon_resistance_curve(speiser_ball(2), 0, [1, 2])
+    ups = upsilon_resistance_curve(speiser_ball(2), 0, [1, 2], grid_depth=2)
     assert len(ups.residuals) == 2
     assert all(0.0 <= r <= 1e-10 for r in ups.residuals)
 
@@ -195,6 +195,28 @@ def test_curves_report_the_cut_sizes_of_their_network():
     for c in (curve, ups):
         nw = nash_williams_sum(c.cut_sizes)
         assert all(r >= nw[n - 1] - 1e-12 for n, r in zip(c.radii, c.resistance))
+
+
+def test_resistances_pinned_bit_for_bit():
+    # the root current is a float sum over the root's edges in the order the
+    # network lists them, so reordering them moves the last bits; recorded
+    # under one BLAS thread
+    from speiserlab.lattices import octahedron
+    from speiserlab.theorem1 import build_gamma
+
+    gamma = build_gamma(2, GrowthSchedule((3, 5)))
+    assert [r.hex() for r in doyle_test(gamma, 4, 0, 6).resistance] == [
+        "0x1.5555555555555p-3",
+        "0x1.af286bca1af28p-3",
+        "0x1.e8b6231b492b1p-3",
+        "0x1.0c951bcd3e93cp-2",
+        "0x1.1fea41e2fe3bap-2",
+        "0x1.31defee188be6p-2",
+    ]
+    # the cut sizes counted on the solved ball are the layering's own
+    for g, ns in ((triangular_ball(8, 5), [5, 2, 3]), (octahedron(), [2, 1])):
+        cuts = resistance_curve(g, 0, ns).cut_sizes
+        assert cuts == bfs_layers(g, 0).cut_sizes()[: max(ns)]
 
 
 def test_doyle_reads_its_cut_sizes_off_the_solved_ball(monkeypatch):
@@ -246,27 +268,26 @@ def test_doyle_insufficient_data_inconclusive():
     assert report.verdict == "inconclusive"
 
 
-def _reference_upsilon_ball(g, layers, n_max, grid_depth=None):
-    """The per-face, per-column loop that ``_upsilon_ball`` replaced."""
+def _reference_upsilon_ball(g, layers, n_max, grid_depth):
+    """The per-face, per-column loop that ``_upsilon_ball`` replaced, emitting
+    the base edges, then the vertical edges, then the ring edges."""
     from speiserlab.graph_core import trace_faces
 
-    gd = grid_depth if grid_depth is not None else n_max
     dist_base = layers.dist
-    eu, ev = [], []
+    base, vertical, ring = [], [], []
     dist = list(dist_base)
     n_nodes = g.n_vertices
     for e in range(g.n_edges):
         a, b = g.edge_ends(e)
         if 0 <= dist_base[a] <= n_max and 0 <= dist_base[b] <= n_max:
-            eu.append(a)
-            ev.append(b)
+            base.append((a, b))
     faces = trace_faces(g)
     bounds = faces.offsets.tolist()
     for f in range(len(faces)):
         vertices = faces.vertices[bounds[f] : bounds[f + 1]].tolist()
         k = len(vertices)
         D = [dist_base[v] for v in vertices]
-        heights = [min(gd, n_max - d) if 0 <= d <= n_max else 0 for d in D]
+        heights = [min(grid_depth, n_max - d) if 0 <= d <= n_max else 0 for d in D]
         if not any(h > 0 for h in heights):
             continue
         col = []
@@ -278,19 +299,17 @@ def _reference_upsilon_ball(g, layers, n_max, grid_depth=None):
                 n_nodes += 1
             col.append(ids)
             if ids:
-                eu.append(vertices[i])
-                ev.append(ids[0])
+                vertical.append((vertices[i], ids[0]))
                 for m in range(len(ids) - 1):
-                    eu.append(ids[m])
-                    ev.append(ids[m + 1])
+                    vertical.append((ids[m], ids[m + 1]))
         for i in range(k):
             j = (i + 1) % k
             if k == 1:
                 break
             for m in range(1, min(heights[i], heights[j]) + 1):
-                eu.append(col[i][m - 1])
-                ev.append(col[j][m - 1])
-    return n_nodes, np.asarray(eu), np.asarray(ev), np.asarray(dist)
+                ring.append((col[i][m - 1], col[j][m - 1]))
+    eu, ev = np.asarray(base + vertical + ring).T
+    return n_nodes, eu, ev, np.asarray(dist)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +325,8 @@ def _reference_upsilon_ball(g, layers, n_max, grid_depth=None):
 )
 def test_upsilon_ball_matches_loop_reference(source, n_max, grid_depth):
     # same nodes, and the same edges in the same order: the root current of
-    # _ball_resistances is summed in edge order
+    # _ball_resistances is summed in edge order.  None: grids as deep as the
+    # ball.
     from speiserlab.lattices import octahedron
     from speiserlab.theorem1 import build_gamma
     from speiserlab.walk import _upsilon_ball
@@ -317,6 +337,8 @@ def test_upsilon_ball_matches_loop_reference(source, n_max, grid_depth):
         "octahedron": octahedron,
         "bigons": lambda: cycle_graph(2),
     }[source]()
+    if grid_depth is None:
+        grid_depth = n_max
     got = _upsilon_ball(g, 0, n_max, grid_depth=grid_depth)
     want = _reference_upsilon_ball(g, bfs_layers(g, 0), n_max, grid_depth=grid_depth)
     assert got[0] == want[0]
@@ -420,10 +442,13 @@ def test_upsilon_curve_rejects_a_negative_grid_depth(monkeypatch):
 
 @pytest.mark.parametrize("grid_depth", [None, 4])
 def test_empty_radius_list_gives_an_empty_curve(grid_depth):
-    # max([]) once raised a bare ValueError here
+    # max([]) once raised a bare ValueError here; None: grids as deep as the
+    # (empty) ball
     from speiserlab.theorem1 import build_gamma
 
     g = build_gamma(1, GrowthSchedule((3,)))
     want = resistance_curve(g, 0, [])
-    assert want.radii == want.resistance == want.residuals == []
+    assert want.radii == want.resistance == want.residuals == want.cut_sizes == []
+    if grid_depth is None:
+        grid_depth = 0
     assert upsilon_resistance_curve(g, 0, [], grid_depth=grid_depth) == want
