@@ -183,7 +183,9 @@ class Theorem1Config:
     graph is built.
     ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
     none reads it.  It is kept so that the report records it and config
-    files that set it stay valid.
+    files that set it stay valid.  ``dual_depth`` only bounds the leg-A
+    resistance radii and annuli: leg A builds its lattice to the largest
+    radius it reads, so a larger ``dual_depth`` leaves the report as it is.
     """
 
     schedule: tuple[int, ...] = (21, 8103)
@@ -252,9 +254,9 @@ class Theorem1Report:
 
 
 def _check_leg_a_radii(config: Theorem1Config) -> None:
-    """Leg A cuts every ball from one lattice, ``triangular_ball(8, D)`` with
-    ``D = max(dual_depth, *ratio_ns)``: the resistance radii and annuli must
-    fit inside B(dual_depth), and every ``ratio_ns`` entry must be >= 1."""
+    """The resistance radii and annuli must fit inside B(dual_depth), and
+    every ``ratio_ns`` entry must be >= 1.  ``dual_depth`` is only this
+    bound: leg A builds its lattice to the largest radius it reads."""
     depth = config.dual_depth
     bad = [n for n in config.resistance_radii if not 1 <= n <= depth]
     bad += [a for a in config.vel_annuli if not 0 <= a[0] < a[1] <= depth]
@@ -276,13 +278,20 @@ def _bound_verdict(holds_all: bool, first_k_holding: int | None) -> str:
 
 def _leg_a(config: Theorem1Config) -> tuple[dict, dict]:
     """Leg A, the dual side, which should look transient / hyperbolic: its
-    report section and verdicts.  Its {3,8} lattice is freed on return, so
-    leg B's construction does not stack on it."""
-    depth = max(config.dual_depth, *config.ratio_ns)
+    report section and verdicts.
+
+    Its {3,8} lattice is built only as deep as leg A reads it: to the
+    largest resistance radius, annulus outer radius or ``ratio_ns`` entry.
+    ``dual_depth`` only bounds the resistance radii and annuli (see
+    ``_check_leg_a_radii``).  ``triangular_ball`` numbers vertices and edges
+    ring by ring, so every ball read here has the same ids in any deeper
+    lattice.  The lattice is freed on return, so leg B's construction does
+    not stack on it."""
+    outer = [no for _, no in config.vel_annuli]
+    reach = max([*config.resistance_radii, *outer], default=1)
+    depth = max([reach, *config.ratio_ns])
     lattice = triangular_ball(8, depth)
-    dual_tri = lattice
-    if config.dual_depth < depth:
-        dual_tri = induced_ball(lattice, config.dual_depth)
+    dual_tri = lattice if reach == depth else induced_ball(lattice, reach)
     curve = resistance_curve(dual_tri, 0, list(config.resistance_radii))
     res_fit = classify_resistance_curve(curve.radii, curve.resistance)
     vel_report = vel_type_trend(dual_tri, 0, list(config.vel_annuli))

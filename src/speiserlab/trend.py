@@ -57,18 +57,24 @@ def fit_proportional(x, y) -> tuple[float, float]:
 def fit_geometric_tail(x, y) -> tuple[float, float, float, float]:
     """Least squares y = b - a * rho^x over a grid of rho in (0, 1).
 
-    Returns (b, a, rho, rmse); models a quantity converging geometrically.
+    Returns (b, a, rho, rmse) at the first grid rho of least rmse; models a
+    quantity converging geometrically.  All grid points are fitted in one
+    array pass, each by the centered normal equations of its two
+    coefficients.  With every x equal the model is the mean of y (a = 0).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    best = None
-    for rho in np.linspace(0.02, 0.98, 97):
-        A = np.column_stack([np.ones_like(x), -(rho**x)])
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        rmse = float(np.sqrt(np.mean((y - A @ coef) ** 2)))
-        if best is None or rmse < best[3]:
-            best = (float(coef[0]), float(coef[1]), float(rho), rmse)
-    return best
+    rhos = np.linspace(0.02, 0.98, 97)
+    dy = y - y.mean()
+    if np.ptp(x) == 0:
+        return float(y.mean()), 0.0, float(rhos[0]), float(np.sqrt(np.mean(dy**2)))
+    p = rhos[:, None] ** x
+    p_mean = p.mean(axis=1)
+    dp = p - p_mean[:, None]
+    a = -(dp @ dy) / np.einsum("ij,ij->i", dp, dp)
+    rmse = np.sqrt(np.mean((dy + a[:, None] * dp) ** 2, axis=1))
+    i = int(np.argmin(rmse))
+    return float(y.mean() + a[i] * p_mean[i]), float(a[i]), float(rhos[i]), float(rmse[i])
 
 
 def residual_verdict(rmse_first: float, rmse_second: float) -> int:

@@ -15,16 +15,20 @@ convex quadratic program on the arc flows:
   summing to 1; every variable is nonnegative.
 
 ``solve_vel`` solves it by a primal-dual interior-point method (Mehrotra
-predictor-corrector).  Every variable has exactly one inflow row and at most
-one outflow row, so the normal equations ``A D A^T`` are diagonal on their
-inflow block and on their outflow block.  Each iteration eliminates the
-inflow rows and factors one sparse LU of the Schur complement on the outflow
-rows (a fifth of the rows of ``A D A^T`` on {3,8} annuli), whose sparsity
-pattern is fixed once per solve.  The first iteration orders that pattern by
-minimum degree, and every later one assembles the complement already
-permuted into the same order and factors it as it stands
-(``sparse_lu.factor``, with SuperLU supernode settings fixed there).  The
-returned bracket does not rest on trusting that run:
+predictor-corrector), started from Mehrotra's point (*On the implementation
+of a primal-dual interior point method*, SIAM J. Optim. 2, 1992): the
+least-norm flow and the least-squares dual slack of its gradient, shifted
+into the positive orthant and balanced.  Every variable has exactly one
+inflow row and at most one outflow row, so the normal equations ``A D A^T``
+are diagonal on their inflow block and on their outflow block.  Each solve
+with them eliminates the inflow rows and factors one sparse LU of the Schur
+complement on the outflow rows (a fifth of the rows of ``A D A^T`` on {3,8}
+annuli), whose sparsity pattern is fixed once per solve.  The starting
+point's ``A A^T`` orders that pattern by minimum degree, and every
+iteration assembles its complement already permuted into the same order and
+factors it as it stands (``sparse_lu.factor``, with SuperLU supernode
+settings fixed there).  The returned bracket does not rest on trusting that
+run:
 
 * lower bound: the metric ``m = t``, kept as ``VelEstimate.metric`` (zero
   off the support), with its Dijkstra distance ``dist_m(A, B)^2 / area(m)``;
@@ -198,7 +202,7 @@ def solve_vel(
     # so that a float bracket of an exactly solved instance cannot cross
     slack = 8 * n * sys.float_info.epsilon
 
-    x, z, y = np.ones(k + n), np.ones(k + n), np.zeros(cons.shape[0])
+    x, y, z = _mehrotra_start(flow, rhs, hess)
     for it in range(1, MAX_IPM_ITERATIONS + 1):
         r_p = cons @ x - rhs
         r_d = hess * x - cons_t @ y - z
@@ -240,6 +244,33 @@ def solve_vel(
     if est.lower > est.upper + 1e-9:
         raise GraphError("certified bounds crossed; solver bug")
     return est
+
+
+def _mehrotra_start(flow: _FlowSystem, rhs: np.ndarray, hess: np.ndarray):
+    """Mehrotra's starting point (x, y, z) for the flow QP.
+
+    The least-norm flow ``x = cons^T (cons cons^T)^-1 rhs`` and the
+    least-squares dual of its gradient, ``y = (cons cons^T)^-1 cons H x``
+    and ``z = H x - cons^T y``, each shifted by 1.5 times its most negative
+    entry and then balanced so that the products ``x_i z_i`` are of one
+    size.  Where the least-norm flow is already optimal (a path, a star)
+    ``z`` is zero up to rounding, so its shift is floored at ``REL_GAP``
+    times the largest gradient entry, which is positive because the flow
+    leaves A.  The shifted ``z`` is then positive and the shifted ``x``
+    nonnegative and nonzero, so the balanced start is strictly positive.
+    ``cons cons^T`` is the first normal matrix factored, so it orders the
+    Schur pattern for every iteration after it.
+    """
+    cons = flow.cons
+    solve = flow.normal_solver(np.ones(cons.shape[1]))
+    x = cons.T @ solve(rhs)
+    grad = hess * x
+    y = solve(cons @ grad)
+    z = grad - cons.T @ y
+    x += max(-1.5 * x.min(), 0.0)
+    z += max(-1.5 * z.min(), REL_GAP * grad.max())
+    gap = x @ z
+    return x + 0.5 * gap / z.sum(), y, z + 0.5 * gap / x.sum()
 
 
 class _FlowSystem:

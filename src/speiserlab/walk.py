@@ -218,7 +218,12 @@ def upsilon_resistance_curve(
     grid_depth: int,
 ) -> ResistanceCurve:
     """Effective resistance root -> S(n) inside the extension of ``g`` with
-    grids of depth ``grid_depth``."""
+    grids of depth ``grid_depth``.
+
+    The grids end ``grid_depth`` above the base, so a finite extension has
+    empty spheres past its far end, which no current reaches: a radius whose
+    sphere is empty raises ``FrontierError`` before anything is factored.
+    """
     _check_radii(n_list)
     if grid_depth < 0:
         raise GraphError(f"grid_depth must be >= 0, got {grid_depth}")
@@ -228,7 +233,15 @@ def upsilon_resistance_curve(
         raise FrontierError(
             f"n_max {n_max} exceeds base reliable depth {layers.reliable_depth}"
         )
-    return _ball_resistances(*_upsilon_ball(g, root, n_max, grid_depth), root, n_list)
+    n_nodes, u, v, dist = _upsilon_ball(g, root, n_max, grid_depth)
+    sizes = np.bincount(dist[dist <= n_max], minlength=n_max + 1)
+    empty = [n for n in n_list if sizes[n] == 0]
+    if empty:
+        raise FrontierError(
+            f"S({empty[0]}) is empty: radius {empty[0]} lies past the end of "
+            f"the extension with grids of depth {grid_depth}"
+        )
+    return _ball_resistances(n_nodes, u, v, dist, root, n_list)
 
 
 @dataclass

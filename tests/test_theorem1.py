@@ -231,6 +231,27 @@ def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
     assert report.leg_a["ratio_trend"]["radii_list"] == [2, 3, 5]
 
 
+def test_default_leg_a_builds_only_the_ball_it_reads(monkeypatch):
+    # every leg-A output reads B(6) or less; dual_depth only bounds the radii
+    depths = []
+
+    def recorded(q, depth):
+        depths.append(depth)
+        return triangular_ball(q, depth)
+
+    monkeypatch.setattr(theorem1, "triangular_ball", recorded)
+    reports = [run_theorem1(Theorem1Config(dual_depth=d)) for d in (7, 9)]
+    assert depths == [6, 6]
+    assert reports[0].leg_a == reports[1].leg_a
+
+
+def test_leg_a_runs_with_empty_radius_lists():
+    # an empty ratio_ns once raised a bare TypeError from max(dual_depth)
+    config = Theorem1Config(resistance_radii=(), vel_annuli=(), ratio_ns=())
+    _, verdicts = theorem1._leg_a(config)
+    assert set(verdicts.values()) == {"inconclusive"}
+
+
 def _first_k_holding_brute(ok, k_min):
     for i in range(len(ok)):
         if all(ok[i:]):

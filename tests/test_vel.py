@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from speiserlab.graph_core import RotationGraph, bfs_layers, induced_ball
+from speiserlab.graph_core import RotationGraph, bfs_layers
 from speiserlab.lattices import cycle_graph, path_graph, triangular_ball
 from speiserlab import sparse_lu, vel
 from speiserlab.trend import CP_HYPERBOLIC, HYPERBOLIC, INCONCLUSIVE, PARABOLIC
@@ -276,17 +276,18 @@ def test_default_annuli_converge():
     assert report.verdict == HYPERBOLIC
 
 
-# the default theorem1 annuli on the leg-A ball: interior-point iterations,
-# QP arc variables and the certified brackets
+# the default theorem1 annuli on the leg-A ball B(6): interior-point
+# iterations from Mehrotra's starting point, QP arc variables and the
+# certified brackets
 DEFAULT_ANNULI = [
-    ((1, 2), 6, 48, 0.15624999440567, 0.15625000000001),
-    ((2, 4), 10, 992, 0.04181547383785, 0.04181547646856),
-    ((3, 6), 13, 17_080, 0.01132381812952, 0.01132381887313),
+    ((1, 2), 4, 48, 0.15624999622362, 0.15625000000001),
+    ((2, 4), 7, 992, 0.041815473969824, 0.041815476285918),
+    ((3, 6), 8, 17_080, 0.011323816779159, 0.011323819135206),
 ]
 
 
 def test_default_annuli_pinned():
-    g = induced_ball(triangular_ball(8, 7), 7)
+    g = triangular_ball(8, 6)
     report = vel_type_trend(g, 0, [a for a, *_ in DEFAULT_ANNULI])
     for est, (_, outer, n_constraints, lower, upper) in zip(
         report.estimates, DEFAULT_ANNULI
@@ -297,23 +298,37 @@ def test_default_annuli_pinned():
         assert est.upper == pytest.approx(upper, rel=1e-9)
 
 
+def _series_term(n):
+    """The flow QP of the {3,8} series term VEL(0, S(n)) on B(n)."""
+    g = triangular_ball(8, n)
+    return g, {0}, set(g.frontier)
+
+
 # the {3,8} series terms VEL(0, S(n)) on B(n): interior-point iterations and
 # QP arc variables
-SERIES_TERMS = [(1, 5, 9), (2, 6, 65), (3, 8, 321), (4, 9, 1281), (5, 10, 4865), (6, 11, 18_241)]
+SERIES_TERMS = [
+    (1, 2, 9),
+    (2, 5, 65),
+    (3, 7, 321),
+    (4, 9, 1281),
+    (5, 10, 4865),
+    (6, 10, 18_241),
+    (7, 11, 68_161),
+]
 
 
 @pytest.mark.parametrize("n, outer, n_constraints", SERIES_TERMS)
 def test_series_terms_pinned(n, outer, n_constraints):
-    g = triangular_ball(8, n)
-    est = solve_vel(g, {0}, set(g.frontier))
+    est = solve_vel(*_series_term(n))
     assert est.converged
     assert est.iterations == {"outer": outer, "n_constraints": n_constraints}
 
 
 def test_default_annuli_order_each_schur_pattern_once(monkeypatch):
-    # each solve orders its Schur pattern on its first interior-point
-    # iteration and factors every later complement in that order; the
-    # iteration counts and the closed gaps are those of a fresh ordering
+    # each solve orders its Schur pattern when it factors cons cons^T for
+    # its starting point and factors every interior-point complement in that
+    # order; the iteration counts and the closed gaps are those of a fresh
+    # ordering
     specs, splu = [], sparse_lu.splu
 
     def recorded_splu(mat, **kwargs):
@@ -321,13 +336,41 @@ def test_default_annuli_order_each_schur_pattern_once(monkeypatch):
         return splu(mat, **kwargs)
 
     monkeypatch.setattr(sparse_lu, "splu", recorded_splu)
-    g = induced_ball(triangular_ball(8, 7), 7)
+    g = triangular_ball(8, 6)
     for (ni, no), outer, *_ in DEFAULT_ANNULI:
         specs.clear()
         est = solve_vel(g, *_annulus(g, ni, no))
         assert est.iterations["outer"] == outer
         assert est.upper - est.lower <= vel.REL_GAP * est.upper
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (outer - 1)
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * outer
+
+
+# flow QPs whose least-norm flow is already optimal (z = 0 before the
+# shift), one whose dual slack is rounding-level, and the {3,8} series terms
+START_CASES = {
+    "path2": lambda: (path_graph(2), {0}, {2}),
+    "path3": lambda: (path_graph(3), {0}, {2}),
+    "doubled": lambda: (RotationGraph.from_rotations([[0], [0, 1, 2], [2, 1]]), {0}, {2}),
+    "cycle4": lambda: (cycle_graph(4), {0}, {2}),
+    **{f"tri8-{n}": (lambda n=n: _series_term(n)) for n in range(1, 7)},
+}
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_mehrotra_start_is_strictly_positive(monkeypatch, case):
+    starts, start = [], vel._mehrotra_start
+
+    def recorded(*args):
+        starts.append(start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(vel, "_mehrotra_start", recorded)
+    est = solve_vel(*START_CASES[case]())
+    (x, y, z), = starts
+    assert np.isfinite(y).all()
+    assert (x > 0).all() and (z > 0).all()
+    assert est.converged
+    assert est.upper - est.lower <= vel.REL_GAP * est.upper
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -379,14 +422,15 @@ def test_only_the_outflow_rows_are_factored(monkeypatch):
     est = solve_vel(g, A, B, support=support)
     off = len(support) - len(B)
     assert len(built) == 1
-    assert factored == [(off + 1, off + 1)] * est.iterations["outer"]
+    # one factor for the starting point, one per interior-point iteration
+    assert factored == [(off + 1, off + 1)] * (est.iterations["outer"] + 1)
 
     factored.clear()
     built.clear()
     est = solve_vel(path_graph(3), {0}, {2})
     assert len(built) == 2
     # vertices 0 and 1 are off B
-    assert factored == [(3, 3)] * est.iterations["outer"]
+    assert factored == [(3, 3)] * (est.iterations["outer"] + 1)
     assert abs(est.upper - 3.0) <= 1e-6
 
 

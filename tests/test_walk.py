@@ -452,3 +452,27 @@ def test_empty_radius_list_gives_an_empty_curve(grid_depth):
     if grid_depth is None:
         grid_depth = 0
     assert upsilon_resistance_curve(g, 0, [], grid_depth=grid_depth) == want
+
+
+@pytest.mark.parametrize("source, empty", [("cycle2", 3), ("octahedron", 4)])
+def test_doyle_radii_past_the_extension_raise_before_factoring(monkeypatch, source, empty):
+    # grids of depth 1 end one step above the base: the doubled edge's
+    # extension ends at distance 2 and the octahedron's at 3.  Radius 6 once
+    # died in a bare ZeroDivisionError (doubled edge), or was solved before
+    # nash_williams_sum found the empty cut (octahedron).
+    from speiserlab import walk
+    from speiserlab.lattices import octahedron
+
+    g = cycle_graph(2) if source == "cycle2" else octahedron()
+    factored = []
+    monkeypatch.setattr(walk, "factor", lambda *args: factored.append(args))
+    with pytest.raises(FrontierError, match=rf"S\({empty}\) is empty"):
+        doyle_test(g, 1, 0, 6)
+    # the first requested radius with an empty sphere is named
+    with pytest.raises(FrontierError, match=rf"S\({empty + 1}\) is empty"):
+        upsilon_resistance_curve(g, 0, [1, empty + 1, empty], grid_depth=1)
+    assert factored == []
+    monkeypatch.undo()
+    curve = upsilon_resistance_curve(g, 0, list(range(1, empty)), grid_depth=1)
+    assert all(math.isfinite(r) and r > 0 for r in curve.resistance)
+    assert 0 not in curve.cut_sizes
