@@ -54,7 +54,8 @@ _PROBES = np.concatenate([[0], 0.98 * np.exp(2j * np.pi * np.arange(8) / 8)])
 
 @dataclass(frozen=True)
 class PlanarSet:
-    """Finite union of closed disks; must be nonempty and connected.
+    """Finite union of closed disks; must be nonempty and connected, with
+    finite centers and positive finite radii.
 
     ``centers`` and ``radii`` are read-only arrays of the disks' centers and
     radii, in the order of ``disks``.
@@ -72,6 +73,9 @@ class PlanarSet:
         bad = ~((radii > 0) & np.isfinite(radii))
         if bad.any():
             raise GeometryError(f"degenerate disk radius {radii[bad][0]}")
+        bad = ~np.isfinite(centers)
+        if bad.any():
+            raise GeometryError(f"non-finite disk center {centers[bad][0]}")
         if not _connected(centers, radii):
             raise GeometryError("disk union is not connected")
         centers.flags.writeable = radii.flags.writeable = False
@@ -435,10 +439,6 @@ class HSReport:
     worst_fatness: float
     claimed_tau: float
     seed: int
-    note: str = (
-        "overlap and adjacency exact; fatness exact on seeded (center, radius) "
-        "pairs; the parabolicity conclusion is a theorem, not re-proved here"
-    )
 
     def all_pass(self) -> bool:
         """All four conditions: locally finite, overlap within the bound,
@@ -469,20 +469,25 @@ def check_hs(
     computed in one batched pass over every set's pairs: the same pairs and
     the same bits as the per-set calls, which it does not make.  ``samples``
     has no effect on the result; it is kept for callers that pass it, and
-    must be positive.
+    must be positive.  An empty collection, or an adjacency pair naming a
+    key with no set, raises ``GeometryError`` before any geometry runs.
     """
     if samples < 1:
         raise GeometryError("sample counts must be positive")
-    sets = {k: PlanarSet(tuple(v)) for k, v in collection.sets.items()}
-
+    if not collection.sets:
+        raise GeometryError("empty collection")
     if g is not None:
-        key = [v if v in sets else ("v", v) for v in g.vertices()]
-        if not all(k in sets for k in key):
+        key = [v if v in collection.sets else ("v", v) for v in g.vertices()]
+        if not all(k in collection.sets for k in key):
             raise GeometryError("collection does not cover the graph's vertices")
         ends = [key[v] for v in g.dart_vertex.tolist()]
         adjacency = list(zip(ends[0::2], ends[1::2]))
     else:
         adjacency = collection.adjacency
+        unknown = [k for pair in adjacency for k in pair if k not in collection.sets]
+        if unknown:
+            raise GeometryError(f"adjacency names {unknown[0]!r}, which has no set")
+    sets = {k: PlanarSet(tuple(v)) for k, v in collection.sets.items()}
 
     keys = sorted(sets.keys(), key=repr)
     centers = np.concatenate([sets[k].centers for k in keys])

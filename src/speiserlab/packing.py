@@ -496,7 +496,6 @@ def pack_disk(
             reach = label[0] + label[g.dart_vertex[first ^ 1]]
             centers = _layout(g, first, reach, partial(_euclid_place, label))
     else:
-        diag["hyperbolic_radii_root"] = float(label[0])
         # the boundary circles sit too deep to lay out
         darts = around_root[~on_rim[g.dart_vertex[around_root ^ 1]]]
         if layout and len(darts):
@@ -635,7 +634,7 @@ def ratio_trend(ball_builder, n_list: list[int]) -> CpTypeReport:
     for n in n_list:
         g = ball_builder(n)
         p = pack_disk(g, boundary=MAXIMAL, layout=False)
-        rho.append(math.tanh(p.diagnostics["hyperbolic_radii_root"] / 2))
+        rho.append(math.tanh(p.label[0] / 2))
     fit = classify_radius_trend(n_list, rho)
     return CpTypeReport(
         radii_list=list(n_list), rho=rho, fit=fit, verdict=fit["verdict"]
@@ -658,7 +657,6 @@ class FatCollection:
     adjacency: list[tuple[tuple, tuple]]
     tau: float
     overlap_bound: int
-    flags: list[str] = field(default_factory=list)
 
 
 def _incircle(a: complex, b: complex, c: complex) -> tuple[complex, float]:
@@ -688,7 +686,6 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
     tri_edges = (faces.darts[corners] >> 1).tolist()
     laid = ~np.isnan(p.centers[tri_vertices]).any(axis=1)
     z, r = p.centers.tolist(), p.radii.tolist()
-    flags = []
     incircles: dict[int, tuple[complex, float]] = {}
     for f, vs in zip(tri[laid].tolist(), tri_vertices[laid].tolist()):
         incircles[f] = _incircle(*(z[v] for v in vs))
@@ -701,11 +698,8 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
         disks = tuple(
             incircles[f] for f in sorted({f1, f2}) if f in incircles
         )
-        if not disks:
-            continue
-        if len(disks) == 1:
-            flags.append(f"edge {e} has a single inscribed disk (boundary)")
-        sets[("e", e)] = disks
+        if disks:
+            sets[("e", e)] = disks
 
     ends = g.dart_vertex.tolist()
     adjacency = []
@@ -725,7 +719,6 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
         adjacency=adjacency,
         tau=1.0 / 16.0,
         overlap_bound=7,
-        flags=flags,
     )
 
 

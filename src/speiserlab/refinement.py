@@ -178,9 +178,7 @@ def _midpoint_subdivision(
 @dataclass
 class RefinementReport:
     is_refinement: bool
-    is_semi_bounded: bool
     m_edge: int
-    is_bounded: bool
     m_face: int
     violations: list[str] = field(default_factory=list)
 
@@ -203,7 +201,7 @@ def check_refinement(
     ref_faces = trace_faces(g_ref)
     violations = _shape_violations(g, g_ref, rmap, len(ref_faces))
     if violations:
-        return RefinementReport(False, False, 0, False, 0, violations)
+        return RefinementReport(False, 0, 0, violations)
     n_faces = len(trace_faces(g))
     kind, origin = rmap.origin_kind, rmap.origin
     bound = np.array([g.n_vertices, g.n_edges, n_faces])[np.clip(kind, VERTEX, FACE)]
@@ -234,12 +232,9 @@ def check_refinement(
     owner = np.where(owner_ok, rmap.face_owner, -1)[ref_faces.face_index()]
     m_face = _most_distinct(owner, ref_faces.vertices, n_ref)
 
-    ok = not violations
     return RefinementReport(
-        is_refinement=ok,
-        is_semi_bounded=ok and m_edge > 0,
+        is_refinement=not violations,
         m_edge=m_edge,
-        is_bounded=ok and m_face > 0,
         m_face=m_face,
         violations=violations,
     )

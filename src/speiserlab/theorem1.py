@@ -78,8 +78,24 @@ def first_k_holding(ok: list[bool], k_min: int) -> int | None:
     return k_min + i if i < len(ok) else None
 
 
+# the least k_min of each bound check: the growth bound k ln k is defined
+# from k = 1, the sphere bound 4 k ln k and the square fit need ln k > 0
+_LEAST_K = {"growth": 1, "upsilon": 2}
+
+
+def _check_k_range(name: str, k_min: int, k_max: int) -> None:
+    """The ``name`` bound's k range must start at its least k and be nonempty."""
+    least = _LEAST_K[name]
+    if not least <= k_min <= k_max:
+        raise FrontierError(
+            f"need {least} <= {name}_k_min <= {name}_k_max: {k_min}, {k_max}"
+        )
+
+
 def _clip_range(name: str, k_min: int, k_max: int, reliable_depth: int) -> int:
-    """``k_max`` clipped to the reliable depth; an empty range checks nothing."""
+    """``k_max`` clipped to the reliable depth, after ``_check_k_range``; an
+    empty range checks nothing."""
+    _check_k_range(name, k_min, k_max)
     if min(k_max, reliable_depth) < k_min:
         raise FrontierError(
             f"{name} range [{k_min}, {k_max}] is empty inside the reliable "
@@ -94,22 +110,16 @@ class GrowthCheck:
     k_max: int
     holds_all: bool
     first_k_holding: int | None
-    failing_k: list[int]
+    n_failing: int
+    failing_k_head: list[int]  # the first ten failing k
 
     def to_dict(self) -> dict:
-        return {
-            "k_min": self.k_min,
-            "k_max": self.k_max,
-            "holds_all": self.holds_all,
-            "first_k_holding": self.first_k_holding,
-            "n_failing": len(self.failing_k),
-            "failing_k_head": self.failing_k[:10],
-        }
+        return asdict(self)
 
 
 def verify_growth(gamma: RotationGraph, k_min: int, k_max: int) -> GrowthCheck:
     """Exact |B(k)| around vertex 0 against k * ln(k) over [k_min, k_max]
-    (natural log)."""
+    (natural log); needs 1 <= k_min <= k_max."""
     layers = bfs_layers(gamma, 0)
     k_hi = _clip_range("growth", k_min, k_max, layers.reliable_depth)
     balls = layers.ball_sizes()
@@ -120,7 +130,8 @@ def verify_growth(gamma: RotationGraph, k_min: int, k_max: int) -> GrowthCheck:
         k_max=k_hi,
         holds_all=not failing,
         first_k_holding=first_k_holding(ok, k_min),
-        failing_k=failing,
+        n_failing=len(failing),
+        failing_k_head=failing[:10],
     )
 
 
@@ -128,7 +139,6 @@ def verify_growth(gamma: RotationGraph, k_min: int, k_max: int) -> GrowthCheck:
 class UpsilonCheck:
     k_min: int
     k_max: int
-    sphere_sizes: list[int]
     sphere_holds_all: bool
     sphere_first_k_holding: int | None
     ball_constant: float  # fitted C in |B(k)| <= C k^2 ln k
@@ -148,13 +158,12 @@ def verify_upsilon_bounds(
     gamma: RotationGraph, k_max: int, k_min: int = 2
 ) -> UpsilonCheck:
     """|S(k)| of the extension around vertex 0 against 4 k ln k, plus the
-    fitted square constant.
+    fitted square constant; needs 2 <= k_min <= k_max.
 
     The grids are unbounded: the layers are those of the true extended graph.
     """
     reliable = bfs_layers(gamma, 0).reliable_depth
-    # the square constant is fitted from k = 2 on, where ln k > 0
-    k_hi = _clip_range("upsilon", max(k_min, 2), k_max, reliable)
+    k_hi = _clip_range("upsilon", k_min, k_max, reliable)
     counts = extended_layer_counts(gamma, 0, k_hi)
     sizes = counts.sphere_sizes[k_min : k_hi + 1]
     ok = [s <= 4 * k * math.log(k) for k, s in enumerate(sizes, k_min)]
@@ -165,7 +174,6 @@ def verify_upsilon_bounds(
     return UpsilonCheck(
         k_min=k_min,
         k_max=k_hi,
-        sphere_sizes=sizes,
         sphere_holds_all=all(ok),
         sphere_first_k_holding=first_k_holding(ok, k_min),
         ball_constant=c_fit,
@@ -225,13 +233,9 @@ class Theorem1Config:
             raise TypeError(f"config values must be integers: {bad}")
         GrowthSchedule(self.schedule)
         _check_leg_a_radii(self)
-        # ln k > 0 from k = 2 on, where the upsilon bounds and fit start
-        for name, least in (("growth", 1), ("upsilon", 2)):
+        for name in _LEAST_K:
             lo, hi = getattr(self, f"{name}_k_min"), getattr(self, f"{name}_k_max")
-            if not least <= lo <= hi:
-                raise FrontierError(
-                    f"need {least} <= {name}_k_min <= {name}_k_max: {lo}, {hi}"
-                )
+            _check_k_range(name, lo, hi)
         check_doyle_depth(self.doyle_n_max, self.doyle_grid_depth)
 
     def to_dict(self) -> dict:
@@ -333,9 +337,6 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         gamma, config.upsilon_k_max, k_min=config.upsilon_k_min
     )
     nw = nash_williams_sum(upsilon.cut_sizes)
-    nw_strict = all(b > a for a, b in zip(nw, nw[1:]))
-    half = len(nw) // 2
-    nw_no_plateau = nw_strict and (nw[-1] - nw[half] > 1e-9)
     doyle = doyle_test(
         gamma,
         grid_depth=config.doyle_grid_depth,
@@ -348,8 +349,6 @@ def run_theorem1(config: Theorem1Config | None = None) -> Theorem1Report:
         "growth": growth.to_dict(),
         "upsilon": upsilon.to_dict(),
         "nash_williams_tail": nw[-5:],
-        "nash_williams_strictly_increasing": nw_strict,
-        "nash_williams_no_plateau": nw_no_plateau,
         "doyle": doyle.to_dict(),
         "gamma_interior_max_degree": classify(gamma).max_degree,
     }

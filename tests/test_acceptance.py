@@ -15,7 +15,9 @@ computed here from closed forms rather than from program output:
   k = l_0 + l_1, so |B(k)| <= k ln k can only hold for sufficiently large k.
   The first k from which it holds on the checked range, k* (336 for the
   default schedule (21, 8103)), is what the report must give, and the bound
-  must hold on the tail [k*, 8000] that recurrence needs.
+  must hold on the tail [k*, 8000] that recurrence needs.  Two laws tie
+  the resistances to each other: R(n) >= NW(n), the Nash-Williams sum of
+  the cut sizes, and R(n) nondecreasing in n (Rayleigh monotonicity).
 """
 
 import math
@@ -319,7 +321,21 @@ def test_acceptance_10_leg_b(theorem1_report):
         balls[k] <= k * math.log(k) for k in range(k_star, k_max + 1)
     )
     sphere_ok = sphere["sphere_holds_all"]
-    nw_ok = leg["nash_williams_strictly_increasing"] and leg["nash_williams_no_plateau"]
+    # Nash-Williams: R(n) >= NW(n) on the network the Doyle curve solved, a
+    # law its flags check too; Rayleigh: R(n) is nondecreasing in n, on the
+    # Doyle curve and on leg A's resistance curve
+    doyle = leg["doyle"]
+    r_doyle, nw = doyle["resistance"], doyle["nash_williams"]
+    nw_law = (
+        doyle["flags"] == []
+        and len(r_doyle) == len(nw) == cfg.doyle_n_max
+        and all(r >= b - 1e-9 for r, b in zip(r_doyle, nw))
+    )
+    rayleigh = all(
+        b >= a
+        for curve in (r_doyle, theorem1_report.leg_a["resistance"]["resistance"])
+        for a, b in zip(curve, curve[1:])
+    )
     doyle_ok = leg["doyle"]["verdict"] == RECURRENT
 
     # degree bound of the extension: base interior degree 3 plus one column
@@ -330,8 +346,8 @@ def test_acceptance_10_leg_b(theorem1_report):
     deg_ok = int(degs[inner].max()) <= 6
 
     ok = (
-        counts_ok and report_ok and tail_ok and sphere_ok and nw_ok and doyle_ok
-        and deg_ok
+        counts_ok and report_ok and tail_ok and sphere_ok and nw_law and rayleigh
+        and doyle_ok and deg_ok
     )
     _line(
         10,
@@ -341,14 +357,15 @@ def test_acceptance_10_leg_b(theorem1_report):
         f"reported from k = {growth['first_k_holding']} with "
         f"{growth['n_failing']} failing k: {report_ok}; holds on "
         f"[{k_star},{k_max}]: {tail_ok}; |S(k)| <= 4k ln k holds_all={sphere_ok}; "
-        f"extension degree <= 6: {deg_ok}; NW strictly increasing, no plateau: "
-        f"{nw_ok}; doyle {leg['doyle']['verdict']}",
+        f"extension degree <= 6: {deg_ok}; R(n) >= NW(n): {nw_law}; R nondecreasing: "
+        f"{rayleigh}; doyle {doyle['verdict']}",
     )
     assert counts_ok
     assert report_ok
     assert tail_ok
     assert sphere_ok
-    assert nw_ok
+    assert nw_law
+    assert rayleigh
     assert doyle_ok
     assert deg_ok
 

@@ -36,9 +36,17 @@ from speiserlab.graph_core import (
     dual,
     is_isomorphic,
 )
-from speiserlab.packing import CirclePacking, CpTypeReport, pack_disk, ratio_trend
+from speiserlab.lattices import triangular_ball
+from speiserlab.packing import (
+    MAXIMAL,
+    CirclePacking,
+    CpTypeReport,
+    FatCollection,
+    pack_disk,
+    ratio_trend,
+)
 from speiserlab import refinement
-from speiserlab.refinement import RefinementMap
+from speiserlab.refinement import RefinementMap, RefinementReport
 from speiserlab.speiser import ExtendedLayerCounts, extended_layer_counts, speiser_ball
 from speiserlab.theorem1 import (
     GrowthCheck,
@@ -137,15 +145,24 @@ def test_no_module_outside_graph_core_assigns_a_graph_attribute():
     assert bad == []
 
 
-def test_retired_record_fields_are_gone():
+def test_retired_record_fields_are_gone(theorem1_report):
     retired = {
         CirclePacking: {"boundary"},
-        GrowthCheck: {"ball_sizes", "bound"},
-        UpsilonCheck: {"sphere_bound"},
+        GrowthCheck: {"ball_sizes", "bound", "failing_k"},
+        UpsilonCheck: {"sphere_bound", "sphere_sizes"},
         ExtendedLayerCounts: {"reliable_k", "base_sphere_sizes"},
+        RefinementReport: {"is_semi_bounded", "is_bounded"},
+        FatCollection: {"flags"},
+        HSReport: {"note"},
     }
     for cls, names in retired.items():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls
+    # the root's hyperbolic radius is the packing's label[0]
+    p = pack_disk(triangular_ball(8, 2), boundary=MAXIMAL, layout=False)
+    assert "hyperbolic_radii_root" not in p.diagnostics
+    # the Nash-Williams flags that could not fail are gone from the report
+    leg_b = theorem1_report.leg_b
+    assert [k for k in leg_b if k.startswith("nash_williams")] == ["nash_williams_tail"]
 
 
 def test_closed_form_counts_cover_the_true_extension_only():
@@ -162,7 +179,8 @@ def test_records_serialize_from_their_fields():
     report = Theorem1Report(config=config, leg_a={}, leg_b={}, verdicts={})
     doyle = DoyleReport([], [1], [0.5], [0.25], [4], {"verdict": "v"}, None, "v")
     trend = CpTypeReport([2], [0.5], {"verdict": "v"}, "v")
-    for record in (config, report, doyle, trend):
+    growth = GrowthCheck(25, 30, False, 27, 2, [25, 26])
+    for record in (config, report, doyle, trend, growth):
         assert record.to_dict() == dataclasses.asdict(record)
     assert report.to_dict()["config"] == config.to_dict()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_degenerate_set_rejected():
         PlanarSet(((0j, 1.0), (10 + 0j, 1.0)))  # disconnected
 
 
+@pytest.mark.parametrize(
+    "center",
+    [complex(math.nan, 0), complex(0, math.nan), complex(math.inf, 0), complex(0, -math.inf)],
+)
+def test_non_finite_center_rejected(center):
+    # one disk is connected: the center, not the union, is at fault
+    for disks in (((center, 1.0),), ((0j, 1.0), (center, 1.0))):
+        with pytest.raises(GeometryError, match="non-finite disk center"):
+            PlanarSet(disks)
+
+
 def test_union_lemma_two_unit_disks():
     a = PlanarSet.disk(0j, 1.0)
     b = PlanarSet.disk(1 + 0j, 1.0)
@@ -191,6 +203,28 @@ def test_check_hs_reads_adjacency_off_the_graph():
     del col.sets[("v", 1)]
     with pytest.raises(GeometryError):
         check_hs(p.graph, col, samples=2_000, seed=6)
+
+
+@pytest.mark.parametrize(
+    "sets, adjacency, message",
+    [
+        ({}, [], "empty collection"),
+        (
+            {("v", 0): ((0j, 1.0),)},
+            [(("v", 0), ("e", 3))],
+            r"adjacency names \('e', 3\), which has no set",
+        ),
+    ],
+    ids=["empty", "dangling"],
+)
+def test_check_hs_rejects_bad_input_before_any_geometry(sets, adjacency, message, monkeypatch):
+    def no_geometry(*_):
+        raise AssertionError("geometry ran on a bad collection")
+
+    monkeypatch.setattr(fatness, "PlanarSet", no_geometry)
+    col = FatCollection(sets=sets, adjacency=adjacency, tau=1 / 16, overlap_bound=7)
+    with pytest.raises(GeometryError, match=message):
+        check_hs(None, col)
 
 
 def test_check_hs_missing_adjacencies_match_pair_loop(monkeypatch):

@@ -249,14 +249,14 @@ def test_maximal_root_radius_monotone(monkeypatch):
     g3 = triangular_ball(8, 3)
     p2 = pack_disk(g2, boundary=MAXIMAL, layout=False)
     p3 = pack_disk(g3, boundary=MAXIMAL, layout=False)
-    rho2 = math.tanh(p2.diagnostics["hyperbolic_radii_root"] / 2)
-    rho3 = math.tanh(p3.diagnostics["hyperbolic_radii_root"] / 2)
+    rho2 = math.tanh(p2.label[0] / 2)
+    rho3 = math.tanh(p3.label[0] / 2)
     assert rho3 < rho2
     # the boundary radius stands in for horocycles: halving it barely moves
     # the root circle
     monkeypatch.setattr(packing, "BOUNDARY_HYP_RADIUS", packing.BOUNDARY_HYP_RADIUS / 2)
     half = pack_disk(g2, boundary=MAXIMAL, layout=False)
-    assert abs(math.tanh(half.diagnostics["hyperbolic_radii_root"] / 2) - rho2) < 1e-6
+    assert abs(math.tanh(half.label[0] / 2) - rho2) < 1e-6
 
 
 def test_verify_recomputes_maximal_angle_residual():

@@ -133,7 +133,6 @@ def test_check_refinement_subdivide4():
     assert report.is_refinement
     assert report.m_edge == 3  # two endpoints + midpoint
     assert report.m_face == 6  # 3 originals + 3 midpoints
-    assert report.is_semi_bounded and report.is_bounded
 
 
 def test_check_refinement_identity():

@@ -74,7 +74,7 @@ def test_verify_growth_small_k_reported_not_failed():
     check = verify_growth(gamma, 2, 100)
     # k = 2: bound 2 ln 2 < |B(2)| = 7; reported as failing k, with the
     # first-k-holding field carrying the "sufficiently large" threshold
-    assert 2 in check.failing_k
+    assert 2 in check.failing_k_head
     assert check.first_k_holding is None or check.first_k_holding > 2
 
 
@@ -83,7 +83,6 @@ def test_upsilon_bounds_small():
     layers = bfs_layers(gamma, 0)
     check = verify_upsilon_bounds(gamma, layers.reliable_depth, k_min=2)
     assert math.isfinite(check.ball_constant)
-    assert len(check.sphere_sizes) == check.k_max - check.k_min + 1
 
 
 def test_monotone_truncation_consistency():
@@ -202,6 +201,30 @@ def test_bound_checks_reject_a_range_past_the_reliable_depth():
         verify_growth(gamma, 25, 8000)
     with pytest.raises(FrontierError, match="reliable depth 2"):
         verify_upsilon_bounds(gamma, 2000, k_min=25)
+
+
+@pytest.mark.parametrize(
+    "name, k_min, k_max, message",
+    [
+        ("growth", 0, 5, "need 1 <= growth_k_min <= growth_k_max: 0, 5"),
+        ("growth", 6, 5, "need 1 <= growth_k_min <= growth_k_max: 6, 5"),
+        ("upsilon", 0, 5, "need 2 <= upsilon_k_min <= upsilon_k_max: 0, 5"),
+        ("upsilon", 1, 5, "need 2 <= upsilon_k_min <= upsilon_k_max: 1, 5"),
+        ("upsilon", 6, 5, "need 2 <= upsilon_k_min <= upsilon_k_max: 6, 5"),
+    ],
+    ids=["growth-0", "growth-empty", "upsilon-0", "upsilon-1", "upsilon-empty"],
+)
+def test_bound_checks_share_the_config_k_range_rule(name, k_min, k_max, message):
+    # ln 0 is undefined and the sphere bound 4 k ln k is 0 at k = 1: the
+    # library functions reject the ranges the config rejects, in its words
+    gamma = build_gamma(2, GrowthSchedule((3, 5)))
+    with pytest.raises(FrontierError, match=message):
+        Theorem1Config(**{f"{name}_k_min": k_min, f"{name}_k_max": k_max})
+    with pytest.raises(FrontierError, match=message):
+        if name == "growth":
+            verify_growth(gamma, k_min, k_max)
+        else:
+            verify_upsilon_bounds(gamma, k_max, k_min=k_min)
 
 
 def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
