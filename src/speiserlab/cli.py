@@ -7,9 +7,10 @@ Subcommands:
 
 ``gen gamma`` is ``theorem1.build_gamma``: a depth past the schedule's
 length is a usage error.  ``gen lambda``, ``extend`` and ``subdivide4``
-rewrite the interior faces of ``graph_core.interior_face_mask``; a
-frontier-free input has no outer face unless exactly one face is not a
-triangle.
+rewrite the interior faces of ``graph_core.interior_face_mask``, the faces
+off the frontier; a frontier-free input has no outer face, so all its faces
+are rewritten.  ``analyze nash-williams`` stops at the reliable depth of
+the input's BFS layering, past which a truncation shrinks the cuts.
 
 Exit codes: 0 success, 2 usage error (bad flags, missing files), 3 numeric
 non-convergence (diagnostics still written).  Identical argv and input files
@@ -122,11 +123,15 @@ def _cmd_analyze(args) -> int:
         curve = resistance_curve(g, args.root, list(range(1, args.n_max + 1)))
         _write(args.output, _json_report(curve.to_dict()))
     elif kind == "nash-williams":
-        cuts = bfs_layers(_read_graph(args.graph), args.root).cut_sizes()
-        _write(
-            args.output,
-            _json_report({"partial_sums": nash_williams_sum(cuts), "cut_sizes": cuts}),
-        )
+        # the cuts |E(k)| are reliable for k < reliable_depth only
+        layers = bfs_layers(_read_graph(args.graph), args.root)
+        cuts = layers.cut_sizes()[: layers.reliable_depth]
+        report = {
+            "partial_sums": nash_williams_sum(cuts),
+            "cut_sizes": cuts,
+            "reliable_depth": layers.reliable_depth,
+        }
+        _write(args.output, _json_report(report))
     elif kind == "doyle":
         check_doyle_depth(args.n_max, args.grid_depth)
         g = _read_graph(args.graph)

@@ -86,18 +86,6 @@ class PlanarSet:
     def disk(cls, center: complex = 0j, radius: float = 1.0) -> "PlanarSet":
         return cls(((center, radius),))
 
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        return _box(self.centers, self.radii)
-
-    def diameter_bound(self) -> float:
-        x0, x1, y0, y1 = self.bounding_box()
-        return math.hypot(x1 - x0, y1 - y0)
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Membership for a 1-d array of complex points."""
-        pts = np.asarray(pts, dtype=complex)
-        return _cover(pts, self.centers, self.radii, [0, len(self.radii)]) > 0
-
 
 def _box(centers, radii):
     """Bounding box (x0, x1, y0, y1) of the disks along the last axis."""

@@ -28,7 +28,8 @@ non-negative and index tables as long as the largest key, so numbering is
 counting, not sorting; every rewrite draws its keys from dense ranges.  Each
 rewrite thus builds its graph, validated, in one construction.  The faces a
 rewrite subdivides or fills are those of ``interior_face_mask``, the one
-rule for interior faces, which ``classify`` reads as well.
+rule for interior faces, which ``classify`` reads as well: the faces off the
+frontier, so a frontier-free map has no outer face.
 
 Circle/cross tags reach a graph only when it is made: through
 ``RotationGraph._flat``, from ``build_graph`` and ``induced_ball``, or as
@@ -493,21 +494,11 @@ def trace_faces(g: RotationGraph) -> Faces:
 
 
 def interior_face_mask(g: RotationGraph) -> np.ndarray:
-    """Boolean per face of ``trace_faces(g)``: the interior faces.
-
-    On a truncation the interior faces are those that avoid the frontier.
-    With no frontier, a unique non-triangular face is taken as the outer
-    one; otherwise (all faces triangles, as on a sphere triangulation, or
-    several non-triangular faces) every face is interior.
+    """Boolean per face of ``trace_faces(g)``: the interior faces, those
+    that avoid the frontier, the faces ``dual`` keeps.  A frontier-free map
+    has no outer face: every face is interior.
     """
-    faces = trace_faces(g)
-    if g.frontier:
-        return ~faces.touches_frontier
-    mask = np.ones(len(faces), dtype=bool)
-    non_tri = np.flatnonzero(faces.lengths != 3)
-    if len(non_tri) == 1:
-        mask[non_tri[0]] = False
-    return mask
+    return ~trace_faces(g).touches_frontier
 
 
 def euler_characteristic(g: RotationGraph) -> int:

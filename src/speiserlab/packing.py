@@ -725,23 +725,6 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
 # -- serialization ------------------------------------------------------------
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def packing_to_json(p: CirclePacking) -> str:
-    """Radii and centers at 12 significant digits, sorted by vertex id."""
-    import json
-
-    z = p.centers.tolist()
-    data = {
-        "boundary_condition": p.boundary_condition,
-        "radii": {str(v): _sig12(x) for v, x in enumerate(p.radii.tolist())},
-        "centers": {str(v): [_sig12(z[v].real), _sig12(z[v].imag)] for v in p.placed()},
-    }
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
 def _svg_num(x: float) -> str:
     """``x`` at six decimals; a value that rounds to zero prints unsigned."""
     return f"{round(x, 6) + 0.0:.6f}"

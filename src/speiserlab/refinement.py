@@ -62,15 +62,6 @@ class RefinementMap:
     edge_cover: np.ndarray
     face_owner: np.ndarray
 
-    @classmethod
-    def identity(cls, g: RotationGraph) -> "RefinementMap":
-        return cls(
-            origin_kind=np.full(g.n_vertices, VERTEX, dtype=np.int8),
-            origin=np.arange(g.n_vertices),
-            edge_cover=np.arange(g.n_edges).reshape(-1, 1),
-            face_owner=np.arange(len(trace_faces(g))),
-        )
-
 
 def subdivide4(g: RotationGraph) -> tuple[RotationGraph, RefinementMap]:
     """Divide each interior triangle into four by connecting edge midpoints.

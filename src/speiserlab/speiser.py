@@ -54,9 +54,6 @@ class GrowthSchedule:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, n: int) -> int:
-        return self.lengths[n]
-
 
 def build_octagonal_speiser(depth: int) -> RotationGraph:
     """Truncation of the 3-regular octagon tiling containing the full B(2 depth).

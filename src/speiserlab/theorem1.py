@@ -287,18 +287,18 @@ def _leg_a(config: Theorem1Config) -> tuple[dict, dict]:
     Its {3,8} lattice is built only as deep as leg A reads it: to the
     largest resistance radius, annulus outer radius or ``ratio_ns`` entry.
     ``dual_depth`` only bounds the resistance radii and annuli (see
-    ``_check_leg_a_radii``).  ``triangular_ball`` numbers vertices and edges
-    ring by ring, so every ball read here has the same ids in any deeper
-    lattice.  The lattice is freed on return, so leg B's construction does
-    not stack on it."""
+    ``_check_leg_a_radii``).  Resistance and VEL read the lattice itself,
+    and each cp ball is cut from it: ``triangular_ball`` numbers vertices and
+    edges ring by ring, so every ball read here has the same ids in any
+    deeper lattice.  The lattice is freed on return, so leg B's construction
+    does not stack on it."""
     outer = [no for _, no in config.vel_annuli]
-    reach = max([*config.resistance_radii, *outer], default=1)
-    depth = max([reach, *config.ratio_ns])
-    lattice = triangular_ball(8, depth)
-    dual_tri = lattice if reach == depth else induced_ball(lattice, reach)
-    curve = resistance_curve(dual_tri, 0, list(config.resistance_radii))
+    lattice = triangular_ball(
+        8, max([*config.resistance_radii, *outer, *config.ratio_ns], default=1)
+    )
+    curve = resistance_curve(lattice, 0, list(config.resistance_radii))
     res_fit = classify_resistance_curve(curve.radii, curve.resistance)
-    vel_report = vel_type_trend(dual_tri, 0, list(config.vel_annuli))
+    vel_report = vel_type_trend(lattice, 0, list(config.vel_annuli))
     cp_report = ratio_trend(lambda n: induced_ball(lattice, n), list(config.ratio_ns))
     leg_a = {
         "resistance": curve.to_dict(),

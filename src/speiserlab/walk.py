@@ -142,10 +142,16 @@ def resistance_curve(g: RotationGraph, root: int, n_list: list[int]) -> Resistan
     _check_radii(n_list)
     layers = bfs_layers(g, root)
     for n in n_list:
-        if n > layers.reliable_depth:
+        if n <= layers.reliable_depth:
+            continue
+        if not g.frontier:
             raise FrontierError(
-                f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
+                f"S({n}) is empty: radius {n} lies past the depth {layers.depth} "
+                "of a graph with no frontier"
             )
+        raise FrontierError(
+            f"B({n}) touches the frontier (reliable depth {layers.reliable_depth})"
+        )
     return _ball_resistances(g.n_vertices, *_edge_arrays(g), layers.dist, root, n_list)
 
 

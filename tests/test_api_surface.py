@@ -13,8 +13,10 @@ nerve.  Records serialize from their fields, and
 fields that nothing read are gone.  ``extended_layer_counts`` counts the
 true extension only (a truncated grid is counted on the ball that
 ``doyle_test`` solves), and ``effective_resistance`` is gone; isomorphism
-never reflects, and the extension ball always names its grid depth.  These
-tests keep such knobs and wrappers from coming back.
+never reflects, and the extension ball always names its grid depth.  Code
+that no workflow ran is gone: the packing JSON dump, three ``PlanarSet``
+methods, schedule indexing and the identity refinement map.  These tests
+keep such knobs and wrappers from coming back.
 """
 
 import ast
@@ -28,7 +30,7 @@ import pytest
 
 import speiserlab
 from speiserlab.cli import main
-from speiserlab.fatness import HSReport
+from speiserlab.fatness import HSReport, PlanarSet
 from speiserlab.graph_core import (
     RotationGraph,
     bfs_layers,
@@ -47,7 +49,12 @@ from speiserlab.packing import (
 )
 from speiserlab import refinement
 from speiserlab.refinement import RefinementMap, RefinementReport
-from speiserlab.speiser import ExtendedLayerCounts, extended_layer_counts, speiser_ball
+from speiserlab.speiser import (
+    ExtendedLayerCounts,
+    GrowthSchedule,
+    extended_layer_counts,
+    speiser_ball,
+)
 from speiserlab.theorem1 import (
     GrowthCheck,
     Theorem1Config,
@@ -163,6 +170,15 @@ def test_retired_record_fields_are_gone(theorem1_report):
     # the Nash-Williams flags that could not fail are gone from the report
     leg_b = theorem1_report.leg_b
     assert [k for k in leg_b if k.startswith("nash_williams")] == ["nash_williams_tail"]
+
+
+def test_code_no_workflow_ran_is_gone():
+    assert not hasattr(speiserlab.packing, "packing_to_json")
+    assert not hasattr(speiserlab.packing, "_sig12")
+    for name in ("contains", "bounding_box", "diameter_bound"):
+        assert not hasattr(PlanarSet, name), name
+    assert not hasattr(GrowthSchedule, "__getitem__")
+    assert not hasattr(RefinementMap, "identity")
 
 
 def test_closed_form_counts_cover_the_true_extension_only():

@@ -82,6 +82,52 @@ def test_analyze_resistance(tmp_path):
     assert data["radii"] == [1, 2]
 
 
+def test_analyze_nash_williams_stops_at_the_reliable_depth(tmp_path):
+    # the octagonal patch of depth 2 is reliable to depth 4; its BFS goes on
+    # to depth 10 with rim cuts that the truncation shrank
+    from speiserlab.walk import nash_williams_sum
+
+    g = tmp_path / "psi.json"
+    main(["gen", "octagonal", "--depth", "2", "-o", str(g)])
+    out = tmp_path / "nw.json"
+    assert main(["analyze", "nash-williams", "--graph", str(g), "-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["reliable_depth"] == 4
+    assert data["cut_sizes"] == [3, 6, 12, 24]
+    assert data["partial_sums"] == nash_williams_sum([3, 6, 12, 24])
+
+
+def test_analyze_doyle(tmp_path):
+    g = tmp_path / "psi.json"
+    main(["gen", "octagonal", "--depth", "2", "-o", str(g)])
+    out = tmp_path / "doyle.json"
+    argv = ["analyze", "doyle", "--graph", str(g), "--n-max", "3", "--grid-depth", "4"]
+    assert main(argv + ["-o", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["radii"] == [1, 2, 3] and data["cut_sizes"] == [6, 24, 60]
+    assert data["flags"] == []
+    assert all(r >= nw for r, nw in zip(data["resistance"], data["nash_williams"]))
+
+
+def test_output_goes_to_stdout_without_o(capsys):
+    assert main(["analyze", "fatness", "--disks", "0,0,1", "--seed", "9"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["seed"] == 9 and report["pairs"] > 0
+
+
+def test_analyze_vel_bad_annuli_exits_2(tmp_path, capsys):
+    g = tmp_path / "psi.json"
+    main(["gen", "octagonal", "--depth", "1", "-o", str(g)])
+    assert main(["analyze", "vel", "--graph", str(g), "--annuli", "1-2"]) == 2
+    assert "bad annuli spec '1-2'" in capsys.readouterr().err
+
+
+def test_theorem1_missing_config_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["theorem1", "--config", str(missing)]) == 2
+    assert f"config file not found: {missing}" in capsys.readouterr().err
+
+
 def test_analyze_resistance_around_a_nonzero_root(tmp_path):
     from speiserlab.graph_core import to_json
     from speiserlab.lattices import triangular_ball

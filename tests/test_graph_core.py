@@ -17,6 +17,7 @@ from speiserlab.graph_core import (
     dual,
     euler_characteristic,
     induced_ball,
+    interior_face_mask,
     is_isomorphic,
     to_json,
     to_json_dict,
@@ -335,11 +336,10 @@ def test_classify_p_of_tight():
 
 
 def _frontier_free_disk_rule(g):
-    # the rule classify kept for frontier-free maps before it read
-    # interior_face_mask: at most one non-triangular face, and some triangle
+    # a frontier-free map has no outer face: it is a disk triangulation when
+    # it has a face and every face is a triangle
     lengths = trace_faces(g).lengths
-    n_big = int(np.count_nonzero(lengths != 3))
-    return n_big <= 1 and len(lengths) > n_big
+    return len(lengths) > 0 and bool((lengths == 3).all())
 
 
 @pytest.mark.parametrize(
@@ -350,7 +350,10 @@ def _frontier_free_disk_rule(g):
         (lambda: cycle_graph(2), False),
         (lambda: grid_patch(3, 3), False),
         (lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)]), True),
-        (lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 2, 1)]), True),
+        (  # the tetrahedron
+            lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]),
+            True,
+        ),
         (lambda: RotationGraph([[]]), False),
     ],
 )
@@ -358,6 +361,26 @@ def test_classify_disk_rule_matches_frontier_free_reference(build, expected):
     g = build()
     assert not g.frontier
     assert classify(g).is_disk_triangulation is _frontier_free_disk_rule(g) is expected
+
+
+def test_frontier_free_map_has_no_outer_face():
+    # two triangles and a quadrilateral with no frontier: every face is
+    # interior, the quadrilateral too, as in dual
+    from speiserlab.errors import RefinementError
+    from speiserlab.refinement import subdivide4
+    from speiserlab.speiser import lambda_triangulation
+
+    g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 2, 1)])
+    assert not g.frontier
+    assert interior_face_mask(g).all()
+    assert not classify(g).is_disk_triangulation
+    with pytest.raises(RefinementError, match="has 4 sides"):
+        subdivide4(g)
+    # lambda puts 2k triangles into every face and leaves no frontier
+    lam = lambda_triangulation(g)
+    assert not lam.frontier
+    assert len(trace_faces(lam)) == 6 + 6 + 8
+    assert classify(lam).is_disk_triangulation
 
 
 def test_triangular_ball_ring_sizes():

@@ -508,18 +508,26 @@ def test_svg_zero_is_unsigned():
         assert '<circle cx="0.000000" cy="0.000000"' in svg
 
 
-def test_packing_json_dump():
+def _assert_pinned(p, name):
+    """Radii and laid-out centers against ``data/packing_pins.json`` at a
+    relative 1e-9, so last-bit changes of the solver or layout pass."""
     import json
+    from pathlib import Path
 
-    from speiserlab.packing import packing_to_json
+    pins = json.loads((Path(__file__).parent / "data" / "packing_pins.json").read_text())
+    want = pins[name]
+    assert p.boundary_condition == want["boundary_condition"]
+    assert p.placed() == want["placed"]
+    np.testing.assert_allclose(p.radii, want["radii"], rtol=1e-9, atol=0)
+    x, y = np.array(want["centers"]).T
+    np.testing.assert_allclose(p.centers[want["placed"]], x + 1j * y, rtol=1e-9, atol=0)
 
+
+def test_packing_json_dump():
     p = pack_disk(hex_flower(), boundary=EUCLIDEAN)
-    s1 = packing_to_json(p)
-    s2 = packing_to_json(pack_disk(hex_flower(), boundary=EUCLIDEAN))
-    assert s1 == s2
-    data = json.loads(s1)
-    assert data["radii"]["0"] == pytest.approx(1.0, abs=1e-8)
-    assert len(data["centers"]) == 7
+    q = pack_disk(hex_flower(), boundary=EUCLIDEAN)
+    assert np.array_equal(p.radii, q.radii) and np.array_equal(p.centers, q.centers)
+    _assert_pinned(p, "hex_flower")
 
 
 def _all_pairs_margin(p) -> float:
@@ -592,17 +600,8 @@ def test_separation_matches_all_pairs(name, request):
 
 
 def test_packing_json_pinned(maximal_hex16, euclidean_tri8_4):
-    # sha256 of packing_to_json, recorded from the Newton solution and the
-    # layout in array rounds
-    import hashlib
-
-    from speiserlab.packing import packing_to_json
-
-    def sha(p):
-        return hashlib.sha256(packing_to_json(p).encode()).hexdigest()[:16]
-
-    assert sha(maximal_hex16) == "ce5cc6f5be332444"
-    assert sha(euclidean_tri8_4) == "c24cb73436ec4326"
+    _assert_pinned(maximal_hex16, "maximal_hex16")
+    _assert_pinned(euclidean_tri8_4, "euclidean_tri8_4")
 
 
 def test_labels_match_sweep_solution(maximal_hex16, euclidean_tri8_4):

@@ -137,7 +137,12 @@ def test_check_refinement_subdivide4():
 
 def test_check_refinement_identity():
     g = octahedron()
-    rmap = RefinementMap.identity(g)
+    rmap = RefinementMap(
+        origin_kind=np.full(g.n_vertices, VERTEX, dtype=np.int8),
+        origin=np.arange(g.n_vertices),
+        edge_cover=np.arange(g.n_edges).reshape(-1, 1),
+        face_owner=np.arange(len(trace_faces(g))),
+    )
     report = check_refinement(g, g, rmap)
     assert report.is_refinement
     assert report.m_edge == 2

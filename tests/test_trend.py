@@ -85,3 +85,49 @@ def test_verdicts_and_tail_rho_match_the_loop(default_fit_inputs, monkeypatch):
     for g, w in zip(got, want):
         assert g["verdict"] == w["verdict"]
         assert g["tail_rho"] == w["tail_rho"]
+
+
+def test_residual_verdict_needs_a_factor_of_two():
+    assert trend.residual_verdict(1.0, 3.0) == -1
+    assert trend.residual_verdict(3.0, 1.0) == 1
+    assert trend.residual_verdict(1.0, 1.5) == 0
+
+
+def test_cumulative_sums_that_fall_are_inconclusive():
+    # the tail fits better, but it is not realized (its limit is negative),
+    # and the falling increments are not steady growth
+    report = classify_cumulative_sums([1, 2, 3, 4], [1.0, 0.5, 0.2, 0.1])
+    assert report["rmse_tail"] * 2 < report["rmse_linear"]
+    assert not report["tail_realized"]
+    assert report["verdict"] == trend.INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "rs, verdict",
+    [
+        ([1.0, 2.0, 3.0, 3.0], trend.TRANSIENT),  # the last step is flat
+        ([1.0, 1.0, 2.0, 3.0], trend.INCONCLUSIVE),  # an earlier flat step
+        ([1.0, 2.0, 2.5, 2.5 + 1e-12], trend.TRANSIENT),  # saturated to 1e-9
+    ],
+)
+def test_resistance_curve_flat_or_saturated_steps(rs, verdict):
+    report = classify_resistance_curve([1, 2, 3, 4], rs)
+    assert report["verdict"] == verdict
+    # decided before the increment ratios are fitted
+    assert "increment_ratio_limit" not in report
+
+
+def test_resistance_curve_ratio_one_without_log_growth_is_inconclusive():
+    # rising resistances over falling radii: the increment ratios are 1, but
+    # the fit against log n has a negative slope
+    report = classify_resistance_curve([4, 3, 2, 1], [1.0, 2.0, 3.0, 4.0])
+    assert report["increment_ratio_limit"] == pytest.approx(1.0, abs=1e-12)
+    assert report["log_slope"] < 0
+    assert report["verdict"] == trend.INCONCLUSIVE
+
+
+def test_radius_trend_slow_decay_is_inconclusive():
+    # ratios near 0.95: neither frozen (>= 0.97) nor a power law (slope -0.17)
+    report = trend.classify_radius_trend([2, 3, 4, 5], [1.0, 0.95, 0.9, 0.85])
+    assert report["tail_ratio"] < 0.97 and report["power_slope"] > -0.4
+    assert report["verdict"] == trend.INCONCLUSIVE

@@ -440,6 +440,18 @@ def test_upsilon_curve_rejects_a_negative_grid_depth(monkeypatch):
         doyle_test(g, grid_depth=-1, root=0, n_max=2)
 
 
+def test_resistance_radius_past_a_frontier_free_graph_names_the_empty_sphere():
+    # the octahedron has depth 2 and no frontier: S(3) is empty, no frontier
+    # cuts it off
+    from speiserlab.lattices import octahedron
+
+    with pytest.raises(FrontierError, match=r"S\(3\) is empty: radius 3 lies past the depth 2"):
+        resistance_curve(octahedron(), 0, [1, 3])
+    assert len(resistance_curve(octahedron(), 0, [1, 2]).resistance) == 2
+    with pytest.raises(FrontierError, match=r"B\(3\) touches the frontier"):
+        resistance_curve(triangular_ball(8, 2), 0, [3])
+
+
 @pytest.mark.parametrize("grid_depth", [None, 4])
 def test_empty_radius_list_gives_an_empty_curve(grid_depth):
     # max([]) once raised a bare ValueError here; None: grids as deep as the
