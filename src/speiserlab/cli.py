@@ -1,9 +1,17 @@
 """Command-line surface.
 
-Subcommands:
+Subcommands, each kind with only the flags it reads (the README's CLI
+section tables them):
   gen       octagonal | gamma | lambda | extend | subdivide4 | dual
   analyze   vel | resistance | nash-williams | doyle | ratio-trend | fatness
   theorem1  run both evidence legs and write the report
+
+Every flag is checked before any file is read.  Its argparse type applies
+the library's rule to its value (``GrowthSchedule``, ``check_radii``,
+``check_annuli``, ``check_grid_depth``, ``PlanarSet``); a flag that the
+kind does not read is an unrecognized argument; ``analyze doyle`` checks
+its two depths together before it reads the graph.  Only the ``--root``
+range waits for the graph.
 
 ``gen gamma`` is ``theorem1.build_gamma``: a depth past the schedule's
 length is a usage error.  ``gen lambda``, ``extend`` and ``subdivide4``
@@ -33,15 +41,12 @@ from .graph_core import bfs_layers, build_graph, dual, induced_ball, to_json
 from .lattices import triangular_ball
 from .packing import EUCLIDEAN, pack_disk, packing_to_svg, ratio_trend
 from .refinement import subdivide4
-from .speiser import (
-    GrowthSchedule,
-    build_octagonal_speiser,
-    extend_speiser,
-    lambda_triangulation,
-)
+from .speiser import GrowthSchedule, build_octagonal_speiser, check_grid_depth
+from .speiser import extend_speiser, lambda_triangulation
 from .theorem1 import Theorem1Config, build_gamma, run_theorem1
-from .vel import vel_type_trend
-from .walk import check_doyle_depth, doyle_test, nash_williams_sum, resistance_curve
+from .vel import check_annuli, vel_type_trend
+from .walk import check_doyle_depth, check_radii, doyle_test
+from .walk import nash_williams_sum, resistance_curve
 
 DEFAULT_SEED = 20080
 
@@ -53,9 +58,7 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _read_graph(path: str | None):
-    if path is None:
-        raise UsageError("--graph is required")
+def _read_graph(path: str):
     p = Path(path)
     if not p.exists():
         raise UsageError(f"graph file not found: {path}")
@@ -65,107 +68,136 @@ def _read_graph(path: str | None):
         raise UsageError(f"graph file {path} is not valid JSON: {exc}") from exc
 
 
-class UsageError(Exception):
+class UsageError(SpeiserLabError):
     pass
 
 
-def _parse_schedule(text: str) -> GrowthSchedule:
-    try:
-        lengths = tuple(int(x) for x in text.split(","))
-        return GrowthSchedule(lengths)
-    except (ValueError, SpeiserLabError) as exc:
-        raise UsageError(f"bad schedule {text!r}: {exc}") from exc
+def _flag(what: str, need: str, parse, rule=None):
+    """An argparse type: ``parse`` reads a flag's text and ``rule``, the
+    library's check, judges the value.  Text that ``parse`` cannot read
+    fails with ``need``, a value that the rule rejects with its message."""
+
+    def read(text: str):
+        try:
+            value = parse(text)
+            if rule is not None:
+                rule(value)
+            return value
+        except ValueError:
+            reason = f"need {need}"
+        except SpeiserLabError as exc:
+            reason = str(exc)
+        raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {reason}")
+
+    return read
 
 
-def _parse_annuli(text: str) -> list[tuple[int, int]]:
-    out = []
-    try:
-        for part in text.split(","):
-            a, b = part.split(":")
-            out.append((int(a), int(b)))
-    except ValueError as exc:
-        raise UsageError(f"bad annuli spec {text!r}") from exc
-    return out
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _pairs(text: str) -> list[tuple[int, int]]:
+    return [(int(a), int(b)) for a, b in (part.split(":") for part in text.split(","))]
+
+
+def _disks(text: str) -> PlanarSet:
+    disks = [[float(t) for t in part.split(",")] for part in text.split(";")]
+    return PlanarSet(tuple((complex(x, y), r) for x, y, r in disks))
 
 
 def _json_report(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "octagonal":
-        g = build_octagonal_speiser(args.depth)
-    elif kind == "gamma":
-        g = build_gamma(args.depth, _parse_schedule(args.schedule))
-    elif kind == "lambda":
-        g = lambda_triangulation(_read_graph(args.graph))
-    elif kind == "extend":
-        g = extend_speiser(_read_graph(args.graph), args.grid_depth)
-    elif kind == "subdivide4":
-        g, _ = subdivide4(_read_graph(args.graph))
-    elif kind == "dual":
-        g = dual(_read_graph(args.graph))
-    else:
-        raise UsageError(f"unknown generator {kind!r}")
-    _write(args.output, to_json(g))
-    return 0
+_schedule = _flag("schedule", "odd integers", lambda t: GrowthSchedule(tuple(_ints(t))))
+_grid_depth = _flag("grid depth", "an integer", int, check_grid_depth)
+_radius = _flag("radius", "an integer", int, lambda n: check_radii([n]))
+_radii = _flag("radii", "integers n >= 1", _ints, check_radii)
+_annuli = _flag("annuli spec", "inner:outer,...", _pairs, check_annuli)
+GRAPH = dict(required=True, help="input graph JSON")
+
+# each command group's flags by name; a kind declares only those it reads
+GEN_FLAGS = {
+    "--depth": dict(type=int, default=2, help="ball radius"),
+    "--schedule": dict(type=_schedule, default="21,8103", help="odd tree lengths"),
+    "--graph": GRAPH,
+    "--grid-depth": dict(type=_grid_depth, default=4),
+}
+ANALYZE_FLAGS = {
+    "--graph": GRAPH,
+    "--root": dict(type=int, default=0),
+    "--n-max": dict(type=_radius, default=6),
+    "--grid-depth": dict(type=int, default=8),
+    "--annuli": dict(type=_annuli, default="1:2,2:4,3:6"),
+    "--family": dict(default="hex", choices=["hex", "tri8"]),
+    "--ns": dict(type=_radii, default="2,3,4,5", help="ratio-trend ball radii"),
+    "--disks": dict(type=_flag("disks", "x,y,r;x,y,r;...", _disks), default="0,0,1"),
+    "--n-radii": dict(type=int, default=8),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+}
+
+# each kind: the flags it reads besides -o, and what it computes
+GEN = {
+    "octagonal": (["--depth"], lambda a: build_octagonal_speiser(a.depth)),
+    "gamma": (["--depth", "--schedule"], lambda a: build_gamma(a.depth, a.schedule)),
+    "lambda": (["--graph"], lambda a: lambda_triangulation(_read_graph(a.graph))),
+    "extend": (
+        ["--graph", "--grid-depth"],
+        lambda a: extend_speiser(_read_graph(a.graph), a.grid_depth),
+    ),
+    "subdivide4": (["--graph"], lambda a: subdivide4(_read_graph(a.graph))[0]),
+    "dual": (["--graph"], lambda a: dual(_read_graph(a.graph))),
+}
 
 
-def _cmd_analyze(args) -> int:
-    kind = args.kind
-    if kind == "vel":
-        g = _read_graph(args.graph)
-        report = vel_type_trend(g, args.root, _parse_annuli(args.annuli))
-        _write(args.output, _json_report(report.to_dict()))
-    elif kind == "resistance":
-        g = _read_graph(args.graph)
-        curve = resistance_curve(g, args.root, list(range(1, args.n_max + 1)))
-        _write(args.output, _json_report(curve.to_dict()))
-    elif kind == "nash-williams":
-        # the cuts |E(k)| are reliable for k < reliable_depth only
-        layers = bfs_layers(_read_graph(args.graph), args.root)
-        cuts = layers.cut_sizes()[: layers.reliable_depth]
-        report = {
-            "partial_sums": nash_williams_sum(cuts),
-            "cut_sizes": cuts,
-            "reliable_depth": layers.reliable_depth,
-        }
-        _write(args.output, _json_report(report))
-    elif kind == "doyle":
-        check_doyle_depth(args.n_max, args.grid_depth)
-        g = _read_graph(args.graph)
-        report = doyle_test(g, args.grid_depth, args.root, args.n_max)
-        _write(args.output, _json_report(report.to_dict()))
-    elif kind == "ratio-trend":
-        q = {"hex": 6, "tri8": 8}[args.family]
-        try:
-            ns = [int(x) for x in args.ns.split(",")]
-            if min(ns) < 1:
-                raise ValueError
-        except ValueError:
-            raise UsageError(f"bad radii {args.ns!r}: need integers n >= 1") from None
-        # every ball B(n) is cut from one lattice of radius max(ns)
-        lattice = triangular_ball(q, max(ns))
-        report = ratio_trend(lambda n: induced_ball(lattice, n), ns)
-        _write(args.output, _json_report(report.to_dict()))
-    elif kind == "fatness":
-        disks = []
-        try:
-            for part in args.disks.split(";"):
-                x, y, r = (float(t) for t in part.split(","))
-                disks.append((complex(x, y), r))
-        except ValueError:
-            raise UsageError(f"bad disks {args.disks!r}: need x,y,r;x,y,r;...") from None
-        s = PlanarSet(tuple(disks))
-        tau = fatness_estimate(s, n_radii=args.n_radii, seed=args.seed)
-        pairs = len(fatness_pairs(s, n_radii=args.n_radii, seed=args.seed)[1])
-        _write(
-            args.output,
-            _json_report({"tau_hat": tau, "seed": args.seed, "pairs": pairs}),
-        )
-    else:
-        raise UsageError(f"unknown analysis {kind!r}")
+def _resistance(a) -> dict:
+    radii = list(range(1, a.n_max + 1))
+    return resistance_curve(_read_graph(a.graph), a.root, radii).to_dict()
+
+
+def _nash_williams(a) -> dict:
+    # the cuts |E(k)| are reliable for k < reliable_depth only
+    layers = bfs_layers(_read_graph(a.graph), a.root)
+    cuts = layers.cut_sizes()[: layers.reliable_depth]
+    return {
+        "partial_sums": nash_williams_sum(cuts),
+        "cut_sizes": cuts,
+        "reliable_depth": layers.reliable_depth,
+    }
+
+
+def _doyle(a) -> dict:
+    check_doyle_depth(a.n_max, a.grid_depth)
+    return doyle_test(_read_graph(a.graph), a.grid_depth, a.root, a.n_max).to_dict()
+
+
+def _ratio_trend(a) -> dict:
+    # every ball B(n) is cut from one lattice of radius max(ns)
+    lattice = triangular_ball({"hex": 6, "tri8": 8}[a.family], max(a.ns))
+    return ratio_trend(lambda n: induced_ball(lattice, n), a.ns).to_dict()
+
+
+def _fatness(a) -> dict:
+    tau = fatness_estimate(a.disks, n_radii=a.n_radii, seed=a.seed)
+    pairs = len(fatness_pairs(a.disks, n_radii=a.n_radii, seed=a.seed)[1])
+    return {"tau_hat": tau, "seed": a.seed, "pairs": pairs}
+
+
+ANALYZE = {
+    "vel": (
+        ["--graph", "--root", "--annuli"],
+        lambda a: vel_type_trend(_read_graph(a.graph), a.root, a.annuli).to_dict(),
+    ),
+    "resistance": (["--graph", "--root", "--n-max"], _resistance),
+    "nash-williams": (["--graph", "--root"], _nash_williams),
+    "doyle": (["--graph", "--root", "--n-max", "--grid-depth"], _doyle),
+    "ratio-trend": (["--family", "--ns"], _ratio_trend),
+    "fatness": (["--disks", "--n-radii", "--seed"], _fatness),
+}
+
+
+def _cmd(args) -> int:
+    _write(args.output, args.render(args.run(args)))
     return 0
 
 
@@ -184,8 +216,7 @@ def _cmd_theorem1(args) -> int:
     report = run_theorem1(config)
     _write(args.output, report.to_json())
     if args.svg is not None:
-        tri = triangular_ball(8, 3)
-        packed = pack_disk(tri, boundary=EUCLIDEAN)
+        packed = pack_disk(triangular_ball(8, 3), boundary=EUCLIDEAN)
         Path(args.svg).write_text(packing_to_svg(packed))
     return 0
 
@@ -198,53 +229,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate or transform graphs")
-    gen.add_argument(
-        "kind",
-        choices=["octagonal", "gamma", "lambda", "extend", "subdivide4", "dual"],
-    )
-    gen.add_argument("--depth", type=int, default=2, help="ball radius")
-    gen.add_argument(
-        "--schedule", default="21,8103", help="comma-separated odd tree lengths"
-    )
-    gen.add_argument("--graph", help="input graph JSON (for transforms)")
-    gen.add_argument("--grid-depth", type=int, default=4)
-    gen.add_argument("-o", "--output", default=None)
-    gen.set_defaults(func=_cmd_gen)
-
-    an = sub.add_parser("analyze", help="run an estimator on a graph")
-    an.add_argument(
-        "kind",
-        choices=[
-            "vel",
-            "resistance",
-            "nash-williams",
-            "doyle",
-            "ratio-trend",
-            "fatness",
-        ],
-    )
-    an.add_argument("--graph", help="input graph JSON")
-    an.add_argument("--root", type=int, default=0)
-    an.add_argument("--n-max", type=int, default=6)
-    an.add_argument("--grid-depth", type=int, default=8)
-    an.add_argument("--annuli", default="1:2,2:4,3:6")
-    an.add_argument("--family", default="hex", choices=["hex", "tri8"])
-    an.add_argument("--ns", default="2,3,4,5", help="ratio-trend ball radii")
-    an.add_argument("--disks", default="0,0,1", help="fatness x,y,r;x,y,r;...")
-    an.add_argument("--n-radii", type=int, default=8)
-    an.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    an.add_argument("-o", "--output", default=None)
-    an.set_defaults(func=_cmd_analyze)
+    groups = [
+        ("gen", "generate or transform graphs", GEN_FLAGS, GEN, to_json),
+        ("analyze", "run an estimator on a graph", ANALYZE_FLAGS, ANALYZE, _json_report),
+    ]
+    for name, text, flags, kinds, render in groups:
+        group = sub.add_parser(name, help=text).add_subparsers(dest="kind", required=True)
+        for kind, (names, run) in kinds.items():
+            p = group.add_parser(kind)
+            for flag in names:
+                p.add_argument(flag, **flags[flag])
+            p.add_argument("-o", "--output", default=None)
+            p.set_defaults(func=_cmd, run=run, render=render)
 
     th = sub.add_parser("theorem1", help="full two-leg evidence run")
     th.add_argument("--config", default="default", help="'default' or a JSON file")
-    th.add_argument(
-        "--seed",
-        type=int,
-        default=DEFAULT_SEED,
-        help="recorded in the report only: the run is deterministic and uses no seed",
-    )
+    seed_help = "recorded in the report only: the run is deterministic and uses no seed"
+    th.add_argument("--seed", type=int, default=DEFAULT_SEED, help=seed_help)
     th.add_argument("--svg", default=None, help="also draw a packed patch to this file")
     th.add_argument("-o", "--output", default=None)
     th.set_defaults(func=_cmd_theorem1)
@@ -259,9 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SolverError as exc:
         diag = _json_report({"error": str(exc), "diagnostics": exc.diagnostics})
         if getattr(args, "output", None):

@@ -168,6 +168,12 @@ def lambda_triangulation(g: RotationGraph, with_map: bool = False):
     return _midpoint_subdivision(g, 6, fan, with_map)
 
 
+def check_grid_depth(grid_depth: int) -> None:
+    """Reject a grid cylinder of height below 1."""
+    if grid_depth < 1:
+        raise GraphError("grid_depth must be >= 1")
+
+
 def extend_speiser(g: RotationGraph, grid_depth: int) -> RotationGraph:
     """Glue a square-grid cylinder of height ``grid_depth`` into each interior face.
 
@@ -176,8 +182,7 @@ def extend_speiser(g: RotationGraph, grid_depth: int) -> RotationGraph:
     ring joins the frontier.  The other faces (``interior_face_mask``) are
     skipped.  Original vertices keep their ids.
     """
-    if grid_depth < 1:
-        raise GraphError("grid_depth must be >= 1")
+    check_grid_depth(grid_depth)
     faces = trace_faces(g)
     inner = interior_face_mask(g)
     n, n_edges, n_darts = g.n_vertices, g.n_edges, len(faces.darts)

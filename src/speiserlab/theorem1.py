@@ -26,9 +26,10 @@ from .speiser import (
 )
 from .packing import ratio_trend
 from .trend import classify_resistance_curve, first_converged_n
-from .vel import vel_type_trend
+from .vel import check_annuli, vel_type_trend
 from .walk import (
     check_doyle_depth,
+    check_radii,
     doyle_test,
     nash_williams_sum,
     resistance_curve,
@@ -187,13 +188,13 @@ class Theorem1Config:
 
     Lists (as JSON gives them) become tuples.  A string where a list
     belongs, an annulus that is not a pair, a float or bool anywhere, a bad
-    schedule, leg-A radius, k range or Doyle depth raises here, before any
-    graph is built.
+    schedule, k range or Doyle depth, and a leg-A radius or annulus that
+    breaks ``check_radii`` or ``check_annuli`` (the rules of
+    ``resistance_curve`` and ``vel_type_trend``) raises here, before any
+    graph is built.  No field bounds a radius from above.
     ``seed`` is inert: every stage of ``run_theorem1`` is deterministic and
     none reads it.  It is kept so that the report records it and config
-    files that set it stay valid.  ``dual_depth`` only bounds the leg-A
-    resistance radii and annuli: leg A builds its lattice to the largest
-    radius it reads, so a larger ``dual_depth`` leaves the report as it is.
+    files that set it stay valid.
     """
 
     schedule: tuple[int, ...] = (21, 8103)
@@ -201,7 +202,6 @@ class Theorem1Config:
     growth_k_max: int = 8000
     upsilon_k_min: int = 25
     upsilon_k_max: int = 2000
-    dual_depth: int = 7
     resistance_radii: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
     vel_annuli: tuple[tuple[int, int], ...] = ((1, 2), (2, 4), (3, 6))
     ratio_ns: tuple[int, ...] = (2, 3, 4, 5, 6)
@@ -232,7 +232,8 @@ class Theorem1Config:
         if bad:
             raise TypeError(f"config values must be integers: {bad}")
         GrowthSchedule(self.schedule)
-        _check_leg_a_radii(self)
+        check_radii(self.resistance_radii + self.ratio_ns)
+        check_annuli(self.vel_annuli)
         for name in _LEAST_K:
             lo, hi = getattr(self, f"{name}_k_min"), getattr(self, f"{name}_k_max")
             _check_k_range(name, lo, hi)
@@ -257,22 +258,6 @@ class Theorem1Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _check_leg_a_radii(config: Theorem1Config) -> None:
-    """The resistance radii and annuli must fit inside B(dual_depth), and
-    every ``ratio_ns`` entry must be >= 1.  ``dual_depth`` is only this
-    bound: leg A builds its lattice to the largest radius it reads."""
-    depth = config.dual_depth
-    bad = [n for n in config.resistance_radii if not 1 <= n <= depth]
-    bad += [a for a in config.vel_annuli if not 0 <= a[0] < a[1] <= depth]
-    bad += [("ratio_ns", n) for n in config.ratio_ns if n < 1]
-    if bad:
-        raise FrontierError(
-            f"leg-A radii {bad} do not fit the dual ball of depth {depth}: resistance "
-            "radii need 1 <= n <= depth, annuli 0 <= inner < outer <= depth, "
-            "ratio_ns n >= 1"
-        )
-
-
 def _bound_verdict(holds_all: bool, first_k_holding: int | None) -> str:
     """A bound checked over a k range: it holds, holds from some k on, or fails."""
     if holds_all:
@@ -286,11 +271,9 @@ def _leg_a(config: Theorem1Config) -> tuple[dict, dict]:
 
     Its {3,8} lattice is built only as deep as leg A reads it: to the
     largest resistance radius, annulus outer radius or ``ratio_ns`` entry.
-    ``dual_depth`` only bounds the resistance radii and annuli (see
-    ``_check_leg_a_radii``).  Resistance and VEL read the lattice itself,
-    and each cp ball is cut from it: ``triangular_ball`` numbers vertices and
-    edges ring by ring, so every ball read here has the same ids in any
-    deeper lattice.  The lattice is freed on return, so leg B's construction
+    Resistance and VEL read the lattice itself, and each cp ball is cut
+    from it: ``triangular_ball`` numbers vertices and edges ring by ring, so
+    every ball read here has the same ids in any deeper lattice.  The lattice is freed on return, so leg B's construction
     does not stack on it."""
     outer = [no for _, no in config.vel_annuli]
     lattice = triangular_ball(

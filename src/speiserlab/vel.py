@@ -451,6 +451,13 @@ class TypeTrendReport:
         }
 
 
+def check_annuli(radii: list[tuple[int, int]]) -> None:
+    """Reject annuli (n_inner, n_outer) unless 0 <= n_inner < n_outer."""
+    bad = [(ni, no) for ni, no in radii if not 0 <= ni < no]
+    if bad:
+        raise GraphError(f"bad annulus {bad[0]}")
+
+
 def vel_type_trend(
     g: RotationGraph,
     root: int,
@@ -462,13 +469,12 @@ def vel_type_trend(
     support B(n_outer) - B(n_inner - 1), all around ``root``; annuli touching
     the frontier are excluded and reported.
     """
+    check_annuli(radii)
     layers = bfs_layers(g, root)
     dist = layers.dist
     usable: list[tuple[int, int]] = []
     skipped: list[tuple[int, int]] = []
     for (ni, no) in radii:
-        if ni < 0 or no <= ni:
-            raise GraphError(f"bad annulus ({ni}, {no})")
         if no > layers.reliable_depth:
             skipped.append((ni, no))
         else:

@@ -131,15 +131,16 @@ class ResistanceCurve:
         return {"radii": self.radii, "resistance": self.resistance}
 
 
-def _check_radii(n_list: Sequence[int]) -> None:
+def check_radii(n_list: Sequence[int]) -> None:
     """Reject radii below 1: S(0) is the root itself."""
-    if any(n < 1 for n in n_list):
-        raise GraphError("n must be >= 1")
+    bad = [n for n in n_list if n < 1]
+    if bad:
+        raise GraphError(f"n must be >= 1, got {bad}")
 
 
 def resistance_curve(g: RotationGraph, root: int, n_list: list[int]) -> ResistanceCurve:
     """Resistances from ``root`` to the short-circuited spheres S(n) around it."""
-    _check_radii(n_list)
+    check_radii(n_list)
     layers = bfs_layers(g, root)
     for n in n_list:
         if n <= layers.reliable_depth:
@@ -197,7 +198,8 @@ def _upsilon_ball(g: RotationGraph, root: int, n_max: int, grid_depth: int):
     nxt = np.arange(len(h)) + 1
     last = nxt == faces.offsets[fid + 1]
     nxt[last] = start[last]
-    top = np.where(faces.lengths[fid] > 1, np.minimum(h, h[nxt]), 0)
+    # every face walk has two darts or more: RotationGraph has no self-loops
+    top = np.minimum(h, h[nxt])
 
     # vertical edges in node order: each node hangs from the one below it,
     # the bottom node of a column from the column's base vertex
@@ -230,7 +232,7 @@ def upsilon_resistance_curve(
     empty spheres past its far end, which no current reaches: a radius whose
     sphere is empty raises ``FrontierError`` before anything is factored.
     """
-    _check_radii(n_list)
+    check_radii(n_list)
     if grid_depth < 0:
         raise GraphError(f"grid_depth must be >= 0, got {grid_depth}")
     layers = bfs_layers(g, root)

@@ -15,7 +15,9 @@ true extension only (a truncated grid is counted on the ball that
 ``doyle_test`` solves), and ``effective_resistance`` is gone; isomorphism
 never reflects, and the extension ball always names its grid depth.  Code
 that no workflow ran is gone: the packing JSON dump, three ``PlanarSet``
-methods, schedule indexing and the identity refinement map.  These tests
+methods, schedule indexing and the identity refinement map.  So is the
+config's ``dual_depth``, which bounded radii and nothing else, and every
+``gen`` and ``analyze`` kind takes only the flags it reads.  These tests
 keep such knobs and wrappers from coming back.
 """
 
@@ -29,7 +31,7 @@ from pathlib import Path
 import pytest
 
 import speiserlab
-from speiserlab.cli import main
+from speiserlab.cli import build_parser, main
 from speiserlab.fatness import HSReport, PlanarSet
 from speiserlab.graph_core import (
     RotationGraph,
@@ -161,6 +163,7 @@ def test_retired_record_fields_are_gone(theorem1_report):
         RefinementReport: {"is_semi_bounded", "is_bounded"},
         FatCollection: {"flags"},
         HSReport: {"note"},
+        Theorem1Config: {"dual_depth"},
     }
     for cls, names in retired.items():
         assert not names & {f.name for f in dataclasses.fields(cls)}, cls
@@ -212,8 +215,67 @@ def test_no_constant_knobs():
 
 
 @pytest.mark.parametrize(
-    "argv", [["gen", "lambda", "--outer-face", "1"], ["analyze", "fatness", "--samples", "9"]]
+    "argv",
+    [
+        ["gen", "lambda", "--graph", "g.json", "--outer-face", "1"],
+        ["analyze", "fatness", "--samples", "9"],
+    ],
 )
 def test_cli_has_no_removed_flags(argv, capsys):
     assert main(argv) == 2
-    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+# the flags of each command group, and the ones each kind reads besides -o
+GROUP_FLAGS = {
+    "gen": ["--depth", "--schedule", "--graph", "--grid-depth", "-o"],
+    "analyze": [
+        "--graph", "--root", "--n-max", "--grid-depth", "--annuli", "--family",
+        "--ns", "--disks", "--n-radii", "--seed", "-o",
+    ],
+}
+KIND_FLAGS = {
+    ("gen", "octagonal"): ["--depth"],
+    ("gen", "gamma"): ["--depth", "--schedule"],
+    ("gen", "lambda"): ["--graph"],
+    ("gen", "extend"): ["--graph", "--grid-depth"],
+    ("gen", "subdivide4"): ["--graph"],
+    ("gen", "dual"): ["--graph"],
+    ("analyze", "vel"): ["--graph", "--root", "--annuli"],
+    ("analyze", "resistance"): ["--graph", "--root", "--n-max"],
+    ("analyze", "nash-williams"): ["--graph", "--root"],
+    ("analyze", "doyle"): ["--graph", "--root", "--n-max", "--grid-depth"],
+    ("analyze", "ratio-trend"): ["--family", "--ns"],
+    ("analyze", "fatness"): ["--disks", "--n-radii", "--seed"],
+}
+# a value that every kind reading the flag accepts
+FLAG_VALUE = {
+    "--depth": "2", "--schedule": "3,5", "--graph": "g.json", "--grid-depth": "4",
+    "-o": "out.json", "--root": "0", "--n-max": "3", "--annuli": "1:2",
+    "--family": "tri8", "--ns": "2,3", "--disks": "0,0,1", "--n-radii": "4",
+    "--seed": "9",
+}
+PAIRS = [
+    (command, kind, flag)
+    for (command, kind) in KIND_FLAGS
+    for flag in GROUP_FLAGS[command]
+]
+
+
+def test_cli_pair_count():
+    declared = [p for p in PAIRS if p[2] in KIND_FLAGS[p[:2]] + ["-o"]]
+    assert (len(PAIRS), len(declared)) == (96, 37)
+
+
+@pytest.mark.parametrize("command, kind, flag", PAIRS, ids=" ".join)
+def test_each_kind_takes_only_the_flags_it_reads(command, kind, flag, capsys):
+    # a flag that another kind reads exits 2 before any file is read
+    reads = KIND_FLAGS[command, kind]
+    graph = ["--graph", "g.json"] if "--graph" in reads and flag != "--graph" else []
+    argv = [command, kind, *graph, flag, FLAG_VALUE[flag]]
+    if flag in reads + ["-o"]:
+        args = build_parser().parse_args(argv)
+        assert args.kind == kind
+    else:
+        assert main(argv) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

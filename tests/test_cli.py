@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from speiserlab import theorem1
-from speiserlab.cli import main
+from speiserlab.cli import build_parser, main
 from speiserlab.graph_core import build_graph
 
 
@@ -205,7 +206,6 @@ def test_theorem1_cli_deterministic(tmp_path):
         "growth_k_max": 8,
         "upsilon_k_min": 2,
         "upsilon_k_max": 8,
-        "dual_depth": 5,
         "resistance_radii": [1, 2, 3, 4],
         "vel_annuli": [[1, 2], [2, 4]],
         "ratio_ns": [2, 3, 4],
@@ -236,7 +236,7 @@ def test_theorem1_malformed_config_exits_2(tmp_path, capsys):
         {"growth_k_max": 8000.5},
         {"doyle_n_max": 24.0},
         {"ratio_ns": [2, 3, 4.0, 5, 6]},
-        {"dual_depth": True},
+        {"doyle_grid_depth": True},
     ],
 )
 def test_theorem1_non_integer_config_exits_2(bad, tmp_path, capsys, monkeypatch):
@@ -301,11 +301,16 @@ def test_theorem1_unknown_config_key_exits_2(tmp_path, capsys):
     assert "vel_annulus" in capsys.readouterr().err
 
 
-def test_theorem1_radius_beyond_dual_ball_exits_2(tmp_path, capsys):
+def test_theorem1_bad_annulus_exits_2(tmp_path, capsys, monkeypatch):
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(theorem1, "triangular_ball", no_graph)
+    monkeypatch.setattr(theorem1, "build_gamma", no_graph)
     cfile = tmp_path / "cfg.json"
-    cfile.write_text(json.dumps({"vel_annuli": [[3, 9]]}))
+    cfile.write_text(json.dumps({"vel_annuli": [[1, 2], [3, 1]]}))
     assert main(["theorem1", "--config", str(cfile)]) == 2
-    assert "(3, 9)" in capsys.readouterr().err
+    assert "bad annulus (3, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -368,7 +373,11 @@ def test_bad_json_graph_file_keeps_the_collector_state(enabled, tmp_path, capsys
 def test_usage_errors_exit_2(argv, capsys):
     # a missing --graph or a malformed disk list is a usage error, not a traceback
     assert main(argv) == 2
-    want = f"bad disks {argv[-1]!r}" if "--disks" in argv else "--graph is required"
+    want = (
+        f"bad disks {argv[-1]!r}"
+        if "--disks" in argv
+        else "the following arguments are required: --graph"
+    )
     assert want in capsys.readouterr().err
 
 
@@ -380,6 +389,32 @@ def test_analyze_doyle_past_grid_depth_exits_2_before_reading(monkeypatch, capsy
     argv = ["analyze", "doyle", "--graph", "g.json", "--n-max", "9", "--grid-depth", "8"]
     assert main(argv) == 2
     assert "exceeds the grid depth 8" in capsys.readouterr().err
+
+
+# each line runs with --graph g.json added; the error it must report.  The
+# Doyle depths, checked together after parsing, are the test above
+BAD_FLAGS = [
+    ("analyze vel --annuli 1-2", "bad annuli spec '1-2'"),
+    ("analyze vel --annuli 3:1", "bad annuli spec '3:1': bad annulus (3, 1)"),
+    ("analyze resistance --n-max 0", "bad radius '0': n must be >= 1, got [0]"),
+    ("gen extend --grid-depth 0", "bad grid depth '0': grid_depth must be >= 1"),
+    ("gen lambda --schedule 4,6", "unrecognized arguments: --schedule 4,6"),
+    ("analyze fatness", "unrecognized arguments: --graph g.json"),
+]
+
+
+@pytest.mark.parametrize("line, message", BAD_FLAGS, ids=[line for line, _ in BAD_FLAGS])
+def test_bad_flags_exit_2_before_the_graph_is_read(line, message, monkeypatch, capsys):
+    # the range and syntax rules run while the flags are parsed, and a flag
+    # that the kind does not read is an unrecognized argument
+    def no_graph(path):
+        raise AssertionError("the graph was read before the flags were checked")
+
+    monkeypatch.setattr("speiserlab.cli._read_graph", no_graph)
+    command, kind, *flags = line.split()
+    argv = [command, kind, "--graph", "g.json", *flags, "-o", "out.json"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -406,8 +441,10 @@ def test_analyze_ratio_trend_pinned(tmp_path, family):
 
 @pytest.mark.parametrize("ns", ["0,2", "2,x"])
 def test_analyze_ratio_trend_bad_radii_exit_2(ns, capsys):
+    # text that is not a list of integers, or a radius that walk's rule rejects
+    reason = {"0,2": "n must be >= 1, got [0]", "2,x": "need integers n >= 1"}[ns]
     assert main(["analyze", "ratio-trend", "--ns", ns]) == 2
-    assert f"bad radii {ns!r}: need integers n >= 1" in capsys.readouterr().err
+    assert f"bad radii {ns!r}: {reason}" in capsys.readouterr().err
 
 
 def _readme_cli_lines() -> list[list[str]]:
@@ -426,3 +463,31 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     # every annulus of the VEL example lies inside the reliable depth
     vel = json.loads((tmp_path / "vel.json").read_text())
     assert vel["skipped"] == [] and len(vel["annuli"]) == 3
+
+
+def _readme_flag_table() -> dict[str, list[str]]:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {
+        command.strip().strip("`"): [f.strip().strip("`") for f in flags.split(",")]
+        for command, flags in rows
+    }
+
+
+def _parser_flags(parser, words=()) -> dict[str, list[str]]:
+    """Each leaf command of ``parser`` and the flags it declares."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        flags = [a.option_strings[0] for a in parser._actions if a.dest != "help"]
+        return {" ".join(words): flags}
+    out = {}
+    for name, sub in subs[0].choices.items():
+        out.update(_parser_flags(sub, words + (name,)))
+    return out
+
+
+def test_readme_flag_table_matches_the_parser():
+    table = _readme_flag_table()
+    assert len(table) == 13
+    assert table == _parser_flags(build_parser())

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from speiserlab import theorem1
-from speiserlab.errors import FrontierError, ScheduleError
+from speiserlab.errors import FrontierError, GraphError, ScheduleError
 from speiserlab.graph_core import bfs_layers, classify, is_isomorphic, trace_faces
 from speiserlab.lattices import triangular_ball
 from speiserlab.speiser import GrowthSchedule, speiser_ball
@@ -20,6 +21,8 @@ from speiserlab.theorem1 import (
     verify_growth,
     verify_upsilon_bounds,
 )
+from speiserlab.vel import check_annuli
+from speiserlab.walk import check_radii
 
 
 def test_paper_schedule_values():
@@ -102,7 +105,6 @@ def test_run_theorem1_identity_schedule_flags_growth():
         growth_k_max=10,
         upsilon_k_min=2,
         upsilon_k_max=6,
-        dual_depth=5,
         resistance_radii=(1, 2, 3, 4),
         vel_annuli=((1, 2), (2, 4)),
         ratio_ns=(2, 3, 4),
@@ -127,15 +129,30 @@ def test_run_theorem1_bad_schedule_fails_before_leg_a():
 @pytest.mark.parametrize(
     "bad",
     [
-        {"vel_annuli": ((1, 2), (3, 9))},
-        {"resistance_radii": (1, 8)},
+        {"ratio_ns": (0, 2)},
+        {"vel_annuli": ((-1, 2),)},
         {"resistance_radii": (0, 1)},
-        {"vel_annuli": ((2, 2),)},
+        {"vel_annuli": ((1, 2), (2, 2))},
     ],
 )
 def test_run_theorem1_bad_leg_a_radius_fails_before_any_graph(bad):
-    with pytest.raises(FrontierError, match="dual ball of depth 7"):
+    # the config applies the radius and annulus rules that resistance_curve,
+    # vel_type_trend and the CLI apply, in their words
+    ((name, value),) = bad.items()
+    rule = check_annuli if name == "vel_annuli" else check_radii
+    with pytest.raises(GraphError) as want:
+        rule(value)
+    with pytest.raises(GraphError, match=re.escape(str(want.value))):
         Theorem1Config(**bad)
+
+
+def test_config_bounds_no_leg_a_radius_from_above():
+    # leg A builds its lattice to the largest radius it reads, so a deep
+    # radius costs a larger lattice and is no config error
+    config = Theorem1Config(
+        resistance_radii=(1, 8), vel_annuli=((3, 9),), ratio_ns=(2, 12)
+    )
+    assert config.vel_annuli == ((3, 9),)
 
 
 @pytest.mark.parametrize("n_max, grid_depth", [(25, 24), (9, 8)])
@@ -153,7 +170,6 @@ def test_run_theorem1_doyle_past_grid_depth_fails_before_any_graph(n_max, grid_d
         ({"growth_k_min": 9, "growth_k_max": 8}, "growth_k_min"),
         ({"upsilon_k_min": 30, "upsilon_k_max": 29}, "upsilon_k_min"),
         ({"doyle_n_max": 0}, "n_max = 0"),
-        ({"ratio_ns": (0, 2)}, "ratio_ns"),
     ],
 )
 def test_run_theorem1_bad_range_fails_before_any_graph(bad, message):
@@ -165,7 +181,7 @@ NON_INTEGER_CONFIGS = [
     {"growth_k_max": 8000.5},
     {"doyle_n_max": 24.0},
     {"ratio_ns": [2, 3, 4.0, 5, 6]},
-    {"dual_depth": True},
+    {"doyle_grid_depth": True},
     {"vel_annuli": [[1, 2], [2, 4.0]]},
 ]
 
@@ -189,7 +205,7 @@ def test_config_is_frozen_and_holds_tuples():
     assert config.vel_annuli == ((1, 2), (2, 4))
     assert (config.resistance_radii, config.ratio_ns) == ((1, 2), (2,))
     with pytest.raises(dataclasses.FrozenInstanceError):
-        config.dual_depth = 8
+        config.seed = 8
     assert json.loads(json.dumps(config.to_dict()))["vel_annuli"] == [[1, 2], [2, 4]]
 
 
@@ -241,7 +257,6 @@ def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
         growth_k_max=8,
         upsilon_k_min=2,
         upsilon_k_max=8,
-        dual_depth=4,
         resistance_radii=(1, 2, 3, 4),
         vel_annuli=((1, 2), (2, 4)),
         ratio_ns=(2, 3, 5),
@@ -254,8 +269,8 @@ def test_run_theorem1_cuts_leg_a_from_one_lattice(monkeypatch):
     assert report.leg_a["ratio_trend"]["radii_list"] == [2, 3, 5]
 
 
-def test_default_leg_a_builds_only_the_ball_it_reads(monkeypatch):
-    # every leg-A output reads B(6) or less; dual_depth only bounds the radii
+def test_default_leg_a_builds_only_the_ball_it_reads(monkeypatch, theorem1_report):
+    # every leg-A output reads B(6) or less
     depths = []
 
     def recorded(q, depth):
@@ -263,13 +278,13 @@ def test_default_leg_a_builds_only_the_ball_it_reads(monkeypatch):
         return triangular_ball(q, depth)
 
     monkeypatch.setattr(theorem1, "triangular_ball", recorded)
-    reports = [run_theorem1(Theorem1Config(dual_depth=d)) for d in (7, 9)]
-    assert depths == [6, 6]
-    assert reports[0].leg_a == reports[1].leg_a
+    leg_a, _ = theorem1._leg_a(Theorem1Config())
+    assert depths == [6]
+    assert leg_a == theorem1_report.leg_a
 
 
 def test_leg_a_runs_with_empty_radius_lists():
-    # an empty ratio_ns once raised a bare TypeError from max(dual_depth)
+    # an empty ratio_ns once raised a bare TypeError from an empty max
     config = Theorem1Config(resistance_radii=(), vel_annuli=(), ratio_ns=())
     _, verdicts = theorem1._leg_a(config)
     assert set(verdicts.values()) == {"inconclusive"}

@@ -92,7 +92,6 @@ def test_theorem1_observation(wl, tmp_path):
                 "growth_k_max": 8,
                 "upsilon_k_min": 2,
                 "upsilon_k_max": 8,
-                "dual_depth": 4,
                 "resistance_radii": [1, 2, 3, 4],
                 "vel_annuli": [[1, 2], [2, 4]],
                 "ratio_ns": [2, 3, 4],
