@@ -465,7 +465,7 @@ def check_hs(
     if not collection.sets:
         raise GeometryError("empty collection")
     if g is not None:
-        key = [v if v in collection.sets else ("v", v) for v in g.vertices()]
+        key = [v if v in collection.sets else ("v", v) for v in range(g.n_vertices)]
         if not all(k in collection.sets for k in key):
             raise GeometryError("collection does not cover the graph's vertices")
         ends = [key[v] for v in g.dart_vertex.tolist()]

@@ -7,6 +7,8 @@ the rotation successor of every dart.  Edge ``e`` always owns the two darts
 ``2*e`` and ``2*e + 1``, so the twin of dart ``d`` is ``d ^ 1``.  Multiple
 edges are allowed, self-loops are not.  Infinite graphs are represented by
 finite truncations whose incomplete rim vertices are listed in ``frontier``.
+``RotationGraph(darts, offsets)``, the one constructor, validates those
+arrays, and a graph is read through them, not through per-element accessors.
 
 Face tracing uses ``next(d) = rotation_successor(twin(d))``; its orbits
 partition the darts.  ``trace_faces`` computes them once per graph as flat
@@ -31,9 +33,9 @@ rewrite subdivides or fills are those of ``interior_face_mask``, the one
 rule for interior faces, which ``classify`` reads as well: the faces off the
 frontier, so a frontier-free map has no outer face.
 
-Circle/cross tags reach a graph only when it is made: through
-``RotationGraph._flat``, from ``build_graph`` and ``induced_ball``, or as
-the tagged copy that ``two_colored`` returns for the Speiser constructions.
+Circle/cross tags reach a graph only when it is made: through the
+constructor's ``tags``, from ``build_graph`` and ``induced_ball``, or as the
+tagged copy that ``two_colored`` returns for the Speiser constructions.
 No module outside this one assigns an attribute of a built graph.
 
 The Graph JSON v1 codec works on the flat arrays too: ``to_json`` fills each
@@ -71,9 +73,9 @@ class RotationGraph:
     ``rot_darts[rot_offsets[v]:rot_offsets[v + 1]]``, ``dart_vertex[d]`` is
     the vertex of dart ``d`` and ``rot_succ[d]`` the dart after ``d`` in that
     vertex's rotation.  Dart ``d`` belongs to edge ``d // 2`` with twin
-    ``d ^ 1``.  ``rotation(v)`` is one vertex's darts as a list;
-    ``rotations`` rebuilds every vertex's list on each access.  The faces
-    and the BFS layering from each root are computed once and cached.
+    ``d ^ 1``.  A graph is read through these arrays; ``rotations``
+    rebuilds every vertex's list on each access.  The faces and the BFS
+    layering from each root are computed once and cached.
     """
 
     __slots__ = (
@@ -91,38 +93,36 @@ class RotationGraph:
     )
 
     def __init__(
-        self, rotations: Sequence[Sequence[int]], frontier: Iterable[int] = ()
-    ):
-        self._store(*_flatten(rotations), frontier)
-
-    @classmethod
-    def _flat(
-        cls,
+        self,
         darts: np.ndarray,
         offsets: np.ndarray,
         frontier: Iterable[int] = (),
         tags: dict[int, str] | None = None,
-    ) -> "RotationGraph":
+    ):
         """Build from the darts in rotation order and per-vertex offsets.
 
-        The only constructor that takes ``tags``: ``build_graph`` and
-        ``induced_ball`` pass the tags they read or keep.
+        The one constructor, and the only one that takes ``tags``:
+        ``build_graph`` and ``induced_ball`` pass the tags they read or keep.
         """
-        g = cls.__new__(cls)
-        g._store(darts, offsets, frontier)
-        g.tags = dict(tags) if tags else None
-        return g
-
-    def _store(
-        self, darts: np.ndarray, offsets: np.ndarray, frontier: Iterable[int]
-    ) -> None:
         # read-only views: the caller's arrays stay writeable, the graph's not
         darts = np.asarray(darts, dtype=np.int64).view()
         offsets = np.asarray(offsets, dtype=np.int64).view()
+        if darts.ndim != 1 or offsets.ndim != 1 or not len(offsets):
+            raise GraphError("darts and offsets must be 1-D, offsets non-empty")
+        if offsets[0] != 0:
+            raise GraphError(f"offsets start at {offsets[0]}, not 0")
+        degree = np.diff(offsets)
+        drop = np.flatnonzero(degree < 0)
+        if len(drop):
+            raise GraphError(f"offsets decrease at vertex {drop[0]}")
+        if offsets[-1] != len(darts):
+            raise GraphError(
+                f"offsets end at {offsets[-1]}, but there are {len(darts)} darts"
+            )
         self.frontier = frozenset(frontier)
-        self.tags = None
+        self.tags = dict(tags) if tags else None
         self.n_vertices = len(offsets) - 1
-        self.n_darts = int(offsets[-1])
+        self.n_darts = len(darts)
         if self.n_darts % 2:
             raise GraphError("odd number of darts")
         self.n_edges = self.n_darts // 2
@@ -134,7 +134,6 @@ class RotationGraph:
             raise GraphError(
                 f"malformed rotation: dart {np.flatnonzero(twice)[0]} appears twice"
             )
-        degree = np.diff(offsets)
         dart_vertex = np.full(self.n_darts, -1, dtype=np.int64)
         dart_vertex[darts] = np.repeat(np.arange(self.n_vertices), degree)
         dangling = np.flatnonzero(dart_vertex == -1)
@@ -164,42 +163,17 @@ class RotationGraph:
             raise GraphError("disconnected graph")
 
     # -- basic queries ----------------------------------------------------
+    # ``rotations`` and ``degree`` stay because perfbench reads them
 
     @property
     def rotations(self) -> list[list[int]]:
         """The darts at each vertex in cyclic order, as fresh lists."""
         return _split(self.rot_darts, self.rot_offsets)
 
-    def rotation(self, v: int) -> list[int]:
-        """The darts at ``v`` in cyclic order."""
-        at = self.rot_offsets
-        return self.rot_darts[at.item(v) : at.item(v + 1)].tolist()
-
-    def twin(self, d: int) -> int:
-        return d ^ 1
-
-    def edge_ends(self, e: int) -> tuple[int, int]:
-        return self.dart_vertex.item(2 * e), self.dart_vertex.item(2 * e + 1)
-
-    def rot_next(self, d: int) -> int:
-        return self.rot_succ.item(d)
-
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n_vertices:
+            raise GraphError(f"vertex {v} out of range")
         return self.rot_offsets.item(v + 1) - self.rot_offsets.item(v)
-
-    def neighbors(self, v: int) -> list[int]:
-        """Neighbors in rotation order, one entry per incident edge copy."""
-        at = self.rot_darts[self.rot_offsets[v] : self.rot_offsets[v + 1]]
-        return self.dart_vertex[at ^ 1].tolist()
-
-    def vertices(self) -> range:
-        return range(self.n_vertices)
-
-    def edges(self) -> range:
-        return range(self.n_edges)
-
-    def interior_vertices(self) -> list[int]:
-        return [v for v in range(self.n_vertices) if v not in self.frontier]
 
     # -- constructors ------------------------------------------------------
 
@@ -235,7 +209,7 @@ class RotationGraph:
         single = ranked[new & np.append(new[1:], True)]
         if len(single):
             raise GraphError(f"edges with a single endpoint: {single.tolist()}")
-        return cls._flat(2 * edge + (rank == 1), offsets, frontier=frontier)
+        return cls(2 * edge + (rank == 1), offsets, frontier=frontier)
 
     @classmethod
     def from_walks(
@@ -333,7 +307,7 @@ class RotationGraph:
         front = np.asarray(frontier, dtype=np.int64)
         front = front[(front >= 0) & (front < len(first_v))]
         front = vid[front[first_v[front] < len(pos)]]
-        g = cls._flat(*stars, frontier=front.tolist())
+        g = cls(*stars, frontier=front.tolist())
 
         # the walks are the faces: list each from its smallest dart, in the
         # order of those darts, as trace_faces does
@@ -474,7 +448,7 @@ class Faces:
 def trace_faces(g: RotationGraph) -> Faces:
     """Partition all darts into face walks (cached on the graph).
 
-    The faces are the cycles of ``next(d) = rot_next(twin(d))``: their
+    The faces are the cycles of ``next(d) = rot_succ[d ^ 1]``: their
     labels come from ``connected_components`` and their order along each
     cycle from ``_cycles``.
     """
@@ -533,7 +507,7 @@ def dual(g: RotationGraph) -> RotationGraph:
     offsets = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(fid[sel], minlength=len(faces))[kept], out=offsets[1:])
     clipped = np.logical_or.reduceat(~on_kept, faces.offsets[:-1])[kept]
-    return RotationGraph._flat(
+    return RotationGraph(
         2 * new_eid[darts >> 1] + (darts & 1),
         offsets,
         frontier=np.flatnonzero(clipped).tolist(),
@@ -749,7 +723,7 @@ def induced_ball(g: RotationGraph, n: int) -> RotationGraph:
     tags = None
     if g.tags:
         tags = {i: g.tags[v] for i, v in enumerate(keep.tolist()) if v in g.tags}
-    return RotationGraph._flat(
+    return RotationGraph(
         2 * new_eid[darts >> 1] + (darts & 1),
         offsets,
         frontier=np.flatnonzero(layers.dist[keep] == n).tolist(),
@@ -996,7 +970,7 @@ def _graph_from_spec(spec) -> RotationGraph:
     if set(map(type, tags_in.values())) - {str}:
         bad = next(k for k, t in tags_in.items() if type(t) is not str)
         raise GraphError(f"tag on vertex {bad} is not a string")
-    return RotationGraph._flat(
+    return RotationGraph(
         darts,
         offsets,
         frontier=frontier.tolist(),

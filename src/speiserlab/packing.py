@@ -693,7 +693,7 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
     sets: dict[tuple, tuple[tuple[complex, float], ...]] = {
         ("v", v): ((z[v], r[v]),) for v in p.placed()
     }
-    for e in g.edges():
+    for e in range(g.n_edges):
         f1, f2 = owner[2 * e], owner[2 * e + 1]
         disks = tuple(
             incircles[f] for f in sorted({f1, f2}) if f in incircles
@@ -703,7 +703,7 @@ def inscribed_collection(p: CirclePacking) -> FatCollection:
 
     ends = g.dart_vertex.tolist()
     adjacency = []
-    for e in g.edges():
+    for e in range(g.n_edges):
         if ("e", e) not in sets:
             continue
         for x in ends[2 * e : 2 * e + 2]:
@@ -744,8 +744,8 @@ def packing_to_svg(p: CirclePacking) -> str:
         f'{_svg_num(-ext)} {_svg_num(2 * ext)} {_svg_num(2 * ext)}">'
     ]
     drawn = set(placed)
-    for e in p.graph.edges():
-        a, b = p.graph.edge_ends(e)
+    ends = p.graph.dart_vertex.tolist()
+    for a, b in zip(ends[0::2], ends[1::2]):
         if a in drawn and b in drawn:
             lines.append(
                 f'<line x1="{x[a]}" y1="{y[a]}" x2="{x[b]}" y2="{y[b]}" '

@@ -273,8 +273,9 @@ def _leg_a(config: Theorem1Config) -> tuple[dict, dict]:
     largest resistance radius, annulus outer radius or ``ratio_ns`` entry.
     Resistance and VEL read the lattice itself, and each cp ball is cut
     from it: ``triangular_ball`` numbers vertices and edges ring by ring, so
-    every ball read here has the same ids in any deeper lattice.  The lattice is freed on return, so leg B's construction
-    does not stack on it."""
+    every ball read here has the same ids in any deeper lattice.  The
+    lattice is freed on return, so leg B's construction does not stack on
+    it."""
     outer = [no for _, no in config.vel_annuli]
     lattice = triangular_ball(
         8, max([*config.resistance_radii, *outer, *config.ratio_ns], default=1)

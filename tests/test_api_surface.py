@@ -7,9 +7,10 @@ with Euclidean radii 1, and its root is vertex 0; a refinement map is four
 arrays that the one midpoint subdivision builder reads off its walks, and a
 v-metric is a plain array.  Interior faces follow one rule,
 ``interior_face_mask(g)``; tags reach a graph only when it is made
-(``RotationGraph._flat`` or ``two_colored``), and no module outside
-``graph_core`` assigns an attribute of a graph; an SVG always draws the
-nerve.  Records serialize from their fields, and
+(``RotationGraph(darts, offsets, frontier, tags)`` or ``two_colored``), and
+no module outside ``graph_core`` assigns an attribute of a graph; a graph
+has one constructor and is read through its arrays, with no per-element
+accessors; an SVG always draws the nerve.  Records serialize from their fields, and
 fields that nothing read are gone.  ``extended_layer_counts`` counts the
 true extension only (a truncated grid is counted on the ball that
 ``doyle_test`` solves), and ``effective_resistance`` is gone; isomorphism
@@ -128,9 +129,31 @@ def test_refinement_entry_points():
     assert not hasattr(speiserlab, "VMetric")
 
 
-def test_tags_enter_only_through_flat():
+def test_tags_enter_only_through_the_constructor():
     taking = [name for name, obj in _callables() if "tags" in _parameters(obj)]
-    assert taking == ["speiserlab.graph_core.RotationGraph._flat"]
+    # the class and its __init__ are the one constructor
+    assert taking == [
+        "speiserlab.graph_core.RotationGraph",
+        "speiserlab.graph_core.RotationGraph.__init__",
+    ]
+
+
+def test_rotation_graph_has_one_constructor_and_no_accessors():
+    members = sorted(
+        name
+        for name, attr in vars(RotationGraph).items()
+        if isinstance(attr, property) or inspect.isfunction(getattr(attr, "__func__", attr))
+    )
+    assert members == [
+        "__init__",
+        "degree",
+        "from_edge_slots",
+        "from_face_cycles",
+        "from_rotations",
+        "from_walks",
+        "rotations",
+    ]
+    assert _parameters(RotationGraph) == ["darts", "offsets", "frontier", "tags"]
 
 
 def test_no_module_outside_graph_core_assigns_a_graph_attribute():

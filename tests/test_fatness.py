@@ -195,7 +195,7 @@ def test_check_hs_reads_adjacency_off_the_graph():
     assert len(want) == p.graph.degree(0)
     # vertex ids as keys are accepted as before
     plain = FatCollection(
-        sets={v: col.sets[("v", v)] for v in p.graph.vertices()},
+        sets={v: col.sets[("v", v)] for v in range(p.graph.n_vertices)},
         adjacency=[],
         tau=col.tau,
         overlap_bound=col.overlap_bound,

@@ -36,11 +36,18 @@ from speiserlab.lattices import (
 )
 
 
+def _dart_graph(rotations, frontier=()):
+    """The graph whose vertex ``v`` has the darts ``rotations[v]`` in order."""
+    offsets = np.cumsum([0, *map(len, rotations)])
+    darts = np.array([d for rot in rotations for d in rot], dtype=np.int64)
+    return RotationGraph(darts, offsets, frontier)
+
+
 def test_octahedron_counts():
     g = octahedron()
     assert g.n_vertices == 6
     assert g.n_edges == 12
-    assert all(g.degree(v) == 4 for v in g.vertices())
+    assert all(g.degree(v) == 4 for v in range(g.n_vertices))
     faces = trace_faces(g)
     assert len(faces) == 8
     assert (faces.lengths == 3).all()
@@ -49,7 +56,7 @@ def test_octahedron_counts():
 
 def test_half_edge_conservation():
     for g in (octahedron(), cube(), grid_patch(3, 3), triangular_ball(6, 2)):
-        assert 2 * g.n_edges == sum(g.degree(v) for v in g.vertices())
+        assert 2 * g.n_edges == sum(g.degree(v) for v in range(g.n_vertices))
 
 
 def test_grid_patch_3x3():
@@ -66,12 +73,12 @@ def test_grid_patch_3x3():
 def test_self_loop_rejected():
     # one edge whose both darts sit at the same vertex
     with pytest.raises(GraphError, match="self-loop"):
-        RotationGraph([[0, 1], []])
+        _dart_graph([[0, 1], []])
 
 
 def test_disconnected_rejected():
     with pytest.raises(GraphError, match="disconnected"):
-        RotationGraph([[0], [1], [2], [3]])
+        _dart_graph([[0], [1], [2], [3]])
 
 
 def test_dangling_halfedge_rejected():
@@ -96,7 +103,7 @@ def test_json_round_trip_byte_stable():
 
 
 def _tagged(g, tags):
-    return RotationGraph._flat(g.rot_darts, g.rot_offsets, g.frontier, tags)
+    return RotationGraph(g.rot_darts, g.rot_offsets, g.frontier, tags)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +120,7 @@ def _tagged(g, tags):
             lambda: _tagged(octahedron(), {1: "50%", 3: "%d %s %%", 0: "circle"}),
             ['"1": "50%",\n    "3": "%d %s %%"'],
         ),
-        (lambda: RotationGraph([[]]), ['"edges": []', '"rotation": []']),
+        (lambda: _dart_graph([[]]), ['"edges": []', '"rotation": []']),
         (lambda: octahedron(), ['"frontier": []', '"tags": {}']),
     ],
     ids=[
@@ -260,7 +267,7 @@ def test_dual_of_cycle_two_vertices():
     d = dual(g)
     assert d.n_vertices == 2
     assert d.n_edges == 5
-    assert all(d.degree(v) == 5 for v in d.vertices())
+    assert all(d.degree(v) == 5 for v in range(d.n_vertices))
 
 
 def test_bigon_face_traced():
@@ -354,7 +361,7 @@ def _frontier_free_disk_rule(g):
             lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]),
             True,
         ),
-        (lambda: RotationGraph([[]]), False),
+        (lambda: _dart_graph([[]]), False),
     ],
 )
 def test_classify_disk_rule_matches_frontier_free_reference(build, expected):
@@ -400,7 +407,7 @@ def test_triangular_ball_interior_faces_are_triangles():
         inner = ~faces.touches_frontier
         assert inner.any(), "expected interior faces"
         assert (faces.lengths[inner] == 3).all()
-        for v in g.interior_vertices():
+        for v in set(range(g.n_vertices)) - g.frontier:
             assert g.degree(v) == q
 
 
@@ -562,7 +569,7 @@ def test_canonical_isomorphism_invariance():
 def test_grid_euler_property(cols, rows):
     g = grid_patch(cols, rows)
     assert euler_characteristic(g) == 2
-    assert 2 * g.n_edges == sum(g.degree(v) for v in g.vertices())
+    assert 2 * g.n_edges == sum(g.degree(v) for v in range(g.n_vertices))
 
 
 @settings(max_examples=15, deadline=None)
@@ -663,14 +670,14 @@ def _reference_keep_originals(rotations, frontier, vmap, keep):
 
 
 def _reference_trace(g):
-    """Face walks by following ``rot_next(twin(d))`` from each unseen dart."""
+    """Face walks by following ``rot_succ[d ^ 1]`` from each unseen dart."""
     seen, faces = [False] * g.n_darts, []
     for d0 in range(g.n_darts):
         walk, d = [], d0
         while not seen[d]:
             seen[d] = True
             walk.append(d)
-            d = g.rot_next(d ^ 1)
+            d = g.rot_succ.item(d ^ 1)
         if walk:
             faces.append(walk)
     return faces
@@ -748,7 +755,7 @@ def test_integer_walks_match_tuple_reference(source):
 
     # the face table filled in by from_walks is the one trace_faces computes,
     # and walk_face names the face each walk became
-    fresh = RotationGraph(out.rotations, frontier=out.frontier)
+    fresh = RotationGraph(out.rot_darts, out.rot_offsets, out.frontier)
     faces, fresh_faces = trace_faces(out), trace_faces(fresh)
     out_darts = _face_lists(faces, faces.darts)
     assert out_darts == _reference_trace(fresh)
@@ -762,7 +769,7 @@ def test_integer_walks_match_tuple_reference(source):
 @pytest.mark.parametrize("source", sorted(WALK_SOURCES))
 def test_trace_faces_matches_dart_walk(source):
     g = WALK_SOURCES[source]()
-    g = RotationGraph(g.rotations, frontier=g.frontier)  # no cached faces
+    g = RotationGraph(g.rot_darts, g.rot_offsets, g.frontier)  # no cached faces
     faces = trace_faces(g)
     darts = _face_lists(faces, faces.darts)
     assert darts == _reference_trace(g)
@@ -879,18 +886,45 @@ def test_sparse_walk_keys_match_tuple_reference(source):
     assert built.graph.frontier == front
     assert dict(zip(built.vertex_key.tolist(), range(g.n_vertices))) == vmap
     faces = trace_faces(built.graph)
-    fresh = trace_faces(RotationGraph(rot, frontier=front))
+    fresh = trace_faces(_dart_graph(rot, front))
     assert faces.darts.tolist() == fresh.darts.tolist()
     assert faces.offsets.tolist() == fresh.offsets.tolist()
 
 
 def test_malformed_rotations_rejected():
     with pytest.raises(GraphError, match="out of range"):
-        RotationGraph([[0, 5], [1, 2]])
+        _dart_graph([[0, 5], [1, 2]])
     with pytest.raises(GraphError, match="appears twice"):
-        RotationGraph([[0, 0], [1, 1]])
+        _dart_graph([[0, 0], [1, 1]])
     with pytest.raises(GraphError, match="odd number"):
-        RotationGraph([[0], [1], [2]])
+        _dart_graph([[0], [1], [2]])
+
+
+@pytest.mark.parametrize(
+    "darts, offsets, message",
+    [
+        ([0, 1], [0, 4], "offsets end at 4, but there are 2 darts"),
+        ([0, 1, 2, 3], [0, 3, 2], "offsets decrease at vertex 1"),
+        ([0, 1], [], "1-D"),
+        ([0, 1], [[0, 1], [1, 2]], "1-D"),
+        ([[0, 1]], [0, 1, 2], "1-D"),
+        ([0, 1], [1, 1, 2], "offsets start at 1, not 0"),
+        ([0, 1], [0, 1], "offsets end at 1, but there are 2 darts"),
+    ],
+)
+def test_malformed_offsets_rejected(darts, offsets, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        RotationGraph(darts, offsets)
+
+
+def test_degree_rejects_a_vertex_out_of_range():
+    from speiserlab.speiser import speiser_ball
+
+    g = speiser_ball(4)
+    assert g.degree(g.n_vertices - 1) == g.rot_offsets[-1] - g.rot_offsets[-2]
+    for v in (-1, g.n_vertices):
+        with pytest.raises(GraphError, match=f"vertex {v} out of range"):
+            g.degree(v)
 
 
 # Graph JSON digests of the four rewrites, recorded with the tuple-keyed
@@ -986,7 +1020,7 @@ def _reference_two_coloring(g):
 def _reference_p_of(g):
     best = -1
     for e in range(g.n_edges):
-        u, v = g.edge_ends(e)
+        u, v = g.dart_vertex[2 * e : 2 * e + 2].tolist()
         if u not in g.frontier and v not in g.frontier:
             best = max(best, min(g.degree(u), g.degree(v)))
     return best if best >= 0 else None
@@ -1017,7 +1051,7 @@ def test_classify_and_coloring_match_loop_reference():
         assert c.is_bipartite == (colors is not None)
         assert c.p_of == _reference_p_of(g)
         assert type(c.p_of) in (int, type(None))
-        inner = [len(g.rotations[v]) for v in g.vertices() if v not in g.frontier]
+        inner = [len(g.rotations[v]) for v in range(g.n_vertices) if v not in g.frontier]
         assert c.max_degree == max(inner, default=None)
         assert c.homogeneous_degree == (inner[0] if len(set(inner)) == 1 else None)
 
@@ -1080,10 +1114,10 @@ def _reference_bfs_layers(g, root):
 
 def _reference_induced_ball(g, layers, n):
     """Rotations, frontier and tags of B(n), renumbered through dicts."""
-    rotations = g.rotations
+    rotations, ends = g.rotations, g.dart_vertex.tolist()
     keep = [v for v in range(g.n_vertices) if 0 <= layers.dist[v] <= n]
     new_vid = {v: i for i, v in enumerate(keep)}
-    kept_edges = [e for e in range(g.n_edges) if set(g.edge_ends(e)) <= set(new_vid)]
+    kept_edges = [e for e in range(g.n_edges) if set(ends[2 * e : 2 * e + 2]) <= set(new_vid)]
     new_eid = {e: i for i, e in enumerate(kept_edges)}
     out, frontier = [], set()
     for v in keep:
@@ -1184,9 +1218,7 @@ def test_rotation_arrays_are_read_only_int64():
         ]
         g.rotations[0].append(-1)  # a fresh copy on each access
         assert g.rotations[0][-1] != -1
-        assert type(g.degree(0)) is int and type(g.rot_next(0)) is int
-        assert all(type(x) is int for x in g.edge_ends(0) + tuple(g.neighbors(0)))
-        assert g.neighbors(0) == [g.edge_ends(d >> 1)[1 - (d & 1)] for d in g.rotations[0]]
+        assert type(g.degree(0)) is int
     # a graph built from another graph's face arrays leaves those writeable
     octa = octahedron()
     dual(octa)

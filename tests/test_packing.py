@@ -96,12 +96,12 @@ def test_layout_two_orders_agree_up_to_rigid_motion():
 def _reference_layout(g, first, reach, place, allowed=None) -> dict:
     """The breadth-first layout that the array rounds replaced: a queue of
     darts and a dict of centers, one circle per ``place`` call."""
-    vertex = g.dart_vertex.tolist()
+    vertex, rotations = g.dart_vertex.tolist(), g.rotations
 
     def third(d):
         walk = [d]
         for _ in range(3):
-            walk.append(g.rot_next(g.twin(walk[-1])))
+            walk.append(g.rot_succ.item(walk[-1] ^ 1))
         return vertex[walk[2]] if walk[3] == d else -1
 
     centers = {vertex[first]: 0j, vertex[first ^ 1]: complex(reach, 0.0)}
@@ -111,7 +111,7 @@ def _reference_layout(g, first, reach, place, allowed=None) -> dict:
         if w < 0 or w in centers or (allowed is not None and w not in allowed):
             continue
         centers[w] = place(centers, vertex[d], vertex[d ^ 1], w)
-        for dart in g.rotation(w):
+        for dart in rotations[w]:
             if vertex[dart ^ 1] in centers:
                 queue += (dart, dart ^ 1)
     return centers
@@ -146,12 +146,12 @@ def _reference_circles(p) -> dict:
     g, r = p.graph, p.label.tolist()
     vertex = g.dart_vertex.tolist()
     if p.boundary_condition == EUCLIDEAN:
-        first = g.rotation(0)[0]
+        first = g.rot_darts.item(0)
         reach = r[0] + r[vertex[first ^ 1]]
         placed = _reference_layout(g, first, reach, partial(_reference_euclid_place, r))
         return {v: (z, r[v]) for v, z in placed.items()}
     inner = set(p.interior)
-    first = next(d for d in g.rotation(0) if vertex[d ^ 1] in inner)
+    first = next(d for d in g.rotations[0] if vertex[d ^ 1] in inner)
     reach = math.tanh((r[0] + r[vertex[first ^ 1]]) / 2)
     placed = _reference_layout(g, first, reach, partial(_reference_hyp_place, r), inner)
     return {v: _reference_disk_circle(z, r[v]) for v, z in placed.items()}
@@ -424,8 +424,8 @@ def test_maximal_interior_tangency():
     g = triangular_ball(8, 3)
     p = pack_disk(g, boundary=MAXIMAL)
     # interior circles have euclidean layout; tangency must hold there
-    for e in g.edges():
-        a, b = g.edge_ends(e)
+    for e in range(g.n_edges):
+        a, b = g.dart_vertex[2 * e : 2 * e + 2].tolist()
         ca, cb = p.centers[a], p.centers[b]
         if np.isnan(ca) or np.isnan(cb):
             continue
@@ -458,11 +458,11 @@ def test_inscribed_collection_hex_flower():
     g = p.graph
     # interior edges carry two-disk unions meeting at the tangency point
     checked = 0
-    for e in g.edges():
+    for e in range(g.n_edges):
         key = ("e", e)
         if key not in col.sets or len(col.sets[key]) != 2:
             continue
-        u, v = g.edge_ends(e)
+        u, v = g.dart_vertex[2 * e : 2 * e + 2].tolist()
         tangency = p.centers[u] + (p.centers[v] - p.centers[u]) * (
             p.radii[u] / (p.radii[u] + p.radii[v])
         )
@@ -536,8 +536,8 @@ def _all_pairs_margin(p) -> float:
     placed = p.placed()
     index = {v: i for i, v in enumerate(placed)}
     adjacent = np.zeros((len(placed), len(placed)), dtype=bool)
-    for e in g.edges():
-        a, b = g.edge_ends(e)
+    for e in range(g.n_edges):
+        a, b = g.dart_vertex[2 * e : 2 * e + 2].tolist()
         if a in index and b in index:
             adjacent[index[a], index[b]] = adjacent[index[b], index[a]] = True
     z = np.array([p.centers[v] for v in placed])
@@ -579,7 +579,7 @@ def test_separation_reports_overlap():
     p = pack_disk(triangular_ball(6, 3), boundary=EUCLIDEAN)
     g = p.graph
     # push vertex 0 toward a vertex two steps away until their circles overlap
-    far = next(v for v in g.vertices() if bfs_layers(g, 0).dist[v] == 2)
+    far = next(v for v in range(g.n_vertices) if bfs_layers(g, 0).dist[v] == 2)
     centers = p.centers.copy()
     centers[0] = centers[far] + (centers[0] - centers[far]) * 0.5
     moved = replace(p, centers=centers)

@@ -47,7 +47,7 @@ def test_coarsen_square_sum_inequality_holds(weights):
 )
 def test_vel_bounds_bracket_on_hex_annuli(inner, width):
     outer = inner + width
-    support = [v for v in HEX.vertices() if inner <= HEX_LAYERS.dist[v] <= outer]
+    support = [v for v in range(HEX.n_vertices) if inner <= HEX_LAYERS.dist[v] <= outer]
     A = set(np.flatnonzero(HEX_LAYERS.dist == inner).tolist())
     B = set(np.flatnonzero(HEX_LAYERS.dist == outer).tolist())
     est = solve_vel(HEX, A, B, support=support)
@@ -93,7 +93,7 @@ def test_graph_json_round_trip_reproduces_arrays(g, data):
     vertices = st.integers(0, g.n_vertices - 1)
     tags = data.draw(st.dictionaries(vertices, st.sampled_from(["circle", 'x"ü'])))
     frontier = data.draw(st.frozensets(vertices)) | g.frontier
-    g = RotationGraph._flat(g.rot_darts, g.rot_offsets, frontier, tags)
+    g = RotationGraph(g.rot_darts, g.rot_offsets, frontier, tags)
     text = to_json(g)
     assert text == json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n"
     back = build_graph(text)

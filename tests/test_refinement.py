@@ -85,10 +85,15 @@ def _min_rotation(cycle):
     return min(tuple(cycle[i:] + cycle[:i]) for i in range(len(cycle)))
 
 
+def _grid_with_frontier():
+    # vertex 0 on the frontier keeps the two faces at it
+    g = grid_patch(3, 2)
+    return RotationGraph(g.rot_darts, g.rot_offsets, frontier=[0])
+
+
 KEPT_FACE_SOURCES = {
     "gamma": lambda: tree_replace(speiser_ball(2), GrowthSchedule((3, 5))),
-    # vertex 0 on the frontier keeps the two faces at it
-    "grid": lambda: RotationGraph(grid_patch(3, 2).rotations, frontier=[0]),
+    "grid": _grid_with_frontier,
 }
 
 
@@ -160,7 +165,7 @@ def test_coarsen_metric_single_edge_formula():
     mid01 = next(
         w
         for w, (kind, e) in enumerate(zip(rmap.origin_kind, rmap.origin))
-        if kind == EDGE and set(g.edge_ends(e)) == {0, 1}
+        if kind == EDGE and set(g.dart_vertex[2 * e : 2 * e + 2].tolist()) == {0, 1}
     )
     m_ref = np.zeros(ref.n_vertices)
     m_ref[[0, mid01, 1]] = a, b, c
@@ -194,8 +199,8 @@ def test_coarsen_inequalities_random():
         rhs = 8 * M * M * sum(w * w for w in m_ref)
         assert lhs <= rhs + 1e-12
         # edge inequality for every original edge
-        for e in g.edges():
-            u, v = g.edge_ends(e)
+        for e in range(g.n_edges):
+            u, v = g.dart_vertex[2 * e : 2 * e + 2].tolist()
             interior = np.flatnonzero((rmap.origin_kind == EDGE) & (rmap.origin == e))
             total = m_ref[u] + m_ref[v] + sum(m_ref[w] for w in interior)
             assert total <= (m[u] + m[v]) / 2 + 1e-12
@@ -241,9 +246,10 @@ def test_refine_inequality_random():
 def _coarsen_by_loop(g, rmap, m_ref, M):
     # the star of v: v and the midpoint of every edge at v
     out = []
-    for v in g.vertices():
+    rotations = g.rotations
+    for v in range(g.n_vertices):
         star = [m_ref[v]]
-        for d in g.rotation(v):
+        for d in rotations[v]:
             mid = (rmap.origin_kind == EDGE) & (rmap.origin == d >> 1)
             star.extend(m_ref[mid])
         out.append(2.0 * M * max(star))
@@ -251,15 +257,17 @@ def _coarsen_by_loop(g, rmap, m_ref, M):
 
 
 def _refine_by_loop(g, rmap, m, K):
-    Z = {v for v in g.vertices() if g.degree(v) > K}
+    Z = {v for v in range(g.n_vertices) if g.degree(v) > K}
+    rotations, ends = g.rotations, g.dart_vertex.tolist()
     out = []
     for kind, x in zip(rmap.origin_kind.tolist(), rmap.origin.tolist()):
         if kind == VERTEX and x in Z:
             out.append(m[x])
         elif kind == VERTEX:
-            out.append(3.0 * max(m[u] for u in [x, *g.neighbors(x)] if u not in Z))
+            star = [x, *(ends[d ^ 1] for d in rotations[x])]
+            out.append(3.0 * max(m[u] for u in star if u not in Z))
         elif kind == EDGE:
-            out.append(3.0 * max(m[u] for u in g.edge_ends(x) if u not in Z))
+            out.append(3.0 * max(m[u] for u in ends[2 * x : 2 * x + 2] if u not in Z))
         else:
             out.append(0.0)
     return out

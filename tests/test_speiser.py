@@ -31,6 +31,11 @@ from speiserlab.speiser import (
 # -- octagonal base graph ---------------------------------------------------
 
 
+def _interior(g):
+    """The vertices off the frontier, in id order."""
+    return [v for v in range(g.n_vertices) if v not in g.frontier]
+
+
 def test_octagonal_root_sphere():
     psi = build_octagonal_speiser(1)
     layers = bfs_layers(psi, 0)
@@ -54,7 +59,7 @@ def test_octagonal_depth6():
     sizes = layers.sphere_sizes()
     for n in range(1, 7):
         assert sizes[n] <= 3**n
-    for v in psi.interior_vertices():
+    for v in _interior(psi):
         assert psi.degree(v) == 3
     faces = trace_faces(psi)
     inner = ~faces.touches_frontier
@@ -139,7 +144,7 @@ def test_tree_replace_single_edge_pattern():
     assert out.n_vertices == 6
     assert out.n_edges == 7  # 3 singles + 2 doubles
     # internal vertices have degree 3 except the two endpoints (degree 1)
-    degs = sorted(out.degree(v) for v in out.vertices())
+    degs = sorted(out.degree(v) for v in range(out.n_vertices))
     assert degs == [1, 1, 3, 3, 3, 3]
     # bigons show up as 2-gon faces
     assert sorted(trace_faces(out).lengths.tolist())[:2] == [2, 2]
@@ -150,7 +155,7 @@ def test_tree_replace_psi_depth2():
     out = tree_replace(speiser_ball(2), GrowthSchedule((3, 5)))
     c = classify(out)
     assert c.is_bipartite
-    for v in out.interior_vertices():
+    for v in _interior(out):
         assert out.degree(v) == 3
     lay = bfs_layers(out, 0)
     # distances stretch: S(1..2) have 3 tree vertices each, first originals at 3
@@ -226,12 +231,12 @@ def test_extend_degree_bound_and_columns():
 
     gamma = tree_replace(speiser_ball(2), GrowthSchedule((3, 5)))
     ups = extend_speiser(gamma, 3)
-    for v in ups.interior_vertices():
+    for v in _interior(ups):
         assert ups.degree(v) <= 6
     # base vertices keep their ids and distances under extension
     lay_g = bfs_layers(gamma, 0)
     lay_u = bfs_layers(ups, 0)
-    for v in gamma.interior_vertices()[:10]:
+    for v in _interior(gamma)[:10]:
         assert lay_u.dist[v] == lay_g.dist[v]
     # a vertex whose three corners all lie on extended faces carries exactly
     # 3 columns: its degree grows from 3 to 6, one vertex per height above it
@@ -241,7 +246,7 @@ def test_extend_degree_bound_and_columns():
     owner = trace_faces(psi).face_of()
     rotations = psi.rotations  # rebuilt from the arrays on every access
     checked = 0
-    for v in psi.interior_vertices():
+    for v in _interior(psi):
         if inner[owner[rotations[v]]].all():
             assert ups5.degree(v) - psi.degree(v) == 3
             checked += 1
@@ -297,7 +302,7 @@ def _reference_layer_counts(g, dist, k_max, grid_depth=None):
             base_s[d] += 1
     base_cut = [0] * k_max
     for e in range(g.n_edges):
-        du, dv = (dist[w] for w in g.edge_ends(e))
+        du, dv = (dist[w] for w in g.dart_vertex[2 * e : 2 * e + 2].tolist())
         if du != dv and min(du, dv) < k_max:
             base_cut[min(du, dv)] += 1
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -355,3 +356,28 @@ def test_gamma_faces_are_traced_only_by_from_walks(monkeypatch):
     doyle_test(gamma, 24, 0, 24)
     assert gamma.tags[0] == "circle" and len(trace_faces(gamma)) > 0
     assert traced and gamma.n_darts not in traced
+
+
+def _assert_matches(got, want, at="report"):
+    """Same keys, lengths, ints, strings, bools and None; floats within 1e-9
+    relative."""
+    if isinstance(want, float):
+        assert type(got) is float and math.isclose(got, want, rel_tol=1e-9), at
+    elif isinstance(want, dict):
+        assert type(got) is dict and sorted(got) == sorted(want), at
+        for key in want:
+            _assert_matches(got[key], want[key], f"{at}.{key}")
+    elif isinstance(want, list):
+        assert type(got) is list and len(got) == len(want), at
+        for i, (a, b) in enumerate(zip(got, want)):
+            _assert_matches(a, b, f"{at}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, at
+
+
+def test_default_report_matches_the_recorded_one(theorem1_report):
+    # a BLAS thread change moves the floats by 1e-12 at most; a solver
+    # change that moves one past 1e-9 re-records the file
+    recorded = Path(__file__).parent / "data" / "theorem1_default.json"
+    want = json.loads(recorded.read_text())
+    _assert_matches(json.loads(json.dumps(theorem1_report.to_dict())), want)

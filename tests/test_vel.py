@@ -139,7 +139,7 @@ def _sphere(layers, n):
 def test_annulus_monotonicity():
     g = triangular_ball(6, 5)
     layers = bfs_layers(g, 0)
-    support = [v for v in g.vertices() if 1 <= layers.dist[v] <= 2]
+    support = [v for v in range(g.n_vertices) if 1 <= layers.dist[v] <= 2]
     est = solve_vel(g, _sphere(layers, 1), _sphere(layers, 2), support=support)
     # the same metric certifies at least as much against the farther sphere
     obj_near = metric_objective(g, _sphere(layers, 1), _sphere(layers, 2), est.metric)
@@ -153,7 +153,7 @@ def test_serial_rule():
     layers = bfs_layers(g, 0)
 
     def annulus(ni, no):
-        support = [v for v in g.vertices() if ni <= layers.dist[v] <= no]
+        support = [v for v in range(g.n_vertices) if ni <= layers.dist[v] <= no]
         return solve_vel(g, _sphere(layers, ni), _sphere(layers, no), support=support)
 
     inner = annulus(1, 2)
@@ -201,11 +201,12 @@ def test_trend_builds_annuli_around_its_root(monkeypatch):
     from collections import deque
 
     g = triangular_ball(6, 6)
+    rotations, ends = g.rotations, g.dart_vertex.tolist()
     dist = {3: 0}
     queue = deque([3])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in (ends[d ^ 1] for d in rotations[v]):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -236,7 +237,7 @@ def test_trend_skips_frontier_annuli():
 
 def _annulus(g, ni, no):
     layers = bfs_layers(g, 0)
-    support = [v for v in g.vertices() if ni <= layers.dist[v] <= no]
+    support = [v for v in range(g.n_vertices) if ni <= layers.dist[v] <= no]
     return _sphere(layers, ni), _sphere(layers, no), support
 
 

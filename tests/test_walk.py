@@ -110,11 +110,12 @@ def _queue_distances(g, root):
     """BFS distances from ``root`` by a queue over the neighbor lists."""
     from collections import deque
 
+    rotations, ends = g.rotations, g.dart_vertex.tolist()
     dist = {root: 0}
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
+        for w in (ends[d ^ 1] for d in rotations[v]):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
@@ -124,11 +125,11 @@ def _queue_distances(g, root):
 def _dense_resistance(g, root, n):
     """Resistance root -> short-circuited S(n) from a dense Laplacian solve."""
     dist = _queue_distances(g, root)
-    inner = [v for v in g.vertices() if dist[v] < n]
+    inner = [v for v in range(g.n_vertices) if dist[v] < n]
     at = {v: i for i, v in enumerate(inner)}
     lap = np.zeros((len(inner), len(inner)))
-    for e in g.edges():
-        u, v = g.edge_ends(e)
+    for e in range(g.n_edges):
+        u, v = g.dart_vertex[2 * e : 2 * e + 2].tolist()
         for a, b in ((u, v), (v, u)):
             if a in at:
                 lap[at[a], at[a]] += 1
@@ -278,7 +279,7 @@ def _reference_upsilon_ball(g, layers, n_max, grid_depth):
     dist = list(dist_base)
     n_nodes = g.n_vertices
     for e in range(g.n_edges):
-        a, b = g.edge_ends(e)
+        a, b = g.dart_vertex[2 * e : 2 * e + 2].tolist()
         if 0 <= dist_base[a] <= n_max and 0 <= dist_base[b] <= n_max:
             base.append((a, b))
     faces = trace_faces(g)
