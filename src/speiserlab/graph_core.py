@@ -7,8 +7,10 @@ the rotation successor of every dart.  Edge ``e`` always owns the two darts
 ``2*e`` and ``2*e + 1``, so the twin of dart ``d`` is ``d ^ 1``.  Multiple
 edges are allowed, self-loops are not.  Infinite graphs are represented by
 finite truncations whose incomplete rim vertices are listed in ``frontier``.
-``RotationGraph(darts, offsets)``, the one constructor, validates those
-arrays, and a graph is read through them, not through per-element accessors.
+A graph is made in one of two ways: ``RotationGraph(darts, offsets)``, the
+one constructor, validates those arrays and the frontier and tag ids, and
+``RotationGraph.from_walks`` builds a graph from its face walks (below).  A
+graph is read through its arrays, not through per-element accessors.
 
 Face tracing uses ``next(d) = rotation_successor(twin(d))``; its orbits
 partition the darts.  ``trace_faces`` computes them once per graph as flat
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -73,9 +75,10 @@ class RotationGraph:
     ``rot_darts[rot_offsets[v]:rot_offsets[v + 1]]``, ``dart_vertex[d]`` is
     the vertex of dart ``d`` and ``rot_succ[d]`` the dart after ``d`` in that
     vertex's rotation.  Dart ``d`` belongs to edge ``d // 2`` with twin
-    ``d ^ 1``.  A graph is read through these arrays; ``rotations``
-    rebuilds every vertex's list on each access.  The faces and the BFS
-    layering from each root are computed once and cached.
+    ``d ^ 1``.  A graph is made by the constructor, from its darts, or by
+    ``from_walks``, from its faces.  It is read through these arrays;
+    ``rotations`` rebuilds every vertex's list on each access.  The faces
+    and the BFS layering from each root are computed once and cached.
     """
 
     __slots__ = (
@@ -103,10 +106,11 @@ class RotationGraph:
 
         The one constructor, and the only one that takes ``tags``:
         ``build_graph`` and ``induced_ball`` pass the tags they read or keep.
+        Darts and offsets must be integer arrays, frontier ids and tag keys
+        Python or numpy integers in ``range(n_vertices)`` and tag values
+        strings (``GraphError`` otherwise).
         """
-        # read-only views: the caller's arrays stay writeable, the graph's not
-        darts = np.asarray(darts, dtype=np.int64).view()
-        offsets = np.asarray(offsets, dtype=np.int64).view()
+        darts, offsets = _int64(darts, "darts"), _int64(offsets, "offsets")
         if darts.ndim != 1 or offsets.ndim != 1 or not len(offsets):
             raise GraphError("darts and offsets must be 1-D, offsets non-empty")
         if offsets[0] != 0:
@@ -119,9 +123,15 @@ class RotationGraph:
             raise GraphError(
                 f"offsets end at {offsets[-1]}, but there are {len(darts)} darts"
             )
-        self.frontier = frozenset(frontier)
-        self.tags = dict(tags) if tags else None
         self.n_vertices = len(offsets) - 1
+        self.frontier = frozenset(frontier)
+        _check_vertex_ids(self.frontier, self.n_vertices, "frontier vertex")
+        self.tags = dict(tags) if tags else None
+        if self.tags:
+            _check_vertex_ids(self.tags, self.n_vertices, "tag key")
+            if set(map(type, self.tags.values())) - {str}:
+                bad = next(v for v, t in self.tags.items() if type(t) is not str)
+                raise GraphError(f"tag on vertex {bad} is not a string")
         self.n_darts = len(darts)
         if self.n_darts % 2:
             raise GraphError("odd number of darts")
@@ -175,41 +185,7 @@ class RotationGraph:
             raise GraphError(f"vertex {v} out of range")
         return self.rot_offsets.item(v + 1) - self.rot_offsets.item(v)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rotations(
-        cls, incidence: Sequence[Sequence[int]], frontier: Iterable[int] = ()
-    ) -> "RotationGraph":
-        """Build from per-vertex ordered lists of edge ids.
-
-        Every edge id must appear exactly twice over all lists (once per
-        endpoint); the first appearance becomes dart ``2e``.
-        """
-        return cls.from_edge_slots(*_flatten(incidence), frontier=frontier)
-
-    @classmethod
-    def from_edge_slots(
-        cls, edge: np.ndarray, offsets: np.ndarray, frontier: Iterable[int] = ()
-    ) -> "RotationGraph":
-        """``from_rotations`` on flat arrays: the edge ids of every vertex's
-        rotation are ``edge[offsets[v]:offsets[v + 1]]``."""
-        edge = np.asarray(edge, dtype=np.int64)
-        # appearance rank of every slot among the slots of its edge id
-        order = np.argsort(edge, kind="stable")
-        ranked = edge[order]
-        new = np.ones(len(edge), dtype=bool)
-        new[1:] = ranked[1:] != ranked[:-1]
-        pos = np.arange(len(edge))
-        rank = np.empty_like(pos)
-        rank[order] = pos - np.maximum.accumulate(np.where(new, pos, 0))
-        third = np.flatnonzero(rank > 1)
-        if len(third):
-            raise GraphError(f"edge {edge[third[0]]} appears more than twice")
-        single = ranked[new & np.append(new[1:], True)]
-        if len(single):
-            raise GraphError(f"edges with a single endpoint: {single.tolist()}")
-        return cls(2 * edge + (rank == 1), offsets, frontier=frontier)
+    # -- constructor from face walks -------------------------------------
 
     @classmethod
     def from_walks(
@@ -323,27 +299,6 @@ class RotationGraph:
         g._faces = Faces(g, face_darts, face_offsets)
         return WalkBuild(g, vertex_key, edge_key, walk_face)
 
-    @classmethod
-    def from_face_cycles(
-        cls, faces: Sequence[Sequence[int]], frontier: Iterable[int] = ()
-    ) -> "RotationGraph":
-        """Build a simple graph from oriented faces given as vertex cycles.
-
-        Edges are identified by their unordered endpoint pair, so this helper
-        rejects multigraphs.  Every face is listed, the outer one included.
-        """
-        # vertex labels and endpoint pairs become ints by first appearance
-        vid: dict = {}
-        eid: dict = {}
-        ends = [(v, w) for f in faces for v, w in zip(f, (*f[1:], f[0]))]
-        built = cls.from_walks(
-            [vid.setdefault(v, len(vid)) for v, _ in ends],
-            [eid.setdefault(frozenset(e), len(eid)) for e in ends],
-            [len(f) for f in faces],
-            frontier=[vid[v] for v in frontier if v in vid],
-        )
-        return built.graph
-
 
 class WalkBuild(NamedTuple):
     """Result of ``RotationGraph.from_walks``.
@@ -357,6 +312,26 @@ class WalkBuild(NamedTuple):
     vertex_key: np.ndarray
     edge_key: np.ndarray
     walk_face: np.ndarray
+
+
+def _int64(values, what: str) -> np.ndarray:
+    """``values`` as a new int64 view, so that making it read-only leaves the
+    caller's array writeable; a GraphError unless the items are integers."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise GraphError(f"{what} must be integers, not {arr.dtype}")
+    return np.asarray(arr, dtype=np.int64).view()
+
+
+def _check_vertex_ids(ids: Collection, n: int, what: str) -> None:
+    """A GraphError naming an item of ``ids`` that is not a Python or numpy
+    integer in ``range(n)``."""
+    kinds = {t for t in set(map(type, ids)) - {int} if not issubclass(t, np.integer)}
+    if kinds:
+        bad = next(v for v in ids if type(v) in kinds)
+        raise GraphError(f"{what} {bad!r} is not an integer")
+    if ids and not (min(ids) >= 0 and max(ids) < n):
+        raise GraphError(f"{what} {min(v for v in ids if not 0 <= v < n)} out of range")
 
 
 def _first_at(keys: np.ndarray, n_keys: int) -> np.ndarray:

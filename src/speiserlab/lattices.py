@@ -4,6 +4,13 @@ The main workhorse is the ring-by-ring generator for the triangulations
 ``{3,q}`` (every face a triangle, every interior vertex of degree ``q``);
 ``q = 6`` gives the flat hexagonal lattice and ``q >= 7`` the hyperbolic
 triangulations.  Their duals supply the ``{q,3}`` tilings.
+
+A stock graph is made in one of two ways.  Most write their darts and pass
+them to the ``RotationGraph`` constructor; an edge's first slot in vertex
+order is its dart ``2e``, so its dart ``2e`` sits at its end of lower id.
+The polyhedra and grid patches list their faces as vertex cycles and pass
+them to ``from_walks``, which numbers vertices and edges by first
+appearance.
 """
 
 from __future__ import annotations
@@ -11,47 +18,48 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GraphError
-from .graph_core import RotationGraph
+from .graph_core import RotationGraph, _first_at, _flatten
 
 
 def path_graph(n_edges: int) -> RotationGraph:
     """Path with ``n_edges`` edges; vertex 0 is one end."""
     if n_edges < 1:
         raise GraphError("path needs at least one edge")
-    incidence = [[0]]
-    for v in range(1, n_edges):
-        incidence.append([v - 1, v])
-    incidence.append([n_edges - 1])
-    return RotationGraph.from_rotations(incidence)
+    # vertex v holds darts 2v - 1 and 2v; the ends hold the first and last dart
+    return RotationGraph(
+        np.arange(2 * n_edges), np.r_[0, np.arange(1, 2 * n_edges, 2), 2 * n_edges]
+    )
 
 
 def cycle_graph(n: int) -> RotationGraph:
     """Cycle with ``n >= 2`` vertices (n = 2 gives a doubled edge)."""
     if n < 2:
         raise GraphError("cycle needs at least 2 vertices")
-    incidence = [[(v - 1) % n, v] for v in range(n)]
-    return RotationGraph.from_rotations(incidence)
+    # vertex v holds darts 2v - 1 and 2v, except that vertex 0 starts with
+    # dart 2n - 2 and vertex n - 1 ends with dart 2n - 1
+    darts = np.r_[2 * n - 2, np.arange(2 * n - 2), 2 * n - 1]
+    return RotationGraph(darts, np.arange(0, 2 * n + 1, 2))
 
 
 def regular_tree(degree: int, depth: int) -> RotationGraph:
     """Rooted tree, all non-leaf vertices of the given degree, leaves at ``depth``."""
     if degree < 2 or depth < 1:
         raise GraphError("need degree >= 2 and depth >= 1")
-    incidence: list[list[int]] = [[]]
+    rotations: list[list[int]] = [[]]
     level = [0]
-    n_edges = 0
     for d in range(depth):
         nxt = []
         for v in level:
             n_child = degree if d == 0 else degree - 1
             for _ in range(n_child):
-                w = len(incidence)
-                incidence.append([n_edges])
-                incidence[v].append(n_edges)
-                n_edges += 1
+                # edge e joins v to its child w, whose id is higher
+                w = len(rotations)
+                e = w - 1
+                rotations.append([2 * e + 1])
+                rotations[v].append(2 * e)
                 nxt.append(w)
         level = nxt
-    return RotationGraph.from_rotations(incidence, frontier=set(level))
+    return RotationGraph(*_flatten(rotations), frontier=level)
 
 
 def octahedron() -> RotationGraph:
@@ -59,7 +67,7 @@ def octahedron() -> RotationGraph:
         (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1),
         (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
     ]
-    return RotationGraph.from_face_cycles(faces)
+    return _from_vertex_cycles(faces)
 
 
 def cube() -> RotationGraph:
@@ -67,7 +75,7 @@ def cube() -> RotationGraph:
         (0, 3, 2, 1), (4, 5, 6, 7),
         (0, 1, 5, 4), (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
     ]
-    return RotationGraph.from_face_cycles(faces)
+    return _from_vertex_cycles(faces)
 
 
 def grid_patch(cols: int, rows: int) -> RotationGraph:
@@ -87,7 +95,7 @@ def grid_patch(cols: int, rows: int) -> RotationGraph:
     outer += [vid(i, rows - 1) for i in range(1, cols)]
     outer += [vid(cols - 1, j) for j in range(rows - 2, -1, -1)]
     outer += [vid(i, 0) for i in range(cols - 2, 0, -1)]
-    return RotationGraph.from_face_cycles(faces + [tuple(outer)])
+    return _from_vertex_cycles(faces + [tuple(outer)])
 
 
 def square_ball(radius: int) -> RotationGraph:
@@ -116,20 +124,17 @@ def square_ball(radius: int) -> RotationGraph:
             if other in vid:
                 eid[(c, other)] = len(eid)
 
-    def edge_id(a: tuple, b: tuple) -> int | None:
-        return eid.get((a, b), eid.get((b, a)))
-
-    incidence = []
+    rotations = []
     for c in coords:
         x, y = c
         rot = []
         for other in ((x + 1, y), (x, y + 1), (x - 1, y), (x, y - 1)):
-            e = edge_id(c, other) if other in vid else None
-            if e is not None:
-                rot.append(e)
-        incidence.append(rot)
-    frontier = {vid[c] for c in coords if abs(c[0]) + abs(c[1]) == radius}
-    return RotationGraph.from_rotations(incidence, frontier=frontier)
+            if other in vid:
+                e = eid.get((c, other), eid.get((other, c)))
+                rot.append(2 * e + (vid[c] > vid[other]))
+        rotations.append(rot)
+    frontier = [vid[c] for c in coords if abs(c[0]) + abs(c[1]) == radius]
+    return RotationGraph(*_flatten(rotations), frontier=frontier)
 
 
 def triangular_ball(q: int, depth: int) -> RotationGraph:
@@ -182,11 +187,12 @@ def triangular_ball(q: int, depth: int) -> RotationGraph:
             ring_edges = n_edges + np.arange(n_ring)
             n_edges += n_ring + len(ups)
 
+    # an edge's first slot in vertex order is dart 2e, its second 2e + 1
+    edge = np.concatenate(slots)
+    darts = 2 * edge + (_first_at(edge, n_edges)[edge] != np.arange(len(edge)))
     offsets = np.concatenate([[0], np.cumsum(np.concatenate(degrees))])
     n_vertices = len(offsets) - 1
-    return RotationGraph.from_edge_slots(
-        np.concatenate(slots), offsets, frontier=range(n_vertices - m, n_vertices)
-    )
+    return RotationGraph(darts, offsets, frontier=range(n_vertices - m, n_vertices))
 
 
 def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,6 +201,17 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
 
 
-def hex_flower() -> RotationGraph:
-    """Single interior vertex with six unit petals (smallest packing test case)."""
-    return triangular_ball(6, 1)
+def _from_vertex_cycles(cycles: list[tuple[int, ...]]) -> RotationGraph:
+    """The simple graph whose faces, the outer one included, are the vertex
+    ``cycles``; ``from_walks`` numbers vertices and edges by first appearance.
+
+    An edge is keyed by its two ends, ``min * n + max``, ranked among the
+    keys so that ``from_walks``' count tables stay as long as the walks,
+    not ``n ** 2``.
+    """
+    tails = np.concatenate(cycles)
+    heads = np.concatenate([np.roll(c, -1) for c in cycles])
+    n = int(tails.max()) + 1
+    pair = np.minimum(tails, heads) * n + np.maximum(tails, heads)
+    keys = np.unique(pair, return_inverse=True)[1]
+    return RotationGraph.from_walks(tails, keys, list(map(len, cycles))).graph

@@ -9,13 +9,14 @@ v-metric is a plain array.  Interior faces follow one rule,
 ``interior_face_mask(g)``; tags reach a graph only when it is made
 (``RotationGraph(darts, offsets, frontier, tags)`` or ``two_colored``), and
 no module outside ``graph_core`` assigns an attribute of a graph; a graph
-has one constructor and is read through its arrays, with no per-element
-accessors; an SVG always draws the nerve.  Records serialize from their fields, and
-fields that nothing read are gone.  ``extended_layer_counts`` counts the
-true extension only (a truncated grid is counted on the ball that
-``doyle_test`` solves), and ``effective_resistance`` is gone; isomorphism
-never reflects, and the extension ball always names its grid depth.  Code
-that no workflow ran is gone: the packing JSON dump, three ``PlanarSet``
+is made only by its constructor or ``from_walks`` and is read through its
+arrays, with no per-element accessors; an SVG always draws the nerve.
+Records serialize from their fields, and fields that nothing read are gone.
+``extended_layer_counts`` counts the true extension only (a truncated grid
+is counted on the ball that ``doyle_test`` solves), and
+``effective_resistance`` is gone; isomorphism never reflects, and the
+extension ball always names its grid depth.  Code that no workflow ran is
+gone: the packing JSON dump, three ``PlanarSet``
 methods, schedule indexing and the identity refinement map.  So is the
 config's ``dual_depth``, which bounded radii and nothing else, and every
 ``gen`` and ``analyze`` kind takes only the flags it reads.  These tests
@@ -144,16 +145,22 @@ def test_rotation_graph_has_one_constructor_and_no_accessors():
         for name, attr in vars(RotationGraph).items()
         if isinstance(attr, property) or inspect.isfunction(getattr(attr, "__func__", attr))
     )
-    assert members == [
-        "__init__",
-        "degree",
-        "from_edge_slots",
-        "from_face_cycles",
-        "from_rotations",
-        "from_walks",
-        "rotations",
-    ]
+    assert members == ["__init__", "degree", "from_walks", "rotations"]
     assert _parameters(RotationGraph) == ["darts", "offsets", "frontier", "tags"]
+
+
+def test_retired_graph_builders_are_named_nowhere():
+    # every graph is made by the constructor or from_walks
+    root = Path(__file__).resolve().parent.parent
+    retired = ("from_rotations", "from_edge_slots", "from_face_cycles", "hex_flower")
+    found = [
+        (path.relative_to(root).as_posix(), name)
+        for folder in ("src", "scripts")
+        for path in sorted((root / folder).rglob("*.py"))
+        for name in retired
+        if name in path.read_text()
+    ]
+    assert found == []
 
 
 def test_no_module_outside_graph_core_assigns_a_graph_attribute():

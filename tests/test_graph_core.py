@@ -35,12 +35,7 @@ from speiserlab.lattices import (
     triangular_ball,
 )
 
-
-def _dart_graph(rotations, frontier=()):
-    """The graph whose vertex ``v`` has the darts ``rotations[v]`` in order."""
-    offsets = np.cumsum([0, *map(len, rotations)])
-    darts = np.array([d for rot in rotations for d in rot], dtype=np.int64)
-    return RotationGraph(darts, offsets, frontier)
+from graphs import dart_graph, edge_list_graph, face_cycle_graph
 
 
 def test_octahedron_counts():
@@ -73,12 +68,12 @@ def test_grid_patch_3x3():
 def test_self_loop_rejected():
     # one edge whose both darts sit at the same vertex
     with pytest.raises(GraphError, match="self-loop"):
-        _dart_graph([[0, 1], []])
+        dart_graph([[0, 1], []])
 
 
 def test_disconnected_rejected():
     with pytest.raises(GraphError, match="disconnected"):
-        _dart_graph([[0], [1], [2], [3]])
+        dart_graph([[0], [1], [2], [3]])
 
 
 def test_dangling_halfedge_rejected():
@@ -120,7 +115,7 @@ def _tagged(g, tags):
             lambda: _tagged(octahedron(), {1: "50%", 3: "%d %s %%", 0: "circle"}),
             ['"1": "50%",\n    "3": "%d %s %%"'],
         ),
-        (lambda: _dart_graph([[]]), ['"edges": []', '"rotation": []']),
+        (lambda: dart_graph([[]]), ['"edges": []', '"rotation": []']),
         (lambda: octahedron(), ['"frontier": []', '"tags": {}']),
     ],
     ids=[
@@ -356,12 +351,12 @@ def _frontier_free_disk_rule(g):
         (cube, False),
         (lambda: cycle_graph(2), False),
         (lambda: grid_patch(3, 3), False),
-        (lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)]), True),
+        (lambda: face_cycle_graph([(0, 1, 2), (0, 2, 1)]), True),
         (  # the tetrahedron
-            lambda: RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]),
+            lambda: face_cycle_graph([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]),
             True,
         ),
-        (lambda: _dart_graph([[]]), False),
+        (lambda: dart_graph([[]]), False),
     ],
 )
 def test_classify_disk_rule_matches_frontier_free_reference(build, expected):
@@ -377,7 +372,7 @@ def test_frontier_free_map_has_no_outer_face():
     from speiserlab.refinement import subdivide4
     from speiserlab.speiser import lambda_triangulation
 
-    g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 3), (0, 3, 2, 1)])
+    g = face_cycle_graph([(0, 1, 2), (0, 2, 3), (0, 3, 2, 1)])
     assert not g.frontier
     assert interior_face_mask(g).all()
     assert not classify(g).is_disk_triangulation
@@ -452,6 +447,54 @@ def test_triangular_ball_bytes_pinned(q, depth):
     assert _sha(to_json(triangular_ball(q, depth))) == TRIANGULAR_BALL_SHA[q][depth]
 
 
+# sha256 prefixes of to_json of the other stock graphs, recorded when they
+# were built from per-vertex edge-id lists and vertex face cycles
+STOCK_GRAPH_SHA = {
+    "path_graph(1)": "d528bcf1b81a66b9",
+    "path_graph(2)": "2e722bdbc9010096",
+    "path_graph(3)": "70b6af39cbe2734c",
+    "path_graph(4)": "2077070a8d22b442",
+    "path_graph(5)": "6d9baa043d717071",
+    "path_graph(6)": "59901304bf69c420",
+    "cycle_graph(2)": "6629d94213ca6b7c",
+    "cycle_graph(3)": "8c6c90a972e14420",
+    "cycle_graph(4)": "86ca830386132655",
+    "cycle_graph(5)": "eeb250e4c1f2a8b9",
+    "cycle_graph(6)": "81b2b9ac66f7b0f2",
+    "cycle_graph(7)": "450dab2279c2fc53",
+    "regular_tree(2, 1)": "1d6d9560fe744d4d",
+    "regular_tree(2, 2)": "1b08d3bf53a939ba",
+    "regular_tree(2, 3)": "28552d0d59951d82",
+    "regular_tree(3, 1)": "72bc310bd5ef4c42",
+    "regular_tree(3, 2)": "d8e95e5a32ee6070",
+    "regular_tree(3, 3)": "5b0d7de29eacfaf0",
+    "regular_tree(4, 1)": "1e03cd804276d9ea",
+    "regular_tree(4, 2)": "2abd62e227accac6",
+    "regular_tree(4, 3)": "d76ecc01ead45668",
+    "octahedron()": "d078e4022e993622",
+    "cube()": "d337b1a599aae43e",
+    "grid_patch(2, 2)": "3f2d3f2a575b6cee",
+    "grid_patch(2, 4)": "a6fe902e94c5018f",
+    "grid_patch(3, 2)": "f88f245bbdc6b5bb",
+    "grid_patch(3, 4)": "3b2d5ab2cfa83464",
+    "grid_patch(5, 2)": "34727a404d3d5458",
+    "grid_patch(5, 4)": "ab79f2c3232e26e0",
+    "square_ball(1)": "747a075fd78e257f",
+    "square_ball(2)": "01d5e155809893c5",
+    "square_ball(3)": "b92eb573dba4f5b1",
+    "square_ball(5)": "fc75f719e2c12b42",
+}
+
+
+@pytest.mark.parametrize("call", STOCK_GRAPH_SHA)
+def test_stock_graph_bytes_pinned(call):
+    stock = (path_graph, cycle_graph, regular_tree, octahedron, cube, grid_patch, square_ball)
+    builders = {f.__name__: f for f in stock}
+    name, args = call.rstrip(")").split("(")
+    g = builders[name](*(int(a) for a in args.split(",") if a))
+    assert _sha(to_json(g)) == STOCK_GRAPH_SHA[call]
+
+
 def _ring_loop_triangular_ball(q, depth):
     """The ring-by-ring Python loop that ``triangular_ball`` replaced."""
     n_edges = 0
@@ -500,7 +543,7 @@ def _ring_loop_triangular_ball(q, depth):
         downs = [new_downs[v] for v in next_ring]
     for i in range(len(ring)):
         incidence.append([ring_edges[i]] + downs[i][::-1] + [ring_edges[i - 1]])
-    return RotationGraph.from_rotations(incidence, frontier=set(ring))
+    return edge_list_graph(incidence, frontier=set(ring))
 
 
 @pytest.mark.parametrize("q", [6, 7, 8, 9, 12])
@@ -509,16 +552,6 @@ def test_triangular_ball_matches_the_ring_loop(q):
         assert to_json(triangular_ball(q, depth)) == to_json(
             _ring_loop_triangular_ball(q, depth)
         )
-
-
-def test_from_edge_slots_is_the_flat_from_rotations():
-    incidence = [[0, 1, 2], [0, 3, 1], [2, 3]]
-    edge = np.array([0, 1, 2, 0, 3, 1, 2, 3])
-    a = RotationGraph.from_rotations(incidence, frontier={2})
-    b = RotationGraph.from_edge_slots(edge, np.array([0, 3, 6, 8]), frontier={2})
-    assert to_json(a) == to_json(b)
-    with pytest.raises(GraphError, match="single endpoint"):
-        RotationGraph.from_edge_slots(edge[:-1], np.array([0, 3, 6, 7]))
 
 
 def test_hex_ball_euler():
@@ -559,9 +592,24 @@ def test_canonical_isomorphism_invariance():
         (2, 0, 1), (0, 2, 3), (0, 3, 4), (0, 4, 1),
         (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 1, 4),
     ]
-    g2 = RotationGraph.from_face_cycles(faces)
+    g2 = face_cycle_graph(faces)
     assert is_isomorphic(g1, g2)
     assert not is_isomorphic(g1, cube())
+
+
+def test_grid_patch_key_tables_stay_small():
+    # edge keys min * n + max would give from_walks tables of n ** 2 entries
+    # (20 MB each for these 1,600 vertices); ranked, they are as long as the walks
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = grid_patch(40, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_edges == 2 * 40 * 39
+    assert peak < 8e6
 
 
 @settings(max_examples=20, deadline=None)
@@ -886,18 +934,18 @@ def test_sparse_walk_keys_match_tuple_reference(source):
     assert built.graph.frontier == front
     assert dict(zip(built.vertex_key.tolist(), range(g.n_vertices))) == vmap
     faces = trace_faces(built.graph)
-    fresh = trace_faces(_dart_graph(rot, front))
+    fresh = trace_faces(dart_graph(rot, front))
     assert faces.darts.tolist() == fresh.darts.tolist()
     assert faces.offsets.tolist() == fresh.offsets.tolist()
 
 
 def test_malformed_rotations_rejected():
     with pytest.raises(GraphError, match="out of range"):
-        _dart_graph([[0, 5], [1, 2]])
+        dart_graph([[0, 5], [1, 2]])
     with pytest.raises(GraphError, match="appears twice"):
-        _dart_graph([[0, 0], [1, 1]])
+        dart_graph([[0, 0], [1, 1]])
     with pytest.raises(GraphError, match="odd number"):
-        _dart_graph([[0], [1], [2]])
+        dart_graph([[0], [1], [2]])
 
 
 @pytest.mark.parametrize(
@@ -915,6 +963,47 @@ def test_malformed_rotations_rejected():
 def test_malformed_offsets_rejected(darts, offsets, message):
     with pytest.raises(GraphError, match=re.escape(message)):
         RotationGraph(darts, offsets)
+
+
+@pytest.mark.parametrize(
+    "darts, offsets, frontier, tags, message",
+    [
+        ([0, 1], [0, 1, 2], [5], None, "frontier vertex 5 out of range"),
+        ([0, 1], [0, 1, 2], [-1], None, "frontier vertex -1 out of range"),
+        ([0, 1], [0, 1, 2], [1.0], None, "frontier vertex 1.0 is not an integer"),
+        ([0, 1], [0, 1, 2], (), {7: "x"}, "tag key 7 out of range"),
+        ([0, 1], [0, 1, 2], (), {0: 5}, "tag on vertex 0 is not a string"),
+        ([0.7, 1.2], [0, 1, 2], (), None, "darts must be integers, not float64"),
+        ([True, False], [0, 1, 2], (), None, "darts must be integers, not bool"),
+        ([0, 1], [0, 1.0, 2], (), None, "offsets must be integers, not float64"),
+        ([], [False, False], (), None, "offsets must be integers, not bool"),
+    ],
+    ids=[
+        "frontier-past-end",
+        "frontier-negative",
+        "frontier-float",
+        "tag-key-past-end",
+        "tag-value-not-str",
+        "float-darts",
+        "bool-darts",
+        "float-offsets",
+        "bool-offsets",
+    ],
+)
+def test_constructor_rejects_unchecked_ids(darts, offsets, frontier, tags, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        RotationGraph(darts, offsets, frontier, tags)
+
+
+def test_constructor_accepts_numpy_ints_and_empty_arrays():
+    g = RotationGraph(
+        np.array([0, 1], dtype=np.int32),
+        [0, 1, 2],
+        frontier=[np.int64(1)],
+        tags={np.int32(0): "circle", 1: "cross"},
+    )
+    assert (g.frontier, g.tags) == ({1}, {0: "circle", 1: "cross"})
+    assert RotationGraph([], [0, 0]).n_vertices == 1
 
 
 def test_degree_rejects_a_vertex_out_of_range():
@@ -1059,28 +1148,6 @@ def test_classify_and_coloring_match_loop_reference():
 # -- flat rotation arrays against the list-based references ------------------
 
 
-def _reference_from_rotations(incidence):
-    """Per-vertex dart lists from edge-id lists, scanning slot by slot."""
-    seen_once = {}
-    rotations = []
-    for v, inc in enumerate(incidence):
-        rot = []
-        for e in inc:
-            if e in seen_once:
-                if seen_once[e] == -1:
-                    raise GraphError(f"edge {e} appears more than twice")
-                rot.append(2 * e + 1)
-                seen_once[e] = -1
-            else:
-                seen_once[e] = v
-                rot.append(2 * e)
-        rotations.append(rot)
-    unmatched = [e for e, s in seen_once.items() if s != -1]
-    if unmatched:
-        raise GraphError(f"edges with a single endpoint: {sorted(unmatched)}")
-    return rotations
-
-
 def _reference_bfs_layers(g, root):
     """Queue BFS over the rotation lists, then one pass over the edges."""
     from collections import deque
@@ -1175,34 +1242,6 @@ def test_bfs_layers_and_induced_ball_match_loop_references():
             ball = induced_ball(g, n)
             want = _reference_induced_ball(g, layers, n)
             assert (ball.rotations, ball.frontier, ball.tags) == want, (name, n)
-
-
-def test_from_rotations_matches_loop_reference():
-    rng = np.random.default_rng(7)
-    for g in (square_ball(3), regular_tree(3, 3), triangular_ball(8, 2), cycle_graph(2)):
-        incidence = [[d >> 1 for d in rot] for rot in g.rotations]
-        # relabel the edges so that first appearances differ from edge order
-        label = rng.permutation(g.n_edges)
-        incidence = [[int(label[e]) for e in inc] for inc in incidence]
-        built = RotationGraph.from_rotations(incidence)
-        assert built.rotations == _reference_from_rotations(incidence)
-
-
-@pytest.mark.parametrize(
-    "incidence",
-    [
-        [[0, 1], [1, 0], [1, 2], [0, 2]],  # edge 1 recurs first, then edge 0
-        [[2, 0], [0, 2], [2], [0]],
-        [[5, 0], [0, 3], [7]],  # unmatched ids, reported sorted
-        [[0, 1], [1, 0, 4], [4, 9, 9, 9]],
-    ],
-)
-def test_from_rotations_errors_match_loop_reference(incidence):
-    with pytest.raises(GraphError) as want:
-        _reference_from_rotations(incidence)
-    with pytest.raises(GraphError) as got:
-        RotationGraph.from_rotations(incidence)
-    assert str(got.value) == str(want.value)
 
 
 def test_rotation_arrays_are_read_only_int64():

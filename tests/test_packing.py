@@ -9,7 +9,7 @@ import pytest
 from speiserlab import packing
 from speiserlab.errors import SolverError
 from speiserlab.graph_core import bfs_layers, induced_ball
-from speiserlab.lattices import hex_flower, triangular_ball
+from speiserlab.lattices import triangular_ball
 from speiserlab.packing import (
     ANGLE_TOL,
     CirclePacking,
@@ -30,7 +30,7 @@ def maximal_tri8_3():
 
 
 def test_hex_flower_interior_radius_one():
-    p = pack_disk(hex_flower(), boundary=EUCLIDEAN)
+    p = pack_disk(triangular_ball(6, 1), boundary=EUCLIDEAN)
     assert p.radii[0] == pytest.approx(1.0, abs=1e-8)
     check = verify_packing(p)
     assert check.max_angle_residual < 1e-10
@@ -487,7 +487,7 @@ def test_inscribed_adjacency_intersects():
 
 
 def test_svg_output():
-    p = pack_disk(hex_flower(), boundary=EUCLIDEAN)
+    p = pack_disk(triangular_ball(6, 1), boundary=EUCLIDEAN)
     svg = packing_to_svg(p)
     assert svg.startswith("<svg")
     assert svg.count("<circle") == 7
@@ -524,8 +524,8 @@ def _assert_pinned(p, name):
 
 
 def test_packing_json_dump():
-    p = pack_disk(hex_flower(), boundary=EUCLIDEAN)
-    q = pack_disk(hex_flower(), boundary=EUCLIDEAN)
+    p = pack_disk(triangular_ball(6, 1), boundary=EUCLIDEAN)
+    q = pack_disk(triangular_ball(6, 1), boundary=EUCLIDEAN)
     assert np.array_equal(p.radii, q.radii) and np.array_equal(p.centers, q.centers)
     _assert_pinned(p, "hex_flower")
 
@@ -668,7 +668,7 @@ def test_svg_pinned():
     def sha(p):
         return hashlib.sha256(packing_to_svg(p).encode()).hexdigest()[:16]
 
-    assert sha(pack_disk(hex_flower(), boundary=EUCLIDEAN)) == "19d311ac6fa2b118"
+    assert sha(pack_disk(triangular_ball(6, 1), boundary=EUCLIDEAN)) == "19d311ac6fa2b118"
     assert sha(pack_disk(triangular_ball(8, 3), boundary=MAXIMAL)) == "c18540f6d493164b"
 
 

@@ -28,6 +28,8 @@ from speiserlab.speiser import (
     tree_replace,
 )
 
+from graphs import face_cycle_graph
+
 
 def test_subdivide4_octahedron_counts():
     g = octahedron()
@@ -44,9 +46,7 @@ def test_subdivide4_octahedron_counts():
 def test_subdivide4_single_triangle():
     # a triangle and its outer triangle, both interior with no frontier: 4
     # triangles each, on 3 midpoints
-    from speiserlab.graph_core import RotationGraph
-
-    g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)])
+    g = face_cycle_graph([(0, 1, 2), (0, 2, 1)])
     ref, rmap = subdivide4(g)
     assert ref.n_vertices == 6
     assert trace_faces(ref).lengths.tolist() == [3] * 8
@@ -155,9 +155,7 @@ def test_check_refinement_identity():
 
 def test_coarsen_metric_single_edge_formula():
     # single edge with one midpoint: m(u) = 6 max(a, b), m(v) = 6 max(b, c)
-    from speiserlab.graph_core import RotationGraph
-
-    g = RotationGraph.from_face_cycles([(0, 1, 2), (0, 2, 1)])
+    g = face_cycle_graph([(0, 1, 2), (0, 2, 1)])
     ref, rmap = subdivide4(g)
     report = check_refinement(g, ref, rmap)
     assert report.m_edge == 3
